@@ -11,6 +11,7 @@
 // E5  BenchmarkFig5*         migrating threads vs conventional access
 // E6  BenchmarkFig6SizePerf  the size-performance scatter
 // E7  BenchmarkFig7*         streaming Jaccard queries on the Emu sim
+// E17 BenchmarkFromEdgesRMAT, BenchmarkDynSnapshot  sort-free CSR construction
 // --  BenchmarkNORA*         the measured nine-step boil + query path
 // --  BenchmarkAblation*     design-choice ablations from DESIGN.md
 package repro
@@ -741,6 +742,36 @@ func BenchmarkDynBatchApply(b *testing.B) {
 		g.ApplyBatch(updates)
 	}
 	b.ReportMetric(float64(100000*b.N)/b.Elapsed().Seconds()/1e6, "Mupdates/s")
+}
+
+// buildSink keeps the construction benchmarks' results alive.
+var buildSink *graph.Graph
+
+// BenchmarkFromEdgesRMAT is graph construction from a raw R-MAT edge list,
+// the first step of Fig. 2's flow and of the repo benchmark's set-up.
+func BenchmarkFromEdgesRMAT(b *testing.B) {
+	for _, scale := range []int{12, 15} {
+		edges := gen.RMATEdgeStream(scale, 16<<scale, gen.Graph500RMAT, 1)
+		b.Run(fmt.Sprintf("s%d", scale), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildSink = graph.FromEdges(1<<scale, false, edges)
+			}
+			b.ReportMetric(float64(len(edges)*b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
+		})
+	}
+}
+
+// BenchmarkDynSnapshot is the full CSR emission a freshly bulk-loaded
+// graphd or shard pays on its first query.
+func BenchmarkDynSnapshot(b *testing.B) {
+	dg := dyngraph.FromCSRGraph(gen.RMAT(14, 16, gen.Graph500RMAT, 1, false))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildSink = dg.Snapshot()
+	}
+	b.ReportMetric(float64(dg.NumArcs()*int64(b.N))/b.Elapsed().Seconds()/1e6, "Marcs/s")
 }
 
 // ---- Graph500 harness (E1 depth) ----

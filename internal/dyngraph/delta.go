@@ -1,7 +1,8 @@
 package dyngraph
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -11,8 +12,8 @@ import (
 // are rebuilt from the dynamic block chains, every other row is bulk-copied
 // from prev. The result is identical to Snapshot() (self-loops excluded,
 // rows sorted by target, weights and timestamps carried), but costs
-// O(n + m_copy + sum of touched-row rebuilds) with no global edge sort —
-// the Builder path is O(m log m) and dominated snapshot latency under churn.
+// O(n + m_copy + sum of touched-row rebuilds) where Snapshot() walks and
+// sorts every row.
 //
 // touched must contain every vertex whose adjacency row may have changed
 // since prev was taken; for undirected graphs that means both endpoints of
@@ -31,20 +32,36 @@ func (g *DynGraph) SnapshotDelta(prev *graph.Graph, touched []int32) *graph.Grap
 			mark[v] = true
 		}
 	}
+	return g.emitRows(prev, mark)
+}
 
-	pOff, pTgt, pW, pT := prev.CSR()
+// emitRows is the one CSR emitter behind Snapshot and SnapshotDelta: degree
+// count, offsets, then per row either a gather from the block chain sorted
+// by target (self-loops dropped) or a copy from prev. A row is copied when
+// prev is non-nil and the row is unmarked; prev must then be compatible as
+// SnapshotDelta checks. One allocation per output array, plus the row
+// buffer.
+func (g *DynGraph) emitRows(prev *graph.Graph, mark []bool) *graph.Graph {
+	n := g.NumVertices()
+	var pOff []int64
+	var pTgt []int32
+	var pW []float32
+	var pT []int64
+	if prev != nil {
+		pOff, pTgt, pW, pT = prev.CSR()
+	}
+	keep := func(v int32) bool { return prev != nil && !mark[v] }
+
 	offsets := make([]int64, n+1)
 	for v := int32(0); v < n; v++ {
-		if !mark[v] {
+		if keep(v) {
 			offsets[v+1] = offsets[v] + (pOff[v+1] - pOff[v])
 			continue
 		}
-		var cnt int64
-		g.ForEachNeighbor(v, func(w int32, _ float32, _ int64) {
-			if w != v { // snapshots never carry self-loops
-				cnt++
-			}
-		})
+		cnt := int64(g.degree[v])
+		if g.HasEdge(v, v) { // snapshots never carry self-loops
+			cnt--
+		}
 		offsets[v+1] = offsets[v] + cnt
 	}
 
@@ -54,11 +71,11 @@ func (g *DynGraph) SnapshotDelta(prev *graph.Graph, touched []int32) *graph.Grap
 	times := make([]int64, m)
 	var row []edgeSlot
 	for v := int32(0); v < n; {
-		if !mark[v] {
+		if keep(v) {
 			// Untouched rows keep their previous lengths, so a maximal run of
 			// them is one contiguous copy from the old arrays.
 			u := v
-			for u < n && !mark[u] {
+			for u < n && keep(u) {
 				u++
 			}
 			copy(targets[offsets[v]:offsets[u]], pTgt[pOff[v]:pOff[u]])
@@ -68,26 +85,28 @@ func (g *DynGraph) SnapshotDelta(prev *graph.Graph, touched []int32) *graph.Grap
 			continue
 		}
 		row = row[:0]
-		g.ForEachNeighbor(v, func(w int32, wt float32, t int64) {
-			if w != v {
-				row = append(row, edgeSlot{dst: w, weight: wt, time: t})
+		for b := g.adj[v]; b != nil; b = b.next {
+			for _, s := range b.slots {
+				if s.dst != v {
+					row = append(row, s)
+				}
 			}
-		})
-		sort.Slice(row, func(i, j int) bool { return row[i].dst < row[j].dst })
+		}
+		slices.SortFunc(row, func(a, b edgeSlot) int { return cmp.Compare(a.dst, b.dst) })
 		base := offsets[v]
-		for i := range row {
-			targets[base+int64(i)] = row[i].dst
-			weights[base+int64(i)] = row[i].weight
-			times[base+int64(i)] = row[i].time
+		for i, s := range row {
+			targets[base+int64(i)] = s.dst
+			weights[base+int64(i)] = s.weight
+			times[base+int64(i)] = s.time
 		}
 		v++
 	}
 
 	snap, err := graph.FromCSRArrays(n, g.directed, offsets, targets, weights, times)
 	if err != nil {
-		// Unreachable unless an internal invariant broke; the full rebuild is
-		// always a correct answer.
-		return g.Snapshot()
+		// offsets is a prefix sum of non-negative counts and the arrays are
+		// made at its last entry, so only a broken degree counter gets here.
+		panic("dyngraph: emitted CSR rejected: " + err.Error())
 	}
 	return snap
 }

@@ -2,7 +2,7 @@ package dyngraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -174,7 +174,7 @@ func (g *DynGraph) ForEachNeighbor(v int32, fn func(w int32, weight float32, tim
 func (g *DynGraph) Neighbors(v int32) []int32 {
 	out := make([]int32, 0, g.degree[v])
 	g.ForEachNeighbor(v, func(w int32, _ float32, _ int64) { out = append(out, w) })
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -201,41 +201,10 @@ func (g *DynGraph) CommonNeighborCount(u, v int32) int32 {
 
 // Snapshot freezes the current state as an immutable CSR graph, the bridge
 // from the streaming side of Fig. 2 to batch analytics on extracted
-// subgraphs.
-func (g *DynGraph) Snapshot() *graph.Graph {
-	b := graph.NewBuilder(g.NumVertices()).Weighted().Timestamped()
-	// Arcs are copied verbatim (both directions already present when
-	// undirected), so keep the builder directed and fix the flag after.
-	for v := int32(0); v < g.NumVertices(); v++ {
-		g.ForEachNeighbor(v, func(w int32, weight float32, t int64) {
-			b.AddEdge(graph.Edge{Src: v, Dst: w, Weight: weight, Time: t})
-		})
-	}
-	snap := b.Build()
-	if !g.directed {
-		snap = forceUndirected(snap)
-	}
-	return snap
-}
-
-// forceUndirected rebuilds the graph marking it undirected without doubling
-// arcs (they are already symmetric).
-func forceUndirected(g *graph.Graph) *graph.Graph {
-	// Round-trip through an edge list keeping only v<=w arcs.
-	b := graph.NewBuilder(g.NumVertices()).Undirected().Weighted().Timestamped()
-	for v := int32(0); v < g.NumVertices(); v++ {
-		ns := g.Neighbors(v)
-		ws := g.NeighborWeights(v)
-		ts := g.NeighborTimes(v)
-		for i, w := range ns {
-			if w < v {
-				continue
-			}
-			b.AddEdge(graph.Edge{Src: v, Dst: w, Weight: ws[i], Time: ts[i]})
-		}
-	}
-	return b.Build()
-}
+// subgraphs. Self-loops are excluded, rows are sorted by target, weights and
+// timestamps are carried. It is SnapshotDelta with every row touched: one
+// pass over the block chains, no global sort.
+func (g *DynGraph) Snapshot() *graph.Graph { return g.emitRows(nil, nil) }
 
 // FromGraph loads an immutable graph into a fresh dynamic graph.
 func FromGraph(src *graph.Graph) *DynGraph {

@@ -3,9 +3,9 @@ package graph
 import "fmt"
 
 // FromCSRArrays freezes pre-assembled CSR arrays into an immutable Graph
-// without the Builder's O(m log m) sort. It is the fast path for incremental
-// snapshot maintenance, where most rows are copied verbatim from a previous
-// snapshot and only edited rows are rebuilt.
+// without going through an edge list and the Builder. It is how dyngraph
+// snapshots (rows gathered from block chains, or copied verbatim from a
+// previous snapshot) and the flat snapshot reader hand over their arrays.
 //
 // The arrays are adopted, not copied: the caller must not retain or mutate
 // them after the call. offsets must have length n+1 (nil is accepted when

@@ -290,8 +290,18 @@ func (b *Builder) AddWeighted(src, dst int32, w float32) {
 // direction doubling or dedup).
 func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
+// arc is Build's sort record: the endpoint the remaining pass keys on (the
+// other is implied by the bucket) and the index of the edge with the payload.
+type arc struct{ key, idx int32 }
+
 // Build sorts, optionally dedups, and freezes the graph. The builder can be
 // reused afterwards; its edge buffer is consumed.
+//
+// The sort is a two-pass LSD counting sort (scatter by Dst, then by Src)
+// over the arc sequence "added edges in insertion order, then, when
+// undirected, their reverses in the same order". Both passes are stable, so
+// parallel arcs stay in that order and dedup folds the same sequence for
+// BOTH stored directions of an undirected edge.
 func (b *Builder) Build() *Graph {
 	edges := b.edges
 	b.edges = nil
@@ -304,69 +314,91 @@ func (b *Builder) Build() *Graph {
 		}
 		edges = kept
 	}
-	if !b.directed {
-		m := len(edges)
-		for i := 0; i < m; i++ {
-			e := edges[i]
-			edges = append(edges, Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight, Time: e.Time})
+	if len(edges) > 1<<31-1 {
+		panic(fmt.Sprintf("graph: %d edges overflow the builder's int32 edge index", len(edges)))
+	}
+	// byDst[v] and bySrc[v] count bucket v, then hold its write cursor, which
+	// a scatter pass leaves at the bucket's end.
+	byDst, bySrc := make([]int64, b.n), make([]int64, b.n)
+	for _, e := range edges {
+		bySrc[e.Src]++
+		byDst[e.Dst]++
+		if !b.directed {
+			bySrc[e.Dst]++
+			byDst[e.Src]++
 		}
 	}
-	// Stable so that dedup keeps the first-added parallel edge for BOTH
-	// stored directions of an undirected edge (unstable sort could keep
-	// different weights for (u,v) and (v,u)).
-	sort.SliceStable(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
+	var m, md int64
+	for v := range bySrc {
+		bySrc[v], m = m, m+bySrc[v]
+		byDst[v], md = md, md+byDst[v]
+	}
+	cols := make([]arc, m) // sorted by Dst, key = Src
+	for i, e := range edges {
+		cols[byDst[e.Dst]] = arc{e.Src, int32(i)}
+		byDst[e.Dst]++
+	}
+	if !b.directed {
+		for i, e := range edges {
+			cols[byDst[e.Src]] = arc{e.Dst, int32(i)}
+			byDst[e.Src]++
 		}
-		return edges[i].Dst < edges[j].Dst
-	})
-	if b.dedup {
-		// Parallel edges collapse to the minimum weight and earliest
-		// timestamp — min is direction-symmetric, so undirected graphs get
-		// identical weights on both stored arcs no matter the input order.
-		out := edges[:0]
-		for _, e := range edges {
-			if len(out) > 0 && out[len(out)-1].Src == e.Src && out[len(out)-1].Dst == e.Dst {
-				last := &out[len(out)-1]
-				if e.Time < last.Time {
-					last.Time = e.Time
+	}
+	rows := make([]arc, m) // sorted by (Src, Dst), key = Dst
+	lo := int64(0)
+	for d, hi := range byDst {
+		for _, a := range cols[lo:hi] {
+			rows[bySrc[a.key]] = arc{int32(d), a.idx}
+			bySrc[a.key]++
+		}
+		lo = hi
+	}
+
+	g := &Graph{n: b.n, directed: b.directed, offsets: make([]int64, b.n+1)}
+	lo = 0
+	for v, hi := range bySrc {
+		kept := hi - lo
+		for i := lo + 1; b.dedup && i < hi; i++ {
+			if rows[i].key == rows[i-1].key {
+				kept--
+			}
+		}
+		g.offsets[v+1] = g.offsets[v] + kept
+		lo = hi
+	}
+	g.targets = make([]int32, g.offsets[b.n])
+	if b.weighted {
+		g.weights = make([]float32, len(g.targets))
+	}
+	if b.timestamped {
+		g.times = make([]int64, len(g.targets))
+	}
+	out := -1 // last arc written
+	lo = 0
+	for _, hi := range bySrc {
+		for i := lo; i < hi; i++ {
+			a := rows[i]
+			if b.dedup && i > lo && a.key == rows[i-1].key {
+				// Parallel edges collapse to the minimum weight and earliest
+				// timestamp, folded in arc-sequence order.
+				if g.weights != nil && edges[a.idx].Weight < g.weights[out] {
+					g.weights[out] = edges[a.idx].Weight
 				}
-				if e.Weight < last.Weight {
-					last.Weight = e.Weight
+				if g.times != nil && edges[a.idx].Time < g.times[out] {
+					g.times[out] = edges[a.idx].Time
 				}
 				continue
 			}
-			out = append(out, e)
+			out++
+			g.targets[out] = a.key
+			if g.weights != nil {
+				g.weights[out] = edges[a.idx].Weight
+			}
+			if g.times != nil {
+				g.times[out] = edges[a.idx].Time
+			}
 		}
-		edges = out
-	}
-	g := &Graph{n: b.n, directed: b.directed}
-	g.offsets = make([]int64, b.n+1)
-	g.targets = make([]int32, len(edges))
-	if b.weighted {
-		g.weights = make([]float32, len(edges))
-	}
-	if b.timestamped {
-		g.times = make([]int64, len(edges))
-	}
-	for _, e := range edges {
-		g.offsets[e.Src+1]++
-	}
-	for i := int32(0); i < b.n; i++ {
-		g.offsets[i+1] += g.offsets[i]
-	}
-	cursor := make([]int64, b.n)
-	copy(cursor, g.offsets[:b.n])
-	for _, e := range edges {
-		p := cursor[e.Src]
-		cursor[e.Src]++
-		g.targets[p] = e.Dst
-		if g.weights != nil {
-			g.weights[p] = e.Weight
-		}
-		if g.times != nil {
-			g.times[p] = e.Time
-		}
+		lo = hi
 	}
 	return g
 }
@@ -378,6 +410,7 @@ func FromEdges(n int32, directed bool, edges [][2]int32) *Graph {
 		b.Undirected()
 	}
 	b.DedupEdges()
+	b.edges = make([]Edge, 0, len(edges))
 	for _, e := range edges {
 		b.Add(e[0], e[1])
 	}

@@ -15,7 +15,8 @@ import (
 
 // MatrixSpec describes the benchmark matrix: every kernel below runs
 // against R-MAT and Erdős–Rényi graphs at each scale, plus the streaming
-// Jaccard case over an edge-update stream.
+// Jaccard case over an edge-update stream and one fixed-size graph
+// construction case (build/rmat-s15).
 type MatrixSpec struct {
 	Scales        []int
 	EdgeFactor    int
@@ -144,6 +145,15 @@ func RunMatrix(reg *telemetry.Registry, spec MatrixSpec) []BenchCase {
 				return int64(len(ups))
 			}))
 		}
+	}
+	// Graph construction from a raw edge list, at the size the repo
+	// benchmark's batch-kernels workload builds in set-up whatever
+	// spec.Scales says: one fixed trajectory row for graph.Builder.
+	if kernelEnabled(spec, "build") {
+		edges := gen.RMATEdgeStream(15, 16<<15, gen.Graph500RMAT, spec.Seed)
+		cases = append(cases, runCase(reg, "build", "rmat-s15", spec.Reps, func() int64 {
+			return graph.FromEdges(1<<15, false, edges).NumEdges()
+		}))
 	}
 	return cases
 }

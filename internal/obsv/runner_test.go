@@ -13,14 +13,14 @@ func TestRunMatrixSmoke(t *testing.T) {
 	spec := MatrixSpec{
 		Scales: []int{6}, EdgeFactor: 4, Seed: 1, Reps: 1,
 		StreamUpdates: 100,
-		Kernels:       []string{"bfs", "wcc", "spgemm", "jaccard-stream"},
+		Kernels:       []string{"bfs", "wcc", "spgemm", "jaccard-stream", "build"},
 	}
 	reg := telemetry.NewRegistry()
 	cases := RunMatrix(reg, spec)
 
-	// 3 batch kernels x 2 families + 1 streaming case.
-	if len(cases) != 7 {
-		t.Fatalf("cases = %d, want 7", len(cases))
+	// 3 batch kernels x 2 families + 1 streaming case + the build case.
+	if len(cases) != 8 {
+		t.Fatalf("cases = %d, want 8", len(cases))
 	}
 	names := map[string]bool{}
 	for _, c := range cases {
@@ -37,7 +37,7 @@ func TestRunMatrixSmoke(t *testing.T) {
 	}
 	for _, want := range []string{
 		"bfs/rmat-s6-ef4", "bfs/er-s6-ef4", "wcc/rmat-s6-ef4",
-		"spgemm/er-s6-ef4", "jaccard-stream/stream-s6-u100",
+		"spgemm/er-s6-ef4", "jaccard-stream/stream-s6-u100", "build/rmat-s15",
 	} {
 		if !names[want] {
 			t.Errorf("missing case %s (have %v)", want, names)

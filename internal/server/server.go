@@ -448,7 +448,8 @@ func (s *Server) snapshot() *graph.Graph {
 // is patched from the previous one when the delta log still covers the
 // window — only touched adjacency rows are rebuilt, the rest is bulk-copied
 // (server_snapshot_patches_total); otherwise (and always in recompute mode)
-// the full O(m log m) builder runs (server_snapshot_rebuilds_total).
+// dyngraph.Snapshot re-emits every row: one walk of the block chains and a
+// per-row sort, no global edge sort (server_snapshot_rebuilds_total).
 func (s *Server) snapshotState() *snapState {
 	if st := s.snap.Load(); st != nil && st.version == s.version.Load() {
 		s.m.snapAge.Set(time.Since(st.built).Seconds())

@@ -203,34 +203,43 @@ func TestIngestQueryFreshness(t *testing.T) {
 	}
 }
 
+// ingestAll posts updates and, while the server answers 429 (queue full:
+// it accepted a prefix), re-posts the rejected suffix after a short sleep.
+// Back-to-back posts must use it; a strict "202, all accepted" check is only
+// right for one post of at most QueueCap updates onto a drained queue.
+func ingestAll(t *testing.T, url string, updates []IngestUpdate) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(updates) > 0 {
+		code, res, _ := postIngest(t, url, updates)
+		if code != http.StatusAccepted && code != http.StatusTooManyRequests {
+			t.Fatalf("ingest = %d %+v, want 202 or 429", code, res)
+		}
+		updates = updates[res.Accepted:]
+		if len(updates) > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("ingest still rejecting %d updates after 10s of retries", len(updates))
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 // ingestClique fills the server with a dense-ish deterministic graph big
 // enough that PageRank takes well over the test deadlines.
 func ingestClique(t *testing.T, s *Server, ts *httptest.Server, n int32) int64 {
 	t.Helper()
-	var batch []IngestUpdate
-	var total int64
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		code, res, _ := postIngest(t, ts.URL, batch)
-		if code != http.StatusAccepted || res.Accepted != len(batch) {
-			t.Fatalf("ingest = %d %+v, want 202 all accepted", code, res)
-		}
-		total += int64(len(batch))
-		batch = batch[:0]
-	}
+	updates := make([]IngestUpdate, 0, 8*int(n))
 	for v := int32(0); v < n; v++ {
 		for d := int32(1); d <= 8; d++ {
-			batch = append(batch, IngestUpdate{Src: v, Dst: (v + d) % n})
-			if len(batch) == 4096 {
-				flush()
-			}
+			updates = append(updates, IngestUpdate{Src: v, Dst: (v + d) % n})
 		}
 	}
-	flush()
-	waitApplied(t, s, total)
-	return total
+	for at := 0; at < len(updates); at += 4096 {
+		ingestAll(t, ts.URL, updates[at:min(at+4096, len(updates))])
+	}
+	waitApplied(t, s, int64(len(updates)))
+	return int64(len(updates))
 }
 
 // TestDeadlineExceeded504CancelsKernel: an expiring ?timeout= returns 504

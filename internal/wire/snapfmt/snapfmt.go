@@ -58,8 +58,9 @@ const (
 	headerSize = 20
 	// trailerSize is the CRC trailer length in bytes.
 	trailerSize = 4
-	// chunkBytes bounds scratch buffers and read-ahead allocation.
-	chunkBytes = 1 << 20
+	// chunkBytes bounds scratch buffers and read-ahead allocation; it is also
+	// the fixed overhead of reading a small file.
+	chunkBytes = 64 << 10
 )
 
 // Header flag bits.
@@ -204,12 +205,14 @@ func writeF32s(w io.Writer, scratch []byte, vals []float32) error {
 }
 
 // Read deserializes a flat snapshot from r. size is the total byte length
-// when known (pass the file's Stat size; it lets the header's implied size
-// be checked before any array allocation) or -1 when unknown, in which case
-// allocation still grows only as bytes actually arrive.
+// when known (pass the file's Stat size): the header's implied size is
+// checked against it before any array allocation, and each array is then
+// allocated once at its exact length. With size -1 (unknown) the arrays
+// start at one chunk and grow only as bytes actually arrive. Reads are
+// chunk-sized, so r needs no buffering.
 func Read(r io.Reader, size int64) (*graph.Graph, error) {
 	crc := crc32.New(castagnoli)
-	tr := io.TeeReader(bufio.NewReaderSize(r, chunkBytes), crc)
+	tr := io.TeeReader(r, crc)
 
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(tr, hdr[:]); err != nil {
@@ -257,26 +260,27 @@ func Read(r io.Reader, size int64) (*graph.Graph, error) {
 	}
 
 	scratch := make([]byte, chunkBytes)
+	exact := size >= 0 // the counts are backed by bytes the caller vouches for
 	var offsets []int64
 	var err error
 	if n > 0 {
-		if offsets, err = readI64s(tr, scratch, int(n)+1); err != nil {
+		if offsets, err = readI64s(tr, scratch, int(n)+1, exact); err != nil {
 			return nil, err
 		}
 	}
-	targets, err := readI32s(tr, scratch, m)
+	targets, err := readI32s(tr, scratch, m, exact)
 	if err != nil {
 		return nil, err
 	}
 	var weights []float32
 	if flags&flagWeights != 0 {
-		if weights, err = readF32s(tr, scratch, m); err != nil {
+		if weights, err = readF32s(tr, scratch, m, exact); err != nil {
 			return nil, err
 		}
 	}
 	var times []int64
 	if flags&flagTimes != 0 {
-		if times, err = readI64s(tr, scratch, m); err != nil {
+		if times, err = readI64s(tr, scratch, m, exact); err != nil {
 			return nil, err
 		}
 	}
@@ -312,9 +316,9 @@ func Read(r io.Reader, size int64) (*graph.Graph, error) {
 	return g, nil
 }
 
-func readI64s(r io.Reader, scratch []byte, count int) ([]int64, error) {
+func readI64s(r io.Reader, scratch []byte, count int, exact bool) ([]int64, error) {
 	per := len(scratch) / 8
-	out := make([]int64, 0, minInt(count, per))
+	out := make([]int64, 0, firstCap(count, per, exact))
 	for len(out) < count {
 		elems := minInt(count-len(out), per)
 		b := scratch[:elems*8]
@@ -328,9 +332,9 @@ func readI64s(r io.Reader, scratch []byte, count int) ([]int64, error) {
 	return out, nil
 }
 
-func readI32s(r io.Reader, scratch []byte, count int) ([]int32, error) {
+func readI32s(r io.Reader, scratch []byte, count int, exact bool) ([]int32, error) {
 	per := len(scratch) / 4
-	out := make([]int32, 0, minInt(count, per))
+	out := make([]int32, 0, firstCap(count, per, exact))
 	for len(out) < count {
 		elems := minInt(count-len(out), per)
 		b := scratch[:elems*4]
@@ -344,9 +348,9 @@ func readI32s(r io.Reader, scratch []byte, count int) ([]int32, error) {
 	return out, nil
 }
 
-func readF32s(r io.Reader, scratch []byte, count int) ([]float32, error) {
+func readF32s(r io.Reader, scratch []byte, count int, exact bool) ([]float32, error) {
 	per := len(scratch) / 4
-	out := make([]float32, 0, minInt(count, per))
+	out := make([]float32, 0, firstCap(count, per, exact))
 	for len(out) < count {
 		elems := minInt(count-len(out), per)
 		b := scratch[:elems*4]
@@ -358,6 +362,16 @@ func readF32s(r io.Reader, scratch []byte, count int) ([]float32, error) {
 		}
 	}
 	return out, nil
+}
+
+// firstCap is the capacity an array of count elements starts with: all of
+// it when the count is exact, else one chunk's worth, so allocation stays
+// bounded by bytes received.
+func firstCap(count, per int, exact bool) int {
+	if exact {
+		return count
+	}
+	return minInt(count, per)
 }
 
 func minInt(a, b int) int {

@@ -7,8 +7,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -259,5 +261,34 @@ func TestReadRejectsBadCSR(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			mustCorrupt(t, c.name, craftValid(c.offsets, c.targets))
 		})
+	}
+}
+
+// TestReadAllocBudget: a sized Read of an R-MAT s12 snapshot (bare targets,
+// and with weight and time arrays) allocates the arrays once at their exact
+// length plus one scratch chunk — at most 1.25x the file, where growing each
+// array from a one-chunk seed cost about 5x.
+func TestReadAllocBudget(t *testing.T) {
+	edges := gen.RMATEdgeStream(12, 16<<12, gen.Graph500RMAT, 1)
+	full := graph.NewBuilder(1 << 12).Undirected().Weighted().Timestamped().DedupEdges()
+	for i, e := range edges {
+		full.AddEdge(graph.Edge{Src: e[0], Dst: e[1], Weight: 1, Time: int64(i)})
+	}
+	for name, g := range map[string]*graph.Graph{
+		"bare": graph.FromEdges(1<<12, false, edges),
+		"full": full.Build(),
+	} {
+		data := encode(t, g)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := Read(bytes.NewReader(data), int64(len(data)))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameGraph(t, g, got)
+		if alloc, budget := after.TotalAlloc-before.TotalAlloc, uint64(len(data))*5/4; alloc > budget {
+			t.Errorf("%s: Read allocated %d B for a %d B file, budget %d B", name, alloc, len(data), budget)
+		}
 	}
 }
