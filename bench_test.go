@@ -12,12 +12,14 @@
 // E6  BenchmarkFig6SizePerf  the size-performance scatter
 // E7  BenchmarkFig7*         streaming Jaccard queries on the Emu sim
 // E17 BenchmarkFromEdgesRMAT, BenchmarkDynSnapshot  sort-free CSR construction
+// E18 BenchmarkDynSnapshotDeltaChain  copy-on-write snapshot chain, per version bump
 // --  BenchmarkNORA*         the measured nine-step boil + query path
 // --  BenchmarkAblation*     design-choice ablations from DESIGN.md
 package repro
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/dyngraph"
@@ -772,6 +774,38 @@ func BenchmarkDynSnapshot(b *testing.B) {
 		buildSink = dg.Snapshot()
 	}
 	b.ReportMetric(float64(dg.NumArcs()*int64(b.N))/b.Elapsed().Seconds()/1e6, "Marcs/s")
+}
+
+// BenchmarkDynSnapshotDeltaChain is the version bump graphd pays per ingest
+// batch: 200 R-MAT edits, a quarter deletes, then a snapshot patched from the
+// one before. Most iterations append the touched rows to the chain's arena;
+// about one in live-arcs/touched-arcs re-emits every row into a fresh one.
+func BenchmarkDynSnapshotDeltaChain(b *testing.B) {
+	const scale, perBatch = 14, 200
+	dg := dyngraph.FromCSRGraph(gen.RMAT(scale, 16, gen.Graph500RMAT, 1, false))
+	updates := gen.EdgeUpdateStream(scale, b.N*perBatch, 0.25, 2)
+	snap := dg.Snapshot()
+	var touchedArcs int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		batch := updates[i*perBatch : (i+1)*perBatch]
+		dg.ApplyBatch(batch)
+		touched := make([]int32, 0, 2*perBatch)
+		for _, u := range batch {
+			touched = append(touched, u.Src, u.Dst)
+		}
+		slices.Sort(touched)
+		touched = slices.Compact(touched)
+		b.StartTimer()
+		snap = dg.SnapshotDelta(snap, touched)
+		for _, v := range touched {
+			touchedArcs += int64(snap.Degree(v))
+		}
+	}
+	buildSink = snap
+	b.ReportMetric(float64(touchedArcs)/float64(b.N), "touched-arcs/op")
 }
 
 // ---- Graph500 harness (E1 depth) ----

@@ -1,8 +1,8 @@
 package dyngraph
 
 import (
+	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -53,7 +53,7 @@ func TestSnapshotDeltaMatchesFullSnapshot(t *testing.T) {
 				if err := got.Validate(); err != nil {
 					t.Fatalf("directed=%v seed=%d step=%d: delta snapshot invalid: %v", directed, seed, step, err)
 				}
-				if !reflect.DeepEqual(got, want) {
+				if !got.Equal(want) {
 					t.Fatalf("directed=%v seed=%d step=%d: delta snapshot != full snapshot", directed, seed, step)
 				}
 				prev = got
@@ -68,7 +68,7 @@ func TestSnapshotDeltaSelfLoopsExcluded(t *testing.T) {
 	prev := g.Snapshot()
 	g.ApplyEdits([]Edit{{Src: 3, Dst: 3}, {Src: 1, Dst: 2}})
 	got := g.SnapshotDelta(prev, []int32{3, 1, 2})
-	if !reflect.DeepEqual(got, g.Snapshot()) {
+	if !got.Equal(g.Snapshot()) {
 		t.Fatal("delta snapshot with self-loop edits != full snapshot")
 	}
 	if got.HasEdge(2, 2) || got.HasEdge(3, 3) {
@@ -81,15 +81,15 @@ func TestSnapshotDeltaFallsBackOnIncompatiblePrev(t *testing.T) {
 	g.ApplyEdits([]Edit{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
 	want := g.Snapshot()
 
-	if got := g.SnapshotDelta(nil, nil); !reflect.DeepEqual(got, want) {
+	if got := g.SnapshotDelta(nil, nil); !got.Equal(want) {
 		t.Fatal("nil prev should fall back to full snapshot")
 	}
 	wrongN := New(4, false).Snapshot()
-	if got := g.SnapshotDelta(wrongN, nil); !reflect.DeepEqual(got, want) {
+	if got := g.SnapshotDelta(wrongN, nil); !got.Equal(want) {
 		t.Fatal("vertex-count mismatch should fall back to full snapshot")
 	}
 	unweighted := graph.FromEdges(8, false, [][2]int32{{0, 1}})
-	if got := g.SnapshotDelta(unweighted, nil); !reflect.DeepEqual(got, want) {
+	if got := g.SnapshotDelta(unweighted, nil); !got.Equal(want) {
 		t.Fatal("unweighted prev should fall back to full snapshot")
 	}
 }
@@ -140,50 +140,97 @@ func (m modelCSR) snapshot(t *testing.T, n int32, directed bool) *graph.Graph {
 	return g
 }
 
-// TestSnapshotMatchesModelAndDelta: after random edit scripts (inserts,
+// inPlace reports whether next was patched into prev's arena rather than
+// emitted into a fresh one: a non-empty row untouched between the two then
+// sits in the very same memory. ok is false when no such row exists.
+func inPlace(prev, next *graph.Graph, touched []int32) (shared, ok bool) {
+	ti := 0
+	for v := int32(0); v < prev.NumVertices(); v++ {
+		if ti < len(touched) && touched[ti] == v {
+			ti++
+			continue
+		}
+		if a, b := prev.Neighbors(v), next.Neighbors(v); len(a) > 0 {
+			return &a[0] == &b[0], true
+		}
+	}
+	return false, false
+}
+
+// TestSnapshotMatchesModelAndDelta: along random edit scripts (inserts,
 // property updates, deletes, delete-then-re-add, self-loops; directed and
-// undirected) Snapshot() equals the adjacency-map model, and SnapshotDelta
-// equals Snapshot() whether prev carries weight/time arrays (rows patched)
-// or not (the fall-back).
+// undirected) Snapshot() equals the adjacency-map model, and a chain of
+// snapshots each patched from the one before — in place while the shared
+// arena has room, into a fresh arena when it does not — equals it too at
+// every link, whether the first prev carries weight/time arrays or not (the
+// fall-back). A prev without them also falls back at every later link.
 func TestSnapshotMatchesModelAndDelta(t *testing.T) {
-	const n = 24 // small, so repeated arcs and self-loops are common
+	const n, steps = 24, 96 // small, so repeated arcs and self-loops are common
 	for _, directed := range []bool{false, true} {
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			g := New(n, directed)
-			model := modelCSR{}
-			prev := g.Snapshot()
-			for step := 0; step < 20; step++ {
-				edits, touched := randomEditBatch(rng, n, 30, 0.35)
-				for _, e := range edits[:5] { // delete-then-re-add inside one batch
+		for _, bareFirst := range []bool{false, true} {
+			for seed := int64(1); seed <= 4; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				g := New(n, directed)
+				model := modelCSR{}
+				warm, _ := randomEditBatch(rng, n, 120, 0)
+				g.ApplyEdits(warm)
+				model.apply(directed, warm)
+				bare := func(src *graph.Graph) *graph.Graph {
+					off, tgt, _, _ := src.CSR()
+					b, err := graph.FromCSRArrays(n, directed, off, tgt, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return b
+				}
+				chain := g.Snapshot()
+				if bareFirst {
+					chain = bare(chain)
+				}
+				patches, compactions := 0, 0
+				for step := 0; step < steps; step++ {
+					at := fmt.Sprintf("directed=%v bareFirst=%v seed=%d step=%d", directed, bareFirst, seed, step)
+					edits, touched := randomEditBatch(rng, n, 4, 0.35)
+					e := edits[0] // delete-then-re-add inside one batch
 					edits = append(edits, Edit{Src: e.Src, Dst: e.Dst, Delete: true},
 						Edit{Src: e.Src, Dst: e.Dst, Weight: 7, Time: int64(step)})
-				}
-				g.ApplyEdits(edits)
-				model.apply(directed, edits)
-				if err := g.Validate(); err != nil {
-					t.Fatal(err)
-				}
+					g.ApplyEdits(edits)
+					model.apply(directed, edits)
+					if err := g.Validate(); err != nil {
+						t.Fatal(err)
+					}
 
-				full := g.Snapshot()
-				if err := full.Validate(); err != nil {
-					t.Fatalf("directed=%v seed=%d step=%d: %v", directed, seed, step, err)
+					full := g.Snapshot()
+					if err := full.Validate(); err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					want := model.snapshot(t, n, directed)
+					if !full.Equal(want) {
+						t.Fatalf("%s: Snapshot() != model", at)
+					}
+					next := g.SnapshotDelta(chain, touched)
+					if err := next.Validate(); err != nil {
+						t.Fatalf("%s: patched snapshot invalid: %v", at, err)
+					}
+					if !next.Equal(want) || next.NumEdges() != want.NumEdges() {
+						t.Fatalf("%s: link %d of the chain != model", at, step+1)
+					}
+					if shared, ok := inPlace(chain, next, touched); ok && shared {
+						patches++
+					} else if ok {
+						compactions++
+					}
+					if got := g.SnapshotDelta(bare(chain), touched); !got.Equal(want) {
+						t.Fatalf("%s: SnapshotDelta(weightless prev) != model", at)
+					}
+					chain = next
 				}
-				if want := model.snapshot(t, n, directed); !reflect.DeepEqual(full, want) {
-					t.Fatalf("directed=%v seed=%d step=%d: Snapshot() != model", directed, seed, step)
+				// A link here rewrites about a third of the arcs, so the 2x
+				// arena takes about three patches between fresh emits.
+				if patches < steps/2 || compactions < 3 {
+					t.Fatalf("directed=%v bareFirst=%v seed=%d: %d in-place patches and %d fresh emits over %d links; the chain should mix both",
+						directed, bareFirst, seed, patches, compactions, steps)
 				}
-				if got := g.SnapshotDelta(prev, touched); !reflect.DeepEqual(got, full) {
-					t.Fatalf("directed=%v seed=%d step=%d: SnapshotDelta(prev) != Snapshot()", directed, seed, step)
-				}
-				off, tgt, _, _ := prev.CSR()
-				bare, err := graph.FromCSRArrays(n, directed, off, tgt, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := g.SnapshotDelta(bare, touched); !reflect.DeepEqual(got, full) {
-					t.Fatalf("directed=%v seed=%d step=%d: SnapshotDelta(weightless prev) != Snapshot()", directed, seed, step)
-				}
-				prev = full
 			}
 		}
 	}

@@ -236,26 +236,19 @@ func FromGraph(src *graph.Graph) *DynGraph {
 // O(arcs). CSR rows are copied verbatim into full block chains — no per-edge
 // duplicate scan (CSR rows are already duplicate-free) and no symmetric
 // re-insertion (an undirected CSR stores both arc directions) — so loading
-// costs one pass over the arrays where FromGraph pays O(degree) per edge.
+// costs one pass over the rows where FromGraph pays O(degree) per edge.
 // This is the recovery path for flat snapshots.
 func FromCSRGraph(src *graph.Graph) *DynGraph {
 	n := src.NumVertices()
 	g := New(n, src.Directed())
-	offsets, targets, weights, times := src.CSR()
-	if n == 0 || len(offsets) == 0 {
-		return g
-	}
 	for v := int32(0); v < n; v++ {
-		lo, hi := offsets[v], offsets[v+1]
+		targets, weights, times := src.Neighbors(v), src.NeighborWeights(v), src.NeighborTimes(v)
 		var last *block
-		for at := lo; at < hi; at += int64(g.blockSize) {
-			end := at + int64(g.blockSize)
-			if end > hi {
-				end = hi
-			}
+		for at := 0; at < len(targets); at += g.blockSize {
+			end := min(at+g.blockSize, len(targets))
 			nb := &block{slots: make([]edgeSlot, end-at, g.blockSize)}
 			for i := range nb.slots {
-				j := at + int64(i)
+				j := at + i
 				s := &nb.slots[i]
 				s.dst = targets[j]
 				if weights != nil {
@@ -274,9 +267,9 @@ func FromCSRGraph(src *graph.Graph) *DynGraph {
 			}
 			last = nb
 		}
-		g.degree[v] = int32(hi - lo)
+		g.degree[v] = int32(len(targets))
 	}
-	g.numArcs = int64(len(targets))
+	g.numArcs = src.NumEdges()
 	return g
 }
 

@@ -1,11 +1,15 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// FromCSRArrays freezes pre-assembled CSR arrays into an immutable Graph
-// without going through an edge list and the Builder. It is how dyngraph
-// snapshots (rows gathered from block chains, or copied verbatim from a
-// previous snapshot) and the flat snapshot reader hand over their arrays.
+// FromCSRArrays freezes pre-assembled CSR arrays into an immutable Graph in
+// the contiguous layout, without going through an edge list and the Builder.
+// It is how the flat snapshot reader hands over its arrays. (dyngraph
+// snapshots, whose successive versions share rows, are built by an Emitter
+// instead.)
 //
 // The arrays are adopted, not copied: the caller must not retain or mutate
 // them after the call. offsets must have length n+1 (nil is accepted when
@@ -41,12 +45,50 @@ func FromCSRArrays(n int32, directed bool, offsets []int64, targets []int32, wei
 	if times != nil && len(times) != len(targets) {
 		return nil, fmt.Errorf("graph: times length %d != targets length %d", len(times), len(targets))
 	}
-	return &Graph{n: n, offsets: offsets, targets: targets, weights: weights, times: times, directed: directed}, nil
+	return newCSR(n, directed, offsets, targets, weights, times), nil
 }
 
-// CSR exposes the raw CSR arrays for bulk row-range copies (incremental
-// snapshot patching). The slices alias internal storage and must be treated
-// as read-only; weights/times are nil for unweighted/untimestamped graphs.
+// CSR returns g as contiguous CSR arrays: offsets of length n+1 (nil for the
+// zero graph), row v at targets[offsets[v]:offsets[v+1]], weights/times nil
+// for unweighted/untimestamped graphs. For a contiguous graph the slices
+// alias internal storage and must be treated as read-only. An arena-backed
+// graph (a dyngraph snapshot) is compacted into fresh arrays on every call —
+// O(n + arcs) time and memory — so per-row work belongs on Neighbors and its
+// siblings; CSR is for whole-graph hand-overs (the snapshot file writer).
 func (g *Graph) CSR() (offsets []int64, targets []int32, weights []float32, times []int64) {
-	return g.offsets, g.targets, g.weights, g.times
+	if g.arena == nil {
+		return g.offsets, g.targets, g.weights, g.times
+	}
+	offsets = make([]int64, g.n+1)
+	for v := int32(0); v < g.n; v++ {
+		offsets[v+1] = offsets[v] + (g.hi[v] - g.lo[v])
+	}
+	targets = make([]int32, g.m)
+	weights = make([]float32, g.m)
+	times = make([]int64, g.m)
+	for v := int32(0); v < g.n; v++ {
+		copy(targets[offsets[v]:], g.Neighbors(v))
+		copy(weights[offsets[v]:], g.NeighborWeights(v))
+		copy(times[offsets[v]:], g.NeighborTimes(v))
+	}
+	return offsets, targets, weights, times
+}
+
+// Equal reports whether g and o are the same graph: vertex count,
+// directedness, which of weights and timestamps they carry, and every row's
+// targets, weights and times. Layout is not compared — a patched snapshot
+// equals the contiguous graph holding the same rows.
+func (g *Graph) Equal(o *Graph) bool {
+	if g.n != o.n || g.m != o.m || g.directed != o.directed ||
+		g.Weighted() != o.Weighted() || g.Timestamped() != o.Timestamped() {
+		return false
+	}
+	for v := int32(0); v < g.n; v++ {
+		if !slices.Equal(g.Neighbors(v), o.Neighbors(v)) ||
+			!slices.Equal(g.NeighborWeights(v), o.NeighborWeights(v)) ||
+			!slices.Equal(g.NeighborTimes(v), o.NeighborTimes(v)) {
+			return false
+		}
+	}
+	return true
 }

@@ -22,15 +22,38 @@ type Edge struct {
 	Time     int64
 }
 
-// Graph is an immutable CSR graph. Vertex IDs are dense int32 values.
-// The zero value is an empty graph with no vertices.
+// Graph is an immutable adjacency-row graph. Vertex IDs are dense int32
+// values. The zero value is an empty graph with no vertices.
+//
+// Row v is targets[lo[v]:hi[v]] (weights and times parallel). A graph comes
+// in one of two layouts, and no accessor tells them apart:
+//
+//   - contiguous CSR (Builder, FromCSRArrays): rows sit back to back in
+//     vertex order, lo and hi are the two views offsets[:n] and offsets[1:]
+//     of one n+1 array, and the arc arrays hold exactly NumEdges arcs;
+//   - arena-backed (Emitter, i.e. dyngraph snapshots): the arc arrays are a
+//     prefix of an append-only arena that successive snapshot versions
+//     share. A version owns its lo/hi and the rows it wrote at the arena's
+//     tail; every other row still points at storage an earlier version
+//     wrote, so rows are in no particular order and the arrays also hold
+//     rows only older versions reference.
 type Graph struct {
 	n        int32
-	offsets  []int64 // len n+1; neighbor list of v is targets[offsets[v]:offsets[v+1]]
+	m        int64   // stored arcs: the sum of row lengths
+	lo, hi   []int64 // len n each; neighbor list of v is targets[lo[v]:hi[v]]
 	targets  []int32
 	weights  []float32 // nil when unweighted
 	times    []int64   // nil when untimestamped
 	directed bool
+
+	offsets []int64 // contiguous layout only: len n+1, what lo and hi alias
+	arena   *arena  // arena-backed layout only: the arc arrays are its first len(targets) arcs
+}
+
+// newCSR wraps validated contiguous CSR arrays; offsets has length n+1.
+func newCSR(n int32, directed bool, offsets []int64, targets []int32, weights []float32, times []int64) *Graph {
+	return &Graph{n: n, m: offsets[n], lo: offsets[:n], hi: offsets[1:], offsets: offsets,
+		targets: targets, weights: weights, times: times, directed: directed}
 }
 
 // NumVertices returns the number of vertices.
@@ -38,12 +61,7 @@ func (g *Graph) NumVertices() int32 { return g.n }
 
 // NumEdges returns the number of stored directed arcs. For an undirected
 // graph each logical edge contributes two arcs.
-func (g *Graph) NumEdges() int64 {
-	if g.n == 0 {
-		return 0
-	}
-	return g.offsets[g.n]
-}
+func (g *Graph) NumEdges() int64 { return g.m }
 
 // NumUndirectedEdges returns the number of logical edges for an undirected
 // graph (arcs/2), or the arc count for a directed graph.
@@ -65,13 +83,13 @@ func (g *Graph) Timestamped() bool { return g.times != nil }
 
 // Degree returns the out-degree of v.
 func (g *Graph) Degree(v int32) int32 {
-	return int32(g.offsets[v+1] - g.offsets[v])
+	return int32(g.hi[v] - g.lo[v])
 }
 
 // Neighbors returns the sorted slice of out-neighbors of v. The slice aliases
 // internal storage and must not be modified.
 func (g *Graph) Neighbors(v int32) []int32 {
-	return g.targets[g.offsets[v]:g.offsets[v+1]]
+	return g.targets[g.lo[v]:g.hi[v]]
 }
 
 // NeighborWeights returns the weights parallel to Neighbors(v). It returns
@@ -80,7 +98,7 @@ func (g *Graph) NeighborWeights(v int32) []float32 {
 	if g.weights == nil {
 		return nil
 	}
-	return g.weights[g.offsets[v]:g.offsets[v+1]]
+	return g.weights[g.lo[v]:g.hi[v]]
 }
 
 // NeighborTimes returns the timestamps parallel to Neighbors(v). It returns
@@ -89,13 +107,7 @@ func (g *Graph) NeighborTimes(v int32) []int64 {
 	if g.times == nil {
 		return nil
 	}
-	return g.times[g.offsets[v]:g.offsets[v+1]]
-}
-
-// EdgeRange returns the half-open arc index range [lo, hi) for vertex v.
-// Arc indexes identify edges globally: targets[i] for i in [lo,hi).
-func (g *Graph) EdgeRange(v int32) (lo, hi int64) {
-	return g.offsets[v], g.offsets[v+1]
+	return g.times[g.lo[v]:g.hi[v]]
 }
 
 // HasEdge reports whether an arc v->w exists, using binary search over the
@@ -117,7 +129,7 @@ func (g *Graph) Weight(v, w int32) (float32, bool) {
 	if g.weights == nil {
 		return 1, true
 	}
-	return g.weights[g.offsets[v]+int64(i)], true
+	return g.NeighborWeights(v)[i], true
 }
 
 // Transpose returns the reverse graph (CSC view materialized as CSR over
@@ -130,41 +142,42 @@ func (g *Graph) Transpose() *Graph {
 	}
 	n := g.n
 	counts := make([]int64, n+1)
-	for _, t := range g.targets {
-		counts[t+1]++
+	for v := int32(0); v < n; v++ {
+		for _, t := range g.Neighbors(v) {
+			counts[t+1]++
+		}
 	}
 	for i := int32(0); i < n; i++ {
 		counts[i+1] += counts[i]
 	}
-	targets := make([]int32, len(g.targets))
+	targets := make([]int32, g.m)
 	var weights []float32
 	if g.weights != nil {
-		weights = make([]float32, len(g.weights))
+		weights = make([]float32, g.m)
 	}
 	var times []int64
 	if g.times != nil {
-		times = make([]int64, len(g.times))
+		times = make([]int64, g.m)
 	}
 	cursor := make([]int64, n)
 	copy(cursor, counts[:n])
 	for v := int32(0); v < n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		for i := lo; i < hi; i++ {
-			w := g.targets[i]
+		ws, ts := g.NeighborWeights(v), g.NeighborTimes(v)
+		for i, w := range g.Neighbors(v) {
 			p := cursor[w]
 			cursor[w]++
 			targets[p] = v
 			if weights != nil {
-				weights[p] = g.weights[i]
+				weights[p] = ws[i]
 			}
 			if times != nil {
-				times[p] = g.times[i]
+				times[p] = ts[i]
 			}
 		}
 	}
 	// Neighbor lists of the transpose are automatically sorted because we
 	// scanned source vertices in increasing order.
-	return &Graph{n: n, offsets: counts, targets: targets, weights: weights, times: times, directed: true}
+	return newCSR(n, true, counts, targets, weights, times)
 }
 
 // Undirected returns an undirected view of g: for directed graphs it adds the
@@ -182,14 +195,14 @@ func (g *Graph) Undirected() *Graph {
 		b.timestamped = true
 	}
 	for v := int32(0); v < g.n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		for i := lo; i < hi; i++ {
-			e := Edge{Src: v, Dst: g.targets[i], Weight: 1}
-			if g.weights != nil {
-				e.Weight = g.weights[i]
+		ws, ts := g.NeighborWeights(v), g.NeighborTimes(v)
+		for i, w := range g.Neighbors(v) {
+			e := Edge{Src: v, Dst: w, Weight: 1}
+			if ws != nil {
+				e.Weight = ws[i]
 			}
-			if g.times != nil {
-				e.Time = g.times[i]
+			if ts != nil {
+				e.Time = ts[i]
 			}
 			b.AddEdge(e)
 		}
@@ -197,19 +210,29 @@ func (g *Graph) Undirected() *Graph {
 	return b.Build()
 }
 
-// Validate checks structural invariants (monotone offsets, in-range targets,
-// sorted neighbor lists) and returns a descriptive error on violation. It is
-// used by tests and by property-based checks.
+// Validate checks structural invariants (one lo/hi pair per vertex, every
+// row inside the arc arrays, row lengths summing to NumEdges, back-to-back
+// rows in a contiguous graph, in-range targets, sorted neighbor lists) and
+// returns a descriptive error on violation. It is used by tests and by
+// property-based checks.
 func (g *Graph) Validate() error {
-	if int32(len(g.offsets)) != g.n+1 && !(g.n == 0 && len(g.offsets) == 0) {
-		return fmt.Errorf("graph: offsets length %d for %d vertices", len(g.offsets), g.n)
+	if int32(len(g.lo)) != g.n || int32(len(g.hi)) != g.n {
+		return fmt.Errorf("graph: row index lengths %d/%d for %d vertices", len(g.lo), len(g.hi), g.n)
 	}
-	prev := int64(0)
+	if g.arena == nil && g.m != int64(len(g.targets)) {
+		return fmt.Errorf("graph: %d arcs != targets length %d", g.m, len(g.targets))
+	}
+	var sum, next int64
 	for v := int32(0); v < g.n; v++ {
-		if g.offsets[v] > g.offsets[v+1] {
-			return fmt.Errorf("graph: offsets not monotone at %d", v)
+		lo, hi := g.lo[v], g.hi[v]
+		if lo < 0 || lo > hi || hi > int64(len(g.targets)) {
+			return fmt.Errorf("graph: row %d is [%d,%d) of %d arcs", v, lo, hi, len(g.targets))
 		}
-		prev = g.offsets[v+1]
+		if g.arena == nil && lo != next {
+			return fmt.Errorf("graph: row %d starts at %d, previous row ended at %d", v, lo, next)
+		}
+		next = hi
+		sum += hi - lo
 		ns := g.Neighbors(v)
 		for i, w := range ns {
 			if w < 0 || w >= g.n {
@@ -220,8 +243,8 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	if g.n > 0 && prev != int64(len(g.targets)) {
-		return fmt.Errorf("graph: final offset %d != targets length %d", prev, len(g.targets))
+	if sum != g.m {
+		return fmt.Errorf("graph: rows hold %d arcs, NumEdges is %d", sum, g.m)
 	}
 	if g.weights != nil && len(g.weights) != len(g.targets) {
 		return fmt.Errorf("graph: weights length mismatch")
@@ -354,7 +377,7 @@ func (b *Builder) Build() *Graph {
 		lo = hi
 	}
 
-	g := &Graph{n: b.n, directed: b.directed, offsets: make([]int64, b.n+1)}
+	offsets := make([]int64, b.n+1)
 	lo = 0
 	for v, hi := range bySrc {
 		kept := hi - lo
@@ -363,10 +386,10 @@ func (b *Builder) Build() *Graph {
 				kept--
 			}
 		}
-		g.offsets[v+1] = g.offsets[v] + kept
+		offsets[v+1] = offsets[v] + kept
 		lo = hi
 	}
-	g.targets = make([]int32, g.offsets[b.n])
+	g := newCSR(b.n, b.directed, offsets, make([]int32, offsets[b.n]), nil, nil)
 	if b.weighted {
 		g.weights = make([]float32, len(g.targets))
 	}

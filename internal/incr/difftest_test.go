@@ -120,7 +120,7 @@ func runSequence(t *testing.T, directed bool, mode editMode, seed int64, advance
 		// The CSR delta patch is maintained every batch regardless of the
 		// advance cadence, like the serving layer does.
 		snap = dyn.SnapshotDelta(snap, TouchedVertices(window[len(window)-1:], n))
-		if full := dyn.Snapshot(); !reflect.DeepEqual(snap, full) {
+		if full := dyn.Snapshot(); !snap.Equal(full) {
 			t.Fatalf("step %d: SnapshotDelta diverged from full snapshot", step)
 		}
 		if err := snap.Validate(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dyngraph"
+	"repro/internal/graph"
 	"repro/internal/kernels"
 )
 
@@ -41,10 +42,28 @@ func decodeEditScript(data []byte, n int32) [][]dyngraph.Edit {
 	return batches
 }
 
+// chainScript is a seed of one-edit batches, a third of them deletes: long
+// enough (each batch is one link) that the snapshot chain outgrows and
+// replaces its shared arena several times.
+func chainScript(batches int) []byte {
+	data := make([]byte, 0, 3*batches)
+	for i := 0; i < batches; i++ {
+		b2 := byte(i%7)<<4 | 2 // weight nibble, batch break
+		if i%3 == 2 {
+			b2 |= 1 // delete
+		}
+		data = append(data, byte(i*5), byte(i*11+i/16), b2)
+	}
+	return data
+}
+
 // FuzzApplyEditsIncremental holds the incremental-vs-full equivalence on
 // adversarial edit batches: whatever byte stream arrives, applying it batch
 // by batch and advancing every incremental structure must neither panic nor
-// diverge from a full recompute on the same snapshot.
+// diverge from a full recompute on the same snapshot. The snapshot itself is
+// a chain, every link patched from the one before (twice over: one chain
+// starts from a snapshot without weight and time arrays), and every link
+// must equal the full Snapshot().
 func FuzzApplyEditsIncremental(f *testing.F) {
 	// Directed seeds: insert chain, self-loops, duplicate edits,
 	// delete-then-add, delete of a never-inserted edge, batch breaks.
@@ -53,6 +72,7 @@ func FuzzApplyEditsIncremental(f *testing.F) {
 	f.Add([]byte{0, 1, 16, 0, 1, 16, 0, 1, 17, 0, 1, 16})
 	f.Add([]byte{3, 4, 19, 7, 7, 255, 4, 3, 1, 3, 4, 2})
 	f.Add([]byte{9, 2, 1, 9, 2, 3, 2, 9, 16})
+	f.Add(chainScript(96))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 16
@@ -62,6 +82,10 @@ func FuzzApplyEditsIncremental(f *testing.F) {
 		for _, directed := range []bool{false, true} {
 			dyn := dyngraph.New(n, directed)
 			snap := dyn.Snapshot()
+			bareChain, err := graph.FromCSRArrays(n, directed, make([]int64, n+1), nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			wcc := NewWCCState(n)
 			pr := NewPRState(n, opt)
 			deg := NewDegreeState(n)
@@ -72,9 +96,15 @@ func FuzzApplyEditsIncremental(f *testing.F) {
 				version++
 				window := []Batch{{Version: version, Edits: edits, HadDeletes: res.Deleted > 0}}
 
-				snap = dyn.SnapshotDelta(snap, TouchedVertices(window, n))
-				if full := dyn.Snapshot(); !reflect.DeepEqual(snap, full) {
+				touched := TouchedVertices(window, n)
+				full := dyn.Snapshot()
+				snap = dyn.SnapshotDelta(snap, touched)
+				bareChain = dyn.SnapshotDelta(bareChain, touched)
+				if !snap.Equal(full) || !bareChain.Equal(full) {
 					t.Fatalf("directed=%v v%d: SnapshotDelta diverged from full snapshot", directed, version)
+				}
+				if err := snap.Validate(); err != nil {
+					t.Fatalf("directed=%v v%d: patched snapshot invalid: %v", directed, version, err)
 				}
 
 				ccGot, err := wcc.Advance(ctx, snap, version, window)

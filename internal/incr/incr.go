@@ -26,7 +26,7 @@ package incr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dyngraph"
 )
@@ -57,22 +57,23 @@ type Batch struct {
 // adjacency row, degree, or PageRank pull inputs may differ between the two
 // snapshot versions the window spans.
 func TouchedVertices(batches []Batch, n int32) []int32 {
-	mark := make([]bool, n)
-	var out []int32
+	edits := 0
+	for _, b := range batches {
+		edits += len(b.Edits)
+	}
+	out := make([]int32, 0, 2*edits)
 	for _, b := range batches {
 		for _, e := range b.Edits {
-			if e.Src >= 0 && e.Src < n && !mark[e.Src] {
-				mark[e.Src] = true
+			if e.Src >= 0 && e.Src < n {
 				out = append(out, e.Src)
 			}
-			if e.Dst >= 0 && e.Dst < n && !mark[e.Dst] {
-				mark[e.Dst] = true
+			if e.Dst >= 0 && e.Dst < n {
 				out = append(out, e.Dst)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // validateAdvance checks the batch-window contract shared by every Advance:

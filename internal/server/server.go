@@ -446,7 +446,9 @@ func (s *Server) snapshot() *graph.Graph {
 
 // snapshotState is the snapshot core. In incremental mode a stale snapshot
 // is patched from the previous one when the delta log still covers the
-// window — only touched adjacency rows are rebuilt, the rest is bulk-copied
+// window — only touched adjacency rows are rebuilt; the rest stay where the
+// previous version keeps them in the shared arc arena, or are bulk-copied
+// when the arena is full and a fresh one starts
 // (server_snapshot_patches_total); otherwise (and always in recompute mode)
 // dyngraph.Snapshot re-emits every row: one walk of the block chains and a
 // per-row sort, no global edge sort (server_snapshot_rebuilds_total).

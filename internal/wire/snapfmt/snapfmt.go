@@ -92,8 +92,9 @@ func corruptEOF(err error) error {
 }
 
 // Write serializes g to w. The CSR arrays stream through a bounded scratch
-// buffer, so writing never copies the graph; the CRC accumulates as bytes
-// leave.
+// buffer and the CRC accumulates as bytes leave, so writing a contiguous
+// graph never copies it; a patched dyngraph snapshot, whose rows are
+// scattered over a shared arena, is first compacted by g.CSR().
 func Write(w io.Writer, g *graph.Graph) error {
 	offsets, targets, weights, times := g.CSR()
 	n := g.NumVertices()

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
+	"repro/internal/dyngraph"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -108,6 +110,67 @@ func TestRoundTrip(t *testing.T) {
 			}
 			sameGraph(t, g, got2)
 		})
+	}
+}
+
+// TestPersistPatchedSnapshot: a dyngraph snapshot patched in place keeps its
+// rows scattered over a shared arena; the file written from it must be byte
+// for byte the file of the same graph laid out contiguously, and read back
+// equal. Checked at every link of a chain that patches and compacts.
+func TestPersistPatchedSnapshot(t *testing.T) {
+	const n = 64
+	for _, directed := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(18))
+		dyn := dyngraph.New(n, directed)
+		tip := dyn.Snapshot()
+		scattered := 0
+		for step := 0; step < 12; step++ {
+			size := 8
+			if step == 0 {
+				size = 400
+			}
+			var edits []dyngraph.Edit
+			var touched []int32
+			for i := 0; i < size; i++ {
+				e := dyngraph.Edit{Src: rng.Int31n(n), Dst: rng.Int31n(n), Weight: rng.Float32() + 1, Time: int64(step), Delete: step > 0 && i%3 == 0}
+				edits = append(edits, e)
+				touched = append(touched, e.Src, e.Dst)
+			}
+			dyn.ApplyEdits(edits)
+			tip = dyn.SnapshotDelta(tip, touched)
+			// Back-to-back rows each start where the one before ends, so the
+			// capacity left after a row is the next row's; a row patched in
+			// place sits at the arena's tail instead.
+			for v := int32(1); v < n; v++ {
+				if a, b := tip.Neighbors(v-1), tip.Neighbors(v); cap(b) != cap(a)-len(a) {
+					scattered++
+					break
+				}
+			}
+
+			off, tgt, w, ts := tip.CSR()
+			flat, err := graph.FromCSRArrays(n, directed, off, tgt, w, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := encode(t, tip)
+			if !bytes.Equal(data, encode(t, dyn.Snapshot())) || !bytes.Equal(data, encode(t, flat)) {
+				t.Fatalf("directed=%v step=%d: file of a patched snapshot differs from the file of the same graph emitted whole", directed, step)
+			}
+			got, err := Read(bytes.NewReader(data), int64(len(data)))
+			if err != nil {
+				t.Fatalf("Read: %v", err)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(tip) {
+				t.Fatalf("directed=%v step=%d: patched snapshot read back different", directed, step)
+			}
+		}
+		if scattered < 4 {
+			t.Fatalf("directed=%v: only %d of 12 links were patched in place; the test needs non-contiguous snapshots", directed, scattered)
+		}
 	}
 }
 
