@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/kernels"
@@ -304,131 +303,4 @@ func (c *Coordinator) pagerank(ctx context.Context) (*prState, bool, error) {
 	c.pr = st
 	c.cacheMu.Unlock()
 	return st, false, nil
-}
-
-// adjacency fetches the complete neighbor lists of the given vertices,
-// grouped by owner, one shard.adj exchange per involved shard, results
-// reassembled into the callers' original order. The returned slices alias
-// shard response buffers and must be treated as immutable.
-func (c *Coordinator) adjacency(ctx context.Context, vertices []int32) ([][]int32, error) {
-	shards := len(c.shards)
-	to := wireTimeout(ctx)
-	perShard := make([][]int32, shards)
-	perShardPos := make([][]int, shards)
-	for i, v := range vertices {
-		o := Owner(v, shards)
-		perShard[o] = append(perShard[o], v)
-		perShardPos[o] = append(perShardPos[o], i)
-	}
-	out := make([][]int32, len(vertices))
-	err := c.fanOut(func(sc *shardConn) error {
-		want := perShard[sc.index]
-		if len(want) == 0 {
-			return nil
-		}
-		return sc.call(func(cl *wire.Client) error {
-			res, err := cl.ShardAdj(want, to)
-			if err != nil {
-				return err
-			}
-			if len(res.Lists) != len(want) {
-				return badRequestf("shard %d returned %d adjacency lists, want %d", sc.index, len(res.Lists), len(want))
-			}
-			for j, pos := range perShardPos[sc.index] {
-				out[pos] = res.Lists[j]
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// khop replays kernels.KHopNeighborhoodCtx level by level: dedupe seeds in
-// order, then for each level fetch the frontier's adjacency (one exchange
-// per owning shard) and expand the frontier in its original order so the
-// BFS discovery order — and therefore the result bytes — match the
-// single-process kernel exactly.
-func (c *Coordinator) khop(ctx context.Context, seeds []int32, k int32) ([]int32, error) {
-	depth := make([]int32, c.cfg.Vertices)
-	for i := range depth {
-		depth[i] = kernels.Unreached
-	}
-	var order, frontier []int32
-	for _, s := range seeds {
-		if depth[s] != kernels.Unreached {
-			continue
-		}
-		depth[s] = 0
-		order = append(order, s)
-		frontier = append(frontier, s)
-	}
-	for d := int32(1); d <= k && len(frontier) > 0; d++ {
-		lists, err := c.adjacency(ctx, frontier)
-		if err != nil {
-			return nil, err
-		}
-		var next []int32
-		for i := range frontier {
-			for _, w := range lists[i] {
-				if depth[w] == kernels.Unreached {
-					depth[w] = d
-					next = append(next, w)
-					order = append(order, w)
-				}
-			}
-		}
-		frontier = next
-	}
-	return order, nil
-}
-
-// jaccard replays kernels.JaccardFromVertexCtx by scatter-gathering two
-// adjacency waves (u's neighbors, then their neighbors) and scoring against
-// the global degree vector. Accumulation order differs from the kernel's
-// but (score, v) sort keys are unique per vertex, so the sorted output is
-// byte-identical.
-func (c *Coordinator) jaccard(ctx context.Context, u int32, threshold float64) ([]wire.JaccardPair, error) {
-	adjU, err := c.adjacency(ctx, []int32{u})
-	if err != nil {
-		return nil, err
-	}
-	nu := adjU[0]
-	if len(nu) == 0 {
-		return nil, nil
-	}
-	deg, _, err := c.degrees(ctx)
-	if err != nil {
-		return nil, err
-	}
-	lists, err := c.adjacency(ctx, nu)
-	if err != nil {
-		return nil, err
-	}
-	counts := make(map[int32]int32)
-	for _, list := range lists {
-		for _, v := range list {
-			if v != u {
-				counts[v]++
-			}
-		}
-	}
-	du := int64(deg.scores[u])
-	pairs := make([]wire.JaccardPair, 0, len(counts))
-	for v, cnt := range counts {
-		union := du + int64(deg.scores[v]) - int64(cnt)
-		score := float64(cnt) / float64(union)
-		if score >= threshold && score > 0 {
-			pairs = append(pairs, wire.JaccardPair{V: v, Score: score, Inter: cnt})
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Score != pairs[j].Score {
-			return pairs[i].Score > pairs[j].Score
-		}
-		return pairs[i].V < pairs[j].V
-	})
-	return pairs, nil
 }

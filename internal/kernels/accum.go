@@ -13,20 +13,24 @@ var wedgePool = scratch.NewPool(func() *scratch.Map64[int32] {
 })
 
 // spaI32Pool holds vertex-keyed int32 counters (2-hop common-neighbor
-// counts, label votes).
+// counts, label votes) that double as the traversals' visited set: Probe
+// reports first touch and Touched is the discovery order.
 var spaI32Pool = scratch.NewPool(func() *scratch.SPA[int32] {
 	return scratch.NewSPA[int32](0)
 })
 
-// borrowSPAI32 returns a reset int32 SPA covering [0, n).
-func borrowSPAI32(n int32) *scratch.SPA[int32] {
+// BorrowVertexCounts returns a reset pooled int32 SPA covering [0, n);
+// exported so the cluster coordinator's khop and jaccard run on the same
+// scratch as the kernels they replay.
+func BorrowVertexCounts(n int32) *scratch.SPA[int32] {
 	s := spaI32Pool.Get()
 	s.Grow(int(n))
 	s.Reset()
 	return s
 }
 
-func returnSPAI32(s *scratch.SPA[int32]) {
+// ReturnVertexCounts hands s back; its Touched list dies with it.
+func ReturnVertexCounts(s *scratch.SPA[int32]) {
 	s.Reset()
 	spaI32Pool.Put(s)
 }

@@ -16,6 +16,7 @@
 package kernels
 
 import (
+	"context"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -232,32 +233,6 @@ func ValidateBFSTree(g *graph.Graph, res *BFSResult) bool {
 // extraction primitive ("a breadth-first search from individual seed
 // vertices out to some depth").
 func KHopNeighborhood(g *graph.Graph, seeds []int32, k int32) []int32 {
-	n := g.NumVertices()
-	depth := make([]int32, n)
-	for i := range depth {
-		depth[i] = Unreached
-	}
-	var order []int32
-	var frontier []int32
-	for _, s := range seeds {
-		if depth[s] == Unreached {
-			depth[s] = 0
-			frontier = append(frontier, s)
-			order = append(order, s)
-		}
-	}
-	for d := int32(1); d <= k && len(frontier) > 0; d++ {
-		var next []int32
-		for _, v := range frontier {
-			for _, w := range g.Neighbors(v) {
-				if depth[w] == Unreached {
-					depth[w] = d
-					next = append(next, w)
-					order = append(order, w)
-				}
-			}
-		}
-		frontier = next
-	}
+	order, _ := AppendKHopNeighborhoodCtx(context.Background(), nil, g, seeds, k)
 	return order
 }

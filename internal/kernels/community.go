@@ -30,8 +30,8 @@ func LabelPropagation(g *graph.Graph, maxRounds int, seed int64) *CommunityResul
 	for i := range order {
 		order[i] = int32(i)
 	}
-	counts := borrowSPAI32(n)
-	defer returnSPAI32(counts)
+	counts := BorrowVertexCounts(n)
+	defer ReturnVertexCounts(counts)
 	for round := 0; round < maxRounds; round++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		changed := 0

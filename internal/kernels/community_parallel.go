@@ -35,7 +35,7 @@ func LabelPropagationSync(g *graph.Graph, maxRounds int) *CommunityResult {
 		par.ForW(int(n), opt, func(w, lo, hi int) {
 			counts := votes[w]
 			if counts == nil {
-				counts = borrowSPAI32(n)
+				counts = BorrowVertexCounts(n)
 				votes[w] = counts
 			}
 			c := 0
@@ -70,7 +70,7 @@ func LabelPropagationSync(g *graph.Graph, maxRounds int) *CommunityResult {
 	}
 	for _, s := range votes {
 		if s != nil {
-			returnSPAI32(s)
+			ReturnVertexCounts(s)
 		}
 	}
 	cc := canonicalize(label)

@@ -19,7 +19,8 @@ import (
 // ctxCheckEvery iterations. All checks go through par.CtxErr, which also
 // compares time.Now() against the context deadline directly, so expiry is
 // enforced even when a single-P runtime never services the context timer.
-// A cancelled call returns a nil result; partial work is discarded.
+// A cancelled call returns a nil result (the Append forms: dst as it was
+// passed); partial work is discarded.
 
 // ctxCheckEvery is how many sequential-loop iterations run between context
 // checks — coarse enough to keep the check off the hot path, fine enough
@@ -149,70 +150,73 @@ func WCCCtx(ctx context.Context, g *graph.Graph) (*CCResult, error) {
 	return &CCResult{Label: label, NumComponents: numComp}, nil
 }
 
-// KHopNeighborhoodCtx is KHopNeighborhood with a context check per BFS
-// level and every ctxCheckEvery frontier expansions.
+// KHopNeighborhoodCtx is KHopNeighborhood with cooperative cancellation;
+// the returned slice is freshly allocated and owned by the caller.
 func KHopNeighborhoodCtx(ctx context.Context, g *graph.Graph, seeds []int32, k int32) ([]int32, error) {
+	return AppendKHopNeighborhoodCtx(ctx, nil, g, seeds, k)
+}
+
+// AppendKHopNeighborhoodCtx appends the k-hop neighborhood of the seeds to
+// dst in BFS discovery order, checking ctx per level and every
+// ctxCheckEvery frontier expansions. The visited set is a pooled SPA whose
+// first-touch list is the discovery order, so a level's frontier is the
+// tail of the order so far and only dst's growth allocates.
+func AppendKHopNeighborhoodCtx(ctx context.Context, dst []int32, g *graph.Graph, seeds []int32, k int32) ([]int32, error) {
 	_, sp := kernelSpan(ctx, "kernel.khop")
 	defer sp.End()
-	n := g.NumVertices()
-	depth := make([]int32, n)
-	for i := range depth {
-		depth[i] = Unreached
-	}
-	var order []int32
-	var frontier []int32
+	seen := BorrowVertexCounts(g.NumVertices())
+	defer ReturnVertexCounts(seen)
 	for _, s := range seeds {
-		if depth[s] == Unreached {
-			depth[s] = 0
-			frontier = append(frontier, s)
-			order = append(order, s)
-		}
+		seen.Probe(s)
 	}
-	steps := 0
-	for d := int32(1); d <= k && len(frontier) > 0; d++ {
+	steps, lo := 0, 0
+	for d := int32(1); d <= k && lo < seen.Len(); d++ {
 		if err := par.CtxErr(ctx); err != nil {
-			return nil, err
+			return dst, err
 		}
-		var next []int32
+		// Probe may move the list it appends to, never rewrite this prefix.
+		frontier := seen.Touched()[lo:]
+		lo += len(frontier)
 		for _, v := range frontier {
 			if steps++; steps%ctxCheckEvery == 0 {
 				if err := par.CtxErr(ctx); err != nil {
-					return nil, err
+					return dst, err
 				}
 			}
 			for _, w := range g.Neighbors(v) {
-				if depth[w] == Unreached {
-					depth[w] = d
-					next = append(next, w)
-					order = append(order, w)
-				}
+				seen.Probe(w)
 			}
 		}
-		frontier = next
 	}
-	return order, nil
+	return append(dst, seen.Touched()...), nil
 }
 
-// JaccardFromVertexCtx is JaccardFromVertex with a context check every
-// ctxCheckEvery wedge expansions — the query cost is the 2-hop
-// neighborhood of u, which on a hub vertex can be most of the graph. A
-// completed run returns the same scores in the same order as
-// JaccardFromVertex.
+// JaccardFromVertexCtx is JaccardFromVertex with cooperative cancellation;
+// the returned slice is freshly allocated and owned by the caller.
 func JaccardFromVertexCtx(ctx context.Context, g *graph.Graph, u int32, threshold float64) ([]JaccardPairScore, error) {
+	return AppendJaccardFromVertexCtx(ctx, nil, g, u, threshold)
+}
+
+// AppendJaccardFromVertexCtx appends to dst every vertex with a nonzero
+// Jaccard coefficient with u (at or above threshold), best first, with a
+// context check every ctxCheckEvery wedge expansions — the query cost is
+// the 2-hop neighborhood of u, which on a hub vertex can be most of the
+// graph. Counting and ranking run on pooled scratch: only dst's growth
+// allocates.
+func AppendJaccardFromVertexCtx(ctx context.Context, dst []JaccardPairScore, g *graph.Graph, u int32, threshold float64) ([]JaccardPairScore, error) {
 	_, sp := kernelSpan(ctx, "kernel.jaccard")
 	defer sp.End()
 	if err := par.CtxErr(ctx); err != nil {
-		return nil, err
+		return dst, err
 	}
-	nu := g.Neighbors(u)
-	common := borrowSPAI32(g.NumVertices())
-	defer returnSPAI32(common)
+	common := BorrowVertexCounts(g.NumVertices())
+	defer ReturnVertexCounts(common)
 	steps := 0
-	for _, x := range nu {
+	for _, x := range g.Neighbors(u) {
 		for _, v := range g.Neighbors(x) {
 			if steps++; steps%ctxCheckEvery == 0 {
 				if err := par.CtxErr(ctx); err != nil {
-					return nil, err
+					return dst, err
 				}
 			}
 			if v != u {
@@ -220,21 +224,11 @@ func JaccardFromVertexCtx(ctx context.Context, g *graph.Graph, u int32, threshol
 			}
 		}
 	}
-	out := make([]JaccardPairScore, 0, common.Len())
-	du := g.Degree(u)
-	for _, v := range common.Touched() {
-		c := common.Value(v)
-		union := du + g.Degree(v) - c
-		score := 0.0
-		if union > 0 {
-			score = float64(c) / float64(union)
-		}
-		if score >= threshold && score > 0 {
-			out = append(out, JaccardPairScore{U: u, V: v, Inter: c, Score: score})
-		}
+	out := AppendJaccardRanked(dst, common, u, g.Degree, threshold)
+	if err := par.CtxErr(ctx); err != nil {
+		return dst, err
 	}
-	sortJaccardScores(out)
-	return out, par.CtxErr(ctx)
+	return out, nil
 }
 
 // TopKByDegreeCtx is TopKByDegree bracketed by context checks. The scan is

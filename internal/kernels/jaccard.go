@@ -1,7 +1,10 @@
 package kernels
 
 import (
-	"sort"
+	"cmp"
+	"context"
+	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/scratch"
@@ -73,23 +76,15 @@ func scoreWedgeCounts(g *graph.Graph, counts *scratch.Map64[int32], minShared in
 			return
 		}
 		u, v := unpairKey(key)
-		union := g.Degree(u) + g.Degree(v) - c
-		score := 0.0
-		if union > 0 {
-			score = float64(c) / float64(union)
-		}
-		if score >= threshold {
+		if score := jaccardScore(c, g.Degree(u), g.Degree(v)); score >= threshold {
 			out = append(out, JaccardPairScore{U: u, V: v, Inter: c, Score: score})
 		}
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b JaccardPairScore) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
 	if maxPairs > 0 && len(out) > maxPairs {
 		out = out[:maxPairs]
@@ -101,57 +96,68 @@ func scoreWedgeCounts(g *graph.Graph, counts *scratch.Map64[int32], minShared in
 // with u (optionally above threshold), the per-query form of streaming
 // Jaccard the paper describes ("for each provided vertex return what other
 // vertices have a non-zero Jaccard coefficient"). Cost is proportional to
-// the 2-hop neighborhood of u, not the graph.
+// the 2-hop neighborhood of u, not the graph. Results are ordered by score
+// descending, partner id ascending on ties.
 func JaccardFromVertex(g *graph.Graph, u int32, threshold float64) []JaccardPairScore {
-	nu := g.Neighbors(u)
-	common := borrowSPAI32(g.NumVertices())
-	defer returnSPAI32(common)
-	for _, x := range nu {
-		for _, v := range g.Neighbors(x) {
-			if v != u {
-				common.Add(v, 1)
-			}
-		}
-	}
-	out := make([]JaccardPairScore, 0, common.Len())
-	du := g.Degree(u)
-	for _, v := range common.Touched() {
-		c := common.Value(v)
-		union := du + g.Degree(v) - c
-		score := 0.0
-		if union > 0 {
-			score = float64(c) / float64(union)
-		}
-		if score >= threshold && score > 0 {
-			out = append(out, JaccardPairScore{U: u, V: v, Inter: c, Score: score})
-		}
-	}
-	sortJaccardScores(out)
+	out, _ := AppendJaccardFromVertexCtx(context.Background(), nil, g, u, threshold)
 	return out
 }
 
-// sortJaccardScores orders per-vertex query results canonically: score
-// descending, partner id ascending on ties. Shared by the batch and ctx
-// query paths so their outputs cannot drift.
-func sortJaccardScores(out []JaccardPairScore) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+// jaccardScore is |N(u)∩N(v)| / |N(u)∪N(v)| from the intersection size and
+// the two degrees.
+func jaccardScore(inter, du, dv int32) float64 {
+	if union := du + dv - inter; union > 0 {
+		return float64(inter) / float64(union)
+	}
+	return 0
+}
+
+// AppendJaccardRanked scores every partner in common (v -> |N(u)∩N(v)|)
+// against u and appends those with a positive score at or above threshold
+// to dst, ordered by score descending, partner id ascending on ties. It is
+// the one score-and-rank routine behind every per-vertex Jaccard answer —
+// the kernel passes g.Degree, the cluster coordinator its gathered degree
+// vector — so their outputs cannot drift.
+func AppendJaccardRanked(dst []JaccardPairScore, common *scratch.SPA[int32], u int32, degree func(int32) int32, threshold float64) []JaccardPairScore {
+	rs := rankPool.Get()
+	defer rankPool.Put(rs)
+	a, du := slices.Grow(rs.a[:0], common.Len()), degree(u)
+	for _, v := range common.Touched() {
+		c := common.Value(v)
+		if score := jaccardScore(c, du, degree(v)); score >= threshold && score > 0 {
+			a = append(a, rankEntry{key: ^math.Float64bits(score), v: v, inter: c})
 		}
-		return out[i].V < out[j].V
-	})
+	}
+	rs.a = a
+	dst = slices.Grow(dst, len(a))
+	for _, e := range rs.sorted() {
+		dst = append(dst, JaccardPairScore{U: u, V: e.v, Inter: e.inter, Score: math.Float64frombits(^e.key)})
+	}
+	return dst
 }
 
 // MaxJaccardFor returns the best-scoring partner of u, or ok=false when u
 // has no 2-hop partners. Streaming centrality-style triggers use this: "on
 // addition of an edge, what does the modification do to the maximum Jaccard
 // coefficient the two vertices may have with any other".
-func MaxJaccardFor(g *graph.Graph, u int32) (JaccardPairScore, bool) {
-	all := JaccardFromVertex(g, u, 0)
-	if len(all) == 0 {
-		return JaccardPairScore{}, false
+func MaxJaccardFor(g *graph.Graph, u int32) (best JaccardPairScore, ok bool) {
+	common := BorrowVertexCounts(g.NumVertices())
+	defer ReturnVertexCounts(common)
+	for _, x := range g.Neighbors(u) {
+		for _, v := range g.Neighbors(x) {
+			if v != u {
+				common.Add(v, 1)
+			}
+		}
 	}
-	return all[0], true
+	du := g.Degree(u)
+	for _, v := range common.Touched() {
+		c := common.Value(v)
+		if score := jaccardScore(c, du, g.Degree(v)); score > best.Score || (score == best.Score && ok && v < best.V) {
+			best, ok = JaccardPairScore{U: u, V: v, Inter: c, Score: score}, true
+		}
+	}
+	return best, ok
 }
 
 func pairKey(u, v int32) int64 {

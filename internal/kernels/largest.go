@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"container/heap"
-
 	"repro/internal/graph"
 	"repro/internal/scratch"
 )
@@ -15,41 +13,49 @@ type ScoredVertex struct {
 	Score float64
 }
 
-type minHeap []ScoredVertex
-
-func (h minHeap) Len() int           { return len(h) }
-func (h minHeap) Less(i, j int) bool { return h[i].Score < h[j].Score }
-func (h minHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *minHeap) Push(x interface{}) {
-	*h = append(*h, x.(ScoredVertex))
-}
-func (h *minHeap) Pop() interface{} {
-	old := *h
-	it := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return it
-}
-
 // TopKByScore returns the k highest-scoring vertices in descending order
-// using a size-k min-heap (single pass, O(n log k)).
+// using a size-k min-heap (single pass, O(n log k)). The heap is
+// container/heap's algorithm written out over the result slice — same sift
+// order, so the same answer on ties — without boxing every element.
 func TopKByScore(scores []float64, k int) []ScoredVertex {
 	if k <= 0 {
 		return nil
 	}
-	h := &minHeap{}
-	for v, s := range scores {
-		if h.Len() < k {
-			heap.Push(h, ScoredVertex{V: int32(v), Score: s})
-		} else if s > (*h)[0].Score {
-			(*h)[0] = ScoredVertex{V: int32(v), Score: s}
-			heap.Fix(h, 0)
+	h := make([]ScoredVertex, 0, min(k, len(scores)))
+	// down sifts h[i] toward the leaves of the heap h[:n].
+	down := func(i, n int) {
+		for {
+			j := 2*i + 1
+			if j >= n {
+				return
+			}
+			if j+1 < n && h[j+1].Score < h[j].Score {
+				j++
+			}
+			if !(h[j].Score < h[i].Score) {
+				return
+			}
+			h[i], h[j] = h[j], h[i]
+			i = j
 		}
 	}
-	out := make([]ScoredVertex, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(ScoredVertex)
+	for v, s := range scores {
+		if len(h) < k {
+			h = append(h, ScoredVertex{V: int32(v), Score: s})
+			for j := len(h) - 1; j > 0 && h[j].Score < h[(j-1)/2].Score; j = (j - 1) / 2 {
+				h[j], h[(j-1)/2] = h[(j-1)/2], h[j]
+			}
+		} else if s > h[0].Score {
+			h[0] = ScoredVertex{V: int32(v), Score: s}
+			down(0, len(h))
+		}
 	}
-	return out
+	// Popping the minimum to the end of a shrinking heap leaves h descending.
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		down(0, n)
+	}
+	return h
 }
 
 // TopKByDegree returns the k highest-degree vertices in descending order.

@@ -1,8 +1,10 @@
 package kernels
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -155,6 +157,59 @@ func TestTopKByScore(t *testing.T) {
 	}
 	if got := TopKByScore(scores, 10); len(got) != 5 {
 		t.Fatalf("k>n gives %d", len(got))
+	}
+}
+
+// boxedMinHeap is the container/heap min-heap TopKByScore was first written
+// with; it stays here as the oracle for the unboxed one's tie order.
+type boxedMinHeap []ScoredVertex
+
+func (h boxedMinHeap) Len() int           { return len(h) }
+func (h boxedMinHeap) Less(i, j int) bool { return h[i].Score < h[j].Score }
+func (h boxedMinHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *boxedMinHeap) Push(x any)        { *h = append(*h, x.(ScoredVertex)) }
+func (h *boxedMinHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+func topKBoxed(scores []float64, k int) []ScoredVertex {
+	h := &boxedMinHeap{}
+	for v, s := range scores {
+		if h.Len() < k {
+			heap.Push(h, ScoredVertex{V: int32(v), Score: s})
+		} else if s > (*h)[0].Score {
+			(*h)[0] = ScoredVertex{V: int32(v), Score: s}
+			heap.Fix(h, 0)
+		}
+	}
+	out := make([]ScoredVertex, h.Len())
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = heap.Pop(h).(ScoredVertex)
+	}
+	return out
+}
+
+// TestTopKByScoreKeepsHeapTieOrder: which of several equal scores makes the
+// cut, and in what order, depends on the heap's sift sequence; sharded and
+// standalone answers are compared byte for byte, so it may not change.
+func TestTopKByScoreKeepsHeapTieOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		scores := make([]float64, rng.Intn(300))
+		for i := range scores {
+			scores[i] = float64(rng.Intn(1 + trial%12)) // few distinct values: mostly ties
+		}
+		for _, k := range []int{1, 2, 7, 64, len(scores) + 3} {
+			if got, want := TopKByScore(scores, k), topKBoxed(scores, k); !slices.Equal(got, want) {
+				t.Fatalf("trial %d k=%d over %d scores: got %v, want %v", trial, k, len(scores), got, want)
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(20, func() { TopKByScore([]float64{3, 1, 2, 5, 4, 9, 7}, 5) }); avg > 1 {
+		t.Errorf("TopKByScore allocated %.0f times, want only the result slice", avg)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package lint holds repo-specific static checks that gofmt/vet cannot
 // express. The only check so far guards the flat-accumulator migration:
-// hot-path packages (internal/kernels, internal/matrix) must not allocate
+// hot-path packages (internal/kernels, internal/matrix, and the serving
+// layers internal/server and internal/cluster) must not allocate
 // map-based accumulators — counting and merging go through scratch.SPA /
 // scratch.Map64, which reset in O(touched) and reuse their backing arrays.
 // A plain `make(map[...])` in those packages is almost always a performance
@@ -30,9 +31,10 @@ func (f Finding) String() string {
 }
 
 // NoMapAccumulators scans every non-test .go file directly inside each dir
-// and reports `make(map[...])` calls, skipping files whose basename appears
-// in allow. Parse errors are reported as errors: a file this check cannot
-// read is a file it cannot vouch for.
+// and reports `make(map[...])` calls, skipping files whose "pkgdir/file.go"
+// (the directory's last element and the basename) appears in allow. Parse
+// errors are reported as errors: a file this check cannot read is a file it
+// cannot vouch for.
 func NoMapAccumulators(dirs []string, allow map[string]bool) ([]Finding, error) {
 	var findings []Finding
 	fset := token.NewFileSet()
@@ -46,7 +48,7 @@ func NoMapAccumulators(dirs []string, allow map[string]bool) ([]Finding, error) 
 			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 				continue
 			}
-			if allow[name] {
+			if allow[filepath.Base(dir)+"/"+name] {
 				continue
 			}
 			path := filepath.Join(dir, name)

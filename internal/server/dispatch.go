@@ -5,10 +5,12 @@ import (
 	"errors"
 	"net/http"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"time"
 
 	"repro/internal/kernels"
+	"repro/internal/scratch"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -102,23 +104,56 @@ func (s *Server) checkVertex(v int32) error {
 	return nil
 }
 
+// reqScratch is one request's result storage: khop orders and jaccard pairs
+// are appended here instead of allocated, so a batch's sub-results sit back
+// to back (growth re-allocates; sub-slices handed out earlier keep the old
+// array). Ownership rule: a result aliases the scratch until reqTrace.finish
+// returns it to the pool, which both transports call after encoding —
+// nothing may keep a result past that.
+type reqScratch struct {
+	verts  []int32
+	scores []kernels.JaccardPairScore // kernel output of the jaccard in progress
+	pairs  []wire.JaccardPair
+}
+
+// The buffers start non-nil so an empty result still encodes as [] in JSON.
+var reqScratchPool = scratch.NewPool(func() *reqScratch {
+	return &reqScratch{verts: make([]int32, 0, 1024), pairs: make([]wire.JaccardPair, 0, 256)}
+})
+
+// scratch returns the request's result storage, borrowing it on first use.
+// An untraced call (nil receiver) has no finish to return it in and gets
+// ordinary garbage-collected storage.
+func (rt *reqTrace) scratch() *reqScratch {
+	if rt == nil {
+		return reqScratchPool.Get()
+	}
+	if rt.scr == nil {
+		rt.scr = reqScratchPool.Get()
+	}
+	return rt.scr
+}
+
 // runJaccard answers a jaccard query from the current snapshot.
 func (s *Server) runJaccard(ctx context.Context, u int32, threshold float64) (*wire.JaccardResult, error) {
 	if err := s.checkVertex(u); err != nil {
 		return nil, err
 	}
 	g := s.snapshotFor(ctx)
+	scr := traceFrom(ctx).scratch()
 	ctx, end := traceFrom(ctx).stageCtx(ctx, "kernel", telemetry.L("kernel", "jaccard"))
-	scores, err := kernels.JaccardFromVertexCtx(ctx, g, u, threshold)
+	scores, err := kernels.AppendJaccardFromVertexCtx(ctx, scr.scores[:0], g, u, threshold)
 	end()
 	if err != nil {
 		return nil, err
 	}
-	out := &wire.JaccardResult{U: u, Results: make([]wire.JaccardPair, len(scores))}
-	for i, sc := range scores {
-		out.Results[i] = wire.JaccardPair{V: sc.V, Score: sc.Score, Inter: sc.Inter}
+	scr.scores = scores
+	base := len(scr.pairs)
+	scr.pairs = slices.Grow(scr.pairs, len(scores))
+	for _, sc := range scores {
+		scr.pairs = append(scr.pairs, wire.JaccardPair{V: sc.V, Score: sc.Score, Inter: sc.Inter})
 	}
-	return out, nil
+	return &wire.JaccardResult{U: u, Results: scr.pairs[base:]}, nil
 }
 
 // runKHop answers a khop query from the current snapshot.
@@ -135,13 +170,16 @@ func (s *Server) runKHop(ctx context.Context, seeds []int32, k int32) (*wire.KHo
 		return nil, badRequest("bad k %d", k)
 	}
 	g := s.snapshotFor(ctx)
+	scr := traceFrom(ctx).scratch()
+	base := len(scr.verts)
 	ctx, end := traceFrom(ctx).stageCtx(ctx, "kernel", telemetry.L("kernel", "khop"))
-	order, err := kernels.KHopNeighborhoodCtx(ctx, g, seeds, k)
+	verts, err := kernels.AppendKHopNeighborhoodCtx(ctx, scr.verts, g, seeds, k)
 	end()
 	if err != nil {
 		return nil, err
 	}
-	return &wire.KHopResult{Seeds: seeds, K: k, Count: len(order), Vertices: order}, nil
+	scr.verts = verts
+	return &wire.KHopResult{Seeds: seeds, K: k, Count: len(verts) - base, Vertices: verts[base:]}, nil
 }
 
 // runTopDegree answers a topdegree query. In incremental mode top-k is
@@ -174,7 +212,8 @@ func (s *Server) runTopDegree(ctx context.Context, k int) (*wire.TopDegreeResult
 }
 
 // scoredToWire converts a kernels score list to the shared wire type (same
-// field layout; the copy keeps the packages decoupled).
+// fields; internal/wire imports nothing from the repo, so the k entries are
+// copied).
 func scoredToWire(in []kernels.ScoredVertex) []wire.ScoredVertex {
 	out := make([]wire.ScoredVertex, len(in))
 	for i, sv := range in {

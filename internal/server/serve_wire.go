@@ -341,21 +341,25 @@ func appendWireResult(out []byte, res any) []byte {
 		return wire.AppendShardAdjResult(out, v)
 	case []batchItem:
 		out = binary.AppendUvarint(out, uint64(len(v)))
-		var sub []byte
 		for _, item := range v {
-			sub = sub[:0]
+			// Encode the sub-response in place, then open a gap in front
+			// of it for its length prefix.
+			mark := len(out)
 			if item.Err != "" {
-				sub = wire.AppendErrorResponse(sub, wire.StatusFromHTTP(item.Status), item.Err)
+				out = wire.AppendErrorResponse(out, wire.StatusFromHTTP(item.Status), item.Err)
 			} else {
-				sub = append(sub, wire.StatusOK)
-				sub = appendWireResult(sub, item.Result)
+				out = appendWireResult(append(out, wire.StatusOK), item.Result)
 			}
-			out = binary.AppendUvarint(out, uint64(len(sub)))
-			out = append(out, sub...)
+			n := len(out) - mark
+			out = binary.AppendUvarint(out, uint64(n))
+			prefix := len(out) - mark - n
+			copy(out[mark+prefix:], out[mark:mark+n])
+			binary.PutUvarint(out[mark:mark+prefix], uint64(n))
 		}
 		return out
 	default:
-		// Unreachable by construction; answer something decodable.
-		return wire.AppendErrorResponse(out[:0], wire.StatusInternal, "unencodable result")
+		// Unreachable by construction; answer something decodable in place of
+		// the StatusOK byte every caller has just appended.
+		return wire.AppendErrorResponse(out[:len(out)-1], wire.StatusInternal, "unencodable result")
 	}
 }

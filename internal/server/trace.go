@@ -45,6 +45,7 @@ type reqTrace struct {
 	root   *telemetry.Span
 	start  time.Time
 	stages []stageDur
+	scr    *reqScratch // result storage, borrowed by scratch(), returned by finish
 }
 
 // traceFrom returns the request trace carried by ctx, or nil when the
@@ -95,10 +96,16 @@ func (rt *reqTrace) endStage(sp *telemetry.Span, name string, t0 time.Time) {
 // finish closes the request's lifecycle accounting: the unattributed
 // remainder of the wall time is observed as stage="other" (so the stage
 // family sums to wall time), the root span ends, and the request is offered
-// to the slow-query log.
+// to the slow-query log. It also ends the life of the request's results:
+// the scratch they alias goes back to the pool, so callers encode first.
 func (rt *reqTrace) finish(code int, wall time.Duration) {
 	if rt == nil {
 		return
+	}
+	if scr := rt.scr; scr != nil {
+		rt.scr = nil
+		scr.verts, scr.scores, scr.pairs = scr.verts[:0], scr.scores[:0], scr.pairs[:0]
+		reqScratchPool.Put(scr)
 	}
 	var attributed time.Duration
 	for _, st := range rt.stages {

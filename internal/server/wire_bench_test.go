@@ -88,6 +88,52 @@ func BenchmarkWireComponent(b *testing.B) {
 	}
 }
 
+// BenchmarkWireKHop2 measures one 2-hop neighbourhood query per wire frame.
+// B/op covers both ends of the in-process connection: the server's share is
+// held flat by TestTraversalReadAllocBudget, the rest is the client decoding
+// the answer into a fresh result.
+func BenchmarkWireKHop2(b *testing.B) {
+	_, _, wireAddr := benchServer(b)
+	c, err := wire.Dial(wireAddr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	seeds := make([]int32, 1)
+	if _, err := c.KHop(seeds, 2, time.Second); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seeds[0] = int32(i) % (1 << 10)
+		if _, err := c.KHop(seeds, 2, time.Second); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireJaccard measures one per-vertex Jaccard query per wire frame;
+// B/op as for BenchmarkWireKHop2.
+func BenchmarkWireJaccard(b *testing.B) {
+	_, _, wireAddr := benchServer(b)
+	c, err := wire.Dial(wireAddr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Jaccard(0, 0, time.Second); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Jaccard(int32(i)%(1<<10), 0, time.Second); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHTTPComponent is the same query over the JSON API — the
 // baseline BenchmarkWireComponent's alloc reduction is judged against.
 func BenchmarkHTTPComponent(b *testing.B) {
