@@ -3,14 +3,13 @@ package kernels
 import "repro/internal/scratch"
 
 // Shared scratch pools for the kernel hot paths. Accumulators are borrowed
-// reset and returned reset (the Pool convention), so repeated kernel
-// invocations — the benchmark harness's reps, the streaming layer's
-// per-update queries — run at a zero steady-state allocation rate.
-
-// wedgePool holds the pair-keyed wedge-count accumulators for Jaccard.
-var wedgePool = scratch.NewPool(func() *scratch.Map64[int32] {
-	return scratch.NewMap64[int32](1 << 10)
-})
+// reset and returned reset (the Pool convention), so invocations that follow
+// one another within a garbage-collection cycle or two — the serving layer's
+// per-request queries, a harness's back-to-back reps — reuse them and
+// allocate nothing. A sync.Pool is emptied by the collector: a kernel called
+// once a second finds it empty every time and pays for its accumulator again,
+// so a batch kernel must be cheap with a cold pool too (O(n) per worker; see
+// TestAllocBudgetBatchKernels).
 
 // spaI32Pool holds vertex-keyed int32 counters (2-hop common-neighbor
 // counts, label votes) that double as the traversals' visited set: Probe
@@ -33,15 +32,4 @@ func BorrowVertexCounts(n int32) *scratch.SPA[int32] {
 func ReturnVertexCounts(s *scratch.SPA[int32]) {
 	s.Reset()
 	spaI32Pool.Put(s)
-}
-
-func borrowWedgeMap() *scratch.Map64[int32] {
-	m := wedgePool.Get()
-	m.Reset()
-	return m
-}
-
-func returnWedgeMap(m *scratch.Map64[int32]) {
-	m.Reset()
-	wedgePool.Put(m)
 }

@@ -17,6 +17,7 @@ package kernels
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -26,6 +27,21 @@ import (
 
 // Unreached marks vertices not touched by a traversal.
 const Unreached = int32(-1)
+
+// frontierChunkArcs is how many arcs a chunk of a pass over a frontier
+// should hold: a hundred microseconds or two of work, about what it costs
+// to wake a parked worker. A pass with fewer arcs than that is one chunk and
+// runs on the calling goroutine — most levels of a BFS and most rounds of a
+// peel on a power-law graph are that small, and starting workers for them
+// costs more than the pass.
+const frontierChunkArcs = 32768
+
+// arcGrain is the par.Opt.Grain, in frontier vertices, that cuts a frontier
+// of the given size and arc volume into chunks of about frontierChunkArcs
+// arcs. It depends on the input alone, never on the worker count.
+func arcGrain(frontier int, arcs int64) int {
+	return max(1, int(int64(frontier)*frontierChunkArcs/max(arcs, 1)))
+}
 
 // BFSResult holds the output of a breadth-first search: per-vertex parent in
 // the BFS tree and hop distance from the source (the paper's "compute vertex
@@ -69,6 +85,19 @@ func BFS(g *graph.Graph, src int32) *BFSResult {
 	return res
 }
 
+// bfsScratch is what BFSParallel needs besides its result: the frontier
+// queue, the workers' collection buffers and the bottom-up bitmap. It is
+// pooled because traversals come in runs — one per source, back to back —
+// and a run keeps the pool warm; a lone call pays 4 B a vertex plus the
+// buffers.
+type bfsScratch struct {
+	queue      []int32
+	out        par.Frontier[int32]
+	inFrontier scratch.Bitset
+}
+
+var bfsPool = scratch.NewPool(func() *bfsScratch { return new(bfsScratch) })
+
 // BFSParallel runs a level-synchronous direction-optimizing BFS through the
 // internal/par scheduler. On undirected graphs it switches from top-down to
 // bottom-up when the frontier grows past a fraction of the unvisited arc
@@ -84,22 +113,32 @@ func BFS(g *graph.Graph, src int32) *BFSResult {
 func BFSParallel(g *graph.Graph, src int32) *BFSResult {
 	n := g.NumVertices()
 	res := &BFSResult{Source: src, Parent: make([]int32, n), Depth: make([]int32, n)}
-	parent := make([]int32, n) // shared atomic view during traversal
+	parent := res.Parent // read and written atomically during the top-down levels
 	for i := range parent {
 		parent[i] = Unreached
 		res.Depth[i] = Unreached
 	}
 	parent[src] = src
 	res.Depth[src] = 0
-	var visited int64 = 1
+	res.Visited = 1
 
-	frontier := []int32{src}
+	// The frontier is GAP's sliding queue: a vertex enters it once, so every
+	// level is a window of one n-sized array and the next level is collected
+	// into the room behind the current one, through sc.out's per-worker
+	// buffers. The order a level's vertices arrive in follows the schedule,
+	// which the result cannot see — parents are minimum-ID by construction
+	// in both directions.
+	sc := bfsPool.Get()
+	defer bfsPool.Put(sc)
+	sc.queue = slices.Grow(sc.queue[:0], int(n))
+	frontier, out := append(sc.queue, src), &sc.out
 	depth := int32(0)
 	// Bottom-up membership bitmap: a real word-packed bitset (32× smaller
 	// than the former word-per-vertex array, so the scan side of the Beamer
 	// switch stays cache-resident). Marking uses the atomic set — frontier
 	// vertices from different chunks can share a word.
-	inFrontier := scratch.NewBitset(int(n))
+	sc.inFrontier.Grow(int(n))
+	inFrontier := &sc.inFrontier
 	bottomUpOK := !g.Directed()
 
 	for len(frontier) > 0 {
@@ -111,10 +150,12 @@ func BFSParallel(g *graph.Graph, src int32) *BFSResult {
 		useBottomUp := bottomUpOK &&
 			frontierArcs > g.NumEdges()/20 && int64(len(frontier)) > int64(n)/20
 
-		var next []int32
+		next := frontier[len(frontier):]
 		if useBottomUp {
 			inFrontier.Clear()
-			par.For(len(frontier), par.Opt{Name: "bfs.mark"}, func(lo, hi int) {
+			// Setting a bit is a few nanoseconds: chunks of 16k vertices are
+			// about as long as a chunk of frontierChunkArcs arcs.
+			par.For(len(frontier), par.Opt{Name: "bfs.mark", Grain: 16384}, func(lo, hi int) {
 				for _, v := range frontier[lo:hi] {
 					inFrontier.SetAtomic(v)
 				}
@@ -122,9 +163,8 @@ func BFSParallel(g *graph.Graph, src int32) *BFSResult {
 			// Each unvisited vertex scans its (sorted) neighbors for the
 			// first — i.e. minimum-ID — frontier member. Each vertex is
 			// owned by exactly one chunk, so parent/depth writes don't race.
-			next = par.Flatten(par.Chunks(int(n), par.Opt{Name: "bfs.bottomup"},
-				func(_, lo, hi int) []int32 {
-					var local []int32
+			next = out.Collect(next, int(n), par.Opt{Name: "bfs.bottomup", Grain: arcGrain(int(n), g.NumEdges())},
+				func(local []int32, lo, hi int) []int32 {
 					for v := int32(lo); v < int32(hi); v++ {
 						if parent[v] != Unreached {
 							continue
@@ -139,16 +179,15 @@ func BFSParallel(g *graph.Graph, src int32) *BFSResult {
 						}
 					}
 					return local
-				}))
+				})
 		} else {
 			// Top-down: frontier vertices claim unvisited neighbors with a
 			// CAS, then refine the parent down to the minimum-ID frontier
 			// discoverer with a CAS-min loop. A vertex was claimed in THIS
 			// level iff its current parent sits at depth-1; that depth was
 			// written before the level barrier, so the read is stable.
-			next = par.Flatten(par.Chunks(len(frontier), par.Opt{Name: "bfs.topdown"},
-				func(_, lo, hi int) []int32 {
-					var local []int32
+			next = out.Collect(next, len(frontier), par.Opt{Name: "bfs.topdown", Grain: arcGrain(len(frontier), frontierArcs)},
+				func(local []int32, lo, hi int) []int32 {
 					for _, v := range frontier[lo:hi] {
 						for _, u := range g.Neighbors(v) {
 							for {
@@ -171,13 +210,11 @@ func BFSParallel(g *graph.Graph, src int32) *BFSResult {
 						}
 					}
 					return local
-				}))
+				})
 		}
-		visited += int64(len(next))
+		res.Visited += int64(len(next))
 		frontier = next
 	}
-	copy(res.Parent, parent)
-	res.Visited = visited
 	return res
 }
 

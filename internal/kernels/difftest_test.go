@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -153,6 +154,9 @@ func TestDiffJaccard(t *testing.T) {
 			p := JaccardAllParallel(g, cfg.minShared, cfg.threshold, cfg.maxPairs)
 			if !reflect.DeepEqual(s, p) {
 				t.Fatalf("cfg %+v: parallel pair list differs", cfg)
+			}
+			if want := jaccardAllWedgeMap(g, cfg.minShared, cfg.threshold, cfg.maxPairs); !slices.Equal(s, want) {
+				t.Fatalf("cfg %+v: pair list differs from the wedge-map oracle", cfg)
 			}
 		}
 	})

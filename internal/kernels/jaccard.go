@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/scratch"
 )
 
@@ -35,61 +36,113 @@ func JaccardPair(g *graph.Graph, u, v int32) JaccardPairScore {
 
 // JaccardAll computes all vertex pairs with intersection >= minShared and
 // Jaccard score >= threshold, without materializing the quadratic pair
-// space: it enumerates wedges (u–x–v) so only pairs with at least one common
+// space: row by row, it counts for each u the common neighbors of every
+// partner v > u (the wedges u–x–v), so only pairs with at least one common
 // neighbor are ever touched. This is the batch NORA computation — minShared=2
 // is exactly the paper's "shared an address 2 or more times".
 //
-// Output is sorted by descending score. maxPairs>0 truncates to the top
-// maxPairs ("top k" output class of Fig. 1).
+// Output is sorted by descending score, then U, then V. maxPairs>0
+// truncates to the top maxPairs ("top k" output class of Fig. 1).
 func JaccardAll(g *graph.Graph, minShared int32, threshold float64, maxPairs int) []JaccardPairScore {
-	n := g.NumVertices()
+	return jaccardRows(g, minShared, threshold, maxPairs, par.Opt{Name: "jaccard.rows", Workers: 1})
+}
+
+// JaccardAllParallel is JaccardAll with the rows fanned out through the par
+// scheduler. Each pair belongs to exactly one row and the output order is
+// total, so the result is byte-identical to JaccardAll for any worker count.
+func JaccardAllParallel(g *graph.Graph, minShared int32, threshold float64, maxPairs int) []JaccardPairScore {
+	return jaccardRows(g, minShared, threshold, maxPairs, par.Opt{Name: "jaccard.rows"})
+}
+
+// jaccardTrimSlack is how far past 2*maxPairs a worker's candidate list
+// grows before it is cut back to the best maxPairs, so that a cut's sort is
+// amortised over at least this many appends even when maxPairs is 1.
+const jaccardTrimSlack = 64
+
+// compareJaccardPairs is the batch output order (score desc, U asc, V asc),
+// a total order over distinct pairs.
+func compareJaccardPairs(a, b JaccardPairScore) int {
+	if a.Score != b.Score {
+		return cmp.Compare(b.Score, a.Score)
+	}
+	return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+}
+
+// bestJaccardPairs sorts pairs into output order, in place, and keeps the
+// first maxPairs of them (all when maxPairs <= 0).
+func bestJaccardPairs(pairs []JaccardPairScore, maxPairs int) []JaccardPairScore {
+	slices.SortFunc(pairs, compareJaccardPairs)
+	if maxPairs > 0 && len(pairs) > maxPairs {
+		pairs = pairs[:maxPairs]
+	}
+	return pairs
+}
+
+// jaccardRows is the batch kernel behind JaccardAll (one worker) and
+// JaccardAllParallel. Row u's wedge centres are the vertices with an arc to
+// u; the partners they reach are counted in a dense per-worker accumulator
+// (array indexing, no hashing), and the row is scored and thresholded at
+// once. With maxPairs > 0 a worker holds on to its best maxPairs candidates
+// only: the top maxPairs overall are among the workers' own.
+func jaccardRows(g *graph.Graph, minShared int32, threshold float64, maxPairs int, opt par.Opt) []JaccardPairScore {
 	if minShared < 1 {
 		minShared = 1
 	}
-	// Count common neighbors per pair via wedge enumeration, keyed on the
-	// lower vertex to halve memory.
-	counts := borrowWedgeMap()
-	defer returnWedgeMap(counts)
-	for x := int32(0); x < n; x++ {
-		ns := g.Neighbors(x)
-		for i := 0; i < len(ns); i++ {
-			for j := i + 1; j < len(ns); j++ {
-				u, v := ns[i], ns[j]
-				if u == v {
-					continue
-				}
-				counts.Add(pairKey(u, v), 1)
+	n := g.NumVertices()
+	centres := g.Transpose() // g itself, shared, when undirected
+	type rowWorker struct {
+		common  *scratch.SPA[int32]
+		pairs   []JaccardPairScore
+		trimmed bool // pairs[maxPairs-1] is the worst of the best maxPairs so far
+	}
+	workers := make([]rowWorker, opt.WorkerCount())
+	par.ForW(int(n), opt, func(w, lo, hi int) {
+		if workers[w].common == nil {
+			workers[w].common = BorrowVertexCounts(n)
+			if maxPairs > 0 {
+				workers[w].pairs = make([]JaccardPairScore, 0, 2*maxPairs+jaccardTrimSlack)
 			}
 		}
-	}
-	return scoreWedgeCounts(g, counts, minShared, threshold, maxPairs)
-}
-
-// scoreWedgeCounts turns a pair -> common-neighbor-count accumulator into
-// the filtered, score-sorted pair list shared by JaccardAll and
-// JaccardAllParallel. The (score desc, U asc, V asc) sort is a total order
-// over distinct pairs, so the output is independent of accumulation order.
-func scoreWedgeCounts(g *graph.Graph, counts *scratch.Map64[int32], minShared int32, threshold float64, maxPairs int) []JaccardPairScore {
-	out := make([]JaccardPairScore, 0, counts.Len()/4)
-	counts.ForEach(func(key int64, c int32) {
-		if c < minShared {
-			return
+		st := workers[w] // a copy: neighbouring workers' appends share no cache line
+		for u := int32(lo); u < int32(hi); u++ {
+			st.common.Reset()
+			for _, x := range centres.Neighbors(u) {
+				ns := g.Neighbors(x)
+				for i := len(ns) - 1; i >= 0 && ns[i] > u; i-- {
+					st.common.Add(ns[i], 1)
+				}
+			}
+			du := g.Degree(u)
+			for _, v := range st.common.Touched() {
+				c := st.common.Value(v)
+				if c < minShared {
+					continue
+				}
+				p := JaccardPairScore{U: u, V: v, Inter: c, Score: jaccardScore(c, du, g.Degree(v))}
+				if p.Score < threshold || st.trimmed && compareJaccardPairs(p, st.pairs[maxPairs-1]) > 0 {
+					continue
+				}
+				st.pairs = append(st.pairs, p)
+			}
+			if maxPairs > 0 && len(st.pairs) >= 2*maxPairs+jaccardTrimSlack {
+				st.pairs, st.trimmed = bestJaccardPairs(st.pairs, maxPairs), true
+			}
 		}
-		u, v := unpairKey(key)
-		if score := jaccardScore(c, g.Degree(u), g.Degree(v)); score >= threshold {
-			out = append(out, JaccardPairScore{U: u, V: v, Inter: c, Score: score})
-		}
+		workers[w] = st
 	})
-	slices.SortFunc(out, func(a, b JaccardPairScore) int {
-		if a.Score != b.Score {
-			return cmp.Compare(b.Score, a.Score)
-		}
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-	})
-	if maxPairs > 0 && len(out) > maxPairs {
-		out = out[:maxPairs]
+	out := workers[0].pairs
+	for _, st := range workers[1:] {
+		out = append(out, st.pairs...)
 	}
-	return out
+	for _, st := range workers {
+		if st.common != nil {
+			ReturnVertexCounts(st.common)
+		}
+	}
+	if out == nil {
+		out = []JaccardPairScore{}
+	}
+	return bestJaccardPairs(out, maxPairs)
 }
 
 // JaccardFromVertex returns all vertices with a nonzero Jaccard coefficient

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -11,79 +12,79 @@ import (
 // ParK/Julienne scheme): level k removes every vertex whose residual degree
 // is <= k, cascading within the level. Degree decrements are atomic; a
 // vertex is claimed for peeling by exactly one worker — the one whose
-// decrement moves its degree from k+1 to k (or the scan that finds it
-// already at or below k). Core numbers are a confluent fixpoint of peeling,
-// so the result equals KCore's for any worker count.
+// decrement moves its degree from k+1 to k (the level's opening scan claims
+// those already at k). Core numbers are a confluent fixpoint of peeling, so
+// the result equals KCore's for any worker count and any order the rounds'
+// vertices are collected in.
+//
+// A vertex stays on the live list through the non-empty levels up to
+// core(v), and core(v) <= deg(v), so the opening scans add up to at most
+// n + m steps: the whole kernel is O(n + m) work.
 func KCoreParallel(g *graph.Graph) *KCoreResult {
 	n := g.NumVertices()
 	res := &KCoreResult{Core: make([]int32, n)}
-	if n == 0 {
-		return res
-	}
 	deg := make([]int32, n)
+	alive := make([]int32, n)
 	for v := int32(0); v < n; v++ {
 		deg[v] = g.Degree(v)
+		alive[v] = v
 	}
-	peeled := make([]int32, n) // 0 = alive, 1 = claimed for peeling
-	alive := make([]int32, n)
-	for i := range alive {
-		alive[i] = int32(i)
-	}
-	remaining := int32(n)
-
-	type scanRes struct{ peel, keep []int32 }
-	for k := int32(0); remaining > 0; k++ {
-		// Split the surviving vertices into this level's frontier and the
-		// rest. Each vertex is examined by exactly one chunk, so no claims
-		// are needed here; the barrier orders these plain writes before the
-		// peel phase's atomics.
-		cur := alive
-		parts := par.Chunks(len(cur), par.Opt{Name: "kcore.scan"},
-			func(_, lo, hi int) scanRes {
-				var r scanRes
-				for _, v := range cur[lo:hi] {
-					if peeled[v] == 1 {
-						// Claimed by last level's cascade after this list was
-						// built; it is already peeled, not alive.
-						continue
-					}
-					if deg[v] <= k {
-						peeled[v] = 1
-						r.peel = append(r.peel, v)
-					} else {
-						r.keep = append(r.keep, v)
-					}
+	var frontier, next []int32
+	var out par.Frontier[int32]
+	// peel is one round's chunk body, made once: it sees the level and the
+	// round through k and frontier.
+	k := int32(0)
+	peel := func(found []int32, lo, hi int) []int32 {
+		k := k // a register copy: the loop below runs once per arc
+		for _, v := range frontier[lo:hi] {
+			res.Core[v] = k
+			for _, w := range g.Neighbors(v) {
+				// At level k a degree at or below k means w is already
+				// claimed; only live degrees are decremented.
+				if atomic.LoadInt32(&deg[w]) > k && atomic.AddInt32(&deg[w], -1) == k {
+					found = append(found, w)
 				}
-				return r
-			})
-		var frontier []int32
-		alive = alive[:0:0]
-		for _, r := range parts {
-			frontier = append(frontier, r.peel...)
-			alive = append(alive, r.keep...)
+			}
 		}
-		for len(frontier) > 0 {
-			res.MaxCore = k
-			remaining -= int32(len(frontier))
-			next := par.Chunks(len(frontier), par.Opt{Name: "kcore.peel"},
-				func(_, lo, hi int) []int32 {
-					var found []int32
-					for _, v := range frontier[lo:hi] {
-						res.Core[v] = k
-						for _, w := range g.Neighbors(v) {
-							if atomic.LoadInt32(&peeled[w]) == 1 {
-								continue
-							}
-							if nd := atomic.AddInt32(&deg[w], -1); nd == k {
-								if atomic.CompareAndSwapInt32(&peeled[w], 0, 1) {
-									found = append(found, w)
-								}
-							}
-						}
-					}
-					return found
-				})
-			frontier = par.Flatten(next)
+		return found
+	}
+	for ; len(alive) > 0; k++ {
+		// Split the live list, in place, into this level's first round and
+		// the survivors. Whoever is still unclaimed has a degree of at least
+		// k, so a smaller one marks a vertex an earlier cascade peeled.
+		frontier = frontier[:0]
+		kept, minDeg := alive[:0], int32(math.MaxInt32)
+		for _, v := range alive {
+			switch d := deg[v]; {
+			case d > k:
+				kept, minDeg = append(kept, v), min(minDeg, d)
+			case d == k:
+				frontier = append(frontier, v)
+			}
+		}
+		alive = kept
+		if len(frontier) == 0 {
+			k = minDeg - 1 // the levels below the smallest live degree are empty
+			continue
+		}
+		res.MaxCore = k
+		for unclaimed := len(alive); len(frontier) > 0; unclaimed -= len(frontier) {
+			if unclaimed == 0 {
+				// Every survivor is claimed: this is the last round of the
+				// last level and no degree matters any more.
+				for _, v := range frontier {
+					res.Core[v] = k
+				}
+				return res
+			}
+			// The rounds that peel the dense core are few vertices and most
+			// of the arcs: chunk by arc volume, not vertex count.
+			arcs := int64(0)
+			for _, v := range frontier {
+				arcs += int64(g.Degree(v))
+			}
+			next = out.Collect(next, len(frontier), par.Opt{Name: "kcore.peel", Grain: arcGrain(len(frontier), arcs)}, peel)
+			frontier, next = next, frontier
 		}
 	}
 	return res

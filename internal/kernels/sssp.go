@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"container/heap"
 	"math"
 
 	"repro/internal/graph"
@@ -22,23 +21,11 @@ type pqItem struct {
 	dist float64
 }
 
-type priorityQueue []pqItem
-
-func (q priorityQueue) Len() int            { return len(q) }
-func (q priorityQueue) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q priorityQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *priorityQueue) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *priorityQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
 // Dijkstra computes shortest paths from src using a binary heap with lazy
 // deletion. Edge weights must be nonnegative; unweighted graphs use weight 1
-// per edge.
+// per edge. The heap is container/heap's algorithm written out over
+// []pqItem — same sift sequence, so the same pop order and the same Parent
+// on ties — without boxing every relaxation.
 func Dijkstra(g *graph.Graph, src int32) *SSSPResult {
 	n := g.NumVertices()
 	res := &SSSPResult{Source: src, Dist: make([]float64, n), Parent: make([]int32, n)}
@@ -48,9 +35,25 @@ func Dijkstra(g *graph.Graph, src int32) *SSSPResult {
 	}
 	res.Dist[src] = 0
 	res.Parent[src] = src
-	pq := &priorityQueue{{v: src, dist: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
+	pq := []pqItem{{v: src, dist: 0}}
+	for len(pq) > 0 {
+		it := pq[0]
+		last := len(pq) - 1
+		pq[0], pq = pq[last], pq[:last]
+		for i := 0; ; {
+			j := 2*i + 1
+			if j >= last {
+				break
+			}
+			if j+1 < last && pq[j+1].dist < pq[j].dist {
+				j++
+			}
+			if !(pq[j].dist < pq[i].dist) {
+				break
+			}
+			pq[i], pq[j] = pq[j], pq[i]
+			i = j
+		}
 		if it.dist > res.Dist[it.v] {
 			continue // stale entry
 		}
@@ -64,7 +67,10 @@ func Dijkstra(g *graph.Graph, src int32) *SSSPResult {
 			if nd := it.dist + ew; nd < res.Dist[w] {
 				res.Dist[w] = nd
 				res.Parent[w] = it.v
-				heap.Push(pq, pqItem{v: w, dist: nd})
+				pq = append(pq, pqItem{v: w, dist: nd})
+				for j := len(pq) - 1; j > 0 && pq[j].dist < pq[(j-1)/2].dist; j = (j - 1) / 2 {
+					pq[j], pq[(j-1)/2] = pq[(j-1)/2], pq[j]
+				}
 			}
 		}
 	}

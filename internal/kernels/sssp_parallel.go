@@ -69,77 +69,101 @@ func DeltaSteppingParallel(g *graph.Graph, src int32, delta float64) *SSSPResult
 		}
 	}
 
-	buckets := map[int][]int32{0: {src}}
-	maxBucket := 0
-	// distribute routes improved vertices to the bucket of their latest
-	// distance; duplicates are fine (stale entries are skipped on claim).
+	// Buckets live in a ring over the window [bi, bi+len(ring)), the cyclic
+	// bucket array of the original delta-stepping: a relaxation out of
+	// bucket bi lands at most maxWeight/delta + 1 buckets ahead, so the ring
+	// grows to that span (choose delta accordingly) and its slots — and
+	// their storage — are reused as bi advances. Duplicates are fine (stale
+	// entries are skipped on claim).
+	ring := make([][]int32, 8)
+	ring[0] = append(ring[0], src)
+	bi, maxBucket := 0, 0
 	distribute := func(improved []int32) {
 		for _, w := range improved {
 			b := int(distAt(w) / delta)
-			buckets[b] = append(buckets[b], w)
-			if b > maxBucket {
-				maxBucket = b
+			if b-bi >= len(ring) {
+				grown := make([][]int32, 2*(b-bi))
+				for j := bi; j < bi+len(ring); j++ {
+					grown[j%len(grown)] = ring[j%len(ring)]
+				}
+				ring = grown
 			}
+			ring[b%len(ring)] = append(ring[b%len(ring)], w)
+			maxBucket = max(maxBucket, b)
 		}
 	}
 
-	// relaxChunk relaxes one frontier chunk's edges in the given weight
-	// class, returning the vertices it improved.
-	relaxChunk := func(frontier []int32, bi int32, light bool) func(int, int, int) []int32 {
-		return func(_, lo, hi int) []int32 {
-			var improved []int32
-			for _, v := range frontier[lo:hi] {
-				if light {
-					// Skip entries whose distance moved on (to an earlier,
-					// already-processed bucket) before claiming.
-					if int32(distAt(v)/delta) != bi || !claim(v, bi) {
-						continue
-					}
-				}
-				dv := distAt(v)
-				ns := g.Neighbors(v)
-				ws := g.NeighborWeights(v)
-				for i, w := range ns {
-					ew := 1.0
-					if ws != nil {
-						ew = float64(ws[i])
-					}
-					if (ew <= delta) != light {
-						continue
-					}
-					if casMin(w, dv+ew) {
-						// Re-open w if it had already settled this bucket.
-						atomic.CompareAndSwapInt32(&stamp[w], bi+1, 0)
-						improved = append(improved, w)
-					}
+	// relax relaxes one frontier chunk's edges in the given weight class,
+	// appending the vertices it improved.
+	var frontier []int32
+	var light bool
+	relax := func(improved []int32, lo, hi int) []int32 {
+		for _, v := range frontier[lo:hi] {
+			if light {
+				// Skip entries whose distance moved on (to an earlier,
+				// already-processed bucket) before claiming.
+				if int(distAt(v)/delta) != bi || !claim(v, int32(bi)) {
+					continue
 				}
 			}
-			return improved
+			dv := distAt(v)
+			ns := g.Neighbors(v)
+			ws := g.NeighborWeights(v)
+			for i, w := range ns {
+				ew := 1.0
+				if ws != nil {
+					ew = float64(ws[i])
+				}
+				if (ew <= delta) != light {
+					continue
+				}
+				if casMin(w, dv+ew) {
+					// Re-open w if it had already settled this bucket.
+					atomic.CompareAndSwapInt32(&stamp[w], int32(bi)+1, 0)
+					improved = append(improved, w)
+				}
+			}
 		}
+		return improved
 	}
 
-	for bi := 0; bi <= maxBucket; bi++ {
-		var settled []int32
-		for len(buckets[bi]) > 0 {
-			cur := buckets[bi]
-			buckets[bi] = nil
-			improved := par.Flatten(par.Chunks(len(cur),
-				par.Opt{Name: "sssp.light"}, relaxChunk(cur, int32(bi), true)))
+	// grainOf chunks a relaxation pass by the arcs its vertices hold: most
+	// buckets are too small to be worth waking a worker for.
+	grainOf := func(vs []int32) int {
+		arcs := int64(0)
+		for _, v := range vs {
+			arcs += int64(g.Degree(v))
+		}
+		return arcGrain(len(vs), arcs)
+	}
+
+	// cur, improved and settled are reused bucket after bucket; out holds
+	// the per-worker buffers. The order improved vertices arrive in follows
+	// the schedule, which the distances (a unique fixpoint) cannot see.
+	var cur, improved, settled []int32
+	var out par.Frontier[int32]
+	for ; bi <= maxBucket; bi++ {
+		slot := bi % len(ring)
+		settled = settled[:0]
+		for len(ring[slot]) > 0 {
+			cur, ring[slot] = ring[slot], cur[:0]
+			frontier, light = cur, true
+			improved = out.Collect(improved, len(cur), par.Opt{Name: "sssp.light", Grain: grainOf(cur)}, relax)
 			// Claimed entries relaxed their light edges; remember them for
 			// the heavy phase (duplicates from re-opening are harmless).
 			for _, v := range cur {
-				if int32(distAt(v)/delta) == int32(bi) && atomic.LoadInt32(&stamp[v]) == int32(bi)+1 {
+				if int(distAt(v)/delta) == bi && atomic.LoadInt32(&stamp[v]) == int32(bi)+1 {
 					settled = append(settled, v)
 				}
 			}
 			distribute(improved)
+			slot = bi % len(ring) // distribute may have grown the ring
 		}
 		if len(settled) > 0 {
-			improved := par.Flatten(par.Chunks(len(settled),
-				par.Opt{Name: "sssp.heavy"}, relaxChunk(settled, int32(bi), false)))
+			frontier, light = settled, false
+			improved = out.Collect(improved, len(settled), par.Opt{Name: "sssp.heavy", Grain: grainOf(settled)}, relax)
 			distribute(improved)
 		}
-		delete(buckets, bi)
 	}
 
 	// Deterministic parent assignment: Parent[w] = min{v : Dist[v]+w(v,w) ==

@@ -1,7 +1,9 @@
 package kernels
 
 import (
+	"container/heap"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -128,5 +130,76 @@ func TestValidateSSSPCatchesCorruption(t *testing.T) {
 	res.Dist[3] = 100
 	if ValidateSSSP(g, res) {
 		t.Fatal("validator accepted corrupted distances")
+	}
+}
+
+// boxedQueue is the container/heap priority queue Dijkstra was first written
+// with; it stays here as the oracle for the unboxed one's pop order.
+type boxedQueue []pqItem
+
+func (q boxedQueue) Len() int           { return len(q) }
+func (q boxedQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
+func (q boxedQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *boxedQueue) Push(x any)        { *q = append(*q, x.(pqItem)) }
+func (q *boxedQueue) Pop() any {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
+func dijkstraBoxed(g *graph.Graph, src int32) *SSSPResult {
+	n := g.NumVertices()
+	res := &SSSPResult{Source: src, Dist: make([]float64, n), Parent: make([]int32, n)}
+	for i := range res.Dist {
+		res.Dist[i] = Inf
+		res.Parent[i] = Unreached
+	}
+	res.Dist[src] = 0
+	res.Parent[src] = src
+	pq := &boxedQueue{{v: src, dist: 0}}
+	for pq.Len() > 0 {
+		it := heap.Pop(pq).(pqItem)
+		if it.dist > res.Dist[it.v] {
+			continue
+		}
+		ws := g.NeighborWeights(it.v)
+		for i, w := range g.Neighbors(it.v) {
+			ew := 1.0
+			if ws != nil {
+				ew = float64(ws[i])
+			}
+			if nd := it.dist + ew; nd < res.Dist[w] {
+				res.Dist[w] = nd
+				res.Parent[w] = it.v
+				heap.Push(pq, pqItem{v: w, dist: nd})
+			}
+		}
+	}
+	return res
+}
+
+// TestDijkstraKeepsHeapTieOrder: among equal tentative distances the heap's
+// sift sequence decides which vertex settles first and so which parent a
+// vertex keeps; APSP and the benchmark's references are built on it, so the
+// unboxed heap must reproduce it. Unweighted graphs are all ties.
+func TestDijkstraKeepsHeapTieOrder(t *testing.T) {
+	graphs := []*graph.Graph{
+		gen.RMAT(9, 8, gen.Graph500RMAT, 1, false),
+		gen.ErdosRenyi(400, 3000, 2, true),
+		gen.RMATWeighted(9, 8, gen.Graph500RMAT, 3, false),
+		gen.Grid(12, 12),
+	}
+	for gi, g := range graphs {
+		for _, src := range []int32{0, 1, g.NumVertices() / 2} {
+			got, want := Dijkstra(g, src), dijkstraBoxed(g, src)
+			if !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Parent, want.Parent) {
+				t.Fatalf("graph %d source %d: distances or parents differ from the container/heap Dijkstra", gi, src)
+			}
+		}
+	}
+	g := graphs[0]
+	if avg := testing.AllocsPerRun(5, func() { Dijkstra(g, 0) }); avg > 20 {
+		t.Errorf("Dijkstra allocated %.0f times, want the result and the queue's growth only", avg)
 	}
 }

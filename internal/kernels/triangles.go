@@ -18,26 +18,41 @@ func GlobalTriangleCount(g *graph.Graph) int64 {
 	// rank orders vertices by (degree, id) so high-degree hubs come last;
 	// intersecting only "forward" neighbors bounds work by arboricity.
 	rank := degreeRank(g)
-	// forward[v] = neighbors with higher rank, sorted by id.
-	forward := make([][]int32, n)
+	// forward(v) = neighbors with higher rank, sorted by id, as one flat
+	// offsets+targets pair: count, prefix sum, fill.
+	offsets := make([]int64, n+1)
 	par.For(int(n), par.Opt{Name: "tc.forward"}, func(lo, hi int) {
 		for v := int32(lo); v < int32(hi); v++ {
-			var f []int32
 			for _, w := range g.Neighbors(v) {
 				if rank[w] > rank[v] {
-					f = append(f, w)
+					offsets[v+1]++
 				}
 			}
-			forward[v] = f
 		}
 	})
+	for v := int32(0); v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	targets := make([]int32, offsets[n])
+	par.For(int(n), par.Opt{Name: "tc.forward"}, func(lo, hi int) {
+		for v := int32(lo); v < int32(hi); v++ {
+			p := offsets[v]
+			for _, w := range g.Neighbors(v) {
+				if rank[w] > rank[v] {
+					targets[p] = w
+					p++
+				}
+			}
+		}
+	})
+	forward := func(v int32) []int32 { return targets[offsets[v]:offsets[v+1]] }
 	return par.Reduce(int(n), par.Opt{Name: "tc.count"},
 		func(lo, hi int) int64 {
 			var local int64
 			for v := int32(lo); v < int32(hi); v++ {
-				fv := forward[v]
+				fv := forward(v)
 				for _, w := range fv {
-					local += int64(intersectCount(fv, forward[w]))
+					local += int64(intersectCount(fv, forward(w)))
 				}
 			}
 			return local
@@ -128,27 +143,25 @@ func GlobalClusteringCoefficient(g *graph.Graph) float64 {
 }
 
 // degreeRank returns a ranking where rank[v] < rank[w] iff
-// (deg(v), v) < (deg(w), w).
+// (deg(v), v) < (deg(w), w): a counting sort by degree, stable in id.
 func degreeRank(g *graph.Graph) []int32 {
 	n := g.NumVertices()
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	deg := make([]int32, n)
+	maxDeg := int32(0)
 	for v := int32(0); v < n; v++ {
-		deg[v] = g.Degree(v)
+		maxDeg = max(maxDeg, g.Degree(v))
 	}
-	// counting-sort free: simple sort
-	sortInt32s(order, func(a, b int32) bool {
-		if deg[a] != deg[b] {
-			return deg[a] < deg[b]
-		}
-		return a < b
-	})
+	// next[d] is the rank the next vertex of degree d takes.
+	next := make([]int32, maxDeg+2)
+	for v := int32(0); v < n; v++ {
+		next[g.Degree(v)+1]++
+	}
+	for d := int32(0); d <= maxDeg; d++ {
+		next[d+1] += next[d]
+	}
 	rank := make([]int32, n)
-	for r, v := range order {
-		rank[v] = int32(r)
+	for v := int32(0); v < n; v++ {
+		rank[v] = next[g.Degree(v)]
+		next[g.Degree(v)]++
 	}
 	return rank
 }

@@ -4,8 +4,9 @@ import "repro/internal/scratch"
 
 // Shared SPA pool for row accumulation. Every semiring kernel that
 // scatter-accumulates into an output row borrows from here instead of
-// allocating a map (or a dense accVal/accSet pair) per invocation; the
-// steady-state allocation rate of SpGEMM/SpMSpV row loops is zero.
+// allocating a map (or a dense accVal/accSet pair) per row; the row loops of
+// SpGEMM/SpMSpV allocate nothing, and back-to-back invocations reuse the
+// accumulator (the collector empties the pool between infrequent ones).
 var spaF64Pool = scratch.NewPool(func() *scratch.SPA[float64] {
 	return scratch.NewSPA[float64](0)
 })

@@ -127,42 +127,39 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// Equal reports element-wise equality within eps.
+// Equal reports element-wise equality within eps. Rows are compared with a
+// two-cursor merge, so an entry stored on one side only must be within eps
+// of zero (explicit zeros equal absent entries).
 func (m *CSR) Equal(o *CSR, eps float64) bool {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		return false
 	}
-	// Compare via merged entries (handles explicit zeros).
-	me, oe := m.Entries(), o.Entries()
-	mi, oi := 0, 0
-	for mi < len(me) || oi < len(oe) {
-		switch {
-		case oi >= len(oe) || (mi < len(me) && lessEntry(me[mi], oe[oi])):
-			if abs(me[mi].Val) > eps {
-				return false
+	for i := int32(0); i < m.Rows; i++ {
+		mc, mv := m.Row(i)
+		oc, ov := o.Row(i)
+		mi, oi := 0, 0
+		for mi < len(mc) || oi < len(oc) {
+			switch {
+			case oi >= len(oc) || (mi < len(mc) && mc[mi] < oc[oi]):
+				if abs(mv[mi]) > eps {
+					return false
+				}
+				mi++
+			case mi >= len(mc) || oc[oi] < mc[mi]:
+				if abs(ov[oi]) > eps {
+					return false
+				}
+				oi++
+			default:
+				if abs(mv[mi]-ov[oi]) > eps {
+					return false
+				}
+				mi++
+				oi++
 			}
-			mi++
-		case mi >= len(me) || lessEntry(oe[oi], me[mi]):
-			if abs(oe[oi].Val) > eps {
-				return false
-			}
-			oi++
-		default:
-			if abs(me[mi].Val-oe[oi].Val) > eps {
-				return false
-			}
-			mi++
-			oi++
 		}
 	}
 	return true
-}
-
-func lessEntry(a, b Entry) bool {
-	if a.Row != b.Row {
-		return a.Row < b.Row
-	}
-	return a.Col < b.Col
 }
 
 func abs(x float64) float64 {

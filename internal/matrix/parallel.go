@@ -1,9 +1,6 @@
 package matrix
 
-import (
-	"repro/internal/par"
-	"repro/internal/scratch"
-)
+import "repro/internal/par"
 
 // Row-parallel operations: each chunk of rows is computed into a private
 // block (local row pointers + column/value arrays) through the par
@@ -38,42 +35,6 @@ func stitchBlocks(rows, cols int32, blocks []rowBlock) *CSR {
 		}
 	}
 	return c
-}
-
-// SpGEMMParallel computes C = A ⊕.⊗ B with row-parallel Gustavson: each
-// worker reuses one SPA accumulator across all chunks of A's rows it
-// pulls (par.ChunksWithScratch), so the per-chunk allocation is just the
-// output block. Same output as SpGEMMGustavson for any worker count; used
-// by the scaling ablation and anywhere a whole-machine SpGEMM is wanted.
-func SpGEMMParallel(sr Semiring, a, b *CSR) *CSR {
-	blocks := par.ChunksWithScratch(int(a.Rows), par.Opt{Name: "spgemm.rows"},
-		func() *scratch.SPA[float64] { return scratch.NewSPA[float64](int(b.Cols)) },
-		func(acc *scratch.SPA[float64], _, lo, hi int) rowBlock {
-			out := rowBlock{lo: int32(lo), hi: int32(hi), rowPtr: make([]int64, hi-lo+1)}
-			for i := int32(lo); i < int32(hi); i++ {
-				acc.Reset()
-				aCols, aVals := a.Row(i)
-				for k, j := range aCols {
-					av := aVals[k]
-					bCols, bVals := b.Row(j)
-					for t, col := range bCols {
-						prod := sr.Times(av, bVals[t])
-						if p, fresh := acc.Probe(col); fresh {
-							*p = prod
-						} else {
-							*p = sr.Plus(*p, prod)
-						}
-					}
-				}
-				for _, col := range acc.SortedTouched() {
-					out.colIdx = append(out.colIdx, col)
-					out.vals = append(out.vals, acc.Value(col))
-				}
-				out.rowPtr[i-int32(lo)+1] = int64(len(out.colIdx))
-			}
-			return out
-		})
-	return stitchBlocks(a.Rows, b.Cols, blocks)
 }
 
 // EWiseAddParallel computes C = A ⊕ B element-wise over the union of

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/par"
+	"repro/internal/scratch"
 )
 
 func withWorkers(t *testing.T, w int, f func()) {
@@ -127,5 +129,176 @@ func TestParallelOpsWorkerDeterminism(t *testing.T) {
 				t.Fatalf("workers=%d: ReduceRows bits differ", w)
 			}
 		})
+	}
+}
+
+// spgemmBlockAndStitch is the SpGEMM the size-then-fill kernel replaced: each
+// chunk of rows appends into a private block and the blocks are stitched in
+// chunk order. It stays here as the differential oracle.
+func spgemmBlockAndStitch(sr Semiring, a, b *CSR) *CSR {
+	blocks := par.Chunks(int(a.Rows), par.Opt{Name: "test.spgemm.blocks"},
+		func(_, lo, hi int) rowBlock {
+			acc := scratch.NewSPA[float64](int(b.Cols))
+			out := rowBlock{lo: int32(lo), hi: int32(hi), rowPtr: make([]int64, hi-lo+1)}
+			for i := int32(lo); i < int32(hi); i++ {
+				acc.Reset()
+				aCols, aVals := a.Row(i)
+				for k, j := range aCols {
+					bCols, bVals := b.Row(j)
+					for t, col := range bCols {
+						prod := sr.Times(aVals[k], bVals[t])
+						if p, fresh := acc.Probe(col); fresh {
+							*p = prod
+						} else {
+							*p = sr.Plus(*p, prod)
+						}
+					}
+				}
+				for _, col := range acc.SortedTouched() {
+					out.colIdx = append(out.colIdx, col)
+					out.vals = append(out.vals, acc.Value(col))
+				}
+				out.rowPtr[i-int32(lo)+1] = int64(len(out.colIdx))
+			}
+			return out
+		})
+	return stitchBlocks(a.Rows, b.Cols, blocks)
+}
+
+// sameCSR is byte-for-byte equality of shape, row pointers, columns and
+// values (an empty array equals a nil one).
+func sameCSR(x, y *CSR) bool {
+	return x.Rows == y.Rows && x.Cols == y.Cols && slices.Equal(x.RowPtr, y.RowPtr) &&
+		slices.Equal(x.ColIdx, y.ColIdx) && slices.Equal(x.Vals, y.Vals)
+}
+
+// TestSpGEMMMatchesBlockAndStitch runs both entry points of the
+// size-then-fill kernel against the oracle on the shapes that stress the
+// sizing pass: rows of A that are empty, a product with no entry at all, a
+// hub row whose flops far exceed the column count, and a rectangular pair.
+func TestSpGEMMMatchesBlockAndStitch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sparse := randomCSR(rng, 120, 120, 150) // most rows empty
+	var hubEntries []Entry
+	for j := int32(0); j < 64; j++ {
+		hubEntries = append(hubEntries, Entry{Row: 3, Col: j, Val: float64(j%7 + 1)}) // row 3 selects every row of B
+		for k := int32(0); k < 64; k += 2 {
+			hubEntries = append(hubEntries, Entry{Row: j, Col: k, Val: float64((j+k)%5 + 1)})
+		}
+	}
+	hub := NewCSRFromEntries(64, 64, hubEntries) // row 3: ~2,000 flops into 64 columns
+	// left's columns are all >= 5 and right's rows below 5 are its only
+	// non-empty ones, so the product has no entry.
+	left := NewCSRFromEntries(10, 10, []Entry{{0, 7, 1}, {4, 9, 2}, {9, 5, 3}})
+	right := NewCSRFromEntries(10, 10, []Entry{{0, 1, 1}, {3, 3, 1}, {4, 0, 1}})
+	cases := []struct {
+		name string
+		a, b *CSR
+	}{
+		{"empty-rows", sparse, sparse},
+		{"hub-row", hub, hub},
+		{"all-empty-product", left, right},
+		{"no-rows", NewCSRFromEntries(0, 0, nil), NewCSRFromEntries(0, 0, nil)},
+		{"rectangular", randomCSR(rng, 30, 70, 200), randomCSR(rng, 70, 20, 300)},
+		{"dense-ish", randomCSR(rng, 90, 90, 2500), randomCSR(rng, 90, 90, 2500)},
+	}
+	for _, tc := range cases {
+		for _, w := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, w), func(t *testing.T) {
+				withWorkers(t, w, func() {
+					for _, sr := range []Semiring{PlusTimes, MinPlus} {
+						want := spgemmBlockAndStitch(sr, tc.a, tc.b)
+						for name, got := range map[string]*CSR{
+							"SpGEMMParallel":  SpGEMMParallel(sr, tc.a, tc.b),
+							"SpGEMMGustavson": SpGEMMGustavson(sr, tc.a, tc.b),
+						} {
+							if err := got.Validate(); err != nil {
+								t.Fatalf("%s %s: %v", sr.Name, name, err)
+							}
+							if !sameCSR(got, want) {
+								t.Fatalf("%s: %s differs from the block-and-stitch oracle", sr.Name, name)
+							}
+						}
+					}
+				})
+			})
+		}
+	}
+	if c := SpGEMMParallel(PlusTimes, left, right); c.NNZ() != 0 || len(c.RowPtr) != 11 {
+		t.Fatalf("all-empty product has %d entries, %d row pointers", c.NNZ(), len(c.RowPtr))
+	}
+}
+
+// equalByEntries is Equal as it was first written, over two materialised
+// entry lists in row-major order; the oracle for the row-merge Equal.
+func equalByEntries(m, o *CSR, eps float64) bool {
+	if m.Rows != o.Rows || m.Cols != o.Cols {
+		return false
+	}
+	less := func(a, b Entry) bool { return a.Row < b.Row || a.Row == b.Row && a.Col < b.Col }
+	me, oe := m.Entries(), o.Entries()
+	mi, oi := 0, 0
+	for mi < len(me) || oi < len(oe) {
+		switch {
+		case oi >= len(oe) || (mi < len(me) && less(me[mi], oe[oi])):
+			if abs(me[mi].Val) > eps {
+				return false
+			}
+			mi++
+		case mi >= len(me) || less(oe[oi], me[mi]):
+			if abs(oe[oi].Val) > eps {
+				return false
+			}
+			oi++
+		default:
+			if abs(me[mi].Val-oe[oi].Val) > eps {
+				return false
+			}
+			mi++
+			oi++
+		}
+	}
+	return true
+}
+
+func TestEqualMatchesEntryMerge(t *testing.T) {
+	// Explicit zeros equal absent entries; eps bounds every difference.
+	withZero := &CSR{Rows: 2, Cols: 3, RowPtr: []int64{0, 2, 3}, ColIdx: []int32{0, 2, 1}, Vals: []float64{1, 0, 5}}
+	without := &CSR{Rows: 2, Cols: 3, RowPtr: []int64{0, 1, 2}, ColIdx: []int32{0, 1}, Vals: []float64{1, 5}}
+	if !withZero.Equal(without, 0) || !without.Equal(withZero, 0) {
+		t.Fatal("an explicit zero should equal an absent entry")
+	}
+	near := &CSR{Rows: 2, Cols: 3, RowPtr: []int64{0, 1, 2}, ColIdx: []int32{0, 1}, Vals: []float64{1, 5.05}}
+	if without.Equal(near, 0.01) || !without.Equal(near, 0.1) {
+		t.Fatal("eps is not the bound on a shared entry's difference")
+	}
+	if without.Equal(&CSR{Rows: 2, Cols: 4, RowPtr: []int64{0, 0, 0}}, 1e9) {
+		t.Fatal("different shapes compare equal")
+	}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		n := int32(1 + rng.Intn(12))
+		a := randomCSR(rng, n, n, rng.Intn(40))
+		b := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Vals: slices.Clone(a.Vals)}
+		switch trial % 4 {
+		case 1: // perturb one value, sometimes within eps
+			if len(b.Vals) > 0 {
+				b.Vals[rng.Intn(len(b.Vals))] += []float64{0.001, 0.5}[rng.Intn(2)]
+			}
+		case 2: // an unrelated pattern
+			b = randomCSR(rng, n, n, rng.Intn(40))
+		case 3: // zero one stored value: explicit zero on one side
+			if len(b.Vals) > 0 {
+				b.Vals[rng.Intn(len(b.Vals))] = 0
+			}
+		}
+		for _, eps := range []float64{0, 0.01, 20} {
+			if got, want := a.Equal(b, eps), equalByEntries(a, b, eps); got != want {
+				t.Fatalf("trial %d eps %g: Equal = %v, entry merge = %v", trial, eps, got, want)
+			}
+			if got, want := b.Equal(a, eps), equalByEntries(b, a, eps); got != want {
+				t.Fatalf("trial %d eps %g (swapped): Equal = %v, entry merge = %v", trial, eps, got, want)
+			}
+		}
 	}
 }

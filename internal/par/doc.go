@@ -31,8 +31,23 @@
 // A run that completes produces output that depends only on (n, Opt.Grain)
 // and the body — never on the worker count, chunk interleaving, or wall
 // time. Bodies receive disjoint index ranges; any cross-chunk combination
-// the package performs (Chunks, Reduce, Map, Flatten) happens in
-// chunk-index order.
+// the package performs (Chunks, Reduce, Map) happens in chunk-index order.
+//
+// Frontier is the one exception, and says so: it drains per-worker buffers
+// in worker order, so the order of what a pass collects follows the
+// schedule. That buys level-synchronous kernels a frontier that costs
+// O(workers) buffers for the whole run instead of a slice per chunk per
+// level, and it is only for kernels whose output provably cannot see the
+// order — BFS parents are a CAS-min, core numbers a confluent fixpoint,
+// SSSP distances a unique fixpoint with a deterministic parent post-pass.
+// The worker-count determinism suite in internal/kernels is the guard.
+//
+// # Scratch and results
+//
+// Per-worker state is a slice indexed by the worker id ForW passes, filled
+// on a worker's first chunk. Whatever a kernel returns is allocated for the
+// caller, exact-size where the size can be counted first; results never
+// alias per-worker or pooled scratch, so callers may keep them.
 //
 // # Cancellation contract (ForCtx, ChunksCtx, ReduceCtx)
 //

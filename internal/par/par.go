@@ -91,20 +91,11 @@ func run(n int, opt Opt, body func(w, lo, hi int)) {
 		workers = nc
 	}
 	m := metricsFor(opt.Name)
-	start := time.Now()
-
 	if workers <= 1 {
-		for c := 0; c < nc; c++ {
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			body(0, lo, hi)
-		}
-		m.observe(n, nc, 1, time.Since(start), 1)
+		runInline(n, grain, m, func(lo, hi int) { body(0, lo, hi) })
 		return
 	}
+	start := time.Now()
 
 	var cursor atomic.Int64
 	// busy is padded to a cache line per worker so the per-chunk timestamp
@@ -148,6 +139,17 @@ func run(n int, opt Opt, body func(w, lo, hi int)) {
 		imbalance = float64(maxBusy) * float64(workers) / float64(totalBusy)
 	}
 	m.observe(n, nc, workers, time.Since(start), imbalance)
+}
+
+// runInline is the one-worker schedule: every chunk on the calling
+// goroutine, in index order. body does not escape, so a caller's closure and
+// what it captures stay on the stack.
+func runInline(n, grain int, m *opMetrics, body func(lo, hi int)) {
+	start := time.Now()
+	for lo := 0; lo < n; lo += grain {
+		body(lo, min(lo+grain, n))
+	}
+	m.observe(n, (n+grain-1)/grain, 1, time.Since(start), 1)
 }
 
 // For runs body over disjoint subranges covering [0, n). body must only
@@ -212,20 +214,4 @@ func Reduce[T any](n int, opt Opt, leaf func(lo, hi int) T, combine func(acc, ne
 		acc = combine(acc, p)
 	}
 	return acc
-}
-
-// Flatten concatenates per-chunk slices (as returned by Chunks) in order.
-func Flatten[T any](parts [][]T) []T {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]T, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
 }

@@ -83,7 +83,7 @@ func TestReduceFloatDeterministic(t *testing.T) {
 	}
 }
 
-func TestMapAndFlatten(t *testing.T) {
+func TestMap(t *testing.T) {
 	sq := Map(10, Opt{Workers: 4, Name: "test.map"}, func(i int) int { return i * i })
 	for i, v := range sq {
 		if v != i*i {
@@ -92,13 +92,6 @@ func TestMapAndFlatten(t *testing.T) {
 	}
 	if Map(0, Opt{}, func(i int) int { return i }) != nil {
 		t.Fatal("Map(0) should be nil")
-	}
-	got := Flatten([][]int{{1, 2}, nil, {3}, {}, {4, 5}})
-	if !reflect.DeepEqual(got, []int{1, 2, 3, 4, 5}) {
-		t.Fatalf("Flatten = %v", got)
-	}
-	if Flatten[int](nil) != nil {
-		t.Fatal("Flatten(nil) should be nil")
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // structure for bottom-up BFS and similar "is v in the set" hot loops,
 // 32–64× smaller than the word-per-vertex arrays it replaces (so the scan
 // side stays cache-resident). Plain Set/Test for single-owner phases,
-// SetAtomic for concurrent marking. The zero value is unusable; create
-// with NewBitset.
+// SetAtomic for concurrent marking. The zero value is an empty bitset:
+// Grow it, or create one with NewBitset.
 type Bitset struct {
 	words []uint64
 	n     int

@@ -19,16 +19,20 @@
 //     word-per-vertex membership arrays (32× smaller frontier bitmaps).
 //
 // All three are reusable: Reset forgets contents without freeing, so a
-// kernel allocates its accumulator once (or borrows one from a Pool) and
-// the steady-state allocation rate of the inner loop is zero.
+// kernel allocates its accumulator once per call (or borrows one from a
+// Pool) and its inner loop allocates nothing. A Pool only carries an
+// accumulator from one call to the next while no more than one garbage
+// collection falls between them — true of request traffic, not of a batch
+// kernel run once a second — so "borrowed" means "free when calls are
+// frequent", never "free".
 //
 // # Concurrency and determinism contract
 //
 // SPA and Map64 are single-goroutine structures: each worker owns its own
-// instance, normally obtained through par.WithScratch/ChunksWithScratch
-// (per-worker lazy construction) or a typed Pool. Bitset is the one shared
-// shape — SetAtomic is safe from concurrent workers; all other methods
-// require external synchronization. Determinism is preserved by
+// instance, normally kept in a slice indexed by the worker id par.ForW
+// passes (created on a worker's first chunk) or borrowed from a typed
+// Pool. Bitset is the one shared shape — SetAtomic is safe from concurrent
+// workers; all other methods require external synchronization. Determinism is preserved by
 // construction: Touched returns keys in first-insert order, and
 // SortedTouched gives the ascending order kernels emit in when output
 // order matters, so accumulator iteration never introduces map-order

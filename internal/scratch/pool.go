@@ -3,8 +3,9 @@ package scratch
 import "sync"
 
 // Pool is a typed sync.Pool for scratch structures: kernels that cannot
-// hold a per-worker accumulator across invocations borrow one here so the
-// steady-state allocation rate stays zero. The caller is responsible for
+// hold a per-worker accumulator across invocations borrow one here, and
+// invocations less than a garbage collection or two apart get the same one
+// back (the collector empties the pool). The caller is responsible for
 // Reset-ing borrowed values (by convention, before Put, so Get returns a
 // ready accumulator).
 type Pool[T any] struct {

@@ -13,8 +13,8 @@ type Number interface {
 // bump that invalidates every slot in O(1). The zero value is unusable;
 // create with NewSPA.
 //
-// Not safe for concurrent use — give each worker its own (see par's
-// WithScratch or a Pool).
+// Not safe for concurrent use — give each worker its own (a slice indexed
+// by par.ForW's worker id, or a Pool).
 type SPA[V Number] struct {
 	vals    []V
 	gen     []uint32
