@@ -85,6 +85,81 @@ func TestOldSnapshotsSurviveLaterBumps(t *testing.T) {
 	}
 }
 
+// TestRecycledChainReusesReleasedVersions runs a chain through
+// SnapshotDeltaRecycled the way the server's writer does: it holds the
+// newest few versions, releases each one as it falls out of the window, and
+// re-checks every held version against its oracle after every bump — so a
+// bump that reused storage a held version reads (row index or arena) fails,
+// all the more as released storage is poisoned under go test. The churn
+// deletes the oldest edges it inserted, so the graph keeps its size; once
+// the spare arena and free row indexes exist, a bump allocates a small
+// fraction of the row index a bump without recycling allocates.
+func TestRecycledChainReusesReleasedVersions(t *testing.T) {
+	const n, held, bumps, perBump = 512, 3, 160, 24
+	for _, directed := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(21))
+		g := New(n, directed)
+		model := modelCSR{}
+		var live []Edit // inserted edges, oldest first
+		churn := func(inserts, deletes int) ([]Edit, []int32) {
+			var edits []Edit
+			var touched []int32
+			for i := 0; i < inserts+deletes; i++ {
+				var e Edit
+				if i < deletes {
+					e, live = live[0], live[1:]
+					e.Delete = true
+				} else {
+					e = Edit{Src: rng.Int31n(n), Dst: rng.Int31n(n), Weight: 1, Time: int64(i)}
+					live = append(live, e)
+				}
+				edits = append(edits, e)
+				touched = append(touched, e.Src, e.Dst)
+			}
+			g.ApplyEdits(edits)
+			model.apply(directed, edits)
+			slices.Sort(touched)
+			return edits, slices.Compact(touched)
+		}
+		churn(8*n, 0)
+
+		var r graph.Recycler
+		type version struct{ got, want *graph.Graph }
+		window := []version{{g.SnapshotDeltaRecycled(nil, nil, &r), model.snapshot(t, n, directed)}}
+		var ms runtime.MemStats
+		var spent uint64
+		for i := 0; i < bumps; i++ {
+			_, touched := churn(perBump/2, perBump/2)
+			want := model.snapshot(t, n, directed)
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			next := g.SnapshotDeltaRecycled(window[len(window)-1].got, touched, &r)
+			runtime.ReadMemStats(&ms)
+			if i >= bumps/2 {
+				spent += ms.TotalAlloc - before
+			}
+			window = append(window, version{next, want})
+			if len(window) > held {
+				r.Release(window[0].got)
+				window = window[1:]
+			}
+			for j, v := range window {
+				if err := v.got.Validate(); err != nil {
+					t.Fatalf("directed=%v bump %d: held version %d invalid: %v", directed, i, j, err)
+				}
+				if !v.got.Equal(v.want) {
+					t.Fatalf("directed=%v bump %d: held version %d != its oracle", directed, i, j)
+				}
+			}
+		}
+		perBump, index := spent/(bumps/2), uint64(16*n)
+		t.Logf("directed=%v: %d B per bump over the last %d bumps (a row index is %d B)", directed, perBump, bumps/2, index)
+		if perBump > index/4 {
+			t.Errorf("directed=%v: %d B per bump, want under a quarter of the %d B row index", directed, perBump, index)
+		}
+	}
+}
+
 // TestPatchFromStalePrevFallsBack: of two SnapshotDelta calls from the same
 // prev the first extends prev's arena and the second, finding the tail
 // moved, must emit into a fresh one — both correct, neither disturbing the

@@ -33,10 +33,21 @@ import (
 // incompatible (vertex count, directedness, missing weight or timestamp
 // arrays), SnapshotDelta falls back to a full Snapshot().
 func (g *DynGraph) SnapshotDelta(prev *graph.Graph, touched []int32) *graph.Graph {
+	return g.SnapshotDeltaRecycled(prev, touched, nil)
+}
+
+// SnapshotDeltaRecycled is SnapshotDelta drawing on r for storage: the row
+// index and, when a fresh arena is needed, the arena come from versions the
+// caller released to r (graph.Recycler), and the row gather buffer is kept
+// on g between calls. It is for the single writer that owns both g and r:
+// calls must not overlap one another. A nil prev emits every row, as
+// Snapshot does. Without Release calls it allocates what SnapshotDelta does,
+// and its results are as immutable.
+func (g *DynGraph) SnapshotDeltaRecycled(prev *graph.Graph, touched []int32, r *graph.Recycler) *graph.Graph {
 	n := g.NumVertices()
 	if prev == nil || prev.NumVertices() != n || prev.Directed() != g.directed ||
 		!prev.Weighted() || !prev.Timestamped() {
-		return g.Snapshot()
+		return g.emitRows(r, nil, nil)
 	}
 	for i := 1; i < len(touched); i++ {
 		if touched[i-1] >= touched[i] {
@@ -48,7 +59,7 @@ func (g *DynGraph) SnapshotDelta(prev *graph.Graph, touched []int32) *graph.Grap
 	}
 	first, _ := slices.BinarySearch(touched, 0)
 	end, _ := slices.BinarySearch(touched, n)
-	return g.emitRows(prev, touched[first:end])
+	return g.emitRows(r, prev, touched[first:end])
 }
 
 // emitRows is the one row emitter behind Snapshot and SnapshotDelta. It
@@ -57,7 +68,7 @@ func (g *DynGraph) SnapshotDelta(prev *graph.Graph, touched []int32) *graph.Grap
 // target with self-loops dropped, and leaves the rest to the graph.Emitter,
 // which keeps or copies them from prev. prev must be compatible as
 // SnapshotDelta checks.
-func (g *DynGraph) emitRows(prev *graph.Graph, touched []int32) *graph.Graph {
+func (g *DynGraph) emitRows(r *graph.Recycler, prev *graph.Graph, touched []int32) *graph.Graph {
 	n := g.NumVertices()
 	rows := int32(len(touched))
 	if prev == nil {
@@ -91,8 +102,12 @@ func (g *DynGraph) emitRows(prev *graph.Graph, touched []int32) *graph.Graph {
 	}
 	live += fresh
 
-	e := graph.NewEmitter(n, g.directed, prev, fresh, live)
-	row := make([]edgeSlot, 0, widest)
+	e := r.NewEmitter(n, g.directed, prev, fresh, live)
+	var row []edgeSlot
+	if r != nil {
+		row = g.rowBuf[:0]
+	}
+	row = slices.Grow(row, int(widest))
 	for i := int32(0); i < rows; i++ {
 		v := vertex(i)
 		row = row[:0]
@@ -110,6 +125,9 @@ func (g *DynGraph) emitRows(prev *graph.Graph, touched []int32) *graph.Graph {
 			weights[j] = s.weight
 			times[j] = s.time
 		}
+	}
+	if r != nil {
+		g.rowBuf = row
 	}
 	return e.Graph()
 }

@@ -36,6 +36,8 @@ type DynGraph struct {
 	blockSize int
 	numArcs   int64
 	updates   int64 // total applied insert+delete operations
+
+	rowBuf []edgeSlot // SnapshotDeltaRecycled's row gather buffer, kept between calls
 }
 
 // New creates an empty dynamic graph with n vertices.
@@ -204,7 +206,7 @@ func (g *DynGraph) CommonNeighborCount(u, v int32) int32 {
 // subgraphs. Self-loops are excluded, rows are sorted by target, weights and
 // timestamps are carried. It is SnapshotDelta with every row touched: one
 // pass over the block chains, no global sort.
-func (g *DynGraph) Snapshot() *graph.Graph { return g.emitRows(nil, nil) }
+func (g *DynGraph) Snapshot() *graph.Graph { return g.emitRows(nil, nil, nil) }
 
 // FromGraph loads an immutable graph into a fresh dynamic graph.
 func FromGraph(src *graph.Graph) *DynGraph {

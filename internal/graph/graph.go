@@ -48,6 +48,7 @@ type Graph struct {
 
 	offsets []int64 // contiguous layout only: len n+1, what lo and hi alias
 	arena   *arena  // arena-backed layout only: the arc arrays are its first len(targets) arcs
+	index   []int64 // arena-backed layout only: len 2n, what lo and hi alias (a Recycler takes it back)
 }
 
 // newCSR wraps validated contiguous CSR arrays; offsets has length n+1.

@@ -270,3 +270,69 @@ func TestIncrAdvanceRejectsBatchGaps(t *testing.T) {
 		t.Fatalf("state moved to %d on rejected advances", wcc.Version())
 	}
 }
+
+// TestReleaseRecyclesResults runs the serving writer's release cycle: after
+// each advance the caller gives back the results before the current ones.
+// A released array is poisoned (under go test) and then becomes a later
+// advance's result, every result still equals a full recompute, and the
+// state's current vectors are never taken back.
+func TestReleaseRecyclesResults(t *testing.T) {
+	const n, steps = 200, 12
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	opt := kernels.DefaultPageRankOptions()
+	dyn := dyngraph.New(n, false)
+	wcc, pr, deg := NewWCCState(n), NewPRState(n, opt), NewDegreeState(n)
+	var prevCC *kernels.CCResult
+	var prevRank, prevDeg []float64
+	var freeLabel *int32
+	var freeRank, freeDeg *float64
+	for v := int64(1); v <= steps; v++ {
+		edits := randomBatch(rng, n, 30, 0.25)
+		res := dyn.ApplyEdits(edits)
+		snap := dyn.Snapshot()
+		window := []Batch{{Version: v, Edits: edits, HadDeletes: res.Deleted > 0}}
+		cc, err := wcc.Advance(ctx, snap, v, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rank, _, err := pr.Advance(ctx, snap, v, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		degs, err := deg.Advance(ctx, snap, v, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := kernels.WCC(snap); !reflect.DeepEqual(cc, want) {
+			t.Fatalf("version %d: WCC from recycled storage != full recompute", v)
+		}
+		if want, _ := kernels.PageRank(snap, opt); l1(rank, want) > prCmpTol {
+			t.Fatalf("version %d: PageRank from recycled storage is %.3g from a full run", v, l1(rank, want))
+		}
+		for u := int32(0); u < n; u++ {
+			if degs[u] != float64(snap.Degree(u)) {
+				t.Fatalf("version %d: degree of %d = %v from recycled storage, want %d", v, u, degs[u], snap.Degree(u))
+			}
+		}
+		if freeLabel != nil && (&cc.Label[0] != freeLabel || &rank[0] != freeRank || &degs[0] != freeDeg) {
+			t.Fatalf("version %d: an advance allocated although a released array was free", v)
+		}
+
+		pr.Release(rank) // the current vectors: refused
+		deg.Release(degs)
+		if math.IsNaN(rank[0]) || math.IsNaN(degs[0]) {
+			t.Fatalf("version %d: releasing the current vector poisoned it", v)
+		}
+		if prevCC != nil {
+			wcc.Release(prevCC)
+			pr.Release(prevRank)
+			deg.Release(prevDeg)
+			if prevCC.Label[0] != -1 || !math.IsNaN(prevRank[0]) || !math.IsNaN(prevDeg[0]) {
+				t.Fatalf("version %d: released results were not poisoned under go test", v)
+			}
+			freeLabel, freeRank, freeDeg = &prevCC.Label[0], &prevRank[0], &prevDeg[0]
+		}
+		prevCC, prevRank, prevDeg = cc, rank, degs
+	}
+}

@@ -20,13 +20,20 @@
 //     when it completes. On error (including context cancellation via
 //     par.CtxErr-style deadline checks) the state is unchanged and a later
 //     retry or fallback recompute sees the pre-Advance version.
-//   - Single writer: states are not safe for concurrent Advance; the
-//     serving layer serializes access under its per-kernel cache locks.
+//   - Single writer: states are not safe for concurrent use; the serving
+//     layer advances them only from its one ingest goroutine.
+//   - Immutable results, recycled only on request: a vector or label array
+//     an Advance returns is never written again unless the caller hands it
+//     back with Release, after which a later Advance may reuse it as its
+//     output. Working arrays (the PageRank sweep vectors, the WCC forest's
+//     double buffer and split tables) are the state's own and reused across
+//     advances; they are never returned.
 package incr
 
 import (
 	"fmt"
 	"slices"
+	"testing"
 
 	"repro/internal/dyngraph"
 )
@@ -35,6 +42,46 @@ import (
 // sequential loops, matching the kernels package: frequent enough to bound
 // deadline overshoot to microseconds, rare enough to stay off the profile.
 const ctxCheckEvery = 4096
+
+// spares is a state's free list of result arrays given back with Release.
+// A writer releasing about one result per advance needs one or two, so it
+// keeps at most four.
+type spares[T any] [][]T
+
+// put takes buf back, poisoned to poison under go test so that a reader
+// still holding it fails, unless the list is full.
+func (f *spares[T]) put(buf []T, poison T) {
+	if len(*f) >= 4 {
+		return
+	}
+	if testing.Testing() {
+		for i := range buf {
+			buf[i] = poison
+		}
+	}
+	*f = append(*f, buf)
+}
+
+// take returns a released array, or a new one of n entries.
+func (f *spares[T]) take(n int32) []T {
+	k := len(*f)
+	if k == 0 {
+		return make([]T, n)
+	}
+	buf := (*f)[k-1]
+	*f = (*f)[:k-1]
+	return buf
+}
+
+// grow resizes *buf to n entries, reallocating only when its capacity is
+// short, and returns it. The contents are whatever was there.
+func grow[T any](buf *[]T, n int32) []T {
+	if int32(cap(*buf)) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
 
 // Batch is one applied, deduplicated edit batch together with the graph
 // version its application produced.

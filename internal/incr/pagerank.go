@@ -22,7 +22,25 @@ type PRState struct {
 	opt     kernels.PageRankOptions
 	rank    []float64
 	base    float64 // converged uniform term: (1-d)/n + d*dangling/n
+
+	// Scratch kept across advances, never handed out: the sweep's next and
+	// out-degree vectors, its membership marks (all false between advances),
+	// the identity list dense sweeps walk, the sweep and frontier lists, and
+	// rank vectors callers gave back with Release.
+	next, outDeg         []float64
+	inSweep              []bool
+	all, sweep, frontier []int32
+	ranks                spares[float64]
 }
+
+// Chunk sizes of the sweeps' par loops, fixed so results do not depend on
+// the worker count: pullGrain vertices pull their rows per chunk (a sweep
+// touching fewer runs as one chunk, with no fan-out), scanGrain entries of a
+// flat vector are summed per chunk.
+const (
+	pullGrain = 1024
+	scanGrain = 8192
+)
 
 // NewPRState returns the fixed point of the edgeless n-vertex graph at
 // version 0 (uniform rank; every vertex is dangling).
@@ -62,10 +80,23 @@ func SeedPR(rank []float64, g *graph.Graph, opt kernels.PageRankOptions, version
 // Version returns the graph version the state currently matches.
 func (st *PRState) Version() int64 { return st.version }
 
+// Release gives back a rank vector this state (or the kernel it was seeded
+// from) returned, once nothing reads it any more; a later Advance writes its
+// vector there instead of allocating. The state's current vector is never
+// taken back. Under go test the vector is poisoned to NaN first, so a reader
+// still holding it fails. Vectors never released stay valid forever. A nil
+// state takes nothing back.
+func (st *PRState) Release(rank []float64) {
+	if st != nil && len(rank) > 0 && len(rank) == len(st.rank) && &rank[0] != &st.rank[0] {
+		st.ranks.put(rank, math.NaN())
+	}
+}
+
 // Advance moves the rank vector from the state's version to version, where
 // g is the CSR snapshot at the target version. It returns the advanced
-// vector (owned by the state — callers must not mutate it; the state copies
-// before its next mutation, so the returned slice stays stable), the number
+// vector (shared with the state — callers must not mutate it; the next
+// advance writes a new vector, so the returned slice stays stable until it
+// is given back with Release), the number
 // of sweeps used, and an error on contract violation or cancellation, in
 // which case the state is unchanged. Undirected graphs use selective
 // frontier sweeps seeded from the batch-touched vertices; directed graphs
@@ -102,26 +133,17 @@ func (st *PRState) advanceSelective(ctx context.Context, g *graph.Graph, version
 	invN := 1.0 / float64(n)
 	add := func(a, b float64) float64 { return a + b }
 
-	rank := append([]float64(nil), st.rank...)
-	next := make([]float64, n)
-	outDeg := make([]float64, n)
+	rank := st.ranks.take(n)
+	copy(rank, st.rank)
+	next := grow(&st.next, n)
+	outDeg := grow(&st.outDeg, n)
+	// Dangling mass is recomputed from scratch, as in SeedPR: degrees may
+	// have crossed zero in either direction across the batch window.
+	dangling := 0.0
 	for v := int32(0); v < n; v++ {
-		outDeg[v] = float64(g.Degree(v))
-	}
-	// Dangling mass is recomputed from scratch: degrees may have crossed
-	// zero in either direction across the batch window.
-	dangling, err := par.ReduceCtx(ctx, int(n), par.Opt{Name: "incr.pagerank.dangling"},
-		func(lo, hi int) float64 {
-			s := 0.0
-			for v := lo; v < hi; v++ {
-				if outDeg[v] == 0 {
-					s += rank[v]
-				}
-			}
-			return s
-		}, add)
-	if err != nil {
-		return nil, 0, err
+		if outDeg[v] = float64(g.Degree(v)); outDeg[v] == 0 {
+			dangling += rank[v]
+		}
 	}
 
 	// eps is the propagation cutoff: per-vertex changes below it are still
@@ -131,8 +153,16 @@ func (st *PRState) advanceSelective(ctx context.Context, g *graph.Graph, version
 	// differential oracle asserts.
 	eps := opt.Tolerance * invN / 64
 
-	inSweep := make([]bool, n)
-	sweep := make([]int32, 0, 4*len(touched))
+	if int32(len(st.inSweep)) != n {
+		st.inSweep = make([]bool, n)
+	}
+	inSweep, sweep, frontier := st.inSweep, st.sweep[:0], st.frontier[:0]
+	defer func() { // keep the lists' storage; inSweep is all false between advances
+		for _, v := range sweep {
+			inSweep[v] = false
+		}
+		st.sweep, st.frontier = sweep[:0], frontier[:0]
+	}()
 	addVertex := func(v int32) {
 		if !inSweep[v] {
 			inSweep[v] = true
@@ -156,10 +186,8 @@ func (st *PRState) advanceSelective(ctx context.Context, g *graph.Graph, version
 		}
 	}
 
-	var all []int32
 	full := false
 	prevBase := st.base
-	var frontier []int32
 	iters := 0
 	for ; iters < opt.MaxIters; iters++ {
 		base := (1-d)*invN + d*dangling*invN
@@ -171,31 +199,24 @@ func (st *PRState) advanceSelective(ctx context.Context, g *graph.Graph, version
 		}
 		active := sweep
 		if full {
-			if all == nil {
-				all = make([]int32, n)
-				for i := range all {
-					all[i] = int32(i)
+			if int32(len(st.all)) != n {
+				st.all = make([]int32, n)
+				for i := range st.all {
+					st.all[i] = int32(i)
 				}
 			}
-			active = all
+			active = st.all
 		}
-		if err := par.ForCtx(ctx, len(active), par.Opt{Name: "incr.pagerank.pull"}, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := active[i]
-				sum := 0.0
-				for _, u := range g.Neighbors(v) {
-					sum += rank[u] / outDeg[u]
-				}
-				next[v] = base + d*sum
-			}
-		}); err != nil {
-			return nil, 0, err
-		}
-		delta, err := par.ReduceCtx(ctx, len(active), par.Opt{Name: "incr.pagerank.delta"},
+		delta, err := par.ReduceCtx(ctx, len(active), par.Opt{Name: "incr.pagerank.pull", Grain: pullGrain},
 			func(lo, hi int) float64 {
 				s := 0.0
 				for i := lo; i < hi; i++ {
 					v := active[i]
+					sum := 0.0
+					for _, u := range g.Neighbors(v) {
+						sum += rank[u] / outDeg[u]
+					}
+					next[v] = base + d*sum
 					s += math.Abs(next[v] - rank[v])
 				}
 				return s
@@ -266,17 +287,19 @@ func (st *PRState) advanceDense(ctx context.Context, g *graph.Graph, version int
 	invN := 1.0 / float64(n)
 	add := func(a, b float64) float64 { return a + b }
 
-	rank := append([]float64(nil), st.rank...)
-	next := make([]float64, n)
-	outDeg := make([]float64, n)
+	rank := st.ranks.take(n)
+	copy(rank, st.rank)
+	next := grow(&st.next, n)
+	outDeg := grow(&st.outDeg, n)
 	for v := int32(0); v < n; v++ {
 		outDeg[v] = float64(g.Degree(v))
 	}
+	defer func() { st.next = next }() // whichever buffer rank is not
 
 	base := st.base
 	iters := 0
 	for ; iters < opt.MaxIters; iters++ {
-		dangling, err := par.ReduceCtx(ctx, int(n), par.Opt{Name: "incr.pagerank.dangling"},
+		dangling, err := par.ReduceCtx(ctx, int(n), par.Opt{Name: "incr.pagerank.dangling", Grain: scanGrain},
 			func(lo, hi int) float64 {
 				s := 0.0
 				for v := lo; v < hi; v++ {
@@ -290,21 +313,15 @@ func (st *PRState) advanceDense(ctx context.Context, g *graph.Graph, version int
 			return nil, 0, err
 		}
 		base = (1-d)*invN + d*dangling*invN
-		if err := par.ForCtx(ctx, int(n), par.Opt{Name: "incr.pagerank.pull"}, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				sum := 0.0
-				for _, u := range gt.Neighbors(int32(v)) {
-					sum += rank[u] / outDeg[u]
-				}
-				next[v] = base + d*sum
-			}
-		}); err != nil {
-			return nil, 0, err
-		}
-		delta, err := par.ReduceCtx(ctx, int(n), par.Opt{Name: "incr.pagerank.delta"},
+		delta, err := par.ReduceCtx(ctx, int(n), par.Opt{Name: "incr.pagerank.pull", Grain: pullGrain},
 			func(lo, hi int) float64 {
 				s := 0.0
 				for v := lo; v < hi; v++ {
+					sum := 0.0
+					for _, u := range gt.Neighbors(int32(v)) {
+						sum += rank[u] / outDeg[u]
+					}
+					next[v] = base + d*sum
 					s += math.Abs(next[v] - rank[v])
 				}
 				return s

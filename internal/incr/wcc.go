@@ -19,6 +19,15 @@ type WCCState struct {
 	version int64
 	parent  []int32
 	size    []int32
+
+	// Scratch kept across advances, never handed out: the double buffer the
+	// next Advance copies parent/size into (the committed pair stays intact
+	// until it succeeds), the split pass's root table and hit marks, the
+	// relabel table, and label arrays callers gave back with Release.
+	spareParent, spareSize []int32
+	rootOf, minOf          []int32
+	hit                    []bool
+	labels                 spares[int32]
 }
 
 // NewWCCState returns all-singletons state for an edgeless n-vertex graph
@@ -50,10 +59,23 @@ func SeedWCC(cc *kernels.CCResult, version int64) *WCCState {
 // Version returns the graph version the state currently matches.
 func (st *WCCState) Version() int64 { return st.version }
 
+// Release gives back the label array of a result this state (or the kernel
+// it was seeded from) returned, once nothing reads it any more; a later
+// Advance writes its labels there instead of allocating. Under go test the
+// labels are poisoned to -1 first, so a reader still holding the result
+// fails. Results never released stay valid forever. A nil state takes
+// nothing back.
+func (st *WCCState) Release(cc *kernels.CCResult) {
+	if st != nil && cc != nil && len(cc.Label) == len(st.parent) {
+		st.labels.put(cc.Label, -1)
+	}
+}
+
 // Advance moves the state from its current version to version by applying
 // batches and returns labels identical to a full kernels.WCC over g, the
 // CSR snapshot at the target version. On error (contract violation or
-// cancellation) the state is unchanged.
+// cancellation) the state is unchanged. The result's labels are freshly
+// allocated, or an array given back with Release.
 func (st *WCCState) Advance(ctx context.Context, g *graph.Graph, version int64, batches []Batch) (*kernels.CCResult, error) {
 	n := int32(len(st.parent))
 	if g.NumVertices() != n {
@@ -62,8 +84,11 @@ func (st *WCCState) Advance(ctx context.Context, g *graph.Graph, version int64, 
 	if err := validateAdvance(st.version, version, batches); err != nil {
 		return nil, err
 	}
-	parent := append([]int32(nil), st.parent...)
-	size := append([]int32(nil), st.size...)
+	parent := append(st.spareParent[:0], st.parent...)
+	size := append(st.spareSize[:0], st.size...)
+	// The copies are this advance's until it commits; on error they stay
+	// behind as the next one's double buffer.
+	st.spareParent, st.spareSize = parent, size
 	find := func(v int32) int32 {
 		for parent[v] != v {
 			parent[v] = parent[parent[v]] // path halving
@@ -118,14 +143,22 @@ func (st *WCCState) Advance(ctx context.Context, g *graph.Graph, version int64, 
 		// exactly those sets are reset to singletons and re-solved from g's
 		// adjacency. No edge of g crosses a set boundary, which makes the
 		// restricted pass exact.
-		rootOf := make([]int32, n)
+		rootOf := grow(&st.rootOf, n)
 		for v := int32(0); v < n; v++ {
 			rootOf[v] = find(v)
 		}
-		hit := make([]bool, n)
+		if int32(len(st.hit)) != n {
+			st.hit = make([]bool, n)
+		}
+		hit := st.hit
 		for _, v := range affected {
 			hit[rootOf[v]] = true
 		}
+		defer func() { // hit is all false between advances
+			for _, v := range affected {
+				hit[rootOf[v]] = false
+			}
+		}()
 		for v := int32(0); v < n; v++ {
 			if hit[rootOf[v]] {
 				parent[v] = v
@@ -151,8 +184,8 @@ func (st *WCCState) Advance(ctx context.Context, g *graph.Graph, version int64, 
 	// Canonical min-member labels, matching kernels.WCC: scanning vertices
 	// in ascending order, the first vertex to reach a root is that
 	// component's minimum.
-	label := make([]int32, n)
-	minOf := make([]int32, n)
+	label := st.labels.take(n)
+	minOf := grow(&st.minOf, n)
 	for i := range minOf {
 		minOf[i] = -1
 	}
@@ -169,8 +202,8 @@ func (st *WCCState) Advance(ctx context.Context, g *graph.Graph, version int64, 
 		label[v] = minOf[label[v]]
 	}
 
-	st.parent = parent
-	st.size = size
+	st.parent, st.spareParent = parent, st.parent
+	st.size, st.spareSize = size, st.size
 	st.version = version
 	return &kernels.CCResult{Label: label, NumComponents: num}, nil
 }

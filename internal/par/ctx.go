@@ -98,31 +98,19 @@ func runCtx(ctx context.Context, n int, opt Opt, body func(w, lo, hi int)) error
 	m := metricsFor(opt.Name)
 	sp := spanForInvocation(ctx, opt)
 	start := time.Now()
-	done := ctx.Done()
-	dl, hasDL := ctx.Deadline()
-	expired := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-		}
-		return hasDL && !time.Now().Before(dl)
-	}
+	stop := stopSignal{done: ctx.Done()}
+	stop.dl, stop.hasDL = ctx.Deadline()
 
 	if workers <= 1 {
 		executed := 0
 		for c := 0; c < nc; c++ {
-			if expired() {
+			if stop.expired() {
 				m.observeCancel(n, nc, executed, 1, time.Since(start))
 				endInvocationSpan(sp, nc, executed, 1, true)
 				return CtxErr(ctx)
 			}
 			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			body(0, lo, hi)
+			body(0, lo, min(lo+grain, n))
 			executed++
 		}
 		m.observe(n, nc, 1, time.Since(start), 1)
@@ -130,53 +118,28 @@ func runCtx(ctx context.Context, n int, opt Opt, body func(w, lo, hi int)) error
 		return nil
 	}
 
-	var cursor, executed atomic.Int64
-	var cancelled atomic.Bool
-	busy := make([]struct {
-		d time.Duration
-		_ [7]int64
-	}, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			t0 := time.Now()
-			for {
-				if expired() {
-					cancelled.Store(true)
-					busy[w].d = time.Since(t0)
-					return
-				}
-				c := int(cursor.Add(1) - 1)
-				if c >= nc {
-					break
-				}
-				lo := c * grain
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				body(w, lo, hi)
-				executed.Add(1)
-			}
-			busy[w].d = time.Since(t0)
-		}(w)
+	f := &fanout{stopSignal: stop, n: n, grain: grain, nc: nc, body: body}
+	f.busy = f.inline[:0]
+	if workers > len(f.inline) {
+		f.busy = make([]time.Duration, 0, workers)
 	}
-	wg.Wait()
+	f.busy = f.busy[:workers]
+	f.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go f.work(w)
+	}
+	f.wg.Wait()
 
-	ex := int(executed.Load())
-	if cancelled.Load() && ex < nc {
+	ex := int(f.executed.Load())
+	if f.cancelled.Load() && ex < nc {
 		m.observeCancel(n, nc, ex, workers, time.Since(start))
 		endInvocationSpan(sp, nc, ex, workers, true)
 		return CtxErr(ctx)
 	}
 	var maxBusy, totalBusy time.Duration
-	for w := 0; w < workers; w++ {
-		totalBusy += busy[w].d
-		if busy[w].d > maxBusy {
-			maxBusy = busy[w].d
-		}
+	for _, d := range f.busy {
+		totalBusy += d
+		maxBusy = max(maxBusy, d)
 	}
 	imbalance := 1.0
 	if totalBusy > 0 {
@@ -185,6 +148,60 @@ func runCtx(ctx context.Context, n int, opt Opt, body func(w, lo, hi int)) error
 	m.observe(n, nc, workers, time.Since(start), imbalance)
 	endInvocationSpan(sp, nc, nc, workers, false)
 	return nil
+}
+
+// stopSignal is a context's cancellation signals, read once per invocation
+// and checked before every chunk pull.
+type stopSignal struct {
+	done  <-chan struct{}
+	dl    time.Time
+	hasDL bool
+}
+
+// expired reports whether the context is done or past its deadline.
+func (s *stopSignal) expired() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+	}
+	return s.hasDL && !time.Now().Before(s.dl)
+}
+
+// fanout is what one multi-worker runCtx invocation shares with its
+// workers, in a single allocation: per-invocation garbage is this plus one
+// small closure per worker goroutine, so kernels that run many short
+// invocations (incremental PageRank sweeps) stay cheap. busy holds each
+// worker's time at work, written once when it finishes.
+type fanout struct {
+	stopSignal
+	n, grain, nc     int
+	body             func(w, lo, hi int)
+	cursor, executed atomic.Int64
+	cancelled        atomic.Bool
+	wg               sync.WaitGroup
+	busy             []time.Duration
+	inline           [8]time.Duration
+}
+
+// work is one worker: pull chunks until they run out or the context ends.
+func (f *fanout) work(w int) {
+	defer f.wg.Done()
+	t0 := time.Now()
+	for {
+		if f.expired() {
+			f.cancelled.Store(true)
+			break
+		}
+		c := int(f.cursor.Add(1) - 1)
+		if c >= f.nc {
+			break
+		}
+		lo := c * f.grain
+		f.body(w, lo, min(lo+f.grain, f.n))
+		f.executed.Add(1)
+	}
+	f.busy[w] = time.Since(t0)
 }
 
 // ForCtx is For with cooperative cancellation: body still runs over

@@ -202,7 +202,7 @@ func TestClusterDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("cluster component(%d): %v", v, err)
 					}
-					want, err := solo.runComponent(ctx, v)
+					want, err := solo.runComponent(direct(t, solo, ctx), v)
 					if err != nil {
 						t.Fatalf("solo component(%d): %v", v, err)
 					}
@@ -224,7 +224,7 @@ func TestClusterDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("cluster khop(%v,%d): %v", tc.seeds, tc.k, err)
 					}
-					want, err := solo.runKHop(ctx, tc.seeds, tc.k)
+					want, err := solo.runKHop(direct(t, solo, ctx), tc.seeds, tc.k)
 					if err != nil {
 						t.Fatalf("solo khop(%v,%d): %v", tc.seeds, tc.k, err)
 					}
@@ -238,7 +238,7 @@ func TestClusterDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("cluster topdegree(%d): %v", k, err)
 					}
-					want, err := solo.runTopDegree(ctx, k)
+					want, err := solo.runTopDegree(direct(t, solo, ctx), k)
 					if err != nil {
 						t.Fatalf("solo topdegree(%d): %v", k, err)
 					}
@@ -253,7 +253,7 @@ func TestClusterDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatalf("cluster jaccard(%d,%g): %v", u, th, err)
 						}
-						want, err := solo.runJaccard(ctx, u, th)
+						want, err := solo.runJaccard(direct(t, solo, ctx), u, th)
 						if err != nil {
 							t.Fatalf("solo jaccard(%d,%g): %v", u, th, err)
 						}
@@ -271,13 +271,13 @@ func TestClusterDifferential(t *testing.T) {
 
 			t.Run("pagerank", func(t *testing.T) {
 				const tol = 1e-9
-				soloTop, err := solo.runPageRankTop(ctx, 10)
+				soloTop, err := solo.runPageRankTop(direct(t, solo, ctx), 10)
 				if err != nil {
 					t.Fatalf("solo pagerank: %v", err)
 				}
 				soloRank := make(map[int32]float64)
 				for v := int32(0); v < vertices; v++ {
-					pr, err := solo.runPageRankVertex(ctx, v)
+					pr, err := solo.runPageRankVertex(direct(t, solo, ctx), v)
 					if err != nil {
 						t.Fatalf("solo pagerank(%d): %v", v, err)
 					}
@@ -420,7 +420,7 @@ func TestClusterKillShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("khop on surviving shard: %v", err)
 	}
-	want, err := solo.runKHop(ctx, []int32{liveSeed}, 1)
+	want, err := solo.runKHop(direct(t, solo, ctx), []int32{liveSeed}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestClusterKillShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("khop after rejoin: %v", err)
 	}
-	khopWant, err := solo.runKHop(ctx, []int32{deadSeed}, 2)
+	khopWant, err := solo.runKHop(direct(t, solo, ctx), []int32{deadSeed}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func TestClusterKillShard(t *testing.T) {
 		if err != nil {
 			t.Fatalf("component after rejoin: %v", err)
 		}
-		wantC, err := solo.runComponent(ctx, v)
+		wantC, err := solo.runComponent(direct(t, solo, ctx), v)
 		if err != nil {
 			t.Fatal(err)
 		}

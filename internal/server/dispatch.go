@@ -122,27 +122,25 @@ var reqScratchPool = scratch.NewPool(func() *reqScratch {
 })
 
 // scratch returns the request's result storage, borrowing it on first use.
-// An untraced call (nil receiver) has no finish to return it in and gets
-// ordinary garbage-collected storage.
 func (rt *reqTrace) scratch() *reqScratch {
-	if rt == nil {
-		return reqScratchPool.Get()
-	}
 	if rt.scr == nil {
 		rt.scr = reqScratchPool.Get()
 	}
 	return rt.scr
 }
 
-// runJaccard answers a jaccard query from the current snapshot.
+// runJaccard answers a jaccard query from the published snapshot.
 func (s *Server) runJaccard(ctx context.Context, u int32, threshold float64) (*wire.JaccardResult, error) {
 	if err := s.checkVertex(u); err != nil {
 		return nil, err
 	}
-	g := s.snapshotFor(ctx)
+	p, err := s.read(ctx, partGraph)
+	if err != nil {
+		return nil, err
+	}
 	scr := traceFrom(ctx).scratch()
 	ctx, end := traceFrom(ctx).stageCtx(ctx, "kernel", telemetry.L("kernel", "jaccard"))
-	scores, err := kernels.AppendJaccardFromVertexCtx(ctx, scr.scores[:0], g, u, threshold)
+	scores, err := kernels.AppendJaccardFromVertexCtx(ctx, scr.scores[:0], p.g, u, threshold)
 	end()
 	if err != nil {
 		return nil, err
@@ -156,7 +154,7 @@ func (s *Server) runJaccard(ctx context.Context, u int32, threshold float64) (*w
 	return &wire.JaccardResult{U: u, Results: scr.pairs[base:]}, nil
 }
 
-// runKHop answers a khop query from the current snapshot.
+// runKHop answers a khop query from the published snapshot.
 func (s *Server) runKHop(ctx context.Context, seeds []int32, k int32) (*wire.KHopResult, error) {
 	if len(seeds) == 0 {
 		return nil, badRequest("khop: no seed vertices")
@@ -169,11 +167,14 @@ func (s *Server) runKHop(ctx context.Context, seeds []int32, k int32) (*wire.KHo
 	if k < 0 {
 		return nil, badRequest("bad k %d", k)
 	}
-	g := s.snapshotFor(ctx)
+	p, err := s.read(ctx, partGraph)
+	if err != nil {
+		return nil, err
+	}
 	scr := traceFrom(ctx).scratch()
 	base := len(scr.verts)
 	ctx, end := traceFrom(ctx).stageCtx(ctx, "kernel", telemetry.L("kernel", "khop"))
-	verts, err := kernels.AppendKHopNeighborhoodCtx(ctx, scr.verts, g, seeds, k)
+	verts, err := kernels.AppendKHopNeighborhoodCtx(ctx, scr.verts, p.g, seeds, k)
 	end()
 	if err != nil {
 		return nil, err
@@ -182,33 +183,18 @@ func (s *Server) runKHop(ctx context.Context, seeds []int32, k int32) (*wire.KHo
 	return &wire.KHopResult{Seeds: seeds, K: k, Count: len(verts) - base, Vertices: verts[base:]}, nil
 }
 
-// runTopDegree answers a topdegree query. In incremental mode top-k is
-// served from the per-version degree vector, advanced over the delta window
-// instead of re-read from the CSR; the O(n log k) selection itself is too
-// cheap to stage.
+// runTopDegree answers a topdegree query from the published degree vector
+// (advanced over each delta window by the writer); the O(n log k) selection
+// itself is too cheap to stage.
 func (s *Server) runTopDegree(ctx context.Context, k int) (*wire.TopDegreeResult, error) {
 	if k <= 0 {
 		return nil, badRequest("bad k %d", k)
 	}
-	var top []kernels.ScoredVertex
-	if s.cfg.Incremental {
-		g, version := s.snapshotVersionedFor(ctx)
-		st, err := s.degreeVector(ctx, g, version)
-		if err != nil {
-			return nil, err
-		}
-		top = kernels.TopKByScore(st.degrees, k)
-	} else {
-		g := s.snapshotFor(ctx)
-		var err error
-		ctx, end := traceFrom(ctx).stageCtx(ctx, "kernel", telemetry.L("kernel", "topdegree"))
-		top, err = kernels.TopKByDegreeCtx(ctx, g, k)
-		end()
-		if err != nil {
-			return nil, err
-		}
+	p, err := s.read(ctx, kernDeg)
+	if err != nil {
+		return nil, err
 	}
-	return &wire.TopDegreeResult{K: k, Results: scoredToWire(top)}, nil
+	return &wire.TopDegreeResult{K: k, Results: scoredToWire(kernels.TopKByScore(p.vec, k))}, nil
 }
 
 // scoredToWire converts a kernels score list to the shared wire type (same
@@ -222,54 +208,51 @@ func scoredToWire(in []kernels.ScoredVertex) []wire.ScoredVertex {
 	return out
 }
 
-// runComponent answers a component query from the per-version WCC cache.
+// runComponent answers a component query from the published WCC labels.
 func (s *Server) runComponent(ctx context.Context, v int32) (*wire.ComponentResult, error) {
 	if err := s.checkVertex(v); err != nil {
 		return nil, err
 	}
-	g, version := s.snapshotVersionedFor(ctx)
-	st, err := s.components(ctx, g, version)
+	p, err := s.read(ctx, kernWCC)
 	if err != nil {
 		return nil, err
 	}
-	label := st.cc.Label[v]
+	label := p.cc.Label[v]
 	return &wire.ComponentResult{
 		V:             v,
 		Component:     label,
-		Size:          st.sizes[label],
-		NumComponents: st.cc.NumComponents,
-		Version:       st.version,
+		Size:          p.sizes[label],
+		NumComponents: p.cc.NumComponents,
+		Version:       p.version,
 	}, nil
 }
 
 // runPageRankVertex answers a single-vertex pagerank query from the
-// per-version rank cache.
+// published rank vector.
 func (s *Server) runPageRankVertex(ctx context.Context, v int32) (*wire.PageRankResult, error) {
 	if err := s.checkVertex(v); err != nil {
 		return nil, err
 	}
-	g, version := s.snapshotVersionedFor(ctx)
-	st, err := s.pagerank(ctx, g, version)
+	p, err := s.read(ctx, kernPR)
 	if err != nil {
 		return nil, err
 	}
-	rank := st.rank[v]
-	return &wire.PageRankResult{V: &v, Rank: &rank, Iterations: st.iters, Version: st.version}, nil
+	rank := p.vec[v]
+	return &wire.PageRankResult{V: &v, Rank: &rank, Iterations: p.iters, Version: p.version}, nil
 }
 
-// runPageRankTop answers a top-k pagerank query from the per-version rank
-// cache.
+// runPageRankTop answers a top-k pagerank query from the published rank
+// vector.
 func (s *Server) runPageRankTop(ctx context.Context, k int) (*wire.PageRankResult, error) {
 	if k <= 0 {
 		return nil, badRequest("bad k %d", k)
 	}
-	g, version := s.snapshotVersionedFor(ctx)
-	st, err := s.pagerank(ctx, g, version)
+	p, err := s.read(ctx, kernPR)
 	if err != nil {
 		return nil, err
 	}
-	top := kernels.TopKByScore(st.rank, k)
-	return &wire.PageRankResult{K: k, Results: scoredToWire(top), Iterations: st.iters, Version: st.version}, nil
+	top := kernels.TopKByScore(p.vec, k)
+	return &wire.PageRankResult{K: k, Results: scoredToWire(top), Iterations: p.iters, Version: p.version}, nil
 }
 
 // maxBatchSubs bounds one batch request's sub-query count.

@@ -4,23 +4,27 @@
 // "continuously operating system" the one-shot cmds (flowdemo, streambench)
 // only sample. cmd/graphd is the daemon binary.
 //
-// Concurrency contract (single-writer, snapshot-reader):
+// Concurrency contract (one writer publishes, readers pin):
 //
-//   - The dynamic graph has exactly one writer, the ingest loop goroutine,
-//     which drains a bounded queue into dyngraph.ApplyEdits batches under
-//     the write lock. dyngraph itself is not safe for concurrent mutation;
-//     this loop is the only code path that mutates it.
-//   - Queries never touch the dynamic graph. They run against an immutable
-//     CSR snapshot (graph.Graph) rebuilt lazily — under the read lock, so
-//     rebuilds exclude batch application — whenever the graph version has
-//     advanced. A query admitted after a batch applies therefore observes
-//     that batch (ingest→query freshness), and all queries at one version
-//     see bit-identical state.
-//   - Derived results (WCC labels, PageRank vector) are cached per graph
-//     version and recomputed through the ctx-aware kernels, so they inherit
-//     the par package's determinism contract: the same version yields
-//     byte-identical answers regardless of worker count or which request
-//     triggered the recompute.
+//   - The ingest goroutine is the only writer of the dynamic graph and the
+//     only builder of what queries read: after applying a window of queued
+//     edits it builds the next immutable bundle — the CSR snapshot patched
+//     over the window plus every kernel result a reader ever asked for (WCC,
+//     PageRank, degrees), advanced over it — and publishes it with one
+//     atomic store. A version bump costs freshness, not read latency.
+//   - It builds only while the published bundle has been read since
+//     publication; /stats version and applied then move at publish. After an
+//     unread stretch (boot, bulk load, quiet spell) they move at apply, and
+//     the first reader waits once for a catch-up build, as does a kernel's
+//     first reader. A read sent after /stats shows applied = N sees all N
+//     updates; a deadline ends the wait, never the build.
+//   - A request pins the bundles it reads (increment, then revalidate) until
+//     reqTrace.finish, so results may alias them until encoded. The writer
+//     reuses what unpinned retired bundles held — row index, arena once all
+//     its versions are released, labels, sizes, rank and degree vectors — so
+//     live storage is the published bundle, pinned ones and a spare arena.
+//   - Results inherit par's determinism: one version answers byte-identically
+//     whatever the worker count or whichever request asked for the build.
 //
 // Production mechanics:
 //
@@ -32,15 +36,14 @@
 //     oversubscribe the pool the kernels fan out through. Waiting for
 //     admission respects the request deadline.
 //   - Deadlines: every query runs under a context deadline (client-supplied
-//     ?timeout=, clamped, defaulted). Expiry returns 504 and cancels the
-//     kernel at a chunk boundary via par.ForCtx — overshoot is bounded to
-//     one chunk per worker and visible in par_cancellations_total /
-//     par_chunks_skipped_total.
-//   - Durability: the graph is persisted with dyngraph.Save periodically
-//     and on graceful shutdown (atomic tmp+rename, never a torn file), and
-//     recovered with dyngraph.Load on restart. Shutdown drains the ingest
-//     queue before the final snapshot, so acknowledged-and-queued updates
-//     are not lost on SIGTERM.
+//     ?timeout=, clamped, defaulted). Expiry returns 504; a traversal kernel
+//     (khop, jaccard) stops at its next cancellation check, a wait for the
+//     writer's build stops at once.
+//   - Durability: the published snapshot is persisted in the flat format
+//     (internal/wire/snapfmt) periodically and on graceful shutdown (atomic
+//     tmp+rename, never a torn file), and recovered on restart. Shutdown
+//     drains the ingest queue before the final snapshot, so
+//     acknowledged-and-queued updates are not lost on SIGTERM.
 //   - Observability: every request runs under a telemetry span, the
 //     server_* metric families land on the shared registry, and the
 //     registry's own HTTP handler (/metrics, /metrics.json, /debug/...) is

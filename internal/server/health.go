@@ -75,15 +75,14 @@ func (s *Server) Readiness() Readiness {
 		add("snapshot-age", true, "persistence disabled")
 	}
 
-	if s.cfg.Incremental {
-		_, pendingEdits := s.deltas.stats()
-		maxEdits := s.cfg.MaxPendingEdits
-		if maxEdits <= 0 {
-			maxEdits = defaultMaxPendingEdits
-		}
-		limit := maxEdits * 9 / 10
-		add("incr-pending", pendingEdits < limit,
-			fmt.Sprintf("pending edits %d/%d (limit %d)", pendingEdits, maxEdits, limit))
+	if s.deltas != nil {
+		// The log holds the edits no published bundle reflects. That lag
+		// matters only while readers wait on the writer; an unread stretch
+		// may fill the log, and its next reader pays one full recompute.
+		_, pending := s.deltas.Len()
+		limit, unread := s.deltas.Cap()*9/10, !s.cur.Load().read.Load()
+		add("incr-pending", pending < limit || unread,
+			fmt.Sprintf("pending edits %d/%d (limit %d, published bundle unread %v)", pending, s.deltas.Cap(), limit, unread))
 	} else {
 		add("incr-pending", true, "recompute mode")
 	}

@@ -310,35 +310,50 @@ func TestIncrementalCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestIncrementalDeadline504CancelsAdvance: an expiring ?timeout= on the
-// incremental path returns 504 and the delta-propagation loop actually
-// stops — the par scheduler records cancellations and skipped chunks from
-// inside the advance, and the aborted advance leaves the state reusable
-// (the follow-up query succeeds and advances it).
+// TestIncrementalDeadline504CancelsAdvance: on the incremental path the
+// advance runs in the writer's catch-up build, and a deadline ends only the
+// reader's wait for it. A read after an unread batch waits for the build,
+// an expiring ?timeout= answers 504, and the build still completes — par
+// records no cancellation, nothing falls back to a full recompute — so the
+// follow-up query is served from that one advance. (The name predates
+// writer-built bundles, when the advance ran on the request and the
+// deadline cancelled it.)
 func TestIncrementalDeadline504CancelsAdvance(t *testing.T) {
 	cfg := incrConfig(4096)
 	s, ts := startServer(t, cfg)
 	total := ingestClique(t, s, ts, 4096)
 
-	// Seed the PageRank state with one full compute, then apply a batch of
-	// distance-9 chords and deletes so the next query must advance over a
-	// non-empty delta window.
+	// Seed the PageRank state with one full compute.
 	if code := getJSON(t, ts.URL, "/query/pagerank?v=0&timeout=30s", nil); code != 200 {
 		t.Fatalf("seed pagerank = %d, want 200", code)
 	}
-	var churn []IngestUpdate
-	for v := int32(0); v < 512; v++ {
-		churn = append(churn, IngestUpdate{Src: v, Dst: (v + 9) % 4096})
+	churn := func(round int32) []IngestUpdate {
+		var u []IngestUpdate
+		for v := int32(0); v < 512; v++ {
+			u = append(u, IngestUpdate{Src: v, Dst: (v + 9 + round) % 4096})
+		}
+		for v := 512 + 256*round; v < 768+256*round; v++ {
+			u = append(u, IngestUpdate{Src: v, Dst: v + 1, Delete: true})
+		}
+		return u
 	}
-	for v := int32(512); v < 768; v++ {
-		churn = append(churn, IngestUpdate{Src: v, Dst: v + 1, Delete: true})
+	// Churn with nobody reading: the writer publishes the first batch or two
+	// (readers were about a bundle ago), then applies the rest unread, so
+	// the next read must wait for a catch-up build.
+	for round := int32(0); s.StatsNow().SnapshotVersion == s.Version(); round++ {
+		if round == 4 {
+			t.Fatalf("still publishing every batch after %d unread churn batches: %+v", round, s.StatsNow())
+		}
+		batch := churn(round)
+		if code, res, _ := postIngest(t, ts.URL, batch); code != http.StatusAccepted || res.Accepted != len(batch) {
+			t.Fatalf("churn ingest = %d %+v", code, res)
+		}
+		total += int64(len(batch))
+		waitApplied(t, s, total)
 	}
-	if code, res, _ := postIngest(t, ts.URL, churn); code != http.StatusAccepted || res.Accepted != len(churn) {
-		t.Fatalf("churn ingest = %d %+v", code, res)
-	}
-	waitApplied(t, s, total+int64(len(churn)))
 
 	before := par.TotalsSnapshot()
+	advBefore := counterSum(cfg.Registry, "server_incr_advances_total", "pagerank")
 	resp, err := http.Get(ts.URL + "/query/pagerank?timeout=200us")
 	if err != nil {
 		t.Fatalf("GET: %v", err)
@@ -347,19 +362,16 @@ func TestIncrementalDeadline504CancelsAdvance(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", resp.StatusCode)
 	}
-	d := par.TotalsSnapshot().Sub(before)
-	if d.Cancellations == 0 {
-		t.Fatalf("par saw no cancellations after a 504 on the incremental path: %+v", d)
-	}
-	if d.SkippedChunks == 0 {
-		t.Fatalf("par skipped no chunks after a 504 on the incremental path: %+v", d)
-	}
-
-	advBefore := counterSum(cfg.Registry, "server_incr_advances_total", "pagerank")
 	if code := getJSON(t, ts.URL, "/query/pagerank?v=0&timeout=30s", nil); code != 200 {
 		t.Fatalf("follow-up pagerank = %d, want 200", code)
 	}
+	if d := par.TotalsSnapshot().Sub(before); d.Cancellations != 0 || d.SkippedChunks != 0 {
+		t.Fatalf("the deadline cancelled the writer's build: %+v", d)
+	}
 	if got := counterSum(cfg.Registry, "server_incr_advances_total", "pagerank"); got != advBefore+1 {
-		t.Fatalf("pagerank advances went %v -> %v, want one successful advance after the 504", advBefore, got)
+		t.Fatalf("pagerank advances went %v -> %v, want the one catch-up advance the 504 started", advBefore, got)
+	}
+	if got := counterSum(cfg.Registry, "server_incr_fallbacks_total", ""); got != 0 {
+		t.Fatalf("incr fallbacks = %v, want 0", got)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"net/http"
 	"runtime/pprof"
 	"strconv"
 	"time"
@@ -41,6 +42,27 @@ func (s *Server) enqueue(edits []dyngraph.Edit) EnqueueResult {
 	return res
 }
 
+// admitEdits is the ingest core both transports share once they have
+// decoded a request: every edit is range-checked (a 400 names the first
+// bad one), then the edits are admitted — 202, or 429 with the accepted
+// prefix.
+func (s *Server) admitEdits(rt *reqTrace, edits []dyngraph.Edit) (EnqueueResult, int, error) {
+	for i, e := range edits {
+		if e.Src < 0 || e.Src >= s.cfg.Vertices || e.Dst < 0 || e.Dst >= s.cfg.Vertices {
+			return EnqueueResult{}, http.StatusBadRequest, badRequest("update %d: vertex out of range [0,%d)", i, s.cfg.Vertices)
+		}
+	}
+	endEnqueue := rt.stage("enqueue")
+	res := s.enqueue(edits)
+	endEnqueue()
+	rt.root.SetAttr("accepted", strconv.Itoa(res.Accepted))
+	if res.Rejected > 0 {
+		rt.root.SetAttr("status", "backpressure")
+		return res, http.StatusTooManyRequests, nil
+	}
+	return res, http.StatusAccepted, nil
+}
+
 // setQueueDepth publishes the current queue occupancy and raises the
 // high-water mark, the capacity-planning signal for QueueCap.
 func (s *Server) setQueueDepth() {
@@ -49,18 +71,20 @@ func (s *Server) setQueueDepth() {
 	s.m.depthHWM.observe(int64(d))
 }
 
-// ingestLoop is the single writer of the dynamic graph: it drains the
-// queue into batches of at most Config.BatchSize, collapses in-batch
-// duplicates, applies each batch under the write lock, and bumps the graph
-// version. On shutdown it drains whatever remains before exiting, so every
-// acknowledged update reaches the final snapshot. The goroutine carries an
-// op=ingest-loop pprof label so batch-application CPU samples in captured
-// profiles attribute to ingest rather than to whichever request happened
-// to trigger the capture.
+// ingestLoop is the single writer of the dynamic graph and the only builder
+// of bundles (doc.go). After every event it applies the full batches of at
+// most Config.BatchSize already queued as one window (a partial batch waits
+// up to FlushEvery), then builds and publishes if readers want it. On
+// shutdown it drains the queue and publishes it all before it exits, so
+// every acknowledged update reaches the final snapshot. Its op=ingest-loop
+// pprof label, inherited by its builds' par workers, attributes apply and
+// build CPU in captured profiles to ingest, not to the request that
+// happened to trigger the capture.
 func (s *Server) ingestLoop() {
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("op", "ingest-loop")))
 	defer close(s.ingestEnd)
 	batch := make([]dyngraph.Edit, 0, s.cfg.BatchSize)
+	s.b.dedup = make(map[int64]int, s.cfg.BatchSize)
 	flush := time.NewTimer(s.cfg.FlushEvery)
 	defer flush.Stop()
 
@@ -71,51 +95,50 @@ func (s *Server) ingestLoop() {
 		s.applyBatch(batch)
 		batch = batch[:0]
 	}
+	// fill moves queued edits into the batch, without blocking, up to the cap.
+	fill := func() {
+		for len(batch) < s.cfg.BatchSize {
+			select {
+			case e := <-s.queue:
+				batch = append(batch, e)
+			default:
+				return
+			}
+		}
+	}
 
 	for {
 		select {
 		case e := <-s.queue:
 			batch = append(batch, e)
-			// Opportunistically drain without blocking up to the batch cap.
-			for len(batch) < s.cfg.BatchSize {
-				select {
-				case e := <-s.queue:
-					batch = append(batch, e)
-				default:
-					goto drained
-				}
-			}
-		drained:
-			if len(batch) >= s.cfg.BatchSize {
-				apply()
-			}
+			fill()
 		case <-flush.C:
 			apply()
 			flush.Reset(s.cfg.FlushEvery)
+		case <-s.wake:
 		case <-s.stopCh:
 			// Drain: everything already admitted must land in the graph.
-			for {
-				select {
-				case e := <-s.queue:
-					batch = append(batch, e)
-					if len(batch) >= s.cfg.BatchSize {
-						apply()
-					}
-				default:
-					apply()
-					return
-				}
+			for fill(); len(batch) > 0; fill() {
+				apply()
 			}
+			s.maybeBuild(true)
+			return
 		}
+		for n := len(batch) + len(s.queue); n >= s.cfg.BatchSize; n -= s.cfg.BatchSize {
+			fill()
+			apply()
+		}
+		s.maybeBuild(false)
 	}
 }
 
-// applyBatch dedups one batch in place, applies it under the write lock,
-// and publishes the accounting. In-batch dedup keeps the *last* operation
-// per (src,dst) pair — semantically identical to applying all of them in
-// order (dyngraph updates in place), minus the redundant intermediate
-// writes. This is the serving-layer form of the paper's in-line dedup:
-// redundant updates are discarded before they reach the graph.
+// applyBatch dedups one batch in place, applies it to the dynamic graph,
+// logs it for the next build, and publishes the accounting. In-batch dedup
+// keeps the *last* operation per (src,dst) pair — semantically identical
+// to applying all of them in order (dyngraph updates in place), minus the
+// redundant intermediate writes. This is the serving-layer form of the
+// paper's in-line dedup: redundant updates are discarded before they reach
+// the graph.
 func (s *Server) applyBatch(batch []dyngraph.Edit) {
 	if s.cfg.applyGate != nil {
 		<-s.cfg.applyGate
@@ -123,7 +146,8 @@ func (s *Server) applyBatch(batch []dyngraph.Edit) {
 	dedup := batch
 	if len(batch) > 1 {
 		directed := s.cfg.Directed
-		last := make(map[int64]int, len(batch))
+		last := s.b.dedup
+		clear(last)
 		for i, e := range batch {
 			last[editKey(e, directed)] = i
 		}
@@ -140,26 +164,19 @@ func (s *Server) applyBatch(batch []dyngraph.Edit) {
 
 	sp := s.reg.Tracer().Start("server.apply")
 	start := time.Now()
-	s.gmu.Lock()
 	res := s.dyn.ApplyEdits(dedup)
-	// The version bump and delta-log append stay inside the write lock:
-	// snapshot/advance readers take gmu.RLock and must never observe a
-	// version whose batch is missing from the log (or vice versa).
-	version := s.version.Add(1)
-	if s.deltas != nil {
-		s.deltas.append(version, dedup, res.Deleted > 0)
-	}
-	s.gmu.Unlock()
-	s.applied.Add(int64(len(dedup)))
+	s.b.version++
+	s.b.applied += int64(len(dedup))
+	s.deltas.Append(s.b.version, dedup, res.Deleted > 0)
+	pending, _ := s.deltas.Len()
+	s.m.pendingDeltas.Set(float64(pending))
 	sp.SetAttr("batch", strconv.Itoa(len(batch)))
 	sp.SetAttr("dedup", strconv.Itoa(len(dedup)))
-	sp.SetAttr("version", strconv.FormatInt(version, 10))
+	sp.SetAttr("version", strconv.FormatInt(s.b.version, 10))
 	sp.End()
-	// The served snapshot (if any) just went stale; publish its age so
-	// dashboards see staleness grow between rebuilds.
-	if st := s.snap.Load(); st != nil {
-		s.m.snapAge.Set(time.Since(st.built).Seconds())
-	}
+	// The published snapshot just went stale; publish its age so dashboards
+	// see staleness grow between builds.
+	s.m.snapAge.Set(time.Since(s.cur.Load().built).Seconds())
 
 	s.m.deduped.Add(int64(dropped))
 	s.m.inserted.Add(res.Inserted)

@@ -53,22 +53,23 @@ func (w *watermark) observe(v int64) {
 //	server_admission_inflight_hwm           most queries ever admitted at once
 //	                                        (gauge; saturation vs MaxInflight)
 //	server_admission_wait_seconds           time spent waiting for a query slot
-//	server_snapshot_rebuilds_total          full CSR snapshot rebuilds
-//	server_snapshot_patches_total           incremental CSR snapshot patches
-//	                                        (touched rows only; Config.Incremental)
-//	server_snapshot_age_seconds             age of the served CSR snapshot (gauge)
+//	server_snapshot_rebuilds_total          full CSR snapshot rebuilds by the writer
+//	server_snapshot_patches_total           incremental CSR snapshot patches by the
+//	                                        writer (touched rows only; Config.Incremental)
+//	server_snapshot_age_seconds             age of the published snapshot (gauge)
 //	server_stage_seconds{endpoint,stage}    per-request lifecycle stage latency;
 //	                                        stages sum to request wall time
-//	                                        ("other" absorbs the remainder)
-//	server_cache_hit_total{kernel}          per-version result-cache hits
-//	server_cache_rebuilds_total{kernel}     per-version result-cache full
-//	                                        recomputes (cache=miss stages)
+//	                                        ("other" absorbs the remainder; on
+//	                                        reads, "snapshot"/"kernel" wait for a build)
+//	server_cache_hit_total{kernel}          reads served from a published result
+//	server_cache_rebuilds_total{kernel}     full recomputes by the writer (a first
+//	                                        read waits on one as cache=miss)
 //	server_incr_advances_total{kernel}      incremental state advances over the
-//	                                        delta window (cache=incremental)
+//	                                        delta window, by the writer
 //	server_incr_fallbacks_total{kernel}     delta-log misses that forced a full
 //	                                        recompute and state re-anchor
-//	server_incr_pending_batches             batches retained in the delta log
-//	                                        (gauge; Config.Incremental)
+//	server_incr_pending_batches             batches in the delta log no published
+//	                                        bundle reflects (gauge; Config.Incremental)
 //	server_slow_queries_total{endpoint}     requests over the slow-query threshold
 //	server_wire_connections_total           wire-protocol sessions accepted
 //	server_wire_connections_active          open wire-protocol sessions (gauge)
@@ -102,16 +103,12 @@ type metricsSet struct {
 	snapPatches *telemetry.Counter
 	snapAge     *telemetry.Gauge
 
-	ccRebuilds *telemetry.Counter
-	prRebuilds *telemetry.Counter
-	tkRebuilds *telemetry.Counter
-
-	ccAdvances  *telemetry.Counter
-	prAdvances  *telemetry.Counter
-	tkAdvances  *telemetry.Counter
-	ccFallbacks *telemetry.Counter
-	prFallbacks *telemetry.Counter
-	tkFallbacks *telemetry.Counter
+	// Per kernel (index: kernel; partGraph unused): reads served from a published result,
+	// full recomputes, incremental advances, delta-log misses.
+	kernHits      [numParts]*telemetry.Counter
+	kernRebuilds  [numParts]*telemetry.Counter
+	kernAdvances  [numParts]*telemetry.Counter
+	kernFallbacks [numParts]*telemetry.Counter
 
 	pendingDeltas *telemetry.Gauge
 
@@ -144,17 +141,6 @@ func newMetricsSet(reg *telemetry.Registry) *metricsSet {
 		snapPatches: reg.Counter("server_snapshot_patches_total"),
 		snapAge:     reg.Gauge("server_snapshot_age_seconds"),
 
-		ccRebuilds: reg.Counter("server_cache_rebuilds_total", telemetry.L("kernel", "wcc")),
-		prRebuilds: reg.Counter("server_cache_rebuilds_total", telemetry.L("kernel", "pagerank")),
-		tkRebuilds: reg.Counter("server_cache_rebuilds_total", telemetry.L("kernel", "topdegree")),
-
-		ccAdvances:  reg.Counter("server_incr_advances_total", telemetry.L("kernel", "wcc")),
-		prAdvances:  reg.Counter("server_incr_advances_total", telemetry.L("kernel", "pagerank")),
-		tkAdvances:  reg.Counter("server_incr_advances_total", telemetry.L("kernel", "topdegree")),
-		ccFallbacks: reg.Counter("server_incr_fallbacks_total", telemetry.L("kernel", "wcc")),
-		prFallbacks: reg.Counter("server_incr_fallbacks_total", telemetry.L("kernel", "pagerank")),
-		tkFallbacks: reg.Counter("server_incr_fallbacks_total", telemetry.L("kernel", "topdegree")),
-
 		pendingDeltas: reg.Gauge("server_incr_pending_batches"),
 
 		persists:   reg.Counter("server_persist_total"),
@@ -164,6 +150,13 @@ func newMetricsSet(reg *telemetry.Registry) *metricsSet {
 
 		wireConnsTotal: reg.Counter("server_wire_connections_total"),
 		wireActive:     reg.Gauge("server_wire_connections_active"),
+	}
+	for k := kernWCC; k < numParts; k++ {
+		l := telemetry.L("kernel", kernelNames[k])
+		m.kernHits[k] = reg.Counter("server_cache_hit_total", l)
+		m.kernRebuilds[k] = reg.Counter("server_cache_rebuilds_total", l)
+		m.kernAdvances[k] = reg.Counter("server_incr_advances_total", l)
+		m.kernFallbacks[k] = reg.Counter("server_incr_fallbacks_total", l)
 	}
 	m.depthHWM.g = reg.Gauge("server_ingest_queue_depth_hwm")
 	m.inflightHWM.g = reg.Gauge("server_admission_inflight_hwm")

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/dyngraph"
+	"repro/internal/wire"
 )
 
 // Handler returns the daemon's HTTP API, with the telemetry registry's own
@@ -24,11 +25,11 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ingest", s.handleIngest)
 	mux.HandleFunc("/debug/slowqueries", s.handleSlowQueries)
-	mux.HandleFunc("/query/jaccard", s.query("jaccard", s.handleJaccard))
-	mux.HandleFunc("/query/khop", s.query("khop", s.handleKHop))
-	mux.HandleFunc("/query/topdegree", s.query("topdegree", s.handleTopDegree))
-	mux.HandleFunc("/query/component", s.query("component", s.handleComponent))
-	mux.HandleFunc("/query/pagerank", s.query("pagerank", s.handlePageRank))
+	mux.HandleFunc("/query/jaccard", s.query("jaccard", s.handleQuery(wire.OpJaccard)))
+	mux.HandleFunc("/query/khop", s.query("khop", s.handleQuery(wire.OpKHop)))
+	mux.HandleFunc("/query/topdegree", s.query("topdegree", s.handleQuery(wire.OpTopDegree)))
+	mux.HandleFunc("/query/component", s.query("component", s.handleQuery(wire.OpComponent)))
+	mux.HandleFunc("/query/pagerank", s.query("pagerank", s.handleQuery(wire.OpPageRank)))
 	mux.HandleFunc("/query/batch", s.query("batch", s.handleBatch))
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, s.StatsNow())
@@ -165,36 +166,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	endDecode := rt.stage("decode")
 	var updates []IngestUpdate
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	if err := dec.Decode(&updates); err != nil {
-		endDecode()
-		code := http.StatusBadRequest
-		http.Error(w, fmt.Sprintf("bad ingest body: %v", err), code)
-		finish(code)
-		return
-	}
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody)).Decode(&updates)
 	edits := make([]dyngraph.Edit, len(updates))
 	for i, u := range updates {
-		if u.Src < 0 || u.Src >= s.cfg.Vertices || u.Dst < 0 || u.Dst >= s.cfg.Vertices {
-			endDecode()
-			code := http.StatusBadRequest
-			http.Error(w, fmt.Sprintf("update %d: vertex out of range [0,%d)", i, s.cfg.Vertices), code)
-			finish(code)
-			return
-		}
 		edits[i] = dyngraph.Edit{Src: u.Src, Dst: u.Dst, Weight: u.Weight, Time: u.Time, Delete: u.Delete}
 	}
 	endDecode()
-
-	endEnqueue := rt.stage("enqueue")
-	res := s.enqueue(edits)
-	endEnqueue()
-	rt.root.SetAttr("accepted", strconv.Itoa(res.Accepted))
-	code := http.StatusAccepted
-	if res.Rejected > 0 {
-		code = http.StatusTooManyRequests
+	res, code := EnqueueResult{}, http.StatusBadRequest
+	if err != nil {
+		err = badRequest("bad ingest body: %v", err)
+	} else {
+		res, code, err = s.admitEdits(rt, edits)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), code)
+		finish(code)
+		return
+	}
+	if code == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
-		rt.root.SetAttr("status", "backpressure")
 	}
 	endEncode := rt.stage("encode")
 	writeJSON(w, code, res)
@@ -202,65 +192,41 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	finish(code)
 }
 
-func (s *Server) handleJaccard(ctx context.Context, r *http.Request) (any, error) {
-	u, err := s.vertexParam(r, "u")
-	if err != nil {
-		return nil, err
-	}
-	threshold := 0.0
-	if raw := r.URL.Query().Get("threshold"); raw != "" {
-		threshold, err = strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return nil, badRequest("bad threshold %q", raw)
+// handleQuery answers GET /query/<op>: the URL's parameters become the
+// wire.Request a wire session would decode, with HTTP's defaults (khop k=1,
+// top-k 10), run through the same wireRun.
+func (s *Server) handleQuery(op byte) func(context.Context, *http.Request) (any, error) {
+	return func(ctx context.Context, r *http.Request) (any, error) {
+		req := wire.Request{Op: op}
+		var err error
+		switch op {
+		case wire.OpJaccard:
+			req.U, err = s.vertexParam(r, "u")
+			if raw := r.URL.Query().Get("threshold"); err == nil && raw != "" {
+				if req.Threshold, err = strconv.ParseFloat(raw, 64); err != nil {
+					err = badRequest("bad threshold %q", raw)
+				}
+			}
+		case wire.OpKHop:
+			if req.Seeds, err = s.seedsParam(r); err == nil {
+				req.K, err = kParam(r, 1, 0)
+			}
+		case wire.OpComponent:
+			req.V, err = s.vertexParam(r, "v")
+		case wire.OpPageRank:
+			if req.HasV = r.URL.Query().Get("v") != ""; req.HasV {
+				req.V, err = s.vertexParam(r, "v")
+				break
+			}
+			fallthrough
+		case wire.OpTopDegree:
+			req.K, err = kParam(r, 10, 1)
 		}
-	}
-	return s.runJaccard(ctx, u, threshold)
-}
-
-func (s *Server) handleKHop(ctx context.Context, r *http.Request) (any, error) {
-	seeds, err := s.seedsParam(r)
-	if err != nil {
-		return nil, err
-	}
-	k := int64(1)
-	if raw := r.URL.Query().Get("k"); raw != "" {
-		k, err = strconv.ParseInt(raw, 10, 32)
-		if err != nil || k < 0 {
-			return nil, badRequest("bad k %q", raw)
-		}
-	}
-	return s.runKHop(ctx, seeds, int32(k))
-}
-
-func (s *Server) handleTopDegree(ctx context.Context, r *http.Request) (any, error) {
-	k, err := s.kParam(r, 10)
-	if err != nil {
-		return nil, err
-	}
-	return s.runTopDegree(ctx, k)
-}
-
-func (s *Server) handleComponent(ctx context.Context, r *http.Request) (any, error) {
-	v, err := s.vertexParam(r, "v")
-	if err != nil {
-		return nil, err
-	}
-	return s.runComponent(ctx, v)
-}
-
-func (s *Server) handlePageRank(ctx context.Context, r *http.Request) (any, error) {
-	if raw := r.URL.Query().Get("v"); raw != "" {
-		v, err := s.vertexParam(r, "v")
 		if err != nil {
 			return nil, err
 		}
-		return s.runPageRankVertex(ctx, v)
+		return s.wireRun(&req)(ctx)
 	}
-	k, err := s.kParam(r, 10)
-	if err != nil {
-		return nil, err
-	}
-	return s.runPageRankTop(ctx, k)
 }
 
 // batchQuerySpec is one sub-query of a POST /query/batch request. Pointer
@@ -282,60 +248,56 @@ type batchQuerySpec struct {
 }
 
 // batchSubFor compiles one HTTP batch sub-query spec into a runnable
-// batchSub. Unknown ops and missing required parameters surface as per-item
+// batchSub by way of the wire request, with HTTP's defaults (khop k=1,
+// top-k 10). Unknown ops and missing or bad parameters surface as per-item
 // 400s at run time, never as envelope failures.
 func (s *Server) batchSubFor(q batchQuerySpec) batchSub {
+	req := wire.Request{Seeds: q.Seeds, Threshold: q.Threshold, K: 10}
+	if q.K != nil {
+		req.K = *q.K
+	}
+	var err error
 	switch q.Op {
 	case "jaccard":
-		return func(ctx context.Context) (any, error) {
-			if q.U == nil {
-				return nil, badRequest("jaccard: missing u")
-			}
-			return s.runJaccard(ctx, *q.U, q.Threshold)
+		req.Op = wire.OpJaccard
+		if q.U == nil {
+			err = badRequest("jaccard: missing u")
+		} else {
+			req.U = *q.U
 		}
 	case "khop":
-		return func(ctx context.Context) (any, error) {
-			seeds := q.Seeds
-			if len(seeds) == 0 && q.V != nil {
-				seeds = []int32{*q.V}
-			}
-			k := int32(1)
-			if q.K != nil {
-				k = *q.K
-			}
-			return s.runKHop(ctx, seeds, k)
+		req.Op = wire.OpKHop
+		if len(req.Seeds) == 0 && q.V != nil {
+			req.Seeds = []int32{*q.V}
 		}
-	case "topdegree":
-		return func(ctx context.Context) (any, error) {
-			k := 10
-			if q.K != nil {
-				k = int(*q.K)
-			}
-			return s.runTopDegree(ctx, k)
+		if q.K == nil {
+			req.K = 1
 		}
 	case "component":
-		return func(ctx context.Context) (any, error) {
-			if q.V == nil {
-				return nil, badRequest("component: missing v")
-			}
-			return s.runComponent(ctx, *q.V)
+		req.Op = wire.OpComponent
+		if q.V == nil {
+			err = badRequest("component: missing v")
+		} else {
+			req.V = *q.V
 		}
-	case "pagerank":
-		return func(ctx context.Context) (any, error) {
-			if q.V != nil {
-				return s.runPageRankVertex(ctx, *q.V)
-			}
-			k := 10
-			if q.K != nil {
-				k = int(*q.K)
-			}
-			return s.runPageRankTop(ctx, k)
+	case "topdegree", "pagerank":
+		req.Op = wire.OpTopDegree
+		if q.Op == "pagerank" {
+			req.Op, req.HasV = wire.OpPageRank, q.V != nil
+		}
+		switch {
+		case req.HasV:
+			req.V = *q.V
+		case req.K <= 0: // only an explicit k gets here; wire reads 0 as "default"
+			err = badRequest("bad k %d", req.K)
 		}
 	default:
-		return func(context.Context) (any, error) {
-			return nil, badRequest("batch: unsupported op %q", q.Op)
-		}
+		err = badRequest("batch: unsupported op %q", q.Op)
 	}
+	if err != nil {
+		return func(context.Context) (any, error) { return nil, err }
+	}
+	return batchSub(s.wireRun(&req))
 }
 
 // handleBatch answers POST /query/batch: a JSON body
@@ -408,17 +370,18 @@ func (s *Server) seedsParam(r *http.Request) ([]int32, error) {
 	return []int32{v}, nil
 }
 
-// kParam parses the optional ?k= result-count parameter.
-func (s *Server) kParam(r *http.Request, def int) (int, error) {
+// kParam parses the optional ?k= parameter, a result count or khop's depth:
+// def when absent, an error below lo.
+func kParam(r *http.Request, def, lo int32) (int32, error) {
 	raw := r.URL.Query().Get("k")
 	if raw == "" {
 		return def, nil
 	}
-	k, err := strconv.Atoi(raw)
-	if err != nil || k <= 0 {
+	k, err := strconv.ParseInt(raw, 10, 32)
+	if err != nil || k < int64(lo) {
 		return 0, badRequest("bad k %q", raw)
 	}
-	return k, nil
+	return int32(k), nil
 }
 
 // writeJSON writes v with the given status; an encode failure after the
@@ -429,5 +392,19 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// codeLabels are the metric label values of the HTTP status codes, made
+// once so counting a request allocates nothing.
+var codeLabels = func() (l [600]string) {
+	for c := range l {
+		l[c] = strconv.Itoa(c)
+	}
+	return l
+}()
+
 // httpCodeLabel renders a status code as a metric label value.
-func httpCodeLabel(code int) string { return strconv.Itoa(code) }
+func httpCodeLabel(code int) string {
+	if code >= 0 && code < len(codeLabels) {
+		return codeLabels[code]
+	}
+	return strconv.Itoa(code)
+}

@@ -25,6 +25,13 @@ import (
 // answer below is computed on.
 func loadRMAT(tb testing.TB, s *Server, scale int) *graph.Graph {
 	tb.Helper()
+	preloadRMAT(tb, s, scale)
+	return publishedGraph(tb, s)
+}
+
+// preloadRMAT is loadRMAT without pinning the result.
+func preloadRMAT(tb testing.TB, s *Server, scale int) {
+	tb.Helper()
 	src := gen.RMAT(scale, 8, gen.Graph500RMAT, int64(scale), false)
 	var edits []dyngraph.Edit
 	for u := int32(0); u < src.NumVertices(); u++ {
@@ -47,7 +54,18 @@ func loadRMAT(tb testing.TB, s *Server, scale int) *graph.Graph {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return s.snapshotFor(context.Background())
+}
+
+// publishedGraph returns the graph graphd serves at its visible version,
+// pinned until the test ends.
+func publishedGraph(tb testing.TB, s *Server) *graph.Graph {
+	tb.Helper()
+	b, err := s.acquire(context.Background(), nil, partGraph)
+	if err != nil {
+		tb.Fatalf("pin the published bundle: %v", err)
+	}
+	tb.Cleanup(b.unpin)
+	return b.parts[partGraph].g
 }
 
 // wantPairs is the sequential kernel's jaccard answer in wire form.

@@ -200,24 +200,16 @@ func (s *Server) wireIngest(rt *reqTrace, req *wire.Request, out []byte) ([]byte
 	endDecode := rt.stage("decode")
 	edits := make([]dyngraph.Edit, len(req.Edits))
 	for i, e := range req.Edits {
-		if e.Src < 0 || e.Src >= s.cfg.Vertices || e.Dst < 0 || e.Dst >= s.cfg.Vertices {
-			endDecode()
-			msg := badRequest("update %d: vertex out of range [0,%d)", i, s.cfg.Vertices).Error()
-			return wire.AppendErrorResponse(out, wire.StatusBadRequest, msg), 400
-		}
 		edits[i] = dyngraph.Edit{Src: e.Src, Dst: e.Dst, Weight: e.Weight, Time: e.Time, Delete: e.Delete}
 	}
 	endDecode()
-
-	endEnqueue := rt.stage("enqueue")
-	res := s.enqueue(edits)
-	endEnqueue()
-	code := 202
+	res, code, err := s.admitEdits(rt, edits)
+	if err != nil {
+		return wire.AppendErrorResponse(out, wire.StatusBadRequest, err.Error()), code
+	}
 	status := wire.StatusOK
-	if res.Rejected > 0 {
-		code = 429
+	if code == 429 {
 		status = wire.StatusBackpressure
-		rt.root.SetAttr("status", "backpressure")
 	}
 	endEncode := rt.stage("encode")
 	out = append(out, status)
@@ -228,10 +220,11 @@ func (s *Server) wireIngest(rt *reqTrace, req *wire.Request, out []byte) ([]byte
 	return out, code
 }
 
-// wireRun compiles a decoded query request into the dispatch-core run
-// function — the wire twin of the HTTP parameter-parsing handlers. The
-// returned closure must not retain req past the call (req is reused per
-// frame), so it reads every field it needs eagerly.
+// wireRun compiles a query request into the dispatch-core run function,
+// for both transports: wire sessions decode the request, HTTP builds it from
+// the URL (handleQuery) or a batch spec (batchSubFor). The returned closure
+// must not retain req past the call (req is reused per frame), so it reads
+// every field it needs eagerly.
 func (s *Server) wireRun(req *wire.Request) func(context.Context) (any, error) {
 	switch req.Op {
 	case wire.OpJaccard:

@@ -17,7 +17,6 @@ import (
 	"repro/internal/dyngraph"
 	"repro/internal/graph"
 	"repro/internal/incr"
-	"repro/internal/kernels"
 	"repro/internal/par"
 	"repro/internal/prof"
 	"repro/internal/slo"
@@ -70,18 +69,18 @@ type Config struct {
 	// MaxTimeout clamps client-supplied ?timeout=.
 	MaxTimeout time.Duration
 
-	// Incremental enables edit-batch-driven incremental maintenance: CSR
-	// snapshots are patched from the previous version instead of rebuilt,
-	// and the per-version WCC/PageRank/degree caches advance their state
+	// Incremental enables edit-batch-driven incremental maintenance: the
+	// writer patches each published snapshot from the previous version
+	// instead of rebuilding it, and advances the WCC/PageRank/degree state
 	// over the applied batch window instead of recomputing from scratch.
 	// Results are equivalent (held by the internal/incr differential
-	// oracle); requests served from advanced state are tagged
-	// cache=incremental in stage spans. Off by default: the recompute path
-	// stays byte-identical to previous releases.
+	// oracle). Off, the writer keeps no delta log and every build takes the
+	// full-recompute path a delta-log miss takes.
 	Incremental bool
-	// MaxPendingEdits bounds the incremental delta log in retained edits;
-	// when eviction outruns a consumer it falls back to one full recompute
-	// and re-anchors. <= 0 uses the default (262144).
+	// MaxPendingEdits bounds the incremental delta log, which holds the
+	// edits no published bundle reflects yet; when an unread stretch outgrows
+	// it, the next build falls back to one full recompute and re-anchors.
+	// <= 0 uses the default (262144).
 	MaxPendingEdits int
 
 	// Registry receives the server_* metric families and request spans;
@@ -163,27 +162,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// snapState is one immutable CSR view of the graph at a version.
-type snapState struct {
-	g       *graph.Graph
-	version int64
-	built   time.Time
-}
-
-// ccState caches WCC labels plus component sizes for one version.
-type ccState struct {
-	version int64
-	cc      *kernels.CCResult
-	sizes   []int64
-}
-
-// prState caches the PageRank vector for one version.
-type prState struct {
-	version int64
-	rank    []float64
-	iters   int
-}
-
 // Server owns the persistent graph and its serving machinery. Create with
 // New, mount Handler on an HTTP listener, and stop with Shutdown.
 type Server struct {
@@ -207,33 +185,22 @@ type Server struct {
 	// (0 before the first) — the /readyz snapshot-age anchor.
 	lastPersist atomic.Int64
 
-	// gmu serializes access to dyn: the ingest loop takes the write lock
-	// per batch; snapshot rebuilds and persistence take the read lock.
-	gmu sync.RWMutex
-	dyn *dyngraph.DynGraph
+	// dyn, deltas and b belong to the ingest goroutine (doc.go); others
+	// read dyn only after Shutdown.
+	dyn    *dyngraph.DynGraph
+	deltas *incr.Log // applied batches no bundle reflects yet; nil in recompute mode
+	b      builder
 
-	version atomic.Int64 // bumped once per applied batch
+	// cur is the published bundle; the visible counters follow doc.go.
+	cur     atomic.Pointer[bundle]
+	version atomic.Int64 // one tick per applied batch
 	applied atomic.Int64 // updates applied since start (freshness probe)
+	edges   atomic.Int64
+	arcs    atomic.Int64
 
-	snapMu sync.Mutex // serializes CSR rebuilds (rebuild work is done once)
-	snap   atomic.Pointer[snapState]
-
-	ccMu sync.Mutex
-	cc   atomic.Pointer[ccState]
-	prMu sync.Mutex
-	pr   atomic.Pointer[prState]
-	tkMu sync.Mutex
-	tk   atomic.Pointer[tkState]
-
-	// Incremental maintenance (Config.Incremental): the delta log feeds the
-	// per-kernel states, each guarded by its cache's mutex above (incrCC by
-	// ccMu, incrPR by prMu, incrDeg by tkMu). States start nil and are
-	// seeded by the first full compute — also correct after crash recovery,
-	// where the graph is non-empty at version 0.
-	deltas  *deltaLog
-	incrCC  *incr.WCCState
-	incrPR  *incr.PRState
-	incrDeg *incr.DegreeState
+	want     [numParts]atomic.Bool           // kernels readers have asked for; sticky
+	wake     chan struct{}                   // cap 1: a reader waits for a build
+	buildCtx atomic.Pointer[context.Context] // the first waiting reader's stage, for the build's spans
 
 	queue chan dyngraph.Edit
 	admit chan struct{}
@@ -247,7 +214,7 @@ type Server struct {
 	draining  atomic.Bool
 	stopOnce  sync.Once
 	stopCh    chan struct{} // closed to begin drain
-	ingestEnd chan struct{} // closed when the ingest loop has drained and exited
+	ingestEnd chan struct{} // closed when the ingest loop has drained, published and exited
 	persistWG sync.WaitGroup
 	recovered bool
 
@@ -305,21 +272,29 @@ func New(cfg Config) (*Server, error) {
 		started:   time.Now(),
 		stopCh:    make(chan struct{}),
 		ingestEnd: make(chan struct{}),
+		wake:      make(chan struct{}, 1),
 		wireConns: make(map[net.Conn]struct{}),
 	}
 	s.ownedCount = cluster.OwnedCount(cfg.Vertices, cfg.ShardIndex, cfg.ShardCount)
 
+	var g0 *graph.Graph
 	if cfg.SnapshotPath != "" {
 		sweepStaleSnapshotTmp(cfg.SnapshotPath)
-		if err := s.recover(cfg.SnapshotPath); err != nil {
+		var err error
+		if g0, err = s.recover(cfg.SnapshotPath); err != nil {
 			return nil, err
 		}
 	}
 	if s.dyn == nil {
 		s.dyn = dyngraph.New(cfg.Vertices, cfg.Directed)
 	}
+	if g0 == nil {
+		g0 = s.dyn.SnapshotDeltaRecycled(nil, nil, &s.b.graphs)
+	}
+	s.cur.Store(&bundle{built: time.Now(), next: make(chan struct{}), parts: [numParts]*part{partGraph: {g: g0, users: 1}}})
+	s.setVisible()
 	if cfg.Incremental {
-		s.deltas = newDeltaLog(cfg.MaxPendingEdits, s.m.pendingDeltas)
+		s.deltas = incr.NewLog(cfg.MaxPendingEdits)
 	}
 
 	if cfg.ProfileTriggers {
@@ -360,61 +335,60 @@ func New(cfg Config) (*Server, error) {
 
 // recover loads the snapshot at path, dispatching on format: the flat CSR
 // format (internal/wire/snapfmt, sniffed by magic) is the fast path — the
-// arrays are read straight into a served snapshot (pre-seeded at version 0,
-// so the first query pays no rebuild) and the dynamic graph is bulk-built
+// arrays are read straight into the first published snapshot (returned, so
+// the first query pays no rebuild) and the dynamic graph is bulk-built
 // from them in O(arcs); anything else goes through the legacy
 // dyngraph.Load reader. A flat file that fails its CRC or validation is
 // quarantined (renamed to path+".corrupt") and the server starts empty —
 // losing a snapshot must not keep the daemon down. A snapshot whose shape
 // contradicts the config is a hard error either way: that is an operator
 // mistake, not corruption.
-func (s *Server) recover(path string) error {
+func (s *Server) recover(path string) (*graph.Graph, error) {
 	flat, err := snapfmt.SniffFile(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil
+			return nil, nil
 		}
-		return fmt.Errorf("server: open snapshot: %w", err)
+		return nil, fmt.Errorf("server: open snapshot: %w", err)
 	}
 	if !flat {
 		f, err := os.Open(path)
 		if err != nil {
-			return fmt.Errorf("server: open snapshot: %w", err)
+			return nil, fmt.Errorf("server: open snapshot: %w", err)
 		}
 		g, lerr := dyngraph.Load(f)
 		f.Close()
 		if lerr != nil {
-			return fmt.Errorf("server: recover %s: %w", path, lerr)
+			return nil, fmt.Errorf("server: recover %s: %w", path, lerr)
 		}
 		if g.NumVertices() != s.cfg.Vertices || g.Directed() != s.cfg.Directed {
-			return fmt.Errorf("server: snapshot %s is %d vertices directed=%v, config wants %d/%v",
+			return nil, fmt.Errorf("server: snapshot %s is %d vertices directed=%v, config wants %d/%v",
 				path, g.NumVertices(), g.Directed(), s.cfg.Vertices, s.cfg.Directed)
 		}
 		s.dyn = g
 		s.recovered = true
-		return nil
+		return nil, nil
 	}
 	g, rerr := snapfmt.ReadFile(path)
 	if rerr != nil {
 		if errors.Is(rerr, snapfmt.ErrCorrupt) {
 			quarantine := path + ".corrupt"
 			if err := os.Rename(path, quarantine); err != nil {
-				return fmt.Errorf("server: quarantine corrupt snapshot: %w", err)
+				return nil, fmt.Errorf("server: quarantine corrupt snapshot: %w", err)
 			}
 			fmt.Fprintf(os.Stderr, "server: snapshot %s is corrupt (%v); quarantined to %s, starting empty\n",
 				path, rerr, quarantine)
-			return nil
+			return nil, nil
 		}
-		return fmt.Errorf("server: recover %s: %w", path, rerr)
+		return nil, fmt.Errorf("server: recover %s: %w", path, rerr)
 	}
 	if g.NumVertices() != s.cfg.Vertices || g.Directed() != s.cfg.Directed {
-		return fmt.Errorf("server: snapshot %s is %d vertices directed=%v, config wants %d/%v",
+		return nil, fmt.Errorf("server: snapshot %s is %d vertices directed=%v, config wants %d/%v",
 			path, g.NumVertices(), g.Directed(), s.cfg.Vertices, s.cfg.Directed)
 	}
 	s.dyn = dyngraph.FromCSRGraph(g)
-	s.snap.Store(&snapState{g: g, version: 0, built: time.Now()})
 	s.recovered = true
-	return nil
+	return g, nil
 }
 
 // sweepStaleSnapshotTmp removes temp files a crash mid-Persist left next to
@@ -430,196 +404,13 @@ func sweepStaleSnapshotTmp(path string) {
 // Recovered reports whether New loaded an existing snapshot.
 func (s *Server) Recovered() bool { return s.recovered }
 
-// Version returns the current graph version (one tick per applied batch).
+// Version returns the visible graph version (one tick per applied batch;
+// see bundle.go for when it moves).
 func (s *Server) Version() int64 { return s.version.Load() }
 
-// Applied returns the number of updates applied since start.
+// Applied returns the number of updates applied since start, as far as
+// reads are guaranteed to see them.
 func (s *Server) Applied() int64 { return s.applied.Load() }
-
-// snapshot returns an immutable CSR view no older than the last applied
-// batch. Rebuilds are serialized and done at most once per version; while
-// the read lock is held no batch can apply, so the version recorded with
-// the snapshot is exact.
-func (s *Server) snapshot() *graph.Graph {
-	return s.snapshotState().g
-}
-
-// snapshotState is the snapshot core. In incremental mode a stale snapshot
-// is patched from the previous one when the delta log still covers the
-// window — only touched adjacency rows are rebuilt; the rest stay where the
-// previous version keeps them in the shared arc arena, or are bulk-copied
-// when the arena is full and a fresh one starts
-// (server_snapshot_patches_total); otherwise (and always in recompute mode)
-// dyngraph.Snapshot re-emits every row: one walk of the block chains and a
-// per-row sort, no global edge sort (server_snapshot_rebuilds_total).
-func (s *Server) snapshotState() *snapState {
-	if st := s.snap.Load(); st != nil && st.version == s.version.Load() {
-		s.m.snapAge.Set(time.Since(st.built).Seconds())
-		return st
-	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if st := s.snap.Load(); st != nil && st.version == s.version.Load() {
-		s.m.snapAge.Set(time.Since(st.built).Seconds())
-		return st
-	}
-	prev := s.snap.Load()
-	s.gmu.RLock()
-	v := s.version.Load()
-	var g *graph.Graph
-	patched := false
-	if prev != nil && s.deltas != nil {
-		if batches, ok := s.deltas.take(prev.version, v); ok {
-			g = s.dyn.SnapshotDelta(prev.g, incr.TouchedVertices(batches, s.cfg.Vertices))
-			patched = true
-		}
-	}
-	if g == nil {
-		g = s.dyn.Snapshot()
-	}
-	s.gmu.RUnlock()
-	st := &snapState{g: g, version: v, built: time.Now()}
-	s.snap.Store(st)
-	if patched {
-		s.m.snapPatches.Inc()
-	} else {
-		s.m.rebuilds.Inc()
-	}
-	s.m.snapAge.Set(0)
-	return st
-}
-
-// snapshotFor is snapshot with any CSR rebuild attributed to the request's
-// "snapshot" lifecycle stage; the common cached path records no stage.
-func (s *Server) snapshotFor(ctx context.Context) *graph.Graph {
-	g, _ := s.snapshotVersionedFor(ctx)
-	return g
-}
-
-// snapshotVersionedFor returns the served snapshot together with the exact
-// version it was built at, so kernel caches key on a (graph, version) pair
-// that cannot skew when a batch applies between reading the version counter
-// and materializing the view.
-func (s *Server) snapshotVersionedFor(ctx context.Context) (*graph.Graph, int64) {
-	if st := s.snap.Load(); st != nil && st.version == s.version.Load() {
-		s.m.snapAge.Set(time.Since(st.built).Seconds())
-		return st.g, st.version
-	}
-	end := traceFrom(ctx).stage("snapshot")
-	st := s.snapshotState()
-	end()
-	return st.g, st.version
-}
-
-// components returns the per-version cached WCC result (labels + component
-// sizes), computing it under ctx on a miss.
-func (s *Server) components(ctx context.Context, g *graph.Graph, version int64) (*ccState, error) {
-	if st := s.cc.Load(); st != nil && st.version == version {
-		s.cacheHit(ctx, "wcc")
-		return st, nil
-	}
-	s.ccMu.Lock()
-	defer s.ccMu.Unlock()
-	if st := s.cc.Load(); st != nil && st.version == version {
-		s.cacheHit(ctx, "wcc")
-		return st, nil
-	}
-	if s.cfg.Incremental && s.incrCC != nil {
-		if batches, ok := s.deltas.take(s.incrCC.Version(), version); ok {
-			ctx2, end := traceFrom(ctx).stageCtx(ctx, "kernel",
-				telemetry.L("kernel", "wcc"), telemetry.L("cache", "incremental"))
-			cc, err := s.incrCC.Advance(ctx2, g, version, batches)
-			end()
-			if err != nil {
-				return nil, err
-			}
-			s.m.ccAdvances.Inc()
-			st := &ccState{version: version, cc: cc, sizes: componentSizes(cc, g)}
-			s.cc.Store(st)
-			return st, nil
-		}
-		s.m.ccFallbacks.Inc()
-	}
-	s.m.ccRebuilds.Inc()
-	ctx, end := traceFrom(ctx).stageCtx(ctx, "kernel",
-		telemetry.L("kernel", "wcc"), telemetry.L("cache", "miss"))
-	cc, err := kernels.WCCCtx(ctx, g)
-	if err != nil {
-		end()
-		return nil, err
-	}
-	sizes := componentSizes(cc, g)
-	end()
-	if s.cfg.Incremental {
-		s.incrCC = incr.SeedWCC(cc, version)
-	}
-	st := &ccState{version: version, cc: cc, sizes: sizes}
-	s.cc.Store(st)
-	return st, nil
-}
-
-// componentSizes tallies members per canonical label.
-func componentSizes(cc *kernels.CCResult, g *graph.Graph) []int64 {
-	sizes := make([]int64, g.NumVertices())
-	for _, l := range cc.Label {
-		sizes[l]++
-	}
-	return sizes
-}
-
-// cacheHit publishes one per-version cache hit: the counter plus a root-span
-// attribute so traces show the request skipped the kernel.
-func (s *Server) cacheHit(ctx context.Context, kernel string) {
-	s.reg.Counter("server_cache_hit_total", telemetry.L("kernel", kernel)).Inc()
-	if rt := traceFrom(ctx); rt != nil {
-		rt.root.SetAttr("cache", "hit")
-	}
-}
-
-// pagerank returns the per-version cached PageRank vector, computing it
-// under ctx on a miss.
-func (s *Server) pagerank(ctx context.Context, g *graph.Graph, version int64) (*prState, error) {
-	if st := s.pr.Load(); st != nil && st.version == version {
-		s.cacheHit(ctx, "pagerank")
-		return st, nil
-	}
-	s.prMu.Lock()
-	defer s.prMu.Unlock()
-	if st := s.pr.Load(); st != nil && st.version == version {
-		s.cacheHit(ctx, "pagerank")
-		return st, nil
-	}
-	if s.cfg.Incremental && s.incrPR != nil {
-		if batches, ok := s.deltas.take(s.incrPR.Version(), version); ok {
-			ctx2, end := traceFrom(ctx).stageCtx(ctx, "kernel",
-				telemetry.L("kernel", "pagerank"), telemetry.L("cache", "incremental"))
-			rank, iters, err := s.incrPR.Advance(ctx2, g, version, batches)
-			end()
-			if err != nil {
-				return nil, err
-			}
-			s.m.prAdvances.Inc()
-			st := &prState{version: version, rank: rank, iters: iters}
-			s.pr.Store(st)
-			return st, nil
-		}
-		s.m.prFallbacks.Inc()
-	}
-	s.m.prRebuilds.Inc()
-	ctx, end := traceFrom(ctx).stageCtx(ctx, "kernel",
-		telemetry.L("kernel", "pagerank"), telemetry.L("cache", "miss"))
-	rank, iters, err := kernels.PageRankCtx(ctx, g, kernels.DefaultPageRankOptions())
-	end()
-	if err != nil {
-		return nil, err
-	}
-	if s.cfg.Incremental {
-		s.incrPR = incr.SeedPR(rank, g, kernels.DefaultPageRankOptions(), version)
-	}
-	st := &prState{version: version, rank: rank, iters: iters}
-	s.pr.Store(st)
-	return st, nil
-}
 
 // Persist writes the graph to Config.SnapshotPath via a temp file and
 // atomic rename, so a crash mid-write never leaves a torn snapshot. No-op
@@ -629,21 +420,25 @@ func (s *Server) pagerank(ctx context.Context, g *graph.Graph, version int64) (*
 // snapshot's arrays written raw, so recovery is O(read) instead of
 // O(parse). What is persisted is therefore the built CSR view — the same
 // graph every query answers from (self-loops, which the snapshot builder
-// drops, are not persisted). snapshotState brings the snapshot to the
-// current version first, taking the graph read lock only if a
-// rebuild/patch is actually needed.
+// drops, are not persisted). Persist pins the published bundle like a
+// reader, waiting for the writer's catch-up build when the bundle lags the
+// visible version, and releases it after writing.
 func (s *Server) Persist() error {
 	if s.cfg.SnapshotPath == "" {
 		return nil
 	}
 	start := time.Now()
-	st := s.snapshotState()
+	st, err := s.acquire(context.Background(), nil, partGraph)
+	if err != nil {
+		return fmt.Errorf("server: persist: %w", err)
+	}
+	defer st.unpin()
 	tmp := s.cfg.SnapshotPath + ".tmp." + strconv.Itoa(os.Getpid())
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("server: persist: %w", err)
 	}
-	err = snapfmt.Write(f, st.g)
+	err = snapfmt.Write(f, st.parts[partGraph].g)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -723,10 +518,11 @@ func (s *Server) persistLoop() {
 }
 
 // Shutdown drains and stops the server: new ingest is refused (503), the
-// queued updates are applied, the periodic persister stops, and a final
-// snapshot is written. Safe to call more than once; ctx bounds the drain
-// wait. The HTTP listener itself is the caller's to close (http.Server
-// Shutdown order: listener first, then this).
+// queued updates are applied and published, the writer (a later read that
+// needs a build answers 503) and the periodic persister stop, and a final
+// snapshot is written. Safe to call more than once; ctx bounds the wait.
+// The HTTP listener itself is the caller's to close (http.Server Shutdown
+// order: listener first, then this).
 func (s *Server) Shutdown(ctx context.Context) error {
 	start := time.Now()
 	s.draining.Store(true)
@@ -745,14 +541,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Stats is the /stats payload.
 type Stats struct {
-	Vertices        int32   `json:"vertices"`
-	Edges           int64   `json:"edges"`
-	Arcs            int64   `json:"arcs"`
-	Directed        bool    `json:"directed"`
-	Version         int64   `json:"version"`
-	Applied         int64   `json:"applied"`
-	QueueDepth      int     `json:"queue_depth"`
-	QueueCap        int     `json:"queue_cap"`
+	Vertices int32 `json:"vertices"`
+	Edges    int64 `json:"edges"`
+	Arcs     int64 `json:"arcs"`
+	Directed bool  `json:"directed"`
+	// Version and Applied are visible: a read that starts after they show
+	// N sees all N updates (doc.go says when they move).
+	Version    int64 `json:"version"`
+	Applied    int64 `json:"applied"`
+	QueueDepth int   `json:"queue_depth"`
+	QueueCap   int   `json:"queue_cap"`
+	// SnapshotVersion is the published bundle's, below Version while unread.
 	SnapshotVersion int64   `json:"snapshot_version"`
 	Recovered       bool    `json:"recovered"`
 	Draining        bool    `json:"draining"`
@@ -760,8 +559,8 @@ type Stats struct {
 	// Incremental reports whether edit-batch-driven incremental maintenance
 	// is enabled (Config.Incremental / graphd -incremental).
 	Incremental bool `json:"incremental"`
-	// PendingDeltaBatches is the number of applied batches retained in the
-	// delta log for incremental consumers (0 in recompute mode).
+	// PendingDeltaBatches is the number of applied batches in the delta log
+	// that no published bundle reflects yet (0 in recompute mode).
 	PendingDeltaBatches int `json:"pending_delta_batches"`
 	// PendingDeltaEdits is the total edits across the retained batches.
 	PendingDeltaEdits int `json:"pending_delta_edits"`
@@ -777,25 +576,17 @@ type Stats struct {
 
 // StatsNow assembles the current serving stats.
 func (s *Server) StatsNow() Stats {
-	s.gmu.RLock()
-	edges := s.dyn.NumEdges()
-	arcs := s.dyn.NumArcs()
-	s.gmu.RUnlock()
-	var sv int64 = -1
-	if st := s.snap.Load(); st != nil {
-		sv = st.version
-	}
-	pendingBatches, pendingEdits := s.deltas.stats()
+	pendingBatches, pendingEdits := s.deltas.Len()
 	return Stats{
 		Vertices:            s.cfg.Vertices,
-		Edges:               edges,
-		Arcs:                arcs,
+		Edges:               s.edges.Load(),
+		Arcs:                s.arcs.Load(),
 		Directed:            s.cfg.Directed,
 		Version:             s.version.Load(),
 		Applied:             s.applied.Load(),
 		QueueDepth:          len(s.queue),
 		QueueCap:            s.cfg.QueueCap,
-		SnapshotVersion:     sv,
+		SnapshotVersion:     s.cur.Load().version,
 		Recovered:           s.recovered,
 		Draining:            s.draining.Load(),
 		UptimeSeconds:       time.Since(s.started).Seconds(),

@@ -36,7 +36,8 @@ func (s *Server) ownsVertex(v int32) bool {
 }
 
 // runShardMeta answers the registration/health-poll op: the shard's cluster
-// position, graph shape, and current version.
+// position, graph shape, and visible version (it reads no bundle, so it
+// neither marks one read nor waits for a build).
 func (s *Server) runShardMeta(context.Context) (*wire.ShardMeta, error) {
 	return &wire.ShardMeta{
 		Index:    s.cfg.ShardIndex,
@@ -52,8 +53,11 @@ func (s *Server) runShardMeta(context.Context) (*wire.ShardMeta, error) {
 // order. The coordinator re-derives the vertex of each entry by enumerating
 // the same partition, so only the degree values travel.
 func (s *Server) runShardDegrees(ctx context.Context) (*wire.ShardDegreesResult, error) {
-	g, version := s.snapshotVersionedFor(ctx)
-	out := &wire.ShardDegreesResult{Version: version, Degrees: make([]int64, 0, s.ownedCount)}
+	p, err := s.read(ctx, partGraph)
+	if err != nil {
+		return nil, err
+	}
+	out := &wire.ShardDegreesResult{Version: p.version, Degrees: make([]int64, 0, s.ownedCount)}
 	sc, idx := s.shardCount(), s.cfg.ShardIndex
 	for v := int32(0); v < s.cfg.Vertices; v++ {
 		if v&(shardOpCheckEvery-1) == 0 {
@@ -62,24 +66,24 @@ func (s *Server) runShardDegrees(ctx context.Context) (*wire.ShardDegreesResult,
 			}
 		}
 		if cluster.Owner(v, sc) == idx {
-			out.Degrees = append(out.Degrees, int64(g.Degree(v)))
+			out.Degrees = append(out.Degrees, int64(p.g.Degree(v)))
 		}
 	}
 	return out, nil
 }
 
 // runShardWCC answers the shard's local connected-component labels, served
-// from the same per-version WCC cache as client component queries (and
+// from the same published WCC labels as client component queries (and
 // advanced incrementally under -incremental). Labels are canonical
 // min-member form, which is what lets the coordinator's union-find merge
-// reproduce single-process labels byte-identically.
+// reproduce single-process labels byte-identically. The result aliases the
+// bundle, which the request pins until it is encoded.
 func (s *Server) runShardWCC(ctx context.Context) (*wire.ShardWCCResult, error) {
-	g, version := s.snapshotVersionedFor(ctx)
-	st, err := s.components(ctx, g, version)
+	p, err := s.read(ctx, kernWCC)
 	if err != nil {
 		return nil, err
 	}
-	return &wire.ShardWCCResult{Version: version, Labels: st.cc.Label}, nil
+	return &wire.ShardWCCResult{Version: p.version, Labels: p.cc.Label}, nil
 }
 
 // runShardPRStep runs one PageRank superstep: push each owned vertex's
@@ -91,7 +95,10 @@ func (s *Server) runShardPRStep(ctx context.Context, rank []float64) (*wire.Shar
 	if int32(len(rank)) != s.cfg.Vertices {
 		return nil, badRequest("shard.prstep: rank vector has %d entries, want %d", len(rank), s.cfg.Vertices)
 	}
-	g, version := s.snapshotVersionedFor(ctx)
+	p, err := s.read(ctx, partGraph)
+	if err != nil {
+		return nil, err
+	}
 	contrib := make([]float64, s.cfg.Vertices)
 	sc, idx := s.shardCount(), s.cfg.ShardIndex
 	for u := int32(0); u < s.cfg.Vertices; u++ {
@@ -103,16 +110,16 @@ func (s *Server) runShardPRStep(ctx context.Context, rank []float64) (*wire.Shar
 		if cluster.Owner(u, sc) != idx {
 			continue
 		}
-		du := g.Degree(u)
+		du := p.g.Degree(u)
 		if du == 0 {
 			continue
 		}
 		w := rank[u] / float64(du)
-		for _, nb := range g.Neighbors(u) {
+		for _, nb := range p.g.Neighbors(u) {
 			contrib[nb] += w
 		}
 	}
-	return &wire.ShardPRStepResult{Version: version, Contrib: contrib}, nil
+	return &wire.ShardPRStepResult{Version: p.version, Contrib: contrib}, nil
 }
 
 // runShardAdj answers the complete adjacency lists of owned vertices — the
@@ -129,15 +136,18 @@ func (s *Server) runShardAdj(ctx context.Context, vertices []int32) (*wire.Shard
 			return nil, badRequest("shard.adj: shard %d does not own vertex %d", s.cfg.ShardIndex, v)
 		}
 	}
-	g, version := s.snapshotVersionedFor(ctx)
-	out := &wire.ShardAdjResult{Version: version, Lists: make([][]int32, len(vertices))}
+	p, err := s.read(ctx, partGraph)
+	if err != nil {
+		return nil, err
+	}
+	out := &wire.ShardAdjResult{Version: p.version, Lists: make([][]int32, len(vertices))}
 	for i, v := range vertices {
 		if i&(shardOpCheckEvery-1) == 0 {
 			if err := par.CtxErr(ctx); err != nil {
 				return nil, err
 			}
 		}
-		out.Lists[i] = g.Neighbors(v)
+		out.Lists[i] = p.g.Neighbors(v)
 	}
 	return out, nil
 }

@@ -46,6 +46,11 @@ type reqTrace struct {
 	start  time.Time
 	stages []stageDur
 	scr    *reqScratch // result storage, borrowed by scratch(), returned by finish
+
+	// pinned are the bundles the request reads until finish (see
+	// Server.read), in pinBuf's storage.
+	pinned []*bundle
+	pinBuf [2]*bundle
 }
 
 // traceFrom returns the request trace carried by ctx, or nil when the
@@ -97,7 +102,8 @@ func (rt *reqTrace) endStage(sp *telemetry.Span, name string, t0 time.Time) {
 // remainder of the wall time is observed as stage="other" (so the stage
 // family sums to wall time), the root span ends, and the request is offered
 // to the slow-query log. It also ends the life of the request's results:
-// the scratch they alias goes back to the pool, so callers encode first.
+// the scratch they alias goes back to the pool and the bundles they alias
+// are unpinned, so callers encode first.
 func (rt *reqTrace) finish(code int, wall time.Duration) {
 	if rt == nil {
 		return
@@ -107,6 +113,10 @@ func (rt *reqTrace) finish(code int, wall time.Duration) {
 		scr.verts, scr.scores, scr.pairs = scr.verts[:0], scr.scores[:0], scr.pairs[:0]
 		reqScratchPool.Put(scr)
 	}
+	for _, b := range rt.pinned {
+		b.unpin()
+	}
+	rt.pinned = rt.pinned[:0]
 	var attributed time.Duration
 	for _, st := range rt.stages {
 		attributed += time.Duration(st.DurNs)
@@ -144,6 +154,7 @@ func (s *Server) startTrace(ctx context.Context, echo func(traceparent string), 
 		echo(telemetry.TraceContext{TraceID: tc.TraceID, Parent: root.ID()}.Traceparent())
 	}
 	rt := &reqTrace{s: s, op: op, tc: tc, root: root, start: start}
+	rt.pinned = rt.pinBuf[:0]
 	ctx = context.WithValue(ctx, reqTraceKey{}, rt)
 	ctx = telemetry.ContextWithSpan(ctx, root)
 	return ctx, rt

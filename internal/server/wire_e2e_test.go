@@ -445,7 +445,7 @@ func TestFlatSnapshotRecovery(t *testing.T) {
 			after.Arcs, after.Edges, before.Arcs-1, before.Edges)
 	}
 	// The snapshot is pre-seeded: the first query must not rebuild.
-	got, err := s2.runComponent(context.Background(), 4)
+	got, err := s2.runComponent(direct(t, s2, context.Background()), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -132,9 +131,10 @@ type metric struct {
 // Registry is a set of named, labeled metrics plus an attached span tracer.
 // The zero value is not usable; create one with NewRegistry (or use the
 // process-wide Default). All methods are safe for concurrent use; Counter,
-// Gauge, and Histogram are get-or-create and return stable handles meant to
-// be looked up once at wiring time, not per operation. A nil *Registry is
-// legal everywhere and yields no-op instruments.
+// Gauge, and Histogram are get-or-create and return stable handles, best
+// looked up once at wiring time; a per-operation lookup that hits (at most
+// four labels) takes the registry mutex but allocates nothing. A nil
+// *Registry is legal everywhere and yields no-op instruments.
 type Registry struct {
 	noop bool
 
@@ -184,49 +184,57 @@ func (r *Registry) Tracer() *Tracer {
 	return r.tracer
 }
 
-// key builds the canonical identity string for name+labels; labels must
-// already be sorted.
-func key(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	var b strings.Builder
-	b.WriteString(name)
+// appendKey appends the canonical identity of name+labels to dst; labels
+// must already be sorted.
+func appendKey(dst []byte, name string, labels []Label) []byte {
+	dst = append(dst, name...)
 	for _, l := range labels {
-		b.WriteByte(0xff)
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
+		dst = append(dst, 0xff)
+		dst = append(dst, l.Key...)
+		dst = append(dst, '=')
+		dst = append(dst, l.Value...)
 	}
-	return b.String()
+	return dst
 }
 
-// sortLabels returns a copy of labels sorted by key.
-func sortLabels(labels []Label) []Label {
-	if len(labels) == 0 {
-		return nil
-	}
-	out := make([]Label, len(labels))
-	copy(out, labels)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
+// key is appendKey as a string.
+func key(name string, labels []Label) string { return string(appendKey(nil, name, labels)) }
+
+// maxInlineLabels is how many labels lookup sorts in a stack array; a hit
+// with at most this many allocates nothing.
+const maxInlineLabels = 4
 
 // lookup get-or-creates the metric for (name, labels, kind). It panics when
 // the same name+labels was previously registered with a different kind —
 // that is a programming error, not a runtime condition.
+//
+// Request paths resolve labeled handles per call, so a hit allocates
+// nothing: up to maxInlineLabels labels are insertion-sorted in a stack
+// array, the key is built in a stack buffer, and the map is indexed with
+// string(buf), which does not copy. Only a first registration allocates.
 func (r *Registry) lookup(name string, kind MetricKind, labels []Label) *metric {
-	ls := sortLabels(labels)
-	k := key(name, ls)
+	var inline [maxInlineLabels]Label
+	ls := inline[:0]
+	if len(labels) > len(inline) {
+		ls = make([]Label, 0, len(labels))
+	}
+	ls = append(ls, labels...)
+	for i := 1; i < len(ls); i++ { // insertion sort: stable, and labels are few
+		for j := i; j > 0 && ls[j].Key < ls[j-1].Key; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
+	}
+	var buf [128]byte
+	k := appendKey(buf[:0], name, ls)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byKey[k]; ok {
+	if m, ok := r.byKey[string(k)]; ok {
 		if m.kind != kind {
 			panic(fmt.Sprintf("telemetry: metric %q registered as %v, requested as %v", name, m.kind, kind))
 		}
 		return m
 	}
-	m := &metric{name: name, labels: ls, kind: kind}
+	m := &metric{name: name, labels: append([]Label(nil), ls...), kind: kind}
 	switch kind {
 	case KindCounter:
 		m.c = &Counter{}
@@ -235,7 +243,7 @@ func (r *Registry) lookup(name string, kind MetricKind, labels []Label) *metric 
 	case KindHistogram:
 		m.h = newHistogram()
 	}
-	r.byKey[k] = m
+	r.byKey[string(k)] = m
 	return m
 }
 
