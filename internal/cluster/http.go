@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/reqscratch"
 	"repro/internal/wire"
 )
 
@@ -61,11 +63,15 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 // query wraps one coordinator query endpoint: deadline resolution, the
-// handler codec, error-to-status mapping, and cluster_* metrics.
-func (c *Coordinator) query(op string, h func(ctx context.Context, r *http.Request) (any, error)) http.HandlerFunc {
+// handler codec, error-to-status mapping, and cluster_* metrics. h parses
+// its parameters from q, the query string parsed once per request, and
+// builds its answer in scr, the request's result scratch, which goes back
+// to the pool only once the answer is written.
+func (c *Coordinator) query(op string, h func(ctx context.Context, scr *reqscratch.Scratch, q url.Values) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		d, err := c.httpTimeout(r)
+		q := r.URL.Query()
+		d, err := c.httpTimeout(q)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			c.m.query(op, http.StatusBadRequest, start)
@@ -73,7 +79,9 @@ func (c *Coordinator) query(op string, h func(ctx context.Context, r *http.Reque
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), d)
 		defer cancel()
-		out, err := h(ctx, r)
+		scr := reqscratch.Get()
+		defer reqscratch.Put(scr)
+		out, err := h(ctx, scr, q)
 		if err != nil {
 			code := errToCode(err)
 			http.Error(w, err.Error(), code)
@@ -87,8 +95,8 @@ func (c *Coordinator) query(op string, h func(ctx context.Context, r *http.Reque
 
 // httpTimeout resolves ?timeout= exactly like a shard server: Go duration,
 // positive, clamped to MaxTimeout, defaulting to DefaultTimeout.
-func (c *Coordinator) httpTimeout(r *http.Request) (time.Duration, error) {
-	raw := r.URL.Query().Get("timeout")
+func (c *Coordinator) httpTimeout(q url.Values) (time.Duration, error) {
+	raw := q.Get("timeout")
 	if raw == "" {
 		return c.cfg.DefaultTimeout, nil
 	}
@@ -150,61 +158,61 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, code, rd)
 }
 
-func (c *Coordinator) handleJaccard(ctx context.Context, r *http.Request) (any, error) {
-	u, err := c.vertexParam(r, "u")
+func (c *Coordinator) handleJaccard(ctx context.Context, scr *reqscratch.Scratch, q url.Values) (any, error) {
+	u, err := c.vertexParam(q, "u")
 	if err != nil {
 		return nil, err
 	}
 	threshold := 0.0
-	if raw := r.URL.Query().Get("threshold"); raw != "" {
+	if raw := q.Get("threshold"); raw != "" {
 		threshold, err = strconv.ParseFloat(raw, 64)
 		if err != nil {
 			return nil, badRequestf("bad threshold %q", raw)
 		}
 	}
-	return c.Jaccard(ctx, u, threshold)
+	return c.jaccardIn(ctx, scr, u, threshold)
 }
 
-func (c *Coordinator) handleKHop(ctx context.Context, r *http.Request) (any, error) {
-	seeds, err := c.seedsParam(r)
+func (c *Coordinator) handleKHop(ctx context.Context, scr *reqscratch.Scratch, q url.Values) (any, error) {
+	seeds, err := c.seedsParam(q)
 	if err != nil {
 		return nil, err
 	}
 	k := int64(1)
-	if raw := r.URL.Query().Get("k"); raw != "" {
+	if raw := q.Get("k"); raw != "" {
 		k, err = strconv.ParseInt(raw, 10, 32)
 		if err != nil || k < 0 {
 			return nil, badRequestf("bad k %q", raw)
 		}
 	}
-	return c.KHop(ctx, seeds, int32(k))
+	return c.khopIn(ctx, scr, seeds, int32(k))
 }
 
-func (c *Coordinator) handleTopDegree(ctx context.Context, r *http.Request) (any, error) {
-	k, err := c.kParam(r, 10)
+func (c *Coordinator) handleTopDegree(ctx context.Context, _ *reqscratch.Scratch, q url.Values) (any, error) {
+	k, err := c.kParam(q, 10)
 	if err != nil {
 		return nil, err
 	}
 	return c.TopDegree(ctx, int32(k))
 }
 
-func (c *Coordinator) handleComponent(ctx context.Context, r *http.Request) (any, error) {
-	v, err := c.vertexParam(r, "v")
+func (c *Coordinator) handleComponent(ctx context.Context, _ *reqscratch.Scratch, q url.Values) (any, error) {
+	v, err := c.vertexParam(q, "v")
 	if err != nil {
 		return nil, err
 	}
 	return c.Component(ctx, v)
 }
 
-func (c *Coordinator) handlePageRank(ctx context.Context, r *http.Request) (any, error) {
-	if raw := r.URL.Query().Get("v"); raw != "" {
-		v, err := c.vertexParam(r, "v")
+func (c *Coordinator) handlePageRank(ctx context.Context, _ *reqscratch.Scratch, q url.Values) (any, error) {
+	if raw := q.Get("v"); raw != "" {
+		v, err := c.vertexParam(q, "v")
 		if err != nil {
 			return nil, err
 		}
 		return c.PageRankVertex(ctx, v)
 	}
-	k, err := c.kParam(r, 10)
+	k, err := c.kParam(q, 10)
 	if err != nil {
 		return nil, err
 	}
@@ -212,8 +220,8 @@ func (c *Coordinator) handlePageRank(ctx context.Context, r *http.Request) (any,
 }
 
 // vertexParam parses a required in-range vertex id query parameter.
-func (c *Coordinator) vertexParam(r *http.Request, name string) (int32, error) {
-	raw := r.URL.Query().Get(name)
+func (c *Coordinator) vertexParam(q url.Values, name string) (int32, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return 0, badRequestf("missing required parameter %q", name)
 	}
@@ -228,8 +236,8 @@ func (c *Coordinator) vertexParam(r *http.Request, name string) (int32, error) {
 }
 
 // seedsParam parses ?v= (single) or ?seeds=a,b,c (list) for k-hop queries.
-func (c *Coordinator) seedsParam(r *http.Request) ([]int32, error) {
-	if raw := r.URL.Query().Get("seeds"); raw != "" {
+func (c *Coordinator) seedsParam(q url.Values) ([]int32, error) {
+	if raw := q.Get("seeds"); raw != "" {
 		parts := strings.Split(raw, ",")
 		seeds := make([]int32, 0, len(parts))
 		for _, p := range parts {
@@ -241,7 +249,7 @@ func (c *Coordinator) seedsParam(r *http.Request) ([]int32, error) {
 		}
 		return seeds, nil
 	}
-	v, err := c.vertexParam(r, "v")
+	v, err := c.vertexParam(q, "v")
 	if err != nil {
 		return nil, err
 	}
@@ -249,8 +257,8 @@ func (c *Coordinator) seedsParam(r *http.Request) ([]int32, error) {
 }
 
 // kParam parses the optional ?k= result-count parameter.
-func (c *Coordinator) kParam(r *http.Request, def int) (int, error) {
-	raw := r.URL.Query().Get("k")
+func (c *Coordinator) kParam(q url.Values, def int) (int, error) {
+	raw := q.Get("k")
 	if raw == "" {
 		return def, nil
 	}

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/kernels"
+	"repro/internal/reqscratch"
 	"repro/internal/wire"
 )
 
@@ -39,8 +41,20 @@ func (c *Coordinator) Component(ctx context.Context, v int32) (*wire.ComponentRe
 
 // KHop answers the k-hop neighborhood query by distributed frontier
 // expansion, byte-identical to the single-process kernel (same BFS
-// discovery order).
+// discovery order). The result is the caller's.
 func (c *Coordinator) KHop(ctx context.Context, seeds []int32, k int32) (*wire.KHopResult, error) {
+	scr := reqscratch.Get()
+	defer reqscratch.Put(scr)
+	res, err := c.khopIn(ctx, scr, seeds, k)
+	if err != nil {
+		return nil, err
+	}
+	res.Vertices = slices.Clone(res.Vertices)
+	return res, nil
+}
+
+// khopIn is KHop with the answer built in scr, which it aliases.
+func (c *Coordinator) khopIn(ctx context.Context, scr *reqscratch.Scratch, seeds []int32, k int32) (*wire.KHopResult, error) {
 	if len(seeds) == 0 {
 		return nil, badRequestf("khop: at least one seed required")
 	}
@@ -52,7 +66,7 @@ func (c *Coordinator) KHop(ctx context.Context, seeds []int32, k int32) (*wire.K
 			return nil, err
 		}
 	}
-	order, err := c.khop(ctx, seeds, k)
+	order, err := c.khop(ctx, scr, seeds, k)
 	if err != nil {
 		return nil, err
 	}
@@ -80,15 +94,28 @@ func (c *Coordinator) TopDegree(ctx context.Context, k int32) (*wire.TopDegreeRe
 }
 
 // Jaccard answers the neighborhood-similarity query for u by adjacency
-// scatter-gather, byte-identical to the single-process kernel.
+// scatter-gather, byte-identical to the single-process kernel. The result
+// is the caller's.
 func (c *Coordinator) Jaccard(ctx context.Context, u int32, threshold float64) (*wire.JaccardResult, error) {
+	scr := reqscratch.Get()
+	defer reqscratch.Put(scr)
+	res, err := c.jaccardIn(ctx, scr, u, threshold)
+	if err != nil {
+		return nil, err
+	}
+	res.Results = slices.Clone(res.Results)
+	return res, nil
+}
+
+// jaccardIn is Jaccard with the answer built in scr, which it aliases.
+func (c *Coordinator) jaccardIn(ctx context.Context, scr *reqscratch.Scratch, u int32, threshold float64) (*wire.JaccardResult, error) {
 	if err := c.checkVertex(u); err != nil {
 		return nil, err
 	}
 	if threshold < 0 || threshold > 1 {
 		return nil, badRequestf("jaccard: threshold %g out of [0, 1]", threshold)
 	}
-	pairs, err := c.jaccard(ctx, u, threshold)
+	pairs, err := c.jaccard(ctx, scr, u, threshold)
 	if err != nil {
 		return nil, err
 	}

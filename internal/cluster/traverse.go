@@ -5,43 +5,42 @@ import (
 	"slices"
 
 	"repro/internal/kernels"
+	"repro/internal/reqscratch"
 	"repro/internal/wire"
 )
 
 // Per-request traversals: khop and jaccard touch a neighbourhood, not the
 // graph, so unlike the BSP gathers in bsp.go they run on every request, on
-// the kernels' own pooled scratch, and cache nothing.
+// the kernels' own pooled scratch and the request's result scratch, and
+// cache nothing. Results alias scr until the caller puts it back (see
+// internal/reqscratch): the HTTP wrapper does so after encoding, and the
+// exported Go methods copy the answer out first.
 
-// adjacency fetches the complete neighbor lists of the given vertices,
-// grouped by owner, one shard.adj exchange per involved shard, results
-// reassembled into the callers' original order. The returned slices alias
-// shard response buffers and must be treated as immutable.
-func (c *Coordinator) adjacency(ctx context.Context, vertices []int32) ([][]int32, error) {
-	shards := len(c.shards)
-	to := wireTimeout(ctx)
-	perShard := make([][]int32, shards)
-	perShardPos := make([][]int, shards)
+// adjacency fetches the complete neighbor lists of vertices, one shard.adj
+// exchange per shard that owns any of them, and returns them in the order
+// of vertices. Each shard answers into its own flat buffers in scr, and the
+// lists returned alias them: they live until the next exchange on scr.
+// vertices may alias the previous exchange's answer; it is read in full
+// before any shard is asked.
+func (c *Coordinator) adjacency(ctx context.Context, scr *reqscratch.Scratch, vertices []int32) ([][]int32, error) {
+	adj := scr.AdjFor(len(c.shards))
 	for i, v := range vertices {
-		o := Owner(v, shards)
-		perShard[o] = append(perShard[o], v)
-		perShardPos[o] = append(perShardPos[o], i)
+		a := &adj[Owner(v, len(adj))]
+		a.Want = append(a.Want, v)
+		a.Pos = append(a.Pos, i)
 	}
-	out := make([][]int32, len(vertices))
+	to := wireTimeout(ctx)
 	err := c.fanOut(func(sc *shardConn) error {
-		want := perShard[sc.index]
-		if len(want) == 0 {
+		a := &adj[sc.index]
+		if len(a.Want) == 0 {
 			return nil
 		}
 		return sc.call(func(cl *wire.Client) error {
-			res, err := cl.ShardAdj(want, to)
-			if err != nil {
+			if err := cl.ShardAdj(a.Want, to, &a.ShardAdjResult); err != nil {
 				return err
 			}
-			if len(res.Lists) != len(want) {
-				return badRequestf("shard %d returned %d adjacency lists, want %d", sc.index, len(res.Lists), len(want))
-			}
-			for j, pos := range perShardPos[sc.index] {
-				out[pos] = res.Lists[j]
+			if a.Len() != len(a.Want) {
+				return badRequestf("shard %d returned %d adjacency lists, want %d", sc.index, a.Len(), len(a.Want))
 			}
 			return nil
 		})
@@ -49,15 +48,22 @@ func (c *Coordinator) adjacency(ctx context.Context, vertices []int32) ([][]int3
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	lists := slices.Grow(scr.Lists[:0], len(vertices))[:len(vertices)]
+	for i := range adj {
+		for j, pos := range adj[i].Pos {
+			lists[pos] = adj[i].List(j)
+		}
+	}
+	scr.Lists = lists
+	return lists, nil
 }
 
 // khop replays kernels.AppendKHopNeighborhoodCtx level by level on the same
 // pooled visited set, whose first-touch list is the BFS discovery order: for
 // each level fetch the frontier's adjacency (one exchange per owning shard)
 // and expand the frontier in its original order, so the result bytes match
-// the single-process kernel exactly.
-func (c *Coordinator) khop(ctx context.Context, seeds []int32, k int32) ([]int32, error) {
+// the single-process kernel exactly. The order is appended to scr.Verts.
+func (c *Coordinator) khop(ctx context.Context, scr *reqscratch.Scratch, seeds []int32, k int32) ([]int32, error) {
 	seen := kernels.BorrowVertexCounts(c.cfg.Vertices)
 	defer kernels.ReturnVertexCounts(seen)
 	for _, s := range seeds {
@@ -65,7 +71,7 @@ func (c *Coordinator) khop(ctx context.Context, seeds []int32, k int32) ([]int32
 	}
 	lo := 0
 	for d := int32(1); d <= k && lo < seen.Len(); d++ {
-		lists, err := c.adjacency(ctx, seen.Touched()[lo:])
+		lists, err := c.adjacency(ctx, scr, seen.Touched()[lo:])
 		if err != nil {
 			return nil, err
 		}
@@ -76,28 +82,31 @@ func (c *Coordinator) khop(ctx context.Context, seeds []int32, k int32) ([]int32
 			}
 		}
 	}
-	return slices.Clone(seen.Touched()), nil
+	base := len(scr.Verts)
+	scr.Verts = append(scr.Verts, seen.Touched()...)
+	return scr.Verts[base:], nil
 }
 
 // jaccard replays kernels.AppendJaccardFromVertexCtx by scatter-gathering
 // two adjacency waves (u's neighbors, then their neighbors) into the same
 // pooled accumulator and handing it to the kernel's own score-and-rank
 // routine with the global degree vector, so the order of the answer is the
-// kernel's by construction.
-func (c *Coordinator) jaccard(ctx context.Context, u int32, threshold float64) ([]wire.JaccardPair, error) {
-	adjU, err := c.adjacency(ctx, []int32{u})
+// kernel's by construction. The pairs are appended to scr.Pairs.
+func (c *Coordinator) jaccard(ctx context.Context, scr *reqscratch.Scratch, u int32, threshold float64) ([]wire.JaccardPair, error) {
+	adjU, err := c.adjacency(ctx, scr, []int32{u})
 	if err != nil {
 		return nil, err
 	}
 	nu := adjU[0]
+	base := len(scr.Pairs)
 	if len(nu) == 0 {
-		return nil, nil
+		return scr.Pairs[base:], nil
 	}
 	deg, _, err := c.degrees(ctx)
 	if err != nil {
 		return nil, err
 	}
-	lists, err := c.adjacency(ctx, nu)
+	lists, err := c.adjacency(ctx, scr, nu)
 	if err != nil {
 		return nil, err
 	}
@@ -111,10 +120,10 @@ func (c *Coordinator) jaccard(ctx context.Context, u int32, threshold float64) (
 		}
 	}
 	degree := func(v int32) int32 { return int32(deg.scores[v]) }
-	scores := kernels.AppendJaccardRanked(nil, common, u, degree, threshold)
-	pairs := make([]wire.JaccardPair, len(scores))
-	for i, sc := range scores {
-		pairs[i] = wire.JaccardPair{V: sc.V, Score: sc.Score, Inter: sc.Inter}
+	scr.Scores = kernels.AppendJaccardRanked(scr.Scores[:0], common, u, degree, threshold)
+	scr.Pairs = slices.Grow(scr.Pairs, len(scr.Scores))
+	for _, sc := range scr.Scores {
+		scr.Pairs = append(scr.Pairs, wire.JaccardPair{V: sc.V, Score: sc.Score, Inter: sc.Inter})
 	}
-	return pairs, nil
+	return scr.Pairs[base:], nil
 }

@@ -23,6 +23,7 @@ func TestServerExportedDocs(t *testing.T) {
 		filepath.Join("..", "wire"),
 		filepath.Join("..", "wire", "snapfmt"),
 		filepath.Join("..", "cluster"),
+		filepath.Join("..", "reqscratch"),
 	}
 	findings, err := MissingDocs(dirs)
 	if err != nil {

@@ -1,9 +1,10 @@
 // Package lint holds repo-specific static checks that gofmt/vet cannot
 // express. The only check so far guards the flat-accumulator migration:
 // hot-path packages (internal/kernels, internal/matrix, and the serving
-// layers internal/server and internal/cluster) must not allocate
-// map-based accumulators — counting and merging go through scratch.SPA /
-// scratch.Map64, which reset in O(touched) and reuse their backing arrays.
+// layers internal/server, internal/cluster and internal/reqscratch) must
+// not allocate map-based accumulators — counting and merging go through
+// scratch.SPA / scratch.Map64, which reset in O(touched) and reuse their
+// backing arrays.
 // A plain `make(map[...])` in those packages is almost always a performance
 // regression sneaking back in, so it fails CI unless the file is explicitly
 // allowlisted (cold-path kernels where a map is the honest data structure).

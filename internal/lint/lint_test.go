@@ -32,6 +32,7 @@ func TestHotPathsHaveNoMapAccumulators(t *testing.T) {
 		filepath.Join("..", "matrix"),
 		filepath.Join("..", "server"),
 		filepath.Join("..", "cluster"),
+		filepath.Join("..", "reqscratch"),
 	}
 	findings, err := NoMapAccumulators(dirs, hotPathAllow)
 	if err != nil {

@@ -1,11 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -264,6 +269,55 @@ func TestClusterDifferential(t *testing.T) {
 							if got.Results[i] != want.Results[i] {
 								t.Fatalf("jaccard(%d,%g)[%d]: cluster %+v != solo %+v", u, th, i, got.Results[i], want.Results[i])
 							}
+						}
+					}
+				}
+			})
+
+			// Through the handler, khop and jaccard are built in request
+			// scratch that goes back to the pool once the JSON is written:
+			// the bytes must be standalone graphd's, and decode to the Go
+			// API's answer.
+			t.Run("http", func(t *testing.T) {
+				h := coord.Handler()
+				// get returns the coordinator's body for path after checking
+				// it byte for byte against solo's.
+				get := func(path string) []byte {
+					t.Helper()
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+					code, want := getRaw(t, ts.URL, path)
+					if rec.Code != http.StatusOK || code != http.StatusOK {
+						t.Fatalf("GET %s: cluster %d, solo %d", path, rec.Code, code)
+					}
+					if !bytes.Equal(rec.Body.Bytes(), want) {
+						t.Fatalf("GET %s: cluster %s != solo %s", path, rec.Body, want)
+					}
+					return rec.Body.Bytes()
+				}
+				for _, q := range []string{"v=0&k=1", "v=0&k=3", "seeds=1,5,9&k=2", "seeds=3,3,7&k=1", fmt.Sprintf("v=%d&k=4", vertices-10), fmt.Sprintf("v=%d", vertices-1)} {
+					var got wire.KHopResult
+					if err := json.Unmarshal(get("/query/khop?"+q), &got); err != nil {
+						t.Fatal(err)
+					}
+					api, err := coord.KHop(ctx, got.Seeds, got.K)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mustEqual(t, "khop over HTTP vs Go API", got, *api)
+				}
+				for _, u := range []int32{0, 1, 7, 33, vertices - 10, vertices - 1} {
+					for _, th := range []float64{0, 0.2} {
+						var got wire.JaccardResult
+						if err := json.Unmarshal(get(fmt.Sprintf("/query/jaccard?u=%d&threshold=%g", u, th)), &got); err != nil {
+							t.Fatal(err)
+						}
+						api, err := coord.Jaccard(ctx, u, th)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.U != u || !slices.Equal(got.Results, api.Results) {
+							t.Fatalf("jaccard(%d,%g) over HTTP %+v, Go API %+v", u, th, got, *api)
 						}
 					}
 				}

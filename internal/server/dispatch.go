@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/kernels"
-	"repro/internal/scratch"
+	"repro/internal/reqscratch"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -104,27 +104,12 @@ func (s *Server) checkVertex(v int32) error {
 	return nil
 }
 
-// reqScratch is one request's result storage: khop orders and jaccard pairs
-// are appended here instead of allocated, so a batch's sub-results sit back
-// to back (growth re-allocates; sub-slices handed out earlier keep the old
-// array). Ownership rule: a result aliases the scratch until reqTrace.finish
-// returns it to the pool, which both transports call after encoding —
-// nothing may keep a result past that.
-type reqScratch struct {
-	verts  []int32
-	scores []kernels.JaccardPairScore // kernel output of the jaccard in progress
-	pairs  []wire.JaccardPair
-}
-
-// The buffers start non-nil so an empty result still encodes as [] in JSON.
-var reqScratchPool = scratch.NewPool(func() *reqScratch {
-	return &reqScratch{verts: make([]int32, 0, 1024), pairs: make([]wire.JaccardPair, 0, 256)}
-})
-
 // scratch returns the request's result storage, borrowing it on first use.
-func (rt *reqTrace) scratch() *reqScratch {
+// Results built in it alias it until reqTrace.finish puts it back, which
+// both transports call after encoding (see internal/reqscratch).
+func (rt *reqTrace) scratch() *reqscratch.Scratch {
 	if rt.scr == nil {
-		rt.scr = reqScratchPool.Get()
+		rt.scr = reqscratch.Get()
 	}
 	return rt.scr
 }
@@ -140,18 +125,18 @@ func (s *Server) runJaccard(ctx context.Context, u int32, threshold float64) (*w
 	}
 	scr := traceFrom(ctx).scratch()
 	ctx, end := traceFrom(ctx).stageCtx(ctx, "kernel", telemetry.L("kernel", "jaccard"))
-	scores, err := kernels.AppendJaccardFromVertexCtx(ctx, scr.scores[:0], p.g, u, threshold)
+	scores, err := kernels.AppendJaccardFromVertexCtx(ctx, scr.Scores[:0], p.g, u, threshold)
 	end()
 	if err != nil {
 		return nil, err
 	}
-	scr.scores = scores
-	base := len(scr.pairs)
-	scr.pairs = slices.Grow(scr.pairs, len(scores))
+	scr.Scores = scores
+	base := len(scr.Pairs)
+	scr.Pairs = slices.Grow(scr.Pairs, len(scores))
 	for _, sc := range scores {
-		scr.pairs = append(scr.pairs, wire.JaccardPair{V: sc.V, Score: sc.Score, Inter: sc.Inter})
+		scr.Pairs = append(scr.Pairs, wire.JaccardPair{V: sc.V, Score: sc.Score, Inter: sc.Inter})
 	}
-	return &wire.JaccardResult{U: u, Results: scr.pairs[base:]}, nil
+	return &wire.JaccardResult{U: u, Results: scr.Pairs[base:]}, nil
 }
 
 // runKHop answers a khop query from the published snapshot.
@@ -172,14 +157,14 @@ func (s *Server) runKHop(ctx context.Context, seeds []int32, k int32) (*wire.KHo
 		return nil, err
 	}
 	scr := traceFrom(ctx).scratch()
-	base := len(scr.verts)
+	base := len(scr.Verts)
 	ctx, end := traceFrom(ctx).stageCtx(ctx, "kernel", telemetry.L("kernel", "khop"))
-	verts, err := kernels.AppendKHopNeighborhoodCtx(ctx, scr.verts, p.g, seeds, k)
+	verts, err := kernels.AppendKHopNeighborhoodCtx(ctx, scr.Verts, p.g, seeds, k)
 	end()
 	if err != nil {
 		return nil, err
 	}
-	scr.verts = verts
+	scr.Verts = verts
 	return &wire.KHopResult{Seeds: seeds, K: k, Count: len(verts) - base, Vertices: verts[base:]}, nil
 }
 

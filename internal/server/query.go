@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -64,12 +65,14 @@ func badRequest(format string, args ...any) error {
 // slow-query capture), metrics, and the shared dispatch core (admission,
 // error-to-status mapping; see dispatch.go) that the wire protocol also
 // runs through. The handler h is only the HTTP codec: it parses request
-// parameters and delegates to a run* query body.
-func (s *Server) query(op string, h func(ctx context.Context, r *http.Request) (any, error)) http.HandlerFunc {
+// parameters from q, the query string parsed once per request, and
+// delegates to a run* query body.
+func (s *Server) query(op string, h func(ctx context.Context, r *http.Request, q url.Values) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 
-		d, err := s.requestTimeout(r)
+		q := r.URL.Query()
+		d, err := s.requestTimeout(q)
 		if err != nil {
 			code := http.StatusBadRequest
 			http.Error(w, err.Error(), code)
@@ -89,7 +92,7 @@ func (s *Server) query(op string, h func(ctx context.Context, r *http.Request) (
 		}
 
 		out, code, err := s.dispatch(ctx, rt, op, start, func(ctx context.Context) (any, error) {
-			return h(ctx, r)
+			return h(ctx, r, q)
 		})
 		if err != nil {
 			http.Error(w, err.Error(), code)
@@ -106,8 +109,8 @@ func (s *Server) query(op string, h func(ctx context.Context, r *http.Request) (
 
 // requestTimeout resolves the query deadline: ?timeout= (Go duration),
 // clamped to Config.MaxTimeout, defaulting to Config.DefaultTimeout.
-func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
-	raw := r.URL.Query().Get("timeout")
+func (s *Server) requestTimeout(q url.Values) (time.Duration, error) {
+	raw := q.Get("timeout")
 	if raw == "" {
 		return s.cfg.DefaultTimeout, nil
 	}
@@ -195,32 +198,32 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // handleQuery answers GET /query/<op>: the URL's parameters become the
 // wire.Request a wire session would decode, with HTTP's defaults (khop k=1,
 // top-k 10), run through the same wireRun.
-func (s *Server) handleQuery(op byte) func(context.Context, *http.Request) (any, error) {
-	return func(ctx context.Context, r *http.Request) (any, error) {
+func (s *Server) handleQuery(op byte) func(context.Context, *http.Request, url.Values) (any, error) {
+	return func(ctx context.Context, _ *http.Request, q url.Values) (any, error) {
 		req := wire.Request{Op: op}
 		var err error
 		switch op {
 		case wire.OpJaccard:
-			req.U, err = s.vertexParam(r, "u")
-			if raw := r.URL.Query().Get("threshold"); err == nil && raw != "" {
+			req.U, err = s.vertexParam(q, "u")
+			if raw := q.Get("threshold"); err == nil && raw != "" {
 				if req.Threshold, err = strconv.ParseFloat(raw, 64); err != nil {
 					err = badRequest("bad threshold %q", raw)
 				}
 			}
 		case wire.OpKHop:
-			if req.Seeds, err = s.seedsParam(r); err == nil {
-				req.K, err = kParam(r, 1, 0)
+			if req.Seeds, err = s.seedsParam(q); err == nil {
+				req.K, err = kParam(q, 1, 0)
 			}
 		case wire.OpComponent:
-			req.V, err = s.vertexParam(r, "v")
+			req.V, err = s.vertexParam(q, "v")
 		case wire.OpPageRank:
-			if req.HasV = r.URL.Query().Get("v") != ""; req.HasV {
-				req.V, err = s.vertexParam(r, "v")
+			if req.HasV = q.Get("v") != ""; req.HasV {
+				req.V, err = s.vertexParam(q, "v")
 				break
 			}
 			fallthrough
 		case wire.OpTopDegree:
-			req.K, err = kParam(r, 10, 1)
+			req.K, err = kParam(q, 10, 1)
 		}
 		if err != nil {
 			return nil, err
@@ -305,7 +308,7 @@ func (s *Server) batchSubFor(q batchQuerySpec) batchSub {
 // admission slot, one deadline, and one trace. The envelope is 200 as long
 // as it parses; each item carries its own HTTP-equivalent status. Ingest is
 // not batchable — it has its own queue-backed endpoint.
-func (s *Server) handleBatch(ctx context.Context, r *http.Request) (any, error) {
+func (s *Server) handleBatch(ctx context.Context, r *http.Request, _ url.Values) (any, error) {
 	if r.Method != http.MethodPost {
 		return nil, &httpError{code: http.StatusMethodNotAllowed, msg: "POST only"}
 	}
@@ -334,8 +337,8 @@ func (s *Server) handleBatch(ctx context.Context, r *http.Request) (any, error) 
 }
 
 // vertexParam parses a required in-range vertex id query parameter.
-func (s *Server) vertexParam(r *http.Request, name string) (int32, error) {
-	raw := r.URL.Query().Get(name)
+func (s *Server) vertexParam(q url.Values, name string) (int32, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return 0, badRequest("missing required parameter %q", name)
 	}
@@ -350,8 +353,8 @@ func (s *Server) vertexParam(r *http.Request, name string) (int32, error) {
 }
 
 // seedsParam parses ?v= (single) or ?seeds=a,b,c (list) for k-hop queries.
-func (s *Server) seedsParam(r *http.Request) ([]int32, error) {
-	if raw := r.URL.Query().Get("seeds"); raw != "" {
+func (s *Server) seedsParam(q url.Values) ([]int32, error) {
+	if raw := q.Get("seeds"); raw != "" {
 		parts := strings.Split(raw, ",")
 		seeds := make([]int32, 0, len(parts))
 		for _, p := range parts {
@@ -363,7 +366,7 @@ func (s *Server) seedsParam(r *http.Request) ([]int32, error) {
 		}
 		return seeds, nil
 	}
-	v, err := s.vertexParam(r, "v")
+	v, err := s.vertexParam(q, "v")
 	if err != nil {
 		return nil, err
 	}
@@ -372,8 +375,8 @@ func (s *Server) seedsParam(r *http.Request) ([]int32, error) {
 
 // kParam parses the optional ?k= parameter, a result count or khop's depth:
 // def when absent, an error below lo.
-func kParam(r *http.Request, def, lo int32) (int32, error) {
-	raw := r.URL.Query().Get("k")
+func kParam(q url.Values, def, lo int32) (int32, error) {
+	raw := q.Get("k")
 	if raw == "" {
 		return def, nil
 	}

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -13,10 +15,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dyngraph"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kernels"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -77,6 +81,57 @@ func wantPairs(g *graph.Graph, u int32) []wire.JaccardPair {
 	return out
 }
 
+// traversalOracle holds the sequential kernels' khop (k=2) and jaccard
+// answers for every vertex of a graph.
+type traversalOracle struct {
+	hops  [][]int32
+	pairs [][]wire.JaccardPair
+}
+
+func newTraversalOracle(g *graph.Graph) *traversalOracle {
+	n := g.NumVertices()
+	o := &traversalOracle{hops: make([][]int32, n), pairs: make([][]wire.JaccardPair, n)}
+	for v := int32(0); v < n; v++ {
+		o.hops[v] = kernels.KHopNeighborhood(g, []int32{v}, 2)
+		o.pairs[v] = wantPairs(g, v)
+	}
+	return o
+}
+
+// checkHop compares a khop(v, 2) answer with the kernel's.
+func (o *traversalOracle) checkHop(what string, v int32, got *wire.KHopResult) error {
+	if got.Count != len(o.hops[v]) || !slices.Equal(got.Vertices, o.hops[v]) {
+		return fmt.Errorf("%s khop(%d): %d vertices, kernel has %d, or the order differs", what, v, len(got.Vertices), len(o.hops[v]))
+	}
+	return nil
+}
+
+// checkPairs compares a jaccard(u) answer with the kernel's.
+func (o *traversalOracle) checkPairs(what string, u int32, got *wire.JaccardResult) error {
+	if got.U != u || !slices.Equal(got.Results, o.pairs[u]) {
+		return fmt.Errorf("%s jaccard(%d): %d pairs, kernel has %d, or they differ", what, u, len(got.Results), len(o.pairs[u]))
+	}
+	return nil
+}
+
+// fetchJSON GETs url (POSTs body when there is one) and decodes a 200 into
+// out; it returns errors, since hammers run it off the test's goroutine.
+func fetchJSON(url string, body []byte, out any) error {
+	get := func() (*http.Response, error) { return http.Get(url) }
+	if body != nil {
+		get = func() (*http.Response, error) { return http.Post(url, "application/json", bytes.NewReader(body)) }
+	}
+	resp, err := get()
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: status %d", url, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
 // TestRequestScratchHammer: results alias pooled per-request buffers until
 // the response is encoded, so concurrent requests over both transports —
 // single traversals and batches whose sub-results share one buffer, which
@@ -85,44 +140,9 @@ func wantPairs(g *graph.Graph, u int32) []wire.JaccardPair {
 func TestRequestScratchHammer(t *testing.T) {
 	const vertices, workers, rounds = 1 << 10, 8, 200
 	s, ts := startServer(t, testConfig(vertices))
-	g := loadRMAT(t, s, 10)
-	hops := make([][]int32, vertices)
-	pairs := make([][]wire.JaccardPair, vertices)
-	for v := int32(0); v < vertices; v++ {
-		hops[v] = kernels.KHopNeighborhood(g, []int32{v}, 2)
-		pairs[v] = wantPairs(g, v)
-	}
-	checkHop := func(what string, v int32, got *wire.KHopResult) error {
-		if got.Count != len(hops[v]) || !slices.Equal(got.Vertices, hops[v]) {
-			return fmt.Errorf("%s khop(%d): %d vertices, kernel has %d, or the order differs", what, v, len(got.Vertices), len(hops[v]))
-		}
-		return nil
-	}
-	checkPairs := func(what string, u int32, got *wire.JaccardResult) error {
-		if got.U != u || !slices.Equal(got.Results, pairs[u]) {
-			return fmt.Errorf("%s jaccard(%d): %d pairs, kernel has %d, or they differ", what, u, len(got.Results), len(pairs[u]))
-		}
-		return nil
-	}
-	// fetch GETs path (POSTs body when there is one) and decodes a 200 into
-	// out; it returns errors, since it runs off the test's own goroutine.
-	fetch := func(path string, body []byte, out any) error {
-		get := func() (*http.Response, error) { return http.Get(ts.URL + path) }
-		if body != nil {
-			get = func() (*http.Response, error) {
-				return http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
-			}
-		}
-		resp, err := get()
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("%s: status %d", path, resp.StatusCode)
-		}
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
+	o := newTraversalOracle(loadRMAT(t, s, 10))
+	checkHop, checkPairs := o.checkHop, o.checkPairs
+	fetch := func(path string, body []byte, out any) error { return fetchJSON(ts.URL+path, body, out) }
 	// One batch shape for both transports: 16 subs, three khops among them so
 	// the first khop's sub-slice must survive two later appends, jaccards
 	// between them, and cached lookups filling the rest.
@@ -296,6 +316,220 @@ func TestTraversalReadAllocBudget(t *testing.T) {
 			t.Logf("scale %d %s: %.0f B/op allocated, mean response %d B", scale, name, alloc, resp)
 			if alloc > 8<<10 {
 				t.Errorf("scale %d %s allocates %.0f B/op, budget 8 KiB", scale, name, alloc)
+			}
+			row := perOp[name]
+			row[i] = alloc
+			perOp[name] = row
+		}
+	}
+	for name, row := range perOp {
+		if diff := row[1] - row[0]; diff > 1<<10 || diff < -(1<<10) {
+			t.Errorf("%s: %.0f B/op at scale 10, %.0f at scale 13: the difference scales with the graph", name, row[0], row[1])
+		}
+	}
+}
+
+// TestResultPoisonedAfterFinish: a request's results alias its scratch until
+// the request trace finishes, so under go test a khop, jaccard or shard.adj
+// answer held past finish reads poison, not a later request's answer.
+func TestResultPoisonedAfterFinish(t *testing.T) {
+	s, _ := startServer(t, testConfig(1<<8))
+	g := loadRMAT(t, s, 8)
+	hub := kernels.TopKByDegree(g, 1)[0].V
+	ctx, rt := s.startTrace(context.Background(), nil, "test", time.Now())
+	kh, err := s.runKHop(ctx, []int32{hub}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jc, err := s.runJaccard(ctx, hub, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj, err := s.runShardAdj(ctx, []int32{hub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kh.Vertices) == 0 || len(jc.Results) == 0 || len(adj.Targets) == 0 {
+		t.Fatalf("hub %d has empty answers: %d, %d, %d", hub, len(kh.Vertices), len(jc.Results), len(adj.Targets))
+	}
+	rt.finish(http.StatusOK, 0)
+	if slices.ContainsFunc(kh.Vertices, func(v int32) bool { return v != -1 }) {
+		t.Error("khop result held past finish was not poisoned")
+	}
+	if slices.ContainsFunc(jc.Results, func(p wire.JaccardPair) bool { return p.V != -1 || !math.IsNaN(p.Score) }) {
+		t.Error("jaccard result held past finish was not poisoned")
+	}
+	if slices.ContainsFunc(adj.Targets, func(v int32) bool { return v != -1 }) {
+		t.Error("shard.adj answer held past finish was not poisoned")
+	}
+}
+
+// loadCluster starts two shards and a coordinator that does not poll them,
+// and ingests the distinct edges of an undirected R-MAT graph through the
+// coordinator. It returns the coordinator and the graph every expected
+// answer is computed on.
+func loadCluster(t *testing.T, scale int) (*cluster.Coordinator, *graph.Graph) {
+	t.Helper()
+	const shardCount = 2
+	src := gen.RMAT(scale, 8, gen.Graph500RMAT, int64(scale), false)
+	n := src.NumVertices()
+	shards := make([]*testShard, shardCount)
+	addrs := make([]cluster.ShardAddr, shardCount)
+	for i := range shards {
+		shards[i] = startShard(t, n, i, shardCount, "", "")
+		addrs[i] = cluster.ShardAddr{Wire: shards[i].wireAddr}
+	}
+	coord, err := cluster.New(cluster.Config{Vertices: n, Shards: addrs, Registry: telemetry.NewRegistry(), PollInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	t.Cleanup(coord.Close)
+	var edits []wire.IngestEdit
+	for u := int32(0); u < n; u++ {
+		for _, v := range src.Neighbors(u) {
+			if u < v {
+				edits = append(edits, wire.IngestEdit{Src: u, Dst: v, Weight: 1})
+			}
+		}
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for sent := 0; sent < len(edits); {
+		res, _, err := coord.Ingest(edits[sent:min(sent+1024, len(edits))], 5*time.Second)
+		if err != nil {
+			t.Fatalf("cluster ingest: %v", err)
+		}
+		if sent += res.Accepted; time.Now().After(deadline) {
+			t.Fatal("cluster preload was not accepted")
+		}
+	}
+	for i, want := range routedCounts(edits, shardCount) {
+		waitApplied(t, shards[i].s, want)
+	}
+	return coord, src
+}
+
+// TestCoordinatorScratchHammer: the coordinator builds khop and jaccard
+// answers in pooled request scratch — its own for the reassembled lists and
+// the answer, each shard's for the shard.adj answers it gathers — so eight
+// concurrent clients mixing khop, jaccard and component through its HTTP
+// handler must each still get exactly the sequential kernels' answers. Run
+// under -race.
+func TestCoordinatorScratchHammer(t *testing.T) {
+	const workers, rounds = 8, 60
+	coord, g := loadCluster(t, 9)
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(ts.Close)
+	o := newTraversalOracle(g)
+	cc := kernels.WCC(g)
+	sizes := map[int32]int64{}
+	for _, l := range cc.Label {
+		sizes[l]++
+	}
+	n := g.NumVertices()
+	var wg sync.WaitGroup
+	for w := int32(0); w < workers; w++ {
+		wg.Add(1)
+		go func(w int32) {
+			defer wg.Done()
+			for r := int32(0); r < rounds; r++ {
+				v := (w*rounds + r*37) % n
+				var err error
+				switch r % 3 {
+				case 0:
+					var got wire.KHopResult
+					if err = fetchJSON(fmt.Sprintf("%s/query/khop?v=%d&k=2", ts.URL, v), nil, &got); err == nil {
+						err = o.checkHop("coordinator", v, &got)
+					}
+				case 1:
+					var got wire.JaccardResult
+					if err = fetchJSON(fmt.Sprintf("%s/query/jaccard?u=%d", ts.URL, v), nil, &got); err == nil {
+						err = o.checkPairs("coordinator", v, &got)
+					}
+				default:
+					var got wire.ComponentResult
+					err = fetchJSON(fmt.Sprintf("%s/query/component?v=%d", ts.URL, v), nil, &got)
+					if lab := cc.Label[v]; err == nil && (got.Component != lab || got.Size != sizes[lab] || got.NumComponents != cc.NumComponents) {
+						err = fmt.Errorf("component(%d) = %+v, kernel label %d size %d of %d", v, got, lab, sizes[lab], cc.NumComponents)
+					}
+				}
+				if err != nil {
+					t.Errorf("worker %d round %d: %v", w, r, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// discardWriter is a ResponseWriter that keeps only the status and reuses
+// its header map, so measuring a handler counts the handler's bytes.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(code int)        { d.code = code }
+
+// TestCoordinatorTraversalAllocBudget: a khop2 or jaccard through the
+// coordinator must allocate nothing that scales with the graph or with its
+// answer — not in the coordinator, which reassembles the shards' flat
+// answers in request scratch, and not in the shards. Steady-state heap
+// bytes per request through the coordinator's HTTP handler, counting the
+// whole process (handler, coordinator, wire clients, both shards' wire
+// sessions), are measured over two shards on R-MAT scale 10 and scale 13,
+// an 8x larger graph whose answers are several times larger, and must agree
+// within 1 KiB and stay under 12 KiB.
+func TestCoordinatorTraversalAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads an R-MAT scale 13 graph through a cluster")
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is handed, by design")
+	}
+	// As in TestTraversalReadAllocBudget: on one P a pool borrow finds the
+	// last return, so the count is exact and repeats.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	perOp := map[string][2]float64{}
+	for i, scale := range []int{10, 13} {
+		coord, g := loadCluster(t, scale)
+		h := coord.Handler()
+		hubs := kernels.TopKByDegree(g, 64) // the largest answers the graph has
+		w := &discardWriter{h: http.Header{}}
+		for _, name := range []string{"khop2", "jaccard"} {
+			reqs := make([]*http.Request, len(hubs))
+			for j, hub := range hubs {
+				path := fmt.Sprintf("/query/khop?v=%d&k=2", hub.V)
+				if name == "jaccard" {
+					path = fmt.Sprintf("/query/jaccard?u=%d", hub.V)
+				}
+				reqs[j] = httptest.NewRequest(http.MethodGet, path, nil)
+			}
+			sweep := func() {
+				for _, r := range reqs {
+					h.ServeHTTP(w, r)
+					if w.code != http.StatusOK {
+						t.Fatalf("%s at scale %d: status %d", r.URL, scale, w.code)
+					}
+				}
+			}
+			// Every buffer on the path reaches its steady size, in every
+			// scratch the coordinator and the shards pass between them.
+			sweep()
+			sweep()
+			gc := debug.SetGCPercent(-1)
+			sweep()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sweep()
+			runtime.ReadMemStats(&after)
+			debug.SetGCPercent(gc)
+			alloc := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(hubs))
+			t.Logf("scale %d %s through the coordinator: %.0f B/op allocated", scale, name, alloc)
+			if alloc > 12<<10 {
+				t.Errorf("scale %d %s allocates %.0f B/op, budget 12 KiB", scale, name, alloc)
 			}
 			row := perOp[name]
 			row[i] = alloc

@@ -17,11 +17,12 @@ import (
 // The binary wire listener. Each accepted connection is one session:
 // hello/version exchange, then a strict request→response loop of
 // length-prefixed frames (see internal/wire for the encoding). Every
-// request runs through the same dispatch core as HTTP — admission, trace,
-// profiling labels, SLO counters — so the protocols differ only in codec
-// cost. Per-connection state (frame buffer, decoded Request, response
-// buffer) is reused across frames, which is where the protocol's
-// per-request allocation savings come from.
+// request but ping, stats and the shard.meta version probe runs through
+// the same dispatch core as HTTP — admission, trace, profiling labels, SLO
+// counters — so the protocols differ only in codec cost. Per-connection
+// state (frame buffer, decoded Request, response buffer) is reused across
+// frames, which is where the protocol's per-request allocation savings
+// come from.
 
 // ServeWire accepts wire-protocol sessions on ln until the listener is
 // closed (normal shutdown, returns nil) or Accept fails otherwise.
@@ -152,6 +153,14 @@ func (s *Server) wireRespond(frame []byte, req *wire.Request, out []byte) []byte
 		s.countQuery(opName, 200, time.Since(start).Seconds())
 		return append(out, wire.StatusOK)
 	}
+	// The coordinator's version probe reads one atomic and the configured
+	// shape: admission, spans and stages would cost more than the answer.
+	if frame[0] == wire.OpShardMeta {
+		m := s.shardMeta()
+		out = wire.AppendShardMeta(append(out, wire.StatusOK), &m)
+		s.countQuery(opName, 200, time.Since(start).Seconds())
+		return out
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()
@@ -260,8 +269,6 @@ func (s *Server) wireRun(req *wire.Request) func(context.Context) (any, error) {
 			}
 			return s.runBatch(ctx, subs), nil
 		}
-	case wire.OpShardMeta:
-		return func(ctx context.Context) (any, error) { return s.runShardMeta(ctx) }
 	case wire.OpShardDegrees:
 		return func(ctx context.Context) (any, error) { return s.runShardDegrees(ctx) }
 	case wire.OpShardWCC:
@@ -322,8 +329,6 @@ func appendWireResult(out []byte, res any) []byte {
 		return wire.AppendComponentResult(out, v)
 	case *wire.PageRankResult:
 		return wire.AppendPageRankResult(out, v)
-	case *wire.ShardMeta:
-		return wire.AppendShardMeta(out, v)
 	case *wire.ShardDegreesResult:
 		return wire.AppendShardDegreesResult(out, v)
 	case *wire.ShardWCCResult:

@@ -10,11 +10,15 @@ import (
 
 // Shard mode: a graphd started with -shard-index/-shard-count owns the
 // vertices cluster.Owner assigns to its index and answers the wire
-// shard-exchange ops from that owned set. The ops run through the same
-// dispatch core as client queries — admission, tracing, metrics, and SLO
-// accounting are identical — under the endpoint labels shard.meta,
-// shard.degrees, shard.wcc, shard.prstep, and shard.adj. A standalone
-// server (ShardCount <= 1) still answers them as the degenerate one-shard
+// shard-exchange ops from that owned set. shard.degrees, shard.wcc,
+// shard.prstep and shard.adj run through the same dispatch core as client
+// queries — admission, tracing, metrics, and SLO accounting are identical —
+// under those endpoint labels. shard.meta, the coordinator's version probe
+// and health poll, does not: it reads one atomic and the configured shape,
+// so wireRespond answers it before any trace state is built, as it does
+// ping and stats, and only counts it (server_queries_total and
+// server_query_seconds under op="shard.meta"). A standalone server
+// (ShardCount <= 1) still answers the ops as the degenerate one-shard
 // cluster, which is what the differential e2e suite compares against.
 
 // shardOpCheckEvery is how many sequential owned-vertex iterations run
@@ -35,18 +39,18 @@ func (s *Server) ownsVertex(v int32) bool {
 	return cluster.Owner(v, s.shardCount()) == s.cfg.ShardIndex
 }
 
-// runShardMeta answers the registration/health-poll op: the shard's cluster
+// shardMeta answers the registration/health-poll op: the shard's cluster
 // position, graph shape, and visible version (it reads no bundle, so it
 // neither marks one read nor waits for a build).
-func (s *Server) runShardMeta(context.Context) (*wire.ShardMeta, error) {
-	return &wire.ShardMeta{
+func (s *Server) shardMeta() wire.ShardMeta {
+	return wire.ShardMeta{
 		Index:    s.cfg.ShardIndex,
 		Count:    s.shardCount(),
 		Vertices: s.cfg.Vertices,
 		Directed: s.cfg.Directed,
 		Owned:    s.ownedCount,
 		Version:  s.version.Load(),
-	}, nil
+	}
 }
 
 // runShardDegrees answers the owned vertices' degrees in ascending vertex
@@ -126,7 +130,9 @@ func (s *Server) runShardPRStep(ctx context.Context, rank []float64) (*wire.Shar
 // frontier exchange behind distributed k-hop/BFS and jaccard replay.
 // Requesting a non-owned vertex is a request error: only the owner holds
 // the complete list, and silently answering a partial one would corrupt
-// the coordinator's traversal.
+// the coordinator's traversal. The answer is built flat in the request's
+// scratch (the one-shard case of the coordinator's exchange table) and
+// lives until it is encoded.
 func (s *Server) runShardAdj(ctx context.Context, vertices []int32) (*wire.ShardAdjResult, error) {
 	for _, v := range vertices {
 		if err := s.checkVertex(v); err != nil {
@@ -140,14 +146,15 @@ func (s *Server) runShardAdj(ctx context.Context, vertices []int32) (*wire.Shard
 	if err != nil {
 		return nil, err
 	}
-	out := &wire.ShardAdjResult{Version: p.version, Lists: make([][]int32, len(vertices))}
+	out := &traceFrom(ctx).scratch().AdjFor(1)[0].ShardAdjResult
+	out.Version = p.version
 	for i, v := range vertices {
 		if i&(shardOpCheckEvery-1) == 0 {
 			if err := par.CtxErr(ctx); err != nil {
 				return nil, err
 			}
 		}
-		out.Lists[i] = p.g.Neighbors(v)
+		out.AppendList(p.g.Neighbors(v))
 	}
 	return out, nil
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/reqscratch"
 	"repro/internal/telemetry"
 )
 
@@ -45,7 +46,7 @@ type reqTrace struct {
 	root   *telemetry.Span
 	start  time.Time
 	stages []stageDur
-	scr    *reqScratch // result storage, borrowed by scratch(), returned by finish
+	scr    *reqscratch.Scratch // result storage, borrowed by scratch(), returned by finish
 
 	// pinned are the bundles the request reads until finish (see
 	// Server.read), in pinBuf's storage.
@@ -110,8 +111,7 @@ func (rt *reqTrace) finish(code int, wall time.Duration) {
 	}
 	if scr := rt.scr; scr != nil {
 		rt.scr = nil
-		scr.verts, scr.scores, scr.pairs = scr.verts[:0], scr.scores[:0], scr.pairs[:0]
-		reqScratchPool.Put(scr)
+		reqscratch.Put(scr)
 	}
 	for _, b := range rt.pinned {
 		b.unpin()

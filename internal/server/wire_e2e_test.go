@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/dyngraph"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 	"repro/internal/wire/snapfmt"
 )
@@ -555,6 +556,34 @@ func TestStaleSnapshotTmpSwept(t *testing.T) {
 	for _, p := range stale {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("stale tmp %s survived startup (err=%v)", p, err)
+		}
+	}
+}
+
+// TestWireShardMetaSkipsDispatch: the coordinator's version probe is
+// answered before any trace state is built — no admission, decode, encode
+// or other stage is observed for it — and is still counted like every
+// other request.
+func TestWireShardMetaSkipsDispatch(t *testing.T) {
+	cfg := testConfig(64)
+	cfg.ShardIndex, cfg.ShardCount = 1, 3
+	s, _ := startServer(t, cfg)
+	c := startWire(t, s)
+	for i := 0; i < 3; i++ {
+		m, err := c.ShardMeta(time.Second)
+		if err != nil {
+			t.Fatalf("shard.meta: %v", err)
+		}
+		if want := s.shardMeta(); *m != want {
+			t.Fatalf("shard.meta = %+v, want %+v", *m, want)
+		}
+	}
+	if n := cfg.Registry.Counter("server_queries_total", telemetry.L("op", "shard.meta"), telemetry.L("code", "200")).Value(); n != 3 {
+		t.Fatalf("server_queries_total{op=shard.meta,code=200} = %d, want 3", n)
+	}
+	for _, stage := range []string{"admission", "decode", "encode", "other"} {
+		if n := cfg.Registry.Histogram("server_stage_seconds", telemetry.L("endpoint", "shard.meta"), telemetry.L("stage", stage)).Snapshot().Count; n != 0 {
+			t.Errorf("shard.meta observed %d %s stages; it must not be dispatched", n, stage)
 		}
 	}
 }

@@ -47,9 +47,13 @@
 // not reallocated), so a warmed-up connection serves the query hot path
 // with zero protocol-layer allocations. FrameReader recycles one growable
 // buffer; its contents are only valid until the next call, which is all a
-// request→decode→respond loop needs.
+// request→decode→respond loop needs. The adjacency exchange is flat for the
+// same reason: a ShardAdjResult holds all its lists in one targets array
+// indexed by one offsets array, so however many lists a frontier has, a
+// decode into storage that held a larger answer allocates nothing.
 //
-// Decoding is hardened against adversarial input (FuzzWireDecode): counts
-// are validated against the bytes actually present before any allocation,
-// and all parse errors are sticky, bounded, and panic-free.
+// Decoding is hardened against adversarial input (FuzzWireDecode,
+// FuzzWireResponseDecode): counts are validated against the bytes actually
+// present before any allocation, and all parse errors are sticky, bounded,
+// and panic-free.
 package wire

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -65,6 +66,8 @@ func FuzzWireDecode(f *testing.F) {
 
 // FuzzWireResponseDecode drives the client-side response body decoders with
 // arbitrary bytes — they face an untrusted server and must fail cleanly.
+// Adjacency bodies are also decoded by the per-list oracle, into a result
+// that still holds an earlier answer, and the two decoders must agree.
 func FuzzWireResponseDecode(f *testing.F) {
 	v, rank := int32(4), 0.25
 	f.Add(byte(OpJaccard), AppendJaccardResult(nil, &JaccardResult{U: 1, Results: []JaccardPair{{V: 2, Score: 0.5, Inter: 1}}}))
@@ -75,9 +78,28 @@ func FuzzWireResponseDecode(f *testing.F) {
 	f.Add(byte(OpIngest), AppendIngestResult(nil, &IngestResult{Accepted: 3, Depth: 1}))
 	f.Add(byte(OpStats), AppendRawJSON(nil, []byte(`{"edges":1}`)))
 	f.Add(byte(0xee), []byte{0x01, 0x02})
+	// The five shard-exchange answers.
+	f.Add(byte(OpShardMeta), AppendShardMeta(nil, &ShardMeta{Index: 1, Count: 2, Vertices: 1 << 14, Directed: true, Owned: 8190, Version: 7}))
+	f.Add(byte(OpShardDegrees), AppendShardDegreesResult(nil, &ShardDegreesResult{Version: 3, Degrees: []int64{0, 4, 1 << 20}}))
+	f.Add(byte(OpShardWCC), AppendShardWCCResult(nil, &ShardWCCResult{Version: 3, Labels: []int32{0, 0, 2}}))
+	f.Add(byte(OpShardPRStep), AppendShardPRStepResult(nil, &ShardPRStepResult{Version: 3, Contrib: []float64{0.5, 0, 0.25}}))
+	adj := &ShardAdjResult{Version: 9}
+	adj.Reset()
+	for _, l := range [][]int32{{1, 2, 3}, {}, {4095}, {}} {
+		adj.AppendList(l)
+	}
+	f.Add(byte(OpShardAdj), AppendShardAdjResult(nil, adj))
+	f.Add(byte(OpShardAdj), []byte{1, 3, 0, 0, 0})    // three lists of length zero
+	f.Add(byte(OpShardAdj), []byte{1, 2, 5, 1, 2})    // a list length past the end
+	f.Add(byte(OpShardAdj), []byte{1, 2, 1, 7, 0x7f}) // the second list overruns
+	f.Add(byte(OpShardAdj), []byte{1, 0xff, 0xff, 0xff, 0xff, 0x0f})
 
 	f.Fuzz(func(t *testing.T, op byte, body []byte) {
 		r := NewReader(bytes.Clone(body))
 		_, _ = DecodeResult(op, &r)
+		if op == OpShardAdj {
+			into := ShardAdjResult{Version: adj.Version, Offsets: slices.Clone(adj.Offsets), Targets: slices.Clone(adj.Targets)}
+			checkShardAdjAgainstLists(t, body, &into)
+		}
 	})
 }

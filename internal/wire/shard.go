@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"slices"
 	"time"
 )
 
@@ -187,21 +188,48 @@ func DecodeShardPRStepResult(r *Reader, out *ShardPRStepResult) error {
 }
 
 // ShardAdjResult answers an OpShardAdj request: one sorted neighbor list
-// per requested vertex, in request order. Lists[i] belongs to the i-th
-// requested vertex; requesting a vertex the shard does not own is a
-// request error, because only the owner holds the complete adjacency.
+// per requested vertex, in request order, held flat — list i is
+// Targets[Offsets[i]:Offsets[i+1]] — so that however many lists a frontier
+// has, an answer fills two arrays the caller keeps and reuses. List i
+// belongs to the i-th requested vertex; requesting a vertex the shard does
+// not own is a request error, because only the owner holds the complete
+// adjacency.
 type ShardAdjResult struct {
 	// Version is the snapshot version the lists were read at.
 	Version int64 `json:"version"`
-	// Lists holds one sorted neighbor list per requested vertex.
-	Lists [][]int32 `json:"lists"`
+	// Offsets holds one entry per list plus a final one; Offsets[0] is 0.
+	Offsets []int `json:"offsets"`
+	// Targets holds the lists back to back.
+	Targets []int32 `json:"targets"`
 }
 
-// AppendShardAdjResult appends a ShardAdjResult body.
+// Len returns the number of lists.
+func (v *ShardAdjResult) Len() int { return max(len(v.Offsets)-1, 0) }
+
+// List returns list i, aliasing Targets.
+func (v *ShardAdjResult) List(i int) []int32 { return v.Targets[v.Offsets[i]:v.Offsets[i+1]] }
+
+// Reset empties v's lists for refilling, keeping their storage. Version is
+// left as it stands: whoever fills v sets it.
+func (v *ShardAdjResult) Reset() {
+	v.Offsets = append(v.Offsets[:0], 0)
+	v.Targets = v.Targets[:0]
+}
+
+// AppendList appends one list to v, which must have been Reset.
+func (v *ShardAdjResult) AppendList(list []int32) {
+	v.Targets = append(v.Targets, list...)
+	v.Offsets = append(v.Offsets, len(v.Targets))
+}
+
+// AppendShardAdjResult appends a ShardAdjResult body: the version, the list
+// count, then each list as its length and its vertices.
 func AppendShardAdjResult(b []byte, v *ShardAdjResult) []byte {
 	b = binary.AppendUvarint(b, uint64(v.Version))
-	b = binary.AppendUvarint(b, uint64(len(v.Lists)))
-	for _, list := range v.Lists {
+	n := v.Len()
+	b = binary.AppendUvarint(b, uint64(n))
+	for i := 0; i < n; i++ {
+		list := v.List(i)
 		b = binary.AppendUvarint(b, uint64(len(list)))
 		for _, w := range list {
 			b = binary.AppendUvarint(b, uint64(uint32(w)))
@@ -210,27 +238,29 @@ func AppendShardAdjResult(b []byte, v *ShardAdjResult) []byte {
 	return b
 }
 
-// DecodeShardAdjResult decodes a ShardAdjResult body. The outer slice is
-// reused; inner lists are appended fresh per call.
+// DecodeShardAdjResult decodes a ShardAdjResult body into out, reusing
+// out's Offsets and Targets: into storage that has held an answer as large,
+// a decode allocates nothing.
 func DecodeShardAdjResult(r *Reader, out *ShardAdjResult) error {
+	out.Reset()
 	out.Version = int64(r.Uvarint())
 	n := r.Uvarint()
 	if n > uint64(r.Remaining()) { // each list costs >= 1 byte (its length)
 		r.fail("shard adjacency list count %d exceeds remaining %d bytes", n, r.Remaining())
 		return r.Err()
 	}
-	out.Lists = out.Lists[:0]
+	out.Offsets = slices.Grow(out.Offsets, int(n))
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
 		l := r.Uvarint()
 		if l > uint64(r.Remaining()) { // each neighbor is >= 1 byte
 			r.fail("shard adjacency length %d exceeds remaining %d bytes", l, r.Remaining())
 			return r.Err()
 		}
-		list := make([]int32, 0, l)
+		out.Targets = slices.Grow(out.Targets, int(l))
 		for j := uint64(0); j < l && r.Err() == nil; j++ {
-			list = append(list, r.Vertex())
+			out.Targets = append(out.Targets, r.Vertex())
 		}
-		out.Lists = append(out.Lists, list)
+		out.Offsets = append(out.Offsets, len(out.Targets))
 	}
 	return r.Err()
 }
@@ -292,16 +322,13 @@ func (c *Client) ShardPRStep(rank []float64, timeout time.Duration) (*ShardPRSte
 	return out, nil
 }
 
-// ShardAdj requests adjacency lists for vertices the shard owns.
-func (c *Client) ShardAdj(vertices []int32, timeout time.Duration) (*ShardAdjResult, error) {
+// ShardAdj requests adjacency lists for vertices the shard owns and decodes
+// the answer into out, whose storage the caller owns and may reuse.
+func (c *Client) ShardAdj(vertices []int32, timeout time.Duration, out *ShardAdjResult) error {
 	c.req = Request{Op: OpShardAdj, TimeoutMicros: timeoutMicros(timeout), Seeds: vertices}
 	r, _, err := c.do(&c.req)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := &ShardAdjResult{}
-	if err := DecodeShardAdjResult(&r, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return DecodeShardAdjResult(&r, out)
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -86,19 +87,114 @@ func TestShardResultRoundTrip(t *testing.T) {
 		t.Fatalf("ShardPRStepResult = %+v, want %+v", gotPR, *pr)
 	}
 
-	adj := &ShardAdjResult{Version: 5, Lists: [][]int32{{1, 2, 3}, {}, {4095}}}
-	var gotAdj ShardAdjResult
-	r = NewReader(AppendShardAdjResult(nil, adj))
-	if err := DecodeShardAdjResult(&r, &gotAdj); err != nil {
-		t.Fatalf("DecodeShardAdjResult: %v", err)
+	lists := [][]int32{{1, 2, 3}, {}, {4095}}
+	adj := &ShardAdjResult{Version: 5}
+	adj.Reset()
+	for _, l := range lists {
+		adj.AppendList(l)
 	}
-	if gotAdj.Version != adj.Version || len(gotAdj.Lists) != len(adj.Lists) {
+	// Decode twice into the same result: the second decode must replace the
+	// first, not append to it.
+	var gotAdj ShardAdjResult
+	for range 2 {
+		r = NewReader(AppendShardAdjResult(nil, adj))
+		if err := DecodeShardAdjResult(&r, &gotAdj); err != nil {
+			t.Fatalf("DecodeShardAdjResult: %v", err)
+		}
+	}
+	if !reflect.DeepEqual(&gotAdj, adj) {
 		t.Fatalf("ShardAdjResult = %+v, want %+v", gotAdj, *adj)
 	}
-	for i := range adj.Lists {
-		if !reflect.DeepEqual(append([]int32{}, gotAdj.Lists[i]...), append([]int32{}, adj.Lists[i]...)) {
-			t.Fatalf("adj list %d = %v, want %v", i, gotAdj.Lists[i], adj.Lists[i])
+	for i, want := range lists {
+		if got := gotAdj.List(i); !slices.Equal(got, want) {
+			t.Fatalf("adj list %d = %v, want %v", i, got, want)
 		}
+	}
+}
+
+// decodeShardAdjLists is the per-list decoder the flat DecodeShardAdjResult
+// replaced — one fresh slice per neighbor list — kept as its oracle.
+func decodeShardAdjLists(r *Reader) (int64, [][]int32, error) {
+	version := int64(r.Uvarint())
+	n := r.Uvarint()
+	if n > uint64(r.Remaining()) {
+		r.fail("shard adjacency list count %d exceeds remaining %d bytes", n, r.Remaining())
+		return 0, nil, r.Err()
+	}
+	var lists [][]int32
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		l := r.Uvarint()
+		if l > uint64(r.Remaining()) {
+			r.fail("shard adjacency length %d exceeds remaining %d bytes", l, r.Remaining())
+			return 0, nil, r.Err()
+		}
+		list := make([]int32, 0, l)
+		for j := uint64(0); j < l && r.Err() == nil; j++ {
+			list = append(list, r.Vertex())
+		}
+		lists = append(lists, list)
+	}
+	return version, lists, r.Err()
+}
+
+// checkShardAdjAgainstLists decodes body with both adjacency decoders: they
+// must accept and reject the same bodies, and agree on what they accept.
+// into is decoded into as it stands, so callers can pass a result holding
+// an earlier answer.
+func checkShardAdjAgainstLists(t *testing.T, body []byte, into *ShardAdjResult) {
+	t.Helper()
+	r := NewReader(body)
+	err := DecodeShardAdjResult(&r, into)
+	o := NewReader(body)
+	version, lists, oerr := decodeShardAdjLists(&o)
+	if (err == nil) != (oerr == nil) {
+		t.Fatalf("flat decoder error %v, per-list oracle error %v", err, oerr)
+	}
+	if err != nil {
+		return
+	}
+	if into.Version != version || into.Len() != len(lists) {
+		t.Fatalf("flat decode: version %d, %d lists; oracle: version %d, %d lists", into.Version, into.Len(), version, len(lists))
+	}
+	for i, want := range lists {
+		if got := into.List(i); !slices.Equal(got, want) {
+			t.Fatalf("list %d: flat %v, oracle %v", i, got, want)
+		}
+	}
+}
+
+// TestShardAdjFlatMatchesLists holds the flat adjacency decoder to the
+// per-list oracle on well-formed bodies (empty lists included), bodies
+// whose list lengths overrun the buffer, and truncated bodies, each decoded
+// into storage that still holds the previous body's answer.
+func TestShardAdjFlatMatchesLists(t *testing.T) {
+	var bodies [][]byte
+	for _, lists := range [][][]int32{
+		{},
+		{{}},
+		{{}, {}, {}},
+		{{0, 1, 2}, {}, {7}, {1 << 20, 3}},
+		{{4095}, {}},
+	} {
+		v := &ShardAdjResult{Version: int64(len(lists))}
+		v.Reset()
+		for _, l := range lists {
+			v.AppendList(l)
+		}
+		body := AppendShardAdjResult(nil, v)
+		bodies = append(bodies, body)
+		for cut := 1; cut < len(body); cut++ {
+			bodies = append(bodies, body[:cut])
+		}
+	}
+	bodies = append(bodies,
+		[]byte{1, 2, 5, 1, 2},    // first list claims 5 vertices, 2 bytes follow
+		[]byte{1, 2, 0, 0x7f},    // second list claims 127 vertices of none
+		[]byte{1, 1, 0xff, 0x0f}, // list length larger than the body
+	)
+	var into ShardAdjResult
+	for _, body := range bodies {
+		checkShardAdjAgainstLists(t, body, &into)
 	}
 }
 
