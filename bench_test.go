@@ -638,41 +638,6 @@ func BenchmarkKernelTemporalCorrelation(b *testing.B) {
 	}
 }
 
-// ---- Streaming PageRank vs batch recompute ----
-
-func BenchmarkStreamPageRankIncremental(b *testing.B) {
-	updates := gen.EdgeUpdateStream(10, 4000, 0.05, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := dyngraph.New(1<<10, true)
-		pr := streaming.NewIncrementalPageRank(g, 0.85, 1e-7)
-		for _, u := range updates {
-			pr.Apply(u)
-		}
-	}
-	b.ReportMetric(4000*float64(b.N)/b.Elapsed().Seconds()/1e3, "Kupdates/s")
-}
-
-// BenchmarkStreamPageRankRecomputePerUpdate is the apples-to-apples
-// baseline for the incremental kernel: both keep ranks fresh after *every*
-// update, one by localized pushes, the other by full recomputation.
-func BenchmarkStreamPageRankRecomputePerUpdate(b *testing.B) {
-	updates := gen.EdgeUpdateStream(10, 400, 0.05, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := dyngraph.New(1<<10, true)
-		for _, u := range updates {
-			if u.Delete {
-				g.DeleteEdge(u.Src, u.Dst)
-			} else {
-				g.InsertEdge(u.Src, u.Dst, 1, u.Time)
-			}
-			kernels.PageRank(g.Snapshot(), kernels.DefaultPageRankOptions())
-		}
-	}
-	b.ReportMetric(400*float64(b.N)/b.Elapsed().Seconds()/1e3, "Kupdates/s")
-}
-
 func BenchmarkStreamSlidingWindow(b *testing.B) {
 	updates := gen.EdgeUpdateStream(12, 50000, 0, 9)
 	b.ResetTimer()

@@ -12,8 +12,11 @@
 //	benchrunner -quick                   CI-sized matrix (smaller scales, fewer reps)
 //	benchrunner -baseline BENCH_baseline.json [-threshold 1.3] [-alloc-threshold 1.5]
 //	benchrunner -nora=false              skip the model-vs-simulated NORA table
-//	benchrunner -serving-only            skip the kernel matrix and NORA; run only
-//	                                     the serving, protocol, and recovery cases
+//
+// The serving layers (graphd, graphctl, the wire protocol, snapshot
+// recovery) are measured end to end by the repository benchmark in
+// benchmark/, against real processes; this harness covers the kernels and
+// the model/simulator packages that benchmark leaves out.
 package main
 
 import (
@@ -42,8 +45,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "generator seed (0 = matrix default)")
 	reps := flag.Int("reps", 0, "repetitions per case, min wall wins (0 = matrix default)")
 	kernels := flag.String("kernels", "", "comma-separated kernel subset (default all)")
-	serve := flag.Bool("serve", true, "run the graphd serving-path cases (quiescent vs loaded, full vs incremental)")
-	servingOnly := flag.Bool("serving-only", false, "skip the kernel matrix and NORA table; run only the serving, protocol-comparison, and snapshot-recovery cases")
 	nora := flag.Bool("nora", true, "print the model-vs-simulated NORA table")
 	par.RegisterFlags(flag.CommandLine)
 	tel := telemetry.NewCLI(flag.CommandLine, telemetry.Default())
@@ -84,27 +85,10 @@ func main() {
 		}
 	}
 
-	serveSpec := obsv.DefaultServeSpec()
-	protoSpec := obsv.DefaultProtoSpec()
-	recoverSpec := obsv.DefaultRecoverySpec()
-	clusterSpec := obsv.DefaultClusterSpec()
-	if *quick {
-		serveSpec = obsv.QuickServeSpec()
-		protoSpec = obsv.QuickProtoSpec()
-		recoverSpec = obsv.QuickRecoverySpec()
-		clusterSpec = obsv.QuickClusterSpec()
-	}
-	if !*serve && !*servingOnly {
-		serveSpec.Queries = 0
-	}
-
 	err := tel.Run(func() error {
 		defer obsv.StartSampler(tel.Registry, 0).Stop()
 		return run(tel.Registry, runOpts{
-			spec: spec, serveSpec: serveSpec, protoSpec: protoSpec, recoverSpec: recoverSpec,
-			clusterSpec: clusterSpec,
-			serve: *serve || *servingOnly, servingOnly: *servingOnly,
-			out: *out, baseline: *baseline,
+			spec: spec, out: *out, baseline: *baseline,
 			threshold: *threshold, allocThreshold: *allocThreshold, nora: *nora,
 		})
 	})
@@ -125,12 +109,6 @@ func (e errRegression) Error() string {
 // runOpts bundles run's configuration; the flag set maps onto it 1:1.
 type runOpts struct {
 	spec           obsv.MatrixSpec
-	serveSpec      obsv.ServeSpec
-	protoSpec      obsv.ProtoSpec
-	recoverSpec    obsv.RecoverySpec
-	clusterSpec    obsv.ClusterSpec
-	serve          bool
-	servingOnly    bool
 	out, baseline  string
 	threshold      float64
 	allocThreshold float64
@@ -140,37 +118,11 @@ type runOpts struct {
 func run(reg *telemetry.Registry, o runOpts) error {
 	spec, out, baseline := o.spec, o.out, o.baseline
 	threshold, allocThreshold := o.threshold, o.allocThreshold
-	nora := o.nora && !o.servingOnly
 	stamp := time.Now().UTC().Format("2006-01-02T15-04-05Z")
 	fmt.Printf("benchrunner: scales=%v ef=%d seed=%d reps=%d workers=%d\n\n",
 		spec.Scales, spec.EdgeFactor, spec.Seed, spec.Reps, par.DefaultWorkers())
 
-	var cases []obsv.BenchCase
-	if !o.servingOnly {
-		cases = obsv.RunMatrix(reg, spec)
-	}
-	if o.serve {
-		serveCases, err := obsv.RunServing(reg, o.serveSpec)
-		if err != nil {
-			return err
-		}
-		cases = append(cases, serveCases...)
-		protoCases, err := obsv.RunProtoServing(reg, o.protoSpec)
-		if err != nil {
-			return err
-		}
-		cases = append(cases, protoCases...)
-		recoverCases, err := obsv.RunRecoveryBench(reg, o.recoverSpec)
-		if err != nil {
-			return err
-		}
-		cases = append(cases, recoverCases...)
-		clusterCases, err := obsv.RunClusterServing(reg, o.clusterSpec)
-		if err != nil {
-			return err
-		}
-		cases = append(cases, clusterCases...)
-	}
+	cases := obsv.RunMatrix(reg, spec)
 
 	tb := bench.NewTable("case", "ns/op", "TEPS", "alloc(MB)", "par-chunks", "gc")
 	for _, c := range cases {
@@ -180,7 +132,7 @@ func run(reg *telemetry.Registry, o runOpts) error {
 	}
 	tb.Render(os.Stdout)
 
-	if nora {
+	if o.nora {
 		fmt.Println()
 		rep := obsv.ModelVsSimulatedNORA(perfmodel.Base2012, obsv.SimOptions{})
 		rep.Render(os.Stdout)

@@ -53,7 +53,6 @@ func run() error {
 		batchSize     = flag.Int("batch", cfg.BatchSize, "max updates applied to the graph per batch")
 		flushEvery    = flag.Duration("flush-interval", cfg.FlushEvery, "max time an update waits in a partial batch")
 		maxInflight   = flag.Int("max-inflight", 0, "concurrent query budget (0 = par worker count)")
-		incremental   = flag.Bool("incremental", true, "patch published snapshots and advance kernel state over applied edit batches (false = every build recomputes in full)")
 		maxPending    = flag.Int("max-pending-edits", 0, "bound on applied edits no published version reflects; an unread stretch past it makes the catch-up build recompute in full (0 = default 262144)")
 		defTimeout    = flag.Duration("default-timeout", cfg.DefaultTimeout, "query deadline when the client sends no ?timeout=")
 		maxTimeout    = flag.Duration("max-timeout", cfg.MaxTimeout, "upper clamp on client-supplied ?timeout=")
@@ -105,7 +104,6 @@ func run() error {
 	cfg.BatchSize = *batchSize
 	cfg.FlushEvery = *flushEvery
 	cfg.MaxInflight = *maxInflight
-	cfg.Incremental = *incremental
 	cfg.MaxPendingEdits = *maxPending
 	cfg.DefaultTimeout = *defTimeout
 	cfg.MaxTimeout = *maxTimeout

@@ -3,11 +3,14 @@
 // API and prints every decoded result as JSON with the HTTP response's
 // exact keys, so its output can be diffed against the corresponding
 // /query/* endpoint byte-for-byte after key-order normalization — the
-// protocol-equivalence check scripts/graphd_smoke.sh runs.
+// protocol-equivalence check scripts/graphd_smoke.sh runs. It also
+// converts legacy dyngraph snapshots to the flat format graphd recovers
+// from, offline.
 //
 // Usage:
 //
 //	wirecli -addr host:port [-timeout 5s] <command> [args]
+//	wirecli convert-snapshot <legacy> <flat>
 //
 //	ping                     liveness round-trip
 //	stats                    server stats (raw JSON passthrough)
@@ -19,6 +22,10 @@
 //	component <v>            connected-component summary
 //	pagerank <v>             one vertex's rank
 //	pagerank-top [k]         top-k ranks (default k=10)
+//
+// convert-snapshot reads a legacy snapshot (the dyngraph.Save format older
+// graphd versions persisted) and writes the flat snapshot of the same graph
+// to <flat>; it needs no server.
 package main
 
 import (
@@ -31,7 +38,9 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/dyngraph"
 	"repro/internal/wire"
+	"repro/internal/wire/snapfmt"
 )
 
 func main() {
@@ -50,6 +59,12 @@ func run() error {
 		return errors.New("missing command")
 	}
 	cmd, args := flag.Arg(0), flag.Args()[1:]
+	if cmd == "convert-snapshot" {
+		if len(args) != 2 {
+			return errors.New("usage: convert-snapshot <legacy> <flat>")
+		}
+		return convertSnapshot(args[0], args[1])
+	}
 
 	c, err := wire.Dial(*addr)
 	if err != nil {
@@ -190,4 +205,37 @@ func ingest(c *wire.Client, timeout time.Duration) error {
 		return json.NewEncoder(os.Stdout).Encode(res)
 	}
 	return json.NewEncoder(os.Stdout).Encode(&wire.IngestResult{Accepted: accepted})
+}
+
+// convertSnapshot rewrites the legacy snapshot at legacy as a flat snapshot
+// at flat: dyngraph.Load, then the graph's CSR snapshot through
+// snapfmt.Write. Self-loops, which the CSR snapshot drops, are not carried
+// over — graphd never served them. flat must not exist yet: the converter
+// never overwrites a file, the legacy one included.
+func convertSnapshot(legacy, flat string) error {
+	in, err := os.Open(legacy)
+	if err != nil {
+		return err
+	}
+	dg, err := dyngraph.Load(in)
+	in.Close()
+	if err != nil {
+		return fmt.Errorf("convert-snapshot: %s: %w", legacy, err)
+	}
+	out, err := os.OpenFile(flat, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return err
+	}
+	err = snapfmt.Write(out, dg.Snapshot())
+	if err == nil {
+		err = out.Sync()
+	}
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(flat)
+		return fmt.Errorf("convert-snapshot: %s: %w", flat, err)
+	}
+	return nil
 }

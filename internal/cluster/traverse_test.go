@@ -25,14 +25,21 @@ import (
 )
 
 // fakeShard is a wire-protocol shard over a fixed graph: it answers
-// shard.meta as shard index of count, shard.degrees and shard.adj from g for
-// the vertices it owns — refusing any it does not, as graphd does — and
-// records the vertices each shard.adj asked for. With short set it answers
-// shard.adj with one list fewer than asked.
+// shard.meta as shard index of count, and shard.degrees, shard.wcc,
+// shard.prstep and shard.adj from g's rows for the vertices it owns —
+// refusing any other vertex's list, as graphd does — and records the
+// vertices each shard.adj asked for. Every answer carries version. With
+// short set it answers shard.adj with one list fewer than asked; with
+// badMeta set its shard.meta claims one shard too many; while skews is
+// positive a shard.prstep first bumps version, as an ingest batch landing
+// mid-superstep would.
 type fakeShard struct {
 	index, count int
 	g            *graph.Graph
 	short        atomic.Bool
+	badMeta      atomic.Bool
+	skews        atomic.Int32
+	version      atomic.Int64
 
 	ln    net.Listener
 	wg    sync.WaitGroup
@@ -126,17 +133,45 @@ func (fs *fakeShard) answer(frame []byte, req *wire.Request) []byte {
 	out := []byte{wire.StatusOK}
 	switch req.Op {
 	case wire.OpShardMeta:
+		count := fs.count
+		if fs.badMeta.Load() {
+			count++
+		}
 		return wire.AppendShardMeta(out, &wire.ShardMeta{
-			Index: fs.index, Count: fs.count, Vertices: n, Owned: OwnedCount(n, fs.index, fs.count),
+			Index: fs.index, Count: count, Vertices: n, Owned: OwnedCount(n, fs.index, fs.count), Version: fs.version.Load(),
 		})
 	case wire.OpShardDegrees:
-		res := wire.ShardDegreesResult{}
+		res := wire.ShardDegreesResult{Version: fs.version.Load()}
 		for v := int32(0); v < n; v++ {
 			if Owner(v, fs.count) == fs.index {
 				res.Degrees = append(res.Degrees, int64(fs.g.Degree(v)))
 			}
 		}
 		return wire.AppendShardDegreesResult(out, &res)
+	case wire.OpShardWCC:
+		var owned [][2]int32
+		for u := int32(0); u < n; u++ {
+			if Owner(u, fs.count) == fs.index {
+				for _, nb := range fs.g.Neighbors(u) {
+					owned = append(owned, [2]int32{u, nb})
+				}
+			}
+		}
+		labels := kernels.WCC(graph.FromEdges(n, fs.g.Directed(), owned)).Label
+		return wire.AppendShardWCCResult(out, &wire.ShardWCCResult{Version: fs.version.Load(), Labels: labels})
+	case wire.OpShardPRStep:
+		if fs.skews.Add(-1) >= 0 {
+			fs.version.Add(1)
+		}
+		contrib := make([]float64, n)
+		for u := int32(0); u < n; u++ {
+			if du := fs.g.Degree(u); du > 0 && Owner(u, fs.count) == fs.index {
+				for _, nb := range fs.g.Neighbors(u) {
+					contrib[nb] += req.Rank[u] / float64(du)
+				}
+			}
+		}
+		return wire.AppendShardPRStepResult(out, &wire.ShardPRStepResult{Version: fs.version.Load(), Contrib: contrib})
 	case wire.OpShardAdj:
 		fs.mu.Lock()
 		fs.asked = append(fs.asked, slices.Clone(req.Seeds))

@@ -10,9 +10,10 @@ import (
 // Binary persistence for the dynamic graph, because the paper's persistent
 // graphs outlive any single analytic ("these graphs are persistent; their
 // existence is independent of any single analytic"). The format is a
-// little-endian stream: magic, version, flags, vertex count, arc count,
+// little-endian stream: magic, version, flags, vertex count, edge count,
 // then (src,dst,weight,time) per stored arc with undirected arcs written
-// once.
+// once. graphd persisted it before the flat format (internal/wire/snapfmt);
+// it is read now only to convert old snapshots (wirecli convert-snapshot).
 
 const (
 	persistMagic   = 0x47525048 // "GRPH"
@@ -57,7 +58,10 @@ func (g *DynGraph) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a graph previously written by Save.
+// Load reads a graph previously written by Save. The header's record count
+// is a floor: it is NumEdges, which counts an undirected self-loop (one
+// arc, one record) as half an edge, so a file with self-loops holds whole
+// records past the count, and those are read too.
 func Load(r io.Reader) (*DynGraph, error) {
 	br := bufio.NewReader(r)
 	var hdr [4]uint32
@@ -74,18 +78,29 @@ func Load(r io.Reader) (*DynGraph, error) {
 	}
 	directed := hdr[2] == 1
 	n := int32(hdr[3])
+	if n < 0 {
+		return nil, fmt.Errorf("dyngraph: vertex count %d out of range", hdr[3])
+	}
 	var edges int64
 	if err := binary.Read(br, binary.LittleEndian, &edges); err != nil {
 		return nil, fmt.Errorf("dyngraph: edge count: %w", err)
 	}
+	// Save writes each stored arc once (undirected: each edge once), so no
+	// valid file holds more records than there are ordered vertex pairs.
+	if edges < 0 || edges > int64(n)*int64(n) {
+		return nil, fmt.Errorf("dyngraph: edge count %d out of range for %d vertices", edges, n)
+	}
 	g := New(n, directed)
-	for i := int64(0); i < edges; i++ {
+	for i := int64(0); ; i++ {
 		var rec struct {
 			Src, Dst int32
 			Weight   float32
 			Time     int64
 		}
 		if err := binary.Read(br, binary.LittleEndian, &rec); err != nil {
+			if err == io.EOF && i >= edges {
+				break
+			}
 			return nil, fmt.Errorf("dyngraph: edge %d: %w", i, err)
 		}
 		if rec.Src < 0 || rec.Src >= n || rec.Dst < 0 || rec.Dst >= n {

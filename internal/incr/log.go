@@ -19,8 +19,7 @@ const DefaultLogEdits = 1 << 18
 // standing before them gets a miss from Window — its signal to recompute in
 // full and re-seed. Eviction and trimming cost O(1) per batch, amortised.
 //
-// A Log is safe for concurrent use. A nil *Log keeps nothing: every Window
-// misses, which is recompute mode.
+// A Log is safe for concurrent use.
 type Log struct {
 	mu       sync.Mutex
 	floor    int64   // every batch with version <= floor has been dropped
@@ -43,9 +42,6 @@ func NewLog(maxEdits int) *Log {
 // Append records the batch that produced version, the one after the newest
 // recorded. The edits are copied, so the caller may reuse its slice.
 func (l *Log) Append(version int64, edits []dyngraph.Edit, hadDeletes bool) {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	cp := append(l.spare[:0], edits...)
@@ -60,9 +56,6 @@ func (l *Log) Append(version int64, edits []dyngraph.Edit, hadDeletes bool) {
 
 // Trim drops every batch at or below version to: no consumer needs them.
 func (l *Log) Trim(to int64) {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.head < len(l.batches) && l.batches[l.head].Version <= to {
@@ -98,9 +91,6 @@ func (l *Log) settle() {
 // empty, ok window. The slice aliases the log and the edits are shared with
 // the log's later reuse: both are valid until the next Append or Trim.
 func (l *Log) Window(from, to int64) (batches []Batch, ok bool) {
-	if l == nil {
-		return nil, false
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if from > to || from < l.floor {
@@ -118,9 +108,6 @@ func (l *Log) Cap() int { return l.maxEdits }
 
 // Len returns the retained batch and edit counts.
 func (l *Log) Len() (batches, edits int) {
-	if l == nil {
-		return 0, 0
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.batches) - l.head, l.edits

@@ -54,11 +54,6 @@ func TestLogWindowTrimEvict(t *testing.T) {
 	if got, ok := l.Window(25, 26); !ok || !got[0].HadDeletes {
 		t.Fatal("the oversized batch is not the window's")
 	}
-
-	var none *Log
-	if _, ok := none.Window(0, 0); ok {
-		t.Fatal("a nil log served a window")
-	}
 }
 
 // TestLogSteadyStateAllocationFree: a log that is appended to and trimmed

@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/incr"
 	"repro/internal/kernels"
+	"repro/internal/par"
 	"repro/internal/telemetry"
 )
 
@@ -108,13 +109,18 @@ func (s *Server) acquire(ctx context.Context, rt *reqTrace, k kernel) (*bundle, 
 		select {
 		case <-b.next:
 		case <-ctx.Done():
-			b.unpin()
-			return nil, ctx.Err()
 		case <-s.ingestEnd: // the writer has published its last bundle
 			if b == s.cur.Load() {
 				b.unpin()
 				return nil, &httpError{code: http.StatusServiceUnavailable, msg: "server is shut down"}
 			}
+		}
+		// Checked after any wake-up, against the deadline itself: a build
+		// that finishes while the deadline's timer has not yet fired (a
+		// loaded host) must not turn an expired wait into an answer.
+		if err := par.CtxErr(ctx); err != nil {
+			b.unpin()
+			return nil, err
 		}
 		b.unpin()
 		b = s.pinCurrent()
@@ -159,7 +165,7 @@ type builder struct {
 	applied int64
 
 	// states[k] is kernel k's incremental state (*incr.WCCState, PRState or
-	// DegreeState), nil before its first read and always in recompute mode.
+	// DegreeState), nil before its first read.
 	states [numParts]interface{ Version() int64 }
 
 	graphs  graph.Recycler
@@ -247,9 +253,9 @@ var buildSpanNames = [numParts]string{"build.snapshot", "build.wcc", "build.page
 
 // patch builds the next snapshot from cur's: the touched rows when the
 // delta log covers the window (server_snapshot_patches_total), every row
-// when it does not, when the window would touch most rows (a bulk load: the
-// log holds just the window, trimmed at every publish), and in recompute
-// mode (server_snapshot_rebuilds_total).
+// when it does not or when the window would touch most rows (a bulk load:
+// the log holds just the window, trimmed at every publish;
+// server_snapshot_rebuilds_total).
 func (s *Server) patch(sp *telemetry.Span, cur *bundle) *graph.Graph {
 	defer sp.Child(buildSpanNames[partGraph]).End()
 	_, edits := s.deltas.Len()
@@ -263,9 +269,9 @@ func (s *Server) patch(sp *telemetry.Span, cur *bundle) *graph.Graph {
 
 // buildKernel computes kernel k on g at version v: its state advanced over
 // the delta window (server_incr_advances_total), else a full recompute
-// (server_cache_rebuilds_total) that re-seeds the state in incremental
-// mode; a state the log no longer covers also counts in
-// server_incr_fallbacks_total. ctx is never cancelled: kernels cannot fail.
+// (server_cache_rebuilds_total) that re-seeds the state; a state the log no
+// longer covers also counts in server_incr_fallbacks_total. ctx is never
+// cancelled: kernels cannot fail.
 func (s *Server) buildKernel(ctx context.Context, sp *telemetry.Span, k kernel, g *graph.Graph, v int64) *part {
 	defer sp.Child(buildSpanNames[k]).End()
 	p := &part{version: v}
@@ -288,21 +294,17 @@ func (s *Server) buildKernel(ctx context.Context, sp *telemetry.Span, k kernel, 
 		s.m.kernFallbacks[k].Inc()
 	}
 	s.m.kernRebuilds[k].Inc()
-	seed := s.deltas != nil
 	switch k {
 	case kernWCC:
-		if p.cc, _ = kernels.WCCCtx(ctx, g); seed {
-			s.b.states[k] = incr.SeedWCC(p.cc, v)
-		}
+		p.cc, _ = kernels.WCCCtx(ctx, g)
+		s.b.states[k] = incr.SeedWCC(p.cc, v)
 	case kernPR:
-		if p.vec, p.iters, _ = kernels.PageRankCtx(ctx, g, kernels.DefaultPageRankOptions()); seed {
-			s.b.states[k] = incr.SeedPR(p.vec, g, kernels.DefaultPageRankOptions(), v)
-		}
+		p.vec, p.iters, _ = kernels.PageRankCtx(ctx, g, kernels.DefaultPageRankOptions())
+		s.b.states[k] = incr.SeedPR(p.vec, g, kernels.DefaultPageRankOptions(), v)
 	case kernDeg:
 		st := incr.SeedDegrees(g, v)
-		if p.vec = st.Degrees(); seed {
-			s.b.states[k] = st
-		}
+		p.vec = st.Degrees()
+		s.b.states[k] = st
 	}
 	return s.tally(p)
 }
@@ -326,8 +328,8 @@ func (s *Server) tally(p *part) *part {
 
 // recycleRetired hands back the parts retired, unpinned bundles were the
 // last to hold: the snapshot to the graph recycler, kernel results to their
-// incremental states (recompute mode keeps none), sizes here. Under go test
-// each is poisoned on the way, so a read after release fails the oracles.
+// incremental states, sizes here. Under go test each is poisoned on the way,
+// so a read after release fails the oracles.
 func (s *Server) recycleRetired() {
 	kept := s.b.retired[:0]
 	for _, b := range s.b.retired {

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -129,7 +128,7 @@ func bumpAndRead(t *testing.T, s *Server, edits []dyngraph.Edit) {
 // the writer never reuses memory a pinned bundle reads.
 func TestBundlePinHammer(t *testing.T) {
 	const n, bumps, readers = 512, 80, 4
-	cfg := incrConfig(n)
+	cfg := testConfig(n)
 	cfg.BatchSize = 32
 	s, _ := startServer(t, cfg)
 	rng := rand.New(rand.NewSource(21))
@@ -205,7 +204,7 @@ func TestBundlePinHammer(t *testing.T) {
 // differs from what it held while pinned.
 func TestUnpinnedBundleIsRecycled(t *testing.T) {
 	const n = 256
-	s, _ := startServer(t, incrConfig(n))
+	s, _ := startServer(t, testConfig(n))
 	rng := rand.New(rand.NewSource(3))
 	var live [][2]int32
 	edits := churnEdits(rng, n, 512, &live, nil)
@@ -239,90 +238,88 @@ func TestUnpinnedBundleIsRecycled(t *testing.T) {
 // TestReadYourWrites: any read sent after /stats shows applied = N sees all
 // N updates — after an unread stretch (the read waits for the catch-up
 // build), while reads keep up (the writer publishes before the counter
-// moves), and with a reader polling /stats concurrently with ingest — in
-// both maintenance modes. The graph is a star growing around vertex 0, so a
-// read's top degree and the size of 0's component count the updates it sees.
+// moves), and with a reader polling /stats concurrently with ingest. The
+// graph is a star growing around vertex 0, so a read's top degree and the
+// size of 0's component count the updates it sees.
 func TestReadYourWrites(t *testing.T) {
-	for _, incremental := range []bool{true, false} {
-		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
-			const n, perBatch, rounds = 1024, 40, 24
-			cfg := testConfig(n)
-			cfg.Incremental = incremental
-			s, ts := startServer(t, cfg)
-			sees := func(c *wire.Client) (deg float64, size int64) {
-				top, err := c.TopDegree(1, 5*time.Second)
-				if err != nil {
-					t.Errorf("topdegree: %v", err)
-					return
-				}
-				comp, err := c.Component(0, 5*time.Second)
-				if err != nil {
-					t.Errorf("component: %v", err)
-					return
-				}
-				return top.Results[0].Score, comp.Size
+	// Named for the maintenance mode it runs: graphd keeps its analytics
+	// incrementally.
+	t.Run("incremental=true", func(t *testing.T) {
+		const n, perBatch, rounds = 1024, 40, 24
+		s, ts := startServer(t, testConfig(n))
+		sees := func(c *wire.Client) (deg float64, size int64) {
+			top, err := c.TopDegree(1, 5*time.Second)
+			if err != nil {
+				t.Errorf("topdegree: %v", err)
+				return
 			}
-			applied := func() int64 {
+			comp, err := c.Component(0, 5*time.Second)
+			if err != nil {
+				t.Errorf("component: %v", err)
+				return
+			}
+			return top.Results[0].Score, comp.Size
+		}
+		applied := func() int64 {
+			var st Stats
+			if code := getJSON(t, ts.URL, "/stats", &st); code != http.StatusOK {
+				t.Fatalf("/stats = %d", code)
+			}
+			return st.Applied
+		}
+
+		stop := make(chan struct{})
+		var checker sync.WaitGroup
+		checker.Add(1)
+		c, cc := startWire(t, s), startWire(t, s)
+		go func() { // the concurrent reader: stats first, then reads
+			defer checker.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
 				var st Stats
-				if code := getJSON(t, ts.URL, "/stats", &st); code != http.StatusOK {
-					t.Fatalf("/stats = %d", code)
+				raw, err := cc.Stats(5 * time.Second)
+				if err == nil {
+					err = json.Unmarshal(raw, &st)
 				}
-				return st.Applied
-			}
-
-			stop := make(chan struct{})
-			var checker sync.WaitGroup
-			checker.Add(1)
-			c, cc := startWire(t, s), startWire(t, s)
-			go func() { // the concurrent reader: stats first, then reads
-				defer checker.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					var st Stats
-					raw, err := cc.Stats(5 * time.Second)
-					if err == nil {
-						err = json.Unmarshal(raw, &st)
-					}
-					if err != nil {
-						t.Errorf("stats: %v", err)
-						return
-					}
-					if deg, size := sees(cc); int64(deg) < st.Applied || size < st.Applied+1 {
-						t.Errorf("after /stats applied=%d a read saw degree %v, component size %d", st.Applied, deg, size)
-						return
-					}
+				if err != nil {
+					t.Errorf("stats: %v", err)
+					return
 				}
-			}()
-
-			next := int32(1)
-			for r := 0; r < rounds; r++ {
-				var batch []IngestUpdate
-				for i := 0; i < perBatch; i++ {
-					batch = append(batch, IngestUpdate{Src: 0, Dst: next})
-					next++
-				}
-				if code, res, _ := postIngest(t, ts.URL, batch); code != http.StatusAccepted || res.Accepted != perBatch {
-					t.Fatalf("round %d ingest = %d %+v", r, code, res)
-				}
-				want := int64(next - 1)
-				for applied() < want {
-					time.Sleep(time.Millisecond)
-				}
-				if r%6 < 3 {
-					continue // an unread stretch, apart from the concurrent reader
-				}
-				if deg, size := sees(c); int64(deg) != want || size != want+1 {
-					t.Fatalf("round %d: /stats showed applied=%d, a read then saw degree %v and component size %d", r, want, deg, size)
+				if deg, size := sees(cc); int64(deg) < st.Applied || size < st.Applied+1 {
+					t.Errorf("after /stats applied=%d a read saw degree %v, component size %d", st.Applied, deg, size)
+					return
 				}
 			}
-			close(stop)
-			checker.Wait()
-		})
-	}
+		}()
+
+		next := int32(1)
+		for r := 0; r < rounds; r++ {
+			var batch []IngestUpdate
+			for i := 0; i < perBatch; i++ {
+				batch = append(batch, IngestUpdate{Src: 0, Dst: next})
+				next++
+			}
+			if code, res, _ := postIngest(t, ts.URL, batch); code != http.StatusAccepted || res.Accepted != perBatch {
+				t.Fatalf("round %d ingest = %d %+v", r, code, res)
+			}
+			want := int64(next - 1)
+			for applied() < want {
+				time.Sleep(time.Millisecond)
+			}
+			if r%6 < 3 {
+				continue // an unread stretch, apart from the concurrent reader
+			}
+			if deg, size := sees(c); int64(deg) != want || size != want+1 {
+				t.Fatalf("round %d: /stats showed applied=%d, a read then saw degree %v and component size %d", r, want, deg, size)
+			}
+		}
+		close(stop)
+		checker.Wait()
+	})
 }
 
 // TestIncrPendingTracksLag is the regression test for a delta log trimmed
@@ -333,7 +330,7 @@ func TestReadYourWrites(t *testing.T) {
 // stretch past the bound leaves the server ready (the next read pays one
 // full recompute, and trims).
 func TestIncrPendingTracksLag(t *testing.T) {
-	cfg := incrConfig(4096)
+	cfg := testConfig(4096)
 	cfg.MaxPendingEdits = 1000
 	s, ts := startServer(t, cfg)
 	next := int32(0)
@@ -400,7 +397,7 @@ func TestSteadyStateBumpBudget(t *testing.T) {
 		scale, perBump, bumps, window = 11, 50, 10_000, 2000
 		budget                        = 48 << 10 // bytes per bump, reads included
 	)
-	cfg := incrConfig(1 << scale)
+	cfg := testConfig(1 << scale)
 	cfg.BatchSize = perBump
 	s, _ := startServer(t, cfg)
 	preloadRMAT(t, s, scale)

@@ -75,17 +75,13 @@ func (s *Server) Readiness() Readiness {
 		add("snapshot-age", true, "persistence disabled")
 	}
 
-	if s.deltas != nil {
-		// The log holds the edits no published bundle reflects. That lag
-		// matters only while readers wait on the writer; an unread stretch
-		// may fill the log, and its next reader pays one full recompute.
-		_, pending := s.deltas.Len()
-		limit, unread := s.deltas.Cap()*9/10, !s.cur.Load().read.Load()
-		add("incr-pending", pending < limit || unread,
-			fmt.Sprintf("pending edits %d/%d (limit %d, published bundle unread %v)", pending, s.deltas.Cap(), limit, unread))
-	} else {
-		add("incr-pending", true, "recompute mode")
-	}
+	// The log holds the edits no published bundle reflects. That lag matters
+	// only while readers wait on the writer; an unread stretch may fill the
+	// log, and its next reader pays one full recompute.
+	_, pending := s.deltas.Len()
+	limit, unread := s.deltas.Cap()*9/10, !s.cur.Load().read.Load()
+	add("incr-pending", pending < limit || unread,
+		fmt.Sprintf("pending edits %d/%d (limit %d, published bundle unread %v)", pending, s.deltas.Cap(), limit, unread))
 
 	if maxHeap := s.cfg.ReadyMaxHeapBytes; maxHeap > 0 {
 		heap := heapInUseBytes()

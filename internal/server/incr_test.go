@@ -8,20 +8,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/dyngraph"
+	"repro/internal/kernels"
 	"repro/internal/par"
 	"repro/internal/telemetry"
 )
-
-// incrConfig is testConfig with the incremental maintenance path enabled,
-// the way cmd/graphd runs by default.
-func incrConfig(vertices int32) Config {
-	cfg := testConfig(vertices)
-	cfg.Incremental = true
-	return cfg
-}
 
 // counterSum adds up every counter sample matching name (and, when kernel
 // is non-empty, the kernel label) on the test's private registry.
@@ -55,13 +50,12 @@ type componentResp struct {
 	Version       int64 `json:"version"`
 }
 
-// TestIncrementalFreshnessAndCounters: on the incremental path, every
-// applied edit batch — inserts and deletes — is visible to the next query,
-// the first query pays the one full compute that seeds the state, and all
-// subsequent queries advance it (server_incr_advances_total moves, the
-// rebuild counter does not).
+// TestIncrementalFreshnessAndCounters: every applied edit batch — inserts
+// and deletes — is visible to the next query, the first query pays the one
+// full compute that seeds the state, and all subsequent queries advance it
+// (server_incr_advances_total moves, the rebuild counter does not).
 func TestIncrementalFreshnessAndCounters(t *testing.T) {
-	cfg := incrConfig(64)
+	cfg := testConfig(64)
 	s, ts := startServer(t, cfg)
 
 	// Chain 0-1-2 plus the separate pair 4-5; vertex 3 starts isolated.
@@ -114,11 +108,6 @@ func TestIncrementalFreshnessAndCounters(t *testing.T) {
 		t.Fatalf("after delete: v=0 code %d %+v, want size 2", code, comp)
 	}
 
-	var st Stats
-	if code := getJSON(t, ts.URL, "/stats", &st); code != 200 || !st.Incremental {
-		t.Fatalf("stats = %d %+v, want incremental=true", code, st)
-	}
-
 	reg := cfg.Registry
 	if got := counterSum(reg, "server_cache_rebuilds_total", "wcc"); got != 1 {
 		t.Errorf("wcc rebuilds = %v, want exactly 1 (the seeding compute)", got)
@@ -134,25 +123,41 @@ func TestIncrementalFreshnessAndCounters(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesRecompute runs the same randomized ingest stream —
-// inserts, updates, and deletes — through a twin pair of servers, one
-// incremental and one full-recompute, and asserts the query APIs agree
-// after every round: identical component structure and top-k degree,
-// PageRank within the convergence tolerance.
+// TestIncrementalMatchesRecompute runs a randomized ingest stream —
+// inserts, updates, and deletes — through two servers and asserts after
+// every round that their answers match the sequential kernels over a
+// dyngraph fed the same edits: identical component structure and top-k
+// degree, PageRank within the convergence tolerance. One server has the
+// default delta log, so every build advances the incremental states over
+// its window. The other's log holds only the newest batch: each round lands
+// as four separately applied batches, the writer publishes after the first
+// two (readers were about) and not after the rest, so the round's reads find
+// the states standing before the log and take the full-recompute fallback.
 func TestIncrementalMatchesRecompute(t *testing.T) {
-	const n = 128
-	incrS, incrTS := startServer(t, incrConfig(n))
-	fullS, fullTS := startServer(t, testConfig(n))
+	const n, rounds, perRound, chunks = 128, 6, 120, 4
+	type twin struct {
+		name string
+		s    *Server
+		ts   *httptest.Server
+	}
+	missCfg := testConfig(n)
+	missCfg.MaxPendingEdits = 1
+	var twins []twin
+	for name, cfg := range map[string]Config{"advance": testConfig(n), "log miss": missCfg} {
+		s, ts := startServer(t, cfg)
+		twins = append(twins, twin{name, s, ts})
+	}
+	oracle := dyngraph.New(n, false)
 
 	rng := rand.New(rand.NewSource(7))
 	var applied int64
 	inserted := make([][2]int32, 0, 1024)
-	for round := 0; round < 6; round++ {
+	for round := 0; round < rounds; round++ {
 		// Distinct normalized keys per round so in-batch dedup never drops
 		// an edit and the applied counter stays predictable.
 		seen := map[int64]bool{}
 		var updates []IngestUpdate
-		for len(updates) < 120 {
+		for len(updates) < perRound {
 			var u IngestUpdate
 			if round >= 2 && rng.Float64() < 0.3 && len(inserted) > 0 {
 				e := inserted[rng.Intn(len(inserted))]
@@ -164,11 +169,7 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 				}
 				u = IngestUpdate{Src: a, Dst: b, Weight: 1}
 			}
-			lo, hi := u.Src, u.Dst
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			key := int64(lo)<<32 | int64(hi)
+			key := editKey(dyngraph.Edit{Src: u.Src, Dst: u.Dst}, false)
 			if seen[key] {
 				continue
 			}
@@ -177,70 +178,73 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 				inserted = append(inserted, [2]int32{u.Src, u.Dst})
 			}
 			updates = append(updates, u)
+			oracle.ApplyEdits([]dyngraph.Edit{{Src: u.Src, Dst: u.Dst, Weight: u.Weight, Delete: u.Delete}})
 		}
-		for _, ts := range []*httptest.Server{incrTS, fullTS} {
-			if code, res, _ := postIngest(t, ts.URL, updates); code != http.StatusAccepted || res.Accepted != len(updates) {
-				t.Fatalf("round %d ingest = %d %+v", round, code, res)
-			}
-		}
-		applied += int64(len(updates))
-		waitApplied(t, incrS, applied)
-		waitApplied(t, fullS, applied)
-
-		for v := 0; v < n; v += 7 {
-			var a, b componentResp
-			if code := getJSON(t, incrTS.URL, fmt.Sprintf("/query/component?v=%d", v), &a); code != 200 {
-				t.Fatalf("round %d incr component v=%d: %d", round, v, code)
-			}
-			if code := getJSON(t, fullTS.URL, fmt.Sprintf("/query/component?v=%d", v), &b); code != 200 {
-				t.Fatalf("round %d full component v=%d: %d", round, v, code)
-			}
-			if a.Component != b.Component || a.Size != b.Size || a.NumComponents != b.NumComponents {
-				t.Fatalf("round %d component v=%d diverged: incr %+v vs full %+v", round, v, a, b)
+		for c := 0; c < chunks; c++ {
+			chunk := updates[c*perRound/chunks : (c+1)*perRound/chunks]
+			applied += int64(len(chunk))
+			for _, tw := range twins {
+				if code, res, _ := postIngest(t, tw.ts.URL, chunk); code != http.StatusAccepted || res.Accepted != len(chunk) {
+					t.Fatalf("%s: round %d ingest = %d %+v", tw.name, round, code, res)
+				}
+				waitApplied(t, tw.s, applied)
 			}
 		}
 
-		type scored struct {
-			V     int32   `json:"V"`
-			Score float64 `json:"Score"`
+		g := oracle.Snapshot()
+		cc := kernels.WCC(g)
+		sizes := make([]int64, n)
+		for _, l := range cc.Label {
+			sizes[l]++
 		}
-		var topA, topB struct {
-			Results []scored `json:"results"`
-		}
-		getJSON(t, incrTS.URL, "/query/topdegree?k=10", &topA)
-		getJSON(t, fullTS.URL, "/query/topdegree?k=10", &topB)
-		if len(topA.Results) != len(topB.Results) {
-			t.Fatalf("round %d topdegree sizes diverged: %d vs %d", round, len(topA.Results), len(topB.Results))
-		}
-		for i := range topA.Results {
-			if topA.Results[i] != topB.Results[i] {
-				t.Fatalf("round %d topdegree[%d] diverged: %+v vs %+v", round, i, topA.Results[i], topB.Results[i])
+		rank, _ := kernels.PageRank(g, kernels.DefaultPageRankOptions())
+		top := kernels.TopKByDegree(g, 10)
+		for _, tw := range twins {
+			for v := int32(0); v < n; v += 7 {
+				var got componentResp
+				if code := getJSON(t, tw.ts.URL, fmt.Sprintf("/query/component?v=%d", v), &got); code != 200 {
+					t.Fatalf("%s: round %d component v=%d: %d", tw.name, round, v, code)
+				}
+				if l := cc.Label[v]; got.Component != l || got.Size != sizes[l] || got.NumComponents != cc.NumComponents {
+					t.Fatalf("%s: round %d component v=%d = %+v, kernel says component %d size %d of %d",
+						tw.name, round, v, got, l, sizes[l], cc.NumComponents)
+				}
 			}
-		}
 
-		for _, v := range []int{0, 31, 97} {
-			var pa, pb struct {
-				Rank float64 `json:"rank"`
+			var gotTop struct {
+				Results []kernels.ScoredVertex `json:"results"`
 			}
-			if code := getJSON(t, incrTS.URL, fmt.Sprintf("/query/pagerank?v=%d", v), &pa); code != 200 {
-				t.Fatalf("round %d incr pagerank v=%d: %d", round, v, code)
+			getJSON(t, tw.ts.URL, "/query/topdegree?k=10", &gotTop)
+			if !slices.Equal(gotTop.Results, top) {
+				t.Fatalf("%s: round %d topdegree = %v, kernel %v", tw.name, round, gotTop.Results, top)
 			}
-			if code := getJSON(t, fullTS.URL, fmt.Sprintf("/query/pagerank?v=%d", v), &pb); code != 200 {
-				t.Fatalf("round %d full pagerank v=%d: %d", round, v, code)
-			}
-			if diff := math.Abs(pa.Rank - pb.Rank); diff > 1e-5 {
-				t.Fatalf("round %d pagerank v=%d diverged by %g: %v vs %v", round, v, diff, pa.Rank, pb.Rank)
+
+			for _, v := range []int{0, 31, 97} {
+				var pr struct {
+					Rank float64 `json:"rank"`
+				}
+				if code := getJSON(t, tw.ts.URL, fmt.Sprintf("/query/pagerank?v=%d", v), &pr); code != 200 {
+					t.Fatalf("%s: round %d pagerank v=%d: %d", tw.name, round, v, code)
+				}
+				if diff := math.Abs(pr.Rank - rank[v]); diff > 1e-5 {
+					t.Fatalf("%s: round %d pagerank v=%d off by %g: %v, kernel %v", tw.name, round, v, diff, pr.Rank, rank[v])
+				}
 			}
 		}
 	}
 
-	if got := counterSum(incrConfigRegistry(incrS), "server_incr_advances_total", ""); got < 1 {
-		t.Errorf("incremental twin recorded no advances (%v) — the path under test never ran", got)
+	for _, tw := range twins {
+		advances := counterSum(tw.s.reg, "server_incr_advances_total", "")
+		fallbacks := counterSum(tw.s.reg, "server_incr_fallbacks_total", "")
+		t.Logf("%s: %v advances, %v fallbacks", tw.name, advances, fallbacks)
+		switch {
+		case tw.name == "advance" && (advances < 1 || fallbacks != 0):
+			t.Errorf("%s: %v advances and %v fallbacks, want advances only", tw.name, advances, fallbacks)
+		case tw.name == "log miss" && fallbacks < 3*(rounds-1):
+			t.Errorf("%s: %v fallbacks, want every kernel to miss the log every round after the first (%d)", tw.name, fallbacks, 3*(rounds-1))
+		}
 	}
 }
-
-// incrConfigRegistry recovers the registry a server was built with.
-func incrConfigRegistry(s *Server) *telemetry.Registry { return s.reg }
 
 // TestIncrementalCrashRecovery: a snapshot persisted while the server
 // serves from incrementally-maintained state recovers into a structurally
@@ -248,7 +252,7 @@ func incrConfigRegistry(s *Server) *telemetry.Registry { return s.reg }
 // the same structure.
 func TestIncrementalCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	cfg := incrConfig(256)
+	cfg := testConfig(256)
 	cfg.SnapshotPath = filepath.Join(dir, "graph.snap")
 	cfg.SnapshotEvery = 0
 	s, ts := startServer(t, cfg)
@@ -319,7 +323,7 @@ func TestIncrementalCrashRecovery(t *testing.T) {
 // writer-built bundles, when the advance ran on the request and the
 // deadline cancelled it.)
 func TestIncrementalDeadline504CancelsAdvance(t *testing.T) {
-	cfg := incrConfig(4096)
+	cfg := testConfig(4096)
 	s, ts := startServer(t, cfg)
 	total := ingestClique(t, s, ts, 4096)
 

@@ -55,7 +55,7 @@ func (w *watermark) observe(v int64) {
 //	server_admission_wait_seconds           time spent waiting for a query slot
 //	server_snapshot_rebuilds_total          full CSR snapshot rebuilds by the writer
 //	server_snapshot_patches_total           incremental CSR snapshot patches by the
-//	                                        writer (touched rows only; Config.Incremental)
+//	                                        writer (touched rows only)
 //	server_snapshot_age_seconds             age of the published snapshot (gauge)
 //	server_stage_seconds{endpoint,stage}    per-request lifecycle stage latency;
 //	                                        stages sum to request wall time
@@ -69,7 +69,7 @@ func (w *watermark) observe(v int64) {
 //	server_incr_fallbacks_total{kernel}     delta-log misses that forced a full
 //	                                        recompute and state re-anchor
 //	server_incr_pending_batches             batches in the delta log no published
-//	                                        bundle reflects (gauge; Config.Incremental)
+//	                                        bundle reflects (gauge)
 //	server_slow_queries_total{endpoint}     requests over the slow-query threshold
 //	server_wire_connections_total           wire-protocol sessions accepted
 //	server_wire_connections_active          open wire-protocol sessions (gauge)

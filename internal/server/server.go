@@ -69,17 +69,11 @@ type Config struct {
 	// MaxTimeout clamps client-supplied ?timeout=.
 	MaxTimeout time.Duration
 
-	// Incremental enables edit-batch-driven incremental maintenance: the
-	// writer patches each published snapshot from the previous version
-	// instead of rebuilding it, and advances the WCC/PageRank/degree state
-	// over the applied batch window instead of recomputing from scratch.
-	// Results are equivalent (held by the internal/incr differential
-	// oracle). Off, the writer keeps no delta log and every build takes the
-	// full-recompute path a delta-log miss takes.
-	Incremental bool
-	// MaxPendingEdits bounds the incremental delta log, which holds the
-	// edits no published bundle reflects yet; when an unread stretch outgrows
-	// it, the next build falls back to one full recompute and re-anchors.
+	// MaxPendingEdits bounds the delta log, which holds the edits no
+	// published bundle reflects yet. The writer patches each published
+	// snapshot from the previous version and advances the WCC/PageRank/degree
+	// state over the logged window; when an unread stretch outgrows the
+	// bound, the next build falls back to one full recompute and re-anchors.
 	// <= 0 uses the default (262144).
 	MaxPendingEdits int
 
@@ -188,7 +182,7 @@ type Server struct {
 	// dyn, deltas and b belong to the ingest goroutine (doc.go); others
 	// read dyn only after Shutdown.
 	dyn    *dyngraph.DynGraph
-	deltas *incr.Log // applied batches no bundle reflects yet; nil in recompute mode
+	deltas *incr.Log // applied batches no bundle reflects yet
 	b      builder
 
 	// cur is the published bundle; the visible counters follow doc.go.
@@ -274,6 +268,7 @@ func New(cfg Config) (*Server, error) {
 		ingestEnd: make(chan struct{}),
 		wake:      make(chan struct{}, 1),
 		wireConns: make(map[net.Conn]struct{}),
+		deltas:    incr.NewLog(cfg.MaxPendingEdits),
 	}
 	s.ownedCount = cluster.OwnedCount(cfg.Vertices, cfg.ShardIndex, cfg.ShardCount)
 
@@ -293,9 +288,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.cur.Store(&bundle{built: time.Now(), next: make(chan struct{}), parts: [numParts]*part{partGraph: {g: g0, users: 1}}})
 	s.setVisible()
-	if cfg.Incremental {
-		s.deltas = incr.NewLog(cfg.MaxPendingEdits)
-	}
 
 	if cfg.ProfileTriggers {
 		s.prof = prof.New(prof.Config{
@@ -333,16 +325,16 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// recover loads the snapshot at path, dispatching on format: the flat CSR
-// format (internal/wire/snapfmt, sniffed by magic) is the fast path — the
+// recover loads the flat CSR snapshot (internal/wire/snapfmt) at path: the
 // arrays are read straight into the first published snapshot (returned, so
-// the first query pays no rebuild) and the dynamic graph is bulk-built
-// from them in O(arcs); anything else goes through the legacy
-// dyngraph.Load reader. A flat file that fails its CRC or validation is
-// quarantined (renamed to path+".corrupt") and the server starts empty —
-// losing a snapshot must not keep the daemon down. A snapshot whose shape
-// contradicts the config is a hard error either way: that is an operator
-// mistake, not corruption.
+// the first query pays no rebuild) and the dynamic graph is bulk-built from
+// them in O(arcs). A file without the flat magic is refused with an error
+// naming the converter — a legacy dyngraph snapshot is not corrupt, so it is
+// neither quarantined nor silently replaced by an empty graph. A flat file
+// that fails its CRC or validation is quarantined (renamed to
+// path+".corrupt") and the server starts empty — losing a snapshot must not
+// keep the daemon down. A snapshot whose shape contradicts the config is a
+// hard error: that is an operator mistake, not corruption.
 func (s *Server) recover(path string) (*graph.Graph, error) {
 	flat, err := snapfmt.SniffFile(path)
 	if err != nil {
@@ -352,22 +344,7 @@ func (s *Server) recover(path string) (*graph.Graph, error) {
 		return nil, fmt.Errorf("server: open snapshot: %w", err)
 	}
 	if !flat {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("server: open snapshot: %w", err)
-		}
-		g, lerr := dyngraph.Load(f)
-		f.Close()
-		if lerr != nil {
-			return nil, fmt.Errorf("server: recover %s: %w", path, lerr)
-		}
-		if g.NumVertices() != s.cfg.Vertices || g.Directed() != s.cfg.Directed {
-			return nil, fmt.Errorf("server: snapshot %s is %d vertices directed=%v, config wants %d/%v",
-				path, g.NumVertices(), g.Directed(), s.cfg.Vertices, s.cfg.Directed)
-		}
-		s.dyn = g
-		s.recovered = true
-		return nil, nil
+		return nil, fmt.Errorf("server: snapshot %s is not in the flat format; if it is a legacy dyngraph snapshot, convert it with `wirecli convert-snapshot %s <flat>` and recover from the result", path, path)
 	}
 	g, rerr := snapfmt.ReadFile(path)
 	if rerr != nil {
@@ -413,8 +390,11 @@ func (s *Server) Version() int64 { return s.version.Load() }
 func (s *Server) Applied() int64 { return s.applied.Load() }
 
 // Persist writes the graph to Config.SnapshotPath via a temp file and
-// atomic rename, so a crash mid-write never leaves a torn snapshot. No-op
-// when persistence is disabled.
+// atomic rename, so a crash mid-write never leaves a torn snapshot. The temp
+// file is synced before the rename and the directory after it, so once
+// Persist returns the new snapshot survives power loss, and the rename can
+// never become durable ahead of the bytes it names. No-op when persistence
+// is disabled.
 //
 // The file is the flat CSR format (internal/wire/snapfmt): the served
 // snapshot's arrays written raw, so recovery is O(read) instead of
@@ -433,27 +413,51 @@ func (s *Server) Persist() error {
 		return fmt.Errorf("server: persist: %w", err)
 	}
 	defer st.unpin()
-	tmp := s.cfg.SnapshotPath + ".tmp." + strconv.Itoa(os.Getpid())
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("server: persist: %w", err)
-	}
-	err = snapfmt.Write(f, st.parts[partGraph].g)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("server: persist: %w", err)
-	}
-	if err := os.Rename(tmp, s.cfg.SnapshotPath); err != nil {
-		os.Remove(tmp)
+	if err := writeDurably(s.cfg.SnapshotPath, st.parts[partGraph].g); err != nil {
 		return fmt.Errorf("server: persist: %w", err)
 	}
 	s.m.persists.Inc()
 	s.m.persistSec.ObserveDuration(time.Since(start))
 	s.lastPersist.Store(time.Now().UnixNano())
 	return nil
+}
+
+// writeDurably replaces path with g's flat snapshot: write a temp file
+// beside it, sync it, rename it over path, sync the directory. The temp file
+// is removed on every error.
+func writeDurably(path string, g *graph.Graph) (err error) {
+	tmp := path + ".tmp." + strconv.Itoa(os.Getpid())
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
+	err = snapfmt.Write(f, g)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // onSLOTransition is the evaluator's transition hook: an objective
@@ -556,11 +560,8 @@ type Stats struct {
 	Recovered       bool    `json:"recovered"`
 	Draining        bool    `json:"draining"`
 	UptimeSeconds   float64 `json:"uptime_seconds"`
-	// Incremental reports whether edit-batch-driven incremental maintenance
-	// is enabled (Config.Incremental / graphd -incremental).
-	Incremental bool `json:"incremental"`
 	// PendingDeltaBatches is the number of applied batches in the delta log
-	// that no published bundle reflects yet (0 in recompute mode).
+	// that no published bundle reflects yet.
 	PendingDeltaBatches int `json:"pending_delta_batches"`
 	// PendingDeltaEdits is the total edits across the retained batches.
 	PendingDeltaEdits int `json:"pending_delta_edits"`
@@ -590,7 +591,6 @@ func (s *Server) StatsNow() Stats {
 		Recovered:           s.recovered,
 		Draining:            s.draining.Load(),
 		UptimeSeconds:       time.Since(s.started).Seconds(),
-		Incremental:         s.cfg.Incremental,
 		PendingDeltaBatches: pendingBatches,
 		PendingDeltaEdits:   pendingEdits,
 		ShardIndex:          s.cfg.ShardIndex,

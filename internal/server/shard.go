@@ -78,7 +78,7 @@ func (s *Server) runShardDegrees(ctx context.Context) (*wire.ShardDegreesResult,
 
 // runShardWCC answers the shard's local connected-component labels, served
 // from the same published WCC labels as client component queries (and
-// advanced incrementally under -incremental). Labels are canonical
+// advanced incrementally, like them). Labels are canonical
 // min-member form, which is what lets the coordinator's union-find merge
 // reproduce single-process labels byte-identically. The result aliases the
 // bundle, which the request pins until it is encoded.

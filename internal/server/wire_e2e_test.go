@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -458,16 +459,17 @@ func TestFlatSnapshotRecovery(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotStillRecovers: a legacy-format file (dyngraph.Save) is
-// sniffed and loaded through the old reader.
-func TestLegacySnapshotStillRecovers(t *testing.T) {
-	cfg := testConfig(16)
-	cfg.SnapshotPath = filepath.Join(t.TempDir(), "snap.legacy")
-
-	dg := dyngraph.New(16, false)
-	dg.InsertEdge(0, 1, 1, 0)
+// writeLegacySnapshot saves a small dynamic graph — weights, timestamps and
+// a self-loop included — in the legacy dyngraph.Save format at path and
+// returns it.
+func writeLegacySnapshot(t *testing.T, path string, n int32) *dyngraph.DynGraph {
+	t.Helper()
+	dg := dyngraph.New(n, false)
+	dg.InsertEdge(0, 1, 2, 7)
 	dg.InsertEdge(1, 2, 1, 0)
-	f, err := os.Create(cfg.SnapshotPath)
+	dg.InsertEdge(3, 3, 1, 0)
+	dg.InsertEdge(4, n-1, 0.5, 9)
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,21 +479,82 @@ func TestLegacySnapshotStillRecovers(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return dg
+}
+
+// TestLegacySnapshotStillRecovers: a legacy snapshot reaches a server
+// through the offline converter — what wirecli convert-snapshot does:
+// dyngraph.Load, Snapshot, snapfmt.Write — and the server recovering from
+// its output serves a graph Equal to the legacy file's.
+func TestLegacySnapshotStillRecovers(t *testing.T) {
+	dir := t.TempDir()
+	legacyPath := filepath.Join(dir, "snap.legacy")
+	want := writeLegacySnapshot(t, legacyPath, 16).Snapshot()
+
+	in, err := os.Open(legacyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := dyngraph.Load(in)
+	in.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(16)
+	cfg.SnapshotPath = filepath.Join(dir, "snap.gsnf")
+	out, err := os.Create(cfg.SnapshotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snapfmt.Write(out, dg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, _ := startServer(t, cfg)
+	if !s.Recovered() {
+		t.Fatal("Recovered() = false for the converted snapshot")
+	}
+	b := s.pinCurrent()
+	defer b.unpin()
+	if got := b.parts[partGraph].g; !got.Equal(want) {
+		t.Fatalf("recovered graph (%d arcs) is not the legacy file's (%d arcs)", got.NumEdges(), want.NumEdges())
+	}
+	if st := s.StatsNow(); st.Edges != 3 {
+		t.Fatalf("recovered %d edges, want 3 (the self-loop is not served)", st.Edges)
+	}
+}
+
+// TestLegacySnapshotRefusesToStart: New given a legacy snapshot fails with
+// an error naming the converter, and leaves the file where it was — a
+// legacy file is not corrupt, so it is neither quarantined nor replaced.
+func TestLegacySnapshotRefusesToStart(t *testing.T) {
+	cfg := testConfig(16)
+	cfg.SnapshotPath = filepath.Join(t.TempDir(), "snap.legacy")
+	writeLegacySnapshot(t, cfg.SnapshotPath, 16)
+	before, err := os.ReadFile(cfg.SnapshotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	s, err := New(cfg)
-	if err != nil {
-		t.Fatalf("legacy recover: %v", err)
-	}
-	defer func() {
+	if err == nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = s.Shutdown(ctx)
-	}()
-	if !s.Recovered() {
-		t.Fatal("Recovered() = false for legacy snapshot")
+		t.Fatal("New accepted a legacy snapshot")
 	}
-	if st := s.StatsNow(); st.Edges != 2 {
-		t.Fatalf("legacy recovery has %d edges, want 2", st.Edges)
+	if !strings.Contains(err.Error(), "wirecli convert-snapshot") {
+		t.Fatalf("error %q does not name wirecli convert-snapshot", err)
+	}
+	after, err := os.ReadFile(cfg.SnapshotPath)
+	if err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the legacy snapshot was moved or changed (%v)", err)
+	}
+	if _, err := os.Stat(cfg.SnapshotPath + ".corrupt"); !os.IsNotExist(err) {
+		t.Fatalf("a legacy snapshot was quarantined: %v", err)
 	}
 }
 
@@ -557,6 +620,44 @@ func TestStaleSnapshotTmpSwept(t *testing.T) {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("stale tmp %s survived startup (err=%v)", p, err)
 		}
+	}
+}
+
+// TestPersistFailureRemovesTemp: a Persist whose rename fails (the snapshot
+// path has become a non-empty directory) reports the error and leaves no
+// temp file beside the path; once the path is free again, Persist writes a
+// snapshot the next server recovers.
+func TestPersistFailureRemovesTemp(t *testing.T) {
+	cfg := testConfig(8)
+	cfg.SnapshotPath = filepath.Join(t.TempDir(), "snap.gsnf")
+	cfg.SnapshotEvery = 0
+	s, _ := startServer(t, cfg)
+	postEdits := []dyngraph.Edit{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}}
+	if res := s.enqueue(postEdits); res.Accepted != len(postEdits) {
+		t.Fatalf("enqueue = %+v", res)
+	}
+	waitApplied(t, s, int64(len(postEdits)))
+
+	if err := os.MkdirAll(filepath.Join(cfg.SnapshotPath, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Persist(); err == nil {
+		t.Fatal("Persist over a non-empty directory succeeded")
+	}
+	if tmps, _ := filepath.Glob(cfg.SnapshotPath + ".tmp.*"); len(tmps) != 0 {
+		t.Fatalf("failed Persist left %v behind", tmps)
+	}
+
+	if err := os.RemoveAll(cfg.SnapshotPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Persist(); err != nil {
+		t.Fatalf("Persist: %v", err)
+	}
+	cfg.Registry = testConfig(8).Registry
+	s2, _ := startServer(t, cfg)
+	if !s2.Recovered() || s2.StatsNow().Edges != 2 {
+		t.Fatalf("recovered=%v with %d edges, want a recovered graph of 2", s2.Recovered(), s2.StatsNow().Edges)
 	}
 }
 

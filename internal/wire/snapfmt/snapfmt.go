@@ -8,7 +8,9 @@
 // flat format instead writes the already-built CSR arrays verbatim, so
 // recovery is O(read): decode the arrays in large chunks, hand them to
 // graph.FromCSRArrays (O(n) structural checks, arrays adopted not copied),
-// and bulk-load the dynamic graph with dyngraph.FromCSRGraph.
+// and bulk-load the dynamic graph with dyngraph.FromCSRGraph. graphd
+// recovers only this format; `wirecli convert-snapshot` turns a legacy
+// snapshot into it.
 //
 // Layout (all little-endian):
 //
@@ -398,7 +400,8 @@ func ReadFile(path string) (*graph.Graph, error) {
 }
 
 // SniffFile reports whether the file at path begins with the flat-format
-// magic — the dispatch test between flat and legacy snapshots at recovery.
+// magic — how recovery tells a flat snapshot from a legacy one, which it
+// refuses.
 func SniffFile(path string) (bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -407,7 +410,7 @@ func SniffFile(path string) (bool, error) {
 	defer f.Close()
 	var b [4]byte
 	if _, err := io.ReadFull(f, b[:]); err != nil {
-		return false, nil // too short to be flat; let the legacy reader complain
+		return false, nil // too short to be flat
 	}
 	return binary.LittleEndian.Uint32(b[:]) == Magic, nil
 }
