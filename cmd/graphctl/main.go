@@ -1,12 +1,13 @@
 // Command graphctl is the cluster coordinator for sharded graphd: it
 // fronts N graphd shard processes (each started with -shard-index/
-// -shard-count and a wire listener) behind the same HTTP API a single
-// graphd serves. Point queries (component, khop, jaccard, topdegree,
-// pagerank) are routed to owning shards or driven as BSP supersteps over
-// the wire protocol's shard-exchange ops; ingest fans out along the
-// partition with the same 202/429-with-accepted-prefix contract; /readyz
-// aggregates per-shard health into one load-balancer signal. See
-// docs/CLUSTER.md for topology, failure modes, and a quickstart.
+// -shard-count and a wire listener) behind graphd's own HTTP front end —
+// the same API, batch, tracing and request metrics a single graphd serves.
+// Queries (component, khop, jaccard, topdegree, pagerank) are routed to
+// owning shards or driven as BSP supersteps over the wire protocol's
+// shard-exchange ops; ingest fans out along the partition with the same
+// 202/429-with-accepted-prefix contract; /readyz aggregates per-shard
+// health into one load-balancer signal. See docs/CLUSTER.md for topology,
+// failure modes, and a quickstart.
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obsv"
+	"repro/internal/server"
 	"repro/internal/telemetry"
 )
 
@@ -88,7 +90,7 @@ func run() error {
 	}
 	defer coord.Close()
 
-	httpSrv := &http.Server{Addr: *listen, Handler: coord.Handler()}
+	httpSrv := &http.Server{Addr: *listen, Handler: server.ClusterHandler(coord, reg)}
 	errCh := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "graphctl: coordinating %d shards, serving on %s\n", coord.ShardCount(), *listen)

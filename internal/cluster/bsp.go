@@ -201,7 +201,7 @@ func (c *Coordinator) runPageRank(ctx context.Context) (*prState, error) {
 	if stale {
 		// Supersteps need every shard live; a stale degree vector means at
 		// least one is not.
-		return nil, &Error{Code: http.StatusServiceUnavailable, Msg: "cluster: cannot run supersteps with a shard unreachable"}
+		return nil, wire.Errorf(http.StatusServiceUnavailable, "cluster: cannot run supersteps with a shard unreachable")
 	}
 	vec := deg.vec
 	opt := c.cfg.PageRank

@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/kernels"
+	"repro/internal/reqscratch"
+	"repro/internal/wire"
 )
 
 // TestGatherWCCMatchesKernel: the one-superstep distributed WCC over fake
@@ -91,10 +92,11 @@ func TestPageRankSkewRetry(t *testing.T) {
 
 	fakes[1].version.Add(1) // an ingest batch, so the cached ranks go stale
 	fakes[1].skews.Store(1 << 20)
-	rec := httptest.NewRecorder()
-	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query/pagerank?v=3", nil))
-	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "skew") {
-		t.Fatalf("pagerank under continuous skew = %d %s, want 503 naming the skew", rec.Code, rec.Body)
+	scr := reqscratch.Get()
+	defer reqscratch.Put(scr)
+	_, err = c.Run(context.Background(), scr, &wire.Request{Op: wire.OpPageRank, HasV: true, V: 3})
+	if code := wire.StatusOf(err); code != http.StatusServiceUnavailable || !strings.Contains(err.Error(), "skew") {
+		t.Fatalf("pagerank under continuous skew = %d %v, want 503 naming the skew", code, err)
 	}
 	if n := retries.Value(); n != 2 {
 		t.Fatalf("skew retries = %v, want 2: one retry per query, not a loop", n)

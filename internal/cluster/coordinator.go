@@ -38,36 +38,24 @@ type Config struct {
 	PageRank kernels.PageRankOptions
 }
 
-// Error is a coordinator-level failure with an HTTP status attached, the
-// cluster twin of the shard server's request errors.
-type Error struct {
-	// Code is the HTTP status the failure maps to.
-	Code int
-	// Msg is the client-facing message.
-	Msg string
-}
-
-// Error implements the error interface.
-func (e *Error) Error() string { return e.Msg }
-
-// badRequestf builds a 400 Error.
-func badRequestf(format string, args ...any) *Error {
-	return &Error{Code: http.StatusBadRequest, Msg: fmt.Sprintf(format, args...)}
+// badRequestf builds a 400 wire.Error.
+func badRequestf(format string, args ...any) error {
+	return wire.Errorf(http.StatusBadRequest, format, args...)
 }
 
 // errSkew marks a cross-shard snapshot-version mismatch mid-gather. The
 // caller retries the whole gather once (the usual cause is an ingest batch
-// landing between two shard responses) before surfacing 503.
-var errSkew = errors.New("cluster: snapshot version skew across shards")
+// landing between two shard responses) before surfacing it as a 503.
+var errSkew = &wire.Error{Code: http.StatusServiceUnavailable, Msg: "cluster: snapshot version skew across shards"}
 
-// metricsSet holds the coordinator's cluster_* instruments.
+// metricsSet holds the coordinator's cluster_* instruments. Requests are
+// counted and timed by graphd's front end, which graphctl serves through
+// (server_queries_total, server_query_seconds, server_stage_seconds).
 //
 // Families:
 //
 //	cluster_shards                     gauge    configured shard count
 //	cluster_shards_ready               gauge    shards passing the last poll
-//	cluster_queries_total{op,code}     counter  routed queries by outcome
-//	cluster_query_seconds{op}          histogram coordinator-side latency
 //	cluster_ingest_routed_total{shard} counter  edits routed to each shard
 //	cluster_ingest_accepted_total      counter  globally accepted edits
 //	cluster_ingest_rejected_total      counter  edits past the global prefix
@@ -103,12 +91,6 @@ func newMetricsSet(reg *telemetry.Registry, shards int) *metricsSet {
 	m.shards.Set(float64(shards))
 	m.shardsReady.Set(0)
 	return m
-}
-
-// query records one routed query's outcome and latency.
-func (m *metricsSet) query(op string, code int, start time.Time) {
-	m.reg.Counter("cluster_queries_total", telemetry.L("op", op), telemetry.L("code", strconv.Itoa(code))).Inc()
-	m.reg.Histogram("cluster_query_seconds", telemetry.L("op", op)).ObserveSince(start)
 }
 
 // ingestRouted counts edits routed to one shard.
@@ -352,7 +334,7 @@ func (c *Coordinator) versions(ctx context.Context) (versionVec, error) {
 // checkVertex validates a vertex ID against the cluster's shared ID space.
 func (c *Coordinator) checkVertex(v int32) error {
 	if v < 0 || v >= c.cfg.Vertices {
-		return badRequestf("vertex %d out of range [0, %d)", v, c.cfg.Vertices)
+		return badRequestf("vertex %d out of range [0,%d)", v, c.cfg.Vertices)
 	}
 	return nil
 }
@@ -464,26 +446,4 @@ func (c *Coordinator) Ingest(edits []wire.IngestEdit, timeout time.Duration) (*w
 	default:
 		return res, http.StatusAccepted, nil
 	}
-}
-
-// errToCode maps an internal error to the HTTP status the cluster API
-// surfaces: coordinator Errors carry their own code, shard status errors
-// translate exactly as the wire protocol specifies, deadline expiry is 504,
-// and anything else (a dead shard mid-exchange) is 503.
-func errToCode(err error) int {
-	var ce *Error
-	if errors.As(err, &ce) {
-		return ce.Code
-	}
-	var se *wire.StatusError
-	if errors.As(err, &se) {
-		return wire.HTTPStatus(se.Status)
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		return http.StatusGatewayTimeout
-	}
-	if errors.Is(err, errSkew) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusServiceUnavailable
 }

@@ -22,8 +22,9 @@
 //     cached per cluster version vector, the sharded twin of graphd's
 //     per-version kernel caches.
 //
-// The Coordinator (coordinator.go, served by cmd/graphctl) exposes the same
-// HTTP query API as a single graphd, routes ingest with the same 429 +
+// The Coordinator (coordinator.go) answers the same queries as a single
+// graphd through Run, which cmd/graphctl serves through graphd's own HTTP
+// front end (internal/server), and routes ingest with the same 429 +
 // contiguous-accepted-prefix contract (the accepted prefix is the minimum
 // over shards of each shard's accepted prefix, mapped back to global batch
 // indices), and reproduces single-process results exactly: WCC, k-hop,

@@ -11,11 +11,35 @@ import (
 
 // Exported query methods. Each returns the same wire result struct the
 // shard server's dispatch layer builds, so the differential e2e suite and
-// the HTTP handler treat a coordinator exactly like a big graphd. Global
-// reads (component, pagerank, topdegree) serve the last cached answer when
-// a shard is down — stale beats unavailable for whole-graph summaries —
-// while traversals (khop, jaccard) fail if a shard they must touch is
-// gone, because there is no correct stale answer for point adjacency.
+// graphd's front end, which graphctl serves through Run, treat a coordinator
+// exactly like a big graphd. Global reads (component, pagerank, topdegree)
+// serve the last cached answer when a shard is down — stale beats
+// unavailable for whole-graph summaries — while traversals (khop, jaccard)
+// fail if a shard they must touch is gone, because there is no correct
+// stale answer for point adjacency.
+
+// Run answers one query request — jaccard, khop, topdegree, component or
+// pagerank — for the front end. Traversal answers are built in scr and alias
+// it until the caller puts it back; the rest are the caller's.
+func (c *Coordinator) Run(ctx context.Context, scr *reqscratch.Scratch, req *wire.Request) (any, error) {
+	switch req.Op {
+	case wire.OpJaccard:
+		return c.jaccardIn(ctx, scr, req.U, req.Threshold)
+	case wire.OpKHop:
+		return c.khopIn(ctx, scr, req.Seeds, req.K)
+	case wire.OpTopDegree:
+		return c.TopDegree(ctx, req.TopK())
+	case wire.OpComponent:
+		return c.Component(ctx, req.V)
+	case wire.OpPageRank:
+		if req.HasV {
+			return c.PageRankVertex(ctx, req.V)
+		}
+		return c.PageRankTop(ctx, req.TopK())
+	default:
+		return nil, badRequestf("op %s is not a cluster query", wire.OpName(req.Op))
+	}
+}
 
 // Component answers the component membership query for v from the merged
 // distributed WCC, byte-identical to a single graphd holding the union of
@@ -112,8 +136,8 @@ func (c *Coordinator) jaccardIn(ctx context.Context, scr *reqscratch.Scratch, u 
 	if err := c.checkVertex(u); err != nil {
 		return nil, err
 	}
-	if threshold < 0 || threshold > 1 {
-		return nil, badRequestf("jaccard: threshold %g out of [0, 1]", threshold)
+	if err := wire.CheckThreshold(threshold); err != nil {
+		return nil, err
 	}
 	pairs, err := c.jaccard(ctx, scr, u, threshold)
 	if err != nil {

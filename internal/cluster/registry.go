@@ -46,30 +46,37 @@ type shardConn struct {
 }
 
 // call runs fn against the shard's wire client under the per-shard lock,
-// dialing on first use. Transport errors drop the connection so the next
-// call redials (how a restarted shard rejoins); status errors and
-// coordinator-level errors (skew, response validation) keep it — the
-// stream is still framed and healthy.
+// dialing on first use. A transport error means the shard is unreachable:
+// it drops the connection so the next call redials (how a restarted shard
+// rejoins) and answers 503. Status errors and coordinator-level errors
+// (skew, response validation) keep it — the stream is still framed and
+// healthy.
 func (sc *shardConn) call(fn func(c *wire.Client) error) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	var err error
 	if sc.client == nil {
-		cl, err := wire.Dial(sc.addr.Wire)
-		if err != nil {
-			return err
-		}
-		sc.client = cl
+		sc.client, err = wire.Dial(sc.addr.Wire)
 	}
-	if err := fn(sc.client); err != nil {
-		var se *wire.StatusError
-		var ce *Error
-		if !errors.As(err, &se) && !errors.As(err, &ce) && !errors.Is(err, errSkew) {
-			sc.client.Close()
-			sc.client = nil
-		}
+	if err == nil {
+		err = fn(sc.client)
+	}
+	if err == nil || hasStatus(err) {
 		return err
 	}
-	return nil
+	if sc.client != nil {
+		sc.client.Close()
+		sc.client = nil
+	}
+	return wire.Errorf(http.StatusServiceUnavailable, "%v", err)
+}
+
+// hasStatus reports whether err carries a status of its own — a shard's
+// answer or a coordinator verdict — rather than being the transport's.
+func hasStatus(err error) bool {
+	var se *wire.StatusError
+	var we *wire.Error
+	return errors.As(err, &se) || errors.As(err, &we)
 }
 
 // closeConn drops the shard's wire connection if open.

@@ -13,7 +13,7 @@ import (
 // graph, so unlike the BSP gathers in bsp.go they run on every request, on
 // the kernels' own pooled scratch and the request's result scratch, and
 // cache nothing. Results alias scr until the caller puts it back (see
-// internal/reqscratch): the HTTP wrapper does so after encoding, and the
+// internal/reqscratch): the front end does so after encoding, and the
 // exported Go methods copy the answer out first.
 
 // adjacency fetches the complete neighbor lists of vertices, one shard.adj

@@ -3,13 +3,10 @@ package cluster
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
-	"net/http/httptest"
-	"net/url"
 	"slices"
 	"strings"
 	"sync"
@@ -287,8 +284,8 @@ func TestAdjacencyShortAnswer(t *testing.T) {
 	defer reqscratch.Put(scr)
 	fakes[1].short.Store(true)
 	_, err := c.adjacency(context.Background(), scr, frontier)
-	if err == nil || errToCode(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "shard 1 returned 1 adjacency lists, want 2") {
-		t.Fatalf("short answer: error %v (code %d), want a 400 naming shard 1", err, errToCode(err))
+	if err == nil || wire.StatusOf(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "shard 1 returned 1 adjacency lists, want 2") {
+		t.Fatalf("short answer: error %v (code %d), want a 400 naming shard 1", err, wire.StatusOf(err))
 	}
 	fakes[1].short.Store(false)
 	lists, err := c.adjacency(context.Background(), scr, frontier)
@@ -303,23 +300,29 @@ func TestAdjacencyShortAnswer(t *testing.T) {
 }
 
 // TestTraversalsMatchKernels: khop and jaccard over fake shards, through the
-// Go API and the HTTP handler, equal the sequential kernels on the graph
-// the shards serve.
+// Go API and through Run, the front end's call, equal the sequential
+// kernels on the graph the shards serve.
 func TestTraversalsMatchKernels(t *testing.T) {
 	g := testGraph()
 	c, _ := startFakeShards(t, g, 2)
-	h := c.Handler()
 	ctx := context.Background()
-	get := func(path string, out any) {
+	run := func(req *wire.Request) any {
 		t.Helper()
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
+		scr := reqscratch.Get()
+		defer reqscratch.Put(scr)
+		out, err := c.Run(ctx, scr, req)
+		if err != nil {
+			t.Fatalf("Run(%+v): %v", req, err)
 		}
-		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+		// Copied out before the scratch the answer aliases goes back.
+		switch res := out.(type) {
+		case *wire.KHopResult:
+			return slices.Clone(res.Vertices)
+		case *wire.JaccardResult:
+			return slices.Clone(res.Results)
 		}
+		t.Fatalf("Run(%+v) answered %T", req, out)
+		return nil
 	}
 	for _, v := range []int32{0, 1, 2, 17, 100, g.NumVertices() - 1} {
 		want := kernels.KHopNeighborhood(g, []int32{v}, 2)
@@ -327,10 +330,8 @@ func TestTraversalsMatchKernels(t *testing.T) {
 		if err != nil || !slices.Equal(got.Vertices, want) || got.Count != len(want) {
 			t.Fatalf("KHop(%d): %+v, %v; kernel %v", v, got, err, want)
 		}
-		var viaHTTP wire.KHopResult
-		get(fmt.Sprintf("/query/khop?v=%d&k=2", v), &viaHTTP)
-		if !slices.Equal(viaHTTP.Vertices, want) {
-			t.Fatalf("HTTP khop(%d) = %v, kernel %v", v, viaHTTP.Vertices, want)
+		if viaRun := run(&wire.Request{Op: wire.OpKHop, Seeds: []int32{v}, K: 2}).([]int32); !slices.Equal(viaRun, want) {
+			t.Fatalf("Run khop(%d) = %v, kernel %v", v, viaRun, want)
 		}
 
 		var wantPairs []wire.JaccardPair
@@ -341,39 +342,32 @@ func TestTraversalsMatchKernels(t *testing.T) {
 		if err != nil || !slices.Equal(jac.Results, wantPairs) {
 			t.Fatalf("Jaccard(%d): %+v, %v; kernel %v", v, jac, err, wantPairs)
 		}
-		var jacHTTP wire.JaccardResult
-		get(fmt.Sprintf("/query/jaccard?u=%d", v), &jacHTTP)
-		if !slices.Equal(jacHTTP.Results, wantPairs) {
-			t.Fatalf("HTTP jaccard(%d) = %v, kernel %v", v, jacHTTP.Results, wantPairs)
+		if viaRun := run(&wire.Request{Op: wire.OpJaccard, U: v}).([]wire.JaccardPair); !slices.Equal(viaRun, wantPairs) {
+			t.Fatalf("Run jaccard(%d) = %v, kernel %v", v, viaRun, wantPairs)
 		}
 	}
 }
 
-// TestHTTPResultPoisonedAfterWrite: the HTTP wrapper puts the request's
-// scratch back once the answer is written, so under go test a result a
-// handler still holds afterwards reads poison — and the Go API's results,
-// which are the caller's, do not.
+// TestHTTPResultPoisonedAfterWrite: the front end puts a request's scratch
+// back once it has written the answer, so under go test a Run result still
+// held afterwards reads poison — and the Go API's results, which are the
+// caller's, do not.
 func TestHTTPResultPoisonedAfterWrite(t *testing.T) {
 	g := testGraph()
 	c, _ := startFakeShards(t, g, 2)
 	hub := kernels.TopKByDegree(g, 1)[0].V
 	var held []any
-	capture := func(h func(context.Context, *reqscratch.Scratch, url.Values) (any, error)) func(context.Context, *reqscratch.Scratch, url.Values) (any, error) {
-		return func(ctx context.Context, scr *reqscratch.Scratch, q url.Values) (any, error) {
-			out, err := h(ctx, scr, q)
-			held = append(held, out)
-			return out, err
-		}
-	}
-	for path, h := range map[string]http.HandlerFunc{
-		fmt.Sprintf("/query/khop?v=%d&k=2", hub): c.query("khop", capture(c.handleKHop)),
-		fmt.Sprintf("/query/jaccard?u=%d", hub):  c.query("jaccard", capture(c.handleJaccard)),
+	for _, req := range []*wire.Request{
+		{Op: wire.OpKHop, Seeds: []int32{hub}, K: 2},
+		{Op: wire.OpJaccard, U: hub},
 	} {
-		rec := httptest.NewRecorder()
-		h(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
+		scr := reqscratch.Get()
+		out, err := c.Run(context.Background(), scr, req)
+		if err != nil {
+			t.Fatalf("Run(%+v): %v", req, err)
 		}
+		reqscratch.Put(scr)
+		held = append(held, out)
 	}
 	// Checked before any other request can borrow the scratch back.
 	for _, out := range held {

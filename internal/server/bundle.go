@@ -12,6 +12,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/par"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // The bundle lifecycle of doc.go: readers pin (pinCurrent, acquire, read);
@@ -89,14 +90,14 @@ func (s *Server) acquire(ctx context.Context, rt *reqTrace, k kernel) (*bundle, 
 		s.cacheHit(rt, k)
 		return b, nil
 	}
-	var end func()
+	var st stage
 	if b.parts[k] != nil {
-		ctx, end = rt.stageCtx(ctx, "snapshot")
+		ctx, st = rt.stageCtx(ctx, "snapshot")
 	} else {
 		s.want[k].Store(true)
-		ctx, end = rt.stageCtx(ctx, "kernel", telemetry.L("kernel", kernelNames[k]), telemetry.L("cache", "miss"))
+		ctx, st = rt.stageCtx(ctx, "kernel", telemetry.L("kernel", kernelNames[k]), telemetry.L("cache", "miss"))
 	}
-	defer end()
+	defer st.end()
 	if telemetry.SpanFromContext(ctx) != nil && s.buildCtx.Load() == nil {
 		bc := context.WithoutCancel(ctx)
 		s.buildCtx.CompareAndSwap(nil, &bc)
@@ -112,7 +113,7 @@ func (s *Server) acquire(ctx context.Context, rt *reqTrace, k kernel) (*bundle, 
 		case <-s.ingestEnd: // the writer has published its last bundle
 			if b == s.cur.Load() {
 				b.unpin()
-				return nil, &httpError{code: http.StatusServiceUnavailable, msg: "server is shut down"}
+				return nil, wire.Errorf(http.StatusServiceUnavailable, "server is shut down")
 			}
 		}
 		// Checked after any wake-up, against the deadline itself: a build
@@ -242,7 +243,7 @@ func (s *Server) build(cur *bundle) *bundle {
 // and a server.build root span (its steps, not every scheduler loop).
 func (s *Server) buildContext() (context.Context, *telemetry.Span, func()) {
 	if ctx := s.buildCtx.Swap(nil); ctx != nil {
-		return *ctx, telemetry.SpanFromContext(*ctx), noopEnd
+		return *ctx, telemetry.SpanFromContext(*ctx), func() {}
 	}
 	sp := s.reg.Tracer().Start("server.build")
 	return context.Background(), sp, sp.End

@@ -298,9 +298,9 @@ func TestReadYourWrites(t *testing.T) {
 
 		next := int32(1)
 		for r := 0; r < rounds; r++ {
-			var batch []IngestUpdate
+			var batch []wire.IngestEdit
 			for i := 0; i < perBatch; i++ {
-				batch = append(batch, IngestUpdate{Src: 0, Dst: next})
+				batch = append(batch, wire.IngestEdit{Src: 0, Dst: next})
 				next++
 			}
 			if code, res, _ := postIngest(t, ts.URL, batch); code != http.StatusAccepted || res.Accepted != perBatch {
@@ -334,10 +334,10 @@ func TestIncrPendingTracksLag(t *testing.T) {
 	cfg.MaxPendingEdits = 1000
 	s, ts := startServer(t, cfg)
 	next := int32(0)
-	batch := func() []IngestUpdate { // a growing path: every edit new
-		var b []IngestUpdate
+	batch := func() []wire.IngestEdit { // a growing path: every edit new
+		var b []wire.IngestEdit
 		for i := 0; i < 200; i++ {
-			b = append(b, IngestUpdate{Src: next, Dst: next + 1})
+			b = append(b, wire.IngestEdit{Src: next, Dst: next + 1})
 			next++
 		}
 		return b

@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,8 +93,9 @@ func (sh *testShard) stop(t *testing.T) {
 // httpAddr returns the shard's HTTP host:port for coordinator polling.
 func (sh *testShard) httpAddr() string { return sh.hs.Listener.Addr().String() }
 
-// startCluster boots count shards plus a coordinator polling them fast.
-func startCluster(t *testing.T, vertices int32, count int) ([]*testShard, *cluster.Coordinator) {
+// startCluster boots count shards plus a coordinator polling them fast, and
+// returns the registry the coordinator and graphctl's front end share.
+func startCluster(t *testing.T, vertices int32, count int) ([]*testShard, *cluster.Coordinator, *telemetry.Registry) {
 	t.Helper()
 	shards := make([]*testShard, count)
 	addrs := make([]cluster.ShardAddr, count)
@@ -98,17 +103,18 @@ func startCluster(t *testing.T, vertices int32, count int) ([]*testShard, *clust
 		shards[i] = startShard(t, vertices, i, count, "", "")
 		addrs[i] = cluster.ShardAddr{Wire: shards[i].wireAddr, HTTP: shards[i].httpAddr()}
 	}
+	reg := telemetry.NewRegistry()
 	coord, err := cluster.New(cluster.Config{
 		Vertices:     vertices,
 		Shards:       addrs,
-		Registry:     telemetry.NewRegistry(),
+		Registry:     reg,
 		PollInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
 	}
 	t.Cleanup(coord.Close)
-	return shards, coord
+	return shards, coord, reg
 }
 
 // clusterEdits builds a deterministic edit stream with distinct (src, dst)
@@ -158,11 +164,7 @@ func routedCounts(edits []wire.IngestEdit, shards int) []int64 {
 // coordinator (partitioned fan-out) and waits until every copy is applied.
 func ingestBoth(t *testing.T, solo *Server, soloURL string, shards []*testShard, coord *cluster.Coordinator, edits []wire.IngestEdit, appliedBase []int64, soloBase int64) {
 	t.Helper()
-	updates := make([]IngestUpdate, len(edits))
-	for i, e := range edits {
-		updates[i] = IngestUpdate{Src: e.Src, Dst: e.Dst, Weight: e.Weight, Time: e.Time, Delete: e.Delete}
-	}
-	code, res, _ := postIngest(t, soloURL, updates)
+	code, res, _ := postIngest(t, soloURL, edits)
 	if code != 202 || res.Accepted != len(edits) {
 		t.Fatalf("solo ingest: code %d accepted %d", code, res.Accepted)
 	}
@@ -174,6 +176,14 @@ func ingestBoth(t *testing.T, solo *Server, soloURL string, shards []*testShard,
 	for i, want := range routedCounts(edits, len(shards)) {
 		waitApplied(t, shards[i].s, appliedBase[i]+want)
 	}
+}
+
+// must returns v, panicking on err: for Go API answers a test compares with.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // mustComponentEqual compares a cluster component answer to solo's on every
@@ -194,7 +204,7 @@ func TestClusterDifferential(t *testing.T) {
 		t.Run(map[int]string{2: "two-shards", 3: "three-shards"}[shardCount], func(t *testing.T) {
 			const vertices = 80
 			solo, ts := startServer(t, testConfig(vertices))
-			shards, coord := startCluster(t, vertices, shardCount)
+			shards, coord, reg := startCluster(t, vertices, shardCount)
 
 			edits := clusterEdits(vertices)
 			ingestBoth(t, solo, ts.URL, shards, coord, edits, make([]int64, shardCount), 0)
@@ -274,30 +284,50 @@ func TestClusterDifferential(t *testing.T) {
 				}
 			})
 
-			// Through the handler, khop and jaccard are built in request
-			// scratch that goes back to the pool once the JSON is written:
-			// the bytes must be standalone graphd's, and decode to the Go
-			// API's answer.
+			// graphctl serves through graphd's own front end: every endpoint,
+			// malformed requests and batches included, must answer with
+			// standalone graphd's status and bytes (Version excepted: the
+			// cluster reports its summed shard versions), khop and jaccard
+			// built in request scratch that goes back to the pool once the
+			// JSON is written; a batch's sub-results share one scratch and
+			// must not overwrite each other. PageRank agrees within
+			// tolerance, as over the Go API.
 			t.Run("http", func(t *testing.T) {
-				h := coord.Handler()
-				// get returns the coordinator's body for path after checking
-				// it byte for byte against solo's.
-				get := func(path string) []byte {
+				ctl := httptest.NewServer(ClusterHandler(coord, reg))
+				defer ctl.Close()
+				versions := regexp.MustCompile(`"version":\d+`)
+				// same returns graphctl's body for a GET (or, with a body, a
+				// POST) of path after checking status and bytes against solo's.
+				same := func(path, body string) []byte {
 					t.Helper()
-					rec := httptest.NewRecorder()
-					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-					code, want := getRaw(t, ts.URL, path)
-					if rec.Code != http.StatusOK || code != http.StatusOK {
-						t.Fatalf("GET %s: cluster %d, solo %d", path, rec.Code, code)
+					fetch := func(base string) (int, []byte) {
+						var resp *http.Response
+						var err error
+						if body == "" {
+							resp, err = http.Get(base + path)
+						} else {
+							resp, err = http.Post(base+path, "application/json", strings.NewReader(body))
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", path, err)
+						}
+						defer resp.Body.Close()
+						raw, err := io.ReadAll(resp.Body)
+						if err != nil {
+							t.Fatalf("%s: %v", path, err)
+						}
+						return resp.StatusCode, versions.ReplaceAll(raw, []byte(`"version":0`))
 					}
-					if !bytes.Equal(rec.Body.Bytes(), want) {
-						t.Fatalf("GET %s: cluster %s != solo %s", path, rec.Body, want)
+					code, got := fetch(ctl.URL)
+					soloCode, want := fetch(ts.URL)
+					if code != soloCode || !bytes.Equal(got, want) {
+						t.Fatalf("%s: graphctl %d %s != graphd %d %s", path, code, got, soloCode, want)
 					}
-					return rec.Body.Bytes()
+					return got
 				}
 				for _, q := range []string{"v=0&k=1", "v=0&k=3", "seeds=1,5,9&k=2", "seeds=3,3,7&k=1", fmt.Sprintf("v=%d&k=4", vertices-10), fmt.Sprintf("v=%d", vertices-1)} {
 					var got wire.KHopResult
-					if err := json.Unmarshal(get("/query/khop?"+q), &got); err != nil {
+					if err := json.Unmarshal(same("/query/khop?"+q, ""), &got); err != nil {
 						t.Fatal(err)
 					}
 					api, err := coord.KHop(ctx, got.Seeds, got.K)
@@ -309,7 +339,7 @@ func TestClusterDifferential(t *testing.T) {
 				for _, u := range []int32{0, 1, 7, 33, vertices - 10, vertices - 1} {
 					for _, th := range []float64{0, 0.2} {
 						var got wire.JaccardResult
-						if err := json.Unmarshal(get(fmt.Sprintf("/query/jaccard?u=%d&threshold=%g", u, th)), &got); err != nil {
+						if err := json.Unmarshal(same(fmt.Sprintf("/query/jaccard?u=%d&threshold=%g", u, th), ""), &got); err != nil {
 							t.Fatal(err)
 						}
 						api, err := coord.Jaccard(ctx, u, th)
@@ -319,6 +349,80 @@ func TestClusterDifferential(t *testing.T) {
 						if got.U != u || !slices.Equal(got.Results, api.Results) {
 							t.Fatalf("jaccard(%d,%g) over HTTP %+v, Go API %+v", u, th, got, *api)
 						}
+					}
+				}
+				for _, path := range []string{
+					"/query/component?v=0", "/query/component?v=33", fmt.Sprintf("/query/component?v=%d", vertices-1),
+					"/query/topdegree", "/query/topdegree?k=5",
+					// Malformed: parsing, range checks and the threshold rule.
+					"/query/khop?v=abc", "/query/khop?v=1&k=-1", "/query/component?v=9999", "/query/component",
+					"/query/jaccard?u=1&threshold=2", "/query/jaccard?u=1&threshold=NaN", "/query/topdegree?k=0",
+					"/query/pagerank?timeout=nah", "/query/batch",
+				} {
+					same(path, "")
+				}
+				var batch struct {
+					Results []struct {
+						Status int             `json:"status"`
+						Result json.RawMessage `json:"result"`
+					} `json:"results"`
+				}
+				raw := same("/query/batch", `{"queries":[{"op":"khop","v":1,"k":2},{"op":"jaccard","u":7},{"op":"component","v":9999},{"op":"khop","seeds":[33,0],"k":3},{"op":"jaccard","u":1,"threshold":0.2}]}`)
+				if err := json.Unmarshal(raw, &batch); err != nil || len(batch.Results) != 5 || batch.Results[2].Status != http.StatusBadRequest {
+					t.Fatalf("batch: %v %s", err, raw)
+				}
+				for i, want := range []any{must(coord.KHop(ctx, []int32{1}, 2)), must(coord.Jaccard(ctx, 7, 0)), nil, must(coord.KHop(ctx, []int32{33, 0}, 3)), must(coord.Jaccard(ctx, 1, 0.2))} {
+					if want == nil {
+						continue
+					}
+					got := reflect.New(reflect.TypeOf(want).Elem())
+					if err := json.Unmarshal(batch.Results[i].Result, got.Interface()); err != nil || !reflect.DeepEqual(got.Interface(), want) {
+						t.Fatalf("batch item %d = %s, Go API %+v", i, batch.Results[i].Result, want)
+					}
+				}
+				for _, path := range []string{"/query/pagerank?v=3", "/query/pagerank?k=4"} {
+					var got, want wire.PageRankResult
+					if getJSON(t, ctl.URL, path, &got) != http.StatusOK || getJSON(t, ts.URL, path, &want) != http.StatusOK {
+						t.Fatalf("%s failed", path)
+					}
+					if got.Iterations != want.Iterations || len(got.Results) != len(want.Results) || (got.Rank == nil) != (want.Rank == nil) ||
+						(got.Rank != nil && math.Abs(*got.Rank-*want.Rank) > 1e-9) {
+						t.Fatalf("%s: graphctl %+v, graphd %+v", path, got, want)
+					}
+				}
+
+				// One request path means one trace discipline: graphctl joins
+				// the caller's trace, answers with its own root span as
+				// parent-id, keeps the span tree at /debug/trace/{id}, and its
+				// stages sum to each endpoint's wall time.
+				code, echoed := getTraced(t, ctl.URL, "/query/khop?v=1&k=2", clientTraceparent)
+				sent, _ := telemetry.ParseTraceparent(clientTraceparent)
+				got, ok := telemetry.ParseTraceparent(echoed)
+				if code != http.StatusOK || !ok || got.TraceID != sent.TraceID || got.Parent == sent.Parent {
+					t.Fatalf("graphctl echoed %q (status %d) for %q", echoed, code, clientTraceparent)
+				}
+				var dump struct {
+					Spans []struct {
+						Name     string `json:"name"`
+						Children []struct {
+							Name string `json:"name"`
+						} `json:"children"`
+					} `json:"spans"`
+				}
+				if getJSON(t, ctl.URL, "/debug/trace/"+sent.TraceID.String(), &dump) != http.StatusOK || len(dump.Spans) != 1 || dump.Spans[0].Name != "server.khop" {
+					t.Fatalf("graphctl /debug/trace: %+v", dump)
+				}
+				stages := map[string]bool{}
+				for _, c := range dump.Spans[0].Children {
+					stages[c.Name] = true
+				}
+				if !stages["stage.cluster"] || !stages["stage.encode"] {
+					t.Fatalf("graphctl khop root has stages %v, want stage.cluster and stage.encode", stages)
+				}
+				for _, op := range []string{"khop", "jaccard", "component", "batch"} {
+					stageSum, wall := stageAndWallSums(reg, op)
+					if wall == 0 || math.Abs(stageSum-wall) > 1e-6*wall {
+						t.Errorf("graphctl %s: stages sum to %.9fs, wall %.9fs", op, stageSum, wall)
 					}
 				}
 			})
@@ -381,6 +485,56 @@ func TestClusterDifferential(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestJaccardThresholdRule: one threshold rule on every transport — graphd
+// and graphctl over HTTP, their HTTP batch sub-queries, the wire protocol
+// and its batch sub-queries, the coordinator's Go API — a cutoff in [0, 1]
+// answers, NaN and anything outside answer 400. JSON has no NaN or
+// infinity, so HTTP batches carry the finite cases only.
+func TestJaccardThresholdRule(t *testing.T) {
+	const vertices = 80
+	solo, ts := startServer(t, testConfig(vertices))
+	shards, coord, reg := startCluster(t, vertices, 2)
+	ingestBoth(t, solo, ts.URL, shards, coord, clusterEdits(vertices), make([]int64, 2), 0)
+	ctl := httptest.NewServer(ClusterHandler(coord, reg))
+	defer ctl.Close()
+	c := startWire(t, solo)
+	for _, tc := range []struct {
+		raw  string
+		th   float64
+		want int
+	}{
+		{"0", 0, 200}, {"0.5", 0.5, 200}, {"1", 1, 200},
+		{"-0.1", -0.1, 400}, {"1.5", 1.5, 400}, {"NaN", math.NaN(), 400}, {"Inf", math.Inf(1), 400}, {"-Inf", math.Inf(-1), 400},
+	} {
+		for name, base := range map[string]string{"graphd": ts.URL, "graphctl": ctl.URL} {
+			if code := getJSON(t, base, "/query/jaccard?u=1&threshold="+tc.raw, nil); code != tc.want {
+				t.Errorf("%s HTTP threshold=%s: %d, want %d", name, tc.raw, code, tc.want)
+			}
+			if math.IsInf(tc.th, 0) || math.IsNaN(tc.th) {
+				continue
+			}
+			var batch struct {
+				Results []batchItem `json:"results"`
+			}
+			body := fmt.Sprintf(`{"queries":[{"op":"jaccard","u":1,"threshold":%s}]}`, tc.raw)
+			if err := fetchJSON(base+"/query/batch", []byte(body), &batch); err != nil || len(batch.Results) != 1 || batch.Results[0].Status != tc.want {
+				t.Errorf("%s HTTP batch threshold=%s: %+v %v, want item %d", name, tc.raw, batch, err, tc.want)
+			}
+		}
+		_, err := c.Jaccard(1, tc.th, time.Second)
+		if got := wire.StatusOf(err); err != nil && got != tc.want || err == nil && tc.want != 200 {
+			t.Errorf("wire threshold=%s: %v, want %d", tc.raw, err, tc.want)
+		}
+		items, err := c.Batch([]*wire.Request{{Op: wire.OpJaccard, U: 1, Threshold: tc.th}}, time.Second)
+		if err != nil || wire.HTTPStatus(items[0].Status) != tc.want {
+			t.Errorf("wire batch threshold=%s: %+v %v, want item %d", tc.raw, items, err, tc.want)
+		}
+		if _, err := coord.Jaccard(context.Background(), 1, tc.th); (err == nil) != (tc.want == 200) {
+			t.Errorf("coordinator threshold=%s: %v, want %d", tc.raw, err, tc.want)
+		}
 	}
 }
 
@@ -526,7 +680,7 @@ func TestClusterKillShard(t *testing.T) {
 	if err != nil || code != 202 || res.Accepted != 1 {
 		t.Fatalf("retry after rejoin: code %d res %+v err %v", code, res, err)
 	}
-	soloUpdates := []IngestUpdate{
+	soloUpdates := []wire.IngestEdit{
 		{Src: outageEdits[0].Src, Dst: outageEdits[0].Dst, Weight: 9, Time: 1000},
 		{Src: outageEdits[1].Src, Dst: outageEdits[1].Dst, Weight: 9, Time: 1001},
 	}

@@ -2,98 +2,137 @@ package server
 
 import (
 	"context"
-	"errors"
 	"net/http"
-	"runtime/pprof"
 	"slices"
 	"strconv"
 	"time"
 
+	"repro/internal/dyngraph"
 	"repro/internal/kernels"
 	"repro/internal/reqscratch"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
-// Protocol-shared request dispatch. The HTTP handlers (query.go) and the
-// binary wire sessions (serve_wire.go) are thin codecs around the same core:
-// parameter validation, admission, tracing, profiling labels, the query
-// bodies (run*), and error→status mapping all live here, so a query is
-// answered identically — same snapshot discipline, same caches, same SLO
-// accounting — regardless of the transport it arrived on. The run* methods
-// return the shared value types in internal/wire, which carry the HTTP API's
-// exact JSON tags and a binary encoding, making the twin-request equivalence
+// graphd as the front end's backend (frontend.go): admission against the
+// worker budget, the query bodies (run*) over the published bundles, and
+// the ingest core. Both transports reach them through the same dispatch, so
+// a query is answered identically — same snapshot discipline, same caches,
+// same SLO accounting — whichever it arrived on. The run* methods return
+// the shared value types in internal/wire, which carry the HTTP API's exact
+// JSON tags and a binary encoding, making the twin-request equivalence
 // property (decode(JSON answer) == decode(wire answer)) structural.
 
-// statusFor maps a handler error to its HTTP-equivalent status code.
-func statusFor(err error) int {
-	var he *httpError
-	switch {
-	case errors.As(err, &he):
-		return he.code
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// dispatch runs one query op under the full serving discipline shared by
-// both protocols: admission against the worker-budget semaphore (bounded by
-// ctx's deadline), the test-only query delay, pprof op labels, and the
-// status root-span attribute. It returns the handler result and the
-// HTTP-equivalent status code (the transport maps it to its own status
-// space). The caller owns trace creation and the final finish/countQuery.
-func (s *Server) dispatch(ctx context.Context, rt *reqTrace, op string, start time.Time, run func(context.Context) (any, error)) (any, int, error) {
-	endAdmit := rt.stage("admission")
+// enter admits one query (or batch) against the worker-budget semaphore,
+// bounded by ctx's deadline, in rt's "admission" stage, then applies the
+// test-only query delay. A free slot is taken without waiting on ctx.
+func (s *Server) enter(ctx context.Context, rt *reqTrace) error {
+	st := rt.stage("admission")
 	select {
 	case s.admit <- struct{}{}:
-		endAdmit()
-		s.m.admitWait.ObserveDuration(time.Since(start))
-		s.m.inflight.Add(1)
-		s.m.inflightHWM.observe(int64(len(s.admit)))
-		defer func() {
-			<-s.admit
-			s.m.inflight.Add(-1)
-		}()
-	case <-ctx.Done():
-		endAdmit()
-		rt.root.SetAttr("status", "admission-timeout")
-		return nil, http.StatusGatewayTimeout, errors.New("deadline exceeded while waiting for admission")
+	default:
+		select {
+		case s.admit <- struct{}{}:
+		case <-ctx.Done():
+			st.end()
+			return wire.Errorf(http.StatusGatewayTimeout, "deadline exceeded while waiting for admission")
+		}
 	}
-
+	st.end()
+	s.m.admitWait.ObserveDuration(time.Since(rt.start))
+	s.m.inflight.Add(1)
+	s.m.inflightHWM.observe(int64(len(s.admit)))
 	if d := s.cfg.queryDelay; d > 0 {
 		select {
 		case <-time.After(d):
 		case <-ctx.Done():
 		}
 	}
-
-	out, err := s.runHandler(ctx, op, run)
-	if err != nil {
-		code := statusFor(err)
-		rt.root.SetAttr("status", strconv.Itoa(code))
-		return nil, code, err
-	}
-	rt.root.SetAttr("status", "200")
-	return out, http.StatusOK, nil
+	return nil
 }
 
-// runHandler invokes the query body. With the profiler enabled, the handler
-// runs under a pprof goroutine label (op=<endpoint>) — labels are inherited
-// by the par worker goroutines the kernels spawn, so CPU samples in
-// trigger-captured profiles attribute by endpoint. Disabled, the call is
-// direct (pprof.Do costs an allocation, so it is gated).
-func (s *Server) runHandler(ctx context.Context, op string, run func(context.Context) (any, error)) (any, error) {
-	if !s.prof.Enabled() {
-		return run(ctx)
+// leave returns the slot enter took.
+func (s *Server) leave() {
+	<-s.admit
+	s.m.inflight.Add(-1)
+}
+
+// resolveTimeout clamps a client deadline to Config.MaxTimeout, 0 meaning
+// Config.DefaultTimeout.
+func (s *Server) resolveTimeout(d time.Duration) time.Duration {
+	if d <= 0 {
+		return s.cfg.DefaultTimeout
 	}
-	var out any
-	var err error
-	pprof.Do(ctx, pprof.Labels("op", op), func(ctx context.Context) {
-		out, err = run(ctx)
-	})
-	return out, err
+	return min(d, s.cfg.MaxTimeout)
+}
+
+// stats is the /stats payload.
+func (s *Server) stats() any { return s.StatsNow() }
+
+// readiness evaluates /readyz and mirrors the verdict in server_ready.
+func (s *Server) readiness() (any, bool) {
+	r := s.Readiness()
+	ready := 0.0
+	if r.Ready {
+		ready = 1
+	}
+	s.m.ready.Set(ready)
+	return r, r.Ready
+}
+
+// run answers one query op: the client queries and the shard-exchange ops.
+func (s *Server) run(ctx context.Context, _ *reqTrace, req *wire.Request) (any, error) {
+	switch req.Op {
+	case wire.OpJaccard:
+		return s.runJaccard(ctx, req.U, req.Threshold)
+	case wire.OpKHop:
+		return s.runKHop(ctx, req.Seeds, req.K)
+	case wire.OpTopDegree:
+		return s.runTopDegree(ctx, int(req.TopK()))
+	case wire.OpComponent:
+		return s.runComponent(ctx, req.V)
+	case wire.OpPageRank:
+		if req.HasV {
+			return s.runPageRankVertex(ctx, req.V)
+		}
+		return s.runPageRankTop(ctx, int(req.TopK()))
+	case wire.OpShardDegrees:
+		return s.runShardDegrees(ctx)
+	case wire.OpShardWCC:
+		return s.runShardWCC(ctx)
+	case wire.OpShardPRStep:
+		return s.runShardPRStep(ctx, req.Rank)
+	case wire.OpShardAdj:
+		return s.runShardAdj(ctx, req.Seeds)
+	default:
+		return nil, badRequest("unknown op %d", req.Op)
+	}
+}
+
+// ingest is the ingest core both transports share once they have decoded a
+// request: refused with 503 while draining, every edit range-checked (a 400
+// names the first bad one), then admitted in rt's "enqueue" stage — 202, or
+// 429 with the accepted prefix.
+func (s *Server) ingest(rt *reqTrace, edits []wire.IngestEdit) (*wire.IngestResult, int, error) {
+	if s.draining.Load() {
+		return nil, http.StatusServiceUnavailable, wire.Errorf(http.StatusServiceUnavailable, "server is draining")
+	}
+	batch := make([]dyngraph.Edit, len(edits))
+	for i, e := range edits {
+		if e.Src < 0 || e.Src >= s.cfg.Vertices || e.Dst < 0 || e.Dst >= s.cfg.Vertices {
+			return nil, http.StatusBadRequest, badRequest("update %d: vertex out of range [0,%d)", i, s.cfg.Vertices)
+		}
+		batch[i] = dyngraph.Edit{Src: e.Src, Dst: e.Dst, Weight: e.Weight, Time: e.Time, Delete: e.Delete}
+	}
+	st := rt.stage("enqueue")
+	res := s.enqueue(batch)
+	st.end()
+	rt.root.SetAttr("accepted", strconv.Itoa(res.Accepted))
+	if res.Rejected > 0 {
+		rt.root.SetAttr("status", "backpressure")
+		return &res, http.StatusTooManyRequests, nil
+	}
+	return &res, http.StatusAccepted, nil
 }
 
 // checkVertex validates a vertex ID against the configured ID space.
@@ -119,14 +158,17 @@ func (s *Server) runJaccard(ctx context.Context, u int32, threshold float64) (*w
 	if err := s.checkVertex(u); err != nil {
 		return nil, err
 	}
+	if err := wire.CheckThreshold(threshold); err != nil {
+		return nil, err
+	}
 	p, err := s.read(ctx, partGraph)
 	if err != nil {
 		return nil, err
 	}
 	scr := traceFrom(ctx).scratch()
-	ctx, end := traceFrom(ctx).stageCtx(ctx, "kernel", telemetry.L("kernel", "jaccard"))
+	ctx, st := traceFrom(ctx).stageCtx(ctx, "kernel", telemetry.L("kernel", "jaccard"))
 	scores, err := kernels.AppendJaccardFromVertexCtx(ctx, scr.Scores[:0], p.g, u, threshold)
-	end()
+	st.end()
 	if err != nil {
 		return nil, err
 	}
@@ -158,9 +200,9 @@ func (s *Server) runKHop(ctx context.Context, seeds []int32, k int32) (*wire.KHo
 	}
 	scr := traceFrom(ctx).scratch()
 	base := len(scr.Verts)
-	ctx, end := traceFrom(ctx).stageCtx(ctx, "kernel", telemetry.L("kernel", "khop"))
+	ctx, st := traceFrom(ctx).stageCtx(ctx, "kernel", telemetry.L("kernel", "khop"))
 	verts, err := kernels.AppendKHopNeighborhoodCtx(ctx, scr.Verts, p.g, seeds, k)
-	end()
+	st.end()
 	if err != nil {
 		return nil, err
 	}
@@ -238,39 +280,4 @@ func (s *Server) runPageRankTop(ctx context.Context, k int) (*wire.PageRankResul
 	}
 	top := kernels.TopKByScore(p.vec, k)
 	return &wire.PageRankResult{K: k, Results: scoredToWire(top), Iterations: p.iters, Version: p.version}, nil
-}
-
-// maxBatchSubs bounds one batch request's sub-query count.
-const maxBatchSubs = 1024
-
-// batchSub is one prepared sub-query of a batch request: params already
-// decoded and captured, ready to run under the batch's context.
-type batchSub func(ctx context.Context) (any, error)
-
-// batchItem is one sub-query outcome in a batch response. Status is the
-// HTTP-equivalent code; exactly one of Result / Err is set.
-type batchItem struct {
-	// Status is the sub-query's HTTP-equivalent status code.
-	Status int `json:"status"`
-	// Result is the sub-query's answer (Status 200 only).
-	Result any `json:"result,omitempty"`
-	// Err is the sub-query's error message (non-200 only).
-	Err string `json:"error,omitempty"`
-}
-
-// runBatch executes the sub-queries sequentially under one admission slot
-// and one trace (each sub still records its own kernel stage). Sub-query
-// failures — including per-sub deadline expiry once ctx dies — land in the
-// corresponding item, never fail the envelope.
-func (s *Server) runBatch(ctx context.Context, subs []batchSub) []batchItem {
-	items := make([]batchItem, len(subs))
-	for i, run := range subs {
-		out, err := run(ctx)
-		if err != nil {
-			items[i] = batchItem{Status: statusFor(err), Err: err.Error()}
-			continue
-		}
-		items[i] = batchItem{Status: http.StatusOK, Result: out}
-	}
-	return items
 }

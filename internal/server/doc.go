@@ -48,4 +48,9 @@
 //     server_* metric families land on the shared registry, and the
 //     registry's own HTTP handler (/metrics, /metrics.json, /debug/...) is
 //     mounted on the same listener.
+//
+// The HTTP front end (frontend.go) is not graphd's alone: cmd/graphctl
+// serves the same one over a cluster.Coordinator (ClusterHandler), so a
+// request through the cluster is parsed, traced, staged, encoded and
+// counted by the code that serves it here.
 package server

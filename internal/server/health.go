@@ -136,26 +136,6 @@ func heapInUseBytes() uint64 {
 // balancers to observe the flip, then close the listener and Shutdown.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// handleHealthz is pure liveness: 200 whenever the process serves HTTP,
-// draining included (restart-worthy failures are the probe's only signal).
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReadyz serves the readiness model: 200 with the check detail when
-// every component is healthy, 503 with the same payload when any is not.
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	r := s.Readiness()
-	code := http.StatusOK
-	if r.Ready {
-		s.m.ready.Set(1)
-	} else {
-		code = http.StatusServiceUnavailable
-		s.m.ready.Set(0)
-	}
-	writeJSON(w, code, r)
-}
-
 // handleSLO serves the SLO engine's self-evaluation (nil-safe: a daemon
 // with no objectives reports enabled=false, worst=ok).
 func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {

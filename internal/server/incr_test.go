@@ -16,6 +16,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/par"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // counterSum adds up every counter sample matching name (and, when kernel
@@ -59,7 +60,7 @@ func TestIncrementalFreshnessAndCounters(t *testing.T) {
 	s, ts := startServer(t, cfg)
 
 	// Chain 0-1-2 plus the separate pair 4-5; vertex 3 starts isolated.
-	updates := []IngestUpdate{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 4, Dst: 5}}
+	updates := []wire.IngestEdit{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 4, Dst: 5}}
 	if code, res, _ := postIngest(t, ts.URL, updates); code != http.StatusAccepted || res.Accepted != len(updates) {
 		t.Fatalf("ingest = %d %+v, want 202 all accepted", code, res)
 	}
@@ -86,7 +87,7 @@ func TestIncrementalFreshnessAndCounters(t *testing.T) {
 	}
 
 	// Attach 3: the next component query must see the merge via an advance.
-	postIngest(t, ts.URL, []IngestUpdate{{Src: 2, Dst: 3}})
+	postIngest(t, ts.URL, []wire.IngestEdit{{Src: 2, Dst: 3}})
 	waitApplied(t, s, 4)
 	if code := getJSON(t, ts.URL, "/query/component?v=3", &comp); code != 200 {
 		t.Fatalf("component = %d, want 200", code)
@@ -96,7 +97,7 @@ func TestIncrementalFreshnessAndCounters(t *testing.T) {
 	}
 
 	// Delete the bridge 1-2: the component splits into {0,1} and {2,3}.
-	postIngest(t, ts.URL, []IngestUpdate{{Src: 1, Dst: 2, Delete: true}})
+	postIngest(t, ts.URL, []wire.IngestEdit{{Src: 1, Dst: 2, Delete: true}})
 	waitApplied(t, s, 5)
 	if code := getJSON(t, ts.URL, "/query/component?v=2", &comp); code != 200 {
 		t.Fatalf("component = %d, want 200", code)
@@ -156,18 +157,18 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 		// Distinct normalized keys per round so in-batch dedup never drops
 		// an edit and the applied counter stays predictable.
 		seen := map[int64]bool{}
-		var updates []IngestUpdate
+		var updates []wire.IngestEdit
 		for len(updates) < perRound {
-			var u IngestUpdate
+			var u wire.IngestEdit
 			if round >= 2 && rng.Float64() < 0.3 && len(inserted) > 0 {
 				e := inserted[rng.Intn(len(inserted))]
-				u = IngestUpdate{Src: e[0], Dst: e[1], Delete: true}
+				u = wire.IngestEdit{Src: e[0], Dst: e[1], Delete: true}
 			} else {
 				a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
 				if a == b {
 					continue
 				}
-				u = IngestUpdate{Src: a, Dst: b, Weight: 1}
+				u = wire.IngestEdit{Src: a, Dst: b, Weight: 1}
 			}
 			key := editKey(dyngraph.Edit{Src: u.Src, Dst: u.Dst}, false)
 			if seen[key] {
@@ -259,16 +260,16 @@ func TestIncrementalCrashRecovery(t *testing.T) {
 
 	// Two ingest/query rounds (the second with deletes) so the persisted
 	// graph reflects state the incremental path has actually advanced over.
-	var updates []IngestUpdate
+	var updates []wire.IngestEdit
 	for v := int32(0); v < 255; v++ {
-		updates = append(updates, IngestUpdate{Src: v, Dst: v + 1})
+		updates = append(updates, wire.IngestEdit{Src: v, Dst: v + 1})
 	}
 	postIngest(t, ts.URL, updates)
 	waitApplied(t, s, int64(len(updates)))
 	if code := getJSON(t, ts.URL, "/query/component?v=0", nil); code != 200 {
 		t.Fatalf("seed component query = %d", code)
 	}
-	round2 := []IngestUpdate{
+	round2 := []wire.IngestEdit{
 		{Src: 100, Dst: 101, Delete: true},
 		{Src: 200, Dst: 201, Delete: true},
 		{Src: 0, Dst: 255},
@@ -331,13 +332,13 @@ func TestIncrementalDeadline504CancelsAdvance(t *testing.T) {
 	if code := getJSON(t, ts.URL, "/query/pagerank?v=0&timeout=30s", nil); code != 200 {
 		t.Fatalf("seed pagerank = %d, want 200", code)
 	}
-	churn := func(round int32) []IngestUpdate {
-		var u []IngestUpdate
+	churn := func(round int32) []wire.IngestEdit {
+		var u []wire.IngestEdit
 		for v := int32(0); v < 512; v++ {
-			u = append(u, IngestUpdate{Src: v, Dst: (v + 9 + round) % 4096})
+			u = append(u, wire.IngestEdit{Src: v, Dst: (v + 9 + round) % 4096})
 		}
 		for v := 512 + 256*round; v < 768+256*round; v++ {
-			u = append(u, IngestUpdate{Src: v, Dst: v + 1, Delete: true})
+			u = append(u, wire.IngestEdit{Src: v, Dst: v + 1, Delete: true})
 		}
 		return u
 	}

@@ -2,29 +2,22 @@ package server
 
 import (
 	"context"
-	"net/http"
 	"runtime/pprof"
 	"strconv"
 	"time"
 
 	"repro/internal/dyngraph"
+	"repro/internal/wire"
 )
-
-// EnqueueResult reports how much of one ingest request entered the queue.
-type EnqueueResult struct {
-	Accepted int `json:"accepted"`
-	Rejected int `json:"rejected"`
-	Deduped  int `json:"deduped"` // filled per batch at apply time, 0 here
-	Depth    int `json:"queue_depth"`
-}
 
 // enqueue admits updates into the bounded ingest queue without blocking.
 // Admission is per update and in order: once one update is refused (queue
 // full), the rest of the request is refused too, so the client retries a
 // contiguous tail. Accepted updates are durable from the next applied
-// batch's snapshot onward.
-func (s *Server) enqueue(edits []dyngraph.Edit) EnqueueResult {
-	var res EnqueueResult
+// batch's snapshot onward. Deduped is counted per batch at apply time, so
+// it is 0 here.
+func (s *Server) enqueue(edits []dyngraph.Edit) wire.IngestResult {
+	var res wire.IngestResult
 	for i, e := range edits {
 		select {
 		case s.queue <- e:
@@ -40,27 +33,6 @@ func (s *Server) enqueue(edits []dyngraph.Edit) EnqueueResult {
 	s.m.enqueued.Add(int64(res.Accepted))
 	s.setQueueDepth()
 	return res
-}
-
-// admitEdits is the ingest core both transports share once they have
-// decoded a request: every edit is range-checked (a 400 names the first
-// bad one), then the edits are admitted — 202, or 429 with the accepted
-// prefix.
-func (s *Server) admitEdits(rt *reqTrace, edits []dyngraph.Edit) (EnqueueResult, int, error) {
-	for i, e := range edits {
-		if e.Src < 0 || e.Src >= s.cfg.Vertices || e.Dst < 0 || e.Dst >= s.cfg.Vertices {
-			return EnqueueResult{}, http.StatusBadRequest, badRequest("update %d: vertex out of range [0,%d)", i, s.cfg.Vertices)
-		}
-	}
-	endEnqueue := rt.stage("enqueue")
-	res := s.enqueue(edits)
-	endEnqueue()
-	rt.root.SetAttr("accepted", strconv.Itoa(res.Accepted))
-	if res.Rejected > 0 {
-		rt.root.SetAttr("status", "backpressure")
-		return res, http.StatusTooManyRequests, nil
-	}
-	return res, http.StatusAccepted, nil
 }
 
 // setQueueDepth publishes the current queue occupancy and raises the

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/par"
+	"repro/internal/wire"
 )
 
 func TestLoadProfile(t *testing.T) {
@@ -43,21 +44,21 @@ func TestLoadProfile(t *testing.T) {
 	s, ts := startServer(t, cfg)
 
 	rng := rand.New(rand.NewSource(42))
-	randomBatch := func(n int) []IngestUpdate {
-		b := make([]IngestUpdate, n)
+	randomBatch := func(n int) []wire.IngestEdit {
+		b := make([]wire.IngestEdit, n)
 		for i := range b {
 			src := rng.Int31n(vertices)
 			dst := rng.Int31n(vertices)
 			if dst == src {
 				dst = (dst + 1) % vertices
 			}
-			b[i] = IngestUpdate{Src: src, Dst: dst, Weight: 1}
+			b[i] = wire.IngestEdit{Src: src, Dst: dst, Weight: 1}
 		}
 		return b
 	}
 	// postAll pushes one batch through, retrying the rejected tail after
 	// the advertised Retry-After-style pause, and returns 429 round-trips.
-	postAll := func(b []IngestUpdate) (retries int) {
+	postAll := func(b []wire.IngestEdit) (retries int) {
 		for len(b) > 0 {
 			code, res, _ := postIngest(t, ts.URL, b)
 			switch code {

@@ -81,6 +81,10 @@ func (w *watermark) observe(v int64) {
 //
 // The slo_* families (slo_state, slo_burn_rate, slo_transitions_total) are
 // documented in internal/slo, the prof_* families in internal/prof.
+// graphctl, serving the same front end, exports the request families —
+// server_queries_total, server_requests_total, server_request_errors_total,
+// server_query_seconds, server_stage_seconds, server_slow_queries_total —
+// and none of the rest.
 type metricsSet struct {
 	enqueued  *telemetry.Counter
 	rejected  *telemetry.Counter
@@ -168,12 +172,12 @@ func newMetricsSet(reg *telemetry.Registry) *metricsSet {
 // cost, so no per-op cache is kept. Besides the per-code counter it feeds
 // the SLO availability families: every request into the denominator, 5xx
 // into the numerator (backpressure and client errors spend no budget).
-func (s *Server) countQuery(op string, code int, seconds float64) {
+func (fe *frontEnd) countQuery(op string, code int, seconds float64) {
 	opL := telemetry.L("op", op)
-	s.reg.Counter("server_queries_total", opL, telemetry.L("code", httpCodeLabel(code))).Inc()
-	s.reg.Counter("server_requests_total", opL).Inc()
+	fe.reg.Counter("server_queries_total", opL, telemetry.L("code", httpCodeLabel(code))).Inc()
+	fe.reg.Counter("server_requests_total", opL).Inc()
 	if code >= 500 {
-		s.reg.Counter("server_request_errors_total", opL).Inc()
+		fe.reg.Counter("server_request_errors_total", opL).Inc()
 	}
-	s.reg.Histogram("server_query_seconds", opL).Observe(seconds)
+	fe.reg.Histogram("server_query_seconds", opL).Observe(seconds)
 }

@@ -273,9 +273,7 @@ func TestTraversalReadAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads an R-MAT scale 13 graph")
 	}
-	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
-		t.Skip("under the race detector sync.Pool drops a quarter of what it is handed, by design")
-	}
+	skipUnderRace(t)
 	// sync.Pool keeps what it is handed per P: on one P a borrow always finds
 	// the last return, so the count below is exact and repeats.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -336,7 +334,7 @@ func TestResultPoisonedAfterFinish(t *testing.T) {
 	s, _ := startServer(t, testConfig(1<<8))
 	g := loadRMAT(t, s, 8)
 	hub := kernels.TopKByDegree(g, 1)[0].V
-	ctx, rt := s.startTrace(context.Background(), nil, "test", time.Now())
+	ctx, rt := s.startTrace(context.Background(), telemetry.TraceContext{}, "test", time.Now())
 	kh, err := s.runKHop(ctx, []int32{hub}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -366,9 +364,9 @@ func TestResultPoisonedAfterFinish(t *testing.T) {
 
 // loadCluster starts two shards and a coordinator that does not poll them,
 // and ingests the distinct edges of an undirected R-MAT graph through the
-// coordinator. It returns the coordinator and the graph every expected
-// answer is computed on.
-func loadCluster(t *testing.T, scale int) (*cluster.Coordinator, *graph.Graph) {
+// coordinator. It returns graphctl's HTTP handler over the coordinator and
+// the graph every expected answer is computed on.
+func loadCluster(t *testing.T, scale int) (http.Handler, *graph.Graph) {
 	t.Helper()
 	const shardCount = 2
 	src := gen.RMAT(scale, 8, gen.Graph500RMAT, int64(scale), false)
@@ -379,7 +377,8 @@ func loadCluster(t *testing.T, scale int) (*cluster.Coordinator, *graph.Graph) {
 		shards[i] = startShard(t, n, i, shardCount, "", "")
 		addrs[i] = cluster.ShardAddr{Wire: shards[i].wireAddr}
 	}
-	coord, err := cluster.New(cluster.Config{Vertices: n, Shards: addrs, Registry: telemetry.NewRegistry(), PollInterval: time.Hour})
+	reg := telemetry.NewRegistry()
+	coord, err := cluster.New(cluster.Config{Vertices: n, Shards: addrs, Registry: reg, PollInterval: time.Hour})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
 	}
@@ -405,7 +404,7 @@ func loadCluster(t *testing.T, scale int) (*cluster.Coordinator, *graph.Graph) {
 	for i, want := range routedCounts(edits, shardCount) {
 		waitApplied(t, shards[i].s, want)
 	}
-	return coord, src
+	return ClusterHandler(coord, reg), src
 }
 
 // TestCoordinatorScratchHammer: the coordinator builds khop and jaccard
@@ -416,8 +415,8 @@ func loadCluster(t *testing.T, scale int) (*cluster.Coordinator, *graph.Graph) {
 // under -race.
 func TestCoordinatorScratchHammer(t *testing.T) {
 	const workers, rounds = 8, 60
-	coord, g := loadCluster(t, 9)
-	ts := httptest.NewServer(coord.Handler())
+	h, g := loadCluster(t, 9)
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	o := newTraversalOracle(g)
 	cc := kernels.WCC(g)
@@ -473,12 +472,65 @@ func (d *discardWriter) Header() http.Header         { return d.h }
 func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discardWriter) WriteHeader(code int)        { d.code = code }
 
+// skipUnderRace skips an allocation budget under the race detector, where
+// sync.Pool drops a quarter of what it is handed, by design.
+func skipUnderRace(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is handed, by design")
+	}
+}
+
+// handlerBytes returns the steady-state heap bytes the whole process
+// allocates per request while h serves GETs of paths, one sweep after
+// another. Run it at GOMAXPROCS(1), where a pool borrow finds the last
+// return, so the count is exact and repeats.
+func handlerBytes(t *testing.T, h http.Handler, paths []string) float64 {
+	t.Helper()
+	reqs := make([]*http.Request, len(paths))
+	for i, path := range paths {
+		reqs[i] = httptest.NewRequest(http.MethodGet, path, nil)
+	}
+	w := &discardWriter{h: http.Header{}}
+	sweep := func() {
+		for _, r := range reqs {
+			h.ServeHTTP(w, r)
+			if w.code != http.StatusOK {
+				t.Fatalf("%s: status %d", r.URL, w.code)
+			}
+		}
+	}
+	// Every buffer on the path reaches its steady size, in every scratch the
+	// coordinator and the shards pass between them.
+	sweep()
+	sweep()
+	// A collection empties the pools, as it is meant to; steady state is what
+	// happens between two of them.
+	gc := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gc)
+	sweep()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sweep()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(reqs))
+}
+
+// hubPaths returns the path of format for each of g's 64 highest-degree
+// vertices, the largest answers the graph has.
+func hubPaths(g *graph.Graph, format string) []string {
+	var paths []string
+	for _, hub := range kernels.TopKByDegree(g, 64) {
+		paths = append(paths, fmt.Sprintf(format, hub.V))
+	}
+	return paths
+}
+
 // TestCoordinatorTraversalAllocBudget: a khop2 or jaccard through the
 // coordinator must allocate nothing that scales with the graph or with its
 // answer — not in the coordinator, which reassembles the shards' flat
 // answers in request scratch, and not in the shards. Steady-state heap
-// bytes per request through the coordinator's HTTP handler, counting the
-// whole process (handler, coordinator, wire clients, both shards' wire
+// bytes per request through graphctl's HTTP handler, counting the whole
+// process (front end, coordinator, wire clients, both shards' wire
 // sessions), are measured over two shards on R-MAT scale 10 and scale 13,
 // an 8x larger graph whose answers are several times larger, and must agree
 // within 1 KiB and stay under 12 KiB.
@@ -486,47 +538,13 @@ func TestCoordinatorTraversalAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads an R-MAT scale 13 graph through a cluster")
 	}
-	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
-		t.Skip("under the race detector sync.Pool drops a quarter of what it is handed, by design")
-	}
-	// As in TestTraversalReadAllocBudget: on one P a pool borrow finds the
-	// last return, so the count is exact and repeats.
+	skipUnderRace(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	perOp := map[string][2]float64{}
 	for i, scale := range []int{10, 13} {
-		coord, g := loadCluster(t, scale)
-		h := coord.Handler()
-		hubs := kernels.TopKByDegree(g, 64) // the largest answers the graph has
-		w := &discardWriter{h: http.Header{}}
-		for _, name := range []string{"khop2", "jaccard"} {
-			reqs := make([]*http.Request, len(hubs))
-			for j, hub := range hubs {
-				path := fmt.Sprintf("/query/khop?v=%d&k=2", hub.V)
-				if name == "jaccard" {
-					path = fmt.Sprintf("/query/jaccard?u=%d", hub.V)
-				}
-				reqs[j] = httptest.NewRequest(http.MethodGet, path, nil)
-			}
-			sweep := func() {
-				for _, r := range reqs {
-					h.ServeHTTP(w, r)
-					if w.code != http.StatusOK {
-						t.Fatalf("%s at scale %d: status %d", r.URL, scale, w.code)
-					}
-				}
-			}
-			// Every buffer on the path reaches its steady size, in every
-			// scratch the coordinator and the shards pass between them.
-			sweep()
-			sweep()
-			gc := debug.SetGCPercent(-1)
-			sweep()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			sweep()
-			runtime.ReadMemStats(&after)
-			debug.SetGCPercent(gc)
-			alloc := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(hubs))
+		h, g := loadCluster(t, scale)
+		for name, format := range map[string]string{"khop2": "/query/khop?v=%d&k=2", "jaccard": "/query/jaccard?u=%d"} {
+			alloc := handlerBytes(t, h, hubPaths(g, format))
 			t.Logf("scale %d %s through the coordinator: %.0f B/op allocated", scale, name, alloc)
 			if alloc > 12<<10 {
 				t.Errorf("scale %d %s allocates %.0f B/op, budget 12 KiB", scale, name, alloc)
@@ -539,6 +557,33 @@ func TestCoordinatorTraversalAllocBudget(t *testing.T) {
 	for name, row := range perOp {
 		if diff := row[1] - row[0]; diff > 1<<10 || diff < -(1<<10) {
 			t.Errorf("%s: %.0f B/op at scale 10, %.0f at scale 13: the difference scales with the graph", name, row[0], row[1])
+		}
+	}
+}
+
+// TestFrontEndAllocBudget: the HTTP front end graphd and graphctl share —
+// query parsing, trace identity, root and stage spans, stage accounting,
+// encoding, request metrics — must stay light. Steady-state heap bytes per
+// /query/component over R-MAT scale 10's 64 hubs are measured through
+// graphd's handler, budget 1.5 KiB, and through graphctl's, counting the
+// whole process (front end, coordinator, wire clients and both shards'
+// shard.meta sessions), budget 1.6 KiB.
+func TestFrontEndAllocBudget(t *testing.T) {
+	skipUnderRace(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s, _ := startServer(t, testConfig(1<<10))
+	g := loadRMAT(t, s, 10)
+	ctl, _ := loadCluster(t, 10)
+	paths := hubPaths(g, "/query/component?v=%d")
+	for _, tc := range []struct {
+		name   string
+		h      http.Handler
+		budget float64
+	}{{"graphd", s.Handler(), 1.5 * 1024}, {"graphctl", ctl, 1.6 * 1024}} {
+		alloc := handlerBytes(t, tc.h, paths)
+		t.Logf("%s HTTP component: %.0f B/request allocated", tc.name, alloc)
+		if alloc > tc.budget {
+			t.Errorf("%s HTTP component allocates %.0f B/request, budget %.0f", tc.name, alloc, tc.budget)
 		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"net/http"
 	"time"
 
-	"repro/internal/dyngraph"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -114,8 +114,8 @@ func (s *Server) serveWireConn(conn net.Conn) {
 }
 
 // wireRespond answers one request frame, appending the response payload to
-// out. It mirrors the HTTP query wrapper: resolve the deadline from the
-// envelope, mint a trace identity (the wire protocol carries none), then
+// out. It mirrors the HTTP front end's query path: resolve the deadline from
+// the envelope, mint a trace identity (the wire protocol carries none), then
 // hand the decoded request to the shared dispatch core and encode the
 // result. Malformed frames answer StatusBadRequest; the session survives.
 func (s *Server) wireRespond(frame []byte, req *wire.Request, out []byte) []byte {
@@ -130,13 +130,7 @@ func (s *Server) wireRespond(frame []byte, req *wire.Request, out []byte) []byte
 		s.countQuery(opName, 400, time.Since(start).Seconds())
 		return wire.AppendErrorResponse(out, wire.StatusBadRequest, "bad timeout varint")
 	}
-	d := time.Duration(tmicros) * time.Microsecond
-	if d <= 0 {
-		d = s.cfg.DefaultTimeout
-	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
+	d := s.resolveTimeout(time.Duration(tmicros) * time.Microsecond)
 
 	// Stats is the cold, admission-free path on HTTP too; answer it before
 	// building any trace state.
@@ -164,33 +158,35 @@ func (s *Server) wireRespond(frame []byte, req *wire.Request, out []byte) []byte
 
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()
-	ctx = context.WithValue(ctx, traceCtxKey{}, telemetry.NewTraceContext())
-	ctx, rt := s.startTrace(ctx, nil, opName, start)
+	ctx, rt := s.startTrace(ctx, telemetry.NewTraceContext(), opName, start)
 	if s.prof.Enabled() {
 		s.trackTrace(rt.tc.TraceID)
 		defer s.untrackTrace(rt.tc.TraceID)
 	}
 
-	endDecode := rt.stage("decode")
+	st := rt.stage("decode")
 	err := wire.DecodeRequest(frame, req)
-	endDecode()
-	code := 400
-	if err != nil {
+	var subs []batchSub
+	if err == nil && req.Op == wire.OpBatch {
+		subs, err = wireBatchSubs(req)
+	}
+	st.end()
+	var res any
+	code := http.StatusBadRequest
+	switch {
+	case err != nil:
 		rt.root.SetAttr("status", "400")
-		out = wire.AppendErrorResponse(out, wire.StatusBadRequest, err.Error())
-	} else if req.Op == wire.OpIngest {
-		out, code = s.wireIngest(rt, req, out)
+	case req.Op == wire.OpIngest:
+		res, code, err = s.ingest(rt, req.Edits)
+	default:
+		res, code, err = s.dispatch(ctx, rt, req, subs)
+	}
+	if err != nil {
+		out = wire.AppendErrorResponse(out, wire.StatusFromHTTP(code), err.Error())
 	} else {
-		var res any
-		res, code, err = s.dispatch(ctx, rt, opName, start, s.wireRun(req))
-		if err != nil {
-			out = wire.AppendErrorResponse(out, wire.StatusFromHTTP(code), err.Error())
-		} else {
-			endEncode := rt.stage("encode")
-			out = append(out, wire.StatusOK)
-			out = appendWireResult(out, res)
-			endEncode()
-		}
+		st := rt.stage("encode")
+		out = appendWireResult(append(out, wire.StatusFromHTTP(code)), res)
+		st.end()
 	}
 	wall := time.Since(start)
 	rt.finish(code, wall)
@@ -198,98 +194,10 @@ func (s *Server) wireRespond(frame []byte, req *wire.Request, out []byte) []byte
 	return out
 }
 
-// wireIngest is the wire twin of handleIngest: same draining refusal, same
-// range validation, same enqueue semantics (202 all-accepted / 429 with the
-// accepted prefix count). The edit conversion is the "decode" equivalent
-// and is staged as such.
-func (s *Server) wireIngest(rt *reqTrace, req *wire.Request, out []byte) ([]byte, int) {
-	if s.draining.Load() {
-		return wire.AppendErrorResponse(out, wire.StatusUnavailable, "server is draining"), 503
-	}
-	endDecode := rt.stage("decode")
-	edits := make([]dyngraph.Edit, len(req.Edits))
-	for i, e := range req.Edits {
-		edits[i] = dyngraph.Edit{Src: e.Src, Dst: e.Dst, Weight: e.Weight, Time: e.Time, Delete: e.Delete}
-	}
-	endDecode()
-	res, code, err := s.admitEdits(rt, edits)
-	if err != nil {
-		return wire.AppendErrorResponse(out, wire.StatusBadRequest, err.Error()), code
-	}
-	status := wire.StatusOK
-	if code == 429 {
-		status = wire.StatusBackpressure
-	}
-	endEncode := rt.stage("encode")
-	out = append(out, status)
-	out = wire.AppendIngestResult(out, &wire.IngestResult{
-		Accepted: res.Accepted, Rejected: res.Rejected, Deduped: res.Deduped, Depth: res.Depth,
-	})
-	endEncode()
-	return out, code
-}
-
-// wireRun compiles a query request into the dispatch-core run function,
-// for both transports: wire sessions decode the request, HTTP builds it from
-// the URL (handleQuery) or a batch spec (batchSubFor). The returned closure
-// must not retain req past the call (req is reused per frame), so it reads
-// every field it needs eagerly.
-func (s *Server) wireRun(req *wire.Request) func(context.Context) (any, error) {
-	switch req.Op {
-	case wire.OpJaccard:
-		u, threshold := req.U, req.Threshold
-		return func(ctx context.Context) (any, error) { return s.runJaccard(ctx, u, threshold) }
-	case wire.OpKHop:
-		seeds, k := req.Seeds, req.K
-		return func(ctx context.Context) (any, error) { return s.runKHop(ctx, seeds, k) }
-	case wire.OpTopDegree:
-		k := int(req.K)
-		if k == 0 {
-			k = 10
-		}
-		return func(ctx context.Context) (any, error) { return s.runTopDegree(ctx, k) }
-	case wire.OpComponent:
-		v := req.V
-		return func(ctx context.Context) (any, error) { return s.runComponent(ctx, v) }
-	case wire.OpPageRank:
-		if req.HasV {
-			v := req.V
-			return func(ctx context.Context) (any, error) { return s.runPageRankVertex(ctx, v) }
-		}
-		k := int(req.K)
-		if k == 0 {
-			k = 10
-		}
-		return func(ctx context.Context) (any, error) { return s.runPageRankTop(ctx, k) }
-	case wire.OpBatch:
-		subs, err := s.wireBatchSubs(req)
-		return func(ctx context.Context) (any, error) {
-			if err != nil {
-				return nil, err
-			}
-			return s.runBatch(ctx, subs), nil
-		}
-	case wire.OpShardDegrees:
-		return func(ctx context.Context) (any, error) { return s.runShardDegrees(ctx) }
-	case wire.OpShardWCC:
-		return func(ctx context.Context) (any, error) { return s.runShardWCC(ctx) }
-	case wire.OpShardPRStep:
-		rank := req.Rank
-		return func(ctx context.Context) (any, error) { return s.runShardPRStep(ctx, rank) }
-	case wire.OpShardAdj:
-		vertices := req.Seeds
-		return func(ctx context.Context) (any, error) { return s.runShardAdj(ctx, vertices) }
-	default:
-		op := req.Op
-		return func(context.Context) (any, error) { return nil, badRequest("unknown op %d", op) }
-	}
-}
-
-// wireBatchSubs decodes a batch request's sub-payloads into runnable
-// batchSubs. Each sub-request decodes into its own Request value (the
-// shared per-connection Request is the envelope's), and each closure
-// captures its parameters by value so nothing aliases across subs.
-func (s *Server) wireBatchSubs(req *wire.Request) ([]batchSub, error) {
+// wireBatchSubs decodes a batch request's sub-payloads, each into its own
+// Request (the per-connection Request is the envelope's). A sub that fails
+// to decode or names an op a batch cannot hold answers its item's 400.
+func wireBatchSubs(req *wire.Request) ([]batchSub, error) {
 	if len(req.Sub) == 0 {
 		return nil, badRequest("batch: no queries")
 	}
@@ -297,20 +205,13 @@ func (s *Server) wireBatchSubs(req *wire.Request) ([]batchSub, error) {
 		return nil, badRequest("batch: %d queries exceeds limit %d", len(req.Sub), maxBatchSubs)
 	}
 	subs := make([]batchSub, len(req.Sub))
-	reqs := make([]wire.Request, len(req.Sub))
 	for i, payload := range req.Sub {
-		if err := wire.DecodeSubRequest(payload, &reqs[i]); err != nil {
-			err := badRequest("batch query %d: %v", i, err)
-			subs[i] = func(context.Context) (any, error) { return nil, err }
-			continue
+		sub := &subs[i]
+		if err := wire.DecodeSubRequest(payload, &sub.req); err != nil {
+			sub.err = badRequest("batch query %d: %v", i, err)
+		} else if op := sub.req.Op; op == wire.OpIngest || op == wire.OpStats || op == wire.OpPing || op >= wire.OpShardMeta {
+			sub.err = badRequest("batch query %d: op %s is not batchable", i, wire.OpName(op))
 		}
-		if reqs[i].Op == wire.OpIngest || reqs[i].Op == wire.OpStats || reqs[i].Op == wire.OpPing ||
-			reqs[i].Op >= wire.OpShardMeta {
-			err := badRequest("batch query %d: op %s is not batchable", i, wire.OpName(reqs[i].Op))
-			subs[i] = func(context.Context) (any, error) { return nil, err }
-			continue
-		}
-		subs[i] = batchSub(s.wireRun(&reqs[i]))
 	}
 	return subs, nil
 }
@@ -337,6 +238,8 @@ func appendWireResult(out []byte, res any) []byte {
 		return wire.AppendShardPRStepResult(out, v)
 	case *wire.ShardAdjResult:
 		return wire.AppendShardAdjResult(out, v)
+	case *wire.IngestResult:
+		return wire.AppendIngestResult(out, v)
 	case []batchItem:
 		out = binary.AppendUvarint(out, uint64(len(v)))
 		for _, item := range v {

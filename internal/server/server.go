@@ -157,23 +157,16 @@ func DefaultConfig() Config {
 }
 
 // Server owns the persistent graph and its serving machinery. Create with
-// New, mount Handler on an HTTP listener, and stop with Shutdown.
+// New, mount Handler on an HTTP listener, and stop with Shutdown. It serves
+// through the front end it embeds, as that front end's backend.
 type Server struct {
-	cfg  Config
-	reg  *telemetry.Registry
-	m    *metricsSet
-	slow *slowLog
+	frontEnd
+	cfg Config
+	m   *metricsSet
 
-	// slo and prof are nil unless configured; both are nil-safe, so their
-	// hooks stay unconditionally in place on the request path.
-	slo  *slo.Evaluator
-	prof *prof.Profiler
-
-	// activeTraces refcounts the trace IDs of in-flight traced requests so a
-	// profile capture can be stamped with the requests it overlapped.
-	// Maintained only when the profiler is enabled.
-	activeMu     sync.Mutex
-	activeTraces map[telemetry.TraceID]int
+	// slo, like the front end's prof, is nil unless configured and nil-safe,
+	// so its hooks stay unconditionally in place on the request path.
+	slo *slo.Evaluator
 
 	// lastPersist is the unix-nano instant of the last successful Persist
 	// (0 before the first) — the /readyz snapshot-age anchor.
@@ -257,10 +250,9 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s := &Server{
+		frontEnd:  frontEnd{reg: reg, slow: newSlowLog(cfg.SlowQueryThreshold, cfg.SlowQueryRing, cfg.SlowQueryOut, reg)},
 		cfg:       cfg,
-		reg:       reg,
 		m:         newMetricsSet(reg),
-		slow:      newSlowLog(cfg.SlowQueryThreshold, cfg.SlowQueryRing, cfg.SlowQueryOut, reg),
 		queue:     make(chan dyngraph.Edit, cfg.QueueCap),
 		admit:     make(chan struct{}, inflight),
 		started:   time.Now(),
@@ -270,6 +262,7 @@ func New(cfg Config) (*Server, error) {
 		wireConns: make(map[net.Conn]struct{}),
 		deltas:    incr.NewLog(cfg.MaxPendingEdits),
 	}
+	s.back = s
 	s.ownedCount = cluster.OwnedCount(cfg.Vertices, cfg.ShardIndex, cfg.ShardCount)
 
 	var g0 *graph.Graph
@@ -467,34 +460,6 @@ func (s *Server) onSLOTransition(tr slo.Transition) {
 	if tr.To == slo.StateBreaching {
 		s.prof.Trigger("slo:"+tr.Objective.Endpoint, s.activeTraceIDs())
 	}
-}
-
-// trackTrace registers an in-flight traced request for profile stamping.
-// Only called when the profiler is enabled.
-func (s *Server) trackTrace(id telemetry.TraceID) {
-	s.activeMu.Lock()
-	s.activeTraces[id]++
-	s.activeMu.Unlock()
-}
-
-// untrackTrace drops one reference to an in-flight trace.
-func (s *Server) untrackTrace(id telemetry.TraceID) {
-	s.activeMu.Lock()
-	if s.activeTraces[id]--; s.activeTraces[id] <= 0 {
-		delete(s.activeTraces, id)
-	}
-	s.activeMu.Unlock()
-}
-
-// activeTraceIDs snapshots the trace IDs of requests in flight right now.
-func (s *Server) activeTraceIDs() []telemetry.TraceID {
-	s.activeMu.Lock()
-	defer s.activeMu.Unlock()
-	out := make([]telemetry.TraceID, 0, len(s.activeTraces))
-	for id := range s.activeTraces {
-		out = append(out, id)
-	}
-	return out
 }
 
 // SLOStatus returns the SLO engine's current evaluation (disabled status

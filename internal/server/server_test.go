@@ -16,6 +16,7 @@ import (
 	"repro/internal/dyngraph"
 	"repro/internal/par"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // testConfig returns a small private-registry config so tests never touch
@@ -49,9 +50,9 @@ func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// postIngest POSTs updates and decodes the EnqueueResult regardless of
+// postIngest POSTs updates and decodes the wire.IngestResult regardless of
 // status (both 202 and 429 carry one).
-func postIngest(t *testing.T, url string, updates []IngestUpdate) (int, EnqueueResult, http.Header) {
+func postIngest(t *testing.T, url string, updates []wire.IngestEdit) (int, wire.IngestResult, http.Header) {
 	t.Helper()
 	body, err := json.Marshal(updates)
 	if err != nil {
@@ -62,7 +63,7 @@ func postIngest(t *testing.T, url string, updates []IngestUpdate) (int, EnqueueR
 		t.Fatalf("POST /ingest: %v", err)
 	}
 	defer resp.Body.Close()
-	var res EnqueueResult
+	var res wire.IngestResult
 	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusTooManyRequests {
 		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 			t.Fatalf("decode ingest response: %v", err)
@@ -103,7 +104,7 @@ func getJSON(t *testing.T, url, path string, out any) int {
 // body (run*) straight from a test: reads pin the bundle they answer from
 // until the request finishes, which here is when the test ends.
 func direct(tb testing.TB, s *Server, ctx context.Context) context.Context {
-	ctx, rt := s.startTrace(ctx, nil, "test", time.Now())
+	ctx, rt := s.startTrace(ctx, telemetry.TraceContext{}, "test", time.Now())
 	tb.Cleanup(func() { rt.finish(http.StatusOK, 0) })
 	return ctx
 }
@@ -115,7 +116,7 @@ func TestIngestQueryFreshness(t *testing.T) {
 
 	// A star around 0 (spokes 1..4) plus the edge 1-2 so Jaccard has a
 	// wedge: 1 and 2 share neighbor 0.
-	updates := []IngestUpdate{
+	updates := []wire.IngestEdit{
 		{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3}, {Src: 0, Dst: 4},
 		{Src: 1, Dst: 2},
 	}
@@ -191,7 +192,7 @@ func TestIngestQueryFreshness(t *testing.T) {
 
 	// Freshness after a delete: removing a spoke must show up in the next
 	// topdegree answer.
-	code, _, _ = postIngest(t, ts.URL, []IngestUpdate{{Src: 0, Dst: 4, Delete: true}})
+	code, _, _ = postIngest(t, ts.URL, []wire.IngestEdit{{Src: 0, Dst: 4, Delete: true}})
 	if code != http.StatusAccepted {
 		t.Fatalf("delete ingest = %d", code)
 	}
@@ -216,7 +217,7 @@ func TestIngestQueryFreshness(t *testing.T) {
 // it accepted a prefix), re-posts the rejected suffix after a short sleep.
 // Back-to-back posts must use it; a strict "202, all accepted" check is only
 // right for one post of at most QueueCap updates onto a drained queue.
-func ingestAll(t *testing.T, url string, updates []IngestUpdate) {
+func ingestAll(t *testing.T, url string, updates []wire.IngestEdit) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for len(updates) > 0 {
@@ -238,10 +239,10 @@ func ingestAll(t *testing.T, url string, updates []IngestUpdate) {
 // enough that PageRank takes well over the test deadlines.
 func ingestClique(t *testing.T, s *Server, ts *httptest.Server, n int32) int64 {
 	t.Helper()
-	updates := make([]IngestUpdate, 0, 8*int(n))
+	updates := make([]wire.IngestEdit, 0, 8*int(n))
 	for v := int32(0); v < n; v++ {
 		for d := int32(1); d <= 8; d++ {
-			updates = append(updates, IngestUpdate{Src: v, Dst: (v + d) % n})
+			updates = append(updates, wire.IngestEdit{Src: v, Dst: (v + d) % n})
 		}
 	}
 	for at := 0; at < len(updates); at += 4096 {
@@ -319,7 +320,7 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /ingest = %d, want 405", resp.StatusCode)
 	}
-	code, _, _ := postIngest(t, ts.URL, []IngestUpdate{{Src: 0, Dst: 99}})
+	code, _, _ := postIngest(t, ts.URL, []wire.IngestEdit{{Src: 0, Dst: 99}})
 	if code != http.StatusBadRequest {
 		t.Errorf("out-of-range ingest = %d, want 400", code)
 	}
@@ -339,10 +340,10 @@ func TestQueueFull429(t *testing.T) {
 	// Unique (src,dst) pairs so in-batch dedup drops nothing and the final
 	// applied count must equal the accepted count exactly.
 	next := 0
-	mkBatch := func(n int) []IngestUpdate {
-		b := make([]IngestUpdate, n)
+	mkBatch := func(n int) []wire.IngestEdit {
+		b := make([]wire.IngestEdit, n)
 		for i := range b {
-			b[i] = IngestUpdate{Src: int32(next / 1023), Dst: int32(next%1023) + 1}
+			b[i] = wire.IngestEdit{Src: int32(next / 1023), Dst: int32(next%1023) + 1}
 			next++
 		}
 		return b
@@ -350,7 +351,7 @@ func TestQueueFull429(t *testing.T) {
 
 	var accepted int64
 	saw429 := false
-	var gotRes EnqueueResult
+	var gotRes wire.IngestResult
 	var gotHdr http.Header
 	for i := 0; i < 40 && !saw429; i++ {
 		code, res, hdr := postIngest(t, ts.URL, mkBatch(32))
@@ -404,9 +405,9 @@ func TestShutdownDrainAndRecover(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	updates := make([]IngestUpdate, 0, 200)
+	updates := make([]wire.IngestEdit, 0, 200)
 	for i := 0; i < 200; i++ {
-		updates = append(updates, IngestUpdate{Src: int32(i % 50), Dst: int32(50 + i%14)})
+		updates = append(updates, wire.IngestEdit{Src: int32(i % 50), Dst: int32(50 + i%14)})
 	}
 	code, res, _ := postIngest(t, ts.URL, updates)
 	if code != http.StatusAccepted {
@@ -425,7 +426,7 @@ func TestShutdownDrainAndRecover(t *testing.T) {
 	}
 
 	// Draining servers refuse new work.
-	code, _, hdr := postIngest(t, ts.URL, []IngestUpdate{{Src: 1, Dst: 2}})
+	code, _, hdr := postIngest(t, ts.URL, []wire.IngestEdit{{Src: 1, Dst: 2}})
 	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Fatalf("ingest while draining = %d (Retry-After %q), want 503 with Retry-After", code, hdr.Get("Retry-After"))
 	}
@@ -568,9 +569,9 @@ func TestLoadBackpressureAndMidLoadDrain(t *testing.T) {
 	next := 0
 	client := &http.Client{Timeout: 10 * time.Second}
 	for i := 0; i < 400 && rejected429.Load() == 0; i++ {
-		batch := make([]IngestUpdate, 256)
+		batch := make([]wire.IngestEdit, 256)
 		for j := range batch {
-			batch[j] = IngestUpdate{Src: int32(next % 2048), Dst: int32((next*7 + 1) % 2048)}
+			batch[j] = wire.IngestEdit{Src: int32(next % 2048), Dst: int32((next*7 + 1) % 2048)}
 			next++
 		}
 		body, _ := json.Marshal(batch)
@@ -630,7 +631,7 @@ func TestLoadBackpressureAndMidLoadDrain(t *testing.T) {
 // from the same mux as the API, and the server_* families show up there.
 func TestTelemetrySharesListener(t *testing.T) {
 	s, ts := startServer(t, testConfig(32))
-	code, _, _ := postIngest(t, ts.URL, []IngestUpdate{{Src: 1, Dst: 2}})
+	code, _, _ := postIngest(t, ts.URL, []wire.IngestEdit{{Src: 1, Dst: 2}})
 	if code != http.StatusAccepted {
 		t.Fatalf("ingest = %d", code)
 	}

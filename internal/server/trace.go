@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/reqscratch"
+	"repro/internal/scratch"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // Request lifecycle tracing. Every request gets a W3C trace identity
@@ -17,15 +20,12 @@ import (
 // a sequence of named, non-overlapping lifecycle stages — admission,
 // snapshot, kernel, encode, plus whatever the endpoint adds — each recorded
 // as a child span and as a server_stage_seconds{endpoint,stage} histogram
-// observation. The wrapper closes the accounting by observing the
+// observation. The front end closes the accounting by observing the
 // still-unattributed remainder as stage="other", so for every endpoint the
 // stage family sums to the request wall time by construction. Requests
-// slower than Config.SlowQueryThreshold additionally have their assembled
+// slower than the slow-query threshold additionally have their assembled
 // span tree retained in a bounded ring (/debug/slowqueries) and appended to
 // Config.SlowQueryOut as JSON lines.
-
-// traceCtxKey keys the request's TraceContext in the request context.
-type traceCtxKey struct{}
 
 // reqTraceKey keys the in-flight request trace state in the request context.
 type reqTraceKey struct{}
@@ -38,21 +38,26 @@ type stageDur struct {
 
 // reqTrace is the per-request lifecycle accumulator: the root span, the
 // trace identity, and the finished stages in order. It is written only by
-// the request's handler goroutine.
+// the request's handler goroutine, and pooled: finish is its last use.
 type reqTrace struct {
-	s      *Server
+	fe     *frontEnd
 	op     string
 	tc     telemetry.TraceContext
 	root   *telemetry.Span
 	start  time.Time
 	stages []stageDur
 	scr    *reqscratch.Scratch // result storage, borrowed by scratch(), returned by finish
+	req    wire.Request        // the HTTP front end's parsed request
 
-	// pinned are the bundles the request reads until finish (see
-	// Server.read), in pinBuf's storage.
+	// pinned are the bundles a graphd request reads until finish (see
+	// Server.read).
 	pinned []*bundle
-	pinBuf [2]*bundle
 }
+
+// tracePool recycles request traces with their stage and pin lists.
+var tracePool = scratch.NewPool(func() *reqTrace {
+	return &reqTrace{stages: make([]stageDur, 0, 8), pinned: make([]*bundle, 0, 2)}
+})
 
 // traceFrom returns the request trace carried by ctx, or nil when the
 // request is untraced (nil is safe: stage() on a nil receiver is a no-op).
@@ -61,42 +66,65 @@ func traceFrom(ctx context.Context) *reqTrace {
 	return rt
 }
 
-// noopEnd is the shared do-nothing stage closer for untraced requests.
-func noopEnd() {}
-
-// stage begins a named lifecycle stage: a child span under the request's
-// root plus a wall-clock timer. The returned func ends the stage, recording
-// the span, the stage histogram observation, and the stage's entry in the
-// request's stage list. Stages are expected to be sequential and
-// non-overlapping so their durations sum to attributable request time.
-func (rt *reqTrace) stage(name string, attrs ...telemetry.Label) func() {
-	if rt == nil {
-		return noopEnd
+// spanNames holds the root span name of every endpoint ("server."+op) and
+// the span name of every lifecycle stage ("stage."+name), made once so that
+// opening one allocates only the span.
+var spanNames = func() map[string]string {
+	m := map[string]string{}
+	for op := wire.OpPing; op <= wire.OpShardAdj; op++ {
+		m["server."+wire.OpName(op)] = "server." + wire.OpName(op)
 	}
-	sp := rt.root.Child("stage."+name, attrs...)
-	t0 := time.Now()
-	return func() { rt.endStage(sp, name, t0) }
+	for _, st := range []string{"admission", "decode", "enqueue", "snapshot", "kernel", "cluster", "encode"} {
+		m["stage."+st] = "stage." + st
+	}
+	return m
+}()
+
+// spanName returns prefix+name, without allocating when spanNames has it.
+func spanName(prefix, name string) string {
+	if s, ok := spanNames[prefix+name]; ok {
+		return s
+	}
+	return prefix + name
+}
+
+// stage is one lifecycle stage in progress: a child span under the
+// request's root plus a wall-clock timer. Stages are expected to be
+// sequential and non-overlapping so their durations sum to attributable
+// request time. The zero stage (an untraced request's) ends as a no-op.
+type stage struct {
+	rt   *reqTrace
+	sp   *telemetry.Span
+	name string
+	t0   time.Time
+}
+
+// stage begins a named lifecycle stage.
+func (rt *reqTrace) stage(name string, attrs ...telemetry.Label) stage {
+	if rt == nil {
+		return stage{}
+	}
+	return stage{rt: rt, sp: rt.root.Child(spanName("stage.", name), attrs...), name: name, t0: time.Now()}
 }
 
 // stageCtx is stage with the stage's span installed as ctx's active span, so
 // kernel spans (and the scheduler spans beneath them) nest under the stage
 // they are attributed to rather than directly under the root.
-func (rt *reqTrace) stageCtx(ctx context.Context, name string, attrs ...telemetry.Label) (context.Context, func()) {
-	if rt == nil {
-		return ctx, noopEnd
-	}
-	sp := rt.root.Child("stage."+name, attrs...)
-	t0 := time.Now()
-	return telemetry.ContextWithSpan(ctx, sp), func() { rt.endStage(sp, name, t0) }
+func (rt *reqTrace) stageCtx(ctx context.Context, name string, attrs ...telemetry.Label) (context.Context, stage) {
+	st := rt.stage(name, attrs...)
+	return telemetry.ContextWithSpan(ctx, st.sp), st
 }
 
-// endStage closes one stage opened by stage/stageCtx: the span, the stage
-// histogram observation, and the request's ordered stage list.
-func (rt *reqTrace) endStage(sp *telemetry.Span, name string, t0 time.Time) {
-	d := time.Since(t0)
-	sp.End()
-	rt.stages = append(rt.stages, stageDur{Name: name, DurNs: d.Nanoseconds()})
-	rt.s.stageObserve(rt.op, name, d)
+// end closes the stage: the span, the stage histogram observation, and the
+// request's ordered stage list.
+func (st stage) end() {
+	if st.rt == nil {
+		return
+	}
+	d := time.Since(st.t0)
+	st.sp.End()
+	st.rt.stages = append(st.rt.stages, stageDur{Name: st.name, DurNs: d.Nanoseconds()})
+	st.rt.fe.stageObserve(st.rt.op, st.name, d)
 }
 
 // finish closes the request's lifecycle accounting: the unattributed
@@ -104,7 +132,7 @@ func (rt *reqTrace) endStage(sp *telemetry.Span, name string, t0 time.Time) {
 // family sums to wall time), the root span ends, and the request is offered
 // to the slow-query log. It also ends the life of the request's results:
 // the scratch they alias goes back to the pool and the bundles they alias
-// are unpinned, so callers encode first.
+// are unpinned, so callers encode first. rt itself goes back to its pool.
 func (rt *reqTrace) finish(code int, wall time.Duration) {
 	if rt == nil {
 		return
@@ -116,6 +144,7 @@ func (rt *reqTrace) finish(code int, wall time.Duration) {
 	for _, b := range rt.pinned {
 		b.unpin()
 	}
+	clear(rt.pinned)
 	rt.pinned = rt.pinned[:0]
 	var attributed time.Duration
 	for _, st := range rt.stages {
@@ -123,67 +152,69 @@ func (rt *reqTrace) finish(code int, wall time.Duration) {
 	}
 	if other := wall - attributed; other > 0 {
 		rt.stages = append(rt.stages, stageDur{Name: "other", DurNs: other.Nanoseconds()})
-		rt.s.stageObserve(rt.op, "other", other)
+		rt.fe.stageObserve(rt.op, "other", other)
 	}
 	rt.root.End()
-	if rt.s.slow.offer(rt, code, wall) {
+	if rt.fe.slow.offer(rt, code, wall) {
 		// A slow query is a profiling trigger: capture the process in the
 		// act, stamped with this request's trace. Nil-safe and rate-limited;
 		// a sustained slow spell costs one bundle per MinInterval.
-		rt.s.prof.Trigger("slowquery:"+rt.op, []telemetry.TraceID{rt.tc.TraceID})
+		rt.fe.prof.Trigger("slowquery:"+rt.op, []telemetry.TraceID{rt.tc.TraceID})
 	}
+	rt.root, rt.stages = nil, rt.stages[:0]
+	tracePool.Put(rt)
 }
 
 // stageObserve records one lifecycle stage latency into the
 // server_stage_seconds{endpoint,stage} family.
-func (s *Server) stageObserve(endpoint, stage string, d time.Duration) {
-	s.reg.Histogram("server_stage_seconds",
+func (fe *frontEnd) stageObserve(endpoint, stage string, d time.Duration) {
+	fe.reg.Histogram("server_stage_seconds",
 		telemetry.L("endpoint", endpoint), telemetry.L("stage", stage)).ObserveDuration(d)
 }
 
 // startTrace builds the per-request trace state for one op, for any
-// transport: the root span joins the trace identity already on ctx (minted
-// by the caller when the transport has no inbound identity), the upgraded
-// traceparent — carrying the root span's ID — is offered to echo when
-// non-nil, and the returned context carries both the reqTrace (for stage
-// attribution) and the root span (for kernel/scheduler child spans).
-func (s *Server) startTrace(ctx context.Context, echo func(traceparent string), op string, start time.Time) (context.Context, *reqTrace) {
-	tc, _ := ctx.Value(traceCtxKey{}).(telemetry.TraceContext)
-	root := s.reg.Tracer().StartWithTrace(tc, "server."+op, telemetry.L("endpoint", op))
-	if root != nil && echo != nil {
-		echo(telemetry.TraceContext{TraceID: tc.TraceID, Parent: root.ID()}.Traceparent())
-	}
-	rt := &reqTrace{s: s, op: op, tc: tc, root: root, start: start}
-	rt.pinned = rt.pinBuf[:0]
+// transport: the root span joins the trace identity tc (minted by the
+// caller when the transport carries none), and the returned context carries
+// both the reqTrace (for stage attribution) and the root span (for
+// kernel/scheduler child spans).
+func (fe *frontEnd) startTrace(ctx context.Context, tc telemetry.TraceContext, op string, start time.Time) (context.Context, *reqTrace) {
+	rt := tracePool.Get()
+	rt.fe, rt.op, rt.tc, rt.start = fe, op, tc, start
+	rt.root = fe.reg.Tracer().StartWithTrace(tc, spanName("server.", op), telemetry.L("endpoint", op))
 	ctx = context.WithValue(ctx, reqTraceKey{}, rt)
-	ctx = telemetry.ContextWithSpan(ctx, root)
-	return ctx, rt
+	return telemetry.ContextWithSpan(ctx, rt.root), rt
 }
 
-// startRequestTrace is startTrace for the HTTP transport: the upgraded
-// traceparent is echoed as a response header.
-func (s *Server) startRequestTrace(ctx context.Context, w http.ResponseWriter, op string, start time.Time) (context.Context, *reqTrace) {
-	return s.startTrace(ctx, func(tp string) { w.Header().Set("traceparent", tp) }, op, start)
+// inboundTrace is an HTTP request's W3C trace identity: its traceparent
+// header, or a fresh trace when the header is absent or malformed.
+func inboundTrace(r *http.Request) telemetry.TraceContext {
+	if h := r.Header["Traceparent"]; len(h) > 0 {
+		if tc, ok := telemetry.ParseTraceparent(h[0]); ok {
+			return tc
+		}
+	}
+	return telemetry.NewTraceContext()
 }
 
-// traceHeaders is the outermost middleware: it parses the request's W3C
-// traceparent header (minting a fresh trace ID when absent or malformed),
-// echoes the trace identity on the response so callers can correlate logs
-// with /debug/trace/{id}, and stores it in the request context for the
-// per-endpoint tracing to join.
-func (s *Server) traceHeaders(next http.Handler) http.Handler {
+// echoTrace sets the traceparent a response answers with: the trace, with
+// span (the request's root) as parent-id — the caller's parent-id, or 1,
+// when there is no span, so the header stays well-formed.
+func echoTrace(w http.ResponseWriter, tc telemetry.TraceContext, span uint64) {
+	if span != 0 {
+		tc.Parent = span
+	} else if tc.Parent == 0 {
+		tc.Parent = 1
+	}
+	w.Header()["Traceparent"] = []string{tc.Traceparent()}
+}
+
+// untraced wraps an endpoint the front end does not trace so that it still
+// answers with the caller's trace identity, as every endpoint does: callers
+// can correlate any response with /debug/trace/{id}.
+func untraced(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tc, ok := telemetry.ParseTraceparent(r.Header.Get("traceparent"))
-		if !ok {
-			tc = telemetry.NewTraceContext()
-		}
-		echo := tc
-		if echo.Parent == 0 {
-			echo.Parent = 1 // keep the echoed header well-formed (parent-id must be nonzero)
-		}
-		w.Header().Set("traceparent", echo.Traceparent())
-		ctx := context.WithValue(r.Context(), traceCtxKey{}, tc)
-		next.ServeHTTP(w, r.WithContext(ctx))
+		echoTrace(w, inboundTrace(r), 0)
+		h.ServeHTTP(w, r)
 	})
 }
 
@@ -236,9 +267,10 @@ func newSlowLog(threshold time.Duration, ringSize int, out io.Writer, reg *telem
 }
 
 // offer records the request if it crossed the slow threshold, reporting
-// whether it did (the caller's profiling-trigger signal). The span tree
-// is assembled from the tracer ring at record time, so it must run after
-// the root span ended.
+// whether it did (the caller's profiling-trigger signal). The record copies
+// the stages, which the pooled trace reuses. The span tree is assembled from
+// the tracer ring at record time, so offer must run after the root span
+// ended.
 func (sl *slowLog) offer(rt *reqTrace, code int, wall time.Duration) bool {
 	if sl == nil || sl.threshold <= 0 || wall < sl.threshold || rt == nil {
 		return false
@@ -249,7 +281,7 @@ func (sl *slowLog) offer(rt *reqTrace, code int, wall time.Duration) bool {
 		Trace:    rt.tc.TraceID.String(),
 		Code:     code,
 		WallNs:   wall.Nanoseconds(),
-		Stages:   rt.stages,
+		Stages:   slices.Clone(rt.stages),
 		Tree:     sl.reg.Tracer().TreeDump(rt.tc.TraceID),
 	}
 	sl.reg.Counter("server_slow_queries_total", telemetry.L("endpoint", rt.op)).Inc()
@@ -289,10 +321,10 @@ func (s *Server) SlowQueries() []SlowQuery {
 }
 
 // handleSlowQueries serves the retained slow-query ring as JSON.
-func (s *Server) handleSlowQueries(w http.ResponseWriter, _ *http.Request) {
-	recs := s.slow.snapshotRecords()
+func (fe *frontEnd) handleSlowQueries(w http.ResponseWriter, _ *http.Request) {
+	recs := fe.slow.snapshotRecords()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"threshold_ns": s.cfg.SlowQueryThreshold.Nanoseconds(),
+		"threshold_ns": fe.slow.threshold.Nanoseconds(),
 		"count":        len(recs),
 		"slow_queries": recs,
 	})

@@ -14,6 +14,7 @@ import (
 	"repro/internal/dyngraph"
 	"repro/internal/par"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // clientTraceparent is a fixed, valid W3C header tests send as the caller's
@@ -66,7 +67,7 @@ func attr(s telemetry.SpanRecord, key string) string {
 func TestTraceparentEchoAndSpanTree(t *testing.T) {
 	cfg := testConfig(64)
 	s, ts := startServer(t, cfg)
-	updates := []IngestUpdate{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 3, Dst: 4}}
+	updates := []wire.IngestEdit{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 3, Dst: 4}}
 	if code, _, _ := postIngest(t, ts.URL, updates); code != http.StatusAccepted {
 		t.Fatalf("ingest = %d", code)
 	}
@@ -174,7 +175,7 @@ func TestTraceparentEchoAndSpanTree(t *testing.T) {
 func TestTraceEndpointServesRequestTree(t *testing.T) {
 	cfg := testConfig(64)
 	s, ts := startServer(t, cfg)
-	if code, _, _ := postIngest(t, ts.URL, []IngestUpdate{{Src: 0, Dst: 1}}); code != http.StatusAccepted {
+	if code, _, _ := postIngest(t, ts.URL, []wire.IngestEdit{{Src: 0, Dst: 1}}); code != http.StatusAccepted {
 		t.Fatal("ingest failed")
 	}
 	waitApplied(t, s, 1)
@@ -200,13 +201,29 @@ func TestTraceEndpointServesRequestTree(t *testing.T) {
 	}
 }
 
+// stageAndWallSums returns the seconds an endpoint's requests spent, summed
+// over its server_stage_seconds stages and over server_query_seconds.
+func stageAndWallSums(reg *telemetry.Registry, endpoint string) (stages, wall float64) {
+	for _, m := range reg.Snapshot() {
+		for _, l := range m.Labels {
+			switch {
+			case m.Name == "server_stage_seconds" && l.Key == "endpoint" && l.Value == endpoint:
+				stages += m.Hist.Sum
+			case m.Name == "server_query_seconds" && l.Key == "op" && l.Value == endpoint:
+				wall += m.Hist.Sum
+			}
+		}
+	}
+	return stages, wall
+}
+
 // TestStageMetricsSumToWallTime: the server_stage_seconds family is
 // published per (endpoint, stage), and because "other" absorbs the residual,
 // the family's total sum equals the endpoint's server_query_seconds sum.
 func TestStageMetricsSumToWallTime(t *testing.T) {
 	cfg := testConfig(64)
 	s, ts := startServer(t, cfg)
-	if code, _, _ := postIngest(t, ts.URL, []IngestUpdate{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}); code != http.StatusAccepted {
+	if code, _, _ := postIngest(t, ts.URL, []wire.IngestEdit{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}); code != http.StatusAccepted {
 		t.Fatal("ingest failed")
 	}
 	waitApplied(t, s, 2)
@@ -216,31 +233,12 @@ func TestStageMetricsSumToWallTime(t *testing.T) {
 		}
 	}
 
-	stageSum := map[string]float64{}
-	stageCount := map[string]int64{}
-	var wallSum float64
-	for _, m := range cfg.Registry.Snapshot() {
-		labels := map[string]string{}
-		for _, l := range m.Labels {
-			labels[l.Key] = l.Value
-		}
-		switch {
-		case m.Name == "server_stage_seconds" && labels["endpoint"] == "topdegree":
-			stageSum[labels["stage"]] += m.Hist.Sum
-			stageCount[labels["stage"]] += m.Hist.Count
-		case m.Name == "server_query_seconds" && labels["op"] == "topdegree":
-			wallSum = m.Hist.Sum
-		}
-	}
 	for _, want := range []string{"admission", "kernel", "encode", "other"} {
-		if stageCount[want] == 0 {
-			t.Errorf("no server_stage_seconds observations for stage %q (have %v)", want, stageCount)
+		if n := cfg.Registry.Histogram("server_stage_seconds", telemetry.L("endpoint", "topdegree"), telemetry.L("stage", want)).Count(); n == 0 {
+			t.Errorf("no server_stage_seconds observations for stage %q", want)
 		}
 	}
-	var total float64
-	for _, v := range stageSum {
-		total += v
-	}
+	total, wallSum := stageAndWallSums(cfg.Registry, "topdegree")
 	if wallSum == 0 {
 		t.Fatal("no server_query_seconds sum for topdegree")
 	}
@@ -268,7 +266,7 @@ func TestSlowQueryCapture(t *testing.T) {
 	cfg.SlowQueryRing = 2
 	cfg.SlowQueryOut = &sink
 	s, ts := startServer(t, cfg)
-	if code, _, _ := postIngest(t, ts.URL, []IngestUpdate{{Src: 0, Dst: 1}}); code != http.StatusAccepted {
+	if code, _, _ := postIngest(t, ts.URL, []wire.IngestEdit{{Src: 0, Dst: 1}}); code != http.StatusAccepted {
 		t.Fatal("ingest failed")
 	}
 	waitApplied(t, s, 1)
@@ -350,7 +348,7 @@ func TestSlowQueryDisabledByDefault(t *testing.T) {
 func TestIngestStagesTraced(t *testing.T) {
 	cfg := testConfig(64)
 	_, ts := startServer(t, cfg)
-	body, _ := json.Marshal([]IngestUpdate{{Src: 0, Dst: 1}})
+	body, _ := json.Marshal([]wire.IngestEdit{{Src: 0, Dst: 1}})
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/ingest", bytes.NewReader(body))
 	req.Header.Set("traceparent", clientTraceparent)
 	resp, err := http.DefaultClient.Do(req)

@@ -114,18 +114,22 @@ type HistogramSnapshot struct {
 	Buckets []Bucket // non-empty buckets, ascending by bound
 }
 
-// Snapshot copies the histogram state. Because buckets are read without a
-// global lock the snapshot is only approximately consistent under
-// concurrent writers, which is the standard (and documented) trade for a
-// lock-free hot path.
+// Snapshot copies the histogram state. Buckets are read without a global
+// lock, the standard trade for a lock-free hot path, so under concurrent
+// writers a snapshot can miss observations still landing. Its Count is the
+// sum of the bucket counts it read, not the live counter, so every snapshot
+// is consistent with itself — Prometheus _count equals the +Inf bucket —
+// and the difference of two snapshots (a windowed delta) has a bucket sum
+// equal to its count. Sum is read apart and may run ahead of the buckets.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil || h.noop {
 		return HistogramSnapshot{}
 	}
-	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.Sum()}
+	s := HistogramSnapshot{Sum: h.Sum()}
 	for i := 0; i < histNumBuckets; i++ {
 		if n := h.buckets[i].Load(); n > 0 {
 			s.Buckets = append(s.Buckets, Bucket{UpperBound: BucketBound(i), Count: n})
+			s.Count += n
 		}
 	}
 	return s

@@ -64,21 +64,31 @@ type Span struct {
 
 // Start begins a root span outside any trace.
 func (t *Tracer) Start(name string, attrs ...Label) *Span {
-	return t.StartWithTrace(TraceContext{}, name, attrs...)
+	return t.start(TraceContext{}, name, attrs, 0)
 }
 
-// StartWithTrace begins a root span inside the trace identified by tc: the
-// span carries tc.TraceID on its record, and its recorded parent is
-// tc.Parent (the remote caller's span ID) so cross-process trees line up.
-// A zero tc is equivalent to Start.
+// requestAttrRoom is the spare room StartWithTrace gives a request's root
+// span for the annotations the request adds as it runs (its status, a cache
+// hit), so that they do not regrow the attribute list.
+const requestAttrRoom = 2
+
+// StartWithTrace begins a request's root span inside the trace identified
+// by tc: the span carries tc.TraceID on its record, and its recorded parent
+// is tc.Parent (the remote caller's span ID) so cross-process trees line up.
 func (t *Tracer) StartWithTrace(tc TraceContext, name string, attrs ...Label) *Span {
+	return t.start(tc, name, attrs, requestAttrRoom)
+}
+
+// start begins a root span with room for that many more attributes.
+func (t *Tracer) start(tc TraceContext, name string, attrs []Label, room int) *Span {
 	if t == nil || t.noop {
 		return nil
 	}
-	return &Span{
-		t: t, id: t.nextID.Add(1), parent: tc.Parent, trace: tc.TraceID,
-		name: name, attrs: append([]Label(nil), attrs...), start: time.Now(),
+	s := &Span{t: t, id: t.nextID.Add(1), parent: tc.Parent, trace: tc.TraceID, name: name, start: time.Now()}
+	if len(attrs)+room > 0 {
+		s.attrs = append(make([]Label, 0, len(attrs)+room), attrs...)
 	}
+	return s
 }
 
 // Child begins a span nested under s, inheriting s's trace.

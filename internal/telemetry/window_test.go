@@ -119,8 +119,9 @@ func TestWindowClockSkewBackwards(t *testing.T) {
 }
 
 // TestWindowConcurrentRecordDuringRotate: writers observing while another
-// goroutine rotates and reads deltas must be race-clean (run under -race)
-// and never produce a negative delta.
+// goroutine rotates and reads deltas must be race-clean (run under -race),
+// never produce a negative delta, and — snapshots counting the buckets they
+// read — always produce one whose buckets sum exactly to its count.
 func TestWindowConcurrentRecordDuringRotate(t *testing.T) {
 	h := NewRegistry().Histogram("w_seconds")
 	w := NewWindowedHistogram(h, time.Millisecond, 64)
@@ -156,8 +157,8 @@ func TestWindowConcurrentRecordDuringRotate(t *testing.T) {
 			}
 			bsum += b.Count
 		}
-		if bsum > d.Count+1000 { // generous slack: snapshots are lock-free
-			t.Errorf("bucket sum %d far exceeds count %d", bsum, d.Count)
+		if bsum != d.Count {
+			t.Errorf("bucket sum %d != count %d", bsum, d.Count)
 			break
 		}
 	}

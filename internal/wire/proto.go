@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -111,6 +113,43 @@ type StatusError struct {
 // Error implements the error interface.
 func (e *StatusError) Error() string {
 	return fmt.Sprintf("wire: status %d (http %d): %s", e.Status, HTTPStatus(e.Status), e.Msg)
+}
+
+// Error is a request failure carrying the HTTP status it is answered with:
+// the one error type graphd, graphctl and the coordinator build, sent over
+// the wire protocol as StatusFromHTTP(Code).
+type Error struct {
+	// Code is the HTTP status the failure answers with.
+	Code int
+	// Msg is the client-facing message.
+	Msg string
+}
+
+// Error implements the error interface.
+func (e *Error) Error() string { return e.Msg }
+
+// Errorf builds an Error with a formatted message.
+func Errorf(code int, format string, args ...any) *Error {
+	return &Error{Code: code, Msg: fmt.Sprintf(format, args...)}
+}
+
+// StatusOf maps a request error to the HTTP status it is answered with: an
+// Error's own code, a shard's StatusError translated back, 504 once the
+// request's deadline has passed or it was cancelled, and 500 for anything
+// else.
+func StatusOf(err error) int {
+	var e *Error
+	var se *StatusError
+	switch {
+	case errors.As(err, &e):
+		return e.Code
+	case errors.As(err, &se):
+		return HTTPStatus(se.Status)
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return 504
+	default:
+		return 500
+	}
 }
 
 // WriteHello writes one side's hello (magic + version) to w.

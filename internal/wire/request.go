@@ -2,18 +2,42 @@ package wire
 
 import "encoding/binary"
 
-// IngestEdit is one graph edit on the wire — the binary twin of the HTTP
-// API's IngestUpdate JSON object.
+// IngestEdit is one graph edit, in both protocols: the binary encoding
+// below and, with its JSON tags, one element of the HTTP API's POST /ingest
+// array.
 type IngestEdit struct {
 	// Src and Dst are the edge endpoints.
-	Src, Dst int32
+	Src int32 `json:"src"`
+	Dst int32 `json:"dst"`
 	// Weight is the edge weight; 0 means "topology only" (normalized to 1
-	// by the ingest pipeline, same as the JSON path).
-	Weight float32
+	// by the ingest pipeline).
+	Weight float32 `json:"weight,omitempty"`
 	// Time is the edge timestamp.
-	Time int64
+	Time int64 `json:"time,omitempty"`
 	// Delete removes the edge instead of inserting it.
-	Delete bool
+	Delete bool `json:"delete,omitempty"`
+}
+
+// DefaultTopK is the result count of a top-k query (topdegree, pagerank's
+// top-k form) that names none: K == 0 on the wire, no ?k= over HTTP.
+const DefaultTopK = 10
+
+// TopK returns a top-k request's result count, DefaultTopK when unset.
+func (r *Request) TopK() int32 {
+	if r.K == 0 {
+		return DefaultTopK
+	}
+	return r.K
+}
+
+// CheckThreshold is jaccard's one threshold rule, on every transport: a
+// score cutoff in [0, 1]. NaN fails it too — every comparison with NaN is
+// false, so it would otherwise answer an empty list instead of an error.
+func CheckThreshold(t float64) error {
+	if t >= 0 && t <= 1 {
+		return nil
+	}
+	return Errorf(400, "jaccard: threshold %g out of [0, 1]", t)
 }
 
 // Ingest edit flag bits.

@@ -85,8 +85,7 @@ type PageRankResult struct {
 	Version int64 `json:"version"`
 }
 
-// IngestResult reports one ingest submission's outcome — the wire twin of
-// the HTTP EnqueueResult payload, same JSON keys.
+// IngestResult reports one ingest submission's outcome, in both protocols.
 type IngestResult struct {
 	// Accepted updates entered the queue (a contiguous prefix).
 	Accepted int `json:"accepted"`

@@ -10,7 +10,8 @@
 # (drain-grace), and the recovered daemon reports ready again.
 #
 # A second phase runs the cluster scenario: three shard graphds behind a
-# graphctl coordinator, ingest routed through the coordinator, then kill
+# graphctl coordinator, ingest routed through the coordinator, graphctl's
+# traceparent echo and /query/batch through graphd's front end, then kill
 # one shard and assert the degraded-mode contract — coordinator /readyz
 # flips to 503 naming the dead shard, cached global reads and point
 # queries on surviving shards still answer, queries owned by the dead
@@ -326,6 +327,32 @@ curl -fsS "$CURL/query/pagerank?v=$LIVE_V&timeout=30s" | grep -q '"rank"' || die
 cmetrics=$(curl -fsS "$CURL/metrics")
 echo "$cmetrics" | grep -q 'cluster_shards_ready' || die "cluster_shards_ready gauge missing"
 echo "$cmetrics" | grep -q 'cluster_supersteps_total' || die "cluster_supersteps_total missing"
+echo "$cmetrics" | grep -q 'server_stage_seconds_count{endpoint="khop",stage="cluster"}' \
+  || die "graphctl's front-end stage families missing from /metrics"
+
+# graphctl serves through graphd's own front end: it joins a sent trace
+# with its own root span as the parent-id, and answers /query/batch item
+# for item as it answers the same queries one at a time.
+echoed=$(curl -fsS -D - -o /dev/null -H "traceparent: $sent" "$CURL/query/khop?v=$LIVE_V&k=2" \
+  | tr -d '\r' | sed -n 's/^[Tt]raceparent: //p')
+case "$echoed" in
+  00-$TRACEID-*) ;;
+  *) die "graphctl did not echo traceparent: sent $sent, got '$echoed'" ;;
+esac
+[ "$echoed" != "$sent" ] || die "graphctl echoed traceparent verbatim; parent-id should be its root span"
+curl -fsS "$CURL/debug/trace/$TRACEID" | grep -q '"server.khop"' || die "graphctl /debug/trace/{id} missing the request tree"
+batch=$(curl -fsS -X POST -H 'Content-Type: application/json' \
+  --data-binary "{\"queries\":[{\"op\":\"khop\",\"v\":$LIVE_V,\"k\":2},{\"op\":\"jaccard\",\"u\":$LIVE_V},{\"op\":\"topdegree\",\"k\":3}]}" \
+  "$CURL/query/batch") || die "graphctl batch query"
+python3 - "$batch" "$(curl -fsS "$CURL/query/khop?v=$LIVE_V&k=2")" \
+  "$(curl -fsS "$CURL/query/jaccard?u=$LIVE_V")" "$(curl -fsS "$CURL/query/topdegree?k=3")" <<'EOF' \
+  || die "graphctl batch items differ from its single-query answers: $batch"
+import json, sys
+batch, singles = json.loads(sys.argv[1]), [json.loads(a) for a in sys.argv[2:]]
+assert batch["count"] == len(singles)
+for item, want in zip(batch["results"], singles):
+    assert item["status"] == 200 and item["result"] == want, (item, want)
+EOF
 
 echo "graphd_smoke: killing shard $VICTIM"
 kill -TERM "${SPIDS[$VICTIM]}"
