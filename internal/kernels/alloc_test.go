@@ -83,17 +83,25 @@ func TestAllocBudgetBatchKernels(t *testing.T) {
 		// the n-bit frontier bitmap.
 		{"BFSParallel", func() { BFSParallel(g, src) },
 			func() uint64 { return 8*n + 4*n + 20*n + n/8 + slack }},
-		// Result: Core. Scratch: degrees and the live list (4 B each), and
-		// the round's frontier, next and worker buffers (a round is a small
-		// part of the graph: 8 B a vertex each covers their append growth).
+		// Result: Core, which holds the residual degrees while it peels.
+		// Scratch: the live list (4 B a vertex) and the round's frontier,
+		// next and one-chunk worker buffers (a round is a small part of the
+		// graph: 8 B a vertex covers them and their append growth).
 		{"KCoreParallel", func() { KCoreParallel(g) },
-			func() uint64 { return 4*n + 8*n + 3*8*n + slack }},
+			func() uint64 { return 4*n + 4*n + 8*n + slack }},
 		// Result: Dist and Parent. Scratch: atomic distance bits (8 B) and
-		// settle stamps (4 B), the bucket ring's slots, cur, improved and
-		// settled, and the workers' buffers — a vertex sits in several
-		// buckets over a run, so these lists are allowed 16 B a vertex each.
+		// settle stamps (4 B), the bucket store (a slab of n entries, 4 B),
+		// cur and improved (n/2 entries each, 4 B together) and the workers'
+		// one-chunk buffers.
 		{"DeltaSteppingParallel", func() { DeltaSteppingParallel(gw, src, 0.05) },
-			func() uint64 { return 12*n + 12*n + 5*16*n + slack }},
+			func() uint64 { return 12*n + 12*n + 4*n + 4*n + 8*n + slack }},
+		// Result: the labels, which are the parent array. Scratch: none.
+		{"WCCParallel", func() { WCCParallel(g) },
+			func() uint64 { return 4*n + slack }},
+		// Result: the rank vector. Scratch: this and the next iteration's
+		// contributions (8 B a vertex each) and the per-chunk partials.
+		{"PageRank", func() { PageRank(g, DefaultPageRankOptions()) },
+			func() uint64 { return 8*n + 16*n + slack }},
 		// Result: the pairs kept, in the first worker's candidate list.
 		// Scratch per worker: one dense counter over the vertices (4 B value,
 		// 4 B stamp, and a 4 B touched entry whose append growth may leave

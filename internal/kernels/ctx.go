@@ -2,8 +2,6 @@ package kernels
 
 import (
 	"context"
-	"math"
-	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -34,120 +32,6 @@ const ctxCheckEvery = 4096
 func kernelSpan(ctx context.Context, name string) (context.Context, *telemetry.Span) {
 	sp := telemetry.SpanFromContext(ctx).Child(name)
 	return telemetry.ContextWithSpan(ctx, sp), sp
-}
-
-// PageRankCtx is PageRank with cooperative cancellation at chunk and
-// iteration boundaries. A completed run returns the same (bit-identical)
-// rank vector and iteration count as PageRank for any worker count.
-func PageRankCtx(ctx context.Context, g *graph.Graph, opt PageRankOptions) ([]float64, int, error) {
-	ctx, sp := kernelSpan(ctx, "kernel.pagerank")
-	defer sp.End()
-	n := g.NumVertices()
-	if n == 0 {
-		return nil, 0, par.CtxErr(ctx)
-	}
-	gt := g.Transpose()
-	rank := make([]float64, n)
-	next := make([]float64, n)
-	invN := 1.0 / float64(n)
-	for i := range rank {
-		rank[i] = invN
-	}
-	outDeg := make([]float64, n)
-	for v := int32(0); v < n; v++ {
-		outDeg[v] = float64(g.Degree(v))
-	}
-	add := func(a, b float64) float64 { return a + b }
-	iters := 0
-	for ; iters < opt.MaxIters; iters++ {
-		dangling, err := par.ReduceCtx(ctx, int(n), par.Opt{Name: "pagerank.dangling"},
-			func(lo, hi int) float64 {
-				s := 0.0
-				for v := lo; v < hi; v++ {
-					if outDeg[v] == 0 {
-						s += rank[v]
-					}
-				}
-				return s
-			}, add)
-		if err != nil {
-			return nil, 0, err
-		}
-		base := (1-opt.Damping)*invN + opt.Damping*dangling*invN
-		if err := par.ForCtx(ctx, int(n), par.Opt{Name: "pagerank.pull"}, func(lo, hi int) {
-			for v := int32(lo); v < int32(hi); v++ {
-				sum := 0.0
-				for _, u := range gt.Neighbors(v) {
-					sum += rank[u] / outDeg[u]
-				}
-				next[v] = base + opt.Damping*sum
-			}
-		}); err != nil {
-			return nil, 0, err
-		}
-		delta, err := par.ReduceCtx(ctx, int(n), par.Opt{Name: "pagerank.delta"},
-			func(lo, hi int) float64 {
-				s := 0.0
-				for v := lo; v < hi; v++ {
-					s += math.Abs(next[v] - rank[v])
-				}
-				return s
-			}, add)
-		if err != nil {
-			return nil, 0, err
-		}
-		rank, next = next, rank
-		if delta < opt.Tolerance {
-			iters++
-			break
-		}
-	}
-	if sp != nil {
-		sp.SetAttr("iters", strconv.Itoa(iters))
-	}
-	return rank, iters, nil
-}
-
-// WCCCtx computes weakly connected components with the WCCParallel
-// hook-and-compress algorithm under cooperative cancellation. A completed
-// run returns the same canonical min-member labels as WCC/WCCParallel.
-func WCCCtx(ctx context.Context, g *graph.Graph) (*CCResult, error) {
-	ctx, sp := kernelSpan(ctx, "kernel.wcc")
-	defer sp.End()
-	n := g.NumVertices()
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find, hook := wccHookFuncs(parent)
-
-	if err := par.ForCtx(ctx, int(n), par.Opt{Name: "wcc.hook"}, func(lo, hi int) {
-		for v := int32(lo); v < int32(hi); v++ {
-			for _, u := range g.Neighbors(v) {
-				hook(v, u)
-			}
-		}
-	}); err != nil {
-		return nil, err
-	}
-
-	label := make([]int32, n)
-	numComp, err := par.ReduceCtx(ctx, int(n), par.Opt{Name: "wcc.sweep"},
-		func(lo, hi int) int32 {
-			var local int32
-			for v := int32(lo); v < int32(hi); v++ {
-				label[v] = find(v)
-				if label[v] == v {
-					local++
-				}
-			}
-			return local
-		},
-		func(a, b int32) int32 { return a + b })
-	if err != nil {
-		return nil, err
-	}
-	return &CCResult{Label: label, NumComponents: numComp}, nil
 }
 
 // KHopNeighborhoodCtx is KHopNeighborhood with cooperative cancellation;

@@ -128,7 +128,7 @@ func TestDiffPageRank(t *testing.T) {
 }
 
 func TestDiffKCore(t *testing.T) {
-	forEachDiffCase(t, func(t *testing.T, g *graph.Graph) {
+	check := func(t *testing.T, g *graph.Graph) {
 		s := KCore(g)
 		p := KCoreParallel(g)
 		if s.MaxCore != p.MaxCore {
@@ -140,7 +140,21 @@ func TestDiffKCore(t *testing.T) {
 		if !ValidateKCore(g, p) {
 			t.Fatal("parallel core decomposition invalid")
 		}
-	})
+	}
+	forEachDiffCase(t, check)
+	// A dense random graph collapses in one cascade whose rounds hold more
+	// than one chunk of arcs, so workers race on the degrees the peel keeps
+	// in Core; the R-MAT peels through many small levels.
+	for _, dc := range []diffGraph{
+		{"er-dense", gen.ErdosRenyi(2000, 60000, 3, false)},
+		{"rmat-s12", gen.RMAT(12, 16, gen.Graph500RMAT, 42, false)},
+	} {
+		for _, w := range []int{2, 4, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", dc.name, w), func(t *testing.T) {
+				withWorkers(t, w, func() { check(t, dc.g) })
+			})
+		}
+	}
 }
 
 func TestDiffJaccard(t *testing.T) {
@@ -202,6 +216,49 @@ func validateSSSPTree(t *testing.T, g *graph.Graph, res *SSSPResult) {
 	}
 }
 
+// postPassParents is DeltaSteppingParallel's parent post-pass written
+// sequentially: Parent[x] is the smallest v with dist[v]+w(v,x) == dist[x].
+func postPassParents(g *graph.Graph, src int32, dist []float64) []int32 {
+	parent := make([]int32, g.NumVertices())
+	for i := range parent {
+		parent[i] = Unreached
+	}
+	for v := int32(0); v < g.NumVertices(); v++ {
+		if math.IsInf(dist[v], 1) {
+			continue
+		}
+		ws := g.NeighborWeights(v)
+		for i, x := range g.Neighbors(v) {
+			ew := 1.0
+			if ws != nil {
+				ew = float64(ws[i])
+			}
+			if x != src && parent[x] == Unreached && dist[v]+ew == dist[x] {
+				parent[x] = v
+			}
+		}
+	}
+	parent[src] = src
+	return parent
+}
+
+// checkSSSPExact holds a DeltaSteppingParallel result to Dijkstra's
+// distances and to the post-pass parents over them, bit for bit.
+func checkSSSPExact(t *testing.T, g *graph.Graph, p *SSSPResult) {
+	t.Helper()
+	d := Dijkstra(g, p.Source)
+	if !reflect.DeepEqual(d.Dist, p.Dist) {
+		t.Fatal("distances differ from Dijkstra")
+	}
+	if !slices.Equal(postPassParents(g, p.Source, d.Dist), p.Parent) {
+		t.Fatal("parents differ from the sequential post-pass over Dijkstra's distances")
+	}
+	if !ValidateSSSP(g, p) {
+		t.Fatal("parallel SSSP violates triangle inequality")
+	}
+	validateSSSPTree(t, g, p)
+}
+
 func TestDiffSSSP(t *testing.T) {
 	forEachDiffCase(t, func(t *testing.T, g *graph.Graph) {
 		if g.NumVertices() == 0 {
@@ -212,14 +269,7 @@ func TestDiffSSSP(t *testing.T) {
 		if !reflect.DeepEqual(s.Dist, p.Dist) {
 			t.Fatal("distances differ from sequential delta-stepping")
 		}
-		d := Dijkstra(g, 0)
-		if !reflect.DeepEqual(d.Dist, p.Dist) {
-			t.Fatal("distances differ from Dijkstra")
-		}
-		if !ValidateSSSP(g, p) {
-			t.Fatal("parallel SSSP violates triangle inequality")
-		}
-		validateSSSPTree(t, g, p)
+		checkSSSPExact(t, g, p)
 	})
 }
 
@@ -234,17 +284,21 @@ func TestDiffSSSPWeighted(t *testing.T) {
 					if !reflect.DeepEqual(s.Dist, p.Dist) {
 						t.Fatal("weighted distances differ from sequential delta-stepping")
 					}
-					d := Dijkstra(g, 0)
-					if !reflect.DeepEqual(d.Dist, p.Dist) {
-						t.Fatal("weighted distances differ from Dijkstra")
-					}
-					if !ValidateSSSP(g, p) {
-						t.Fatal("parallel SSSP violates triangle inequality")
-					}
-					validateSSSPTree(t, g, p)
+					checkSSSPExact(t, g, p)
 				})
 			})
 		}
+	}
+	// The benchmark's shape: bucket width 0.05 under weights up to 1 spreads
+	// a run over a ring of twenty-odd buckets whose chains span many blocks
+	// of the bucket store, and the heavy passes hold more than one chunk of
+	// arcs, so relaxations run on several workers.
+	g := gen.RMATWeighted(12, 16, gen.Graph500RMAT, 42, false)
+	src, _ := graph.MaxDegreeVertex(g)
+	for _, w := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("rmat-s12-delta0.05/workers=%d", w), func(t *testing.T) {
+			withWorkers(t, w, func() { checkSSSPExact(t, g, DeltaSteppingParallel(g, src, 0.05)) })
+		})
 	}
 }
 
@@ -258,7 +312,7 @@ func TestDiffSSSPDirected(t *testing.T) {
 				if !reflect.DeepEqual(s.Dist, p.Dist) {
 					t.Fatal("directed distances differ from sequential delta-stepping")
 				}
-				validateSSSPTree(t, g, p)
+				checkSSSPExact(t, g, p)
 			})
 		})
 	}

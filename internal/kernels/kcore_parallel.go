@@ -20,10 +20,15 @@ import (
 // A vertex stays on the live list through the non-empty levels up to
 // core(v), and core(v) <= deg(v), so the opening scans add up to at most
 // n + m steps: the whole kernel is O(n + m) work.
+//
+// The residual degrees live in res.Core itself. A decrement is a load then
+// an add, so workers racing on a vertex in the round that claims it at
+// level k can take it below k; the peel of the next round stores k, and
+// from then on its value is at most the level, which no decrement touches.
 func KCoreParallel(g *graph.Graph) *KCoreResult {
 	n := g.NumVertices()
 	res := &KCoreResult{Core: make([]int32, n)}
-	deg := make([]int32, n)
+	deg := res.Core
 	alive := make([]int32, n)
 	for v := int32(0); v < n; v++ {
 		deg[v] = g.Degree(v)
@@ -37,7 +42,7 @@ func KCoreParallel(g *graph.Graph) *KCoreResult {
 	peel := func(found []int32, lo, hi int) []int32 {
 		k := k // a register copy: the loop below runs once per arc
 		for _, v := range frontier[lo:hi] {
-			res.Core[v] = k
+			atomic.StoreInt32(&deg[v], k)
 			for _, w := range g.Neighbors(v) {
 				// At level k a degree at or below k means w is already
 				// claimed; only live degrees are decremented.
@@ -73,7 +78,7 @@ func KCoreParallel(g *graph.Graph) *KCoreResult {
 				// Every survivor is claimed: this is the last round of the
 				// last level and no degree matters any more.
 				for _, v := range frontier {
-					res.Core[v] = k
+					deg[v] = k
 				}
 				return res
 			}

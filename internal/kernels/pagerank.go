@@ -1,7 +1,9 @@
 package kernels
 
 import (
+	"context"
 	"math"
+	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -22,64 +24,94 @@ func DefaultPageRankOptions() PageRankOptions {
 // PageRank runs power iteration (pull style) over the transpose: each
 // vertex gathers rank/outdegree from its in-neighbors. Dangling-vertex mass
 // is redistributed uniformly, so ranks always sum to 1. Returns the rank
-// vector and the iterations used.
+// vector and the iterations used. It is PageRankCtx under
+// context.Background().
 func PageRank(g *graph.Graph, opt PageRankOptions) ([]float64, int) {
+	rank, iters, _ := PageRankCtx(context.Background(), g, opt)
+	return rank, iters
+}
+
+// prChunk is one chunk's share of a PageRank pass: the L1 change of its
+// ranks and the rank its dangling vertices hold.
+type prChunk struct{ delta, dangling float64 }
+
+// PageRankCtx is PageRank with cooperative cancellation at chunk and
+// iteration boundaries; a cancelled run returns a nil rank vector.
+//
+// Each iteration is one pass. The pull gathers contrib[u] = rank[u]/deg(u),
+// written by the previous pass, so rank itself is updated in place; the
+// same pass writes the next contributions, and sums the L1 delta and the
+// next iteration's dangling mass into per-chunk partials that are kept
+// across iterations and folded in chunk order. The arithmetic, and the
+// chunk-ordered folds, are those of a dangling-sum, pull and delta-sum
+// pass run one after the other, so the ranks are byte-identical for any
+// worker count. Working storage is the rank vector, two contribution
+// vectors and the partials.
+func PageRankCtx(ctx context.Context, g *graph.Graph, opt PageRankOptions) ([]float64, int, error) {
+	ctx, sp := kernelSpan(ctx, "kernel.pagerank")
+	defer sp.End()
 	n := g.NumVertices()
 	if n == 0 {
-		return nil, 0
+		return nil, 0, par.CtxErr(ctx)
 	}
-	gt := g.Transpose()
+	gt := g
+	if g.Directed() {
+		gt = g.Transpose()
+	}
 	rank := make([]float64, n)
+	contrib := make([]float64, n)
 	next := make([]float64, n)
 	invN := 1.0 / float64(n)
-	for i := range rank {
-		rank[i] = invN
-	}
-	outDeg := make([]float64, n)
-	for v := int32(0); v < n; v++ {
-		outDeg[v] = float64(g.Degree(v))
-	}
-	add := func(a, b float64) float64 { return a + b }
-	iters := 0
-	for ; iters < opt.MaxIters; iters++ {
-		// Dangling mass and the L1 delta reduce through fixed chunks folded
-		// in chunk order, so every iteration is byte-deterministic for any
-		// worker count.
-		dangling := par.Reduce(int(n), par.Opt{Name: "pagerank.dangling"},
-			func(lo, hi int) float64 {
-				s := 0.0
-				for v := lo; v < hi; v++ {
-					if outDeg[v] == 0 {
-						s += rank[v]
-					}
-				}
-				return s
-			}, add)
-		base := (1-opt.Damping)*invN + opt.Damping*dangling*invN
-		par.For(int(n), par.Opt{Name: "pagerank.pull"}, func(lo, hi int) {
-			for v := int32(lo); v < int32(hi); v++ {
+	base, first := 0.0, true
+	pass := func(_, lo, hi int) prChunk {
+		first, base, damping := first, base, opt.Damping // register copies
+		var c prChunk
+		for v := int32(lo); v < int32(hi); v++ {
+			r := invN
+			if !first {
 				sum := 0.0
 				for _, u := range gt.Neighbors(v) {
-					sum += rank[u] / outDeg[u]
+					sum += contrib[u]
 				}
-				next[v] = base + opt.Damping*sum
+				r = base + damping*sum
+				c.delta += math.Abs(r - rank[v])
 			}
-		})
-		delta := par.Reduce(int(n), par.Opt{Name: "pagerank.delta"},
-			func(lo, hi int) float64 {
-				s := 0.0
-				for v := lo; v < hi; v++ {
-					s += math.Abs(next[v] - rank[v])
-				}
-				return s
-			}, add)
-		rank, next = next, rank
-		if delta < opt.Tolerance {
-			iters++
+			rank[v] = r
+			if d := g.Degree(v); d > 0 {
+				next[v] = r / float64(d)
+			} else {
+				next[v] = 0
+				c.dangling += r
+			}
+		}
+		return c
+	}
+	popt := par.Opt{Name: "pagerank.pull"}
+	// The opening pass sets the uniform ranks and their contributions.
+	parts, err := par.AppendChunksCtx(ctx, nil, int(n), popt, pass)
+	if err != nil {
+		return nil, 0, err
+	}
+	first = false
+	iters := 0
+	for ; iters < opt.MaxIters; iters++ {
+		delta, dangling := 0.0, 0.0
+		for _, p := range parts {
+			delta, dangling = delta+p.delta, dangling+p.dangling
+		}
+		if iters > 0 && delta < opt.Tolerance {
 			break
 		}
+		base = (1-opt.Damping)*invN + opt.Damping*dangling*invN
+		contrib, next = next, contrib
+		if parts, err = par.AppendChunksCtx(ctx, parts[:0], int(n), popt, pass); err != nil {
+			return nil, 0, err
+		}
 	}
-	return rank, iters
+	if sp != nil {
+		sp.SetAttr("iters", strconv.Itoa(iters))
+	}
+	return rank, iters, nil
 }
 
 // PageRankPush runs the push/residual formulation (Gauss-Seidel style):

@@ -54,41 +54,32 @@ func DeltaSteppingParallel(g *graph.Graph, src int32, delta float64) *SSSPResult
 	}
 
 	// stamp[v] == bi+1 when v has been settled during bucket bi at its
-	// current distance; an improvement within the bucket resets it to 0 so v
-	// is re-settled with the better distance.
+	// current distance. A relaxation pass that improves v sets it to the
+	// pass's mark (negative, so it never reads as settled): v is re-settled
+	// with the better distance, and the pass lists it once however many of
+	// its arcs improve it.
 	stamp := make([]int32, n)
-	claim := func(v, bi int32) bool {
+	mark := int32(0)
+	// setStamp sets stamp[v] to to and reports whether it was not already.
+	setStamp := func(v, to int32) bool {
 		for {
 			s := atomic.LoadInt32(&stamp[v])
-			if s == bi+1 {
+			if s == to {
 				return false
 			}
-			if atomic.CompareAndSwapInt32(&stamp[v], s, bi+1) {
+			if atomic.CompareAndSwapInt32(&stamp[v], s, to) {
 				return true
 			}
 		}
 	}
 
-	// Buckets live in a ring over the window [bi, bi+len(ring)), the cyclic
-	// bucket array of the original delta-stepping: a relaxation out of
-	// bucket bi lands at most maxWeight/delta + 1 buckets ahead, so the ring
-	// grows to that span (choose delta accordingly) and its slots — and
-	// their storage — are reused as bi advances. Duplicates are fine (stale
-	// entries are skipped on claim).
-	ring := make([][]int32, 8)
-	ring[0] = append(ring[0], src)
+	buckets := newBucketStore(int(n))
+	buckets.add(0, 0, src)
 	bi, maxBucket := 0, 0
 	distribute := func(improved []int32) {
 		for _, w := range improved {
 			b := int(distAt(w) / delta)
-			if b-bi >= len(ring) {
-				grown := make([][]int32, 2*(b-bi))
-				for j := bi; j < bi+len(ring); j++ {
-					grown[j%len(grown)] = ring[j%len(ring)]
-				}
-				ring = grown
-			}
-			ring[b%len(ring)] = append(ring[b%len(ring)], w)
+			buckets.add(bi, b, w)
 			maxBucket = max(maxBucket, b)
 		}
 	}
@@ -102,7 +93,7 @@ func DeltaSteppingParallel(g *graph.Graph, src int32, delta float64) *SSSPResult
 			if light {
 				// Skip entries whose distance moved on (to an earlier,
 				// already-processed bucket) before claiming.
-				if int(distAt(v)/delta) != bi || !claim(v, int32(bi)) {
+				if int(distAt(v)/delta) != bi || !setStamp(v, int32(bi)+1) {
 					continue
 				}
 			}
@@ -117,9 +108,7 @@ func DeltaSteppingParallel(g *graph.Graph, src int32, delta float64) *SSSPResult
 				if (ew <= delta) != light {
 					continue
 				}
-				if casMin(w, dv+ew) {
-					// Re-open w if it had already settled this bucket.
-					atomic.CompareAndSwapInt32(&stamp[w], int32(bi)+1, 0)
+				if casMin(w, dv+ew) && setStamp(w, mark) {
 					improved = append(improved, w)
 				}
 			}
@@ -137,31 +126,37 @@ func DeltaSteppingParallel(g *graph.Graph, src int32, delta float64) *SSSPResult
 		return arcGrain(len(vs), arcs)
 	}
 
-	// cur, improved and settled are reused bucket after bucket; out holds
-	// the per-worker buffers. The order improved vertices arrive in follows
-	// the schedule, which the distances (a unique fixpoint) cannot see.
-	var cur, improved, settled []int32
+	// cur and improved are reused bucket after bucket. A pass lists a
+	// vertex once (bar a re-open) and a bucket settles it once, and on R-MAT
+	// neither list passes 0.45 n, so both start at n/2 and grow by append
+	// only beyond that. out holds the per-worker buffers. The order improved
+	// vertices arrive in follows the schedule, which the distances (a unique
+	// fixpoint) cannot see.
+	cur, improved := make([]int32, 0, n/2), make([]int32, 0, n/2)
 	var out par.Frontier[int32]
 	for ; bi <= maxBucket; bi++ {
-		slot := bi % len(ring)
-		settled = settled[:0]
-		for len(ring[slot]) > 0 {
-			cur, ring[slot] = ring[slot], cur[:0]
-			frontier, light = cur, true
-			improved = out.Collect(improved, len(cur), par.Opt{Name: "sssp.light", Grain: grainOf(cur)}, relax)
-			// Claimed entries relaxed their light edges; remember them for
-			// the heavy phase (duplicates from re-opening are harmless).
-			for _, v := range cur {
+		// cur holds the vertices this bucket has settled, then the round
+		// drained behind them.
+		cur = cur[:0]
+		for !buckets.empty(bi) {
+			settled := len(cur)
+			cur = buckets.drain(bi, cur)
+			frontier, light, mark = cur[settled:], true, mark-1
+			improved = out.Collect(improved, len(frontier), par.Opt{Name: "sssp.light", Grain: grainOf(frontier)}, relax)
+			// Claimed entries relaxed their light edges; keep them for the
+			// heavy phase (duplicates from re-opening are harmless).
+			kept := cur[:settled]
+			for _, v := range frontier {
 				if int(distAt(v)/delta) == bi && atomic.LoadInt32(&stamp[v]) == int32(bi)+1 {
-					settled = append(settled, v)
+					kept = append(kept, v)
 				}
 			}
+			cur = kept
 			distribute(improved)
-			slot = bi % len(ring) // distribute may have grown the ring
 		}
-		if len(settled) > 0 {
-			frontier, light = settled, false
-			improved = out.Collect(improved, len(settled), par.Opt{Name: "sssp.heavy", Grain: grainOf(settled)}, relax)
+		if len(cur) > 0 {
+			frontier, light, mark = cur, false, mark-1
+			improved = out.Collect(improved, len(cur), par.Opt{Name: "sssp.heavy", Grain: grainOf(cur)}, relax)
 			distribute(improved)
 		}
 	}
@@ -206,4 +201,101 @@ func DeltaSteppingParallel(g *graph.Graph, src int32, delta float64) *SSSPResult
 	})
 	res.Parent[src] = src
 	return res
+}
+
+// bucketBlock is how many entries one block of a bucketStore holds.
+const bucketBlock = 64
+
+// bucketStore is delta-stepping's bucket array in one store. Buckets live
+// in a ring over the window [bi, bi+len(ring)), the cyclic bucket array of
+// the original delta-stepping: a relaxation out of bucket bi lands at most
+// maxWeight/delta + 1 buckets ahead, so the ring grows to that span
+// (choose delta accordingly). A bucket is a chain of blocks carved from one
+// slab, filled at its tail and drained whole, and a drained bucket's blocks
+// go back on a free list. The slab is sized once, for n entries and a
+// block for each of the first slots: on R-MAT the live entries (stale ones
+// included, which are skipped on claim) peak near 0.6 n, so it grows, by
+// half, only on inputs that keep more than that in flight.
+type bucketStore struct {
+	slab []int32       // entries; block k is slab[k*bucketBlock:][:bucketBlock]
+	link []int32       // the block after k in its chain or the free list; -1 ends it
+	free int32         // first free block, -1 when there is none
+	ring []bucketChain // one chain per slot of the window
+}
+
+// bucketChain is one bucket: its first and last block (-1 when the bucket
+// is empty) and the entries in the last.
+type bucketChain struct{ head, tail, fill int32 }
+
+func newBucketStore(n int) *bucketStore {
+	s := &bucketStore{ring: make([]bucketChain, 8), free: -1}
+	for i := range s.ring {
+		s.ring[i].head = -1
+	}
+	s.addBlocks((n+bucketBlock-1)/bucketBlock + len(s.ring))
+	return s
+}
+
+// addBlocks extends the slab by k blocks and puts them on the free list.
+func (s *bucketStore) addBlocks(k int) {
+	first := len(s.link)
+	slab, link := make([]int32, (first+k)*bucketBlock), make([]int32, first+k)
+	copy(slab, s.slab)
+	copy(link, s.link)
+	s.slab, s.link = slab, link
+	for b := first + k - 1; b >= first; b-- {
+		s.link[b], s.free = s.free, int32(b)
+	}
+}
+
+// add appends v to bucket b, which must lie at or after the current
+// bucket bi.
+func (s *bucketStore) add(bi, b int, v int32) {
+	if b-bi >= len(s.ring) {
+		grown := make([]bucketChain, 2*(b-bi))
+		for i := range grown {
+			grown[i].head = -1
+		}
+		for j := bi; j < bi+len(s.ring); j++ {
+			grown[j%len(grown)] = s.ring[j%len(s.ring)]
+		}
+		s.ring = grown
+	}
+	c := &s.ring[b%len(s.ring)]
+	if c.head < 0 || c.fill == bucketBlock {
+		if s.free < 0 {
+			s.addBlocks(len(s.link)/2 + 1)
+		}
+		k := s.free
+		s.free, s.link[k] = s.link[k], -1
+		if c.head < 0 {
+			c.head = k
+		} else {
+			s.link[c.tail] = k
+		}
+		c.tail, c.fill = k, 0
+	}
+	s.slab[int(c.tail)*bucketBlock+int(c.fill)] = v
+	c.fill++
+}
+
+// empty reports whether bucket b holds no entries.
+func (s *bucketStore) empty(b int) bool { return s.ring[b%len(s.ring)].head < 0 }
+
+// drain appends bucket b's entries to dst, empties the bucket and frees its
+// blocks.
+func (s *bucketStore) drain(b int, dst []int32) []int32 {
+	c := &s.ring[b%len(s.ring)]
+	for k := c.head; k >= 0; {
+		lo, hi := int(k)*bucketBlock, int(k+1)*bucketBlock
+		if k == c.tail {
+			hi = lo + int(c.fill)
+		}
+		dst = append(dst, s.slab[lo:hi]...)
+		next := s.link[k]
+		s.link[k], s.free = s.free, k
+		k = next
+	}
+	c.head = -1
+	return dst
 }

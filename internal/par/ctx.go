@@ -10,8 +10,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Context-aware scheduler variants for long-running kernels that serve
-// request traffic (internal/server). Cancellation is observed at chunk
+// The scheduler core, with cooperative cancellation for the kernels that
+// serve request traffic (internal/server). Cancellation is observed at chunk
 // boundaries: each worker checks ctx.Done() — and, when the context
 // carries a deadline, compares time.Now() against it directly (CtxErr) —
 // before pulling its next chunk, so after cancellation no worker executes
@@ -20,11 +20,12 @@ import (
 // tests assert via the scheduler counters below
 // (Totals.Cancellations / Totals.SkippedChunks).
 //
-// The determinism contract is unchanged: chunk boundaries still depend only
-// on n and Opt.Grain, so a run that completes produces output
-// byte-identical to the non-ctx primitive for any worker count. A run that
-// is cancelled returns ctx.Err() and its partial side effects must be
-// discarded by the caller.
+// The plain primitives (For, ForW, Chunks, Reduce) are these under
+// context.Background(), so there is one core and one determinism contract:
+// chunk boundaries depend only on n and Opt.Grain, so a run that completes
+// produces the same output for any worker count. A run that is cancelled
+// returns ctx.Err() and its partial side effects must be discarded by the
+// caller.
 
 // CtxErr reports ctx's effective cancellation state. Unlike ctx.Err() it
 // also treats a context whose deadline has passed as expired even when the
@@ -75,75 +76,41 @@ func endInvocationSpan(sp *telemetry.Span, nc, executed, workers int, cancelled 
 	sp.End()
 }
 
-// runCtx is the cancellable scheduler core: identical chunking to run, plus
-// a cancellation check (Done() select + direct deadline comparison, see
-// CtxErr) before every chunk pull. Returns nil when every chunk executed
-// (even if ctx fired during the final chunk — the work is done), the
-// cancellation error otherwise.
+// runCtx is the scheduler core every primitive runs on: split [0,n) into
+// chunks of size grain, let workers pull chunks off an atomic cursor, check
+// for cancellation (Done() select + direct deadline comparison, see CtxErr)
+// before every pull, record telemetry. body receives the pulling worker's id
+// in [0, workers) plus the chunk bounds. Returns nil when every chunk
+// executed (even if ctx fired during the final chunk — the work is done),
+// the cancellation error otherwise.
 func runCtx(ctx context.Context, n int, opt Opt, body func(w, lo, hi int)) error {
 	if n <= 0 {
 		return CtxErr(ctx)
 	}
-	if err := CtxErr(ctx); err != nil {
-		m := metricsFor(opt.Name)
-		m.observeCancel(n, (n+grainFor(n, opt.Grain)-1)/grainFor(n, opt.Grain), 0, 0, 0)
-		return err
-	}
 	grain := grainFor(n, opt.Grain)
 	nc := (n + grain - 1) / grain
-	workers := opt.WorkerCount()
-	if workers > nc {
-		workers = nc
-	}
 	m := metricsFor(opt.Name)
+	if err := CtxErr(ctx); err != nil {
+		m.observeCancel(n, nc, 0, 0, 0)
+		return err
+	}
+	workers := min(opt.WorkerCount(), nc)
 	sp := spanForInvocation(ctx, opt)
 	start := time.Now()
 	stop := stopSignal{done: ctx.Done()}
 	stop.dl, stop.hasDL = ctx.Deadline()
 
+	executed, imbalance := 0, 1.0
 	if workers <= 1 {
-		executed := 0
-		for c := 0; c < nc; c++ {
-			if stop.expired() {
-				m.observeCancel(n, nc, executed, 1, time.Since(start))
-				endInvocationSpan(sp, nc, executed, 1, true)
-				return CtxErr(ctx)
-			}
-			lo := c * grain
-			body(0, lo, min(lo+grain, n))
-			executed++
-		}
-		m.observe(n, nc, 1, time.Since(start), 1)
-		endInvocationSpan(sp, nc, nc, 1, false)
-		return nil
+		workers = 1
+		executed = runInline(n, grain, &stop, func(lo, hi int) { body(0, lo, hi) })
+	} else {
+		executed, imbalance = fanOut(stop, n, grain, nc, workers, body)
 	}
-
-	f := &fanout{stopSignal: stop, n: n, grain: grain, nc: nc, body: body}
-	f.busy = f.inline[:0]
-	if workers > len(f.inline) {
-		f.busy = make([]time.Duration, 0, workers)
-	}
-	f.busy = f.busy[:workers]
-	f.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go f.work(w)
-	}
-	f.wg.Wait()
-
-	ex := int(f.executed.Load())
-	if f.cancelled.Load() && ex < nc {
-		m.observeCancel(n, nc, ex, workers, time.Since(start))
-		endInvocationSpan(sp, nc, ex, workers, true)
+	if executed < nc {
+		m.observeCancel(n, nc, executed, workers, time.Since(start))
+		endInvocationSpan(sp, nc, executed, workers, true)
 		return CtxErr(ctx)
-	}
-	var maxBusy, totalBusy time.Duration
-	for _, d := range f.busy {
-		totalBusy += d
-		maxBusy = max(maxBusy, d)
-	}
-	imbalance := 1.0
-	if totalBusy > 0 {
-		imbalance = float64(maxBusy) * float64(workers) / float64(totalBusy)
 	}
 	m.observe(n, nc, workers, time.Since(start), imbalance)
 	endInvocationSpan(sp, nc, nc, workers, false)
@@ -151,7 +118,7 @@ func runCtx(ctx context.Context, n int, opt Opt, body func(w, lo, hi int)) error
 }
 
 // stopSignal is a context's cancellation signals, read once per invocation
-// and checked before every chunk pull.
+// and checked before every chunk pull. The zero value never expires.
 type stopSignal struct {
 	done  <-chan struct{}
 	dl    time.Time
@@ -168,31 +135,46 @@ func (s *stopSignal) expired() bool {
 	return s.hasDL && !time.Now().Before(s.dl)
 }
 
-// fanout is what one multi-worker runCtx invocation shares with its
-// workers, in a single allocation: per-invocation garbage is this plus one
-// small closure per worker goroutine, so kernels that run many short
-// invocations (incremental PageRank sweeps) stay cheap. busy holds each
-// worker's time at work, written once when it finishes.
+// fanout is what one multi-worker invocation shares with its workers, in a
+// single allocation: per-invocation garbage is this plus the one method
+// value every worker goroutine starts from, so kernels that run many short
+// invocations (PageRank iterations, incremental sweeps) stay cheap. Each
+// worker adds its time at work to busy and raises busyMax to it when it
+// finishes.
 type fanout struct {
 	stopSignal
 	n, grain, nc     int
 	body             func(w, lo, hi int)
 	cursor, executed atomic.Int64
-	cancelled        atomic.Bool
+	ids              atomic.Int32
+	busy, busyMax    atomic.Int64
 	wg               sync.WaitGroup
-	busy             []time.Duration
-	inline           [8]time.Duration
 }
 
-// work is one worker: pull chunks until they run out or the context ends.
-func (f *fanout) work(w int) {
+// fanOut runs every chunk on workers goroutines and returns the chunks
+// executed and the load imbalance (max worker busy time over the mean).
+func fanOut(stop stopSignal, n, grain, nc, workers int, body func(w, lo, hi int)) (int, float64) {
+	f := &fanout{stopSignal: stop, n: n, grain: grain, nc: nc, body: body}
+	f.wg.Add(workers)
+	work := f.work
+	for w := 0; w < workers; w++ {
+		go work()
+	}
+	f.wg.Wait()
+	imbalance := 1.0
+	if total := f.busy.Load(); total > 0 {
+		imbalance = float64(f.busyMax.Load()) * float64(workers) / float64(total)
+	}
+	return int(f.executed.Load()), imbalance
+}
+
+// work is one worker: take the next id, then pull chunks until they run out
+// or the context ends.
+func (f *fanout) work() {
 	defer f.wg.Done()
+	w := int(f.ids.Add(1) - 1)
 	t0 := time.Now()
-	for {
-		if f.expired() {
-			f.cancelled.Store(true)
-			break
-		}
+	for !f.expired() {
 		c := int(f.cursor.Add(1) - 1)
 		if c >= f.nc {
 			break
@@ -201,7 +183,10 @@ func (f *fanout) work(w int) {
 		f.body(w, lo, min(lo+f.grain, f.n))
 		f.executed.Add(1)
 	}
-	f.busy[w] = time.Since(t0)
+	d := int64(time.Since(t0))
+	f.busy.Add(d)
+	for m := f.busyMax.Load(); d > m && !f.busyMax.CompareAndSwap(m, d); m = f.busyMax.Load() {
+	}
 }
 
 // ForCtx is For with cooperative cancellation: body still runs over
@@ -213,25 +198,33 @@ func ForCtx(ctx context.Context, n int, opt Opt, body func(lo, hi int)) error {
 	return runCtx(ctx, n, opt, func(_, lo, hi int) { body(lo, hi) })
 }
 
-// ForWCtx is ForW with cooperative cancellation (see ForCtx).
-func ForWCtx(ctx context.Context, n int, opt Opt, body func(w, lo, hi int)) error {
-	return runCtx(ctx, n, opt, body)
-}
-
 // ChunksCtx is Chunks with cooperative cancellation. A completed run
 // returns the per-chunk results in chunk-index order, byte-identical to
 // Chunks for any worker count; a cancelled run returns (nil, ctx.Err()).
 func ChunksCtx[T any](ctx context.Context, n int, opt Opt, body func(chunk, lo, hi int) T) ([]T, error) {
+	return AppendChunksCtx(ctx, nil, n, opt, body)
+}
+
+// AppendChunksCtx is ChunksCtx appending the per-chunk results to dst,
+// which it grows as needed: a kernel that runs pass after pass hands back
+// the slice the previous pass returned (resliced to [:0]) and allocates
+// its partials once. A cancelled run returns dst as it was passed.
+func AppendChunksCtx[T any](ctx context.Context, dst []T, n int, opt Opt, body func(chunk, lo, hi int) T) ([]T, error) {
 	if n <= 0 {
-		return nil, CtxErr(ctx)
+		return dst, CtxErr(ctx)
 	}
 	grain := grainFor(n, opt.Grain)
-	out := make([]T, (n+grain-1)/grain)
-	err := runCtx(ctx, n, opt, func(_, lo, hi int) {
-		out[lo/grain] = body(lo/grain, lo, hi)
-	})
-	if err != nil {
-		return nil, err
+	base, nc := len(dst), (n+grain-1)/grain
+	out := dst
+	if cap(dst)-base < nc {
+		out = make([]T, base, base+nc)
+		copy(out, dst)
+	}
+	out = out[:base+nc]
+	if err := runCtx(ctx, n, opt, func(_, lo, hi int) {
+		out[base+lo/grain] = body(lo/grain, lo, hi)
+	}); err != nil {
+		return dst, err
 	}
 	return out, nil
 }

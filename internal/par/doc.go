@@ -31,14 +31,14 @@
 // A run that completes produces output that depends only on (n, Opt.Grain)
 // and the body — never on the worker count, chunk interleaving, or wall
 // time. Bodies receive disjoint index ranges; any cross-chunk combination
-// the package performs (Chunks, Reduce, Map) happens in chunk-index order.
+// the package performs (Chunks, Reduce) happens in chunk-index order.
 //
-// Frontier is the one exception, and says so: it drains per-worker buffers
-// in worker order, so the order of what a pass collects follows the
-// schedule. That buys level-synchronous kernels a frontier that costs
-// O(workers) buffers for the whole run instead of a slice per chunk per
-// level, and it is only for kernels whose output provably cannot see the
-// order — BFS parents are a CAS-min, core numbers a confluent fixpoint,
+// Frontier is the one exception, and says so: it flushes each chunk's
+// output into the caller's slice as the chunk completes, so the order of
+// what a pass collects follows the schedule. That buys level-synchronous
+// kernels a frontier that costs O(workers) one-chunk buffers for the whole
+// run instead of a slice per chunk per level, and it is only for kernels
+// whose output provably cannot see the order — BFS parents are a CAS-min, core numbers a confluent fixpoint,
 // SSSP distances a unique fixpoint with a deterministic parent post-pass.
 // The worker-count determinism suite in internal/kernels is the guard.
 //
@@ -49,9 +49,14 @@
 // caller, exact-size where the size can be counted first; results never
 // alias per-worker or pooled scratch, so callers may keep them.
 //
-// # Cancellation contract (ForCtx, ChunksCtx, ReduceCtx)
+// # Cancellation contract (ForCtx, ChunksCtx, AppendChunksCtx, ReduceCtx)
 //
-// The ctx-aware variants serve request traffic (internal/server): workers
+// There is one scheduler core, and it is cancellable: For, Chunks and
+// Reduce are ForCtx, ChunksCtx and ReduceCtx under context.Background(),
+// and ForW runs the same core, so a one-worker run costs one inline loop
+// and a multi-worker run one shared fanout allocation either way. The ctx forms
+// serve request traffic (internal/server) and long batch kernels alike
+// (PageRank, WCC): workers
 // observe cancellation at chunk boundaries, so after a deadline no worker
 // executes more than the single chunk it already held — overshoot is
 // bounded to one chunk per worker, and the skipped remainder is visible in
@@ -62,5 +67,6 @@
 // even when a single-P runtime never preempts the running kernel to fire
 // the context's timer. A completed ctx run is byte-identical to its
 // non-ctx counterpart; a cancelled run returns ctx's error and the caller
-// must discard any partial side effects.
+// must discard any partial side effects (AppendChunksCtx hands back dst as
+// it was passed).
 package par

@@ -1,10 +1,9 @@
 package par
 
 import (
+	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // maxChunks bounds how many chunks an auto-grained invocation is split
@@ -77,86 +76,28 @@ func grainFor(n, grain int) int {
 	return g
 }
 
-// run is the scheduler core: split [0,n) into chunks of size grain, let
-// workers pull chunks off an atomic cursor, record telemetry. body receives
-// the pulling worker's id in [0, workers) plus the chunk bounds.
-func run(n int, opt Opt, body func(w, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	grain := grainFor(n, opt.Grain)
-	nc := (n + grain - 1) / grain
-	workers := opt.WorkerCount()
-	if workers > nc {
-		workers = nc
-	}
-	m := metricsFor(opt.Name)
-	if workers <= 1 {
-		runInline(n, grain, m, func(lo, hi int) { body(0, lo, hi) })
-		return
-	}
-	start := time.Now()
-
-	var cursor atomic.Int64
-	// busy is padded to a cache line per worker so the per-chunk timestamp
-	// writes don't false-share.
-	busy := make([]struct {
-		d time.Duration
-		_ [7]int64
-	}, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			t0 := time.Now()
-			for {
-				c := int(cursor.Add(1) - 1)
-				if c >= nc {
-					break
-				}
-				lo := c * grain
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				body(w, lo, hi)
-			}
-			busy[w].d = time.Since(t0)
-		}(w)
-	}
-	wg.Wait()
-
-	var maxBusy, totalBusy time.Duration
-	for w := 0; w < workers; w++ {
-		totalBusy += busy[w].d
-		if busy[w].d > maxBusy {
-			maxBusy = busy[w].d
-		}
-	}
-	imbalance := 1.0
-	if totalBusy > 0 {
-		imbalance = float64(maxBusy) * float64(workers) / float64(totalBusy)
-	}
-	m.observe(n, nc, workers, time.Since(start), imbalance)
-}
-
 // runInline is the one-worker schedule: every chunk on the calling
-// goroutine, in index order. body does not escape, so a caller's closure and
-// what it captures stay on the stack.
-func runInline(n, grain int, m *opMetrics, body func(lo, hi int)) {
-	start := time.Now()
+// goroutine, in index order, until stop expires. It returns the chunks it
+// ran. body does not escape, so a caller's closure and what it captures
+// stay on the stack.
+func runInline(n, grain int, stop *stopSignal, body func(lo, hi int)) int {
+	executed := 0
 	for lo := 0; lo < n; lo += grain {
+		if stop.expired() {
+			break
+		}
 		body(lo, min(lo+grain, n))
+		executed++
 	}
-	m.observe(n, (n+grain-1)/grain, 1, time.Since(start), 1)
+	return executed
 }
 
 // For runs body over disjoint subranges covering [0, n). body must only
 // touch state owned by its range (or synchronize itself); ranges execute
-// concurrently in unspecified order.
+// concurrently in unspecified order. It is ForCtx under
+// context.Background().
 func For(n int, opt Opt, body func(lo, hi int)) {
-	run(n, opt, func(_, lo, hi int) { body(lo, hi) })
+	_ = ForCtx(context.Background(), n, opt, body)
 }
 
 // ForW is For with the pulling worker's id (in [0, Opt.WorkerCount())), for
@@ -164,7 +105,7 @@ func For(n int, opt Opt, body func(lo, hi int)) {
 // nondeterministic: anything that affects the final output must not depend
 // on w — index it by chunk (see Chunks) instead.
 func ForW(n int, opt Opt, body func(w, lo, hi int)) {
-	run(n, opt, body)
+	_ = runCtx(context.Background(), n, opt, body)
 }
 
 // Chunks runs body once per chunk and returns the per-chunk results in
@@ -173,28 +114,7 @@ func ForW(n int, opt Opt, body func(w, lo, hi int)) {
 // deterministic building block for frontier collection and ordered
 // reductions.
 func Chunks[T any](n int, opt Opt, body func(chunk, lo, hi int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	grain := grainFor(n, opt.Grain)
-	out := make([]T, (n+grain-1)/grain)
-	run(n, opt, func(_, lo, hi int) {
-		out[lo/grain] = body(lo/grain, lo, hi)
-	})
-	return out
-}
-
-// Map computes out[i] = f(i) for i in [0, n) in parallel.
-func Map[T any](n int, opt Opt, f func(i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]T, n)
-	For(n, opt, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = f(i)
-		}
-	})
+	out, _ := ChunksCtx(context.Background(), n, opt, body)
 	return out
 }
 
@@ -204,14 +124,6 @@ func Map[T any](n int, opt Opt, f func(i int) T) []T {
 // reduce byte-identically for every worker count. Returns the zero T when
 // n <= 0.
 func Reduce[T any](n int, opt Opt, leaf func(lo, hi int) T, combine func(acc, next T) T) T {
-	var zero T
-	parts := Chunks(n, opt, func(_, lo, hi int) T { return leaf(lo, hi) })
-	if len(parts) == 0 {
-		return zero
-	}
-	acc := parts[0]
-	for _, p := range parts[1:] {
-		acc = combine(acc, p)
-	}
+	acc, _ := ReduceCtx(context.Background(), n, opt, leaf, combine)
 	return acc
 }

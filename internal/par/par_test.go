@@ -83,18 +83,6 @@ func TestReduceFloatDeterministic(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	sq := Map(10, Opt{Workers: 4, Name: "test.map"}, func(i int) int { return i * i })
-	for i, v := range sq {
-		if v != i*i {
-			t.Fatalf("Map[%d] = %d", i, v)
-		}
-	}
-	if Map(0, Opt{}, func(i int) int { return i }) != nil {
-		t.Fatal("Map(0) should be nil")
-	}
-}
-
 func TestGrainExplicitAndAuto(t *testing.T) {
 	// Explicit grain 10 over 95 indices -> 10 chunks, last short.
 	sizes := Chunks(95, Opt{Grain: 10, Workers: 3, Name: "test.grain"}, func(_, lo, hi int) int {
