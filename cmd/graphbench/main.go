@@ -1,123 +1,79 @@
-// Command graphbench runs the full Fig. 1 batch-kernel spectrum against a
-// generated workload graph and prints the taxonomy coverage matrix plus
-// per-kernel timings (experiment E1 in DESIGN.md).
+// Command graphbench is the repository's benchmark driver, one subcommand
+// per benchmark: kernels (the Fig. 1 batch kernels, experiment E1), streams
+// (the streaming kernels, E9) and matrix (the continuous-benchmark
+// trajectory with its baseline regression gate).
 //
-// Usage:
+//	graphbench <kernels|streams|matrix> [flags]
 //
-//	graphbench [-scale N] [-ef N] [-seed N] [-coverage] [-kernel NAME]
-//	           [-metrics-out FILE] [-trace-out FILE] [-listen ADDR]
+// Every subcommand also takes -workers and the telemetry flags; `graphbench
+// <subcommand> -h` lists them all. A bad command line exits 2; a failed run,
+// or a matrix run that regressed past its threshold, exits 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
-	"repro/internal/bench"
-	"repro/internal/core"
-	"repro/internal/gen"
-	"repro/internal/graph"
-	"repro/internal/graph500"
 	"repro/internal/obsv"
 	"repro/internal/par"
 	"repro/internal/telemetry"
 )
 
-func main() {
-	scale := flag.Int("scale", 14, "R-MAT scale (2^scale vertices)")
-	ef := flag.Int("ef", 16, "edge factor")
-	seed := flag.Int64("seed", 42, "generator seed")
-	coverage := flag.Bool("coverage", false, "print the Fig. 1 coverage matrix and exit")
-	kernel := flag.String("kernel", "", "run a single kernel by taxonomy name")
-	g500 := flag.Bool("graph500", false, "run the Graph500-style BFS+SSSP harness and exit")
-	family := flag.String("gen", "rmat", "graph family: rmat, ba (preferential attachment), ws (small world), er")
-	par.RegisterFlags(flag.CommandLine)
-	tel := telemetry.NewCLI(flag.CommandLine, telemetry.Default())
-	flag.Parse()
-
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "graphbench: unexpected arguments: %v\n", flag.Args())
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *scale < 1 || *scale > 30 {
-		fmt.Fprintf(os.Stderr, "graphbench: -scale %d out of range [1,30]\n", *scale)
-		os.Exit(2)
-	}
-	if *ef < 1 {
-		fmt.Fprintf(os.Stderr, "graphbench: -ef must be positive, got %d\n", *ef)
-		os.Exit(2)
-	}
-	err := tel.Run(func() error {
-		defer obsv.StartSampler(tel.Registry, 0).Stop()
-		return run(*scale, *ef, *seed, *coverage, *kernel, *g500, *family, tel.Registry)
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphbench:", err)
-		os.Exit(1)
-	}
+// subcommands maps each subcommand name to the function that registers its
+// own flags on fs. After parsing, check validates their values and body
+// runs the benchmark inside the telemetry session.
+var subcommands = map[string]func(fs *flag.FlagSet) (check func() error, body func(*telemetry.Registry) error){
+	"kernels": kernelsCmd,
+	"streams": streamsCmd,
+	"matrix":  matrixCmd,
 }
 
-func run(scale, ef int, seed int64, coverage bool, kernel string, g500 bool, family string, reg *telemetry.Registry) error {
-	if coverage {
-		core.RenderCoverage(os.Stdout)
-		return nil
-	}
-	if g500 {
-		spec := graph500.DefaultSpec(scale)
-		spec.EdgeFactor = ef
-		spec.Seed = seed
-		bfs, err := graph500.RunBFS(spec)
-		if err != nil {
-			return err
-		}
-		bfs.Render(os.Stdout, "bfs")
-		fmt.Println()
-		sssp, err := graph500.RunSSSP(spec)
-		if err != nil {
-			return err
-		}
-		sssp.Render(os.Stdout, "sssp")
-		return nil
-	}
+const usage = "usage: graphbench kernels|streams|matrix [flags]; graphbench <subcommand> -h lists its flags"
 
-	fmt.Printf("generating %s scale=%d edgefactor=%d seed=%d ...\n", family, scale, ef, seed)
-	gsp := reg.Tracer().Start("graphbench.generate", telemetry.L("family", family))
-	var g *graph.Graph
-	switch family {
-	case "rmat":
-		g = gen.RMAT(scale, ef, gen.Graph500RMAT, seed, false)
-	case "ba":
-		g = gen.BarabasiAlbert(1<<scale, ef/2+1, seed)
-	case "ws":
-		g = gen.WattsStrogatz(1<<scale, ef, 0.1, seed)
-	case "er":
-		g = gen.ErdosRenyi(1<<scale, (1<<scale)*ef/2, seed, false)
-	default:
-		gsp.End()
-		return fmt.Errorf("unknown -gen %q (rmat|ba|ws|er)", family)
-	}
-	gsp.End()
-	st := graph.ComputeStats(g)
-	fmt.Printf("graph: %d vertices, %d arcs, degree mean %.1f max %d\n\n",
-		st.NumVertices, st.NumArcs, st.MeanDegree, st.MaxDegree)
-	reg.Gauge("graphbench_vertices").Set(float64(st.NumVertices))
-	reg.Gauge("graphbench_arcs").Set(float64(st.NumArcs))
-	reg.Gauge("graphbench_max_degree").Set(float64(st.MaxDegree))
+// usageError is a command line naming no valid subcommand, flag or value.
+type usageError struct{ error }
 
-	if kernel != "" {
-		res, err := core.RunWith(reg, kernel, g)
-		if err != nil {
-			return err
+func main() {
+	err := run(os.Args[1:])
+	if err == nil {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "graphbench:", err)
+	if errors.As(err, new(usageError)) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+func run(args []string) error {
+	if len(args) == 0 {
+		return usageError{errors.New("missing subcommand\n" + usage)}
+	}
+	flags, ok := subcommands[args[0]]
+	if !ok {
+		return usageError{fmt.Errorf("unknown subcommand %q\n%s", args[0], usage)}
+	}
+	fs := flag.NewFlagSet("graphbench "+args[0], flag.ContinueOnError)
+	check, body := flags(fs)
+	par.RegisterFlags(fs)
+	tel := telemetry.NewCLI(fs, telemetry.Default())
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
 		}
-		fmt.Printf("%-14s %12v  %s\n", res.Kernel, res.Elapsed, res.Summary)
-		return nil
+		return usageError{err}
 	}
-
-	tb := bench.NewTable("kernel", "time", "result")
-	for _, res := range core.RunAllWith(reg, g) {
-		tb.Add(res.Kernel, res.Elapsed.String(), res.Summary)
+	if fs.NArg() > 0 {
+		fs.Usage()
+		return usageError{fmt.Errorf("unexpected arguments: %v", fs.Args())}
 	}
-	tb.Render(os.Stdout)
-	return nil
+	if err := check(); err != nil {
+		return usageError{err}
+	}
+	return tel.Run(func() error {
+		defer obsv.StartSampler(tel.Registry, 0).Stop()
+		return body(tel.Registry)
+	})
 }

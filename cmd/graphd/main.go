@@ -65,14 +65,10 @@ func run() error {
 		sloFast     = flag.Duration("slo-fast-window", 0, "SLO fast burn-rate window (0 = default 1m)")
 		sloSlow     = flag.Duration("slo-slow-window", 0, "SLO slow burn-rate window (0 = default 10m)")
 		sloPeriod   = flag.Duration("slo-period", 0, "SLO window rotation and evaluation period (0 = default 10s)")
-		sloWarn     = flag.Float64("slo-warn-burn", 0, "burn rate entering warning on both windows (0 = default 1)")
-		sloBreach   = flag.Float64("slo-breach-burn", 0, "burn rate entering breaching on both windows (0 = default 4)")
 		profTrig    = flag.Bool("profile-triggers", false, "capture CPU/heap/goroutine profile bundles on SLO breach and slow-query triggers (/debug/profiles)")
 		profDir     = flag.String("profile-dir", "", "also write each captured profile bundle to this directory")
-		profRing    = flag.Int("profile-ring", 0, "profile bundles retained in memory (0 = default 8)")
 		profMinIval = flag.Duration("profile-min-interval", 0, "min time between profile captures (0 = default 30s)")
 		profCPU     = flag.Duration("profile-cpu", 0, "CPU profile sampling duration per capture (0 = default 2s)")
-		readyQueue  = flag.Float64("ready-queue-fraction", 0, "fail /readyz when ingest queue depth reaches this fraction of -queue (0 = default 0.9)")
 		readyHeap   = flag.Uint64("max-heap-bytes", 0, "fail /readyz when live heap exceeds this many bytes (0 = no heap check)")
 		readySnap   = flag.Duration("ready-snapshot-max-age", 0, "fail /readyz when the last persisted snapshot is older (0 = 3x -snapshot-interval)")
 		drainGrace  = flag.Duration("drain-grace", 0, "hold /readyz at 503 this long before closing the listener on shutdown, so load balancers drain first")
@@ -114,14 +110,10 @@ func run() error {
 	cfg.SLOFastWindow = *sloFast
 	cfg.SLOSlowWindow = *sloSlow
 	cfg.SLOPeriod = *sloPeriod
-	cfg.SLOWarnBurn = *sloWarn
-	cfg.SLOBreachBurn = *sloBreach
 	cfg.ProfileTriggers = *profTrig
 	cfg.ProfileDir = *profDir
-	cfg.ProfileRing = *profRing
 	cfg.ProfileMinInterval = *profMinIval
 	cfg.ProfileCPUDuration = *profCPU
-	cfg.ReadyQueueFraction = *readyQueue
 	cfg.ReadyMaxHeapBytes = *readyHeap
 	cfg.ReadySnapshotMaxAge = *readySnap
 	if *slowOut != "" {

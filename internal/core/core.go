@@ -159,7 +159,7 @@ var Taxonomy = []KernelInfo{
 	{Name: "CCW", Classes: []Class{Connectedness},
 		Usage:          map[Suite]Mode{GAP: Batch, HPCGraph: Batch, KeplerGilbert: Streaming},
 		Outputs:        []Output{VertexProperty, EventsO1},
-		Implementation: "kernels.WCC, streaming.ConnectedComponents"},
+		Implementation: "kernels.WCC, incr.WCCState"},
 	{Name: "CCS", Classes: []Class{Connectedness},
 		Usage:          map[Suite]Mode{GAP: Batch, HPCGraph: Batch},
 		Outputs:        []Output{EventsO1},

@@ -31,7 +31,7 @@ type Runner func(g *graph.Graph) string
 
 // runners binds taxonomy rows to executable batch implementations on a
 // shared undirected workload graph. Streaming rows are exercised by the
-// streaming engine (cmd/streambench), not here.
+// streaming engine (`graphbench streams`), not here.
 var runners = map[string]Runner{
 	"BFS": func(g *graph.Graph) string {
 		res := kernels.BFSParallel(g, 0)

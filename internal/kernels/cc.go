@@ -238,8 +238,7 @@ func SCCKosaraju(g *graph.Graph) *CCResult {
 }
 
 // UnionFind is a disjoint-set forest with path halving and union by size.
-// It is exported because the dedup and streaming connected-components code
-// reuse it.
+// It is exported because the dedup code reuses it.
 type UnionFind struct {
 	parent []int32
 	size   []int32

@@ -21,7 +21,7 @@
 //   - A machine-readable benchmark trajectory (bench.go, runner.go): a
 //     schema-versioned BENCH_*.json format with an environment fingerprint
 //     and per-case resource accounts, plus baseline comparison that flags
-//     regressions — executed by cmd/benchrunner and CI.
+//     regressions — executed by `graphbench matrix` and CI.
 //
 // # Concurrency contract
 //
@@ -32,7 +32,7 @@
 // concurrent kernels with one Meter each, not a shared one. The
 // process-wide deltas a Meter reads (runtime.MemStats, par.Totals) are
 // attributed to whatever ran inside the bracket, so overlapping brackets
-// double-count; the benchrunner therefore measures kernels one at a time.
+// double-count; the matrix runner therefore measures kernels one at a time.
 // BENCH_*.json readers/writers and Report are plain functions with no
 // shared state.
 package obsv

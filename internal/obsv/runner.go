@@ -3,6 +3,7 @@ package obsv
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/dyngraph"
 	"repro/internal/gen"
@@ -90,16 +91,18 @@ var benchKernels = []benchKernel{
 	}},
 }
 
+// MatrixKernels lists every name MatrixSpec.Kernels may hold: the batch
+// kernels, then the streaming Jaccard and graph construction cases.
+func MatrixKernels() []string {
+	names := make([]string, 0, len(benchKernels)+2)
+	for _, bk := range benchKernels {
+		names = append(names, bk.name)
+	}
+	return append(names, "jaccard-stream", "build")
+}
+
 func kernelEnabled(spec MatrixSpec, name string) bool {
-	if len(spec.Kernels) == 0 {
-		return true
-	}
-	for _, k := range spec.Kernels {
-		if k == name {
-			return true
-		}
-	}
-	return false
+	return len(spec.Kernels) == 0 || slices.Contains(spec.Kernels, name)
 }
 
 // RunMatrix executes the benchmark matrix, reporting each case's account

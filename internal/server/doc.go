@@ -1,8 +1,8 @@
 // Package server is the long-running serving layer over the paper's Fig. 2
 // canonical flow: one persistent dyngraph.DynGraph continuously fed by a
 // streaming ingest path while a concurrent query API re-mines it — the
-// "continuously operating system" the one-shot cmds (flowdemo, streambench)
-// only sample. cmd/graphd is the daemon binary.
+// "continuously operating system" the one-shot cmds (flowdemo, graphbench
+// streams) only sample. cmd/graphd is the daemon binary.
 //
 // Concurrency contract (one writer publishes, readers pin):
 //

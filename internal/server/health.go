@@ -24,6 +24,11 @@ import (
 // same sample the obsv runtime sampler exports as runtime_heap_objects_bytes.
 const heapInUseMetric = "/memory/classes/heap/objects:bytes"
 
+// readyQueueFraction is the share of the ingest queue (Config.QueueCap)
+// whose filling fails the /readyz ingest-queue check: a queue this full is
+// about to answer 429.
+const readyQueueFraction = 0.9
+
 // ReadyCheck is one component check inside a Readiness evaluation.
 type ReadyCheck struct {
 	// Name identifies the check ("draining", "ingest-queue", "snapshot-age",
@@ -59,7 +64,7 @@ func (s *Server) Readiness() Readiness {
 		add("draining", true, "accepting work")
 	}
 
-	depth, limit := len(s.queue), int(s.readyQueueFraction()*float64(s.cfg.QueueCap))
+	depth, limit := len(s.queue), int(readyQueueFraction*float64(s.cfg.QueueCap))
 	add("ingest-queue", depth < limit,
 		fmt.Sprintf("depth %d/%d (limit %d)", depth, s.cfg.QueueCap, limit))
 
@@ -101,14 +106,6 @@ func (s *Server) Readiness() Readiness {
 		add("slo", true, detail)
 	}
 	return r
-}
-
-// readyQueueFraction resolves Config.ReadyQueueFraction (default 0.9).
-func (s *Server) readyQueueFraction() float64 {
-	if f := s.cfg.ReadyQueueFraction; f > 0 && f <= 1 {
-		return f
-	}
-	return 0.9
 }
 
 // lastPersistTime is when the last snapshot landed (process start before

@@ -101,10 +101,6 @@ type Config struct {
 	SLOFastWindow time.Duration
 	SLOSlowWindow time.Duration
 	SLOPeriod     time.Duration
-	// SLOWarnBurn/SLOBreachBurn are the state-machine thresholds
-	// (defaults 1 / 4; see slo.Config).
-	SLOWarnBurn   float64
-	SLOBreachBurn float64
 
 	// ProfileTriggers enables trigger-driven profiling (internal/prof): a
 	// profile bundle is captured when an SLO objective enters breaching or a
@@ -113,16 +109,11 @@ type Config struct {
 	ProfileTriggers bool
 	// ProfileDir, when set, additionally writes each bundle to disk.
 	ProfileDir string
-	// ProfileRing bounds the in-memory bundle ring (default 8).
-	ProfileRing int
 	// ProfileMinInterval rate-limits captures (default 30s).
 	ProfileMinInterval time.Duration
 	// ProfileCPUDuration is the CPU profile sampling length (default 2s).
 	ProfileCPUDuration time.Duration
 
-	// ReadyQueueFraction fails the /readyz ingest-queue check when queue
-	// depth reaches this fraction of QueueCap (default 0.9).
-	ReadyQueueFraction float64
 	// ReadyMaxHeapBytes fails the /readyz heap check when live heap
 	// occupancy exceeds it; 0 disables the check.
 	ReadyMaxHeapBytes uint64
@@ -286,7 +277,6 @@ func New(cfg Config) (*Server, error) {
 		s.prof = prof.New(prof.Config{
 			Registry:    reg,
 			Dir:         cfg.ProfileDir,
-			Ring:        cfg.ProfileRing,
 			MinInterval: cfg.ProfileMinInterval,
 			CPUDuration: cfg.ProfileCPUDuration,
 		})
@@ -299,8 +289,6 @@ func New(cfg Config) (*Server, error) {
 			FastWindow:   cfg.SLOFastWindow,
 			SlowWindow:   cfg.SLOSlowWindow,
 			Period:       cfg.SLOPeriod,
-			WarnBurn:     cfg.SLOWarnBurn,
-			BreachBurn:   cfg.SLOBreachBurn,
 			OnTransition: s.onSLOTransition,
 		})
 		if err != nil {

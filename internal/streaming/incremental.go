@@ -45,167 +45,3 @@ func (tc *TriangleCounter) Apply(u gen.EdgeUpdate) int64 {
 	tc.Count += delta
 	return delta
 }
-
-// ConnectedComponents maintains weakly connected components under edge
-// insertions with a union-find; deletions invalidate the structure and are
-// handled by lazy full recomputation on the next query (the standard
-// trade-off for decremental connectivity without a dynamic-trees substrate;
-// the recompute is counted so benchmarks expose its cost).
-type ConnectedComponents struct {
-	g          *dyngraph.DynGraph
-	uf         *kernels.UnionFind
-	dirty      bool
-	Recomputes int64
-}
-
-// NewConnectedComponents wraps a dynamic graph.
-func NewConnectedComponents(g *dyngraph.DynGraph) *ConnectedComponents {
-	cc := &ConnectedComponents{g: g}
-	cc.rebuild()
-	return cc
-}
-
-func (cc *ConnectedComponents) rebuild() {
-	n := cc.g.NumVertices()
-	cc.uf = kernels.NewUnionFind(n)
-	for v := int32(0); v < n; v++ {
-		cc.g.ForEachNeighbor(v, func(w int32, _ float32, _ int64) {
-			cc.uf.Union(v, w)
-		})
-	}
-	cc.dirty = false
-	cc.Recomputes++
-}
-
-// Apply processes one update.
-func (cc *ConnectedComponents) Apply(u gen.EdgeUpdate) {
-	if u.Delete {
-		if cc.g.DeleteEdge(u.Src, u.Dst) {
-			cc.dirty = true
-		}
-		return
-	}
-	if cc.g.InsertEdge(u.Src, u.Dst, 1, u.Time) && !cc.dirty {
-		cc.uf.Union(u.Src, u.Dst)
-	}
-}
-
-// Same reports whether u and v are currently connected, recomputing if a
-// deletion dirtied the structure.
-func (cc *ConnectedComponents) Same(u, v int32) bool {
-	if cc.dirty {
-		cc.rebuild()
-	}
-	return cc.uf.Same(u, v)
-}
-
-// ComponentCount returns the number of weakly connected components
-// (including isolated vertices).
-func (cc *ConnectedComponents) ComponentCount() int32 {
-	if cc.dirty {
-		cc.rebuild()
-	}
-	n := cc.g.NumVertices()
-	seen := make(map[int32]struct{})
-	for v := int32(0); v < n; v++ {
-		seen[cc.uf.Find(v)] = struct{}{}
-	}
-	return int32(len(seen))
-}
-
-// DegreeTopK tracks the top-k degree vertices of a dynamic graph
-// incrementally (the streaming "search for largest" / centrality-change
-// question: "does that cause a change in the top n vertices").
-type DegreeTopK struct {
-	g       *dyngraph.DynGraph
-	k       int
-	members map[int32]struct{}
-	Changes int64 // number of updates that changed top-k membership
-}
-
-// NewDegreeTopK wraps a dynamic graph tracking the top k degrees.
-func NewDegreeTopK(g *dyngraph.DynGraph, k int) *DegreeTopK {
-	t := &DegreeTopK{g: g, k: k, members: make(map[int32]struct{}, k)}
-	t.recompute()
-	return t
-}
-
-func (t *DegreeTopK) recompute() {
-	scores := make([]float64, t.g.NumVertices())
-	for v := int32(0); v < t.g.NumVertices(); v++ {
-		scores[v] = float64(t.g.Degree(v))
-	}
-	top := kernels.TopKByScore(scores, t.k)
-	t.members = make(map[int32]struct{}, t.k)
-	for _, sv := range top {
-		t.members[sv.V] = struct{}{}
-	}
-}
-
-// Members returns the current top-k vertex set.
-func (t *DegreeTopK) Members() map[int32]struct{} { return t.members }
-
-// NotifyUpdate must be called after each applied edge update; it returns
-// true when the update changed top-k membership. Only the two touched
-// endpoints can enter the set, and only a full recompute can evict
-// correctly — we approximate with a threshold test and amortized recompute,
-// which keeps per-update cost O(1) except when membership actually changes.
-func (t *DegreeTopK) NotifyUpdate(u gen.EdgeUpdate) bool {
-	_, srcIn := t.members[u.Src]
-	_, dstIn := t.members[u.Dst]
-	if u.Delete {
-		if srcIn || dstIn {
-			old := t.snapshotSet()
-			t.recompute()
-			if !sameSet(old, t.members) {
-				t.Changes++
-				return true
-			}
-		}
-		return false
-	}
-	// Insertion: a non-member endpoint may now beat the weakest member.
-	min := t.minMemberDegree()
-	if (!srcIn && t.g.Degree(u.Src) > min) || (!dstIn && t.g.Degree(u.Dst) > min) {
-		old := t.snapshotSet()
-		t.recompute()
-		if !sameSet(old, t.members) {
-			t.Changes++
-			return true
-		}
-	}
-	return false
-}
-
-func (t *DegreeTopK) minMemberDegree() int32 {
-	min := int32(1<<31 - 1)
-	for v := range t.members {
-		if d := t.g.Degree(v); d < min {
-			min = d
-		}
-	}
-	if len(t.members) < t.k {
-		return -1
-	}
-	return min
-}
-
-func (t *DegreeTopK) snapshotSet() map[int32]struct{} {
-	cp := make(map[int32]struct{}, len(t.members))
-	for v := range t.members {
-		cp[v] = struct{}{}
-	}
-	return cp
-}
-
-func sameSet(a, b map[int32]struct{}) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for v := range a {
-		if _, ok := b[v]; !ok {
-			return false
-		}
-	}
-	return true
-}

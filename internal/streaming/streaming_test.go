@@ -182,73 +182,6 @@ func TestTriangleCounterSeedsFromExisting(t *testing.T) {
 	}
 }
 
-func TestConnectedComponentsIncremental(t *testing.T) {
-	g := dyngraph.New(6, false)
-	cc := NewConnectedComponents(g)
-	if cc.ComponentCount() != 6 {
-		t.Fatalf("initial components = %d", cc.ComponentCount())
-	}
-	cc.Apply(gen.EdgeUpdate{Src: 0, Dst: 1})
-	cc.Apply(gen.EdgeUpdate{Src: 2, Dst: 3})
-	if cc.Same(0, 2) || !cc.Same(0, 1) {
-		t.Fatal("union tracking wrong")
-	}
-	if cc.ComponentCount() != 4 {
-		t.Fatalf("components = %d", cc.ComponentCount())
-	}
-	// Deletion forces a rebuild.
-	before := cc.Recomputes
-	cc.Apply(gen.EdgeUpdate{Src: 0, Dst: 1, Delete: true})
-	if cc.Same(0, 1) {
-		t.Fatal("deleted edge still connects")
-	}
-	if cc.Recomputes == before {
-		t.Fatal("expected recompute after deletion")
-	}
-	// Matches batch on a random stream.
-	updates := gen.EdgeUpdateStream(6, 500, 0.2, 13)
-	g2 := dyngraph.New(1<<6, false)
-	cc2 := NewConnectedComponents(g2)
-	for _, u := range updates {
-		cc2.Apply(u)
-	}
-	batch := kernels.WCC(g2.Snapshot())
-	if cc2.ComponentCount() != batch.NumComponents {
-		t.Fatalf("incremental %d components != batch %d",
-			cc2.ComponentCount(), batch.NumComponents)
-	}
-}
-
-func TestDegreeTopK(t *testing.T) {
-	g := dyngraph.New(10, false)
-	tk := NewDegreeTopK(g, 2)
-	var updates []gen.EdgeUpdate
-	// Make vertex 0 degree 3, vertex 1 degree 2.
-	for _, e := range [][2]int32{{0, 4}, {0, 5}, {0, 6}, {1, 4}, {1, 5}} {
-		updates = append(updates, gen.EdgeUpdate{Src: e[0], Dst: e[1]})
-	}
-	for _, u := range updates {
-		g.InsertEdge(u.Src, u.Dst, 1, 0)
-		tk.NotifyUpdate(u)
-	}
-	m := tk.Members()
-	if _, ok := m[0]; !ok {
-		t.Fatal("vertex 0 should be in top-2")
-	}
-	// Bump vertex 7 above everything.
-	for _, w := range []int32{2, 3, 4, 5, 6} {
-		u := gen.EdgeUpdate{Src: 7, Dst: w}
-		g.InsertEdge(7, w, 1, 0)
-		tk.NotifyUpdate(u)
-	}
-	if _, ok := tk.Members()[7]; !ok {
-		t.Fatal("vertex 7 should have entered top-2")
-	}
-	if tk.Changes == 0 {
-		t.Fatal("membership changes not counted")
-	}
-}
-
 func TestStreamingJaccardMatchesKernel(t *testing.T) {
 	updates := gen.EdgeUpdateStream(6, 300, 0, 17)
 	g := dyngraph.New(1<<6, false)
