@@ -44,7 +44,7 @@ func run() error {
 		defTimeout    = flag.Duration("default-timeout", 2*time.Second, "query deadline when the client sends no ?timeout=")
 		maxTimeout    = flag.Duration("max-timeout", 30*time.Second, "upper clamp on client-supplied ?timeout=")
 		pollInterval  = flag.Duration("poll-interval", time.Second, "shard health-poll cadence")
-		drainGrace    = flag.Duration("drain-grace", 0, "hold the listener open this long after SIGTERM so balancers drain first")
+		drainGrace    = flag.Duration("drain-grace", 0, "hold /readyz at 503 this long after SIGTERM before closing the listener, so balancers drain first")
 		metricsSample = flag.Duration("runtime-sample", 5*time.Second, "runtime/metrics sampling interval for runtime_* gauges")
 	)
 	flag.Parse()
@@ -90,7 +90,8 @@ func run() error {
 	}
 	defer coord.Close()
 
-	httpSrv := &http.Server{Addr: *listen, Handler: server.ClusterHandler(coord, reg)}
+	api := server.ClusterHandler(coord, reg)
+	httpSrv := &http.Server{Addr: *listen, Handler: api}
 	errCh := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "graphctl: coordinating %d shards, serving on %s\n", coord.ShardCount(), *listen)
@@ -108,9 +109,11 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "graphctl: %v — shutting down\n", sig)
 	}
 	// The coordinator holds no durable state — shards own the data — so
-	// shutdown is just: let balancers drain, finish in-flight requests, stop.
+	// shutdown is just: flip /readyz to 503, let balancers drain, finish
+	// in-flight requests, stop.
+	api.BeginDrain()
 	if *drainGrace > 0 {
-		fmt.Fprintf(os.Stderr, "graphctl: holding %v for balancers to drain\n", *drainGrace)
+		fmt.Fprintf(os.Stderr, "graphctl: not-ready, holding %v for balancers to drain\n", *drainGrace)
 		time.Sleep(*drainGrace)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

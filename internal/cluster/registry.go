@@ -218,7 +218,8 @@ type ReadyCheck struct {
 type Readiness struct {
 	// Ready is the conjunction of all shard checks.
 	Ready bool `json:"ready"`
-	// Checks hold one entry per shard, in shard-index order.
+	// Checks hold one entry per shard, in shard-index order (graphctl's
+	// front end puts its draining check ahead of them).
 	Checks []ReadyCheck `json:"checks"`
 }
 

@@ -74,60 +74,3 @@ func (g *DynGraph) ApplyEdits(edits []Edit) BatchResult {
 	}
 	return res
 }
-
-// Compact rebuilds every vertex's block chain into fully packed blocks,
-// reclaiming slack left by deletions (swap-with-last keeps blocks dense
-// individually but chains can hold many partially filled blocks after
-// churn). Returns the number of blocks freed.
-func (g *DynGraph) Compact() int64 {
-	var freed int64
-	for v := int32(0); v < g.NumVertices(); v++ {
-		var slots []edgeSlot
-		blocks := 0
-		for b := g.adj[v]; b != nil; b = b.next {
-			slots = append(slots, b.slots...)
-			blocks++
-		}
-		if len(slots) == 0 {
-			if blocks > 0 {
-				g.adj[v] = nil
-				freed += int64(blocks)
-			}
-			continue
-		}
-		needed := (len(slots) + g.blockSize - 1) / g.blockSize
-		if needed >= blocks {
-			continue // already packed
-		}
-		var head, tail *block
-		for i := 0; i < len(slots); i += g.blockSize {
-			end := i + g.blockSize
-			if end > len(slots) {
-				end = len(slots)
-			}
-			nb := &block{slots: make([]edgeSlot, end-i, g.blockSize)}
-			copy(nb.slots, slots[i:end])
-			if head == nil {
-				head = nb
-			} else {
-				tail.next = nb
-			}
-			tail = nb
-		}
-		g.adj[v] = head
-		freed += int64(blocks - needed)
-	}
-	return freed
-}
-
-// BlockCount returns the total allocated blocks (for compaction tests and
-// the block-size ablation).
-func (g *DynGraph) BlockCount() int64 {
-	var count int64
-	for v := int32(0); v < g.NumVertices(); v++ {
-		for b := g.adj[v]; b != nil; b = b.next {
-			count++
-		}
-	}
-	return count
-}

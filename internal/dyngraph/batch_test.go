@@ -23,78 +23,6 @@ func TestApplyBatchAccounting(t *testing.T) {
 	}
 }
 
-func TestCompactReclaimsBlocks(t *testing.T) {
-	g := NewWithBlockSize(4, false, 4)
-	// Grow vertex 0 to many blocks, then delete most neighbors.
-	big := NewWithBlockSize(200, false, 4)
-	for w := int32(1); w < 100; w++ {
-		big.InsertEdge(0, w, 1, 0)
-	}
-	for w := int32(1); w < 100; w += 4 {
-		// Deleting every 4th leaves most blocks partially filled via
-		// swap-with-last churn across blocks.
-		big.DeleteEdge(0, w)
-	}
-	before := big.BlockCount()
-	// Force fragmentation: delete more, spread out.
-	for w := int32(2); w < 100; w += 4 {
-		big.DeleteEdge(0, w)
-	}
-	freed := big.Compact()
-	after := big.BlockCount()
-	if freed < 0 || after > before {
-		t.Fatalf("compact freed=%d before=%d after=%d", freed, before, after)
-	}
-	if err := big.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Degrees unchanged by compaction.
-	if big.Degree(0) != 49 {
-		t.Fatalf("degree after compact = %d", big.Degree(0))
-	}
-	_ = g
-}
-
-func TestCompactEmptyVertexFreesChain(t *testing.T) {
-	g := NewWithBlockSize(4, false, 2)
-	g.InsertEdge(0, 1, 1, 0)
-	g.InsertEdge(0, 2, 1, 0)
-	g.InsertEdge(0, 3, 1, 0)
-	g.DeleteEdge(0, 1)
-	g.DeleteEdge(0, 2)
-	g.DeleteEdge(0, 3)
-	if g.Degree(0) != 0 {
-		t.Fatal("setup failed")
-	}
-	freed := g.Compact()
-	if freed == 0 {
-		t.Fatal("empty chains not reclaimed")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Graph still usable after compaction.
-	if !g.InsertEdge(0, 1, 1, 5) || !g.HasEdge(0, 1) {
-		t.Fatal("insert after compact broken")
-	}
-}
-
-func TestCompactPreservesPayload(t *testing.T) {
-	g := NewWithBlockSize(64, false, 2)
-	for w := int32(1); w < 20; w++ {
-		g.InsertEdge(0, w, float32(w), int64(w*10))
-	}
-	for w := int32(1); w < 20; w += 2 {
-		g.DeleteEdge(0, w)
-	}
-	g.Compact()
-	g.ForEachNeighbor(0, func(w int32, weight float32, tm int64) {
-		if weight != float32(w) || tm != int64(w*10) {
-			t.Fatalf("payload for %d corrupted: %v %v", w, weight, tm)
-		}
-	})
-}
-
 func TestApplyEdits(t *testing.T) {
 	g := New(16, false)
 	res := g.ApplyEdits([]Edit{

@@ -12,11 +12,11 @@
 //
 // DynGraph is not safe for concurrent mutation, by design — it matches the
 // single-writer model of STINGER's update batches. Exactly one goroutine
-// may mutate the graph (InsertEdge/DeleteEdge/ApplyBatch/ApplyEdits/
-// Compact); the streaming engine and the graphd ingest loop are such
-// writers, each serializing its updates. Readers must be excluded while a
-// write is in flight (internal/server does this with an RWMutex around
-// batch application). Snapshot produces an immutable *graph.Graph that is
+// may mutate the graph (InsertEdge/DeleteEdge/ApplyBatch/ApplyEdits); the
+// streaming engine and the graphd ingest loop are such writers, each
+// serializing its updates. Readers must be excluded while a write is in
+// flight (internal/server reads only the snapshots its writer publishes).
+// Snapshot produces an immutable *graph.Graph that is
 // safe to share with any number of concurrent readers and parallel
 // kernels; batch analytics always run against snapshots, never against
 // the live structure.

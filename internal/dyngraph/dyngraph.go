@@ -35,7 +35,6 @@ type DynGraph struct {
 	directed  bool
 	blockSize int
 	numArcs   int64
-	updates   int64 // total applied insert+delete operations
 
 	rowBuf []edgeSlot // SnapshotDeltaRecycled's row gather buffer, kept between calls
 }
@@ -76,9 +75,6 @@ func (g *DynGraph) NumEdges() int64 {
 // Directed reports the directedness.
 func (g *DynGraph) Directed() bool { return g.directed }
 
-// UpdateCount returns the number of applied updates (inserts + deletes).
-func (g *DynGraph) UpdateCount() int64 { return g.updates }
-
 // Degree returns the current out-degree of v.
 func (g *DynGraph) Degree(v int32) int32 { return g.degree[v] }
 
@@ -100,7 +96,6 @@ func (g *DynGraph) HasEdge(v, w int32) bool {
 // edge or updating some properties"). Returns true when a new edge was
 // created.
 func (g *DynGraph) InsertEdge(v, w int32, weight float32, time int64) bool {
-	g.updates++
 	created := g.insertArc(v, w, weight, time)
 	if !g.directed && v != w {
 		g.insertArc(w, v, weight, time)
@@ -139,7 +134,6 @@ func (g *DynGraph) insertArc(v, w int32, weight float32, time int64) bool {
 
 // DeleteEdge removes edge (v,w); returns true if it existed.
 func (g *DynGraph) DeleteEdge(v, w int32) bool {
-	g.updates++
 	ok := g.deleteArc(v, w)
 	if !g.directed && v != w {
 		g.deleteArc(w, v)
@@ -230,7 +224,6 @@ func FromGraph(src *graph.Graph) *DynGraph {
 			g.InsertEdge(v, w, weight, t)
 		}
 	}
-	g.updates = 0
 	return g
 }
 

@@ -147,16 +147,6 @@ func TestSnapshotDirected(t *testing.T) {
 	}
 }
 
-func TestUpdateCounter(t *testing.T) {
-	g := New(4, false)
-	g.InsertEdge(0, 1, 1, 0)
-	g.DeleteEdge(0, 1)
-	g.DeleteEdge(0, 1) // no-op still counts as an applied update attempt
-	if g.UpdateCount() != 3 {
-		t.Fatalf("updates = %d", g.UpdateCount())
-	}
-}
-
 func TestRandomizedAgainstMapModel(t *testing.T) {
 	// Property: dyngraph behaves exactly like a map-based adjacency model
 	// under random insert/delete sequences, for several block sizes.

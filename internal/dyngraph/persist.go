@@ -108,6 +108,5 @@ func Load(r io.Reader) (*DynGraph, error) {
 		}
 		g.InsertEdge(rec.Src, rec.Dst, rec.Weight, rec.Time)
 	}
-	g.updates = 0
 	return g, nil
 }

@@ -1,8 +1,15 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -105,5 +112,59 @@ func TestMissingDocsPackageComment(t *testing.T) {
 	}
 	if len(findings) != 0 {
 		t.Fatalf("findings = %v, want none", findings)
+	}
+}
+
+// TestOperationsMetricFamiliesExist is the docs gate for the runbook:
+// every server_*, cluster_*, par_*, runtime_*, slo_* or prof_* metric family
+// docs/OPERATIONS.md cites in backticks (labels stripped) must be registered
+// somewhere, which in this code base means it appears as a string literal
+// in non-test Go under internal/ or cmd/. A renamed or deleted family then
+// fails here instead of leaving the runbook pointing at nothing.
+func TestOperationsMetricFamiliesExist(t *testing.T) {
+	root := filepath.Join("..", "..")
+	doc, err := os.ReadFile(filepath.Join(root, "docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	literals := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, dir := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if s, err := strconv.Unquote(lit.Value); err == nil {
+						literals[s] = true
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	span := regexp.MustCompile("`[^`\n]+`")
+	labels := regexp.MustCompile(`\{[^}]*\}`)
+	family := regexp.MustCompile(`\b(?:server|cluster|par|runtime|slo|prof)_[a-z0-9_]*[a-z0-9]\b`)
+	cited := 0
+	for _, s := range span.FindAllString(string(doc), -1) {
+		for _, name := range family.FindAllString(labels.ReplaceAllString(s, ""), -1) {
+			cited++
+			if !literals[name] {
+				t.Errorf("docs/OPERATIONS.md cites %s (in %s), but no non-test Go under internal/ or cmd/ names it", name, s)
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("found no metric families in docs/OPERATIONS.md")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dyngraph"
 	"repro/internal/graph"
 	"repro/internal/incr"
 	"repro/internal/kernels"
@@ -160,10 +161,22 @@ func (s *Server) cacheHit(rt *reqTrace, k kernel) {
 
 // builder is the ingest goroutine's private state: the dynamic graph's
 // version and applied count (ahead of the visible ones until a build or an
-// unread apply), the incremental states, and recycled storage.
+// unread apply), the window of batches applied since the published version,
+// the incremental states, and recycled storage.
 type builder struct {
 	version int64
 	applied int64
+
+	// window holds the batches applied since the published version, their
+	// edits copied into windowBuf; windowEdits counts those edits. When they
+	// outgrow Config.MaxPendingEdits across two or more batches, overflow is
+	// set and the window dropped: the next build rebuilds the snapshot and
+	// recomputes every kernel. A publish empties the window, keeping its
+	// storage for the next.
+	window      []incr.Batch
+	windowBuf   []dyngraph.Edit
+	windowEdits int
+	overflow    bool
 
 	// states[k] is kernel k's incremental state (*incr.WCCState, PRState or
 	// DegreeState), nil before its first read.
@@ -192,11 +205,10 @@ func (s *Server) maybeBuild(final bool) {
 		return
 	}
 	nb := s.build(cur)
-	// Every delta-log consumer now stands at nb.version: a state exists only
+	// Every incremental state now stands at nb.version: a state exists only
 	// for a kernel readers want, and each build advances or re-seeds it.
-	// Trimmed before publication, so a reader woken by it sees the log empty.
-	s.deltas.Trim(nb.version)
-	s.m.pendingDeltas.Set(0)
+	// Emptied before publication, so a reader woken by it sees no lag.
+	s.clearWindow()
 	s.cur.Store(nb)
 	s.setVisible()
 	close(cur.next)
@@ -212,6 +224,41 @@ func (s *Server) setVisible() {
 	s.edges.Store(s.dyn.NumEdges())
 	s.arcs.Store(s.dyn.NumArcs())
 	s.applied.Store(s.b.applied)
+}
+
+// record adds the batch that produced the dynamic graph's version to the
+// window, or drops the window once it overflows, and publishes the lag.
+func (s *Server) record(edits []dyngraph.Edit, hadDeletes bool) {
+	b := &s.b
+	b.windowEdits += len(edits)
+	batches := b.version - s.cur.Load().version
+	if b.windowEdits > s.cfg.MaxPendingEdits && batches > 1 {
+		b.overflow = true
+	}
+	if b.overflow {
+		clear(b.window)
+		b.window, b.windowBuf = b.window[:0], b.windowBuf[:0]
+	} else {
+		i := len(b.windowBuf)
+		b.windowBuf = append(b.windowBuf, edits...)
+		b.window = append(b.window, incr.Batch{Version: b.version, Edits: b.windowBuf[i:len(b.windowBuf):len(b.windowBuf)], HadDeletes: hadDeletes})
+	}
+	s.setPending(batches, b.windowEdits)
+}
+
+// clearWindow empties the window, keeping its storage, when a build
+// publishes the version it ends at.
+func (s *Server) clearWindow() {
+	clear(s.b.window)
+	s.b.window, s.b.windowBuf, s.b.windowEdits, s.b.overflow = s.b.window[:0], s.b.windowBuf[:0], 0, false
+	s.setPending(0, 0)
+}
+
+// setPending publishes the batches and edits no published bundle reflects.
+func (s *Server) setPending(batches int64, edits int) {
+	s.pendingBatches.Store(batches)
+	s.pendingEdits.Store(int64(edits))
+	s.m.pendingDeltas.Set(float64(batches))
 }
 
 // build makes the bundle at the dynamic graph's version from cur: cur's
@@ -253,39 +300,37 @@ func (s *Server) buildContext() (context.Context, *telemetry.Span, func()) {
 var buildSpanNames = [numParts]string{"build.snapshot", "build.wcc", "build.pagerank", "build.topdegree"}
 
 // patch builds the next snapshot from cur's: the touched rows when the
-// delta log covers the window (server_snapshot_patches_total), every row
-// when it does not or when the window would touch most rows (a bulk load:
-// the log holds just the window, trimmed at every publish;
+// window is kept (server_snapshot_patches_total), every row when it
+// overflowed or would touch most rows (a bulk load;
 // server_snapshot_rebuilds_total).
 func (s *Server) patch(sp *telemetry.Span, cur *bundle) *graph.Graph {
 	defer sp.Child(buildSpanNames[partGraph]).End()
-	_, edits := s.deltas.Len()
-	if batches, ok := s.deltas.Window(cur.version, s.b.version); ok && 2*edits < int(s.cfg.Vertices) {
+	if !s.b.overflow && 2*s.b.windowEdits < int(s.cfg.Vertices) {
 		s.m.snapPatches.Inc()
-		return s.dyn.SnapshotDeltaRecycled(cur.parts[partGraph].g, incr.TouchedVertices(batches, s.cfg.Vertices), &s.b.graphs)
+		return s.dyn.SnapshotDeltaRecycled(cur.parts[partGraph].g, incr.TouchedVertices(s.b.window, s.cfg.Vertices), &s.b.graphs)
 	}
 	s.m.rebuilds.Inc()
 	return s.dyn.SnapshotDeltaRecycled(nil, nil, &s.b.graphs)
 }
 
 // buildKernel computes kernel k on g at version v: its state advanced over
-// the delta window (server_incr_advances_total), else a full recompute
-// (server_cache_rebuilds_total) that re-seeds the state; a state the log no
-// longer covers also counts in server_incr_fallbacks_total. ctx is never
-// cancelled: kernels cannot fail.
+// the window (server_incr_advances_total), else a full recompute
+// (server_cache_rebuilds_total) that re-seeds the state; a state the window
+// cannot advance (it overflowed) also counts in server_incr_fallbacks_total.
+// ctx is never cancelled: kernels cannot fail.
 func (s *Server) buildKernel(ctx context.Context, sp *telemetry.Span, k kernel, g *graph.Graph, v int64) *part {
 	defer sp.Child(buildSpanNames[k]).End()
 	p := &part{version: v}
 	if st := s.b.states[k]; st != nil {
-		if batches, ok := s.deltas.Window(st.Version(), v); ok {
+		if !s.b.overflow {
 			var err error
 			switch st := st.(type) {
 			case *incr.WCCState:
-				p.cc, err = st.Advance(ctx, g, v, batches)
+				p.cc, err = st.Advance(ctx, g, v, s.b.window)
 			case *incr.PRState:
-				p.vec, p.iters, err = st.Advance(ctx, g, v, batches)
+				p.vec, p.iters, err = st.Advance(ctx, g, v, s.b.window)
 			case *incr.DegreeState:
-				p.vec, err = st.Advance(ctx, g, v, batches)
+				p.vec, err = st.Advance(ctx, g, v, s.b.window)
 			}
 			if err == nil {
 				s.m.kernAdvances[k].Inc()

@@ -322,13 +322,75 @@ func TestReadYourWrites(t *testing.T) {
 	})
 }
 
-// TestIncrPendingTracksLag is the regression test for a delta log trimmed
-// only by its size bound: with MaxPendingEdits=1000, twelve 200-edit batches
-// each followed by a read used to fill the log to 1000/1000 and fail the
-// incr-pending readiness check for good. The log now holds only what no
-// published bundle reflects, so after each read it is empty; an unread
+// TestWindowOverflowAndReuse drives the writer's window directly: it holds
+// the contiguous batches since the published version, reuses its storage
+// across publishes (a steady cycle allocates nothing), keeps a single
+// over-size batch, and drops itself, counting on, once its edits outgrow
+// MaxPendingEdits across two or more batches.
+func TestWindowOverflowAndReuse(t *testing.T) {
+	s := &Server{cfg: Config{MaxPendingEdits: 100}, m: newMetricsSet(telemetry.NewRegistry())}
+	s.cur.Store(&bundle{})
+	apply := func(n int) {
+		s.b.version++
+		s.record(make([]dyngraph.Edit, n), false)
+	}
+	publish := func() {
+		s.clearWindow()
+		s.cur.Load().version = s.b.version
+	}
+	pending := func(wantBatches, wantEdits int64, wantKept int) {
+		t.Helper()
+		if b, e := s.pendingBatches.Load(), s.pendingEdits.Load(); b != wantBatches || e != wantEdits || len(s.b.window) != wantKept {
+			t.Fatalf("pending %d batches, %d edits, %d kept; want %d, %d, %d", b, e, len(s.b.window), wantBatches, wantEdits, wantKept)
+		}
+		for i, b := range s.b.window {
+			if b.Version != s.cur.Load().version+int64(i)+1 || len(b.Edits) == 0 {
+				t.Fatalf("window[%d] is version %d with %d edits", i, b.Version, len(b.Edits))
+			}
+		}
+	}
+
+	for i := 0; i < 5; i++ {
+		apply(10)
+	}
+	pending(5, 50, 5)
+	publish()
+	pending(0, 0, 0)
+
+	edits := make([]dyngraph.Edit, 10)
+	cycle := func() {
+		for i := 0; i < 5; i++ {
+			s.b.version++
+			s.record(edits, i%2 == 0)
+		}
+		publish()
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a steady publish cycle allocates %v times, want 0", n)
+	}
+
+	apply(200) // one batch past the bound: kept, so the build advances
+	pending(1, 200, 1)
+	apply(1) // a second batch: the window overflows and is dropped
+	if pending(2, 201, 0); !s.b.overflow {
+		t.Fatal("no overflow at 201 edits over two batches")
+	}
+	apply(1) // and stays dropped, still counting, until a publish
+	pending(3, 202, 0)
+	publish()
+	apply(10)
+	if pending(1, 10, 1); s.b.overflow {
+		t.Fatal("overflow survived a publish")
+	}
+}
+
+// TestIncrPendingTracksLag is the regression test for a pending count that
+// only the size bound trimmed: with MaxPendingEdits=1000, twelve 200-edit
+// batches each followed by a read used to fill it to 1000/1000 and fail the
+// incr-pending readiness check for good. The writer's window holds only what
+// no published bundle reflects, so after each read it is empty; an unread
 // stretch past the bound leaves the server ready (the next read pays one
-// full recompute, and trims).
+// full recompute, and empties it).
 func TestIncrPendingTracksLag(t *testing.T) {
 	cfg := testConfig(4096)
 	cfg.MaxPendingEdits = 1000
@@ -374,10 +436,11 @@ func TestIncrPendingTracksLag(t *testing.T) {
 }
 
 // TestSteadyStateBumpBudget holds a bump's cost flat through the whole
-// server — delta log, incremental states, published and recycled bundles —
-// over 10,000 bumps of 50 edits (half inserts, half deletes) on an R-MAT
-// s11 graph, with a component, a pagerank and a topdegree read after each:
-// bytes allocated per bump stay under the budget, the mean bytes and time
+// server — the writer's window, incremental states, published and recycled
+// bundles — over 10,000 bumps of 50 edits (half inserts, half deletes) on an
+// R-MAT s11 graph, with a component, a pagerank and a topdegree read after
+// each: bytes allocated per bump stay under the budget (the window reuses
+// its storage, so it adds none), the mean bytes and time
 // of the last 2,000 bumps are within 10% of the first 2,000's, heap in use
 // stays bounded, and no read waits on a build. Time is CPU time (a wait for
 // a core does not count) in units of a yardstick — a full PageRank of the

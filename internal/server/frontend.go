@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -46,13 +47,17 @@ type backend interface {
 }
 
 // frontEnd is the request path state: the backend, the registry the
-// request families and spans land on, the slow-query log, and — graphd's
-// only — the profiler with the in-flight traces it stamps captures with.
+// request families and spans land on, the slow-query log, the drain flag,
+// and — graphd's only — the profiler with the in-flight traces it stamps
+// captures with.
 type frontEnd struct {
 	back backend
 	reg  *telemetry.Registry
 	slow *slowLog
 	prof *prof.Profiler // nil unless Config.ProfileTriggers
+
+	// draining is set by BeginDrain and fails the /readyz draining check.
+	draining atomic.Bool
 
 	// activeTraces refcounts the trace IDs of in-flight traced requests so a
 	// profile capture can be stamped with the requests it overlapped.
@@ -61,24 +66,53 @@ type frontEnd struct {
 	activeTraces map[telemetry.TraceID]int
 }
 
-// ClusterHandler returns graphctl's HTTP API: graphd's front end over the
-// coordinator c, with the request families and spans on reg, c's registry,
-// so /metrics carries them beside the cluster_* families. graphctl has no
-// slow-query threshold: its /debug/slowqueries serves an empty ring.
-func ClusterHandler(c *cluster.Coordinator, reg *telemetry.Registry) http.Handler {
-	fe := &frontEnd{back: clusterBackend{c}, reg: reg, slow: newSlowLog(0, 0, nil, reg)}
-	return fe.handler(nil)
+// BeginDrain marks the front end not-ready without stopping anything:
+// /readyz answers 503 naming the draining check from now on, while queries
+// still complete (graphd also refuses new ingest). Call it on SIGTERM, then
+// hold the listener open for the drain-grace period so load balancers
+// observe the flip before it closes.
+func (fe *frontEnd) BeginDrain() { fe.draining.Store(true) }
+
+// drainCheck is the /readyz draining check both binaries lead with.
+func (fe *frontEnd) drainCheck() (name string, ok bool, detail string) {
+	if fe.draining.Load() {
+		return "draining", false, "server is draining"
+	}
+	return "draining", true, "accepting work"
+}
+
+// ClusterAPI is graphctl's HTTP API: graphd's front end over a coordinator.
+type ClusterAPI struct {
+	http.Handler
+	*frontEnd
+}
+
+// ClusterHandler returns graphctl's HTTP API over the coordinator c, with
+// the request families and spans on reg, c's registry, so /metrics carries
+// them beside the cluster_* families. graphctl has no slow-query threshold:
+// its /debug/slowqueries serves an empty ring.
+func ClusterHandler(c *cluster.Coordinator, reg *telemetry.Registry) *ClusterAPI {
+	fe := &frontEnd{reg: reg, slow: newSlowLog(0, 0, nil, reg)}
+	fe.back = clusterBackend{c, fe}
+	return &ClusterAPI{fe.handler(nil), fe}
 }
 
 // clusterBackend answers the front end from a coordinator over shards.
-type clusterBackend struct{ c *cluster.Coordinator }
+type clusterBackend struct {
+	c  *cluster.Coordinator
+	fe *frontEnd
+}
 
 func (clusterBackend) enter(context.Context, *reqTrace) error { return nil }
 func (clusterBackend) leave()                                 {}
 func (b clusterBackend) stats() any                           { return b.c.Stats() }
 
+// readiness leads the coordinator's per-shard checks with the drain check.
 func (b clusterBackend) readiness() (any, bool) {
+	name, ok, detail := b.fe.drainCheck()
 	r := b.c.Readiness()
+	r.Checks = append([]cluster.ReadyCheck{{Name: name, OK: ok, Detail: detail}}, r.Checks...)
+	r.Ready = r.Ready && ok
 	return r, r.Ready
 }
 

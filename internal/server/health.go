@@ -14,14 +14,14 @@ import (
 // restarting a draining process loses queued updates, so the liveness
 // probe must not fire there. /readyz is the load-balancer signal: it
 // aggregates component checks (drain state, ingest-queue headroom,
-// snapshot freshness, incremental delta-log headroom, heap watermark, SLO
-// breach state) and answers 503 with per-check JSON detail the moment any
-// of them fails, so traffic is steered away before the failure becomes
+// snapshot freshness, the writer's pending-window headroom, heap watermark,
+// SLO breach state) and answers 503 with per-check JSON detail the moment
+// any of them fails, so traffic is steered away before the failure becomes
 // user-visible. BeginDrain flips /readyz to 503 *before* the listener
 // closes, giving balancers a drain-grace window to stop routing here.
 
 // heapInUseMetric is the runtime/metrics key for live heap bytes — the
-// same sample the obsv runtime sampler exports as runtime_heap_objects_bytes.
+// same sample the obsv runtime sampler exports as runtime_heap_bytes.
 const heapInUseMetric = "/memory/classes/heap/objects:bytes"
 
 // readyQueueFraction is the share of the ingest queue (Config.QueueCap)
@@ -58,11 +58,7 @@ func (s *Server) Readiness() Readiness {
 		r.Ready = r.Ready && ok
 	}
 
-	if s.draining.Load() {
-		add("draining", false, "server is draining")
-	} else {
-		add("draining", true, "accepting work")
-	}
+	add(s.drainCheck())
 
 	depth, limit := len(s.queue), int(readyQueueFraction*float64(s.cfg.QueueCap))
 	add("ingest-queue", depth < limit,
@@ -80,13 +76,13 @@ func (s *Server) Readiness() Readiness {
 		add("snapshot-age", true, "persistence disabled")
 	}
 
-	// The log holds the edits no published bundle reflects. That lag matters
-	// only while readers wait on the writer; an unread stretch may fill the
-	// log, and its next reader pays one full recompute.
-	_, pending := s.deltas.Len()
-	limit, unread := s.deltas.Cap()*9/10, !s.cur.Load().read.Load()
+	// The window holds the edits no published bundle reflects. That lag
+	// matters only while readers wait on the writer; an unread stretch may
+	// outgrow the bound, and its next reader pays one full recompute.
+	pending, bound := int(s.pendingEdits.Load()), s.cfg.MaxPendingEdits
+	limit, unread := bound*9/10, !s.cur.Load().read.Load()
 	add("incr-pending", pending < limit || unread,
-		fmt.Sprintf("pending edits %d/%d (limit %d, published bundle unread %v)", pending, s.deltas.Cap(), limit, unread))
+		fmt.Sprintf("pending edits %d/%d (limit %d, published bundle unread %v)", pending, bound, limit, unread))
 
 	if maxHeap := s.cfg.ReadyMaxHeapBytes; maxHeap > 0 {
 		heap := heapInUseBytes()
@@ -126,12 +122,6 @@ func heapInUseBytes() uint64 {
 	}
 	return sample[0].Value.Uint64()
 }
-
-// BeginDrain marks the server not-ready without stopping anything: /readyz
-// answers 503 and new ingest is refused, but in-flight and new queries
-// still complete. Call it on SIGTERM, wait the drain-grace period for load
-// balancers to observe the flip, then close the listener and Shutdown.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // handleSLO serves the SLO engine's self-evaluation (nil-safe: a daemon
 // with no objectives reports enabled=false, worst=ok).

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dyngraph"
 	"repro/internal/prof"
 	"repro/internal/slo"
@@ -167,6 +169,34 @@ func TestBeginDrainFlipsReadyzOnly(t *testing.T) {
 	}
 	if v := s.reg.Gauge("server_ready").Value(); v != 0 {
 		t.Fatalf("server_ready = %v after not-ready /readyz, want 0", v)
+	}
+}
+
+// TestClusterBeginDrainFlipsReadyz: graphctl's front end holds the same
+// drain state as graphd's. After BeginDrain its /readyz answers 503 with a
+// failing draining check leading the still-ready shard checks, /healthz
+// stays 200 and queries still answer.
+func TestClusterBeginDrainFlipsReadyz(t *testing.T) {
+	_, coord, reg := startCluster(t, 64, 1)
+	api := ClusterHandler(coord, reg)
+	ctl := httptest.NewServer(api)
+	defer ctl.Close()
+	waitFor(t, 5*time.Second, "graphctl ready", func() bool {
+		return getAnyJSON(t, ctl.URL, "/readyz", nil) == http.StatusOK
+	})
+	api.BeginDrain()
+	var rd cluster.Readiness
+	if code := getAnyJSON(t, ctl.URL, "/readyz", &rd); code != http.StatusServiceUnavailable || rd.Ready {
+		t.Fatalf("readyz after BeginDrain = %d %+v, want 503", code, rd)
+	}
+	if len(rd.Checks) != 2 || rd.Checks[0].Name != "draining" || rd.Checks[0].OK || !rd.Checks[1].OK {
+		t.Fatalf("readyz checks after BeginDrain = %+v, want a failing draining check, then a ready shard-0", rd.Checks)
+	}
+	if code := getJSON(t, ctl.URL, "/healthz", nil); code != http.StatusOK {
+		t.Fatalf("healthz after BeginDrain = %d, want 200", code)
+	}
+	if code := getJSON(t, ctl.URL, "/query/topdegree?k=1", nil); code != http.StatusOK {
+		t.Fatalf("query after BeginDrain = %d, want 200 (in-flight work completes)", code)
 	}
 }
 

@@ -129,11 +129,11 @@ func TestIncrementalFreshnessAndCounters(t *testing.T) {
 // every round that their answers match the sequential kernels over a
 // dyngraph fed the same edits: identical component structure and top-k
 // degree, PageRank within the convergence tolerance. One server has the
-// default delta log, so every build advances the incremental states over
-// its window. The other's log holds only the newest batch: each round lands
-// as four separately applied batches, the writer publishes after the first
-// two (readers were about) and not after the rest, so the round's reads find
-// the states standing before the log and take the full-recompute fallback.
+// default MaxPendingEdits, so every build advances the incremental states
+// over its window. The other's bound is one edit: each round lands as four
+// separately applied batches, the writer publishes after the first two
+// (readers were about) and not after the rest, so the round's window
+// overflows and its reads take the full-recompute fallback.
 func TestIncrementalMatchesRecompute(t *testing.T) {
 	const n, rounds, perRound, chunks = 128, 6, 120, 4
 	type twin struct {

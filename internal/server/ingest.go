@@ -105,12 +105,12 @@ func (s *Server) ingestLoop() {
 }
 
 // applyBatch dedups one batch in place, applies it to the dynamic graph,
-// logs it for the next build, and publishes the accounting. In-batch dedup
-// keeps the *last* operation per (src,dst) pair — semantically identical
-// to applying all of them in order (dyngraph updates in place), minus the
-// redundant intermediate writes. This is the serving-layer form of the
-// paper's in-line dedup: redundant updates are discarded before they reach
-// the graph.
+// records it in the next build's window, and publishes the accounting.
+// In-batch dedup keeps the *last* operation per (src,dst) pair —
+// semantically identical to applying all of them in order (dyngraph updates
+// in place), minus the redundant intermediate writes. This is the
+// serving-layer form of the paper's in-line dedup: redundant updates are
+// discarded before they reach the graph.
 func (s *Server) applyBatch(batch []dyngraph.Edit) {
 	if s.cfg.applyGate != nil {
 		<-s.cfg.applyGate
@@ -139,9 +139,7 @@ func (s *Server) applyBatch(batch []dyngraph.Edit) {
 	res := s.dyn.ApplyEdits(dedup)
 	s.b.version++
 	s.b.applied += int64(len(dedup))
-	s.deltas.Append(s.b.version, dedup, res.Deleted > 0)
-	pending, _ := s.deltas.Len()
-	s.m.pendingDeltas.Set(float64(pending))
+	s.record(dedup, res.Deleted > 0)
 	sp.SetAttr("batch", strconv.Itoa(len(batch)))
 	sp.SetAttr("dedup", strconv.Itoa(len(dedup)))
 	sp.SetAttr("version", strconv.FormatInt(s.b.version, 10))

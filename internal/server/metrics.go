@@ -43,12 +43,11 @@ func (w *watermark) observe(v int64) {
 //	server_ingest_queue_depth               current queue occupancy (gauge)
 //	server_ingest_queue_depth_hwm           deepest queue occupancy seen (gauge)
 //	server_queries_total{op,code}           queries by endpoint and HTTP status
-//	server_requests_total{op}               requests by endpoint regardless of
-//	                                        status (SLO availability denominator)
 //	server_request_errors_total{op}         5xx responses by endpoint (SLO
 //	                                        availability numerator; 429 and 4xx
 //	                                        spend no budget)
-//	server_query_seconds{op}                end-to-end query latency
+//	server_query_seconds{op}                end-to-end query latency (its count
+//	                                        is the SLO availability denominator)
 //	server_queries_inflight                 admitted queries now running (gauge)
 //	server_admission_inflight_hwm           most queries ever admitted at once
 //	                                        (gauge; saturation vs MaxInflight)
@@ -66,10 +65,10 @@ func (w *watermark) observe(v int64) {
 //	                                        read waits on one as cache=miss)
 //	server_incr_advances_total{kernel}      incremental state advances over the
 //	                                        delta window, by the writer
-//	server_incr_fallbacks_total{kernel}     delta-log misses that forced a full
+//	server_incr_fallbacks_total{kernel}     window overflows that forced a full
 //	                                        recompute and state re-anchor
-//	server_incr_pending_batches             batches in the delta log no published
-//	                                        bundle reflects (gauge)
+//	server_incr_pending_batches             batches applied since the published
+//	                                        version (gauge)
 //	server_slow_queries_total{endpoint}     requests over the slow-query threshold
 //	server_wire_connections_total           wire-protocol sessions accepted
 //	server_wire_connections_active          open wire-protocol sessions (gauge)
@@ -82,9 +81,8 @@ func (w *watermark) observe(v int64) {
 // The slo_* families (slo_state, slo_burn_rate, slo_transitions_total) are
 // documented in internal/slo, the prof_* families in internal/prof.
 // graphctl, serving the same front end, exports the request families —
-// server_queries_total, server_requests_total, server_request_errors_total,
-// server_query_seconds, server_stage_seconds, server_slow_queries_total —
-// and none of the rest.
+// server_queries_total, server_request_errors_total, server_query_seconds,
+// server_stage_seconds, server_slow_queries_total — and none of the rest.
 type metricsSet struct {
 	enqueued  *telemetry.Counter
 	rejected  *telemetry.Counter
@@ -108,7 +106,7 @@ type metricsSet struct {
 	snapAge     *telemetry.Gauge
 
 	// Per kernel (index: kernel; partGraph unused): reads served from a published result,
-	// full recomputes, incremental advances, delta-log misses.
+	// full recomputes, incremental advances, window overflows.
 	kernHits      [numParts]*telemetry.Counter
 	kernRebuilds  [numParts]*telemetry.Counter
 	kernAdvances  [numParts]*telemetry.Counter
@@ -170,12 +168,12 @@ func newMetricsSet(reg *telemetry.Registry) *metricsSet {
 // countQuery resolves the labeled handles for one (endpoint, status)
 // pair. Handles are cheap to resolve (registry lookup) relative to query
 // cost, so no per-op cache is kept. Besides the per-code counter it feeds
-// the SLO availability families: every request into the denominator, 5xx
-// into the numerator (backpressure and client errors spend no budget).
+// the SLO families: every request into the latency histogram, whose count is
+// the availability denominator, 5xx into the numerator (backpressure and
+// client errors spend no budget).
 func (fe *frontEnd) countQuery(op string, code int, seconds float64) {
 	opL := telemetry.L("op", op)
 	fe.reg.Counter("server_queries_total", opL, telemetry.L("code", httpCodeLabel(code))).Inc()
-	fe.reg.Counter("server_requests_total", opL).Inc()
 	if code >= 500 {
 		fe.reg.Counter("server_request_errors_total", opL).Inc()
 	}

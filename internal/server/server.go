@@ -16,7 +16,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dyngraph"
 	"repro/internal/graph"
-	"repro/internal/incr"
 	"repro/internal/par"
 	"repro/internal/prof"
 	"repro/internal/slo"
@@ -69,12 +68,12 @@ type Config struct {
 	// MaxTimeout clamps client-supplied ?timeout=.
 	MaxTimeout time.Duration
 
-	// MaxPendingEdits bounds the delta log, which holds the edits no
-	// published bundle reflects yet. The writer patches each published
-	// snapshot from the previous version and advances the WCC/PageRank/degree
-	// state over the logged window; when an unread stretch outgrows the
-	// bound, the next build falls back to one full recompute and re-anchors.
-	// <= 0 uses the default (262144).
+	// MaxPendingEdits bounds the window, the edits no published bundle
+	// reflects yet. The writer patches each published snapshot from the
+	// previous version and advances the WCC/PageRank/degree state over the
+	// window; an unread stretch past the bound drops the window, and the
+	// catch-up build recomputes in full and re-anchors. <= 0 uses the
+	// default (262144).
 	MaxPendingEdits int
 
 	// Registry receives the server_* metric families and request spans;
@@ -163,11 +162,10 @@ type Server struct {
 	// (0 before the first) — the /readyz snapshot-age anchor.
 	lastPersist atomic.Int64
 
-	// dyn, deltas and b belong to the ingest goroutine (doc.go); others
-	// read dyn only after Shutdown.
-	dyn    *dyngraph.DynGraph
-	deltas *incr.Log // applied batches no bundle reflects yet
-	b      builder
+	// dyn and b belong to the ingest goroutine (doc.go); others read dyn
+	// only after Shutdown.
+	dyn *dyngraph.DynGraph
+	b   builder
 
 	// cur is the published bundle; the visible counters follow doc.go.
 	cur     atomic.Pointer[bundle]
@@ -175,6 +173,8 @@ type Server struct {
 	applied atomic.Int64 // updates applied since start (freshness probe)
 	edges   atomic.Int64
 	arcs    atomic.Int64
+	// The writer's window: batches and edits applied since cur's version.
+	pendingBatches, pendingEdits atomic.Int64
 
 	want     [numParts]atomic.Bool           // kernels readers have asked for; sticky
 	wake     chan struct{}                   // cap 1: a reader waits for a build
@@ -189,7 +189,6 @@ type Server struct {
 	ownedCount int64
 
 	started   time.Time
-	draining  atomic.Bool
 	stopOnce  sync.Once
 	stopCh    chan struct{} // closed to begin drain
 	ingestEnd chan struct{} // closed when the ingest loop has drained, published and exited
@@ -222,6 +221,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 1024
 	}
+	if cfg.MaxPendingEdits <= 0 {
+		cfg.MaxPendingEdits = 1 << 18
+	}
 	if cfg.FlushEvery <= 0 {
 		cfg.FlushEvery = 25 * time.Millisecond
 	}
@@ -251,7 +253,6 @@ func New(cfg Config) (*Server, error) {
 		ingestEnd: make(chan struct{}),
 		wake:      make(chan struct{}, 1),
 		wireConns: make(map[net.Conn]struct{}),
-		deltas:    incr.NewLog(cfg.MaxPendingEdits),
 	}
 	s.back = s
 	s.ownedCount = cluster.OwnedCount(cfg.Vertices, cfg.ShardIndex, cfg.ShardCount)
@@ -513,10 +514,10 @@ type Stats struct {
 	Recovered       bool    `json:"recovered"`
 	Draining        bool    `json:"draining"`
 	UptimeSeconds   float64 `json:"uptime_seconds"`
-	// PendingDeltaBatches is the number of applied batches in the delta log
-	// that no published bundle reflects yet.
+	// PendingDeltaBatches is the number of batches applied since the
+	// published bundle's version: the ones no published bundle reflects.
 	PendingDeltaBatches int `json:"pending_delta_batches"`
-	// PendingDeltaEdits is the total edits across the retained batches.
+	// PendingDeltaEdits is the total edits across those batches.
 	PendingDeltaEdits int `json:"pending_delta_edits"`
 	// ShardIndex/ShardCount report the server's position in a hash-
 	// partitioned cluster (0/1 when standalone).
@@ -530,7 +531,6 @@ type Stats struct {
 
 // StatsNow assembles the current serving stats.
 func (s *Server) StatsNow() Stats {
-	pendingBatches, pendingEdits := s.deltas.Len()
 	return Stats{
 		Vertices:            s.cfg.Vertices,
 		Edges:               s.edges.Load(),
@@ -544,8 +544,8 @@ func (s *Server) StatsNow() Stats {
 		Recovered:           s.recovered,
 		Draining:            s.draining.Load(),
 		UptimeSeconds:       time.Since(s.started).Seconds(),
-		PendingDeltaBatches: pendingBatches,
-		PendingDeltaEdits:   pendingEdits,
+		PendingDeltaBatches: int(s.pendingBatches.Load()),
+		PendingDeltaEdits:   int(s.pendingEdits.Load()),
 		ShardIndex:          s.cfg.ShardIndex,
 		ShardCount:          s.shardCount(),
 		OwnedVertices:       s.ownedCount,

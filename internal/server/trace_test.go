@@ -381,10 +381,9 @@ func TestIngestStagesTraced(t *testing.T) {
 // PageRank are stale — must produce a span tree whose named lifecycle
 // stages account for >= 95% of the request's measured wall time (the root
 // span duration), with the build it waited for identifiable as the dominant
-// cost. The delta log holds one batch, so by the time the query runs the
-// PageRank state stands before it: the build is the delta-log-miss fallback
-// (a full snapshot rebuild and PageRank recompute), the costliest build the
-// writer makes.
+// cost. MaxPendingEdits is one edit, so by the time the query runs the
+// window has overflowed: the build is the fallback (a full snapshot rebuild
+// and PageRank recompute), the costliest build the writer makes.
 func TestLoadedQueryAttribution(t *testing.T) {
 	const (
 		vertices = 1 << 15

@@ -112,16 +112,16 @@ type Config struct {
 	// OnTransition, when non-nil, is called synchronously from Tick for
 	// every state change — the profiling trigger hooks in here.
 	OnTransition func(Transition)
-	// LatencyFamily is the histogram family holding per-endpoint request
-	// latency in seconds (default "server_query_seconds").
-	LatencyFamily string
-	// ErrorFamily is the counter family holding per-endpoint 5xx counts
-	// (default "server_request_errors_total").
-	ErrorFamily string
-	// EndpointLabel is the label key carrying the endpoint on both
-	// families (default "op").
-	EndpointLabel string
 }
+
+// The serving families an Evaluator reads, both labelled by endpoint: the
+// latency histogram, whose window counts are also the availability
+// denominator, and the 5xx counter, its numerator.
+const (
+	latencyFamily = "server_query_seconds"
+	errorFamily   = "server_request_errors_total"
+	endpointLabel = "op"
+)
 
 // Transition is one objective state change as delivered to OnTransition.
 type Transition struct {
@@ -193,8 +193,7 @@ type Status struct {
 type objState struct {
 	obj    Objective
 	lat    *telemetry.WindowedHistogram
-	errs   *telemetry.WindowedCounter
-	total  *telemetry.WindowedCounter // total requests, for availability
+	errs   *telemetry.WindowedCounter // 5xx responses, for availability
 	state  State
 	since  time.Time
 	status ObjectiveStatus
@@ -249,15 +248,6 @@ func New(cfg Config) (*Evaluator, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.LatencyFamily == "" {
-		cfg.LatencyFamily = "server_query_seconds"
-	}
-	if cfg.ErrorFamily == "" {
-		cfg.ErrorFamily = "server_request_errors_total"
-	}
-	if cfg.EndpointLabel == "" {
-		cfg.EndpointLabel = "op"
-	}
 	seen := make(map[string]bool, len(cfg.Objectives))
 	// Enough boundary slots to cover the slow window at the rotation
 	// period, plus slack for the current boundary.
@@ -272,19 +262,18 @@ func New(cfg Config) (*Evaluator, error) {
 			return nil, fmt.Errorf("slo: duplicate objective %q", o.label())
 		}
 		seen[o.label()] = true
-		epLabel := telemetry.L(cfg.EndpointLabel, o.Endpoint)
+		epLabel := telemetry.L(endpointLabel, o.Endpoint)
 		objLabel := telemetry.L("objective", o.label())
 		st := &objState{
 			obj:    o,
-			lat:    telemetry.NewWindowedHistogram(cfg.Registry.Histogram(cfg.LatencyFamily, epLabel), cfg.Period, slots),
+			lat:    telemetry.NewWindowedHistogram(cfg.Registry.Histogram(latencyFamily, epLabel), cfg.Period, slots),
 			since:  now,
 			stateG: cfg.Registry.Gauge("slo_state", objLabel),
 			fastG:  cfg.Registry.Gauge("slo_burn_rate", objLabel, telemetry.L("window", "fast")),
 			slowG:  cfg.Registry.Gauge("slo_burn_rate", objLabel, telemetry.L("window", "slow")),
 		}
 		if o.Availability > 0 {
-			st.errs = telemetry.NewWindowedCounter(cfg.Registry.Counter(cfg.ErrorFamily, epLabel), cfg.Period, slots)
-			st.total = telemetry.NewWindowedCounter(cfg.Registry.Counter("server_requests_total", epLabel), cfg.Period, slots)
+			st.errs = telemetry.NewWindowedCounter(cfg.Registry.Counter(errorFamily, epLabel), cfg.Period, slots)
 		}
 		st.stateG.Set(float64(StateOK))
 		e.objs = append(e.objs, st)
@@ -317,7 +306,6 @@ func (e *Evaluator) Tick() {
 	for _, st := range e.objs {
 		st.lat.Rotate(now)
 		st.errs.Rotate(now)
-		st.total.Rotate(now)
 		e.evaluate(st, now)
 	}
 }
@@ -346,8 +334,8 @@ func (e *Evaluator) evaluate(st *objState, now time.Time) {
 	addLatencyRule("p99", st.obj.P99, 0.01)
 	if st.obj.Availability > 0 {
 		budget := 1 - st.obj.Availability
-		fe, ft := float64(st.errs.Delta(e.cfg.FastWindow, now)), float64(st.total.Delta(e.cfg.FastWindow, now))
-		se, st2 := float64(st.errs.Delta(e.cfg.SlowWindow, now)), float64(st.total.Delta(e.cfg.SlowWindow, now))
+		fe, ft := float64(st.errs.Delta(e.cfg.FastWindow, now)), float64(fastLat.Count)
+		se, st2 := float64(st.errs.Delta(e.cfg.SlowWindow, now)), float64(slowLat.Count)
 		rules = append(rules, RuleStatus{
 			Rule: "availability", Target: fmt.Sprintf("%g%%", st.obj.Availability*100), Budget: budget,
 			FastBurn: burn(fe, ft, budget), SlowBurn: burn(se, st2, budget),

@@ -16,7 +16,8 @@
 # flips to 503 naming the dead shard, cached global reads and point
 # queries on surviving shards still answer, queries owned by the dead
 # shard fail, and a restart from the victim's flat snapshot rejoins the
-# cluster and restores full service.
+# cluster and restores full service. Last, graphctl's SIGTERM drain holds
+# /readyz at 503 (naming draining) and /healthz at 200, then exits cleanly.
 # Run from the repo root: ./scripts/graphd_smoke.sh
 set -euo pipefail
 
@@ -286,7 +287,7 @@ done
 "$WORK/graphctl" -listen 127.0.0.1:18095 \
   -shards 127.0.0.1:18190,127.0.0.1:18191,127.0.0.1:18192 \
   -shard-http 127.0.0.1:18180,127.0.0.1:18181,127.0.0.1:18182 \
-  -vertices 4096 -poll-interval 200ms >"$WORK/graphctl.log" 2>&1 &
+  -vertices 4096 -poll-interval 200ms -drain-grace 2s >"$WORK/graphctl.log" 2>&1 &
 CPID=$!
 for _ in $(seq 1 100); do
   curl -fsS "$CURL/readyz" >/dev/null 2>&1 && break
@@ -404,4 +405,21 @@ curl -fsS "$CURL/stats" | grep -q '"shards_ready":3' || die "stats does not show
 # Full service restored: dead-owned traversals answer again.
 curl -fsS "$CURL/query/khop?v=$DEAD_V&k=2" | grep -q '"count"' || die "dead-shard khop still failing after rejoin"
 
-echo "graphd_smoke: cluster OK (shard $VICTIM killed, recovered, rejoined)"
+echo "graphd_smoke: graphctl SIGTERM drain"
+kill -TERM "$CPID"
+# The coordinator holds -drain-grace like graphd: /readyz 503 naming the
+# draining check while /healthz stays 200, then a clean exit.
+drain_seen=""
+for _ in $(seq 1 20); do
+  code=$(curl -s -o /dev/null -w '%{http_code}' "$CURL/readyz" 2>/dev/null) || break
+  if [ "$code" = 503 ]; then drain_seen=1; break; fi
+  sleep 0.1
+done
+[ -n "$drain_seen" ] || die "graphctl /readyz never reported 503 during the drain-grace window"
+curl -s "$CURL/readyz" | grep -q '"name":"draining","ok":false' || die "graphctl drain /readyz does not fail the draining check"
+live=$(curl -s -o /dev/null -w '%{http_code}' "$CURL/healthz" 2>/dev/null || true)
+[ "$live" = 200 ] || die "graphctl /healthz = $live during drain, want 200 (liveness)"
+wait "$CPID" || die "graphctl exited nonzero after SIGTERM"
+CPID=""
+
+echo "graphd_smoke: cluster OK (shard $VICTIM killed, recovered, rejoined; graphctl drained)"
