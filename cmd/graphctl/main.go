@@ -7,13 +7,16 @@
 // shard-exchange ops; ingest fans out along the partition with the same
 // 202/429-with-accepted-prefix contract; /readyz aggregates per-shard
 // health into one load-balancer signal. See docs/CLUSTER.md for topology,
-// failure modes, and a quickstart.
+// failure modes, and a quickstart, and docs/OPERATIONS.md for the flags. A
+// bad command line exits 2; a failure to start exits 1.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -27,74 +30,88 @@ import (
 	"repro/internal/telemetry"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "graphctl:", err)
-		os.Exit(1)
-	}
-}
+// usageError is a command line naming an unknown flag, a bad value, a
+// stray argument, or no shards.
+type usageError struct{ error }
 
-func run() error {
-	var (
-		listen        = flag.String("listen", ":8095", "HTTP address serving the cluster query/ingest API and telemetry")
-		shards        = flag.String("shards", "", "comma-separated shard wire addresses in partition-index order (required)")
-		shardHTTP     = flag.String("shard-http", "", "comma-separated shard HTTP addresses for /readyz polling, same order as -shards (empty = wire-only health)")
-		vertices      = flag.Int("vertices", 1<<16, "shared vertex-ID space [0,n); must match every shard's -vertices")
-		directed      = flag.Bool("directed", false, "shards store directed graphs; must match every shard's -directed")
-		defTimeout    = flag.Duration("default-timeout", 2*time.Second, "query deadline when the client sends no ?timeout=")
-		maxTimeout    = flag.Duration("max-timeout", 30*time.Second, "upper clamp on client-supplied ?timeout=")
-		pollInterval  = flag.Duration("poll-interval", time.Second, "shard health-poll cadence")
-		drainGrace    = flag.Duration("drain-grace", 0, "hold /readyz at 503 this long after SIGTERM before closing the listener, so balancers drain first")
-		metricsSample = flag.Duration("runtime-sample", 5*time.Second, "runtime/metrics sampling interval for runtime_* gauges")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "usage: graphctl [flags]\nunexpected arguments: %v\n", flag.Args())
-		flag.Usage()
+func main() {
+	err := run(os.Args[1:])
+	if err == nil {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "graphctl:", err)
+	if errors.As(err, new(usageError)) {
 		os.Exit(2)
 	}
-	if *shards == "" {
-		return fmt.Errorf("-shards is required (comma-separated wire addresses in partition-index order)")
-	}
-	wireAddrs := splitAddrs(*shards)
-	var httpAddrs []string
-	if *shardHTTP != "" {
-		httpAddrs = splitAddrs(*shardHTTP)
-		if len(httpAddrs) != len(wireAddrs) {
-			return fmt.Errorf("-shard-http lists %d addresses, -shards lists %d; they must pair up by index", len(httpAddrs), len(wireAddrs))
-		}
-	}
-	addrs := make([]cluster.ShardAddr, len(wireAddrs))
-	for i, w := range wireAddrs {
-		addrs[i] = cluster.ShardAddr{Wire: w}
-		if httpAddrs != nil {
-			addrs[i].HTTP = httpAddrs[i]
-		}
-	}
+	os.Exit(1)
+}
 
-	reg := telemetry.Default()
-	sampler := obsv.StartSampler(reg, *metricsSample)
+// options is graphctl's command line: the coordinator config and what main
+// does around the coordinator.
+type options struct {
+	cfg                       cluster.Config
+	vertices                  int
+	listen, shards, shardHTTP string
+	drainGrace                time.Duration
+}
+
+// newFlagSet registers graphctl's flags on a new FlagSet, writing into o.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("graphctl", flag.ContinueOnError)
+	fs.StringVar(&o.listen, "listen", ":8095", "HTTP address serving the cluster query/ingest API and telemetry")
+	fs.StringVar(&o.shards, "shards", "", "comma-separated shard wire addresses in partition-index order (required)")
+	fs.StringVar(&o.shardHTTP, "shard-http", "", "comma-separated shard HTTP addresses for /readyz polling, same order as -shards (empty = wire-only health)")
+	fs.IntVar(&o.vertices, "vertices", 1<<16, "shared vertex-ID space [0,n), 1 <= n <= 2^31-1; must match every shard's -vertices")
+	fs.BoolVar(&o.cfg.Directed, "directed", false, "shards store directed graphs; must match every shard's -directed")
+	fs.DurationVar(&o.cfg.PollInterval, "poll-interval", time.Second, "shard health-poll cadence")
+	fs.DurationVar(&o.drainGrace, "drain-grace", 0, "hold /readyz at 503 this long after SIGTERM before closing the listener, so balancers drain first")
+	return fs
+}
+
+func run(args []string) error {
+	var o options
+	fs := newFlagSet(&o)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return usageError{err}
+	}
+	wireAddrs, httpAddrs := splitAddrs(o.shards), splitAddrs(o.shardHTTP)
+	switch {
+	case fs.NArg() > 0:
+		fs.Usage()
+		return usageError{fmt.Errorf("unexpected arguments: %v", fs.Args())}
+	case o.vertices < 1 || o.vertices > math.MaxInt32:
+		return usageError{fmt.Errorf("-vertices %d out of range [1, %d]", o.vertices, math.MaxInt32)}
+	case len(wireAddrs) == 0:
+		return usageError{errors.New("-shards is required (comma-separated wire addresses in partition-index order)")}
+	case o.shardHTTP != "" && len(httpAddrs) != len(wireAddrs):
+		return usageError{fmt.Errorf("-shard-http lists %d addresses, -shards lists %d; they must pair up by index", len(httpAddrs), len(wireAddrs))}
+	}
+	cfg := o.cfg
+	cfg.Vertices = int32(o.vertices)
+	for i, w := range wireAddrs {
+		cfg.Shards = append(cfg.Shards, cluster.ShardAddr{Wire: w})
+		if o.shardHTTP != "" {
+			cfg.Shards[i].HTTP = httpAddrs[i]
+		}
+	}
+	cfg.Registry = telemetry.Default()
+	sampler := obsv.StartSampler(cfg.Registry, 5*time.Second) // runtime_* gauges
 	defer sampler.Stop()
 
-	coord, err := cluster.New(cluster.Config{
-		Vertices:       int32(*vertices),
-		Directed:       *directed,
-		Shards:         addrs,
-		Registry:       reg,
-		DefaultTimeout: *defTimeout,
-		MaxTimeout:     *maxTimeout,
-		PollInterval:   *pollInterval,
-	})
+	coord, err := cluster.New(cfg)
 	if err != nil {
 		return err
 	}
 	defer coord.Close()
 
-	api := server.ClusterHandler(coord, reg)
-	httpSrv := &http.Server{Addr: *listen, Handler: api}
+	api := server.ClusterHandler(coord, cfg.Registry)
+	httpSrv := &http.Server{Addr: o.listen, Handler: api}
 	errCh := make(chan error, 1)
 	go func() {
-		fmt.Fprintf(os.Stderr, "graphctl: coordinating %d shards, serving on %s\n", coord.ShardCount(), *listen)
+		fmt.Fprintf(os.Stderr, "graphctl: coordinating %d shards, serving on %s\n", coord.ShardCount(), o.listen)
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errCh <- err
 		}
@@ -112,9 +129,9 @@ func run() error {
 	// shutdown is just: flip /readyz to 503, let balancers drain, finish
 	// in-flight requests, stop.
 	api.BeginDrain()
-	if *drainGrace > 0 {
-		fmt.Fprintf(os.Stderr, "graphctl: not-ready, holding %v for balancers to drain\n", *drainGrace)
-		time.Sleep(*drainGrace)
+	if o.drainGrace > 0 {
+		fmt.Fprintf(os.Stderr, "graphctl: not-ready, holding %v for balancers to drain\n", o.drainGrace)
+		time.Sleep(o.drainGrace)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -10,13 +10,16 @@
 // profiling (-profile-triggers, /debug/profiles). SIGTERM/SIGINT flip
 // /readyz to 503, hold -drain-grace for balancers, then drain the ingest
 // queue and write a final snapshot before exit. See docs/OPERATIONS.md
-// for the runbook.
+// for the runbook, which lists every flag. A bad command line exits 2; a
+// failure to start or drain exits 1.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -31,93 +34,93 @@ import (
 	"repro/internal/telemetry"
 )
 
+// usageError is a command line naming an unknown flag, a bad value or a
+// stray argument.
+type usageError struct{ error }
+
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "graphd:", err)
-		os.Exit(1)
+	err := run(os.Args[1:])
+	if err == nil {
+		return
 	}
-}
-
-func run() error {
-	cfg := server.DefaultConfig()
-	var (
-		listen        = flag.String("listen", ":8090", "HTTP address serving the query/ingest API and telemetry")
-		listenWire    = flag.String("listen-wire", "", "TCP address serving the binary wire protocol (empty = disabled)")
-		shardIndex    = flag.Int("shard-index", 0, "this process's partition index in a graphctl cluster (requires -shard-count)")
-		shardCount    = flag.Int("shard-count", 0, "total shards in the cluster (0 or 1 = standalone); shard mode requires -listen-wire")
-		vertices      = flag.Int("vertices", int(cfg.Vertices), "vertex-ID space [0,n); ingest outside it is rejected")
-		directed      = flag.Bool("directed", cfg.Directed, "store a directed graph")
-		snapshot      = flag.String("snapshot", "", "snapshot file for periodic persistence and crash recovery (empty = volatile)")
-		snapEvery     = flag.Duration("snapshot-interval", cfg.SnapshotEvery, "periodic snapshot interval (<=0 = only on shutdown)")
-		queueCap      = flag.Int("queue", cfg.QueueCap, "ingest queue capacity in updates (full queue = 429 backpressure)")
-		batchSize     = flag.Int("batch", cfg.BatchSize, "max updates applied to the graph per batch")
-		flushEvery    = flag.Duration("flush-interval", cfg.FlushEvery, "max time an update waits in a partial batch")
-		maxInflight   = flag.Int("max-inflight", 0, "concurrent query budget (0 = par worker count)")
-		maxPending    = flag.Int("max-pending-edits", 0, "bound on applied edits no published version reflects; an unread stretch past it makes the catch-up build recompute in full (0 = default 262144)")
-		defTimeout    = flag.Duration("default-timeout", cfg.DefaultTimeout, "query deadline when the client sends no ?timeout=")
-		maxTimeout    = flag.Duration("max-timeout", cfg.MaxTimeout, "upper clamp on client-supplied ?timeout=")
-		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "max time to drain the ingest queue on shutdown")
-		metricsSample = flag.Duration("runtime-sample", 5*time.Second, "runtime/metrics sampling interval for runtime_* gauges")
-		slowThreshold = flag.Duration("slow-query-threshold", 0, "capture requests at least this slow to /debug/slowqueries (0 = off)")
-		slowOut       = flag.String("slow-query-out", "", "append slow-query records as JSON lines to this file")
-		slowRing      = flag.Int("slow-query-ring", 0, "slow-query records retained in memory (0 = default 128)")
-
-		sloFast     = flag.Duration("slo-fast-window", 0, "SLO fast burn-rate window (0 = default 1m)")
-		sloSlow     = flag.Duration("slo-slow-window", 0, "SLO slow burn-rate window (0 = default 10m)")
-		sloPeriod   = flag.Duration("slo-period", 0, "SLO window rotation and evaluation period (0 = default 10s)")
-		profTrig    = flag.Bool("profile-triggers", false, "capture CPU/heap/goroutine profile bundles on SLO breach and slow-query triggers (/debug/profiles)")
-		profDir     = flag.String("profile-dir", "", "also write each captured profile bundle to this directory")
-		profMinIval = flag.Duration("profile-min-interval", 0, "min time between profile captures (0 = default 30s)")
-		profCPU     = flag.Duration("profile-cpu", 0, "CPU profile sampling duration per capture (0 = default 2s)")
-		readyHeap   = flag.Uint64("max-heap-bytes", 0, "fail /readyz when live heap exceeds this many bytes (0 = no heap check)")
-		readySnap   = flag.Duration("ready-snapshot-max-age", 0, "fail /readyz when the last persisted snapshot is older (0 = 3x -snapshot-interval)")
-		drainGrace  = flag.Duration("drain-grace", 0, "hold /readyz at 503 this long before closing the listener on shutdown, so load balancers drain first")
-	)
-	var sloSpecs slo.ObjectiveFlag
-	flag.Var(&sloSpecs, "slo", "per-endpoint SLO spec, repeatable: \"component,p99=5ms\" or \"endpoint=pagerank,p50=1ms,p99=20ms,avail=99.9%,name=pr\"")
-	par.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "usage: graphd [flags]\nunexpected arguments: %v\n", flag.Args())
-		flag.Usage()
+	fmt.Fprintln(os.Stderr, "graphd:", err)
+	if errors.As(err, new(usageError)) {
 		os.Exit(2)
 	}
+	os.Exit(1)
+}
+
+// options is graphd's command line: the server config and what main does
+// around the server.
+type options struct {
+	cfg                      server.Config
+	vertices                 int
+	slos                     slo.ObjectiveFlag
+	listen, listenWire       string
+	slowOut                  string
+	drainTimeout, drainGrace time.Duration
+}
+
+// newFlagSet registers graphd's flags on a new FlagSet, writing into o,
+// whose cfg holds the defaults.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("graphd", flag.ContinueOnError)
+	c := &o.cfg
+	fs.StringVar(&o.listen, "listen", ":8090", "HTTP address serving the query/ingest API and telemetry")
+	fs.StringVar(&o.listenWire, "listen-wire", "", "TCP address serving the binary wire protocol (empty = disabled)")
+	fs.IntVar(&c.ShardIndex, "shard-index", 0, "this process's partition index in a graphctl cluster (requires -shard-count)")
+	fs.IntVar(&c.ShardCount, "shard-count", 0, "total shards in the cluster (0 or 1 = standalone); shard mode requires -listen-wire")
+	fs.IntVar(&o.vertices, "vertices", int(c.Vertices), "vertex-ID space [0,n), 1 <= n <= 2^31-1; ingest outside it is rejected")
+	fs.BoolVar(&c.Directed, "directed", c.Directed, "store a directed graph")
+	fs.StringVar(&c.SnapshotPath, "snapshot", "", "snapshot file for periodic persistence and crash recovery (empty = volatile)")
+	fs.DurationVar(&c.SnapshotEvery, "snapshot-interval", c.SnapshotEvery, "periodic snapshot interval (<=0 = only on shutdown)")
+	fs.IntVar(&c.QueueCap, "queue", c.QueueCap, "ingest queue capacity in updates (full queue = 429 backpressure)")
+	fs.DurationVar(&c.FlushEvery, "flush-interval", c.FlushEvery, "max time an update waits in a partial batch")
+	fs.IntVar(&c.MaxPendingEdits, "max-pending-edits", 0, "bound on applied edits no published version reflects; an unread stretch past it makes the catch-up build recompute in full (0 = default 262144)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "max time to drain the ingest queue on shutdown")
+	fs.DurationVar(&c.SlowQueryThreshold, "slow-query-threshold", 0, "capture requests at least this slow to /debug/slowqueries (0 = off)")
+	fs.StringVar(&o.slowOut, "slow-query-out", "", "append slow-query records as JSON lines to this file")
+	fs.Var(&o.slos, "slo", "per-endpoint SLO spec, repeatable: \"component,p99=5ms\" or \"endpoint=pagerank,p50=1ms,p99=20ms,avail=99.9%,name=pr\"")
+	fs.BoolVar(&c.ProfileTriggers, "profile-triggers", false, "capture CPU/heap/goroutine profile bundles on SLO breach and slow-query triggers (/debug/profiles)")
+	fs.StringVar(&c.ProfileDir, "profile-dir", "", "also write each captured profile bundle to this directory")
+	fs.Uint64Var(&c.ReadyMaxHeapBytes, "max-heap-bytes", 0, "fail /readyz when live heap exceeds this many bytes (0 = no heap check)")
+	fs.DurationVar(&o.drainGrace, "drain-grace", 0, "hold /readyz at 503 this long before closing the listener on shutdown, so load balancers drain first")
+	par.RegisterFlags(fs)
+	return fs
+}
+
+func run(args []string) error {
+	o := options{cfg: server.DefaultConfig()}
+	fs := newFlagSet(&o)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return usageError{err}
+	}
+	cfg := o.cfg
+	switch {
+	case fs.NArg() > 0:
+		fs.Usage()
+		return usageError{fmt.Errorf("unexpected arguments: %v", fs.Args())}
+	case o.vertices < 1 || o.vertices > math.MaxInt32:
+		return usageError{fmt.Errorf("-vertices %d out of range [1, %d]", o.vertices, math.MaxInt32)}
+	case cfg.ShardCount < 0:
+		return usageError{fmt.Errorf("-shard-count %d is negative", cfg.ShardCount)}
+	case cfg.ShardIndex < 0:
+		return usageError{fmt.Errorf("-shard-index %d is negative", cfg.ShardIndex)}
+	case cfg.ShardCount > 1 && o.listenWire == "":
+		return usageError{fmt.Errorf("-shard-count %d requires -listen-wire: the coordinator exchanges shard ops over the wire protocol", cfg.ShardCount)}
+	}
+	cfg.Vertices = int32(o.vertices)
+	cfg.SLOObjectives = o.slos.Objectives
 
 	reg := telemetry.Default()
-	sampler := obsv.StartSampler(reg, *metricsSample)
+	sampler := obsv.StartSampler(reg, 5*time.Second) // runtime_* gauges
 	defer sampler.Stop()
-
-	if *shardCount > 1 && *listenWire == "" {
-		return fmt.Errorf("-shard-count %d requires -listen-wire: the coordinator exchanges shard ops over the wire protocol", *shardCount)
-	}
-	cfg.ShardIndex = *shardIndex
-	cfg.ShardCount = *shardCount
-	cfg.Vertices = int32(*vertices)
-	cfg.Directed = *directed
-	cfg.SnapshotPath = *snapshot
-	cfg.SnapshotEvery = *snapEvery
-	cfg.QueueCap = *queueCap
-	cfg.BatchSize = *batchSize
-	cfg.FlushEvery = *flushEvery
-	cfg.MaxInflight = *maxInflight
-	cfg.MaxPendingEdits = *maxPending
-	cfg.DefaultTimeout = *defTimeout
-	cfg.MaxTimeout = *maxTimeout
 	cfg.Registry = reg
-	cfg.SlowQueryThreshold = *slowThreshold
-	cfg.SlowQueryRing = *slowRing
-	cfg.SLOObjectives = sloSpecs.Objectives
-	cfg.SLOFastWindow = *sloFast
-	cfg.SLOSlowWindow = *sloSlow
-	cfg.SLOPeriod = *sloPeriod
-	cfg.ProfileTriggers = *profTrig
-	cfg.ProfileDir = *profDir
-	cfg.ProfileMinInterval = *profMinIval
-	cfg.ProfileCPUDuration = *profCPU
-	cfg.ReadyMaxHeapBytes = *readyHeap
-	cfg.ReadySnapshotMaxAge = *readySnap
-	if *slowOut != "" {
-		f, err := os.OpenFile(*slowOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if o.slowOut != "" {
+		f, err := os.OpenFile(o.slowOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("open -slow-query-out: %w", err)
 		}
@@ -129,29 +132,29 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *shardCount > 1 {
+	if cfg.ShardCount > 1 {
 		st := srv.StatsNow()
 		fmt.Fprintf(os.Stderr, "graphd: shard %d/%d, owns %d of %d vertices\n",
-			*shardIndex, *shardCount, st.OwnedVertices, st.Vertices)
+			cfg.ShardIndex, cfg.ShardCount, st.OwnedVertices, st.Vertices)
 	}
 	if srv.Recovered() {
 		st := srv.StatsNow()
 		fmt.Fprintf(os.Stderr, "graphd: recovered %d edges over %d vertices from %s\n",
-			st.Edges, st.Vertices, *snapshot)
+			st.Edges, st.Vertices, cfg.SnapshotPath)
 	}
 
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: o.listen, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
-		fmt.Fprintf(os.Stderr, "graphd: serving on %s\n", *listen)
+		fmt.Fprintf(os.Stderr, "graphd: serving on %s\n", o.listen)
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errCh <- err
 		}
 	}()
 
 	var wireLn net.Listener
-	if *listenWire != "" {
-		wireLn, err = net.Listen("tcp", *listenWire)
+	if o.listenWire != "" {
+		wireLn, err = net.Listen("tcp", o.listenWire)
 		if err != nil {
 			return fmt.Errorf("listen -listen-wire: %w", err)
 		}
@@ -178,11 +181,11 @@ func run() error {
 	// queued updates); then stop the listener (in-flight requests finish);
 	// then drain the ingest queue and write the final snapshot.
 	srv.BeginDrain()
-	if *drainGrace > 0 {
-		fmt.Fprintf(os.Stderr, "graphd: not-ready, holding %v for balancers to drain\n", *drainGrace)
-		time.Sleep(*drainGrace)
+	if o.drainGrace > 0 {
+		fmt.Fprintf(os.Stderr, "graphd: not-ready, holding %v for balancers to drain\n", o.drainGrace)
+		time.Sleep(o.drainGrace)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	if wireLn != nil {
 		wireLn.Close() // stop accepting; srv.Shutdown closes live sessions

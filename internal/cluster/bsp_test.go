@@ -79,7 +79,7 @@ func TestPageRankSkewRetry(t *testing.T) {
 	retries := c.cfg.Registry.Counter("cluster_skew_retries_total")
 
 	fakes[1].skews.Store(1)
-	got, err := c.PageRankVertex(context.Background(), 3)
+	got, err := c.pageRankVertex(context.Background(), 3)
 	if err != nil {
 		t.Fatalf("after one skewed superstep: %v", err)
 	}

@@ -26,11 +26,6 @@ type Config struct {
 	Shards []ShardAddr
 	// Registry receives cluster_* metrics (nil = metrics off).
 	Registry *telemetry.Registry
-	// DefaultTimeout bounds queries that carry no explicit deadline
-	// (default 2s).
-	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested deadlines (default 30s).
-	MaxTimeout time.Duration
 	// PollInterval is the shard health-poll cadence (default 1s).
 	PollInterval time.Duration
 	// PageRank overrides the PageRank superstep options; zero-value fields
@@ -214,12 +209,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
 	}
-	if cfg.DefaultTimeout <= 0 {
-		cfg.DefaultTimeout = 2 * time.Second
-	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = 30 * time.Second
-	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = time.Second
 	}
@@ -262,18 +251,6 @@ func (c *Coordinator) Close() {
 
 // ShardCount returns the configured number of shards.
 func (c *Coordinator) ShardCount() int { return len(c.shards) }
-
-// ResolveTimeout clamps a client-requested timeout into the configured
-// window, mirroring the shard server's semantics (0 = default).
-func (c *Coordinator) ResolveTimeout(req time.Duration) time.Duration {
-	if req <= 0 {
-		return c.cfg.DefaultTimeout
-	}
-	if req > c.cfg.MaxTimeout {
-		return c.cfg.MaxTimeout
-	}
-	return req
-}
 
 // wireTimeout converts a context deadline into the per-exchange wire
 // timeout forwarded to shards.

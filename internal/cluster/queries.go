@@ -2,14 +2,13 @@ package cluster
 
 import (
 	"context"
-	"slices"
 
 	"repro/internal/kernels"
 	"repro/internal/reqscratch"
 	"repro/internal/wire"
 )
 
-// Exported query methods. Each returns the same wire result struct the
+// The query methods behind Run. Each returns the same wire result struct the
 // shard server's dispatch layer builds, so the differential e2e suite and
 // graphd's front end, which graphctl serves through Run, treat a coordinator
 // exactly like a big graphd. Global reads (component, pagerank, topdegree)
@@ -28,24 +27,24 @@ func (c *Coordinator) Run(ctx context.Context, scr *reqscratch.Scratch, req *wir
 	case wire.OpKHop:
 		return c.khopIn(ctx, scr, req.Seeds, req.K)
 	case wire.OpTopDegree:
-		return c.TopDegree(ctx, req.TopK())
+		return c.topDegree(ctx, req.TopK())
 	case wire.OpComponent:
-		return c.Component(ctx, req.V)
+		return c.component(ctx, req.V)
 	case wire.OpPageRank:
 		if req.HasV {
-			return c.PageRankVertex(ctx, req.V)
+			return c.pageRankVertex(ctx, req.V)
 		}
-		return c.PageRankTop(ctx, req.TopK())
+		return c.pageRankTop(ctx, req.TopK())
 	default:
 		return nil, badRequestf("op %s is not a cluster query", wire.OpName(req.Op))
 	}
 }
 
-// Component answers the component membership query for v from the merged
+// component answers the component membership query for v from the merged
 // distributed WCC, byte-identical to a single graphd holding the union of
 // all shards (Version excepted: the cluster reports the summed shard
 // versions).
-func (c *Coordinator) Component(ctx context.Context, v int32) (*wire.ComponentResult, error) {
+func (c *Coordinator) component(ctx context.Context, v int32) (*wire.ComponentResult, error) {
 	if err := c.checkVertex(v); err != nil {
 		return nil, err
 	}
@@ -63,21 +62,9 @@ func (c *Coordinator) Component(ctx context.Context, v int32) (*wire.ComponentRe
 	}, nil
 }
 
-// KHop answers the k-hop neighborhood query by distributed frontier
+// khopIn answers the k-hop neighborhood query by distributed frontier
 // expansion, byte-identical to the single-process kernel (same BFS
-// discovery order). The result is the caller's.
-func (c *Coordinator) KHop(ctx context.Context, seeds []int32, k int32) (*wire.KHopResult, error) {
-	scr := reqscratch.Get()
-	defer reqscratch.Put(scr)
-	res, err := c.khopIn(ctx, scr, seeds, k)
-	if err != nil {
-		return nil, err
-	}
-	res.Vertices = slices.Clone(res.Vertices)
-	return res, nil
-}
-
-// khopIn is KHop with the answer built in scr, which it aliases.
+// discovery order). The answer is built in scr, which it aliases.
 func (c *Coordinator) khopIn(ctx context.Context, scr *reqscratch.Scratch, seeds []int32, k int32) (*wire.KHopResult, error) {
 	if len(seeds) == 0 {
 		return nil, badRequestf("khop: at least one seed required")
@@ -97,11 +84,11 @@ func (c *Coordinator) khopIn(ctx context.Context, scr *reqscratch.Scratch, seeds
 	return &wire.KHopResult{Seeds: seeds, K: k, Count: len(order), Vertices: order}, nil
 }
 
-// TopDegree answers the top-k degree query. The coordinator assembles the
+// topDegree answers the top-k degree query. The coordinator assembles the
 // full global degree vector and runs the same heap selection as a single
 // graphd — merging per-shard top-k lists would break byte-identity because
 // the heap's tie order depends on scan structure.
-func (c *Coordinator) TopDegree(ctx context.Context, k int32) (*wire.TopDegreeResult, error) {
+func (c *Coordinator) topDegree(ctx context.Context, k int32) (*wire.TopDegreeResult, error) {
 	if k <= 0 {
 		return nil, badRequestf("topdegree: k must be positive, got %d", k)
 	}
@@ -117,21 +104,9 @@ func (c *Coordinator) TopDegree(ctx context.Context, k int32) (*wire.TopDegreeRe
 	return out, nil
 }
 
-// Jaccard answers the neighborhood-similarity query for u by adjacency
-// scatter-gather, byte-identical to the single-process kernel. The result
-// is the caller's.
-func (c *Coordinator) Jaccard(ctx context.Context, u int32, threshold float64) (*wire.JaccardResult, error) {
-	scr := reqscratch.Get()
-	defer reqscratch.Put(scr)
-	res, err := c.jaccardIn(ctx, scr, u, threshold)
-	if err != nil {
-		return nil, err
-	}
-	res.Results = slices.Clone(res.Results)
-	return res, nil
-}
-
-// jaccardIn is Jaccard with the answer built in scr, which it aliases.
+// jaccardIn answers the neighborhood-similarity query for u by adjacency
+// scatter-gather, byte-identical to the single-process kernel. The answer
+// is built in scr, which it aliases.
 func (c *Coordinator) jaccardIn(ctx context.Context, scr *reqscratch.Scratch, u int32, threshold float64) (*wire.JaccardResult, error) {
 	if err := c.checkVertex(u); err != nil {
 		return nil, err
@@ -146,9 +121,9 @@ func (c *Coordinator) jaccardIn(ctx context.Context, scr *reqscratch.Scratch, u 
 	return &wire.JaccardResult{U: u, Results: pairs}, nil
 }
 
-// PageRankVertex answers the single-vertex PageRank query from the
+// pageRankVertex answers the single-vertex PageRank query from the
 // distributed superstep-driven rank vector.
-func (c *Coordinator) PageRankVertex(ctx context.Context, v int32) (*wire.PageRankResult, error) {
+func (c *Coordinator) pageRankVertex(ctx context.Context, v int32) (*wire.PageRankResult, error) {
 	if err := c.checkVertex(v); err != nil {
 		return nil, err
 	}
@@ -160,9 +135,9 @@ func (c *Coordinator) PageRankVertex(ctx context.Context, v int32) (*wire.PageRa
 	return &wire.PageRankResult{V: &v, Rank: &rank, Iterations: st.iters, Version: st.vec.sum()}, nil
 }
 
-// PageRankTop answers the top-k PageRank query from the distributed rank
+// pageRankTop answers the top-k PageRank query from the distributed rank
 // vector, using the same heap selection as a single graphd.
-func (c *Coordinator) PageRankTop(ctx context.Context, k int32) (*wire.PageRankResult, error) {
+func (c *Coordinator) pageRankTop(ctx context.Context, k int32) (*wire.PageRankResult, error) {
 	if k <= 0 {
 		return nil, badRequestf("pagerank: k must be positive, got %d", k)
 	}

@@ -299,9 +299,9 @@ func TestAdjacencyShortAnswer(t *testing.T) {
 	}
 }
 
-// TestTraversalsMatchKernels: khop and jaccard over fake shards, through the
-// Go API and through Run, the front end's call, equal the sequential
-// kernels on the graph the shards serve.
+// TestTraversalsMatchKernels: khop and jaccard over fake shards, through
+// Run, the front end's call, equal the sequential kernels on the graph the
+// shards serve.
 func TestTraversalsMatchKernels(t *testing.T) {
 	g := testGraph()
 	c, _ := startFakeShards(t, g, 2)
@@ -326,10 +326,6 @@ func TestTraversalsMatchKernels(t *testing.T) {
 	}
 	for _, v := range []int32{0, 1, 2, 17, 100, g.NumVertices() - 1} {
 		want := kernels.KHopNeighborhood(g, []int32{v}, 2)
-		got, err := c.KHop(ctx, []int32{v}, 2)
-		if err != nil || !slices.Equal(got.Vertices, want) || got.Count != len(want) {
-			t.Fatalf("KHop(%d): %+v, %v; kernel %v", v, got, err, want)
-		}
 		if viaRun := run(&wire.Request{Op: wire.OpKHop, Seeds: []int32{v}, K: 2}).([]int32); !slices.Equal(viaRun, want) {
 			t.Fatalf("Run khop(%d) = %v, kernel %v", v, viaRun, want)
 		}
@@ -337,10 +333,6 @@ func TestTraversalsMatchKernels(t *testing.T) {
 		var wantPairs []wire.JaccardPair
 		for _, p := range kernels.JaccardFromVertex(g, v, 0) {
 			wantPairs = append(wantPairs, wire.JaccardPair{V: p.V, Score: p.Score, Inter: p.Inter})
-		}
-		jac, err := c.Jaccard(ctx, v, 0)
-		if err != nil || !slices.Equal(jac.Results, wantPairs) {
-			t.Fatalf("Jaccard(%d): %+v, %v; kernel %v", v, jac, err, wantPairs)
 		}
 		if viaRun := run(&wire.Request{Op: wire.OpJaccard, U: v}).([]wire.JaccardPair); !slices.Equal(viaRun, wantPairs) {
 			t.Fatalf("Run jaccard(%d) = %v, kernel %v", v, viaRun, wantPairs)
@@ -350,8 +342,7 @@ func TestTraversalsMatchKernels(t *testing.T) {
 
 // TestHTTPResultPoisonedAfterWrite: the front end puts a request's scratch
 // back once it has written the answer, so under go test a Run result still
-// held afterwards reads poison — and the Go API's results, which are the
-// caller's, do not.
+// held afterwards reads poison.
 func TestHTTPResultPoisonedAfterWrite(t *testing.T) {
 	g := testGraph()
 	c, _ := startFakeShards(t, g, 2)
@@ -374,21 +365,14 @@ func TestHTTPResultPoisonedAfterWrite(t *testing.T) {
 		switch res := out.(type) {
 		case *wire.KHopResult:
 			if len(res.Vertices) == 0 || slices.ContainsFunc(res.Vertices, func(v int32) bool { return v != -1 }) {
-				t.Fatalf("khop result held past the wrapper was not poisoned: %v", res.Vertices[:min(8, len(res.Vertices))])
+				t.Fatalf("khop result held past its scratch was not poisoned: %v", res.Vertices[:min(8, len(res.Vertices))])
 			}
 		case *wire.JaccardResult:
 			if len(res.Results) == 0 || slices.ContainsFunc(res.Results, func(p wire.JaccardPair) bool { return p.V != -1 || !math.IsNaN(p.Score) }) {
-				t.Fatalf("jaccard result held past the wrapper was not poisoned: %v", res.Results[:min(4, len(res.Results))])
+				t.Fatalf("jaccard result held past its scratch was not poisoned: %v", res.Results[:min(4, len(res.Results))])
 			}
 		default:
 			t.Fatalf("unexpected result %T", out)
 		}
-	}
-	owned, err := c.KHop(context.Background(), []int32{hub}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := kernels.KHopNeighborhood(g, []int32{hub}, 2); !slices.Equal(owned.Vertices, want) {
-		t.Fatal("the Go API's khop result was overwritten after the call returned")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -115,22 +116,41 @@ func TestMissingDocsPackageComment(t *testing.T) {
 	}
 }
 
-// TestOperationsMetricFamiliesExist is the docs gate for the runbook:
-// every server_*, cluster_*, par_*, runtime_*, slo_* or prof_* metric family
-// docs/OPERATIONS.md cites in backticks (labels stripped) must be registered
-// somewhere, which in this code base means it appears as a string literal
-// in non-test Go under internal/ or cmd/. A renamed or deleted family then
-// fails here instead of leaving the runbook pointing at nothing.
-func TestOperationsMetricFamiliesExist(t *testing.T) {
-	root := filepath.Join("..", "..")
-	doc, err := os.ReadFile(filepath.Join(root, "docs", "OPERATIONS.md"))
+// metricFamily matches a metric family name: server_*, cluster_*, par_*,
+// runtime_*, slo_* or prof_*.
+var metricFamily = regexp.MustCompile(`\b(?:server|cluster|par|runtime|slo|prof)_[a-z0-9_]*[a-z0-9]\b`)
+
+// citedFamilies returns the metric families docs/OPERATIONS.md cites in
+// backticks (labels stripped), each with the span it appears in.
+func citedFamilies(t *testing.T) map[string]string {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OPERATIONS.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	literals := map[string]bool{}
+	span := regexp.MustCompile("`[^`\n]+`")
+	labels := regexp.MustCompile(`\{[^}]*\}`)
+	cited := map[string]string{}
+	for _, s := range span.FindAllString(string(doc), -1) {
+		for _, name := range metricFamily.FindAllString(labels.ReplaceAllString(s, ""), -1) {
+			cited[name] = s
+		}
+	}
+	if len(cited) == 0 {
+		t.Fatal("found no metric families in docs/OPERATIONS.md")
+	}
+	return cited
+}
+
+// stringLiterals returns every string literal in the non-test Go under the
+// given directories (relative to the repository root, walked recursively),
+// each with the file it appears in.
+func stringLiterals(t *testing.T, dirs ...string) map[string]string {
+	t.Helper()
+	literals := map[string]string{}
 	fset := token.NewFileSet()
-	for _, dir := range []string{"internal", "cmd"} {
-		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+	for _, dir := range dirs {
+		err := filepath.WalkDir(filepath.Join("..", "..", dir), func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err
 			}
@@ -141,7 +161,7 @@ func TestOperationsMetricFamiliesExist(t *testing.T) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
 					if s, err := strconv.Unquote(lit.Value); err == nil {
-						literals[s] = true
+						literals[s], _ = filepath.Rel(filepath.Join("..", ".."), path)
 					}
 				}
 				return true
@@ -152,19 +172,48 @@ func TestOperationsMetricFamiliesExist(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	span := regexp.MustCompile("`[^`\n]+`")
-	labels := regexp.MustCompile(`\{[^}]*\}`)
-	family := regexp.MustCompile(`\b(?:server|cluster|par|runtime|slo|prof)_[a-z0-9_]*[a-z0-9]\b`)
-	cited := 0
-	for _, s := range span.FindAllString(string(doc), -1) {
-		for _, name := range family.FindAllString(labels.ReplaceAllString(s, ""), -1) {
-			cited++
-			if !literals[name] {
-				t.Errorf("docs/OPERATIONS.md cites %s (in %s), but no non-test Go under internal/ or cmd/ names it", name, s)
-			}
+	return literals
+}
+
+// TestOperationsMetricFamiliesExist is the docs gate for the runbook:
+// every metric family docs/OPERATIONS.md cites in backticks must be
+// registered somewhere, which in this code base means it appears as a
+// string literal in non-test Go under internal/ or cmd/. A renamed or
+// deleted family then fails here instead of leaving the runbook pointing at
+// nothing.
+func TestOperationsMetricFamiliesExist(t *testing.T) {
+	literals := stringLiterals(t, "internal", "cmd")
+	for name, s := range citedFamilies(t) {
+		if _, ok := literals[name]; !ok {
+			t.Errorf("docs/OPERATIONS.md cites %s (in %s), but no non-test Go under internal/ or cmd/ names it", name, s)
 		}
 	}
-	if cited == 0 {
-		t.Fatal("found no metric families in docs/OPERATIONS.md")
+}
+
+// TestMetricFamiliesCited is the reverse gate: every server_*, cluster_*,
+// slo_* or prof_* family the serving packages register — a string literal
+// of that shape in their non-test Go — is cited in backticks by
+// docs/OPERATIONS.md, in a symptom, an alert row or the SLO section. A
+// family no runbook line reads is deleted, not exported. par_* and
+// runtime_* are out of scope: every binary reports them, and graphbench
+// -metrics-out and its readers consume them.
+func TestMetricFamiliesCited(t *testing.T) {
+	family := regexp.MustCompile(`^(?:server|cluster|slo|prof)_[a-z0-9_]*[a-z0-9]$`)
+	cited := citedFamilies(t)
+	literals := stringLiterals(t, "internal/server", "internal/cluster", "internal/slo", "internal/prof")
+	var families []string
+	for lit := range literals {
+		if family.MatchString(lit) {
+			families = append(families, lit)
+		}
+	}
+	if len(families) == 0 {
+		t.Fatal("found no metric families in the serving packages")
+	}
+	slices.Sort(families)
+	for _, name := range families {
+		if _, ok := cited[name]; !ok {
+			t.Errorf("%s registers %s, which docs/OPERATIONS.md never cites: cite it where an operator acts on it, or delete it", literals[name], name)
+		}
 	}
 }

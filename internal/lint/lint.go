@@ -1,6 +1,7 @@
 // Package lint holds repo-specific static checks that gofmt/vet cannot
-// express. The only check so far guards the flat-accumulator migration:
-// hot-path packages (internal/kernels, internal/matrix, and the serving
+// express: exported docs (docs.go), the option rule for command-line flags
+// (flags.go), and, here, the flat-accumulator migration guard: hot-path
+// packages (internal/kernels, internal/matrix, and the serving
 // layers internal/server, internal/cluster and internal/reqscratch) must
 // not allocate map-based accumulators — counting and merging go through
 // scratch.SPA / scratch.Map64, which reset in O(touched) and reuse their

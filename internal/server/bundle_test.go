@@ -129,7 +129,7 @@ func bumpAndRead(t *testing.T, s *Server, edits []dyngraph.Edit) {
 func TestBundlePinHammer(t *testing.T) {
 	const n, bumps, readers = 512, 80, 4
 	cfg := testConfig(n)
-	cfg.BatchSize = 32
+	cfg.batchSize = 32
 	s, _ := startServer(t, cfg)
 	rng := rand.New(rand.NewSource(21))
 	var live [][2]int32
@@ -461,7 +461,7 @@ func TestSteadyStateBumpBudget(t *testing.T) {
 		budget                        = 48 << 10 // bytes per bump, reads included
 	)
 	cfg := testConfig(1 << scale)
-	cfg.BatchSize = perBump
+	cfg.batchSize = perBump
 	s, _ := startServer(t, cfg)
 	preloadRMAT(t, s, scale)
 	seedKernels(t, s)

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/reqscratch"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -178,12 +179,36 @@ func ingestBoth(t *testing.T, solo *Server, soloURL string, shards []*testShard,
 	}
 }
 
-// must returns v, panicking on err: for Go API answers a test compares with.
+// must returns v, panicking on err: for coordinator answers a test compares
+// with.
 func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
 	}
 	return v
+}
+
+// runCoord answers req through the coordinator as graphctl's front end
+// does, on a borrowed request scratch, and copies a traversal answer out of
+// the scratch before it goes back.
+func runCoord[T any](ctx context.Context, coord *cluster.Coordinator, req wire.Request) (*T, error) {
+	scr := reqscratch.Get()
+	defer reqscratch.Put(scr)
+	out, err := coord.Run(ctx, scr, &req)
+	if err != nil {
+		return nil, err
+	}
+	switch res := out.(type) {
+	case *wire.KHopResult:
+		res.Vertices = slices.Clone(res.Vertices)
+	case *wire.JaccardResult:
+		res.Results = slices.Clone(res.Results)
+	}
+	res, ok := out.(*T)
+	if !ok {
+		return nil, fmt.Errorf("Run(%s) answered %T", wire.OpName(req.Op), out)
+	}
+	return res, nil
 }
 
 // mustComponentEqual compares a cluster component answer to solo's on every
@@ -213,7 +238,7 @@ func TestClusterDifferential(t *testing.T) {
 
 			t.Run("component", func(t *testing.T) {
 				for v := int32(0); v < vertices; v++ {
-					got, err := coord.Component(ctx, v)
+					got, err := runCoord[wire.ComponentResult](ctx, coord, wire.Request{Op: wire.OpComponent, V: v})
 					if err != nil {
 						t.Fatalf("cluster component(%d): %v", v, err)
 					}
@@ -235,7 +260,7 @@ func TestClusterDifferential(t *testing.T) {
 					{[]int32{3, 3, 7}, 1}, {[]int32{vertices - 1}, 2},
 				}
 				for _, tc := range cases {
-					got, err := coord.KHop(ctx, tc.seeds, tc.k)
+					got, err := runCoord[wire.KHopResult](ctx, coord, wire.Request{Op: wire.OpKHop, Seeds: tc.seeds, K: tc.k})
 					if err != nil {
 						t.Fatalf("cluster khop(%v,%d): %v", tc.seeds, tc.k, err)
 					}
@@ -249,7 +274,7 @@ func TestClusterDifferential(t *testing.T) {
 
 			t.Run("topdegree", func(t *testing.T) {
 				for _, k := range []int{1, 5, 10, 25} {
-					got, err := coord.TopDegree(ctx, int32(k))
+					got, err := runCoord[wire.TopDegreeResult](ctx, coord, wire.Request{Op: wire.OpTopDegree, K: int32(k)})
 					if err != nil {
 						t.Fatalf("cluster topdegree(%d): %v", k, err)
 					}
@@ -264,7 +289,7 @@ func TestClusterDifferential(t *testing.T) {
 			t.Run("jaccard", func(t *testing.T) {
 				for _, u := range []int32{0, 1, 7, 33, vertices - 10, vertices - 1} {
 					for _, th := range []float64{0, 0.2} {
-						got, err := coord.Jaccard(ctx, u, th)
+						got, err := runCoord[wire.JaccardResult](ctx, coord, wire.Request{Op: wire.OpJaccard, U: u, Threshold: th})
 						if err != nil {
 							t.Fatalf("cluster jaccard(%d,%g): %v", u, th, err)
 						}
@@ -291,7 +316,7 @@ func TestClusterDifferential(t *testing.T) {
 			// built in request scratch that goes back to the pool once the
 			// JSON is written; a batch's sub-results share one scratch and
 			// must not overwrite each other. PageRank agrees within
-			// tolerance, as over the Go API.
+			// tolerance, as through Run.
 			t.Run("http", func(t *testing.T) {
 				ctl := httptest.NewServer(ClusterHandler(coord, reg))
 				defer ctl.Close()
@@ -330,11 +355,11 @@ func TestClusterDifferential(t *testing.T) {
 					if err := json.Unmarshal(same("/query/khop?"+q, ""), &got); err != nil {
 						t.Fatal(err)
 					}
-					api, err := coord.KHop(ctx, got.Seeds, got.K)
+					api, err := runCoord[wire.KHopResult](ctx, coord, wire.Request{Op: wire.OpKHop, Seeds: got.Seeds, K: got.K})
 					if err != nil {
 						t.Fatal(err)
 					}
-					mustEqual(t, "khop over HTTP vs Go API", got, *api)
+					mustEqual(t, "khop over HTTP vs Run", got, *api)
 				}
 				for _, u := range []int32{0, 1, 7, 33, vertices - 10, vertices - 1} {
 					for _, th := range []float64{0, 0.2} {
@@ -342,12 +367,12 @@ func TestClusterDifferential(t *testing.T) {
 						if err := json.Unmarshal(same(fmt.Sprintf("/query/jaccard?u=%d&threshold=%g", u, th), ""), &got); err != nil {
 							t.Fatal(err)
 						}
-						api, err := coord.Jaccard(ctx, u, th)
+						api, err := runCoord[wire.JaccardResult](ctx, coord, wire.Request{Op: wire.OpJaccard, U: u, Threshold: th})
 						if err != nil {
 							t.Fatal(err)
 						}
 						if got.U != u || !slices.Equal(got.Results, api.Results) {
-							t.Fatalf("jaccard(%d,%g) over HTTP %+v, Go API %+v", u, th, got, *api)
+							t.Fatalf("jaccard(%d,%g) over HTTP %+v, Run %+v", u, th, got, *api)
 						}
 					}
 				}
@@ -371,13 +396,20 @@ func TestClusterDifferential(t *testing.T) {
 				if err := json.Unmarshal(raw, &batch); err != nil || len(batch.Results) != 5 || batch.Results[2].Status != http.StatusBadRequest {
 					t.Fatalf("batch: %v %s", err, raw)
 				}
-				for i, want := range []any{must(coord.KHop(ctx, []int32{1}, 2)), must(coord.Jaccard(ctx, 7, 0)), nil, must(coord.KHop(ctx, []int32{33, 0}, 3)), must(coord.Jaccard(ctx, 1, 0.2))} {
+				wants := []any{
+					must(runCoord[wire.KHopResult](ctx, coord, wire.Request{Op: wire.OpKHop, Seeds: []int32{1}, K: 2})),
+					must(runCoord[wire.JaccardResult](ctx, coord, wire.Request{Op: wire.OpJaccard, U: 7})),
+					nil,
+					must(runCoord[wire.KHopResult](ctx, coord, wire.Request{Op: wire.OpKHop, Seeds: []int32{33, 0}, K: 3})),
+					must(runCoord[wire.JaccardResult](ctx, coord, wire.Request{Op: wire.OpJaccard, U: 1, Threshold: 0.2})),
+				}
+				for i, want := range wants {
 					if want == nil {
 						continue
 					}
 					got := reflect.New(reflect.TypeOf(want).Elem())
 					if err := json.Unmarshal(batch.Results[i].Result, got.Interface()); err != nil || !reflect.DeepEqual(got.Interface(), want) {
-						t.Fatalf("batch item %d = %s, Go API %+v", i, batch.Results[i].Result, want)
+						t.Fatalf("batch item %d = %s, Run %+v", i, batch.Results[i].Result, want)
 					}
 				}
 				for _, path := range []string{"/query/pagerank?v=3", "/query/pagerank?k=4"} {
@@ -442,7 +474,7 @@ func TestClusterDifferential(t *testing.T) {
 					soloRank[v] = *pr.Rank
 				}
 				for v := int32(0); v < vertices; v++ {
-					got, err := coord.PageRankVertex(ctx, v)
+					got, err := runCoord[wire.PageRankResult](ctx, coord, wire.Request{Op: wire.OpPageRank, V: v, HasV: true})
 					if err != nil {
 						t.Fatalf("cluster pagerank(%d): %v", v, err)
 					}
@@ -450,7 +482,7 @@ func TestClusterDifferential(t *testing.T) {
 						t.Fatalf("pagerank(%d): cluster %.12f vs solo %.12f (diff %g > %g)", v, *got.Rank, soloRank[v], diff, tol)
 					}
 				}
-				top, err := coord.PageRankTop(ctx, 10)
+				top, err := runCoord[wire.PageRankResult](ctx, coord, wire.Request{Op: wire.OpPageRank, K: 10})
 				if err != nil {
 					t.Fatalf("cluster pagerank top: %v", err)
 				}
@@ -490,7 +522,7 @@ func TestClusterDifferential(t *testing.T) {
 
 // TestJaccardThresholdRule: one threshold rule on every transport — graphd
 // and graphctl over HTTP, their HTTP batch sub-queries, the wire protocol
-// and its batch sub-queries, the coordinator's Go API — a cutoff in [0, 1]
+// and its batch sub-queries, the coordinator's Run — a cutoff in [0, 1]
 // answers, NaN and anything outside answer 400. JSON has no NaN or
 // infinity, so HTTP batches carry the finite cases only.
 func TestJaccardThresholdRule(t *testing.T) {
@@ -532,7 +564,7 @@ func TestJaccardThresholdRule(t *testing.T) {
 		if err != nil || wire.HTTPStatus(items[0].Status) != tc.want {
 			t.Errorf("wire batch threshold=%s: %+v %v, want item %d", tc.raw, items, err, tc.want)
 		}
-		if _, err := coord.Jaccard(context.Background(), 1, tc.th); (err == nil) != (tc.want == 200) {
+		if _, err := runCoord[wire.JaccardResult](context.Background(), coord, wire.Request{Op: wire.OpJaccard, U: 1, Threshold: tc.th}); (err == nil) != (tc.want == 200) {
 			t.Errorf("coordinator threshold=%s: %v, want %d", tc.raw, err, tc.want)
 		}
 	}
@@ -598,7 +630,7 @@ func TestClusterKillShard(t *testing.T) {
 
 	// Prime the coordinator's WCC cache and remember the pre-kill answer.
 	probe := ownedVertex(t, vertices, 0, shardCount)
-	preKill, err := coord.Component(ctx, probe)
+	preKill, err := runCoord[wire.ComponentResult](ctx, coord, wire.Request{Op: wire.OpComponent, V: probe})
 	if err != nil {
 		t.Fatalf("component before kill: %v", err)
 	}
@@ -614,7 +646,7 @@ func TestClusterKillShard(t *testing.T) {
 	}
 
 	// Degraded global read: component serves the cached (stale) answer.
-	stale, err := coord.Component(ctx, probe)
+	stale, err := runCoord[wire.ComponentResult](ctx, coord, wire.Request{Op: wire.OpComponent, V: probe})
 	if err != nil {
 		t.Fatalf("stale component: %v", err)
 	}
@@ -624,7 +656,7 @@ func TestClusterKillShard(t *testing.T) {
 	// owner, so a seed owned by a live shard answers — and still matches
 	// solo — while a seed owned by the dead shard fails.
 	liveSeed := ownedVertex(t, vertices, 0, shardCount)
-	got, err := coord.KHop(ctx, []int32{liveSeed}, 1)
+	got, err := runCoord[wire.KHopResult](ctx, coord, wire.Request{Op: wire.OpKHop, Seeds: []int32{liveSeed}, K: 1})
 	if err != nil {
 		t.Fatalf("khop on surviving shard: %v", err)
 	}
@@ -634,7 +666,7 @@ func TestClusterKillShard(t *testing.T) {
 	}
 	mustEqual(t, "khop during outage", *got, *want)
 	deadSeed := ownedVertex(t, vertices, victim, shardCount)
-	if _, err := coord.KHop(ctx, []int32{deadSeed}, 1); err == nil {
+	if _, err := runCoord[wire.KHopResult](ctx, coord, wire.Request{Op: wire.OpKHop, Seeds: []int32{deadSeed}, K: 1}); err == nil {
 		t.Fatal("khop seeded at the dead shard should fail")
 	}
 
@@ -691,7 +723,7 @@ func TestClusterKillShard(t *testing.T) {
 	waitApplied(t, shards[victim].s, 1)
 	waitApplied(t, shards[0].s, routedCounts(edits, shardCount)[0]+1)
 
-	khopGot, err := coord.KHop(ctx, []int32{deadSeed}, 2)
+	khopGot, err := runCoord[wire.KHopResult](ctx, coord, wire.Request{Op: wire.OpKHop, Seeds: []int32{deadSeed}, K: 2})
 	if err != nil {
 		t.Fatalf("khop after rejoin: %v", err)
 	}
@@ -701,7 +733,7 @@ func TestClusterKillShard(t *testing.T) {
 	}
 	mustEqual(t, "khop after rejoin", *khopGot, *khopWant)
 	for _, v := range []int32{probe, deadSeed, liveV2} {
-		gotC, err := coord.Component(ctx, v)
+		gotC, err := runCoord[wire.ComponentResult](ctx, coord, wire.Request{Op: wire.OpComponent, V: v})
 		if err != nil {
 			t.Fatalf("component after rejoin: %v", err)
 		}

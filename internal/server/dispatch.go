@@ -40,7 +40,6 @@ func (s *Server) enter(ctx context.Context, rt *reqTrace) error {
 	}
 	st.end()
 	s.m.admitWait.ObserveDuration(time.Since(rt.start))
-	s.m.inflight.Add(1)
 	s.m.inflightHWM.observe(int64(len(s.admit)))
 	if d := s.cfg.queryDelay; d > 0 {
 		select {
@@ -52,19 +51,7 @@ func (s *Server) enter(ctx context.Context, rt *reqTrace) error {
 }
 
 // leave returns the slot enter took.
-func (s *Server) leave() {
-	<-s.admit
-	s.m.inflight.Add(-1)
-}
-
-// resolveTimeout clamps a client deadline to Config.MaxTimeout, 0 meaning
-// Config.DefaultTimeout.
-func (s *Server) resolveTimeout(d time.Duration) time.Duration {
-	if d <= 0 {
-		return s.cfg.DefaultTimeout
-	}
-	return min(d, s.cfg.MaxTimeout)
-}
+func (s *Server) leave() { <-s.admit }
 
 // stats is the /stats payload.
 func (s *Server) stats() any { return s.StatsNow() }

@@ -41,9 +41,23 @@ type backend interface {
 	// stats is the /stats payload; readiness the /readyz payload and verdict.
 	stats() any
 	readiness() (any, bool)
-	// resolveTimeout clamps a client deadline into the configured window
-	// (0 = the default).
-	resolveTimeout(d time.Duration) time.Duration
+}
+
+// A query's deadline: defaultTimeout when the client sends none (no
+// ?timeout=, or a zero wire timeout), else the client's, clamped to
+// maxTimeout. One rule for both binaries and both transports.
+const (
+	defaultTimeout = 2 * time.Second
+	maxTimeout     = 30 * time.Second
+)
+
+// resolveTimeout applies the deadline rule to a client deadline, 0 meaning
+// none was sent.
+func resolveTimeout(d time.Duration) time.Duration {
+	if d <= 0 {
+		return defaultTimeout
+	}
+	return min(d, maxTimeout)
 }
 
 // frontEnd is the request path state: the backend, the registry the
@@ -92,7 +106,7 @@ type ClusterAPI struct {
 // them beside the cluster_* families. graphctl has no slow-query threshold:
 // its /debug/slowqueries serves an empty ring.
 func ClusterHandler(c *cluster.Coordinator, reg *telemetry.Registry) *ClusterAPI {
-	fe := &frontEnd{reg: reg, slow: newSlowLog(0, 0, nil, reg)}
+	fe := &frontEnd{reg: reg, slow: newSlowLog(0, nil, reg)}
 	fe.back = clusterBackend{c, fe}
 	return &ClusterAPI{fe.handler(nil), fe}
 }
@@ -116,8 +130,6 @@ func (b clusterBackend) readiness() (any, bool) {
 	return r, r.Ready
 }
 
-func (b clusterBackend) resolveTimeout(d time.Duration) time.Duration { return b.c.ResolveTimeout(d) }
-
 // run answers from the shards in one "cluster" stage: the exchanges and
 // the coordinator's merge.
 func (b clusterBackend) run(ctx context.Context, rt *reqTrace, req *wire.Request) (any, error) {
@@ -127,7 +139,7 @@ func (b clusterBackend) run(ctx context.Context, rt *reqTrace, req *wire.Request
 }
 
 func (b clusterBackend) ingest(_ *reqTrace, edits []wire.IngestEdit) (*wire.IngestResult, int, error) {
-	return b.c.Ingest(edits, b.c.ResolveTimeout(0))
+	return b.c.Ingest(edits, defaultTimeout)
 }
 
 // handler returns the front end's mux with the backend's extra endpoints,
@@ -181,7 +193,7 @@ func (fe *frontEnd) query(op byte) http.HandlerFunc {
 		var out any
 		var code int
 		q := queryString(r.URL.RawQuery)
-		d, err := fe.timeout(q)
+		d, err := queryTimeout(q)
 		var subs []batchSub
 		if err == nil {
 			var cancel context.CancelFunc
@@ -222,12 +234,12 @@ type batchEnvelope struct {
 	Results []batchItem `json:"results"`
 }
 
-// timeout resolves the query deadline: ?timeout= (Go duration), clamped by
-// the backend, defaulting to its default.
-func (fe *frontEnd) timeout(q queryString) (time.Duration, error) {
+// queryTimeout resolves the query deadline from ?timeout= (Go duration) by
+// resolveTimeout's rule.
+func queryTimeout(q queryString) (time.Duration, error) {
 	raw := q.get("timeout")
 	if raw == "" {
-		return fe.back.resolveTimeout(0), nil
+		return defaultTimeout, nil
 	}
 	d, err := time.ParseDuration(raw)
 	if err != nil {
@@ -236,7 +248,7 @@ func (fe *frontEnd) timeout(q queryString) (time.Duration, error) {
 	if d <= 0 {
 		return 0, badRequest("timeout must be positive, got %q", raw)
 	}
-	return fe.back.resolveTimeout(d), nil
+	return resolveTimeout(d), nil
 }
 
 // maxIngestBody bounds one ingest or batch request body (16 MiB ≈ 300k

@@ -65,10 +65,7 @@ func (s *Server) Readiness() Readiness {
 		fmt.Sprintf("depth %d/%d (limit %d)", depth, s.cfg.QueueCap, limit))
 
 	if s.cfg.SnapshotPath != "" && s.cfg.SnapshotEvery > 0 {
-		maxAge := s.cfg.ReadySnapshotMaxAge
-		if maxAge <= 0 {
-			maxAge = 3 * s.cfg.SnapshotEvery
-		}
+		maxAge := 3 * s.cfg.SnapshotEvery
 		age := time.Since(s.lastPersistTime())
 		add("snapshot-age", age <= maxAge,
 			fmt.Sprintf("last persist %s ago (max %s)", age.Round(time.Millisecond), maxAge))

@@ -126,19 +126,21 @@ func TestReadyzHeapWatermark(t *testing.T) {
 	}
 }
 
-// TestReadyzSnapshotAge: with persistence enabled and a tiny max age, the
-// snapshot-age check fails once no persist has landed within the window,
-// and recovers after a Persist.
+// TestReadyzSnapshotAge: with persistence enabled, the snapshot-age check
+// fails once the last persist is older than 3 × SnapshotEvery, and
+// recovers after a Persist.
 func TestReadyzSnapshotAge(t *testing.T) {
 	cfg := testConfig(64)
 	cfg.SnapshotPath = t.TempDir() + "/snap.bin"
 	cfg.SnapshotEvery = time.Hour // periodic persister effectively off
-	cfg.ReadySnapshotMaxAge = 30 * time.Millisecond
 	s, _ := startServer(t, cfg)
 
-	time.Sleep(60 * time.Millisecond)
+	if c := readyCheck(t, s.Readiness(), "snapshot-age"); !c.OK {
+		t.Fatalf("snapshot-age check failing on a fresh daemon: %s", c.Detail)
+	}
+	s.lastPersist.Store(time.Now().Add(-3*cfg.SnapshotEvery - time.Minute).UnixNano())
 	if c := readyCheck(t, s.Readiness(), "snapshot-age"); c.OK {
-		t.Fatalf("snapshot-age check passing with no persist for 60ms: %s", c.Detail)
+		t.Fatalf("snapshot-age check passing with the last persist past 3 × interval: %s", c.Detail)
 	}
 	if err := s.Persist(); err != nil {
 		t.Fatal(err)
@@ -210,12 +212,12 @@ func TestSLOBreachDrill(t *testing.T) {
 	cfg := testConfig(256)
 	cfg.queryDelay = 20 * time.Millisecond // every query blows the target
 	cfg.SLOObjectives = []slo.Objective{{Endpoint: "topdegree", P99: time.Millisecond}}
-	cfg.SLOFastWindow = 300 * time.Millisecond
-	cfg.SLOSlowWindow = 900 * time.Millisecond
-	cfg.SLOPeriod = 50 * time.Millisecond
+	cfg.sloFast = 300 * time.Millisecond
+	cfg.sloSlow = 900 * time.Millisecond
+	cfg.sloPeriod = 50 * time.Millisecond
 	cfg.ProfileTriggers = true
-	cfg.ProfileCPUDuration = 50 * time.Millisecond
-	cfg.ProfileMinInterval = time.Hour // exactly one bundle per drill
+	cfg.profCPU = 50 * time.Millisecond
+	cfg.profMinInterval = time.Hour // exactly one bundle per drill
 	cfg.ProfileDir = t.TempDir()
 	s, ts := startServer(t, cfg)
 
@@ -247,8 +249,8 @@ func TestSLOBreachDrill(t *testing.T) {
 	// Both windows carry only bad traffic from t=0, so the multi-window
 	// rule confirms within roughly one fast window plus an evaluation
 	// period; 3× fast window plus slack is a generous CI bound.
-	if timeToBreach > 3*cfg.SLOFastWindow+time.Second {
-		t.Errorf("breach took %v, want about one fast window (%v)", timeToBreach, cfg.SLOFastWindow)
+	if timeToBreach > 3*cfg.sloFast+time.Second {
+		t.Errorf("breach took %v, want about one fast window (%v)", timeToBreach, cfg.sloFast)
 	}
 
 	// /readyz reports the failing slo check while breaching.
@@ -323,8 +325,8 @@ func TestSlowQueryTriggersProfile(t *testing.T) {
 	cfg.queryDelay = 10 * time.Millisecond
 	cfg.SlowQueryThreshold = time.Millisecond
 	cfg.ProfileTriggers = true
-	cfg.ProfileCPUDuration = 20 * time.Millisecond
-	cfg.ProfileMinInterval = time.Hour
+	cfg.profCPU = 20 * time.Millisecond
+	cfg.profMinInterval = time.Hour
 	s, ts := startServer(t, cfg)
 
 	tc := telemetry.NewTraceContext()
@@ -352,8 +354,18 @@ func TestSlowQueryTriggersProfile(t *testing.T) {
 
 // TestDebugSLODisabled: a daemon with no objectives serves a valid
 // disabled payload at /debug/slo and a disabled /debug/profiles index —
-// probes never 404.
+// probes never 404. An objective on an endpoint graphd never serves, which
+// would read ok forever, is refused at New with the valid endpoints.
 func TestDebugSLODisabled(t *testing.T) {
+	bad := testConfig(64)
+	bad.SLOObjectives = []slo.Objective{{Endpoint: "componet", P99: 5 * time.Millisecond}}
+	if s, err := New(bad); err == nil {
+		s.Shutdown(context.Background())
+		t.Fatal("New accepted an SLO on endpoint \"componet\"")
+	} else if !strings.Contains(err.Error(), `"componet"`) || !strings.Contains(err.Error(), "component") {
+		t.Fatalf("New error %q does not name the bad endpoint and the valid ones", err)
+	}
+
 	_, ts := startServer(t, testConfig(64))
 	var st slo.Status
 	if code := getAnyJSON(t, ts.URL, "/debug/slo", &st); code != http.StatusOK {

@@ -14,8 +14,7 @@ import (
 // Admission is per update and in order: once one update is refused (queue
 // full), the rest of the request is refused too, so the client retries a
 // contiguous tail. Accepted updates are durable from the next applied
-// batch's snapshot onward. Deduped is counted per batch at apply time, so
-// it is 0 here.
+// batch's snapshot onward.
 func (s *Server) enqueue(edits []dyngraph.Edit) wire.IngestResult {
 	var res wire.IngestResult
 	for i, e := range edits {
@@ -24,13 +23,11 @@ func (s *Server) enqueue(edits []dyngraph.Edit) wire.IngestResult {
 			res.Accepted++
 		default:
 			res.Rejected = len(edits) - i
-			s.m.enqueued.Add(int64(res.Accepted))
 			s.m.rejected.Add(int64(res.Rejected))
 			s.setQueueDepth()
 			return res
 		}
 	}
-	s.m.enqueued.Add(int64(res.Accepted))
 	s.setQueueDepth()
 	return res
 }
@@ -45,7 +42,7 @@ func (s *Server) setQueueDepth() {
 
 // ingestLoop is the single writer of the dynamic graph and the only builder
 // of bundles (doc.go). After every event it applies the full batches of at
-// most Config.BatchSize already queued as one window (a partial batch waits
+// most batchCap already queued as one window (a partial batch waits
 // up to FlushEvery), then builds and publishes if readers want it. On
 // shutdown it drains the queue and publishes it all before it exits, so
 // every acknowledged update reaches the final snapshot. Its op=ingest-loop
@@ -55,8 +52,8 @@ func (s *Server) setQueueDepth() {
 func (s *Server) ingestLoop() {
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("op", "ingest-loop")))
 	defer close(s.ingestEnd)
-	batch := make([]dyngraph.Edit, 0, s.cfg.BatchSize)
-	s.b.dedup = make(map[int64]int, s.cfg.BatchSize)
+	batch := make([]dyngraph.Edit, 0, s.cfg.batchSize)
+	s.b.dedup = make(map[int64]int, s.cfg.batchSize)
 	flush := time.NewTimer(s.cfg.FlushEvery)
 	defer flush.Stop()
 
@@ -69,7 +66,7 @@ func (s *Server) ingestLoop() {
 	}
 	// fill moves queued edits into the batch, without blocking, up to the cap.
 	fill := func() {
-		for len(batch) < s.cfg.BatchSize {
+		for len(batch) < s.cfg.batchSize {
 			select {
 			case e := <-s.queue:
 				batch = append(batch, e)
@@ -96,7 +93,7 @@ func (s *Server) ingestLoop() {
 			s.maybeBuild(true)
 			return
 		}
-		for n := len(batch) + len(s.queue); n >= s.cfg.BatchSize; n -= s.cfg.BatchSize {
+		for n := len(batch) + len(s.queue); n >= s.cfg.batchSize; n -= s.cfg.batchSize {
 			fill()
 			apply()
 		}
@@ -132,7 +129,6 @@ func (s *Server) applyBatch(batch []dyngraph.Edit) {
 			}
 		}
 	}
-	dropped := len(batch) - len(dedup)
 
 	sp := s.reg.Tracer().Start("server.apply")
 	start := time.Now()
@@ -148,13 +144,6 @@ func (s *Server) applyBatch(batch []dyngraph.Edit) {
 	// see staleness grow between builds.
 	s.m.snapAge.Set(time.Since(s.cur.Load().built).Seconds())
 
-	s.m.deduped.Add(int64(dropped))
-	s.m.inserted.Add(res.Inserted)
-	s.m.updated.Add(res.Updated)
-	s.m.deleted.Add(res.Deleted)
-	s.m.noops.Add(res.NoOps)
-	s.m.batches.Inc()
-	s.m.batchSize.Observe(float64(len(dedup)))
 	s.m.applySec.ObserveDuration(time.Since(start))
 	s.setQueueDepth()
 }

@@ -38,9 +38,7 @@ func TestLoadProfile(t *testing.T) {
 	)
 	cfg := testConfig(vertices)
 	cfg.QueueCap = 1 << 13
-	cfg.BatchSize = 1 << 9
-	cfg.DefaultTimeout = 10 * time.Second
-	cfg.MaxTimeout = 10 * time.Second
+	cfg.batchSize = 1 << 9
 	s, ts := startServer(t, cfg)
 
 	rng := rand.New(rand.NewSource(42))
@@ -107,11 +105,11 @@ func TestLoadProfile(t *testing.T) {
 		}
 	}()
 	endpoints := []struct{ name, path string }{
-		{"jaccard", "/query/jaccard?u=%d"},
-		{"khop", "/query/khop?v=%d&k=2"},
-		{"topdegree", "/query/topdegree?k=10"},
-		{"component", "/query/component?v=%d"},
-		{"pagerank", "/query/pagerank?v=%d"},
+		{"jaccard", "/query/jaccard?timeout=10s&u=%d"},
+		{"khop", "/query/khop?timeout=10s&v=%d&k=2"},
+		{"topdegree", "/query/topdegree?timeout=10s&k=10"},
+		{"component", "/query/component?timeout=10s&v=%d"},
+		{"pagerank", "/query/pagerank?timeout=10s&v=%d"},
 	}
 	for w := 0; w < queryProcs; w++ {
 		wg.Add(1)

@@ -30,15 +30,10 @@ func (w *watermark) observe(v int64) {
 }
 
 // Metric families published by the server, all on the registry passed in
-// Config (shared with par_*, runtime_* and the rest of the process):
+// Config (shared with par_*, runtime_* and the rest of the process). Each
+// is cited by docs/OPERATIONS.md, which internal/lint checks:
 //
-//	server_ingest_enqueued_total            updates accepted into the queue
 //	server_ingest_rejected_total            updates refused with 429 (queue full)
-//	server_ingest_deduped_total             updates collapsed by in-batch dedup
-//	server_ingest_applied_total{op}         applied updates by outcome
-//	                                        (insert|update|delete|noop)
-//	server_ingest_batches_total             batches applied
-//	server_ingest_batch_size                updates per applied batch
 //	server_ingest_apply_seconds             batch application latency
 //	server_ingest_queue_depth               current queue occupancy (gauge)
 //	server_ingest_queue_depth_hwm           deepest queue occupancy seen (gauge)
@@ -48,9 +43,8 @@ func (w *watermark) observe(v int64) {
 //	                                        spend no budget)
 //	server_query_seconds{op}                end-to-end query latency (its count
 //	                                        is the SLO availability denominator)
-//	server_queries_inflight                 admitted queries now running (gauge)
 //	server_admission_inflight_hwm           most queries ever admitted at once
-//	                                        (gauge; saturation vs MaxInflight)
+//	                                        (gauge; saturation vs -workers)
 //	server_admission_wait_seconds           time spent waiting for a query slot
 //	server_snapshot_rebuilds_total          full CSR snapshot rebuilds by the writer
 //	server_snapshot_patches_total           incremental CSR snapshot patches by the
@@ -74,7 +68,6 @@ func (w *watermark) observe(v int64) {
 //	server_wire_connections_active          open wire-protocol sessions (gauge)
 //	server_persist_total                    snapshot files written
 //	server_persist_seconds                  snapshot write latency
-//	server_drain_seconds                    time the shutdown drain took (gauge)
 //	server_ready                            readiness as 1/0 (gauge; mirrors the
 //	                                        last /readyz evaluation)
 //
@@ -84,20 +77,11 @@ func (w *watermark) observe(v int64) {
 // server_queries_total, server_request_errors_total, server_query_seconds,
 // server_stage_seconds, server_slow_queries_total — and none of the rest.
 type metricsSet struct {
-	enqueued  *telemetry.Counter
-	rejected  *telemetry.Counter
-	deduped   *telemetry.Counter
-	inserted  *telemetry.Counter
-	updated   *telemetry.Counter
-	deleted   *telemetry.Counter
-	noops     *telemetry.Counter
-	batches   *telemetry.Counter
-	batchSize *telemetry.Histogram
-	applySec  *telemetry.Histogram
-	depth     *telemetry.Gauge
-	depthHWM  watermark
+	rejected *telemetry.Counter
+	applySec *telemetry.Histogram
+	depth    *telemetry.Gauge
+	depthHWM watermark
 
-	inflight    *telemetry.Gauge
 	inflightHWM watermark
 	ready       *telemetry.Gauge
 	admitWait   *telemetry.Histogram
@@ -116,28 +100,17 @@ type metricsSet struct {
 
 	persists   *telemetry.Counter
 	persistSec *telemetry.Histogram
-	drainSec   *telemetry.Gauge
 
 	wireConnsTotal *telemetry.Counter
 	wireActive     *telemetry.Gauge
 }
 
 func newMetricsSet(reg *telemetry.Registry) *metricsSet {
-	op := func(v string) telemetry.Label { return telemetry.L("op", v) }
 	m := &metricsSet{
-		enqueued:  reg.Counter("server_ingest_enqueued_total"),
-		rejected:  reg.Counter("server_ingest_rejected_total"),
-		deduped:   reg.Counter("server_ingest_deduped_total"),
-		inserted:  reg.Counter("server_ingest_applied_total", op("insert")),
-		updated:   reg.Counter("server_ingest_applied_total", op("update")),
-		deleted:   reg.Counter("server_ingest_applied_total", op("delete")),
-		noops:     reg.Counter("server_ingest_applied_total", op("noop")),
-		batches:   reg.Counter("server_ingest_batches_total"),
-		batchSize: reg.Histogram("server_ingest_batch_size"),
-		applySec:  reg.Histogram("server_ingest_apply_seconds"),
-		depth:     reg.Gauge("server_ingest_queue_depth"),
+		rejected: reg.Counter("server_ingest_rejected_total"),
+		applySec: reg.Histogram("server_ingest_apply_seconds"),
+		depth:    reg.Gauge("server_ingest_queue_depth"),
 
-		inflight:    reg.Gauge("server_queries_inflight"),
 		admitWait:   reg.Histogram("server_admission_wait_seconds"),
 		rebuilds:    reg.Counter("server_snapshot_rebuilds_total"),
 		snapPatches: reg.Counter("server_snapshot_patches_total"),
@@ -147,7 +120,6 @@ func newMetricsSet(reg *telemetry.Registry) *metricsSet {
 
 		persists:   reg.Counter("server_persist_total"),
 		persistSec: reg.Histogram("server_persist_seconds"),
-		drainSec:   reg.Gauge("server_drain_seconds"),
 		ready:      reg.Gauge("server_ready"),
 
 		wireConnsTotal: reg.Counter("server_wire_connections_total"),

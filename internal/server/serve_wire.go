@@ -130,7 +130,7 @@ func (s *Server) wireRespond(frame []byte, req *wire.Request, out []byte) []byte
 		s.countQuery(opName, 400, time.Since(start).Seconds())
 		return wire.AppendErrorResponse(out, wire.StatusBadRequest, "bad timeout varint")
 	}
-	d := s.resolveTimeout(time.Duration(tmicros) * time.Microsecond)
+	d := resolveTimeout(time.Duration(tmicros) * time.Microsecond)
 
 	// Stats is the cold, admission-free path on HTTP too; answer it before
 	// building any trace state.

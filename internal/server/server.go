@@ -8,7 +8,9 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,6 +22,7 @@ import (
 	"repro/internal/prof"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 	"repro/internal/wire/snapfmt"
 )
 
@@ -53,20 +56,9 @@ type Config struct {
 	// QueueCap bounds the ingest queue in updates; a full queue is the
 	// backpressure signal (429).
 	QueueCap int
-	// BatchSize is the most updates applied to the graph per batch.
-	BatchSize int
 	// FlushEvery bounds how long an update may sit in a partial batch
 	// before it is applied (ingest→query freshness under trickle load).
 	FlushEvery time.Duration
-
-	// MaxInflight is the admission budget: concurrent queries actually
-	// executing. <= 0 resolves to par.DefaultWorkers(), tying query
-	// concurrency to the scheduler's worker pool.
-	MaxInflight int
-	// DefaultTimeout applies when a query carries no ?timeout=.
-	DefaultTimeout time.Duration
-	// MaxTimeout clamps client-supplied ?timeout=.
-	MaxTimeout time.Duration
 
 	// MaxPendingEdits bounds the window, the edits no published bundle
 	// reflects yet. The writer patches each published snapshot from the
@@ -87,19 +79,14 @@ type Config struct {
 	SlowQueryThreshold time.Duration
 	// SlowQueryOut, when non-nil, receives one JSON line per slow query.
 	SlowQueryOut io.Writer
-	// SlowQueryRing bounds the in-memory slow-query ring (default 128).
-	SlowQueryRing int
 
 	// SLOObjectives enables the SLO engine (internal/slo): declarative
 	// per-endpoint latency/availability targets evaluated from windowed
 	// telemetry deltas, served at /debug/slo and feeding /readyz. Empty
 	// disables the engine entirely (the evaluator is nil; zero overhead).
+	// Each objective's endpoint must be an op label the server records in
+	// server_query_seconds; New rejects any other.
 	SLOObjectives []slo.Objective
-	// SLOFastWindow/SLOSlowWindow/SLOPeriod shape the burn-rate windows
-	// (defaults 1m / 10m / 10s; see slo.Config).
-	SLOFastWindow time.Duration
-	SLOSlowWindow time.Duration
-	SLOPeriod     time.Duration
 
 	// ProfileTriggers enables trigger-driven profiling (internal/prof): a
 	// profile bundle is captured when an SLO objective enters breaching or a
@@ -108,18 +95,10 @@ type Config struct {
 	ProfileTriggers bool
 	// ProfileDir, when set, additionally writes each bundle to disk.
 	ProfileDir string
-	// ProfileMinInterval rate-limits captures (default 30s).
-	ProfileMinInterval time.Duration
-	// ProfileCPUDuration is the CPU profile sampling length (default 2s).
-	ProfileCPUDuration time.Duration
 
 	// ReadyMaxHeapBytes fails the /readyz heap check when live heap
 	// occupancy exceeds it; 0 disables the check.
 	ReadyMaxHeapBytes uint64
-	// ReadySnapshotMaxAge fails the /readyz snapshot-age check when the last
-	// persisted snapshot is older; <= 0 defaults to 3×SnapshotEvery. Only
-	// evaluated when persistence is enabled.
-	ReadySnapshotMaxAge time.Duration
 
 	// applyGate, when non-nil, is received from before every batch
 	// application. Tests use it to stall the ingest loop and deterministically
@@ -129,20 +108,27 @@ type Config struct {
 	// (deadline-aware). Tests use it as an artificially slow workload to
 	// drive the SLO engine into breach.
 	queryDelay time.Duration
+	// batchSize, when > 0, replaces batchCap as the most updates applied
+	// per batch. Tests use small batches to place batch boundaries.
+	batchSize int
+	// sloFast, sloSlow and sloPeriod, when > 0, replace the SLO engine's
+	// windows (slo.Config's defaults), and profMinInterval and profCPU the
+	// profiler's timing (prof.Config's), so drills finish in seconds.
+	sloFast, sloSlow, sloPeriod time.Duration
+	profMinInterval, profCPU    time.Duration
 }
+
+// batchCap is the most updates the writer applies to the graph per batch.
+const batchCap = 1024
 
 // DefaultConfig returns production-shaped defaults for a scale-16 graph.
 func DefaultConfig() Config {
 	return Config{
-		Vertices:       1 << 16,
-		Directed:       false,
-		SnapshotEvery:  30 * time.Second,
-		QueueCap:       1 << 16,
-		BatchSize:      1024,
-		FlushEvery:     25 * time.Millisecond,
-		MaxInflight:    0,
-		DefaultTimeout: 2 * time.Second,
-		MaxTimeout:     30 * time.Second,
+		Vertices:      1 << 16,
+		Directed:      false,
+		SnapshotEvery: 30 * time.Second,
+		QueueCap:      1 << 16,
+		FlushEvery:    25 * time.Millisecond,
 	}
 }
 
@@ -218,8 +204,8 @@ func New(cfg Config) (*Server, error) {
 	} else if cfg.ShardIndex != 0 {
 		return nil, fmt.Errorf("server: ShardIndex %d requires ShardCount > 1", cfg.ShardIndex)
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 1024
+	if cfg.batchSize <= 0 {
+		cfg.batchSize = batchCap
 	}
 	if cfg.MaxPendingEdits <= 0 {
 		cfg.MaxPendingEdits = 1 << 18
@@ -227,15 +213,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.FlushEvery <= 0 {
 		cfg.FlushEvery = 25 * time.Millisecond
 	}
-	if cfg.DefaultTimeout <= 0 {
-		cfg.DefaultTimeout = 2 * time.Second
-	}
-	if cfg.MaxTimeout < cfg.DefaultTimeout {
-		cfg.MaxTimeout = cfg.DefaultTimeout
-	}
-	inflight := cfg.MaxInflight
-	if inflight <= 0 {
-		inflight = par.DefaultWorkers()
+	for _, o := range cfg.SLOObjectives {
+		if eps := servedEndpoints(); !slices.Contains(eps, o.Endpoint) {
+			return nil, fmt.Errorf("server: SLO endpoint %q is not served; valid endpoints: %s",
+				o.Endpoint, strings.Join(eps, ", "))
+		}
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -243,11 +225,11 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s := &Server{
-		frontEnd:  frontEnd{reg: reg, slow: newSlowLog(cfg.SlowQueryThreshold, cfg.SlowQueryRing, cfg.SlowQueryOut, reg)},
+		frontEnd:  frontEnd{reg: reg, slow: newSlowLog(cfg.SlowQueryThreshold, cfg.SlowQueryOut, reg)},
 		cfg:       cfg,
 		m:         newMetricsSet(reg),
 		queue:     make(chan dyngraph.Edit, cfg.QueueCap),
-		admit:     make(chan struct{}, inflight),
+		admit:     make(chan struct{}, par.DefaultWorkers()),
 		started:   time.Now(),
 		stopCh:    make(chan struct{}),
 		ingestEnd: make(chan struct{}),
@@ -278,8 +260,8 @@ func New(cfg Config) (*Server, error) {
 		s.prof = prof.New(prof.Config{
 			Registry:    reg,
 			Dir:         cfg.ProfileDir,
-			MinInterval: cfg.ProfileMinInterval,
-			CPUDuration: cfg.ProfileCPUDuration,
+			MinInterval: cfg.profMinInterval,
+			CPUDuration: cfg.profCPU,
 		})
 		s.activeTraces = make(map[telemetry.TraceID]int)
 	}
@@ -287,9 +269,9 @@ func New(cfg Config) (*Server, error) {
 		ev, err := slo.New(slo.Config{
 			Registry:     reg,
 			Objectives:   cfg.SLOObjectives,
-			FastWindow:   cfg.SLOFastWindow,
-			SlowWindow:   cfg.SLOSlowWindow,
-			Period:       cfg.SLOPeriod,
+			FastWindow:   cfg.sloFast,
+			SlowWindow:   cfg.sloSlow,
+			Period:       cfg.sloPeriod,
 			OnTransition: s.onSLOTransition,
 		})
 		if err != nil {
@@ -305,6 +287,18 @@ func New(cfg Config) (*Server, error) {
 		go s.persistLoop()
 	}
 	return s, nil
+}
+
+// servedEndpoints lists the op labels the front end records in
+// server_query_seconds, one per wire op: the endpoints an SLO can judge.
+func servedEndpoints() []string {
+	var eps []string
+	for op := 0; op <= 255; op++ {
+		if name := wire.OpName(byte(op)); name != "unknown" {
+			eps = append(eps, name)
+		}
+	}
+	return eps
 }
 
 // recover loads the flat CSR snapshot (internal/wire/snapfmt) at path: the
@@ -482,7 +476,6 @@ func (s *Server) persistLoop() {
 // The HTTP listener itself is the caller's to close (http.Server Shutdown
 // order: listener first, then this).
 func (s *Server) Shutdown(ctx context.Context) error {
-	start := time.Now()
 	s.draining.Store(true)
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	s.closeWireConns()
@@ -492,9 +485,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return fmt.Errorf("server: drain: %w", ctx.Err())
 	}
 	s.persistWG.Wait()
-	err := s.Persist()
-	s.m.drainSec.Set(time.Since(start).Seconds())
-	return err
+	return s.Persist()
 }
 
 // Stats is the /stats payload.

@@ -26,8 +26,6 @@ func testConfig(vertices int32) Config {
 	cfg.Vertices = vertices
 	cfg.QueueCap = 1 << 12
 	cfg.FlushEvery = time.Millisecond
-	cfg.DefaultTimeout = 5 * time.Second
-	cfg.MaxTimeout = 10 * time.Second
 	cfg.Registry = telemetry.NewRegistry()
 	return cfg
 }
@@ -332,7 +330,7 @@ func TestBadRequests(t *testing.T) {
 func TestQueueFull429(t *testing.T) {
 	cfg := testConfig(1024)
 	cfg.QueueCap = 64
-	cfg.BatchSize = 8
+	cfg.batchSize = 8
 	gate := make(chan struct{})
 	cfg.applyGate = gate
 	s, ts := startServer(t, cfg)
@@ -491,7 +489,7 @@ func TestLoadBackpressureAndMidLoadDrain(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(2048)
 	cfg.QueueCap = 256
-	cfg.BatchSize = 64
+	cfg.batchSize = 64
 	cfg.SnapshotPath = filepath.Join(dir, "graph.snap")
 	cfg.SnapshotEvery = 0
 	// Meter batch application to ~1 batch/2ms so the ingest side can
@@ -649,8 +647,8 @@ func TestTelemetrySharesListener(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"server_ingest_enqueued_total",
-		"server_ingest_batches_total",
+		"server_ingest_rejected_total",
+		"server_ingest_apply_seconds",
 		"server_queries_total",
 		"server_query_seconds",
 	} {
@@ -660,12 +658,10 @@ func TestTelemetrySharesListener(t *testing.T) {
 	}
 }
 
-// TestMaxInflightDefaults: MaxInflight <= 0 ties the admission budget to
-// the par scheduler's worker count.
+// TestMaxInflightDefaults: the admission budget is the par scheduler's
+// worker count (graphd -workers).
 func TestMaxInflightDefaults(t *testing.T) {
-	cfg := testConfig(16)
-	cfg.MaxInflight = 0
-	s, _ := startServer(t, cfg)
+	s, _ := startServer(t, testConfig(16))
 	if got, want := cap(s.admit), par.DefaultWorkers(); got != want {
 		t.Fatalf("admission budget = %d, want par.DefaultWorkers() = %d", got, want)
 	}
@@ -701,7 +697,7 @@ func TestSnapshotMismatchRejected(t *testing.T) {
 func TestEnqueuePartialAcceptIsContiguous(t *testing.T) {
 	cfg := testConfig(256)
 	cfg.QueueCap = 10
-	cfg.BatchSize = 4
+	cfg.batchSize = 4
 	gate := make(chan struct{})
 	cfg.applyGate = gate
 	s, _ := startServer(t, cfg)

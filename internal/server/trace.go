@@ -253,13 +253,13 @@ type slowLog struct {
 	out  *json.Encoder
 }
 
-// newSlowLog sizes the ring (default 128 records) and attaches the
-// optional sink. A zero threshold disables capture entirely.
-func newSlowLog(threshold time.Duration, ringSize int, out io.Writer, reg *telemetry.Registry) *slowLog {
-	if ringSize <= 0 {
-		ringSize = 128
-	}
-	sl := &slowLog{threshold: threshold, reg: reg, ring: make([]SlowQuery, ringSize)}
+// slowQueryRing is how many slow-query records the ring retains.
+const slowQueryRing = 128
+
+// newSlowLog sizes the ring and attaches the optional sink. A zero
+// threshold disables capture entirely.
+func newSlowLog(threshold time.Duration, out io.Writer, reg *telemetry.Registry) *slowLog {
+	sl := &slowLog{threshold: threshold, reg: reg, ring: make([]SlowQuery, slowQueryRing)}
 	if out != nil {
 		sl.out = json.NewEncoder(out)
 	}

@@ -263,22 +263,22 @@ func TestSlowQueryCapture(t *testing.T) {
 	var sink bytes.Buffer
 	cfg := testConfig(64)
 	cfg.SlowQueryThreshold = time.Nanosecond // everything is slow
-	cfg.SlowQueryRing = 2
 	cfg.SlowQueryOut = &sink
 	s, ts := startServer(t, cfg)
 	if code, _, _ := postIngest(t, ts.URL, []wire.IngestEdit{{Src: 0, Dst: 1}}); code != http.StatusAccepted {
 		t.Fatal("ingest failed")
 	}
 	waitApplied(t, s, 1)
-	for i := 0; i < 5; i++ {
+	const queries = slowQueryRing + 3
+	for i := 0; i < queries; i++ {
 		if code := getJSON(t, ts.URL, "/query/component?v=0", nil); code != http.StatusOK {
 			t.Fatalf("component = %d", code)
 		}
 	}
 
 	recs := s.SlowQueries()
-	if len(recs) != 2 {
-		t.Fatalf("ring retained %d records, want 2 (bounded)", len(recs))
+	if len(recs) != slowQueryRing {
+		t.Fatalf("ring retained %d records, want %d (bounded)", len(recs), slowQueryRing)
 	}
 	for _, r := range recs {
 		if r.Endpoint != "component" || r.Code != http.StatusOK || r.WallNs <= 0 {
@@ -312,8 +312,8 @@ func TestSlowQueryCapture(t *testing.T) {
 	}
 
 	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
-	if len(lines) < 5 { // sink is unbounded: one line per slow request (ingest included)
-		t.Fatalf("sink has %d lines, want >= 5", len(lines))
+	if len(lines) < queries { // sink is unbounded: one line per slow request (ingest included)
+		t.Fatalf("sink has %d lines, want >= %d", len(lines), queries)
 	}
 	var rec SlowQuery
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &rec); err != nil {

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# graphd smoke test: build the daemon, start it with both listeners, ingest
+# graphd smoke test: build the daemon, check that a -vertices past int32
+# exits 2 instead of wrapping, start it with both listeners, ingest
 # 10k edges over HTTP and 1k more over the binary wire protocol, run one of
 # each query on each protocol and assert the answers are identical, SIGTERM
 # it, and verify the clean shutdown left a flat-format snapshot that a
@@ -87,6 +88,14 @@ go build -o "$WORK/graphd" ./cmd/graphd
 go build -o "$WORK/wirecli" ./cmd/wirecli
 go build -o "$WORK/graphctl" ./cmd/graphctl
 
+echo "graphd_smoke: usage errors"
+# A -vertices past the int32 vertex-ID space is refused with exit 2, not
+# wrapped into a different graph.
+code=0
+"$WORK/graphd" -vertices 4294967297 >"$LOG" 2>&1 || code=$?
+[ "$code" = 2 ] || die "graphd -vertices 4294967297 exited $code, want 2"
+grep -q 'out of range' "$LOG" || die "graphd -vertices 4294967297 did not name the range"
+
 echo "graphd_smoke: starting daemon"
 "$WORK/graphd" -listen "$ADDR" -listen-wire "$WIRE_ADDR" \
   -vertices 4096 -snapshot "$SNAP" \
@@ -157,7 +166,7 @@ curl -fsS "$URL/query/pagerank?v=1&timeout=30s" | grep -q '"rank"' || die "pager
 # Fetch /metrics once; grep -q on a live pipe can close it before curl is
 # done writing, which pipefail turns into a spurious failure.
 metrics=$(curl -fsS "$URL/metrics")
-echo "$metrics" | grep -q 'server_ingest_enqueued_total' || die "server metrics missing"
+echo "$metrics" | grep -q 'server_ingest_apply_seconds' || die "server metrics missing"
 echo "$metrics" | grep -q 'server_stage_seconds_count{endpoint="component",stage="kernel"}' \
   || die "server_stage_seconds{endpoint,stage} missing from /metrics"
 echo "$metrics" | grep -q 'server_snapshot_age_seconds' || die "snapshot age gauge missing"
