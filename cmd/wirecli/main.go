@@ -190,8 +190,8 @@ func ingest(c *wire.Client, timeout time.Duration) error {
 	accepted := 0
 	for len(edits) > 0 {
 		res, err := c.Ingest(edits, timeout)
-		var se *wire.StatusError
-		if errors.As(err, &se) && se.Status == wire.StatusBackpressure {
+		var we *wire.Error
+		if errors.As(err, &we) && we.Code == 429 {
 			accepted += res.Accepted
 			edits = edits[res.Accepted:]
 			time.Sleep(5 * time.Millisecond)

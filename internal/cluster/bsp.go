@@ -28,7 +28,7 @@ import (
 // gatherDegrees fans shard.degrees to every shard and reassembles the
 // global degree vector by enumerating the partition the same way each
 // shard did (ascending owned vertices).
-func (c *Coordinator) gatherDegrees(ctx context.Context) (*degState, error) {
+func (c *Coordinator) gatherDegrees(ctx context.Context) (*State, error) {
 	shards := len(c.shards)
 	to := wireTimeout(ctx)
 	parts := make([]*wire.ShardDegreesResult, shards)
@@ -49,50 +49,17 @@ func (c *Coordinator) gatherDegrees(ctx context.Context) (*degState, error) {
 	for i, p := range parts {
 		vec[i] = p.Version
 	}
-	st := &degState{vec: vec, scores: make([]float64, c.cfg.Vertices)}
+	st := &State{vec: vec, Scores: make([]float64, c.cfg.Vertices)}
 	cursor := make([]int, shards)
 	for v := int32(0); v < c.cfg.Vertices; v++ {
 		o := Owner(v, shards)
 		if cursor[o] >= len(parts[o].Degrees) {
 			return nil, badRequestf("shard %d returned %d degrees, fewer than it owns", o, len(parts[o].Degrees))
 		}
-		st.scores[v] = float64(parts[o].Degrees[cursor[o]])
+		st.Scores[v] = float64(parts[o].Degrees[cursor[o]])
 		cursor[o]++
 	}
 	return st, nil
-}
-
-// degrees returns the global degree vector for the current version vector,
-// serving the cache when valid, rebuilding on miss, and falling back to the
-// stale cache when a shard is unreachable (degraded mode). The bool reports
-// whether the answer is stale. The cache mutex covers only the check and
-// the store, never a shard exchange — concurrent misses may rebuild twice,
-// which is wasted work but never wrong (states are immutable once built).
-func (c *Coordinator) degrees(ctx context.Context) (*degState, bool, error) {
-	vec, verr := c.versions(ctx)
-	c.cacheMu.Lock()
-	cached := c.deg
-	c.cacheMu.Unlock()
-	if verr != nil {
-		if cached != nil {
-			c.m.staleServes.Inc()
-			return cached, true, nil
-		}
-		return nil, false, verr
-	}
-	if cached != nil && cached.vec.equal(vec) {
-		c.m.cacheHit("degrees")
-		return cached, false, nil
-	}
-	st, err := c.gatherDegrees(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	c.m.rebuild("degrees")
-	c.cacheMu.Lock()
-	c.deg = st
-	c.cacheMu.Unlock()
-	return st, false, nil
 }
 
 // gatherWCC runs the one-superstep distributed WCC: every shard reports
@@ -102,7 +69,7 @@ func (c *Coordinator) degrees(ctx context.Context) (*degState, bool, error) {
 // relabeled to canonical min-member form. Because min-member labels are a
 // pure function of the component partition — not of the merge order — the
 // result is byte-identical to single-process kernels.WCC.
-func (c *Coordinator) gatherWCC(ctx context.Context) (*wccState, error) {
+func (c *Coordinator) gatherWCC(ctx context.Context) (*State, error) {
 	shards := len(c.shards)
 	to := wireTimeout(ctx)
 	parts := make([]*wire.ShardWCCResult, shards)
@@ -137,52 +104,25 @@ func (c *Coordinator) gatherWCC(ctx context.Context) (*wccState, error) {
 		}
 	}
 	// Min-member relabel: scanning ascending, the first vertex seen for each
-	// union-find root IS the component's minimum member.
+	// union-find root is the component's minimum member. It is stored at
+	// labels[root] — final already when root < v, and kept when the scan
+	// reaches a root above v — and sizes are tallied by label.
 	labels := make([]int32, n)
-	canon := make(map[int32]int32)
-	sizes := make(map[int32]int64)
+	for v := range labels {
+		labels[v] = -1
+	}
+	sizes := make([]int64, n)
 	var num int32
 	for v := int32(0); v < n; v++ {
 		root := uf.Find(v)
-		lab, ok := canon[root]
-		if !ok {
-			lab = v
-			canon[root] = v
+		if labels[root] < 0 {
+			labels[root] = v
 			num++
 		}
-		labels[v] = lab
-		sizes[lab]++
+		labels[v] = labels[root]
+		sizes[labels[v]]++
 	}
-	return &wccState{vec: vec, labels: labels, sizes: sizes, num: num}, nil
-}
-
-// components returns the merged WCC state for the current version vector
-// with the same cache/stale policy as degrees.
-func (c *Coordinator) components(ctx context.Context) (*wccState, bool, error) {
-	vec, verr := c.versions(ctx)
-	c.cacheMu.Lock()
-	cached := c.wcc
-	c.cacheMu.Unlock()
-	if verr != nil {
-		if cached != nil {
-			c.m.staleServes.Inc()
-			return cached, true, nil
-		}
-		return nil, false, verr
-	}
-	if cached != nil && cached.vec.equal(vec) {
-		c.m.cacheHit("wcc")
-		return cached, false, nil
-	}
-	st, err := c.gatherWCC(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	c.m.rebuild("wcc")
-	c.cacheMu.Lock()
-	c.wcc = st
-	c.cacheMu.Unlock()
-	return st, false, nil
+	return &State{vec: vec, Labels: labels, Sizes: sizes, Components: num}, nil
 }
 
 // runPageRank drives distributed power iteration: the coordinator owns the
@@ -193,8 +133,8 @@ func (c *Coordinator) components(ctx context.Context) (*wccState, bool, error) {
 // exactly; only the accumulation order of contributions differs (shard
 // order instead of CSR in-neighbor order), which is why the acceptance
 // contract for PageRank is "within tolerance", not byte-identity.
-func (c *Coordinator) runPageRank(ctx context.Context) (*prState, error) {
-	deg, stale, err := c.degrees(ctx)
+func (c *Coordinator) runPageRank(ctx context.Context) (*State, error) {
+	deg, stale, err := c.cached(ctx, kernDeg)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +160,7 @@ func (c *Coordinator) runPageRank(ctx context.Context) (*prState, error) {
 	for ; iters < opt.MaxIters; iters++ {
 		dangling := 0.0
 		for v := 0; v < n; v++ {
-			if deg.scores[v] == 0 {
+			if deg.Scores[v] == 0 {
 				dangling += rank[v]
 			}
 		}
@@ -269,38 +209,57 @@ func (c *Coordinator) runPageRank(ctx context.Context) (*prState, error) {
 			break
 		}
 	}
-	return &prState{vec: vec, rank: rank, iters: iters}, nil
+	return &State{vec: vec, Scores: rank, Iterations: iters}, nil
 }
 
-// pagerank returns the converged distributed PageRank for the current
-// version vector, with cache, one skew retry, and stale fallback.
-func (c *Coordinator) pagerank(ctx context.Context) (*prState, bool, error) {
+// Read returns the whole-graph state op's answers read — component's WCC,
+// pagerank's ranks, topdegree's degrees — at the current version vector.
+func (c *Coordinator) Read(ctx context.Context, op byte) (*State, error) {
+	k := kernDeg
+	switch op {
+	case wire.OpComponent:
+		k = kernWCC
+	case wire.OpPageRank:
+		k = kernPR
+	}
+	st, _, err := c.cached(ctx, k)
+	return st, err
+}
+
+// cached is the one cache rule of the whole-graph kernels: probe the
+// version vector; with a shard unreachable serve the last state, reporting
+// it stale (stale beats unavailable for whole-graph summaries); serve a
+// state built at the current vector; else rebuild — once more if the
+// gather met version skew — and store it. The cache mutex covers only the
+// check and the store, never a shard exchange: concurrent misses may
+// rebuild twice, which is wasted work but never wrong.
+func (c *Coordinator) cached(ctx context.Context, k kernel) (*State, bool, error) {
 	vec, verr := c.versions(ctx)
 	c.cacheMu.Lock()
-	cached := c.pr
+	st := c.cache[k]
 	c.cacheMu.Unlock()
-	if verr != nil {
-		if cached != nil {
-			c.m.staleServes.Inc()
-			return cached, true, nil
-		}
+	switch {
+	case verr != nil && st != nil:
+		c.m.staleServes.Inc()
+		return st, true, nil
+	case verr != nil:
 		return nil, false, verr
+	case st != nil && st.vec.equal(vec):
+		c.m.cacheHit(kernelNames[k])
+		return st, false, nil
 	}
-	if cached != nil && cached.vec.equal(vec) {
-		c.m.cacheHit("pagerank")
-		return cached, false, nil
-	}
-	st, err := c.runPageRank(ctx)
+	build := [numKernels]func(context.Context) (*State, error){c.gatherDegrees, c.gatherWCC, c.runPageRank}[k]
+	st, err := build(ctx)
 	if errors.Is(err, errSkew) {
 		c.m.skewRetries.Inc()
-		st, err = c.runPageRank(ctx)
+		st, err = build(ctx)
 	}
 	if err != nil {
 		return nil, false, err
 	}
-	c.m.rebuild("pagerank")
+	c.m.rebuild(kernelNames[k])
 	c.cacheMu.Lock()
-	c.pr = st
+	c.cache[k] = st
 	c.cacheMu.Unlock()
 	return st, false, nil
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/kernels"
-	"repro/internal/reqscratch"
 	"repro/internal/wire"
 )
 
@@ -30,17 +29,21 @@ func TestGatherWCCMatchesKernel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
 		}
-		if !slices.Equal(st.labels, want.Label) || st.num != want.NumComponents {
+		if !slices.Equal(st.Labels, want.Label) || st.Components != want.NumComponents {
 			t.Fatalf("%d shards: %d components, labels differ from the kernel's %d: %v",
-				shards, st.num, want.NumComponents, !slices.Equal(st.labels, want.Label))
+				shards, st.Components, want.NumComponents, !slices.Equal(st.Labels, want.Label))
 		}
-		for l, n := range wantSizes {
-			if st.sizes[l] != n {
-				t.Fatalf("%d shards: component %d has %d members, kernel %d", shards, l, st.sizes[l], n)
+		sized := 0
+		for l, n := range st.Sizes {
+			if n != wantSizes[int32(l)] {
+				t.Fatalf("%d shards: component %d has %d members, kernel %d", shards, l, n, wantSizes[int32(l)])
+			}
+			if n > 0 {
+				sized++
 			}
 		}
-		if len(st.sizes) != len(wantSizes) {
-			t.Fatalf("%d shards: %d sized components, kernel %d", shards, len(st.sizes), len(wantSizes))
+		if sized != len(wantSizes) {
+			t.Fatalf("%d shards: %d sized components, kernel %d", shards, sized, len(wantSizes))
 		}
 	}
 }
@@ -57,12 +60,12 @@ func TestRunPageRankMatchesKernel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
 		}
-		if st.iters != wantIters {
-			t.Errorf("%d shards: %d iterations, kernel %d", shards, st.iters, wantIters)
+		if st.Iterations != wantIters {
+			t.Errorf("%d shards: %d iterations, kernel %d", shards, st.Iterations, wantIters)
 		}
 		for v := range want {
-			if d := math.Abs(st.rank[v] - want[v]); d > 1e-9 {
-				t.Fatalf("%d shards: rank[%d] = %v, kernel %v (diff %g)", shards, v, st.rank[v], want[v], d)
+			if d := math.Abs(st.Scores[v] - want[v]); d > 1e-9 {
+				t.Fatalf("%d shards: rank[%d] = %v, kernel %v (diff %g)", shards, v, st.Scores[v], want[v], d)
 			}
 		}
 	}
@@ -79,12 +82,12 @@ func TestPageRankSkewRetry(t *testing.T) {
 	retries := c.cfg.Registry.Counter("cluster_skew_retries_total")
 
 	fakes[1].skews.Store(1)
-	got, err := c.pageRankVertex(context.Background(), 3)
+	got, err := c.Read(context.Background(), wire.OpPageRank)
 	if err != nil {
 		t.Fatalf("after one skewed superstep: %v", err)
 	}
-	if d := math.Abs(*got.Rank - want[3]); d > 1e-9 {
-		t.Fatalf("retried rank[3] = %v, kernel %v", *got.Rank, want[3])
+	if d := math.Abs(got.Scores[3] - want[3]); d > 1e-9 {
+		t.Fatalf("retried rank[3] = %v, kernel %v", got.Scores[3], want[3])
 	}
 	if n := retries.Value(); n != 1 {
 		t.Fatalf("skew retries = %v after one skew, want 1", n)
@@ -92,9 +95,7 @@ func TestPageRankSkewRetry(t *testing.T) {
 
 	fakes[1].version.Add(1) // an ingest batch, so the cached ranks go stale
 	fakes[1].skews.Store(1 << 20)
-	scr := reqscratch.Get()
-	defer reqscratch.Put(scr)
-	_, err = c.Run(context.Background(), scr, &wire.Request{Op: wire.OpPageRank, HasV: true, V: 3})
+	_, err = c.Read(context.Background(), wire.OpPageRank)
 	if code := wire.StatusOf(err); code != http.StatusServiceUnavailable || !strings.Contains(err.Error(), "skew") {
 		t.Fatalf("pagerank under continuous skew = %d %v, want 503 naming the skew", code, err)
 	}

@@ -143,30 +143,40 @@ func (a versionVec) sum() int64 {
 	return s
 }
 
-// degState is the cached global degree vector at one version vector.
-type degState struct {
+// State is one whole-graph kernel result at one version vector: what the
+// front end answers component, pagerank and topdegree from. A kernel fills
+// its own fields; a state is immutable once built.
+type State struct {
 	vec versionVec
-	// scores[v] = float64(degree(v)); float64 because TopKByScore and the
-	// jaccard denominator both consume it (degrees are far below 2^53, so
-	// the conversion is exact).
-	scores []float64
+	// Labels are WCC's canonical min-member labels, Sizes its member count
+	// per label (indexed by label), Components its component count.
+	Labels     []int32
+	Sizes      []int64
+	Components int32
+	// Scores are the degrees — float64, because TopKByScore and the jaccard
+	// denominator both consume them, exact far past any degree — or the
+	// PageRank ranks.
+	Scores []float64
+	// Iterations is how many power iterations the ranks took.
+	Iterations int
 }
 
-// wccState is the cached merged connected-components result at one version
-// vector: canonical min-member labels, per-label sizes, component count.
-type wccState struct {
-	vec    versionVec
-	labels []int32
-	sizes  map[int32]int64
-	num    int32
-}
+// Version is the cluster version the state was built at: the sum of the
+// shard versions.
+func (s *State) Version() int64 { return s.vec.sum() }
 
-// prState is the cached converged PageRank vector at one version vector.
-type prState struct {
-	vec   versionVec
-	rank  []float64
-	iters int
-}
+// kernel indexes the coordinator's whole-graph caches.
+type kernel int
+
+const (
+	kernDeg kernel = iota
+	kernWCC
+	kernPR
+	numKernels
+)
+
+// kernelNames label the cache metrics.
+var kernelNames = [numKernels]string{"degrees", "wcc", "pagerank"}
 
 // Coordinator fronts a set of graphd shards: it routes point queries to
 // owners, drives global kernels as BSP supersteps, fans ingest out along
@@ -182,9 +192,7 @@ type Coordinator struct {
 	// Kernel caches, each valid for exactly one version vector. Guarded by
 	// cacheMu; rebuilt on miss by the bsp.go gather/superstep drivers.
 	cacheMu sync.Mutex
-	deg     *degState
-	wcc     *wccState
-	pr      *prState
+	cache   [numKernels]*State
 
 	stopCh chan struct{}
 	pollWG sync.WaitGroup
@@ -252,6 +260,9 @@ func (c *Coordinator) Close() {
 // ShardCount returns the configured number of shards.
 func (c *Coordinator) ShardCount() int { return len(c.shards) }
 
+// Vertices returns the shared vertex-ID space.
+func (c *Coordinator) Vertices() int32 { return c.cfg.Vertices }
+
 // wireTimeout converts a context deadline into the per-exchange wire
 // timeout forwarded to shards.
 func wireTimeout(ctx context.Context) time.Duration {
@@ -308,14 +319,6 @@ func (c *Coordinator) versions(ctx context.Context) (versionVec, error) {
 	return vec, nil
 }
 
-// checkVertex validates a vertex ID against the cluster's shared ID space.
-func (c *Coordinator) checkVertex(v int32) error {
-	if v < 0 || v >= c.cfg.Vertices {
-		return badRequestf("vertex %d out of range [0,%d)", v, c.cfg.Vertices)
-	}
-	return nil
-}
-
 // Ingest routes edits along the partition — each edit goes to the owner of
 // its source AND (when different) the owner of its destination, so every
 // shard keeps the full adjacency of its owned vertices — and reassembles
@@ -323,17 +326,10 @@ func (c *Coordinator) checkVertex(v int32) error {
 // the accepted count is the longest prefix of updates that EVERY routed
 // shard admitted, so a 429 retry-from-prefix loop written against a single
 // graphd works unchanged against the cluster. Returns the merged result,
-// the HTTP status to surface (202, 400, 429, or 503), and the hard error
-// if a shard was unreachable.
+// the HTTP status to surface (202, 429, or 503), and the hard error
+// if a shard was unreachable. The edits are in range: the front end checks
+// them (wire.CheckEdits) before they get here.
 func (c *Coordinator) Ingest(edits []wire.IngestEdit, timeout time.Duration) (*wire.IngestResult, int, error) {
-	for i, e := range edits {
-		if err := c.checkVertex(e.Src); err != nil {
-			return nil, http.StatusBadRequest, badRequestf("update %d: %v", i, err)
-		}
-		if err := c.checkVertex(e.Dst); err != nil {
-			return nil, http.StatusBadRequest, badRequestf("update %d: %v", i, err)
-		}
-	}
 	shards := len(c.shards)
 	perShard := make([][]wire.IngestEdit, shards)
 	perShardIdx := make([][]int, shards) // global index of each routed edit
@@ -369,8 +365,8 @@ func (c *Coordinator) Ingest(edits []wire.IngestEdit, timeout time.Duration) (*w
 				return err
 			})
 			if err != nil {
-				var se *wire.StatusError
-				if errors.As(err, &se) && se.Status == wire.StatusBackpressure {
+				var we *wire.Error
+				if errors.As(err, &we) && we.Code == http.StatusTooManyRequests {
 					// Partial accept: res carries the shard's prefix.
 					return
 				}

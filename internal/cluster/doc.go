@@ -22,9 +22,11 @@
 //     cached per cluster version vector, the sharded twin of graphd's
 //     per-version kernel caches.
 //
-// The Coordinator (coordinator.go) answers the same queries as a single
-// graphd through Run, which cmd/graphctl serves through graphd's own HTTP
-// front end (internal/server), and routes ingest with the same 429 +
+// The Coordinator (coordinator.go) is the backend graphd's own front end
+// (internal/server) answers from when cmd/graphctl serves it: that front
+// end checks every query and builds every answer, and the coordinator only
+// reads state — whole-graph kernels at one version vector (Read) and the
+// per-request traversals (KHop, Jaccard). It routes ingest with the same 429 +
 // contiguous-accepted-prefix contract (the accepted prefix is the minimum
 // over shards of each shard's accepted prefix, mapped back to global batch
 // indices), and reproduces single-process results exactly: WCC, k-hop,

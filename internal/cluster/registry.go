@@ -74,9 +74,8 @@ func (sc *shardConn) call(fn func(c *wire.Client) error) error {
 // hasStatus reports whether err carries a status of its own — a shard's
 // answer or a coordinator verdict — rather than being the transport's.
 func hasStatus(err error) bool {
-	var se *wire.StatusError
 	var we *wire.Error
-	return errors.As(err, &se) || errors.As(err, &we)
+	return errors.As(err, &we)
 }
 
 // closeConn drops the shard's wire connection if open.
@@ -188,17 +187,19 @@ func (c *Coordinator) pollAll() {
 	wg.Wait()
 	ready := 0
 	for _, sc := range c.shards {
-		if shardReady(sc) {
+		sc.stMu.Lock()
+		if sc.ready() {
 			ready++
 		}
+		sc.stMu.Unlock()
 	}
 	c.m.shardsReady.Set(float64(ready))
 }
 
-// shardReady condenses one shard's poll state into the readiness verdict.
-func shardReady(sc *shardConn) bool {
-	sc.stMu.Lock()
-	defer sc.stMu.Unlock()
+// ready is the one shard-ready rule: reachable over the wire, registered,
+// and — when an HTTP address is configured — answering /readyz with 200.
+// The caller holds stMu.
+func (sc *shardConn) ready() bool {
 	return sc.reachable && sc.registered && (sc.addr.HTTP == "" || sc.httpReady)
 }
 
@@ -233,7 +234,7 @@ func (c *Coordinator) Readiness() Readiness {
 	r := Readiness{Ready: true}
 	for _, sc := range c.shards {
 		sc.stMu.Lock()
-		ok := sc.reachable && sc.registered && (sc.addr.HTTP == "" || sc.httpReady)
+		ok := sc.ready()
 		detail := sc.detail
 		sc.stMu.Unlock()
 		if ok && detail == "" {
@@ -246,4 +247,68 @@ func (c *Coordinator) Readiness() Readiness {
 		r.Ready = r.Ready && ok
 	}
 	return r
+}
+
+// ShardStatus is one shard's entry in ClusterStats.
+type ShardStatus struct {
+	// Index is the shard's partition index.
+	Index int `json:"index"`
+	// WireAddr is the shard's wire listener address.
+	WireAddr string `json:"wire_addr"`
+	// HTTPAddr is the shard's HTTP listener address ("" if unconfigured).
+	HTTPAddr string `json:"http_addr,omitempty"`
+	// Reachable reports the last wire poll outcome.
+	Reachable bool `json:"reachable"`
+	// Ready reports the shard's aggregated readiness verdict.
+	Ready bool `json:"ready"`
+	// Version is the shard's snapshot version at the last successful poll.
+	Version int64 `json:"version"`
+	// Owned is the shard's owned-vertex count at the last successful poll.
+	Owned int64 `json:"owned_vertices"`
+}
+
+// ClusterStats is the coordinator's /stats payload.
+type ClusterStats struct {
+	// Vertices is the shared vertex-ID space.
+	Vertices int32 `json:"vertices"`
+	// Directed reports the graph orientation.
+	Directed bool `json:"directed"`
+	// Shards is the configured shard count.
+	Shards int `json:"shards"`
+	// Ready is how many shards currently pass all checks.
+	Ready int `json:"shards_ready"`
+	// Version is the cluster version (sum of shard versions) at the last
+	// successful polls.
+	Version int64 `json:"version"`
+	// ShardInfo holds one entry per shard in partition order.
+	ShardInfo []ShardStatus `json:"shard_info"`
+}
+
+// Stats reports the coordinator's view of the cluster from the latest poll
+// state (no shard round-trips).
+func (c *Coordinator) Stats() ClusterStats {
+	st := ClusterStats{
+		Vertices: c.cfg.Vertices,
+		Directed: c.cfg.Directed,
+		Shards:   len(c.shards),
+	}
+	for _, sc := range c.shards {
+		sc.stMu.Lock()
+		info := ShardStatus{
+			Index:     sc.index,
+			WireAddr:  sc.addr.Wire,
+			HTTPAddr:  sc.addr.HTTP,
+			Reachable: sc.reachable,
+			Ready:     sc.ready(),
+			Version:   sc.version,
+			Owned:     sc.owned,
+		}
+		sc.stMu.Unlock()
+		if info.Ready {
+			st.Ready++
+		}
+		st.Version += info.Version
+		st.ShardInfo = append(st.ShardInfo, info)
+	}
+	return st
 }

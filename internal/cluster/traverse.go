@@ -13,8 +13,8 @@ import (
 // graph, so unlike the BSP gathers in bsp.go they run on every request, on
 // the kernels' own pooled scratch and the request's result scratch, and
 // cache nothing. Results alias scr until the caller puts it back (see
-// internal/reqscratch): the front end does so after encoding, and the
-// exported Go methods copy the answer out first.
+// internal/reqscratch); the front end, which builds the answers from them,
+// does so after encoding.
 
 // adjacency fetches the complete neighbor lists of vertices, one shard.adj
 // exchange per shard that owns any of them, and returns them in the order
@@ -58,12 +58,13 @@ func (c *Coordinator) adjacency(ctx context.Context, scr *reqscratch.Scratch, ve
 	return lists, nil
 }
 
-// khop replays kernels.AppendKHopNeighborhoodCtx level by level on the same
+// KHop replays kernels.AppendKHopNeighborhoodCtx level by level on the same
 // pooled visited set, whose first-touch list is the BFS discovery order: for
 // each level fetch the frontier's adjacency (one exchange per owning shard)
 // and expand the frontier in its original order, so the result bytes match
 // the single-process kernel exactly. The order is appended to scr.Verts.
-func (c *Coordinator) khop(ctx context.Context, scr *reqscratch.Scratch, seeds []int32, k int32) ([]int32, error) {
+// The seeds are in range (the front end checks them).
+func (c *Coordinator) KHop(ctx context.Context, scr *reqscratch.Scratch, seeds []int32, k int32) ([]int32, error) {
 	seen := kernels.BorrowVertexCounts(c.cfg.Vertices)
 	defer kernels.ReturnVertexCounts(seen)
 	for _, s := range seeds {
@@ -87,22 +88,23 @@ func (c *Coordinator) khop(ctx context.Context, scr *reqscratch.Scratch, seeds [
 	return scr.Verts[base:], nil
 }
 
-// jaccard replays kernels.AppendJaccardFromVertexCtx by scatter-gathering
+// Jaccard replays kernels.AppendJaccardFromVertexCtx by scatter-gathering
 // two adjacency waves (u's neighbors, then their neighbors) into the same
 // pooled accumulator and handing it to the kernel's own score-and-rank
 // routine with the global degree vector, so the order of the answer is the
-// kernel's by construction. The pairs are appended to scr.Pairs.
-func (c *Coordinator) jaccard(ctx context.Context, scr *reqscratch.Scratch, u int32, threshold float64) ([]wire.JaccardPair, error) {
+// kernel's by construction. The ranking replaces scr.Scores. u is in range
+// (the front end checks it).
+func (c *Coordinator) Jaccard(ctx context.Context, scr *reqscratch.Scratch, u int32, threshold float64) ([]kernels.JaccardPairScore, error) {
 	adjU, err := c.adjacency(ctx, scr, []int32{u})
 	if err != nil {
 		return nil, err
 	}
 	nu := adjU[0]
-	base := len(scr.Pairs)
+	scr.Scores = scr.Scores[:0]
 	if len(nu) == 0 {
-		return scr.Pairs[base:], nil
+		return scr.Scores, nil
 	}
-	deg, _, err := c.degrees(ctx)
+	deg, _, err := c.cached(ctx, kernDeg)
 	if err != nil {
 		return nil, err
 	}
@@ -119,11 +121,7 @@ func (c *Coordinator) jaccard(ctx context.Context, scr *reqscratch.Scratch, u in
 			}
 		}
 	}
-	degree := func(v int32) int32 { return int32(deg.scores[v]) }
-	scr.Scores = kernels.AppendJaccardRanked(scr.Scores[:0], common, u, degree, threshold)
-	scr.Pairs = slices.Grow(scr.Pairs, len(scr.Scores))
-	for _, sc := range scr.Scores {
-		scr.Pairs = append(scr.Pairs, wire.JaccardPair{V: sc.V, Score: sc.Score, Inter: sc.Inter})
-	}
-	return scr.Pairs[base:], nil
+	degree := func(v int32) int32 { return int32(deg.Scores[v]) }
+	scr.Scores = kernels.AppendJaccardRanked(scr.Scores, common, u, degree, threshold)
+	return scr.Scores, nil
 }

@@ -299,80 +299,50 @@ func TestAdjacencyShortAnswer(t *testing.T) {
 	}
 }
 
-// TestTraversalsMatchKernels: khop and jaccard over fake shards, through
-// Run, the front end's call, equal the sequential kernels on the graph the
+// TestTraversalsMatchKernels: khop and jaccard over fake shards, as the
+// front end calls them, equal the sequential kernels on the graph the
 // shards serve.
 func TestTraversalsMatchKernels(t *testing.T) {
 	g := testGraph()
 	c, _ := startFakeShards(t, g, 2)
 	ctx := context.Background()
-	run := func(req *wire.Request) any {
-		t.Helper()
-		scr := reqscratch.Get()
-		defer reqscratch.Put(scr)
-		out, err := c.Run(ctx, scr, req)
-		if err != nil {
-			t.Fatalf("Run(%+v): %v", req, err)
-		}
-		// Copied out before the scratch the answer aliases goes back.
-		switch res := out.(type) {
-		case *wire.KHopResult:
-			return slices.Clone(res.Vertices)
-		case *wire.JaccardResult:
-			return slices.Clone(res.Results)
-		}
-		t.Fatalf("Run(%+v) answered %T", req, out)
-		return nil
-	}
+	scr := reqscratch.Get()
+	defer reqscratch.Put(scr)
 	for _, v := range []int32{0, 1, 2, 17, 100, g.NumVertices() - 1} {
 		want := kernels.KHopNeighborhood(g, []int32{v}, 2)
-		if viaRun := run(&wire.Request{Op: wire.OpKHop, Seeds: []int32{v}, K: 2}).([]int32); !slices.Equal(viaRun, want) {
-			t.Fatalf("Run khop(%d) = %v, kernel %v", v, viaRun, want)
+		if got, err := c.KHop(ctx, scr, []int32{v}, 2); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("KHop(%d) = %v %v, kernel %v", v, got, err, want)
 		}
-
-		var wantPairs []wire.JaccardPair
-		for _, p := range kernels.JaccardFromVertex(g, v, 0) {
-			wantPairs = append(wantPairs, wire.JaccardPair{V: p.V, Score: p.Score, Inter: p.Inter})
-		}
-		if viaRun := run(&wire.Request{Op: wire.OpJaccard, U: v}).([]wire.JaccardPair); !slices.Equal(viaRun, wantPairs) {
-			t.Fatalf("Run jaccard(%d) = %v, kernel %v", v, viaRun, wantPairs)
+		wantScores := kernels.JaccardFromVertex(g, v, 0)
+		if got, err := c.Jaccard(ctx, scr, v, 0); err != nil || !slices.Equal(got, wantScores) {
+			t.Fatalf("Jaccard(%d) = %v %v, kernel %v", v, got, err, wantScores)
 		}
 	}
 }
 
 // TestHTTPResultPoisonedAfterWrite: the front end puts a request's scratch
-// back once it has written the answer, so under go test a Run result still
-// held afterwards reads poison.
+// back once it has written the answer, so under go test a traversal result
+// still held afterwards reads poison.
 func TestHTTPResultPoisonedAfterWrite(t *testing.T) {
 	g := testGraph()
 	c, _ := startFakeShards(t, g, 2)
 	hub := kernels.TopKByDegree(g, 1)[0].V
-	var held []any
-	for _, req := range []*wire.Request{
-		{Op: wire.OpKHop, Seeds: []int32{hub}, K: 2},
-		{Op: wire.OpJaccard, U: hub},
-	} {
-		scr := reqscratch.Get()
-		out, err := c.Run(context.Background(), scr, req)
-		if err != nil {
-			t.Fatalf("Run(%+v): %v", req, err)
-		}
-		reqscratch.Put(scr)
-		held = append(held, out)
+	ctx := context.Background()
+	scr := reqscratch.Get()
+	verts, err := c.KHop(ctx, scr, []int32{hub}, 2)
+	if err != nil {
+		t.Fatalf("KHop(%d): %v", hub, err)
 	}
+	scores, err := c.Jaccard(ctx, scr, hub, 0)
+	if err != nil {
+		t.Fatalf("Jaccard(%d): %v", hub, err)
+	}
+	reqscratch.Put(scr)
 	// Checked before any other request can borrow the scratch back.
-	for _, out := range held {
-		switch res := out.(type) {
-		case *wire.KHopResult:
-			if len(res.Vertices) == 0 || slices.ContainsFunc(res.Vertices, func(v int32) bool { return v != -1 }) {
-				t.Fatalf("khop result held past its scratch was not poisoned: %v", res.Vertices[:min(8, len(res.Vertices))])
-			}
-		case *wire.JaccardResult:
-			if len(res.Results) == 0 || slices.ContainsFunc(res.Results, func(p wire.JaccardPair) bool { return p.V != -1 || !math.IsNaN(p.Score) }) {
-				t.Fatalf("jaccard result held past its scratch was not poisoned: %v", res.Results[:min(4, len(res.Results))])
-			}
-		default:
-			t.Fatalf("unexpected result %T", out)
-		}
+	if len(verts) == 0 || slices.ContainsFunc(verts, func(v int32) bool { return v != -1 }) {
+		t.Fatalf("khop result held past its scratch was not poisoned: %v", verts[:min(8, len(verts))])
+	}
+	if len(scores) == 0 || slices.ContainsFunc(scores, func(p kernels.JaccardPairScore) bool { return p.V != -1 || !math.IsNaN(p.Score) }) {
+		t.Fatalf("jaccard result held past its scratch was not poisoned: %v", scores[:min(4, len(scores))])
 	}
 }

@@ -5,10 +5,9 @@
 // back once the response is encoded.
 //
 // Ownership rule: a result built in a Scratch aliases it until Put, which
-// each transport calls after encoding — graphd when the request trace
-// finishes, graphctl when its HTTP wrapper has written the JSON. Nothing may
-// keep a result past that; a caller that must (the coordinator's exported
-// Go API) copies it out first. Under go test, Put overwrites every buffer
+// the front end graphd and graphctl share calls after encoding, when the
+// request trace finishes. Nothing may keep a result past that; a caller
+// that must copies it out first. Under go test, Put overwrites every buffer
 // with poison, so a result read after Put fails its oracle instead of
 // reading a later request's answer.
 package reqscratch

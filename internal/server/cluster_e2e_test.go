@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/reqscratch"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -188,27 +187,42 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// runCoord answers req through the coordinator as graphctl's front end
-// does, on a borrowed request scratch, and copies a traversal answer out of
-// the scratch before it goes back.
-func runCoord[T any](ctx context.Context, coord *cluster.Coordinator, req wire.Request) (*T, error) {
-	scr := reqscratch.Get()
-	defer reqscratch.Put(scr)
-	out, err := coord.Run(ctx, scr, &req)
+// answerVia answers req through the front end's one answer path over fe's
+// backend — graphd's published bundles, or a coordinator's shards — in a
+// request trace of its own, and copies a traversal answer out of the
+// request scratch before the trace finishes.
+func answerVia[T any](ctx context.Context, fe *frontEnd, req wire.Request) (*T, error) {
+	ctx, rt := fe.startTrace(ctx, telemetry.TraceContext{}, "test", time.Now())
+	defer rt.finish(http.StatusOK, 0)
+	out, err := fe.run(ctx, rt, &req)
 	if err != nil {
 		return nil, err
 	}
 	switch res := out.(type) {
 	case *wire.KHopResult:
-		res.Vertices = slices.Clone(res.Vertices)
+		res.Seeds, res.Vertices = slices.Clone(res.Seeds), slices.Clone(res.Vertices)
 	case *wire.JaccardResult:
 		res.Results = slices.Clone(res.Results)
 	}
 	res, ok := out.(*T)
 	if !ok {
-		return nil, fmt.Errorf("Run(%s) answered %T", wire.OpName(req.Op), out)
+		return nil, fmt.Errorf("%s answered %T", wire.OpName(req.Op), out)
 	}
 	return res, nil
+}
+
+// answerBoth answers req through the one answer path over each backend:
+// graphctl's coordinator (ctl) and standalone graphd (solo).
+func answerBoth[T any](t *testing.T, ctx context.Context, ctl, solo *frontEnd, req wire.Request) (cluster, single *T) {
+	t.Helper()
+	cluster, err := answerVia[T](ctx, ctl, req)
+	if err != nil {
+		t.Fatalf("graphctl %s %+v: %v", wire.OpName(req.Op), req, err)
+	}
+	if single, err = answerVia[T](ctx, solo, req); err != nil {
+		t.Fatalf("graphd %s %+v: %v", wire.OpName(req.Op), req, err)
+	}
+	return cluster, single
 }
 
 // mustComponentEqual compares a cluster component answer to solo's on every
@@ -230,6 +244,7 @@ func TestClusterDifferential(t *testing.T) {
 			const vertices = 80
 			solo, ts := startServer(t, testConfig(vertices))
 			shards, coord, reg := startCluster(t, vertices, shardCount)
+			ctl := ClusterHandler(coord, reg)
 
 			edits := clusterEdits(vertices)
 			ingestBoth(t, solo, ts.URL, shards, coord, edits, make([]int64, shardCount), 0)
@@ -238,14 +253,7 @@ func TestClusterDifferential(t *testing.T) {
 
 			t.Run("component", func(t *testing.T) {
 				for v := int32(0); v < vertices; v++ {
-					got, err := runCoord[wire.ComponentResult](ctx, coord, wire.Request{Op: wire.OpComponent, V: v})
-					if err != nil {
-						t.Fatalf("cluster component(%d): %v", v, err)
-					}
-					want, err := solo.runComponent(direct(t, solo, ctx), v)
-					if err != nil {
-						t.Fatalf("solo component(%d): %v", v, err)
-					}
+					got, want := answerBoth[wire.ComponentResult](t, ctx, ctl.frontEnd, &solo.frontEnd, wire.Request{Op: wire.OpComponent, V: v})
 					mustComponentEqual(t, "component", got, want)
 				}
 			})
@@ -260,28 +268,14 @@ func TestClusterDifferential(t *testing.T) {
 					{[]int32{3, 3, 7}, 1}, {[]int32{vertices - 1}, 2},
 				}
 				for _, tc := range cases {
-					got, err := runCoord[wire.KHopResult](ctx, coord, wire.Request{Op: wire.OpKHop, Seeds: tc.seeds, K: tc.k})
-					if err != nil {
-						t.Fatalf("cluster khop(%v,%d): %v", tc.seeds, tc.k, err)
-					}
-					want, err := solo.runKHop(direct(t, solo, ctx), tc.seeds, tc.k)
-					if err != nil {
-						t.Fatalf("solo khop(%v,%d): %v", tc.seeds, tc.k, err)
-					}
+					got, want := answerBoth[wire.KHopResult](t, ctx, ctl.frontEnd, &solo.frontEnd, wire.Request{Op: wire.OpKHop, Seeds: tc.seeds, K: tc.k})
 					mustEqual(t, "khop", *got, *want)
 				}
 			})
 
 			t.Run("topdegree", func(t *testing.T) {
-				for _, k := range []int{1, 5, 10, 25} {
-					got, err := runCoord[wire.TopDegreeResult](ctx, coord, wire.Request{Op: wire.OpTopDegree, K: int32(k)})
-					if err != nil {
-						t.Fatalf("cluster topdegree(%d): %v", k, err)
-					}
-					want, err := solo.runTopDegree(direct(t, solo, ctx), k)
-					if err != nil {
-						t.Fatalf("solo topdegree(%d): %v", k, err)
-					}
+				for _, k := range []int32{1, 5, 10, 25} {
+					got, want := answerBoth[wire.TopDegreeResult](t, ctx, ctl.frontEnd, &solo.frontEnd, wire.Request{Op: wire.OpTopDegree, K: k})
 					mustEqual(t, "topdegree", *got, *want)
 				}
 			})
@@ -289,14 +283,7 @@ func TestClusterDifferential(t *testing.T) {
 			t.Run("jaccard", func(t *testing.T) {
 				for _, u := range []int32{0, 1, 7, 33, vertices - 10, vertices - 1} {
 					for _, th := range []float64{0, 0.2} {
-						got, err := runCoord[wire.JaccardResult](ctx, coord, wire.Request{Op: wire.OpJaccard, U: u, Threshold: th})
-						if err != nil {
-							t.Fatalf("cluster jaccard(%d,%g): %v", u, th, err)
-						}
-						want, err := solo.runJaccard(direct(t, solo, ctx), u, th)
-						if err != nil {
-							t.Fatalf("solo jaccard(%d,%g): %v", u, th, err)
-						}
+						got, want := answerBoth[wire.JaccardResult](t, ctx, ctl.frontEnd, &solo.frontEnd, wire.Request{Op: wire.OpJaccard, U: u, Threshold: th})
 						if got.U != want.U || len(got.Results) != len(want.Results) {
 							t.Fatalf("jaccard(%d,%g): cluster %+v != solo %+v", u, th, got, want)
 						}
@@ -316,10 +303,10 @@ func TestClusterDifferential(t *testing.T) {
 			// built in request scratch that goes back to the pool once the
 			// JSON is written; a batch's sub-results share one scratch and
 			// must not overwrite each other. PageRank agrees within
-			// tolerance, as through Run.
+			// tolerance, as through the answer path.
 			t.Run("http", func(t *testing.T) {
-				ctl := httptest.NewServer(ClusterHandler(coord, reg))
-				defer ctl.Close()
+				ctlHTTP := httptest.NewServer(ctl)
+				defer ctlHTTP.Close()
 				versions := regexp.MustCompile(`"version":\d+`)
 				// same returns graphctl's body for a GET (or, with a body, a
 				// POST) of path after checking status and bytes against solo's.
@@ -343,7 +330,7 @@ func TestClusterDifferential(t *testing.T) {
 						}
 						return resp.StatusCode, versions.ReplaceAll(raw, []byte(`"version":0`))
 					}
-					code, got := fetch(ctl.URL)
+					code, got := fetch(ctlHTTP.URL)
 					soloCode, want := fetch(ts.URL)
 					if code != soloCode || !bytes.Equal(got, want) {
 						t.Fatalf("%s: graphctl %d %s != graphd %d %s", path, code, got, soloCode, want)
@@ -355,11 +342,11 @@ func TestClusterDifferential(t *testing.T) {
 					if err := json.Unmarshal(same("/query/khop?"+q, ""), &got); err != nil {
 						t.Fatal(err)
 					}
-					api, err := runCoord[wire.KHopResult](ctx, coord, wire.Request{Op: wire.OpKHop, Seeds: got.Seeds, K: got.K})
+					api, err := answerVia[wire.KHopResult](ctx, ctl.frontEnd, wire.Request{Op: wire.OpKHop, Seeds: got.Seeds, K: got.K})
 					if err != nil {
 						t.Fatal(err)
 					}
-					mustEqual(t, "khop over HTTP vs Run", got, *api)
+					mustEqual(t, "khop over HTTP vs the answer path", got, *api)
 				}
 				for _, u := range []int32{0, 1, 7, 33, vertices - 10, vertices - 1} {
 					for _, th := range []float64{0, 0.2} {
@@ -367,12 +354,12 @@ func TestClusterDifferential(t *testing.T) {
 						if err := json.Unmarshal(same(fmt.Sprintf("/query/jaccard?u=%d&threshold=%g", u, th), ""), &got); err != nil {
 							t.Fatal(err)
 						}
-						api, err := runCoord[wire.JaccardResult](ctx, coord, wire.Request{Op: wire.OpJaccard, U: u, Threshold: th})
+						api, err := answerVia[wire.JaccardResult](ctx, ctl.frontEnd, wire.Request{Op: wire.OpJaccard, U: u, Threshold: th})
 						if err != nil {
 							t.Fatal(err)
 						}
 						if got.U != u || !slices.Equal(got.Results, api.Results) {
-							t.Fatalf("jaccard(%d,%g) over HTTP %+v, Run %+v", u, th, got, *api)
+							t.Fatalf("jaccard(%d,%g) over HTTP %+v, answer path %+v", u, th, got, *api)
 						}
 					}
 				}
@@ -386,6 +373,15 @@ func TestClusterDifferential(t *testing.T) {
 				} {
 					same(path, "")
 				}
+				// Malformed bodies: one check, so one 400 body from both.
+				for _, q := range []struct{ path, body string }{
+					{"/query/batch", `{"queries":[{"op":"khop","v":1,"k":-1}]}`},
+					{"/query/batch", `{"queries":[{"op":"khop"}]}`},
+					{"/query/batch", `{"queries":[{"op":"khop","seeds":[9999],"k":-1}]}`},
+					{"/ingest", `[{"src":1,"dst":2},{"src":9999,"dst":1}]`},
+				} {
+					same(q.path, q.body)
+				}
 				var batch struct {
 					Results []struct {
 						Status int             `json:"status"`
@@ -397,11 +393,11 @@ func TestClusterDifferential(t *testing.T) {
 					t.Fatalf("batch: %v %s", err, raw)
 				}
 				wants := []any{
-					must(runCoord[wire.KHopResult](ctx, coord, wire.Request{Op: wire.OpKHop, Seeds: []int32{1}, K: 2})),
-					must(runCoord[wire.JaccardResult](ctx, coord, wire.Request{Op: wire.OpJaccard, U: 7})),
+					must(answerVia[wire.KHopResult](ctx, ctl.frontEnd, wire.Request{Op: wire.OpKHop, Seeds: []int32{1}, K: 2})),
+					must(answerVia[wire.JaccardResult](ctx, ctl.frontEnd, wire.Request{Op: wire.OpJaccard, U: 7})),
 					nil,
-					must(runCoord[wire.KHopResult](ctx, coord, wire.Request{Op: wire.OpKHop, Seeds: []int32{33, 0}, K: 3})),
-					must(runCoord[wire.JaccardResult](ctx, coord, wire.Request{Op: wire.OpJaccard, U: 1, Threshold: 0.2})),
+					must(answerVia[wire.KHopResult](ctx, ctl.frontEnd, wire.Request{Op: wire.OpKHop, Seeds: []int32{33, 0}, K: 3})),
+					must(answerVia[wire.JaccardResult](ctx, ctl.frontEnd, wire.Request{Op: wire.OpJaccard, U: 1, Threshold: 0.2})),
 				}
 				for i, want := range wants {
 					if want == nil {
@@ -409,12 +405,12 @@ func TestClusterDifferential(t *testing.T) {
 					}
 					got := reflect.New(reflect.TypeOf(want).Elem())
 					if err := json.Unmarshal(batch.Results[i].Result, got.Interface()); err != nil || !reflect.DeepEqual(got.Interface(), want) {
-						t.Fatalf("batch item %d = %s, Run %+v", i, batch.Results[i].Result, want)
+						t.Fatalf("batch item %d = %s, answer path %+v", i, batch.Results[i].Result, want)
 					}
 				}
 				for _, path := range []string{"/query/pagerank?v=3", "/query/pagerank?k=4"} {
 					var got, want wire.PageRankResult
-					if getJSON(t, ctl.URL, path, &got) != http.StatusOK || getJSON(t, ts.URL, path, &want) != http.StatusOK {
+					if getJSON(t, ctlHTTP.URL, path, &got) != http.StatusOK || getJSON(t, ts.URL, path, &want) != http.StatusOK {
 						t.Fatalf("%s failed", path)
 					}
 					if got.Iterations != want.Iterations || len(got.Results) != len(want.Results) || (got.Rank == nil) != (want.Rank == nil) ||
@@ -427,7 +423,7 @@ func TestClusterDifferential(t *testing.T) {
 				// the caller's trace, answers with its own root span as
 				// parent-id, keeps the span tree at /debug/trace/{id}, and its
 				// stages sum to each endpoint's wall time.
-				code, echoed := getTraced(t, ctl.URL, "/query/khop?v=1&k=2", clientTraceparent)
+				code, echoed := getTraced(t, ctlHTTP.URL, "/query/khop?v=1&k=2", clientTraceparent)
 				sent, _ := telemetry.ParseTraceparent(clientTraceparent)
 				got, ok := telemetry.ParseTraceparent(echoed)
 				if code != http.StatusOK || !ok || got.TraceID != sent.TraceID || got.Parent == sent.Parent {
@@ -441,7 +437,7 @@ func TestClusterDifferential(t *testing.T) {
 						} `json:"children"`
 					} `json:"spans"`
 				}
-				if getJSON(t, ctl.URL, "/debug/trace/"+sent.TraceID.String(), &dump) != http.StatusOK || len(dump.Spans) != 1 || dump.Spans[0].Name != "server.khop" {
+				if getJSON(t, ctlHTTP.URL, "/debug/trace/"+sent.TraceID.String(), &dump) != http.StatusOK || len(dump.Spans) != 1 || dump.Spans[0].Name != "server.khop" {
 					t.Fatalf("graphctl /debug/trace: %+v", dump)
 				}
 				stages := map[string]bool{}
@@ -461,31 +457,15 @@ func TestClusterDifferential(t *testing.T) {
 
 			t.Run("pagerank", func(t *testing.T) {
 				const tol = 1e-9
-				soloTop, err := solo.runPageRankTop(direct(t, solo, ctx), 10)
-				if err != nil {
-					t.Fatalf("solo pagerank: %v", err)
-				}
 				soloRank := make(map[int32]float64)
 				for v := int32(0); v < vertices; v++ {
-					pr, err := solo.runPageRankVertex(direct(t, solo, ctx), v)
-					if err != nil {
-						t.Fatalf("solo pagerank(%d): %v", v, err)
-					}
+					got, pr := answerBoth[wire.PageRankResult](t, ctx, ctl.frontEnd, &solo.frontEnd, wire.Request{Op: wire.OpPageRank, V: v, HasV: true})
 					soloRank[v] = *pr.Rank
-				}
-				for v := int32(0); v < vertices; v++ {
-					got, err := runCoord[wire.PageRankResult](ctx, coord, wire.Request{Op: wire.OpPageRank, V: v, HasV: true})
-					if err != nil {
-						t.Fatalf("cluster pagerank(%d): %v", v, err)
-					}
 					if diff := math.Abs(*got.Rank - soloRank[v]); diff > tol {
 						t.Fatalf("pagerank(%d): cluster %.12f vs solo %.12f (diff %g > %g)", v, *got.Rank, soloRank[v], diff, tol)
 					}
 				}
-				top, err := runCoord[wire.PageRankResult](ctx, coord, wire.Request{Op: wire.OpPageRank, K: 10})
-				if err != nil {
-					t.Fatalf("cluster pagerank top: %v", err)
-				}
+				top, soloTop := answerBoth[wire.PageRankResult](t, ctx, ctl.frontEnd, &solo.frontEnd, wire.Request{Op: wire.OpPageRank, K: 10})
 				if top.K != soloTop.K || len(top.Results) != len(soloTop.Results) {
 					t.Fatalf("pagerank top shape: cluster %+v != solo %+v", top, soloTop)
 				}
@@ -522,7 +502,8 @@ func TestClusterDifferential(t *testing.T) {
 
 // TestJaccardThresholdRule: one threshold rule on every transport — graphd
 // and graphctl over HTTP, their HTTP batch sub-queries, the wire protocol
-// and its batch sub-queries, the coordinator's Run — a cutoff in [0, 1]
+// and its batch sub-queries, the answer path over the coordinator — a
+// cutoff in [0, 1]
 // answers, NaN and anything outside answer 400. JSON has no NaN or
 // infinity, so HTTP batches carry the finite cases only.
 func TestJaccardThresholdRule(t *testing.T) {
@@ -530,8 +511,9 @@ func TestJaccardThresholdRule(t *testing.T) {
 	solo, ts := startServer(t, testConfig(vertices))
 	shards, coord, reg := startCluster(t, vertices, 2)
 	ingestBoth(t, solo, ts.URL, shards, coord, clusterEdits(vertices), make([]int64, 2), 0)
-	ctl := httptest.NewServer(ClusterHandler(coord, reg))
-	defer ctl.Close()
+	ctl := ClusterHandler(coord, reg)
+	ctlHTTP := httptest.NewServer(ctl)
+	defer ctlHTTP.Close()
 	c := startWire(t, solo)
 	for _, tc := range []struct {
 		raw  string
@@ -541,7 +523,7 @@ func TestJaccardThresholdRule(t *testing.T) {
 		{"0", 0, 200}, {"0.5", 0.5, 200}, {"1", 1, 200},
 		{"-0.1", -0.1, 400}, {"1.5", 1.5, 400}, {"NaN", math.NaN(), 400}, {"Inf", math.Inf(1), 400}, {"-Inf", math.Inf(-1), 400},
 	} {
-		for name, base := range map[string]string{"graphd": ts.URL, "graphctl": ctl.URL} {
+		for name, base := range map[string]string{"graphd": ts.URL, "graphctl": ctlHTTP.URL} {
 			if code := getJSON(t, base, "/query/jaccard?u=1&threshold="+tc.raw, nil); code != tc.want {
 				t.Errorf("%s HTTP threshold=%s: %d, want %d", name, tc.raw, code, tc.want)
 			}
@@ -564,7 +546,7 @@ func TestJaccardThresholdRule(t *testing.T) {
 		if err != nil || wire.HTTPStatus(items[0].Status) != tc.want {
 			t.Errorf("wire batch threshold=%s: %+v %v, want item %d", tc.raw, items, err, tc.want)
 		}
-		if _, err := runCoord[wire.JaccardResult](context.Background(), coord, wire.Request{Op: wire.OpJaccard, U: 1, Threshold: tc.th}); (err == nil) != (tc.want == 200) {
+		if _, err := answerVia[wire.JaccardResult](context.Background(), ctl.frontEnd, wire.Request{Op: wire.OpJaccard, U: 1, Threshold: tc.th}); (err == nil) != (tc.want == 200) {
 			t.Errorf("coordinator threshold=%s: %v, want %d", tc.raw, err, tc.want)
 		}
 	}
@@ -622,6 +604,7 @@ func TestClusterKillShard(t *testing.T) {
 		t.Fatalf("cluster.New: %v", err)
 	}
 	t.Cleanup(coord.Close)
+	ctl := ClusterHandler(coord, telemetry.NewRegistry())
 
 	edits := clusterEdits(vertices)
 	ingestBoth(t, solo, ts.URL, shards, coord, edits, make([]int64, shardCount), 0)
@@ -630,7 +613,7 @@ func TestClusterKillShard(t *testing.T) {
 
 	// Prime the coordinator's WCC cache and remember the pre-kill answer.
 	probe := ownedVertex(t, vertices, 0, shardCount)
-	preKill, err := runCoord[wire.ComponentResult](ctx, coord, wire.Request{Op: wire.OpComponent, V: probe})
+	preKill, err := answerVia[wire.ComponentResult](ctx, ctl.frontEnd, wire.Request{Op: wire.OpComponent, V: probe})
 	if err != nil {
 		t.Fatalf("component before kill: %v", err)
 	}
@@ -646,7 +629,7 @@ func TestClusterKillShard(t *testing.T) {
 	}
 
 	// Degraded global read: component serves the cached (stale) answer.
-	stale, err := runCoord[wire.ComponentResult](ctx, coord, wire.Request{Op: wire.OpComponent, V: probe})
+	stale, err := answerVia[wire.ComponentResult](ctx, ctl.frontEnd, wire.Request{Op: wire.OpComponent, V: probe})
 	if err != nil {
 		t.Fatalf("stale component: %v", err)
 	}
@@ -656,17 +639,10 @@ func TestClusterKillShard(t *testing.T) {
 	// owner, so a seed owned by a live shard answers — and still matches
 	// solo — while a seed owned by the dead shard fails.
 	liveSeed := ownedVertex(t, vertices, 0, shardCount)
-	got, err := runCoord[wire.KHopResult](ctx, coord, wire.Request{Op: wire.OpKHop, Seeds: []int32{liveSeed}, K: 1})
-	if err != nil {
-		t.Fatalf("khop on surviving shard: %v", err)
-	}
-	want, err := solo.runKHop(direct(t, solo, ctx), []int32{liveSeed}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, want := answerBoth[wire.KHopResult](t, ctx, ctl.frontEnd, &solo.frontEnd, wire.Request{Op: wire.OpKHop, Seeds: []int32{liveSeed}, K: 1})
 	mustEqual(t, "khop during outage", *got, *want)
 	deadSeed := ownedVertex(t, vertices, victim, shardCount)
-	if _, err := runCoord[wire.KHopResult](ctx, coord, wire.Request{Op: wire.OpKHop, Seeds: []int32{deadSeed}, K: 1}); err == nil {
+	if _, err := answerVia[wire.KHopResult](ctx, ctl.frontEnd, wire.Request{Op: wire.OpKHop, Seeds: []int32{deadSeed}, K: 1}); err == nil {
 		t.Fatal("khop seeded at the dead shard should fail")
 	}
 
@@ -723,24 +699,10 @@ func TestClusterKillShard(t *testing.T) {
 	waitApplied(t, shards[victim].s, 1)
 	waitApplied(t, shards[0].s, routedCounts(edits, shardCount)[0]+1)
 
-	khopGot, err := runCoord[wire.KHopResult](ctx, coord, wire.Request{Op: wire.OpKHop, Seeds: []int32{deadSeed}, K: 2})
-	if err != nil {
-		t.Fatalf("khop after rejoin: %v", err)
-	}
-	khopWant, err := solo.runKHop(direct(t, solo, ctx), []int32{deadSeed}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	khopGot, khopWant := answerBoth[wire.KHopResult](t, ctx, ctl.frontEnd, &solo.frontEnd, wire.Request{Op: wire.OpKHop, Seeds: []int32{deadSeed}, K: 2})
 	mustEqual(t, "khop after rejoin", *khopGot, *khopWant)
 	for _, v := range []int32{probe, deadSeed, liveV2} {
-		gotC, err := runCoord[wire.ComponentResult](ctx, coord, wire.Request{Op: wire.OpComponent, V: v})
-		if err != nil {
-			t.Fatalf("component after rejoin: %v", err)
-		}
-		wantC, err := solo.runComponent(direct(t, solo, ctx), v)
-		if err != nil {
-			t.Fatal(err)
-		}
+		gotC, wantC := answerBoth[wire.ComponentResult](t, ctx, ctl.frontEnd, &solo.frontEnd, wire.Request{Op: wire.OpComponent, V: v})
 		mustComponentEqual(t, "component after rejoin", gotC, wantC)
 	}
 }

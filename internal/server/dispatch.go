@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"net/http"
-	"slices"
 	"strconv"
 	"time"
 
@@ -15,13 +14,11 @@ import (
 )
 
 // graphd as the front end's backend (frontend.go): admission against the
-// worker budget, the query bodies (run*) over the published bundles, and
-// the ingest core. Both transports reach them through the same dispatch, so
-// a query is answered identically — same snapshot discipline, same caches,
-// same SLO accounting — whichever it arrived on. The run* methods return
-// the shared value types in internal/wire, which carry the HTTP API's exact
-// JSON tags and a binary encoding, making the twin-request equivalence
-// property (decode(JSON answer) == decode(wire answer)) structural.
+// worker budget, the state the answers read — the published bundles'
+// whole-graph kernels, khop and jaccard over the published snapshot — and
+// the ingest core. Both transports reach them through the same dispatch and
+// answer path, so a query is answered identically — same snapshot
+// discipline, same caches, same SLO accounting — whichever it arrived on.
 
 // enter admits one query (or batch) against the worker-budget semaphore,
 // bounded by ctx's deadline, in rt's "admission" stage, then applies the
@@ -67,22 +64,34 @@ func (s *Server) readiness() (any, bool) {
 	return r, r.Ready
 }
 
-// run answers one query op: the client queries and the shard-exchange ops.
-func (s *Server) run(ctx context.Context, _ *reqTrace, req *wire.Request) (any, error) {
-	switch req.Op {
-	case wire.OpJaccard:
-		return s.runJaccard(ctx, req.U, req.Threshold)
-	case wire.OpKHop:
-		return s.runKHop(ctx, req.Seeds, req.K)
-	case wire.OpTopDegree:
-		return s.runTopDegree(ctx, int(req.TopK()))
+// wholeKernel is the bundle part each whole-graph read takes.
+func wholeKernel(op byte) kernel {
+	switch op {
 	case wire.OpComponent:
-		return s.runComponent(ctx, req.V)
+		return kernWCC
 	case wire.OpPageRank:
-		if req.HasV {
-			return s.runPageRankVertex(ctx, req.V)
-		}
-		return s.runPageRankTop(ctx, int(req.TopK()))
+		return kernPR
+	default:
+		return kernDeg
+	}
+}
+
+// whole reads the published kernel result op's answer needs.
+func (s *Server) whole(ctx context.Context, _ *reqTrace, op byte) (whole, error) {
+	p, err := s.read(ctx, wholeKernel(op))
+	if err != nil {
+		return whole{}, err
+	}
+	w := whole{version: p.version, sizes: p.sizes, scores: p.vec, iters: p.iters}
+	if p.cc != nil {
+		w.labels, w.components = p.cc.Label, p.cc.NumComponents
+	}
+	return w, nil
+}
+
+// exchange answers the shard-exchange ops.
+func (s *Server) exchange(ctx context.Context, _ *reqTrace, req *wire.Request) (any, error) {
+	switch req.Op {
 	case wire.OpShardDegrees:
 		return s.runShardDegrees(ctx)
 	case wire.OpShardWCC:
@@ -96,19 +105,15 @@ func (s *Server) run(ctx context.Context, _ *reqTrace, req *wire.Request) (any, 
 	}
 }
 
-// ingest is the ingest core both transports share once they have decoded a
-// request: refused with 503 while draining, every edit range-checked (a 400
-// names the first bad one), then admitted in rt's "enqueue" stage — 202, or
-// 429 with the accepted prefix.
+// ingest is the ingest core both transports share once the front end has
+// checked a request's edits: refused with 503 while draining, then admitted
+// in rt's "enqueue" stage — 202, or 429 with the accepted prefix.
 func (s *Server) ingest(rt *reqTrace, edits []wire.IngestEdit) (*wire.IngestResult, int, error) {
 	if s.draining.Load() {
 		return nil, http.StatusServiceUnavailable, wire.Errorf(http.StatusServiceUnavailable, "server is draining")
 	}
 	batch := make([]dyngraph.Edit, len(edits))
 	for i, e := range edits {
-		if e.Src < 0 || e.Src >= s.cfg.Vertices || e.Dst < 0 || e.Dst >= s.cfg.Vertices {
-			return nil, http.StatusBadRequest, badRequest("update %d: vertex out of range [0,%d)", i, s.cfg.Vertices)
-		}
 		batch[i] = dyngraph.Edit{Src: e.Src, Dst: e.Dst, Weight: e.Weight, Time: e.Time, Delete: e.Delete}
 	}
 	st := rt.stage("enqueue")
@@ -122,14 +127,6 @@ func (s *Server) ingest(rt *reqTrace, edits []wire.IngestEdit) (*wire.IngestResu
 	return &res, http.StatusAccepted, nil
 }
 
-// checkVertex validates a vertex ID against the configured ID space.
-func (s *Server) checkVertex(v int32) error {
-	if v < 0 || v >= s.cfg.Vertices {
-		return badRequest("vertex %d out of range [0,%d)", v, s.cfg.Vertices)
-	}
-	return nil
-}
-
 // scratch returns the request's result storage, borrowing it on first use.
 // Results built in it alias it until reqTrace.finish puts it back, which
 // both transports call after encoding (see internal/reqscratch).
@@ -140,131 +137,37 @@ func (rt *reqTrace) scratch() *reqscratch.Scratch {
 	return rt.scr
 }
 
-// runJaccard answers a jaccard query from the published snapshot.
-func (s *Server) runJaccard(ctx context.Context, u int32, threshold float64) (*wire.JaccardResult, error) {
-	if err := s.checkVertex(u); err != nil {
-		return nil, err
-	}
-	if err := wire.CheckThreshold(threshold); err != nil {
-		return nil, err
-	}
+// jaccard ranks u's similar vertices on the published snapshot.
+func (s *Server) jaccard(ctx context.Context, rt *reqTrace, u int32, threshold float64) ([]kernels.JaccardPairScore, error) {
 	p, err := s.read(ctx, partGraph)
 	if err != nil {
 		return nil, err
 	}
-	scr := traceFrom(ctx).scratch()
-	ctx, st := traceFrom(ctx).stageCtx(ctx, "kernel", telemetry.L("kernel", "jaccard"))
+	scr := rt.scratch()
+	ctx, st := rt.stageCtx(ctx, "kernel", telemetry.L("kernel", "jaccard"))
 	scores, err := kernels.AppendJaccardFromVertexCtx(ctx, scr.Scores[:0], p.g, u, threshold)
 	st.end()
 	if err != nil {
 		return nil, err
 	}
 	scr.Scores = scores
-	base := len(scr.Pairs)
-	scr.Pairs = slices.Grow(scr.Pairs, len(scores))
-	for _, sc := range scores {
-		scr.Pairs = append(scr.Pairs, wire.JaccardPair{V: sc.V, Score: sc.Score, Inter: sc.Inter})
-	}
-	return &wire.JaccardResult{U: u, Results: scr.Pairs[base:]}, nil
+	return scores, nil
 }
 
-// runKHop answers a khop query from the published snapshot.
-func (s *Server) runKHop(ctx context.Context, seeds []int32, k int32) (*wire.KHopResult, error) {
-	if len(seeds) == 0 {
-		return nil, badRequest("khop: no seed vertices")
-	}
-	for _, v := range seeds {
-		if err := s.checkVertex(v); err != nil {
-			return nil, err
-		}
-	}
-	if k < 0 {
-		return nil, badRequest("bad k %d", k)
-	}
+// khop walks seeds' k-hop neighbourhood on the published snapshot.
+func (s *Server) khop(ctx context.Context, rt *reqTrace, seeds []int32, k int32) ([]int32, error) {
 	p, err := s.read(ctx, partGraph)
 	if err != nil {
 		return nil, err
 	}
-	scr := traceFrom(ctx).scratch()
+	scr := rt.scratch()
 	base := len(scr.Verts)
-	ctx, st := traceFrom(ctx).stageCtx(ctx, "kernel", telemetry.L("kernel", "khop"))
+	ctx, st := rt.stageCtx(ctx, "kernel", telemetry.L("kernel", "khop"))
 	verts, err := kernels.AppendKHopNeighborhoodCtx(ctx, scr.Verts, p.g, seeds, k)
 	st.end()
 	if err != nil {
 		return nil, err
 	}
 	scr.Verts = verts
-	return &wire.KHopResult{Seeds: seeds, K: k, Count: len(verts) - base, Vertices: verts[base:]}, nil
-}
-
-// runTopDegree answers a topdegree query from the published degree vector
-// (advanced over each delta window by the writer); the O(n log k) selection
-// itself is too cheap to stage.
-func (s *Server) runTopDegree(ctx context.Context, k int) (*wire.TopDegreeResult, error) {
-	if k <= 0 {
-		return nil, badRequest("bad k %d", k)
-	}
-	p, err := s.read(ctx, kernDeg)
-	if err != nil {
-		return nil, err
-	}
-	return &wire.TopDegreeResult{K: k, Results: scoredToWire(kernels.TopKByScore(p.vec, k))}, nil
-}
-
-// scoredToWire converts a kernels score list to the shared wire type (same
-// fields; internal/wire imports nothing from the repo, so the k entries are
-// copied).
-func scoredToWire(in []kernels.ScoredVertex) []wire.ScoredVertex {
-	out := make([]wire.ScoredVertex, len(in))
-	for i, sv := range in {
-		out[i] = wire.ScoredVertex{V: sv.V, Score: sv.Score}
-	}
-	return out
-}
-
-// runComponent answers a component query from the published WCC labels.
-func (s *Server) runComponent(ctx context.Context, v int32) (*wire.ComponentResult, error) {
-	if err := s.checkVertex(v); err != nil {
-		return nil, err
-	}
-	p, err := s.read(ctx, kernWCC)
-	if err != nil {
-		return nil, err
-	}
-	label := p.cc.Label[v]
-	return &wire.ComponentResult{
-		V:             v,
-		Component:     label,
-		Size:          p.sizes[label],
-		NumComponents: p.cc.NumComponents,
-		Version:       p.version,
-	}, nil
-}
-
-// runPageRankVertex answers a single-vertex pagerank query from the
-// published rank vector.
-func (s *Server) runPageRankVertex(ctx context.Context, v int32) (*wire.PageRankResult, error) {
-	if err := s.checkVertex(v); err != nil {
-		return nil, err
-	}
-	p, err := s.read(ctx, kernPR)
-	if err != nil {
-		return nil, err
-	}
-	rank := p.vec[v]
-	return &wire.PageRankResult{V: &v, Rank: &rank, Iterations: p.iters, Version: p.version}, nil
-}
-
-// runPageRankTop answers a top-k pagerank query from the published rank
-// vector.
-func (s *Server) runPageRankTop(ctx context.Context, k int) (*wire.PageRankResult, error) {
-	if k <= 0 {
-		return nil, badRequest("bad k %d", k)
-	}
-	p, err := s.read(ctx, kernPR)
-	if err != nil {
-		return nil, err
-	}
-	top := kernels.TopKByScore(p.vec, k)
-	return &wire.PageRankResult{K: k, Results: scoredToWire(top), Iterations: p.iters, Version: p.version}, nil
+	return verts[base:], nil
 }

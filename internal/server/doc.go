@@ -52,5 +52,8 @@
 // The HTTP front end (frontend.go) is not graphd's alone: cmd/graphctl
 // serves the same one over a cluster.Coordinator (ClusterHandler), so a
 // request through the cluster is parsed, traced, staged, encoded and
-// counted by the code that serves it here.
+// counted by the code that serves it here. Its one answer path (answer.go)
+// checks every query and builds every answer for both, over a backend
+// that only reads state: graphd's published bundles or the coordinator's
+// shards.
 package server

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/kernels"
 	"repro/internal/prof"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -21,19 +22,31 @@ import (
 // wire.Request, deadline, traceparent, the stage spans that sum to wall
 // time, slow-query capture, error-to-status mapping, JSON encoding, ingest
 // bodies, /query/batch, /stats, /healthz, /readyz and the server_* request
-// families — over a narrow backend that only answers. graphd's wire
-// sessions (serve_wire.go) run the same trace, dispatch and batch core.
+// families — and one answer path (answer.go) that checks every query and
+// builds every answer, over a narrow backend that only reads state. graphd's
+// wire sessions (serve_wire.go) run the same trace, dispatch, answer and
+// batch core.
 
-// backend is what the front end answers from.
+// backend is the state the front end answers from. Requests reach it
+// checked: every vertex, seed, k and threshold in range.
 type backend interface {
 	// enter waits for an execution slot until ctx ends; leave returns it.
 	// graphd admits against its worker budget; the coordinator admits
 	// nothing, as each of its shards admits its own work.
 	enter(ctx context.Context, rt *reqTrace) error
 	leave()
-	// run answers one query — never ingest, stats or a batch, which the
-	// front end unrolls — building traversal answers in rt's scratch.
-	run(ctx context.Context, rt *reqTrace, req *wire.Request) (any, error)
+	// whole reads, at one version, the whole-graph state op's answer needs:
+	// component's labels and sizes, pagerank's ranks, topdegree's degrees.
+	whole(ctx context.Context, rt *reqTrace, op byte) (whole, error)
+	// khop appends the k-hop neighbourhood of seeds, in BFS discovery
+	// order, to rt's scratch and returns it.
+	khop(ctx context.Context, rt *reqTrace, seeds []int32, k int32) ([]int32, error)
+	// jaccard ranks u's similar vertices at or above threshold into rt's
+	// scratch and returns them, valid until the next jaccard.
+	jaccard(ctx context.Context, rt *reqTrace, u int32, threshold float64) ([]kernels.JaccardPairScore, error)
+	// exchange answers a shard-exchange op. They are graphd's, and arrive
+	// only over its wire listener.
+	exchange(ctx context.Context, rt *reqTrace, req *wire.Request) (any, error)
 	// ingest admits decoded edits: the result and 202, 429 with the accepted
 	// prefix, or 503 when the edits cannot all be taken; with no result, the
 	// error and its status.
@@ -60,15 +73,16 @@ func resolveTimeout(d time.Duration) time.Duration {
 	return min(d, maxTimeout)
 }
 
-// frontEnd is the request path state: the backend, the registry the
-// request families and spans land on, the slow-query log, the drain flag,
-// and — graphd's only — the profiler with the in-flight traces it stamps
-// captures with.
+// frontEnd is the request path state: the backend, the vertex-ID space
+// requests are checked against, the registry the request families and spans
+// land on, the slow-query log, the drain flag, and — graphd's only — the
+// profiler with the in-flight traces it stamps captures with.
 type frontEnd struct {
-	back backend
-	reg  *telemetry.Registry
-	slow *slowLog
-	prof *prof.Profiler // nil unless Config.ProfileTriggers
+	back     backend
+	vertices int32
+	reg      *telemetry.Registry
+	slow     *slowLog
+	prof     *prof.Profiler // nil unless Config.ProfileTriggers
 
 	// draining is set by BeginDrain and fails the /readyz draining check.
 	draining atomic.Bool
@@ -106,7 +120,7 @@ type ClusterAPI struct {
 // them beside the cluster_* families. graphctl has no slow-query threshold:
 // its /debug/slowqueries serves an empty ring.
 func ClusterHandler(c *cluster.Coordinator, reg *telemetry.Registry) *ClusterAPI {
-	fe := &frontEnd{reg: reg, slow: newSlowLog(0, nil, reg)}
+	fe := &frontEnd{vertices: c.Vertices(), reg: reg, slow: newSlowLog(0, nil, reg)}
 	fe.back = clusterBackend{c, fe}
 	return &ClusterAPI{fe.handler(nil), fe}
 }
@@ -130,12 +144,32 @@ func (b clusterBackend) readiness() (any, bool) {
 	return r, r.Ready
 }
 
-// run answers from the shards in one "cluster" stage: the exchanges and
-// the coordinator's merge.
-func (b clusterBackend) run(ctx context.Context, rt *reqTrace, req *wire.Request) (any, error) {
+// whole, khop and jaccard each read from the shards in one "cluster"
+// stage: the exchanges and the coordinator's merge.
+func (b clusterBackend) whole(ctx context.Context, rt *reqTrace, op byte) (whole, error) {
+	st := rt.stage("cluster")
+	s, err := b.c.Read(ctx, op)
+	st.end()
+	if err != nil {
+		return whole{}, err
+	}
+	return whole{version: s.Version(), labels: s.Labels, sizes: s.Sizes, components: s.Components, scores: s.Scores, iters: s.Iterations}, nil
+}
+
+func (b clusterBackend) khop(ctx context.Context, rt *reqTrace, seeds []int32, k int32) ([]int32, error) {
 	st := rt.stage("cluster")
 	defer st.end()
-	return b.c.Run(ctx, rt.scratch(), req)
+	return b.c.KHop(ctx, rt.scratch(), seeds, k)
+}
+
+func (b clusterBackend) jaccard(ctx context.Context, rt *reqTrace, u int32, threshold float64) ([]kernels.JaccardPairScore, error) {
+	st := rt.stage("cluster")
+	defer st.end()
+	return b.c.Jaccard(ctx, rt.scratch(), u, threshold)
+}
+
+func (clusterBackend) exchange(_ context.Context, _ *reqTrace, req *wire.Request) (any, error) {
+	return nil, badRequest("op %s is not a cluster query", wire.OpName(req.Op))
 }
 
 func (b clusterBackend) ingest(_ *reqTrace, edits []wire.IngestEdit) (*wire.IngestResult, int, error) {
@@ -279,7 +313,7 @@ func (fe *frontEnd) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			code, err = http.StatusBadRequest, badRequest("bad ingest body: %v", err)
 		} else {
-			res, code, err = fe.back.ingest(rt, edits)
+			res, code, err = fe.submit(rt, edits)
 		}
 	}
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
@@ -372,14 +406,14 @@ func (fe *frontEnd) dispatch(ctx context.Context, rt *reqTrace, req *wire.Reques
 // expiry once ctx ends — lands in its item, never failing the envelope.
 func (fe *frontEnd) answer(ctx context.Context, rt *reqTrace, req *wire.Request, subs []batchSub) (any, error) {
 	if req.Op != wire.OpBatch {
-		return fe.back.run(ctx, rt, req)
+		return fe.run(ctx, rt, req)
 	}
 	items := make([]batchItem, len(subs))
 	for i := range subs {
 		var res any
 		err := subs[i].err
 		if err == nil {
-			res, err = fe.back.run(ctx, rt, &subs[i].req)
+			res, err = fe.run(ctx, rt, &subs[i].req)
 		}
 		if err != nil {
 			items[i] = batchItem{Status: wire.StatusOf(err), Err: err.Error()}

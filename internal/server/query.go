@@ -51,7 +51,8 @@ func (q queryString) get(key string) string {
 
 // parseQuery builds the wire.Request a GET /query/<op> asks for into req,
 // reusing its seed storage, with HTTP's defaults (khop k=1, top-k 10). It
-// checks syntax only: the backend checks ranges, for every transport alike.
+// checks syntax only: the answer path checks ranges (wire.Request.Check),
+// for every transport alike.
 func parseQuery(op byte, q queryString, req *wire.Request) error {
 	*req = wire.Request{Op: op, Seeds: req.Seeds[:0]}
 	var err error
@@ -65,7 +66,7 @@ func parseQuery(op byte, q queryString, req *wire.Request) error {
 		}
 	case wire.OpKHop:
 		if req.Seeds, err = seedsParam(q, req.Seeds); err == nil {
-			req.K, err = kParam(q, 1, 0)
+			req.K, err = kParam(q, 1, false)
 		}
 	case wire.OpComponent:
 		req.V, err = vertexParam(q, "v")
@@ -76,7 +77,7 @@ func parseQuery(op byte, q queryString, req *wire.Request) error {
 		}
 		fallthrough
 	case wire.OpTopDegree:
-		req.K, err = kParam(q, wire.DefaultTopK, 1)
+		req.K, err = kParam(q, wire.DefaultTopK, true)
 	}
 	return err
 }
@@ -117,14 +118,15 @@ func seedsParam(q queryString, seeds []int32) ([]int32, error) {
 }
 
 // kParam parses the optional ?k= parameter, a result count or khop's depth:
-// def when absent, an error below lo.
-func kParam(q queryString, def, lo int32) (int32, error) {
+// def when absent. A top-k op's explicit 0 is an error: on the wire, where
+// an absent k cannot be told from 0, it means the default.
+func kParam(q queryString, def int32, topK bool) (int32, error) {
 	raw := q.get("k")
 	if raw == "" {
 		return def, nil
 	}
 	k, err := strconv.ParseInt(raw, 10, 32)
-	if err != nil || k < int64(lo) {
+	if err != nil || topK && k == 0 {
 		return 0, badRequest("bad k %q", raw)
 	}
 	return int32(k), nil
@@ -149,8 +151,8 @@ type batchQuerySpec struct {
 }
 
 // request compiles the spec into the wire.Request it asks for, with HTTP's
-// defaults (khop k=1, top-k 10). A bad spec is its item's 400, never the
-// envelope's.
+// defaults (khop k=1, top-k 10), checking syntax only, as parseQuery does.
+// A bad spec is its item's 400, never the envelope's.
 func (q batchQuerySpec) request() (wire.Request, error) {
 	req := wire.Request{Seeds: q.Seeds, Threshold: q.Threshold, K: wire.DefaultTopK}
 	if q.K != nil {
@@ -185,7 +187,7 @@ func (q batchQuerySpec) request() (wire.Request, error) {
 		switch {
 		case req.HasV:
 			req.V = *q.V
-		case req.K <= 0: // only an explicit k gets here; wire reads 0 as "default"
+		case req.K == 0: // only an explicit k gets here; wire reads 0 as "default"
 			return req, badRequest("bad k %d", req.K)
 		}
 	default:

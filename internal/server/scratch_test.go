@@ -335,18 +335,16 @@ func TestResultPoisonedAfterFinish(t *testing.T) {
 	g := loadRMAT(t, s, 8)
 	hub := kernels.TopKByDegree(g, 1)[0].V
 	ctx, rt := s.startTrace(context.Background(), telemetry.TraceContext{}, "test", time.Now())
-	kh, err := s.runKHop(ctx, []int32{hub}, 2)
-	if err != nil {
-		t.Fatal(err)
+	answer := func(req wire.Request) any {
+		out, err := s.run(ctx, rt, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	jc, err := s.runJaccard(ctx, hub, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adj, err := s.runShardAdj(ctx, []int32{hub})
-	if err != nil {
-		t.Fatal(err)
-	}
+	kh := answer(wire.Request{Op: wire.OpKHop, Seeds: []int32{hub}, K: 2}).(*wire.KHopResult)
+	jc := answer(wire.Request{Op: wire.OpJaccard, U: hub}).(*wire.JaccardResult)
+	adj := answer(wire.Request{Op: wire.OpShardAdj, Seeds: []int32{hub}}).(*wire.ShardAdjResult)
 	if len(kh.Vertices) == 0 || len(jc.Results) == 0 || len(adj.Targets) == 0 {
 		t.Fatalf("hub %d has empty answers: %d, %d, %d", hub, len(kh.Vertices), len(jc.Results), len(adj.Targets))
 	}

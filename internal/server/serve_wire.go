@@ -177,7 +177,7 @@ func (s *Server) wireRespond(frame []byte, req *wire.Request, out []byte) []byte
 	case err != nil:
 		rt.root.SetAttr("status", "400")
 	case req.Op == wire.OpIngest:
-		res, code, err = s.ingest(rt, req.Edits)
+		res, code, err = s.submit(rt, req.Edits)
 	default:
 		res, code, err = s.dispatch(ctx, rt, req, subs)
 	}
@@ -217,7 +217,7 @@ func wireBatchSubs(req *wire.Request) ([]batchSub, error) {
 }
 
 // appendWireResult encodes one dispatch result in its binary form. The
-// type set is closed (everything run* or runBatch returns).
+// type set is closed (everything the answer path returns).
 func appendWireResult(out []byte, res any) []byte {
 	switch v := res.(type) {
 	case *wire.JaccardResult:

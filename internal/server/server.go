@@ -225,7 +225,7 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s := &Server{
-		frontEnd:  frontEnd{reg: reg, slow: newSlowLog(cfg.SlowQueryThreshold, cfg.SlowQueryOut, reg)},
+		frontEnd:  frontEnd{vertices: cfg.Vertices, reg: reg, slow: newSlowLog(cfg.SlowQueryThreshold, cfg.SlowQueryOut, reg)},
 		cfg:       cfg,
 		m:         newMetricsSet(reg),
 		queue:     make(chan dyngraph.Edit, cfg.QueueCap),

@@ -98,15 +98,6 @@ func getJSON(t *testing.T, url, path string, out any) int {
 	return resp.StatusCode
 }
 
-// direct returns ctx carrying a fresh request trace, for calling a query
-// body (run*) straight from a test: reads pin the bundle they answer from
-// until the request finishes, which here is when the test ends.
-func direct(tb testing.TB, s *Server, ctx context.Context) context.Context {
-	ctx, rt := s.startTrace(ctx, telemetry.TraceContext{}, "test", time.Now())
-	tb.Cleanup(func() { rt.finish(http.StatusOK, 0) })
-	return ctx
-}
-
 // TestIngestQueryFreshness: updates acknowledged with 202 become visible to
 // every query endpoint once applied, including deletes.
 func TestIngestQueryFreshness(t *testing.T) {

@@ -130,14 +130,11 @@ func (s *Server) runShardPRStep(ctx context.Context, rank []float64) (*wire.Shar
 // frontier exchange behind distributed k-hop/BFS and jaccard replay.
 // Requesting a non-owned vertex is a request error: only the owner holds
 // the complete list, and silently answering a partial one would corrupt
-// the coordinator's traversal. The answer is built flat in the request's
-// scratch (the one-shard case of the coordinator's exchange table) and
-// lives until it is encoded.
+// the coordinator's traversal (the front end has checked that they are in
+// range). The answer is built flat in the request's scratch (the one-shard
+// case of the coordinator's exchange table) and lives until it is encoded.
 func (s *Server) runShardAdj(ctx context.Context, vertices []int32) (*wire.ShardAdjResult, error) {
 	for _, v := range vertices {
-		if err := s.checkVertex(v); err != nil {
-			return nil, err
-		}
 		if !s.ownsVertex(v) {
 			return nil, badRequest("shard.adj: shard %d does not own vertex %d", s.cfg.ShardIndex, v)
 		}

@@ -206,16 +206,16 @@ func TestWireHTTPEquivalence(t *testing.T) {
 
 	t.Run("error equivalence", func(t *testing.T) {
 		_, err := c.Component(9999, d)
-		var se *wire.StatusError
-		if !errors.As(err, &se) {
-			t.Fatalf("wire error = %v, want StatusError", err)
+		var we *wire.Error
+		if !errors.As(err, &we) {
+			t.Fatalf("wire error = %v, want a wire.Error", err)
 		}
 		code, body := getRaw(t, ts.URL, "/query/component?v=9999")
-		if se.Status != wire.StatusBadRequest || code != 400 {
-			t.Fatalf("statuses differ: wire %d http %d", se.Status, code)
+		if we.Code != 400 || code != 400 {
+			t.Fatalf("statuses differ: wire %d http %d", we.Code, code)
 		}
-		if !strings.Contains(string(body), se.Msg) {
-			t.Fatalf("messages differ: wire %q http %q", se.Msg, body)
+		if !strings.Contains(string(body), we.Msg) {
+			t.Fatalf("messages differ: wire %q http %q", we.Msg, body)
 		}
 	})
 
@@ -447,7 +447,7 @@ func TestFlatSnapshotRecovery(t *testing.T) {
 			after.Arcs, after.Edges, before.Arcs-1, before.Edges)
 	}
 	// The snapshot is pre-seeded: the first query must not rebuild.
-	got, err := s2.runComponent(direct(t, s2, context.Background()), 4)
+	got, err := answerVia[wire.ComponentResult](context.Background(), &s2.frontEnd, wire.Request{Op: wire.OpComponent, V: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,8 +62,8 @@ func NewClient(conn net.Conn) (*Client, error) {
 func (c *Client) Close() error { return c.conn.Close() }
 
 // do sends req and returns the response reader positioned after the status
-// byte. Non-OK statuses are returned as *StatusError with the server's
-// message decoded; statuses listed in okStatuses additionally hand the body
+// byte. Non-OK statuses are returned as *Error with the server's
+// message decoded and the status's HTTP code; statuses listed in okStatuses additionally hand the body
 // back for decoding (the ingest backpressure case).
 func (c *Client) do(req *Request, okStatuses ...byte) (Reader, byte, error) {
 	c.wbuf = AppendRequest(c.wbuf[:0], req)
@@ -91,7 +91,7 @@ func (c *Client) do(req *Request, okStatuses ...byte) (Reader, byte, error) {
 	if r.Err() != nil {
 		msg = fmt.Sprintf("<malformed error body: %v>", r.Err())
 	}
-	return Reader{}, status, &StatusError{Status: status, Msg: msg}
+	return Reader{}, status, &Error{Code: HTTPStatus(status), Msg: msg}
 }
 
 // timeoutMicros converts a client deadline to the wire's microsecond field.
@@ -124,7 +124,7 @@ func (c *Client) Stats(timeout time.Duration) (json.RawMessage, error) {
 }
 
 // Ingest submits edits. On backpressure the partial IngestResult is
-// returned alongside the *StatusError, mirroring HTTP 429's accepted-prefix
+// returned alongside an *Error with Code 429, mirroring HTTP 429's accepted-prefix
 // contract.
 func (c *Client) Ingest(edits []IngestEdit, timeout time.Duration) (*IngestResult, error) {
 	c.req = Request{Op: OpIngest, TimeoutMicros: timeoutMicros(timeout), Edits: edits}
@@ -137,7 +137,7 @@ func (c *Client) Ingest(edits []IngestEdit, timeout time.Duration) (*IngestResul
 		return nil, derr
 	}
 	if status == StatusBackpressure {
-		return out, &StatusError{Status: status, Msg: "ingest queue full"}
+		return out, &Error{Code: HTTPStatus(status), Msg: "ingest queue full"}
 	}
 	return out, nil
 }

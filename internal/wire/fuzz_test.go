@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"testing"
 )
@@ -9,7 +10,9 @@ import (
 // FuzzWireDecode drives the request decoder (the server's untrusted-input
 // surface) with arbitrary frame payloads. The decoder must never panic,
 // never allocate proportionally to a hostile count field, and must re-encode
-// accepted requests to a payload that decodes to the same request.
+// accepted requests to a payload that decodes to the same request. Every
+// decoded request and sub-request then meets the input boundary behind the
+// decoder, Request.Check and CheckEdits (see checkNamesInRange).
 func FuzzWireDecode(f *testing.F) {
 	seeds := []*Request{
 		{Op: OpPing},
@@ -51,17 +54,55 @@ func FuzzWireDecode(f *testing.F) {
 		if req2.Op != req.Op || req2.TimeoutMicros != req.TimeoutMicros {
 			t.Fatalf("round trip changed envelope: %+v vs %+v", req, req2)
 		}
+		checkNamesInRange(t, &req)
 		// Batch sub-payloads must each decode (or fail) without panicking,
 		// and nested batches must be rejected.
 		if req.Op == OpBatch {
 			var sub Request
 			for _, raw := range req.Sub {
-				if err := DecodeSubRequest(raw, &sub); err == nil && sub.Op == OpBatch {
+				err := DecodeSubRequest(raw, &sub)
+				if err == nil && sub.Op == OpBatch {
 					t.Fatal("nested batch accepted")
+				}
+				if err == nil {
+					checkNamesInRange(t, &sub)
 				}
 			}
 		}
 	})
+}
+
+// checkNamesInRange runs Check, and CheckEdits on an ingest's edits, at a
+// few vertex counts. Neither may panic, and a request either passes must
+// name only vertices in [0, vertices): its U, V, seeds or edit endpoints.
+func checkNamesInRange(t *testing.T, req *Request) {
+	for _, n := range []int32{1, 64, math.MaxInt32} {
+		var named []int32
+		switch req.Op {
+		case OpJaccard:
+			named = []int32{req.U}
+		case OpComponent:
+			named = []int32{req.V}
+		case OpPageRank:
+			if req.HasV {
+				named = []int32{req.V}
+			}
+		case OpKHop, OpShardAdj:
+			named = req.Seeds
+		}
+		ok := req.Check(n) == nil
+		if req.Op == OpIngest {
+			for _, e := range req.Edits {
+				named = append(named, e.Src, e.Dst)
+			}
+			ok = CheckEdits(req.Edits, n) == nil
+		}
+		for _, v := range named {
+			if ok && (v < 0 || v >= n) {
+				t.Fatalf("%s request naming vertex %d passed the check at %d vertices: %+v", OpName(req.Op), v, n, req)
+			}
+		}
+	}
 }
 
 // FuzzWireResponseDecode drives the client-side response body decoders with

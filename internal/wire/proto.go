@@ -102,22 +102,10 @@ func StatusFromHTTP(code int) byte {
 	}
 }
 
-// StatusError is a non-OK wire response surfaced as a Go error by Client.
-type StatusError struct {
-	// Status is the response's wire status byte.
-	Status byte
-	// Msg is the server's error message.
-	Msg string
-}
-
-// Error implements the error interface.
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("wire: status %d (http %d): %s", e.Status, HTTPStatus(e.Status), e.Msg)
-}
-
 // Error is a request failure carrying the HTTP status it is answered with:
 // the one error type graphd, graphctl and the coordinator build, sent over
-// the wire protocol as StatusFromHTTP(Code).
+// the wire protocol as StatusFromHTTP(Code), and the one a Client returns
+// for a non-OK response, Code translated back by HTTPStatus.
 type Error struct {
 	// Code is the HTTP status the failure answers with.
 	Code int
@@ -134,17 +122,13 @@ func Errorf(code int, format string, args ...any) *Error {
 }
 
 // StatusOf maps a request error to the HTTP status it is answered with: an
-// Error's own code, a shard's StatusError translated back, 504 once the
-// request's deadline has passed or it was cancelled, and 500 for anything
-// else.
+// Error's own code (a shard's included), 504 once the request's deadline
+// has passed or it was cancelled, and 500 for anything else.
 func StatusOf(err error) int {
 	var e *Error
-	var se *StatusError
 	switch {
 	case errors.As(err, &e):
 		return e.Code
-	case errors.As(err, &se):
-		return HTTPStatus(se.Status)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return 504
 	default:

@@ -280,8 +280,8 @@ func TestBatchRequestRoundTrip(t *testing.T) {
 
 func TestDecodeRequestMalformed(t *testing.T) {
 	cases := map[string][]byte{
-		"empty":            {},
-		"unknown op":       {0xee, 0x00},
+		"empty":              {},
+		"unknown op":         {0xee, 0x00},
 		"truncated envelope": {OpJaccard},
 		"jaccard no threshold": func() []byte {
 			b := []byte{OpJaccard, 0}
@@ -520,17 +520,17 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 
 	res, err := c.Ingest([]IngestEdit{{Src: 1, Dst: 2}, {Src: 3, Dst: 4}}, time.Second)
-	se, ok := err.(*StatusError)
-	if !ok || se.Status != StatusBackpressure {
-		t.Fatalf("Ingest err = %v, want backpressure StatusError", err)
+	we, ok := err.(*Error)
+	if !ok || we.Code != 429 {
+		t.Fatalf("Ingest err = %v, want a 429 Error", err)
 	}
 	if res == nil || res.Accepted != 1 || res.Rejected != 1 {
 		t.Fatalf("Ingest partial result = %+v", res)
 	}
 
 	if _, err := c.Jaccard(99, 0, time.Second); err == nil {
-		t.Fatal("Jaccard: expected StatusError")
-	} else if se, ok := err.(*StatusError); !ok || se.Status != StatusBadRequest || !strings.Contains(se.Msg, "out of range") {
+		t.Fatal("Jaccard: expected an Error")
+	} else if we, ok := err.(*Error); !ok || we.Code != 400 || !strings.Contains(we.Msg, "out of range") {
 		t.Fatalf("Jaccard err = %v", err)
 	}
 

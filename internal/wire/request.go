@@ -1,6 +1,9 @@
 package wire
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"strconv"
+)
 
 // IngestEdit is one graph edit, in both protocols: the binary encoding
 // below and, with its JSON tags, one element of the HTTP API's POST /ingest
@@ -30,15 +33,56 @@ func (r *Request) TopK() int32 {
 	return r.K
 }
 
-// CheckThreshold is jaccard's one threshold rule, on every transport: a
-// score cutoff in [0, 1]. NaN fails it too — every comparison with NaN is
-// false, so it would otherwise answer an empty list instead of an error.
-func CheckThreshold(t float64) error {
-	if t >= 0 && t <= 1 {
-		return nil
+// Check is the one validation rule for a query, on every transport and for
+// both binaries, run before any backend sees it. It checks, in this order:
+// U, V and every seed in [0, vertices); khop has a seed; khop's depth is
+// non-negative; a top-k count is non-negative (0 means DefaultTopK);
+// jaccard's threshold is in [0, 1]. NaN fails the threshold rule too —
+// every comparison with NaN is false, so it would otherwise answer an empty
+// list instead of an error. The first failure is answered, as a 400.
+func (r *Request) Check(vertices int32) error {
+	name := OpName(r.Op)
+	bad := func(v int32) bool { return v < 0 || v >= vertices }
+	switch {
+	case r.Op == OpJaccard && bad(r.U):
+		return Errorf(400, outOfRange, name, r.U, vertices)
+	case (r.Op == OpComponent || r.Op == OpPageRank && r.HasV) && bad(r.V):
+		return Errorf(400, outOfRange, name, r.V, vertices)
+	case r.Op == OpKHop || r.Op == OpShardAdj:
+		for _, s := range r.Seeds {
+			if bad(s) {
+				return Errorf(400, outOfRange, name, s, vertices)
+			}
+		}
 	}
-	return Errorf(400, "jaccard: threshold %g out of [0, 1]", t)
+	topK := r.Op == OpTopDegree || r.Op == OpPageRank && !r.HasV
+	switch {
+	case r.Op == OpKHop && len(r.Seeds) == 0:
+		return Errorf(400, "khop: no seed vertices")
+	case (r.Op == OpKHop || topK) && r.K < 0:
+		return Errorf(400, "%s: k must be non-negative, got %d", name, r.K)
+	case r.Op == OpJaccard && !(r.Threshold >= 0 && r.Threshold <= 1):
+		return Errorf(400, "jaccard: threshold %g out of [0, 1]", r.Threshold)
+	}
+	return nil
 }
+
+// CheckEdits is ingest's one validation rule: every endpoint in
+// [0, vertices). The first bad edit is answered, as a 400 naming its index.
+func CheckEdits(edits []IngestEdit, vertices int32) error {
+	for i, e := range edits {
+		for _, v := range [2]int32{e.Src, e.Dst} {
+			if v < 0 || v >= vertices {
+				return Errorf(400, outOfRange, "update "+strconv.Itoa(i), v, vertices)
+			}
+		}
+	}
+	return nil
+}
+
+// outOfRange is the one message for a vertex outside the ID space, led by
+// the op or the update it came in.
+const outOfRange = "%s: vertex %d out of range [0,%d)"
 
 // Ingest edit flag bits.
 const (

@@ -12,7 +12,8 @@
 #
 # A second phase runs the cluster scenario: three shard graphds behind a
 # graphctl coordinator, ingest routed through the coordinator, graphctl's
-# traceparent echo and /query/batch through graphd's front end, then kill
+# traceparent echo and /query/batch through graphd's front end, a malformed
+# batch item answered byte for byte like a shard's, then kill
 # one shard and assert the degraded-mode contract — coordinator /readyz
 # flips to 503 naming the dead shard, cached global reads and point
 # queries on surviving shards still answer, queries owned by the dead
@@ -363,6 +364,17 @@ assert batch["count"] == len(singles)
 for item, want in zip(batch["results"], singles):
     assert item["status"] == 200 and item["result"] == want, (item, want)
 EOF
+
+# One validation rule in the shared front end: a malformed batch item gets
+# the same 400 body from graphctl as from a graphd. Validation does not
+# depend on data, so a shard's answer is the standalone answer.
+bad='{"queries":[{"op":"khop","v":1,"k":-1}]}'
+ctl_bad=$(curl -fsS -X POST -H 'Content-Type: application/json' --data-binary "$bad" "$CURL/query/batch") \
+  || die "graphctl malformed batch"
+shard_bad=$(curl -fsS -X POST -H 'Content-Type: application/json' --data-binary "$bad" "http://127.0.0.1:18180/query/batch") \
+  || die "shard malformed batch"
+[ "$ctl_bad" = "$shard_bad" ] || die "malformed batch: graphctl $ctl_bad, graphd $shard_bad"
+echo "$ctl_bad" | grep -q '"status":400' || die "malformed batch item not a 400: $ctl_bad"
 
 echo "graphd_smoke: killing shard $VICTIM"
 kill -TERM "${SPIDS[$VICTIM]}"
