@@ -5,10 +5,11 @@
 // Queries (component, khop, jaccard, topdegree, pagerank) are routed to
 // owning shards or driven as BSP supersteps over the wire protocol's
 // shard-exchange ops; ingest fans out along the partition with the same
-// 202/429-with-accepted-prefix contract; /readyz aggregates per-shard
-// health into one load-balancer signal. See docs/CLUSTER.md for topology,
-// failure modes, and a quickstart, and docs/OPERATIONS.md for the flags. A
-// bad command line exits 2; a failure to start exits 1.
+// 202/429-with-accepted-prefix contract; /readyz aggregates the readiness
+// each shard reports in its shard.meta answers into one load-balancer
+// signal. See docs/CLUSTER.md for topology, failure modes, and a
+// quickstart, and docs/OPERATIONS.md for the flags. A bad command line
+// exits 2; a failure to start exits 1.
 package main
 
 import (
@@ -49,10 +50,10 @@ func main() {
 // options is graphctl's command line: the coordinator config and what main
 // does around the coordinator.
 type options struct {
-	cfg                       cluster.Config
-	vertices                  int
-	listen, shards, shardHTTP string
-	drainGrace                time.Duration
+	cfg            cluster.Config
+	vertices       int
+	listen, shards string
+	drainGrace     time.Duration
 }
 
 // newFlagSet registers graphctl's flags on a new FlagSet, writing into o.
@@ -60,7 +61,6 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("graphctl", flag.ContinueOnError)
 	fs.StringVar(&o.listen, "listen", ":8095", "HTTP address serving the cluster query/ingest API and telemetry")
 	fs.StringVar(&o.shards, "shards", "", "comma-separated shard wire addresses in partition-index order (required)")
-	fs.StringVar(&o.shardHTTP, "shard-http", "", "comma-separated shard HTTP addresses for /readyz polling, same order as -shards (empty = wire-only health)")
 	fs.IntVar(&o.vertices, "vertices", 1<<16, "shared vertex-ID space [0,n), 1 <= n <= 2^31-1; must match every shard's -vertices")
 	fs.BoolVar(&o.cfg.Directed, "directed", false, "shards store directed graphs; must match every shard's -directed")
 	fs.DurationVar(&o.cfg.PollInterval, "poll-interval", time.Second, "shard health-poll cadence")
@@ -77,26 +77,18 @@ func run(args []string) error {
 		}
 		return usageError{err}
 	}
-	wireAddrs, httpAddrs := splitAddrs(o.shards), splitAddrs(o.shardHTTP)
+	cfg := o.cfg
+	cfg.Shards = splitAddrs(o.shards)
 	switch {
 	case fs.NArg() > 0:
 		fs.Usage()
 		return usageError{fmt.Errorf("unexpected arguments: %v", fs.Args())}
 	case o.vertices < 1 || o.vertices > math.MaxInt32:
 		return usageError{fmt.Errorf("-vertices %d out of range [1, %d]", o.vertices, math.MaxInt32)}
-	case len(wireAddrs) == 0:
+	case len(cfg.Shards) == 0:
 		return usageError{errors.New("-shards is required (comma-separated wire addresses in partition-index order)")}
-	case o.shardHTTP != "" && len(httpAddrs) != len(wireAddrs):
-		return usageError{fmt.Errorf("-shard-http lists %d addresses, -shards lists %d; they must pair up by index", len(httpAddrs), len(wireAddrs))}
 	}
-	cfg := o.cfg
 	cfg.Vertices = int32(o.vertices)
-	for i, w := range wireAddrs {
-		cfg.Shards = append(cfg.Shards, cluster.ShardAddr{Wire: w})
-		if o.shardHTTP != "" {
-			cfg.Shards[i].HTTP = httpAddrs[i]
-		}
-	}
 	cfg.Registry = telemetry.Default()
 	sampler := obsv.StartSampler(cfg.Registry, 5*time.Second) // runtime_* gauges
 	defer sampler.Stop()

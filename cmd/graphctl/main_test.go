@@ -23,7 +23,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"-shards", "a:1", "-vertices", "4294967297"}, "-vertices 4294967297 out of range [1, 2147483647]"},
 		{[]string{"-shards", "a:1", "-vertices", "0"}, "-vertices 0 out of range"},
 		{nil, "-shards is required"},
-		{[]string{"-shards", "a:1,b:2", "-shard-http", "c:3"}, "-shard-http lists 1 addresses, -shards lists 2"},
+		{[]string{"-shard-http", "x"}, "flag provided but not defined: -shard-http"},
 	} {
 		err := run(tc.args)
 		if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), tc.want) {
@@ -39,7 +39,6 @@ func TestRunUsageErrors(t *testing.T) {
 var flagReasons = map[string]lint.FlagReason{
 	"listen":        {Why: "deployment: the HTTP address", File: "benchmark/procs.go"},
 	"shards":        {Why: "deployment: the shards' wire addresses", File: "benchmark/procs.go"},
-	"shard-http":    {Why: "deployment: the shards' HTTP addresses", File: "scripts/graphd_smoke.sh"},
 	"vertices":      {Why: "the graph's shape", File: "benchmark/procs.go"},
 	"directed":      {Why: "the graph's shape"},
 	"poll-interval": {Why: "the smoke script polls every 200ms to see a dead shard fast", File: "scripts/graphd_smoke.sh"},

@@ -20,10 +20,10 @@ type Config struct {
 	Vertices int32
 	// Directed must match the shards' graph orientation.
 	Directed bool
-	// Shards lists the shard processes in partition-index order. Index i of
-	// this slice IS shard i: Owner(v, len(Shards)) == i means Shards[i] owns
-	// vertex v.
-	Shards []ShardAddr
+	// Shards lists the shards' wire addresses (each graphd's -listen-wire)
+	// in partition-index order. Index i of this slice IS shard i:
+	// Owner(v, len(Shards)) == i means Shards[i] owns vertex v.
+	Shards []string
 	// Registry receives cluster_* metrics (nil = metrics off).
 	Registry *telemetry.Registry
 	// PollInterval is the shard health-poll cadence (default 1s).
@@ -187,8 +187,6 @@ type Coordinator struct {
 	shards []*shardConn
 	m      *metricsSet
 
-	httpClient *http.Client
-
 	// Kernel caches, each valid for exactly one version vector. Guarded by
 	// cacheMu; rebuilt on miss by the bsp.go gather/superstep drivers.
 	cacheMu sync.Mutex
@@ -210,7 +208,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: at least one shard address required")
 	}
 	for i, a := range cfg.Shards {
-		if a.Wire == "" {
+		if a == "" {
 			return nil, fmt.Errorf("cluster: shard %d has no wire address", i)
 		}
 	}
@@ -232,13 +230,12 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 
 	c := &Coordinator{
-		cfg:        cfg,
-		m:          newMetricsSet(cfg.Registry, len(cfg.Shards)),
-		httpClient: &http.Client{Timeout: cfg.PollInterval},
-		stopCh:     make(chan struct{}),
+		cfg:    cfg,
+		m:      newMetricsSet(cfg.Registry, len(cfg.Shards)),
+		stopCh: make(chan struct{}),
 	}
 	for i, a := range cfg.Shards {
-		c.shards = append(c.shards, &shardConn{index: i, addr: a, httpReady: a.HTTP == ""})
+		c.shards = append(c.shards, &shardConn{index: i, addr: a})
 	}
 	c.pollAll()
 	c.pollWG.Add(1)

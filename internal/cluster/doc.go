@@ -10,10 +10,12 @@
 //     assignment table travels.
 //
 //   - The shard registry (registry.go): one lazily-dialed wire connection
-//     per shard, a health poll loop (shard.meta over the wire + /readyz
-//     over HTTP), and the aggregated readiness model the coordinator
-//     serves: the cluster is ready iff every shard is ready, one readiness
-//     check per shard.
+//     per shard, a health poll loop over shard.meta — the one channel the
+//     coordinator hears a shard's health on: the round trip, the
+//     registration check and the shard's own /readyz verdict, whose
+//     failing checks it names — and the aggregated readiness model the
+//     coordinator serves: the cluster is ready iff every shard is ready,
+//     one readiness check per shard.
 //
 //   - The superstep drivers (bsp.go): global kernels run as BSP supersteps
 //     — the coordinator holds the dense value vector, each round fans one

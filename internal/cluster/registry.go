@@ -10,24 +10,12 @@ import (
 	"repro/internal/wire"
 )
 
-// ShardAddr names one shard process: the wire listener the coordinator
-// exchanges shard ops with (required) and the HTTP listener it polls
-// /readyz on (optional — without it the shard's readiness check reflects
-// wire reachability only).
-type ShardAddr struct {
-	// Wire is the shard's -listen-wire address.
-	Wire string
-	// HTTP is the shard's -listen address, used for /readyz polling; empty
-	// disables the HTTP readiness probe for this shard.
-	HTTP string
-}
-
 // shardConn is the coordinator's handle on one shard: a lazily-dialed wire
 // connection (redialed transparently after a shard restart) plus the
 // health state maintained by the poll loop.
 type shardConn struct {
 	index int
-	addr  ShardAddr
+	addr  string // the shard's -listen-wire address
 
 	// mu guards client. wire.Client is not safe for concurrent use, so
 	// every exchange with this shard is serialized here; fan-outs across
@@ -36,13 +24,12 @@ type shardConn struct {
 	client *wire.Client
 
 	// stMu guards the poll-loop health fields below.
-	stMu       sync.Mutex
-	reachable  bool   // last wire shard.meta round-trip succeeded
-	httpReady  bool   // last HTTP /readyz answered 200 (true when unpolled)
-	registered bool   // meta matched the coordinator's config at least once
-	detail     string // human-readable evidence for the readiness check
-	version    int64  // shard snapshot version from the last meta
-	owned      int64  // owned-vertex count from the last meta
+	stMu      sync.Mutex
+	reachable bool   // last shard.meta round-trip succeeded and matched the config
+	metaReady bool   // last shard.meta answered Ready
+	detail    string // human-readable evidence for the readiness check
+	version   int64  // shard snapshot version from the last meta
+	owned     int64  // owned-vertex count from the last meta
 }
 
 // call runs fn against the shard's wire client under the per-shard lock,
@@ -56,7 +43,7 @@ func (sc *shardConn) call(fn func(c *wire.Client) error) error {
 	defer sc.mu.Unlock()
 	var err error
 	if sc.client == nil {
-		sc.client, err = wire.Dial(sc.addr.Wire)
+		sc.client, err = wire.Dial(sc.addr)
 	}
 	if err == nil {
 		err = fn(sc.client)
@@ -104,7 +91,7 @@ func (c *Coordinator) meta(sc *shardConn, timeout time.Duration) (*wire.ShardMet
 	}
 	if m.Index != sc.index || m.Count != len(c.shards) {
 		return nil, fmt.Errorf("shard at %s identifies as %d/%d, coordinator expects %d/%d",
-			sc.addr.Wire, m.Index, m.Count, sc.index, len(c.shards))
+			sc.addr, m.Index, m.Count, sc.index, len(c.shards))
 	}
 	if m.Vertices != c.cfg.Vertices || m.Directed != c.cfg.Directed {
 		return nil, fmt.Errorf("shard %d graph shape (vertices=%d directed=%v) disagrees with coordinator (vertices=%d directed=%v)",
@@ -113,50 +100,25 @@ func (c *Coordinator) meta(sc *shardConn, timeout time.Duration) (*wire.ShardMet
 	return m, nil
 }
 
-// pollShard refreshes one shard's health state: a wire shard.meta
-// round-trip (reachability + registration validation) and, when an HTTP
-// address is configured, a /readyz probe.
+// pollShard refreshes one shard's health state from a shard.meta
+// round-trip: reachability, registration validation and the shard's own
+// readiness verdict.
 func (c *Coordinator) pollShard(sc *shardConn) {
 	m, err := c.meta(sc, c.cfg.PollInterval)
 	sc.stMu.Lock()
+	defer sc.stMu.Unlock()
 	if err != nil {
 		sc.reachable = false
 		sc.detail = err.Error()
-		sc.stMu.Unlock()
 		c.m.shardErrors(sc.index).Inc()
 		return
 	}
-	sc.reachable = true
-	sc.registered = true
-	sc.version = m.Version
-	sc.owned = m.Owned
-	sc.detail = fmt.Sprintf("version %d, owns %d vertices", m.Version, m.Owned)
-	sc.stMu.Unlock()
-
-	if sc.addr.HTTP == "" {
-		return
+	sc.reachable, sc.metaReady = true, m.Ready
+	sc.version, sc.owned = m.Version, m.Owned
+	sc.detail = m.Detail
+	if m.Ready {
+		sc.detail = fmt.Sprintf("version %d, owns %d vertices", m.Version, m.Owned)
 	}
-	ready, detail := probeReadyz(c.httpClient, sc.addr.HTTP)
-	sc.stMu.Lock()
-	sc.httpReady = ready
-	if !ready {
-		sc.detail = detail
-	}
-	sc.stMu.Unlock()
-}
-
-// probeReadyz asks a shard's HTTP listener for /readyz; any non-200 (a
-// draining or degraded shard) reads as not ready.
-func probeReadyz(client *http.Client, addr string) (bool, string) {
-	resp, err := client.Get("http://" + addr + "/readyz")
-	if err != nil {
-		return false, "readyz probe: " + err.Error()
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Sprintf("readyz = %d", resp.StatusCode)
-	}
-	return true, ""
 }
 
 // pollLoop refreshes every shard's health on the poll interval until Close.
@@ -196,54 +158,25 @@ func (c *Coordinator) pollAll() {
 	c.m.shardsReady.Set(float64(ready))
 }
 
-// ready is the one shard-ready rule: reachable over the wire, registered,
-// and — when an HTTP address is configured — answering /readyz with 200.
-// The caller holds stMu.
+// ready is the one shard-ready rule: reachable over the wire, registered
+// (its last meta matched the coordinator's config), and Ready in that
+// meta. The caller holds stMu.
 func (sc *shardConn) ready() bool {
-	return sc.reachable && sc.registered && (sc.addr.HTTP == "" || sc.httpReady)
-}
-
-// ReadyCheck is one per-shard check inside the coordinator's Readiness —
-// the same JSON shape as a graphd /readyz component check, because the
-// coordinator's health model is an aggregation of its shards'.
-type ReadyCheck struct {
-	// Name identifies the check ("shard-0", "shard-1", ...).
-	Name string `json:"name"`
-	// OK reports whether the shard is reachable, registered, and ready.
-	OK bool `json:"ok"`
-	// Detail is the human-readable evidence.
-	Detail string `json:"detail"`
-}
-
-// Readiness is the coordinator's /readyz payload: ready iff every shard is.
-type Readiness struct {
-	// Ready is the conjunction of all shard checks.
-	Ready bool `json:"ready"`
-	// Checks hold one entry per shard, in shard-index order (graphctl's
-	// front end puts its draining check ahead of them).
-	Checks []ReadyCheck `json:"checks"`
+	return sc.reachable && sc.metaReady
 }
 
 // Readiness evaluates the aggregated cluster readiness from the latest
-// poll state: the cluster is ready iff every shard is reachable over the
-// wire, passed registration validation, and (when an HTTP address is
-// configured) answers /readyz with 200. A not-ready cluster still serves
-// the queries it can — this is the load-balancer signal, not a circuit
-// breaker.
-func (c *Coordinator) Readiness() Readiness {
-	r := Readiness{Ready: true}
+// poll state, one check per shard in shard-index order: the cluster is
+// ready iff every shard is. A not-ready shard's check carries the failing
+// checks its meta named. A not-ready cluster still serves the queries it
+// can — this is the load-balancer signal, not a circuit breaker.
+func (c *Coordinator) Readiness() wire.Readiness {
+	r := wire.Readiness{Ready: true}
 	for _, sc := range c.shards {
 		sc.stMu.Lock()
-		ok := sc.ready()
-		detail := sc.detail
+		ok, detail := sc.ready(), sc.detail
 		sc.stMu.Unlock()
-		if ok && detail == "" {
-			detail = "ready"
-		}
-		if !ok && detail == "" {
-			detail = "not yet polled"
-		}
-		r.Checks = append(r.Checks, ReadyCheck{Name: fmt.Sprintf("shard-%d", sc.index), OK: ok, Detail: detail})
+		r.Checks = append(r.Checks, wire.ReadyCheck{Name: fmt.Sprintf("shard-%d", sc.index), OK: ok, Detail: detail})
 		r.Ready = r.Ready && ok
 	}
 	return r
@@ -255,11 +188,9 @@ type ShardStatus struct {
 	Index int `json:"index"`
 	// WireAddr is the shard's wire listener address.
 	WireAddr string `json:"wire_addr"`
-	// HTTPAddr is the shard's HTTP listener address ("" if unconfigured).
-	HTTPAddr string `json:"http_addr,omitempty"`
 	// Reachable reports the last wire poll outcome.
 	Reachable bool `json:"reachable"`
-	// Ready reports the shard's aggregated readiness verdict.
+	// Ready reports the shard-ready rule's verdict at the last poll.
 	Ready bool `json:"ready"`
 	// Version is the shard's snapshot version at the last successful poll.
 	Version int64 `json:"version"`
@@ -296,8 +227,7 @@ func (c *Coordinator) Stats() ClusterStats {
 		sc.stMu.Lock()
 		info := ShardStatus{
 			Index:     sc.index,
-			WireAddr:  sc.addr.Wire,
-			HTTPAddr:  sc.addr.HTTP,
+			WireAddr:  sc.addr,
 			Reachable: sc.reachable,
 			Ready:     sc.ready(),
 			Version:   sc.version,

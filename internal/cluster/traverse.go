@@ -12,7 +12,7 @@ import (
 // Per-request traversals: khop and jaccard touch a neighbourhood, not the
 // graph, so unlike the BSP gathers in bsp.go they run on every request, on
 // the kernels' own pooled scratch and the request's result scratch, and
-// cache nothing. Results alias scr until the caller puts it back (see
+// cache nothing. Results alias scr until the caller resets it (see
 // internal/reqscratch); the front end, which builds the answers from them,
 // does so after encoding.
 

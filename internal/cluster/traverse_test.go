@@ -50,7 +50,7 @@ type fakeShard struct {
 func startFakeShards(t *testing.T, g *graph.Graph, count int) (*Coordinator, []*fakeShard) {
 	t.Helper()
 	fakes := make([]*fakeShard, count)
-	addrs := make([]ShardAddr, count)
+	addrs := make([]string, count)
 	for i := range fakes {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -60,7 +60,7 @@ func startFakeShards(t *testing.T, g *graph.Graph, count int) (*Coordinator, []*
 		fs.wg.Add(1)
 		go fs.accept()
 		t.Cleanup(fs.stop)
-		fakes[i], addrs[i] = fs, ShardAddr{Wire: ln.Addr().String()}
+		fakes[i], addrs[i] = fs, ln.Addr().String()
 	}
 	c, err := New(Config{Vertices: g.NumVertices(), Shards: addrs, PollInterval: time.Hour})
 	if err != nil {
@@ -135,7 +135,7 @@ func (fs *fakeShard) answer(frame []byte, req *wire.Request) []byte {
 			count++
 		}
 		return wire.AppendShardMeta(out, &wire.ShardMeta{
-			Index: fs.index, Count: count, Vertices: n, Owned: OwnedCount(n, fs.index, fs.count), Version: fs.version.Load(),
+			Index: fs.index, Count: count, Vertices: n, Owned: OwnedCount(n, fs.index, fs.count), Version: fs.version.Load(), Ready: true,
 		})
 	case wire.OpShardDegrees:
 		res := wire.ShardDegreesResult{Version: fs.version.Load()}
@@ -238,8 +238,7 @@ func TestAdjacencyReassemblyOrder(t *testing.T) {
 			cases["isolated only"] = append(cases["isolated only"], v)
 		}
 	}
-	scr := reqscratch.Get()
-	defer reqscratch.Put(scr)
+	scr := &reqscratch.Scratch{}
 	for name, frontier := range cases {
 		lists, err := c.adjacency(context.Background(), scr, frontier)
 		if err != nil {
@@ -280,8 +279,7 @@ func TestAdjacencyShortAnswer(t *testing.T) {
 	n := g.NumVertices()
 	c, fakes := startFakeShards(t, g, 3)
 	frontier := append(ownedBy(n, 0, 3, 2), ownedBy(n, 1, 3, 2)...)
-	scr := reqscratch.Get()
-	defer reqscratch.Put(scr)
+	scr := &reqscratch.Scratch{}
 	fakes[1].short.Store(true)
 	_, err := c.adjacency(context.Background(), scr, frontier)
 	if err == nil || wire.StatusOf(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "shard 1 returned 1 adjacency lists, want 2") {
@@ -306,8 +304,7 @@ func TestTraversalsMatchKernels(t *testing.T) {
 	g := testGraph()
 	c, _ := startFakeShards(t, g, 2)
 	ctx := context.Background()
-	scr := reqscratch.Get()
-	defer reqscratch.Put(scr)
+	scr := &reqscratch.Scratch{}
 	for _, v := range []int32{0, 1, 2, 17, 100, g.NumVertices() - 1} {
 		want := kernels.KHopNeighborhood(g, []int32{v}, 2)
 		if got, err := c.KHop(ctx, scr, []int32{v}, 2); err != nil || !slices.Equal(got, want) {
@@ -320,15 +317,15 @@ func TestTraversalsMatchKernels(t *testing.T) {
 	}
 }
 
-// TestHTTPResultPoisonedAfterWrite: the front end puts a request's scratch
-// back once it has written the answer, so under go test a traversal result
-// still held afterwards reads poison.
+// TestHTTPResultPoisonedAfterWrite: the front end resets a request's
+// scratch once it has written the answer, so under go test a traversal
+// result still held afterwards reads poison.
 func TestHTTPResultPoisonedAfterWrite(t *testing.T) {
 	g := testGraph()
 	c, _ := startFakeShards(t, g, 2)
 	hub := kernels.TopKByDegree(g, 1)[0].V
 	ctx := context.Background()
-	scr := reqscratch.Get()
+	scr := &reqscratch.Scratch{}
 	verts, err := c.KHop(ctx, scr, []int32{hub}, 2)
 	if err != nil {
 		t.Fatalf("KHop(%d): %v", hub, err)
@@ -337,8 +334,7 @@ func TestHTTPResultPoisonedAfterWrite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Jaccard(%d): %v", hub, err)
 	}
-	reqscratch.Put(scr)
-	// Checked before any other request can borrow the scratch back.
+	scr.Reset()
 	if len(verts) == 0 || slices.ContainsFunc(verts, func(v int32) bool { return v != -1 }) {
 		t.Fatalf("khop result held past its scratch was not poisoned: %v", verts[:min(8, len(verts))])
 	}

@@ -1,15 +1,16 @@
 // Package reqscratch is the request-scoped result storage both front ends
 // answer traversals from: graphd's query handlers and graphctl's
 // coordinator append khop orders, jaccard rankings and shard adjacency
-// exchanges into one pooled Scratch instead of allocating them, and put it
-// back once the response is encoded.
+// exchanges into the request's Scratch instead of allocating them. The
+// front end graphd and graphctl share keeps one Scratch in each pooled
+// request trace and resets it once the response is encoded.
 //
-// Ownership rule: a result built in a Scratch aliases it until Put, which
-// the front end graphd and graphctl share calls after encoding, when the
-// request trace finishes. Nothing may keep a result past that; a caller
-// that must copies it out first. Under go test, Put overwrites every buffer
-// with poison, so a result read after Put fails its oracle instead of
-// reading a later request's answer.
+// Ownership rule: a result built in a Scratch aliases it until Reset, which
+// the front end calls after encoding, when the request trace finishes.
+// Nothing may keep a result past that; a caller that must copies it out
+// first. Under go test, Reset overwrites every buffer with poison, so a
+// result read after Reset fails its oracle instead of reading a later
+// request's answer.
 package reqscratch
 
 import (
@@ -17,7 +18,6 @@ import (
 	"testing"
 
 	"repro/internal/kernels"
-	"repro/internal/scratch"
 	"repro/internal/wire"
 )
 
@@ -65,24 +65,14 @@ func (s *Scratch) AdjFor(n int) []Adj {
 	return adj
 }
 
-// The result buffers start non-nil so an empty result still encodes as []
-// in JSON.
-var pool = scratch.NewPool(func() *Scratch {
-	return &Scratch{Verts: make([]int32, 0, 1024), Pairs: make([]wire.JaccardPair, 0, 256)}
-})
-
-// Get borrows a Scratch from the pool.
-func Get() *Scratch { return pool.Get() }
-
-// Put returns s to the pool, emptied; under go test it is poisoned first.
-// Every result built in s dies here.
-func Put(s *Scratch) {
+// Reset empties s, keeping its storage; under go test it is poisoned
+// first. Every result built in s dies here.
+func (s *Scratch) Reset() {
 	if testing.Testing() {
 		s.poison()
 	}
 	clear(s.Lists)
 	s.Verts, s.Scores, s.Pairs, s.Lists = s.Verts[:0], s.Scores[:0], s.Pairs[:0], s.Lists[:0]
-	pool.Put(s)
 }
 
 // poison overwrites every buffer of s to its capacity with values no answer

@@ -9,10 +9,10 @@ import (
 	"repro/internal/wire"
 )
 
-// TestPutPoisons: results held past Put read poison under go test, and a
-// Scratch borrowed again starts empty however much it held.
-func TestPutPoisons(t *testing.T) {
-	s := Get()
+// TestResetPoisons: results held past Reset read poison under go test, and
+// the Scratch starts empty again however much it held.
+func TestResetPoisons(t *testing.T) {
+	s := &Scratch{}
 	s.Verts = append(s.Verts, 1, 2, 3)
 	verts := s.Verts
 	s.Scores = append(s.Scores, kernels.JaccardPairScore{U: 1, V: 2, Inter: 1, Score: 0.5})
@@ -25,7 +25,7 @@ func TestPutPoisons(t *testing.T) {
 	list := adj[1].List(0)
 	s.Lists = append(s.Lists, list)
 
-	Put(s)
+	s.Reset()
 	if !slices.Equal(verts, []int32{-1, -1, -1}) || !slices.Equal(list, []int32{-1, -1}) {
 		t.Fatalf("held vertices %v and adjacency %v were not poisoned", verts, list)
 	}
@@ -39,7 +39,7 @@ func TestPutPoisons(t *testing.T) {
 		t.Fatalf("held pair %+v was not poisoned", p)
 	}
 	if len(s.Verts)+len(s.Scores)+len(s.Pairs)+len(s.Lists) != 0 {
-		t.Fatal("Put left results in the scratch")
+		t.Fatal("Reset left results in the scratch")
 	}
 	for _, a := range s.AdjFor(2) {
 		if len(a.Want)+len(a.Pos)+a.Len()+len(a.Targets) != 0 {

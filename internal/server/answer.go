@@ -44,7 +44,7 @@ func (fe *frontEnd) run(ctx context.Context, rt *reqTrace, req *wire.Request) (a
 		if err != nil {
 			return nil, err
 		}
-		scr := rt.scratch()
+		scr := &rt.scr
 		base := len(scr.Pairs)
 		scr.Pairs = slices.Grow(scr.Pairs, len(scores))
 		for _, sc := range scores {

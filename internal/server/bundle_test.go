@@ -412,7 +412,7 @@ func TestIncrPendingTracksLag(t *testing.T) {
 		if code := getJSON(t, ts.URL, "/query/component?v=1", nil); code != http.StatusOK {
 			t.Fatalf("batch %d: component = %d", i, code)
 		}
-		if c := readyCheck(t, s.Readiness(), "incr-pending"); !c.OK {
+		if c := readyCheck(t, s.readiness(), "incr-pending"); !c.OK {
 			t.Fatalf("batch %d: incr-pending failing with reads keeping up: %s", i, c.Detail)
 		}
 		if st := s.StatsNow(); st.PendingDeltaEdits > 200 {
@@ -424,7 +424,7 @@ func TestIncrPendingTracksLag(t *testing.T) {
 		applied += 200
 		waitApplied(t, s, applied)
 	}
-	if c := readyCheck(t, s.Readiness(), "incr-pending"); !c.OK {
+	if c := readyCheck(t, s.readiness(), "incr-pending"); !c.OK {
 		t.Fatalf("incr-pending failing over an unread stretch (nobody would read it back to ready): %s", c.Detail)
 	}
 	if code := getJSON(t, ts.URL, "/query/component?v=1", nil); code != http.StatusOK {

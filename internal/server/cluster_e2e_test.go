@@ -32,25 +32,30 @@ import (
 // point queries, ingest 503 with a retryable accepted prefix, and snapshot
 // recovery + rejoin.
 
-// testShard is one in-process shard: server, wire listener, HTTP listener.
+// testShard is one in-process shard: server and wire listener, the one
+// channel the coordinator speaks to it on.
 type testShard struct {
 	s        *Server
 	wireLn   net.Listener
-	hs       *httptest.Server
 	wireAddr string
 }
 
-// startShard boots shard index/count over the given vertex space with a
-// wire listener on addr ("" = pick a port) and an httptest HTTP listener.
-func startShard(t *testing.T, vertices int32, index, count int, snapPath, addr string) *testShard {
-	t.Helper()
+// shardConfig is the test configuration of shard index of count over the
+// given vertex space.
+func shardConfig(vertices int32, index, count int) Config {
 	cfg := testConfig(vertices)
 	cfg.ShardIndex = index
 	cfg.ShardCount = count
-	cfg.SnapshotPath = snapPath
+	return cfg
+}
+
+// startShard boots a shard configured by cfg with a wire listener on addr
+// ("" = pick a port).
+func startShard(t *testing.T, cfg Config, addr string) *testShard {
+	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
-		t.Fatalf("shard %d: New: %v", index, err)
+		t.Fatalf("shard %d: New: %v", cfg.ShardIndex, err)
 	}
 	if addr == "" {
 		addr = "127.0.0.1:0"
@@ -65,12 +70,12 @@ func startShard(t *testing.T, vertices int32, index, count int, snapPath, addr s
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("shard %d: listen %s: %v", index, addr, err)
+			t.Fatalf("shard %d: listen %s: %v", cfg.ShardIndex, addr, err)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	go func() { _ = s.ServeWire(ln) }()
-	sh := &testShard{s: s, wireLn: ln, hs: httptest.NewServer(s.Handler()), wireAddr: ln.Addr().String()}
+	sh := &testShard{s: s, wireLn: ln, wireAddr: ln.Addr().String()}
 	t.Cleanup(func() { sh.stop(t) })
 	return sh
 }
@@ -82,7 +87,6 @@ func (sh *testShard) stop(t *testing.T) {
 	if sh.s == nil {
 		return
 	}
-	sh.hs.Close()
 	sh.wireLn.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -90,18 +94,25 @@ func (sh *testShard) stop(t *testing.T) {
 	sh.s = nil
 }
 
-// httpAddr returns the shard's HTTP host:port for coordinator polling.
-func (sh *testShard) httpAddr() string { return sh.hs.Listener.Addr().String() }
-
 // startCluster boots count shards plus a coordinator polling them fast, and
 // returns the registry the coordinator and graphctl's front end share.
 func startCluster(t *testing.T, vertices int32, count int) ([]*testShard, *cluster.Coordinator, *telemetry.Registry) {
 	t.Helper()
 	shards := make([]*testShard, count)
-	addrs := make([]cluster.ShardAddr, count)
-	for i := 0; i < count; i++ {
-		shards[i] = startShard(t, vertices, i, count, "", "")
-		addrs[i] = cluster.ShardAddr{Wire: shards[i].wireAddr, HTTP: shards[i].httpAddr()}
+	for i := range shards {
+		shards[i] = startShard(t, shardConfig(vertices, i, count), "")
+	}
+	coord, reg := startCoordinator(t, vertices, shards)
+	return shards, coord, reg
+}
+
+// startCoordinator starts a coordinator over the shards' wire addresses,
+// polling every 50ms, and returns it with its registry.
+func startCoordinator(t *testing.T, vertices int32, shards []*testShard) (*cluster.Coordinator, *telemetry.Registry) {
+	t.Helper()
+	addrs := make([]string, len(shards))
+	for i, sh := range shards {
+		addrs[i] = sh.wireAddr
 	}
 	reg := telemetry.NewRegistry()
 	coord, err := cluster.New(cluster.Config{
@@ -114,7 +125,7 @@ func startCluster(t *testing.T, vertices int32, count int) ([]*testShard, *clust
 		t.Fatalf("cluster.New: %v", err)
 	}
 	t.Cleanup(coord.Close)
-	return shards, coord, reg
+	return coord, reg
 }
 
 // clusterEdits builds a deterministic edit stream with distinct (src, dst)
@@ -578,33 +589,19 @@ func TestClusterKillShard(t *testing.T) {
 	)
 	dir := t.TempDir()
 	solo, ts := startServer(t, testConfig(vertices))
+	// The victim gets a snapshot path to recover from.
+	victimCfg := shardConfig(vertices, victim, shardCount)
+	victimCfg.SnapshotPath = filepath.Join(dir, "victim.snap")
 	shards := make([]*testShard, shardCount)
-	addrs := make([]cluster.ShardAddr, shardCount)
-	for i := 0; i < shardCount; i++ {
-		// The victim gets a snapshot path (to recover from) and wire-only
-		// health (its HTTP port dies with the process and cannot be
-		// rebound deterministically by httptest).
-		snap := ""
+	for i := range shards {
+		cfg := shardConfig(vertices, i, shardCount)
 		if i == victim {
-			snap = filepath.Join(dir, "victim.snap")
+			cfg = victimCfg
 		}
-		shards[i] = startShard(t, vertices, i, shardCount, snap, "")
-		addrs[i] = cluster.ShardAddr{Wire: shards[i].wireAddr}
-		if i != victim {
-			addrs[i].HTTP = shards[i].httpAddr()
-		}
+		shards[i] = startShard(t, cfg, "")
 	}
-	coord, err := cluster.New(cluster.Config{
-		Vertices:     vertices,
-		Shards:       addrs,
-		Registry:     telemetry.NewRegistry(),
-		PollInterval: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("cluster.New: %v", err)
-	}
-	t.Cleanup(coord.Close)
-	ctl := ClusterHandler(coord, telemetry.NewRegistry())
+	coord, reg := startCoordinator(t, vertices, shards)
+	ctl := ClusterHandler(coord, reg)
 
 	edits := clusterEdits(vertices)
 	ingestBoth(t, solo, ts.URL, shards, coord, edits, make([]int64, shardCount), 0)
@@ -676,7 +673,8 @@ func TestClusterKillShard(t *testing.T) {
 	}
 
 	// Restart the victim at its old wire address from its final snapshot.
-	shards[victim] = startShard(t, vertices, victim, shardCount, filepath.Join(dir, "victim.snap"), victimAddr)
+	victimCfg.Registry = telemetry.NewRegistry() // a new process's metrics
+	shards[victim] = startShard(t, victimCfg, victimAddr)
 	if !shards[victim].s.Recovered() {
 		t.Fatal("restarted shard did not recover from snapshot")
 	}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dyngraph"
 	"repro/internal/kernels"
-	"repro/internal/reqscratch"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -54,14 +53,14 @@ func (s *Server) leave() { <-s.admit }
 func (s *Server) stats() any { return s.StatsNow() }
 
 // readiness evaluates /readyz and mirrors the verdict in server_ready.
-func (s *Server) readiness() (any, bool) {
-	r := s.Readiness()
+func (s *Server) readiness() wire.Readiness {
+	r := s.evalReady(true)
 	ready := 0.0
 	if r.Ready {
 		ready = 1
 	}
 	s.m.ready.Set(ready)
-	return r, r.Ready
+	return r
 }
 
 // wholeKernel is the bundle part each whole-graph read takes.
@@ -127,23 +126,13 @@ func (s *Server) ingest(rt *reqTrace, edits []wire.IngestEdit) (*wire.IngestResu
 	return &res, http.StatusAccepted, nil
 }
 
-// scratch returns the request's result storage, borrowing it on first use.
-// Results built in it alias it until reqTrace.finish puts it back, which
-// both transports call after encoding (see internal/reqscratch).
-func (rt *reqTrace) scratch() *reqscratch.Scratch {
-	if rt.scr == nil {
-		rt.scr = reqscratch.Get()
-	}
-	return rt.scr
-}
-
 // jaccard ranks u's similar vertices on the published snapshot.
 func (s *Server) jaccard(ctx context.Context, rt *reqTrace, u int32, threshold float64) ([]kernels.JaccardPairScore, error) {
 	p, err := s.read(ctx, partGraph)
 	if err != nil {
 		return nil, err
 	}
-	scr := rt.scratch()
+	scr := &rt.scr
 	ctx, st := rt.stageCtx(ctx, "kernel", telemetry.L("kernel", "jaccard"))
 	scores, err := kernels.AppendJaccardFromVertexCtx(ctx, scr.Scores[:0], p.g, u, threshold)
 	st.end()
@@ -160,7 +149,7 @@ func (s *Server) khop(ctx context.Context, rt *reqTrace, seeds []int32, k int32)
 	if err != nil {
 		return nil, err
 	}
-	scr := rt.scratch()
+	scr := &rt.scr
 	base := len(scr.Verts)
 	ctx, st := rt.stageCtx(ctx, "kernel", telemetry.L("kernel", "khop"))
 	verts, err := kernels.AppendKHopNeighborhoodCtx(ctx, scr.Verts, p.g, seeds, k)

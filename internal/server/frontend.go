@@ -51,9 +51,9 @@ type backend interface {
 	// prefix, or 503 when the edits cannot all be taken; with no result, the
 	// error and its status.
 	ingest(rt *reqTrace, edits []wire.IngestEdit) (*wire.IngestResult, int, error)
-	// stats is the /stats payload; readiness the /readyz payload and verdict.
+	// stats is the /stats payload; readiness the /readyz payload.
 	stats() any
-	readiness() (any, bool)
+	readiness() wire.Readiness
 }
 
 // A query's deadline: defaultTimeout when the client sends none (no
@@ -136,12 +136,12 @@ func (clusterBackend) leave()                                 {}
 func (b clusterBackend) stats() any                           { return b.c.Stats() }
 
 // readiness leads the coordinator's per-shard checks with the drain check.
-func (b clusterBackend) readiness() (any, bool) {
+func (b clusterBackend) readiness() wire.Readiness {
 	name, ok, detail := b.fe.drainCheck()
 	r := b.c.Readiness()
-	r.Checks = append([]cluster.ReadyCheck{{Name: name, OK: ok, Detail: detail}}, r.Checks...)
+	r.Checks = append([]wire.ReadyCheck{{Name: name, OK: ok, Detail: detail}}, r.Checks...)
 	r.Ready = r.Ready && ok
-	return r, r.Ready
+	return r
 }
 
 // whole, khop and jaccard each read from the shards in one "cluster"
@@ -159,13 +159,13 @@ func (b clusterBackend) whole(ctx context.Context, rt *reqTrace, op byte) (whole
 func (b clusterBackend) khop(ctx context.Context, rt *reqTrace, seeds []int32, k int32) ([]int32, error) {
 	st := rt.stage("cluster")
 	defer st.end()
-	return b.c.KHop(ctx, rt.scratch(), seeds, k)
+	return b.c.KHop(ctx, &rt.scr, seeds, k)
 }
 
 func (b clusterBackend) jaccard(ctx context.Context, rt *reqTrace, u int32, threshold float64) ([]kernels.JaccardPairScore, error) {
 	st := rt.stage("cluster")
 	defer st.end()
-	return b.c.Jaccard(ctx, rt.scratch(), u, threshold)
+	return b.c.Jaccard(ctx, &rt.scr, u, threshold)
 }
 
 func (clusterBackend) exchange(_ context.Context, _ *reqTrace, req *wire.Request) (any, error) {
@@ -341,9 +341,9 @@ func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // detail when every component is healthy, 503 with the same payload when any
 // is not.
 func (fe *frontEnd) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	r, ok := fe.back.readiness()
+	r := fe.back.readiness()
 	code := http.StatusOK
-	if !ok {
+	if !r.Ready {
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, r)

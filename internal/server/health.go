@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/metrics"
+	"strings"
 	"time"
 
 	"repro/internal/slo"
+	"repro/internal/wire"
 )
 
 // Liveness vs readiness. /healthz is pure liveness: it answers 200 for as
@@ -29,48 +31,31 @@ const heapInUseMetric = "/memory/classes/heap/objects:bytes"
 // about to answer 429.
 const readyQueueFraction = 0.9
 
-// ReadyCheck is one component check inside a Readiness evaluation.
-type ReadyCheck struct {
-	// Name identifies the check ("draining", "ingest-queue", "snapshot-age",
-	// "incr-pending", "heap", "slo").
-	Name string `json:"name"`
-	// OK reports whether the component is within its healthy envelope.
-	OK bool `json:"ok"`
-	// Detail is the human-readable evidence ("depth 120/65536", ...).
-	Detail string `json:"detail"`
-}
+// evalReady evaluates graphd's one check list now. With all set it reports
+// every check with its evidence, the /readyz payload; without, only the
+// failing ones, what shard.meta carries. A check's evidence is formatted
+// only when it is reported, so a ready shard's meta answer allocates
+// nothing.
+func (s *Server) evalReady(all bool) wire.Readiness {
+	e := readyEval{all: all, r: wire.Readiness{Ready: true}}
 
-// Readiness is the /readyz payload: the verdict and its evidence.
-type Readiness struct {
-	// Ready is the conjunction of all checks.
-	Ready bool `json:"ready"`
-	// Checks are the per-component evaluations, in fixed order.
-	Checks []ReadyCheck `json:"checks"`
-}
-
-// Readiness evaluates every readiness check now. It is also the /readyz
-// core; exported so embedders (and tests) can consult the model directly.
-func (s *Server) Readiness() Readiness {
-	var r Readiness
-	r.Ready = true
-	add := func(name string, ok bool, detail string) {
-		r.Checks = append(r.Checks, ReadyCheck{Name: name, OK: ok, Detail: detail})
-		r.Ready = r.Ready && ok
+	if name, ok, detail := s.drainCheck(); e.report(name, ok) {
+		e.detail(detail)
 	}
 
-	add(s.drainCheck())
-
 	depth, limit := len(s.queue), int(readyQueueFraction*float64(s.cfg.QueueCap))
-	add("ingest-queue", depth < limit,
-		fmt.Sprintf("depth %d/%d (limit %d)", depth, s.cfg.QueueCap, limit))
+	if e.report("ingest-queue", depth < limit) {
+		e.detail(fmt.Sprintf("depth %d/%d (limit %d)", depth, s.cfg.QueueCap, limit))
+	}
 
 	if s.cfg.SnapshotPath != "" && s.cfg.SnapshotEvery > 0 {
 		maxAge := 3 * s.cfg.SnapshotEvery
 		age := time.Since(s.lastPersistTime())
-		add("snapshot-age", age <= maxAge,
-			fmt.Sprintf("last persist %s ago (max %s)", age.Round(time.Millisecond), maxAge))
-	} else {
-		add("snapshot-age", true, "persistence disabled")
+		if e.report("snapshot-age", age <= maxAge) {
+			e.detail(fmt.Sprintf("last persist %s ago (max %s)", age.Round(time.Millisecond), maxAge))
+		}
+	} else if e.report("snapshot-age", true) {
+		e.detail("persistence disabled")
 	}
 
 	// The window holds the edits no published bundle reflects. That lag
@@ -78,27 +63,63 @@ func (s *Server) Readiness() Readiness {
 	// outgrow the bound, and its next reader pays one full recompute.
 	pending, bound := int(s.pendingEdits.Load()), s.cfg.MaxPendingEdits
 	limit, unread := bound*9/10, !s.cur.Load().read.Load()
-	add("incr-pending", pending < limit || unread,
-		fmt.Sprintf("pending edits %d/%d (limit %d, published bundle unread %v)", pending, bound, limit, unread))
+	if e.report("incr-pending", pending < limit || unread) {
+		e.detail(fmt.Sprintf("pending edits %d/%d (limit %d, published bundle unread %v)", pending, bound, limit, unread))
+	}
 
 	if maxHeap := s.cfg.ReadyMaxHeapBytes; maxHeap > 0 {
 		heap := heapInUseBytes()
-		add("heap", heap <= maxHeap, fmt.Sprintf("heap %d/%d bytes", heap, maxHeap))
-	} else {
-		add("heap", true, "no heap watermark configured")
+		if e.report("heap", heap <= maxHeap) {
+			e.detail(fmt.Sprintf("heap %d/%d bytes", heap, maxHeap))
+		}
+	} else if e.report("heap", true) {
+		e.detail("no heap watermark configured")
 	}
 
-	switch worst := s.slo.Worst(); worst {
-	case slo.StateBreaching:
-		add("slo", false, fmt.Sprintf("breaching objectives: %v", s.slo.Breaching()))
-	default:
-		detail := "no objectives configured"
-		if s.slo != nil {
-			detail = "worst objective state: " + worst.String()
+	worst := s.slo.Worst()
+	if e.report("slo", worst != slo.StateBreaching) {
+		switch {
+		case worst == slo.StateBreaching:
+			e.detail(fmt.Sprintf("breaching objectives: %v", s.slo.Breaching()))
+		case s.slo == nil:
+			e.detail("no objectives configured")
+		default:
+			e.detail("worst objective state: " + worst.String())
 		}
-		add("slo", true, detail)
 	}
-	return r
+	return e.r
+}
+
+// readyEval is one evalReady in progress.
+type readyEval struct {
+	all bool
+	r   wire.Readiness
+}
+
+// report folds one verdict into the evaluation and reports whether the
+// check is reported; if so, the caller gives its evidence to detail.
+func (e *readyEval) report(name string, ok bool) bool {
+	e.r.Ready = e.r.Ready && ok
+	if ok && !e.all {
+		return false
+	}
+	e.r.Checks = append(e.r.Checks, wire.ReadyCheck{Name: name, OK: ok})
+	return true
+}
+
+// detail sets the evidence of the check report last took.
+func (e *readyEval) detail(d string) { e.r.Checks[len(e.r.Checks)-1].Detail = d }
+
+// failing joins the failing checks of r as "name: detail; ...", the Detail
+// of a shard.meta answer ("" when r is ready).
+func failing(r wire.Readiness) string {
+	var parts []string
+	for _, c := range r.Checks {
+		if !c.OK {
+			parts = append(parts, c.Name+": "+c.Detail)
+		}
+	}
+	return strings.Join(parts, "; ")
 }
 
 // lastPersistTime is when the last snapshot landed (process start before

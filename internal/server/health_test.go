@@ -3,18 +3,20 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/dyngraph"
 	"repro/internal/prof"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // getAnyJSON fetches a URL and decodes the body into out regardless of
@@ -40,7 +42,7 @@ func getAnyJSON(t *testing.T, base, path string, out any) int {
 }
 
 // readyCheck extracts one named check from a Readiness evaluation.
-func readyCheck(t *testing.T, r Readiness, name string) ReadyCheck {
+func readyCheck(t *testing.T, r wire.Readiness, name string) wire.ReadyCheck {
 	t.Helper()
 	for _, c := range r.Checks {
 		if c.Name == name {
@@ -48,7 +50,7 @@ func readyCheck(t *testing.T, r Readiness, name string) ReadyCheck {
 		}
 	}
 	t.Fatalf("readiness has no %q check: %+v", name, r)
-	return ReadyCheck{}
+	return wire.ReadyCheck{}
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -67,7 +69,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // passing, and /healthz answers 200 as pure liveness.
 func TestReadyzFresh(t *testing.T) {
 	_, ts := startServer(t, testConfig(64))
-	var rd Readiness
+	var rd wire.Readiness
 	if code := getAnyJSON(t, ts.URL, "/readyz", &rd); code != http.StatusOK || !rd.Ready {
 		t.Fatalf("fresh readyz = %d ready=%v, want 200 ready", code, rd.Ready)
 	}
@@ -103,7 +105,7 @@ func TestReadyzQueuePressure(t *testing.T) {
 		s.enqueue(edits)
 		return len(s.queue) >= 9
 	})
-	rd := s.Readiness()
+	rd := s.readiness()
 	if c := readyCheck(t, rd, "ingest-queue"); c.OK {
 		t.Fatalf("ingest-queue check passing at depth %d/10: %s", len(s.queue), c.Detail)
 	}
@@ -121,7 +123,7 @@ func TestReadyzHeapWatermark(t *testing.T) {
 	cfg := testConfig(64)
 	cfg.ReadyMaxHeapBytes = 1
 	s, _ := startServer(t, cfg)
-	if c := readyCheck(t, s.Readiness(), "heap"); c.OK {
+	if c := readyCheck(t, s.readiness(), "heap"); c.OK {
 		t.Fatalf("heap check passing with a 1-byte limit: %s", c.Detail)
 	}
 }
@@ -135,17 +137,17 @@ func TestReadyzSnapshotAge(t *testing.T) {
 	cfg.SnapshotEvery = time.Hour // periodic persister effectively off
 	s, _ := startServer(t, cfg)
 
-	if c := readyCheck(t, s.Readiness(), "snapshot-age"); !c.OK {
+	if c := readyCheck(t, s.readiness(), "snapshot-age"); !c.OK {
 		t.Fatalf("snapshot-age check failing on a fresh daemon: %s", c.Detail)
 	}
 	s.lastPersist.Store(time.Now().Add(-3*cfg.SnapshotEvery - time.Minute).UnixNano())
-	if c := readyCheck(t, s.Readiness(), "snapshot-age"); c.OK {
+	if c := readyCheck(t, s.readiness(), "snapshot-age"); c.OK {
 		t.Fatalf("snapshot-age check passing with the last persist past 3 × interval: %s", c.Detail)
 	}
 	if err := s.Persist(); err != nil {
 		t.Fatal(err)
 	}
-	if c := readyCheck(t, s.Readiness(), "snapshot-age"); !c.OK {
+	if c := readyCheck(t, s.readiness(), "snapshot-age"); !c.OK {
 		t.Fatalf("snapshot-age check failing right after Persist: %s", c.Detail)
 	}
 }
@@ -156,7 +158,7 @@ func TestReadyzSnapshotAge(t *testing.T) {
 func TestBeginDrainFlipsReadyzOnly(t *testing.T) {
 	s, ts := startServer(t, testConfig(64))
 	s.BeginDrain()
-	var rd Readiness
+	var rd wire.Readiness
 	if code := getAnyJSON(t, ts.URL, "/readyz", &rd); code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz after BeginDrain = %d, want 503", code)
 	}
@@ -187,7 +189,7 @@ func TestClusterBeginDrainFlipsReadyz(t *testing.T) {
 		return getAnyJSON(t, ctl.URL, "/readyz", nil) == http.StatusOK
 	})
 	api.BeginDrain()
-	var rd cluster.Readiness
+	var rd wire.Readiness
 	if code := getAnyJSON(t, ctl.URL, "/readyz", &rd); code != http.StatusServiceUnavailable || rd.Ready {
 		t.Fatalf("readyz after BeginDrain = %d %+v, want 503", code, rd)
 	}
@@ -199,6 +201,70 @@ func TestClusterBeginDrainFlipsReadyz(t *testing.T) {
 	}
 	if code := getJSON(t, ctl.URL, "/query/topdegree?k=1", nil); code != http.StatusOK {
 		t.Fatalf("query after BeginDrain = %d, want 200 (in-flight work completes)", code)
+	}
+}
+
+// TestClusterReadinessDrill: the coordinator hears each shard's readiness
+// in its shard.meta answers, with wire addresses only. A shard whose ingest
+// queue fills, or that begins a planned drain, fails its check in graphctl's
+// /readyz within a few poll intervals, named by the failing shard check;
+// a shard that recovers is ready again at the next poll.
+func TestClusterReadinessDrill(t *testing.T) {
+	const vertices, poll = 64, 50 * time.Millisecond
+	held := shardConfig(vertices, 1, 2)
+	held.QueueCap = 10
+	held.applyGate = make(chan struct{})
+	release := sync.OnceFunc(func() { close(held.applyGate) })
+	shards := []*testShard{startShard(t, shardConfig(vertices, 0, 2), ""), startShard(t, held, "")}
+	t.Cleanup(release) // before the shards' drains, which apply the queue
+	coord, reg := startCoordinator(t, vertices, shards)
+	ctl := httptest.NewServer(ClusterHandler(coord, reg))
+	defer ctl.Close()
+
+	// failing waits until graphctl's /readyz is 503 with exactly the given
+	// shard check failing, naming want, and returns how long that took.
+	failing := func(shard int, want string) time.Duration {
+		t.Helper()
+		start, name := time.Now(), fmt.Sprintf("shard-%d", shard)
+		var rd wire.Readiness
+		waitFor(t, 5*time.Second, name+" to fail", func() bool {
+			return getAnyJSON(t, ctl.URL, "/readyz", &rd) == http.StatusServiceUnavailable
+		})
+		for _, c := range rd.Checks {
+			if fail := c.Name == name; c.OK == fail || fail && !strings.Contains(c.Detail, want) {
+				t.Fatalf("readyz checks %+v, want only %s failing, naming %q", rd.Checks, name, want)
+			}
+		}
+		return time.Since(start)
+	}
+	ready := func(what string) {
+		t.Helper()
+		waitFor(t, 5*time.Second, what, func() bool { return getAnyJSON(t, ctl.URL, "/readyz", nil) == http.StatusOK })
+	}
+	ready("graphctl ready")
+
+	// Shard 1's ingest loop is held: once it stalls at the gate with the
+	// first edits it took, the topped-up queue stays past the high-water
+	// fraction.
+	edits := make([]dyngraph.Edit, 2*held.QueueCap)
+	for i := range edits {
+		edits[i] = dyngraph.Edit{Src: int32(i % 8), Dst: int32((i + 7) % 8)}
+	}
+	waitFor(t, 5*time.Second, "shard 1's full queue to show", func() bool {
+		shards[1].s.enqueue(edits)
+		return getAnyJSON(t, ctl.URL, "/readyz", nil) == http.StatusServiceUnavailable
+	})
+	failing(1, "ingest-queue")
+	release()
+	ready("the released shard to be ready again")
+
+	// A planned drain of shard 0 shows within a few poll intervals.
+	shards[0].s.BeginDrain()
+	if d := failing(0, "draining"); d > 10*poll {
+		t.Errorf("graphctl saw the drain after %v, want within a few %v poll intervals", d, poll)
+	}
+	if st := coord.Stats(); st.Ready != 1 || st.ShardInfo[0].Ready || !st.ShardInfo[0].Reachable {
+		t.Fatalf("stats during the drain: %+v, want shard 0 reachable but not ready", st)
 	}
 }
 
@@ -254,7 +320,7 @@ func TestSLOBreachDrill(t *testing.T) {
 	}
 
 	// /readyz reports the failing slo check while breaching.
-	var rd Readiness
+	var rd wire.Readiness
 	if code := getAnyJSON(t, ts.URL, "/readyz", &rd); code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz while breaching = %d, want 503", code)
 	}

@@ -370,10 +370,10 @@ func loadCluster(t *testing.T, scale int) (http.Handler, *graph.Graph) {
 	src := gen.RMAT(scale, 8, gen.Graph500RMAT, int64(scale), false)
 	n := src.NumVertices()
 	shards := make([]*testShard, shardCount)
-	addrs := make([]cluster.ShardAddr, shardCount)
+	addrs := make([]string, shardCount)
 	for i := range shards {
-		shards[i] = startShard(t, n, i, shardCount, "", "")
-		addrs[i] = cluster.ShardAddr{Wire: shards[i].wireAddr}
+		shards[i] = startShard(t, shardConfig(n, i, shardCount), "")
+		addrs[i] = shards[i].wireAddr
 	}
 	reg := telemetry.NewRegistry()
 	coord, err := cluster.New(cluster.Config{Vertices: n, Shards: addrs, Registry: reg, PollInterval: time.Hour})

@@ -147,8 +147,10 @@ func (s *Server) wireRespond(frame []byte, req *wire.Request, out []byte) []byte
 		s.countQuery(opName, 200, time.Since(start).Seconds())
 		return append(out, wire.StatusOK)
 	}
-	// The coordinator's version probe reads one atomic and the configured
-	// shape: admission, spans and stages would cost more than the answer.
+	// The coordinator's version probe and health poll reads one atomic, the
+	// configured shape and the readiness checks' inputs: admission, spans
+	// and stages would cost more than the answer, which allocates nothing
+	// while the shard is ready.
 	if frame[0] == wire.OpShardMeta {
 		m := s.shardMeta()
 		out = wire.AppendShardMeta(append(out, wire.StatusOK), &m)

@@ -424,7 +424,7 @@ func TestShutdownDrainAndRecover(t *testing.T) {
 	if code := getJSON(t, ts.URL, "/healthz", nil); code != http.StatusOK {
 		t.Fatalf("healthz while draining = %d, want 200 (liveness)", code)
 	}
-	var rd Readiness
+	var rd wire.Readiness
 	if code := getJSON(t, ts.URL, "/readyz", &rd); code != http.StatusServiceUnavailable || rd.Ready {
 		t.Fatalf("readyz while draining = %d ready=%v, want 503 not-ready", code, rd.Ready)
 	}

@@ -14,9 +14,9 @@ import (
 // shard.prstep and shard.adj run through the same dispatch core as client
 // queries — admission, tracing, metrics, and SLO accounting are identical —
 // under those endpoint labels. shard.meta, the coordinator's version probe
-// and health poll, does not: it reads one atomic and the configured shape,
-// so wireRespond answers it before any trace state is built, as it does
-// ping and stats, and only counts it (server_queries_total and
+// and health poll, does not: it reads one atomic, the configured shape and
+// the readiness checks' inputs, so wireRespond answers it before any trace
+// state is built, as it does ping and stats, and only counts it (server_queries_total and
 // server_query_seconds under op="shard.meta"). A standalone server
 // (ShardCount <= 1) still answers the ops as the degenerate one-shard
 // cluster, which is what the differential e2e suite compares against.
@@ -40,9 +40,11 @@ func (s *Server) ownsVertex(v int32) bool {
 }
 
 // shardMeta answers the registration/health-poll op: the shard's cluster
-// position, graph shape, and visible version (it reads no bundle, so it
-// neither marks one read nor waits for a build).
+// position, graph shape, visible version, and the /readyz verdict with its
+// failing checks (it reads no bundle, so it neither marks one read nor
+// waits for a build).
 func (s *Server) shardMeta() wire.ShardMeta {
+	r := s.evalReady(false)
 	return wire.ShardMeta{
 		Index:    s.cfg.ShardIndex,
 		Count:    s.shardCount(),
@@ -50,6 +52,8 @@ func (s *Server) shardMeta() wire.ShardMeta {
 		Directed: s.cfg.Directed,
 		Owned:    s.ownedCount,
 		Version:  s.version.Load(),
+		Ready:    r.Ready,
+		Detail:   failing(r),
 	}
 }
 
@@ -143,7 +147,7 @@ func (s *Server) runShardAdj(ctx context.Context, vertices []int32) (*wire.Shard
 	if err != nil {
 		return nil, err
 	}
-	out := &traceFrom(ctx).scratch().AdjFor(1)[0].ShardAdjResult
+	out := &traceFrom(ctx).scr.AdjFor(1)[0].ShardAdjResult
 	out.Version = p.version
 	for i, v := range vertices {
 		if i&(shardOpCheckEvery-1) == 0 {

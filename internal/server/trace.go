@@ -46,17 +46,23 @@ type reqTrace struct {
 	root   *telemetry.Span
 	start  time.Time
 	stages []stageDur
-	scr    *reqscratch.Scratch // result storage, borrowed by scratch(), returned by finish
-	req    wire.Request        // the HTTP front end's parsed request
+	scr    reqscratch.Scratch // result storage, reset by finish
+	req    wire.Request       // the HTTP front end's parsed request
 
 	// pinned are the bundles a graphd request reads until finish (see
 	// Server.read).
 	pinned []*bundle
 }
 
-// tracePool recycles request traces with their stage and pin lists.
+// tracePool recycles request traces with their stage and pin lists and
+// their result storage. The result buffers start non-nil so an empty result
+// still encodes as [] in JSON.
 var tracePool = scratch.NewPool(func() *reqTrace {
-	return &reqTrace{stages: make([]stageDur, 0, 8), pinned: make([]*bundle, 0, 2)}
+	return &reqTrace{
+		stages: make([]stageDur, 0, 8),
+		pinned: make([]*bundle, 0, 2),
+		scr:    reqscratch.Scratch{Verts: make([]int32, 0, 1024), Pairs: make([]wire.JaccardPair, 0, 256)},
+	}
 })
 
 // traceFrom returns the request trace carried by ctx, or nil when the
@@ -131,16 +137,13 @@ func (st stage) end() {
 // remainder of the wall time is observed as stage="other" (so the stage
 // family sums to wall time), the root span ends, and the request is offered
 // to the slow-query log. It also ends the life of the request's results:
-// the scratch they alias goes back to the pool and the bundles they alias
-// are unpinned, so callers encode first. rt itself goes back to its pool.
+// the scratch they alias is reset and the bundles they alias are unpinned,
+// so callers encode first. rt itself goes back to its pool.
 func (rt *reqTrace) finish(code int, wall time.Duration) {
 	if rt == nil {
 		return
 	}
-	if scr := rt.scr; scr != nil {
-		rt.scr = nil
-		reqscratch.Put(scr)
-	}
+	rt.scr.Reset()
 	for _, b := range rt.pinned {
 		b.unpin()
 	}

@@ -688,3 +688,31 @@ func TestWireShardMetaSkipsDispatch(t *testing.T) {
 		}
 	}
 }
+
+// TestShardMetaAllocationFree: the shard.meta answer — the coordinator's
+// version probe before every whole-graph read and its health poll — costs
+// a ready shard no allocation, as readiness evidence is formatted only for
+// a failing check. A draining shard's answer is not ready and names the
+// draining check.
+func TestShardMetaAllocationFree(t *testing.T) {
+	cfg := testConfig(64)
+	cfg.ShardIndex, cfg.ShardCount = 1, 3
+	s, _ := startServer(t, cfg)
+	frame := wire.AppendRequest(nil, &wire.Request{Op: wire.OpShardMeta})
+	var req wire.Request
+	out := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(1000, func() { out = s.wireRespond(frame, &req, out[:0]) }); n != 0 {
+		t.Fatalf("a ready shard's shard.meta answer allocates %.1f times, want 0", n)
+	}
+
+	s.BeginDrain()
+	out = s.wireRespond(frame, &req, out[:0])
+	var m wire.ShardMeta
+	r := wire.NewReader(out[1:])
+	if err := wire.DecodeShardMeta(&r, &m); err != nil || out[0] != wire.StatusOK {
+		t.Fatalf("draining shard.meta: status %d, %v", out[0], err)
+	}
+	if m.Ready || m.Detail != "draining: server is draining" {
+		t.Fatalf("draining shard.meta = %+v, want not ready, naming the draining check only", m)
+	}
+}

@@ -119,8 +119,9 @@ func FuzzWireResponseDecode(f *testing.F) {
 	f.Add(byte(OpIngest), AppendIngestResult(nil, &IngestResult{Accepted: 3, Depth: 1}))
 	f.Add(byte(OpStats), AppendRawJSON(nil, []byte(`{"edges":1}`)))
 	f.Add(byte(0xee), []byte{0x01, 0x02})
-	// The five shard-exchange answers.
-	f.Add(byte(OpShardMeta), AppendShardMeta(nil, &ShardMeta{Index: 1, Count: 2, Vertices: 1 << 14, Directed: true, Owned: 8190, Version: 7}))
+	// The five shard-exchange answers, shard.meta ready and not.
+	f.Add(byte(OpShardMeta), AppendShardMeta(nil, &ShardMeta{Index: 1, Count: 2, Vertices: 1 << 14, Directed: true, Owned: 8190, Version: 7, Ready: true}))
+	f.Add(byte(OpShardMeta), AppendShardMeta(nil, &ShardMeta{Index: 0, Count: 2, Vertices: 1 << 14, Owned: 8194, Version: 7, Detail: "draining: server is draining"}))
 	f.Add(byte(OpShardDegrees), AppendShardDegreesResult(nil, &ShardDegreesResult{Version: 3, Degrees: []int64{0, 4, 1 << 20}}))
 	f.Add(byte(OpShardWCC), AppendShardWCCResult(nil, &ShardWCCResult{Version: 3, Labels: []int32{0, 0, 2}}))
 	f.Add(byte(OpShardPRStep), AppendShardPRStepResult(nil, &ShardPRStepResult{Version: 3, Contrib: []float64{0.5, 0, 0.25}}))

@@ -15,8 +15,10 @@ import (
 // snapshot version so the coordinator can detect cross-shard version skew
 // and retry. Shard ops are not batchable: each is already a bulk transfer.
 const (
-	// OpShardMeta requests a shard's identity and graph shape (registration
-	// handshake + health poll).
+	// OpShardMeta requests a shard's identity, graph shape, version and
+	// readiness: the registration handshake, the per-read version probe and
+	// the health poll, the one channel the coordinator hears a shard's
+	// health on.
 	OpShardMeta byte = 10
 	// OpShardDegrees requests the degrees of the shard's owned vertices in
 	// ascending vertex order.
@@ -32,9 +34,12 @@ const (
 )
 
 // ShardMeta answers an OpShardMeta request: the shard's position in the
-// cluster and the graph shape it was configured with. The coordinator
-// rejects a shard whose Count/Vertices/Directed disagree with its own
-// configuration — a mis-wired shard fails at registration, not mid-query.
+// cluster, the graph shape it was configured with, its version and its
+// readiness. The coordinator rejects a shard whose Count/Vertices/Directed
+// disagree with its own configuration — a mis-wired shard fails at
+// registration, not mid-query. Ready and Detail were appended to the body
+// without a protocol version bump, so graphctl and its shards must come
+// from one build: an older shard's shorter body fails to decode.
 type ShardMeta struct {
 	// Index is the shard's position in [0, Count).
 	Index int `json:"index"`
@@ -48,6 +53,11 @@ type ShardMeta struct {
 	Owned int64 `json:"owned"`
 	// Version is the shard's current snapshot version.
 	Version int64 `json:"version"`
+	// Ready is the shard's /readyz verdict.
+	Ready bool `json:"ready"`
+	// Detail names each failing readiness check and its evidence; empty
+	// when Ready.
+	Detail string `json:"detail,omitempty"`
 }
 
 // AppendShardMeta appends a ShardMeta body.
@@ -62,7 +72,12 @@ func AppendShardMeta(b []byte, v *ShardMeta) []byte {
 	b = append(b, flags)
 	b = binary.AppendUvarint(b, uint64(v.Owned))
 	b = binary.AppendUvarint(b, uint64(v.Version))
-	return b
+	var ready byte
+	if v.Ready {
+		ready = 1
+	}
+	b = append(b, ready)
+	return AppendString(b, v.Detail)
 }
 
 // DecodeShardMeta decodes a ShardMeta body.
@@ -73,6 +88,8 @@ func DecodeShardMeta(r *Reader, out *ShardMeta) error {
 	out.Directed = r.Byte()&1 != 0
 	out.Owned = int64(r.Uvarint())
 	out.Version = int64(r.Uvarint())
+	out.Ready = r.Byte()&1 != 0
+	out.Detail = r.String()
 	return r.Err()
 }
 
@@ -265,7 +282,8 @@ func DecodeShardAdjResult(r *Reader, out *ShardAdjResult) error {
 	return r.Err()
 }
 
-// ShardMeta requests the shard's identity and graph shape.
+// ShardMeta requests the shard's identity, graph shape, version and
+// readiness.
 func (c *Client) ShardMeta(timeout time.Duration) (*ShardMeta, error) {
 	c.req = Request{Op: OpShardMeta, TimeoutMicros: timeoutMicros(timeout)}
 	r, _, err := c.do(&c.req)

@@ -44,22 +44,37 @@ func TestShardRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShardMetaRoundTrip pins encode→decode identity for a ready and a
+// not-ready shard.meta answer, and that the body from before Ready and
+// Detail were appended fails to decode: a shard from an older build fails
+// registration, never reads as ready.
+func TestShardMetaRoundTrip(t *testing.T) {
+	for _, m := range []ShardMeta{
+		{Index: 1, Count: 3, Vertices: 4096, Directed: true, Owned: 1365, Version: 42, Ready: true},
+		{Index: 0, Count: 2, Vertices: 1 << 20, Owned: 524288, Version: 7, Detail: "draining: server is draining; ingest-queue: depth 9/10 (limit 9)"},
+	} {
+		var got ShardMeta
+		r := NewReader(AppendShardMeta(nil, &m))
+		if err := DecodeShardMeta(&r, &got); err != nil || got != m {
+			t.Fatalf("DecodeShardMeta(AppendShardMeta(%+v)) = %+v, %v", m, got, err)
+		}
+	}
+
+	// Index, Count, Vertices, flags, Owned, Version.
+	old := []byte{1, 3, 0x80, 0x20, 1, 0xd5, 0x0a, 42}
+	var got ShardMeta
+	r := NewReader(old)
+	if err := DecodeShardMeta(&r, &got); err == nil || got.Ready || got.Version != 42 {
+		t.Fatalf("a 6-field shard.meta body decoded as %+v, %v; want its six fields and a decode error", got, err)
+	}
+}
+
 // TestShardResultRoundTrip pins encode→decode identity for the
 // shard-exchange result bodies.
 func TestShardResultRoundTrip(t *testing.T) {
-	meta := &ShardMeta{Index: 1, Count: 3, Vertices: 4096, Directed: true, Owned: 1365, Version: 42}
-	var gotMeta ShardMeta
-	r := NewReader(AppendShardMeta(nil, meta))
-	if err := DecodeShardMeta(&r, &gotMeta); err != nil {
-		t.Fatalf("DecodeShardMeta: %v", err)
-	}
-	if !reflect.DeepEqual(&gotMeta, meta) {
-		t.Fatalf("ShardMeta = %+v, want %+v", gotMeta, *meta)
-	}
-
 	deg := &ShardDegreesResult{Version: 7, Degrees: []int64{0, 3, 12, 1}}
 	var gotDeg ShardDegreesResult
-	r = NewReader(AppendShardDegreesResult(nil, deg))
+	r := NewReader(AppendShardDegreesResult(nil, deg))
 	if err := DecodeShardDegreesResult(&r, &gotDeg); err != nil {
 		t.Fatalf("DecodeShardDegreesResult: %v", err)
 	}

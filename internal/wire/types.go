@@ -96,3 +96,25 @@ type IngestResult struct {
 	// Depth is the queue occupancy after admission.
 	Depth int `json:"queue_depth"`
 }
+
+// ReadyCheck is one check inside a Readiness evaluation: one of graphd's
+// components ("draining", "ingest-queue", "snapshot-age", "incr-pending",
+// "heap", "slo") or, in graphctl's, its drain state and one check per shard
+// ("shard-0", "shard-1", ...).
+type ReadyCheck struct {
+	// Name identifies the check.
+	Name string `json:"name"`
+	// OK reports whether the check passes.
+	OK bool `json:"ok"`
+	// Detail is the human-readable evidence ("depth 120/65536", ...).
+	Detail string `json:"detail"`
+}
+
+// Readiness is the /readyz payload of both binaries: the verdict and its
+// evidence. /readyz answers 200 when Ready, else 503, with this body.
+type Readiness struct {
+	// Ready is the conjunction of all checks.
+	Ready bool `json:"ready"`
+	// Checks are the evaluations, in a fixed order.
+	Checks []ReadyCheck `json:"checks"`
+}

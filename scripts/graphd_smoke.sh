@@ -13,9 +13,11 @@
 # A second phase runs the cluster scenario: three shard graphds behind a
 # graphctl coordinator, ingest routed through the coordinator, graphctl's
 # traceparent echo and /query/batch through graphd's front end, a malformed
-# batch item answered byte for byte like a shard's, then kill
-# one shard and assert the degraded-mode contract — coordinator /readyz
-# flips to 503 naming the dead shard, cached global reads and point
+# batch item answered byte for byte like a shard's, then drain one shard
+# (graphctl's /readyz turns 503 naming the shard's draining check, heard in
+# its shard.meta answers, before the shard exits) and assert the
+# degraded-mode contract — coordinator /readyz stays 503 naming the dead
+# shard, cached global reads and point
 # queries on surviving shards still answer, queries owned by the dead
 # shard fail, and a restart from the victim's flat snapshot rejoins the
 # cluster and restores full service. Last, graphctl's SIGTERM drain holds
@@ -275,8 +277,9 @@ print(n)
 }
 
 start_shard() { # $1 = index; victim gets a snapshot path for the recovery leg
+  # and a drain grace in which graphctl must see its planned drain
   local i="$1" snap_args=()
-  [ "$i" = "$VICTIM" ] && snap_args=(-snapshot "$VSNAP" -snapshot-interval 0)
+  [ "$i" = "$VICTIM" ] && snap_args=(-snapshot "$VSNAP" -snapshot-interval 0 -drain-grace 1s)
   "$WORK/graphd" -listen "127.0.0.1:1818$i" -listen-wire "127.0.0.1:1819$i" \
     -vertices 4096 -shard-index "$i" -shard-count 3 -queue 65536 \
     ${snap_args[@]+"${snap_args[@]}"} >"$WORK/shard$i.log" 2>&1 &
@@ -296,7 +299,6 @@ done
 
 "$WORK/graphctl" -listen 127.0.0.1:18095 \
   -shards 127.0.0.1:18190,127.0.0.1:18191,127.0.0.1:18192 \
-  -shard-http 127.0.0.1:18180,127.0.0.1:18181,127.0.0.1:18182 \
   -vertices 4096 -poll-interval 200ms -drain-grace 2s >"$WORK/graphctl.log" 2>&1 &
 CPID=$!
 for _ in $(seq 1 100); do
@@ -376,8 +378,28 @@ shard_bad=$(curl -fsS -X POST -H 'Content-Type: application/json' --data-binary 
 [ "$ctl_bad" = "$shard_bad" ] || die "malformed batch: graphctl $ctl_bad, graphd $shard_bad"
 echo "$ctl_bad" | grep -q '"status":400' || die "malformed batch item not a 400: $ctl_bad"
 
-echo "graphd_smoke: killing shard $VICTIM"
+echo "graphd_smoke: draining and killing shard $VICTIM"
 kill -TERM "${SPIDS[$VICTIM]}"
+# A planned drain: through the victim's 1s drain grace its shard.meta
+# answers say not ready, so graphctl's /readyz turns 503 within a poll
+# interval, shard-$VICTIM's check naming the draining check.
+drain_seen=""
+for _ in $(seq 1 40); do
+  readyz=$(curl -s "$CURL/readyz")
+  if echo "$readyz" | python3 -c '
+import json, sys
+checks = {c["name"]: c for c in json.load(sys.stdin)["checks"]}
+c = checks["shard-'"$VICTIM"'"]
+sys.exit(0 if not c["ok"] and "draining" in c["detail"] else 1)' 2>/dev/null; then
+    drain_seen=1
+    break
+  fi
+  sleep 0.02
+done
+[ -n "$drain_seen" ] || die "graphctl /readyz never named shard-$VICTIM draining: $readyz"
+kill -0 "${SPIDS[$VICTIM]}" 2>/dev/null || die "victim exited before graphctl saw its drain"
+code=$(curl -s -o /dev/null -w '%{http_code}' "$CURL/readyz")
+[ "$code" = 503 ] || die "graphctl /readyz during shard $VICTIM's drain = $code, want 503"
 wait "${SPIDS[$VICTIM]}" || die "victim shard exited nonzero after SIGTERM"
 SPIDS[$VICTIM]=""
 [ -s "$VSNAP" ] || die "victim wrote no snapshot on shutdown"
