@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -31,6 +33,12 @@ func kernelsCmd(fs *flag.FlagSet) (func() error, func(*telemetry.Registry) error
 		}
 		if *ef < 1 {
 			return fmt.Errorf("-ef must be positive, got %d", *ef)
+		}
+		if !slices.Contains([]string{"rmat", "ba", "ws", "er"}, *family) {
+			return fmt.Errorf("unknown -gen %q (rmat|ba|ws|er)", *family)
+		}
+		if valid := core.RunnableKernels(); *kernel != "" && !slices.Contains(valid, *kernel) {
+			return fmt.Errorf("unknown -kernel %q (valid: %s)", *kernel, strings.Join(valid, ", "))
 		}
 		return nil
 	}
@@ -68,9 +76,6 @@ func kernelsCmd(fs *flag.FlagSet) (func() error, func(*telemetry.Registry) error
 			g = gen.WattsStrogatz(1<<*scale, *ef, 0.1, *seed)
 		case "er":
 			g = gen.ErdosRenyi(1<<*scale, (1<<*scale)*(*ef)/2, *seed, false)
-		default:
-			gsp.End()
-			return fmt.Errorf("unknown -gen %q (rmat|ba|ws|er)", *family)
 		}
 		gsp.End()
 		st := graph.ComputeStats(g)

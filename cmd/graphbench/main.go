@@ -1,13 +1,13 @@
-// Command graphbench is the repository's benchmark driver, one subcommand
-// per benchmark: kernels (the Fig. 1 batch kernels, experiment E1), streams
-// (the streaming kernels, E9) and matrix (the continuous-benchmark
-// trajectory with its baseline regression gate).
+// Command graphbench runs the paper's kernels by hand, one subcommand each:
+// kernels (the Fig. 1 batch kernels, experiment E1) and streams (the
+// streaming kernels, E9). The repository benchmark is benchmark/run.sh;
+// `go test -bench` times one kernel.
 //
-//	graphbench <kernels|streams|matrix> [flags]
+//	graphbench <kernels|streams> [flags]
 //
 // Every subcommand also takes -workers and the telemetry flags; `graphbench
-// <subcommand> -h` lists them all. A bad command line exits 2; a failed run,
-// or a matrix run that regressed past its threshold, exits 1.
+// <subcommand> -h` lists them all. A bad command line exits 2; a failed run
+// exits 1.
 package main
 
 import (
@@ -27,10 +27,9 @@ import (
 var subcommands = map[string]func(fs *flag.FlagSet) (check func() error, body func(*telemetry.Registry) error){
 	"kernels": kernelsCmd,
 	"streams": streamsCmd,
-	"matrix":  matrixCmd,
 }
 
-const usage = "usage: graphbench kernels|streams|matrix [flags]; graphbench <subcommand> -h lists its flags"
+const usage = "usage: graphbench kernels|streams [flags]; graphbench <subcommand> -h lists its flags"
 
 // usageError is a command line naming no valid subcommand, flag or value.
 type usageError struct{ error }

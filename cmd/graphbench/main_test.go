@@ -2,7 +2,6 @@ package main
 
 import (
 	"errors"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/dyngraph"
 	"repro/internal/gen"
 	"repro/internal/kernels"
-	"repro/internal/obsv"
 )
 
 // TestRunUsageErrors: a command line that names no subcommand, an unknown
@@ -26,10 +24,10 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"kernel"}, `unknown subcommand "kernel"`},
 		{[]string{"streams", "-items", "10", "extra"}, "unexpected arguments: [extra]"},
 		{[]string{"kernels", "-scale", "0"}, "-scale 0 out of range"},
+		{[]string{"kernels", "-gen", "bogus"}, `unknown -gen "bogus" (rmat|ba|ws|er)`},
+		{[]string{"kernels", "-kernel", "nosuch"}, `unknown -kernel "nosuch" (valid: `},
 		{[]string{"streams", "-updates", "0"}, "-updates must be positive"},
-		{[]string{"matrix", "-nosuchflag"}, "flag provided but not defined"},
-		{[]string{"matrix", "-quick", "-kernels", "bfs,bfss"},
-			`unknown -kernels entry "bfss" (valid: bfs, sssp-delta, wcc, kcore, pagerank, triangles, jaccard-topk, spgemm, jaccard-stream, build)`},
+		{[]string{"streams", "-nosuchflag"}, "flag provided but not defined"},
 	} {
 		err := run(tc.args)
 		if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), tc.want) {
@@ -58,45 +56,5 @@ func TestStreamsIncrWCCMatchesBatch(t *testing.T) {
 			t.Errorf("%d updates in batches of %d: incremental %d components, batch %d (labels equal: %v)",
 				tc.updates, tc.batch, got.NumComponents, want.NumComponents, slices.Equal(got.Label, want.Label))
 		}
-	}
-}
-
-// TestMatrixCasesAreBaselineCases: a matrix subset run writes a BenchFile
-// whose every case has a trajectory in the committed baseline.
-func TestMatrixCasesAreBaselineCases(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
-	if err := run([]string{"matrix", "-quick", "-scales", "10", "-kernels", "bfs", "-nora=false", "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := obsv.ReadBenchFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := obsv.ReadBenchFile(filepath.Join("..", "..", "BENCH_baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inBase := map[string]bool{}
-	for _, c := range base.Cases {
-		inBase[c.Name] = true
-	}
-	if len(got.Cases) != 2 {
-		t.Fatalf("wrote %d cases, want bfs on the two families", len(got.Cases))
-	}
-	for _, c := range got.Cases {
-		if !inBase[c.Name] {
-			t.Errorf("case %s is not in BENCH_baseline.json", c.Name)
-		}
-	}
-}
-
-// TestMatrixEmptyComparisonFails: a -baseline run that shares no case with
-// the baseline fails instead of reporting "no regressions".
-func TestMatrixEmptyComparisonFails(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
-	err := run([]string{"matrix", "-quick", "-scales", "6", "-kernels", "bfs", "-nora=false", "-out", out,
-		"-baseline", filepath.Join("..", "..", "BENCH_baseline.json")})
-	if err == nil || errors.As(err, new(usageError)) || !strings.Contains(err.Error(), "nothing was compared") {
-		t.Fatalf("run = %v, want a run error saying nothing was compared", err)
 	}
 }

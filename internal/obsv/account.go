@@ -39,14 +39,6 @@ func (a Account) TEPS() float64 {
 	return float64(a.Items) / a.Wall.Seconds()
 }
 
-// BytesPerItem returns allocated bytes per work item; 0 when unmeasurable.
-func (a Account) BytesPerItem() float64 {
-	if a.Items <= 0 {
-		return 0
-	}
-	return float64(a.AllocBytes) / float64(a.Items)
-}
-
 // SpanAttrs renders the account as span attributes, so a -trace-out
 // artifact carries each kernel invocation's resource bill inline.
 func (a Account) SpanAttrs() []telemetry.Label {
@@ -114,11 +106,4 @@ func (m *Meter) Stop(items int64) Account {
 		ParTasks:       pd.Tasks,
 		ParChunks:      pd.Chunks,
 	}
-}
-
-// Measure runs fn under a meter and returns its account.
-func Measure(op string, items int64, fn func()) Account {
-	m := StartMeter(op)
-	fn()
-	return m.Stop(items)
 }

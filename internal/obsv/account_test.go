@@ -87,11 +87,3 @@ func TestAccountSpanAttrsAndPublish(t *testing.T) {
 		t.Error("Publish registered no obsv_account_* gauges")
 	}
 }
-
-func TestMeasure(t *testing.T) {
-	ran := false
-	acct := Measure("m", 5, func() { ran = true })
-	if !ran || acct.Items != 5 || acct.Op != "m" {
-		t.Errorf("Measure: ran=%v acct=%+v", ran, acct)
-	}
-}

@@ -1,7 +1,7 @@
-// Package obsv is the repository's resource-attribution and continuous-
-// benchmarking layer, built on internal/telemetry. Where telemetry provides
-// the instruments (counters, gauges, histograms, spans), obsv provides the
-// policies that turn them into the paper's quantitative story:
+// Package obsv is the repository's resource-attribution layer, built on
+// internal/telemetry. Where telemetry provides the instruments (counters,
+// gauges, histograms, spans), obsv provides the policies that turn them
+// into the paper's quantitative story:
 //
 //   - A runtime/metrics sampler goroutine (sampler.go) that feeds heap
 //     size, GC activity, goroutine count, and allocation rate into the
@@ -16,12 +16,9 @@
 //     NORA model (internal/perfmodel), the migrating-thread simulator
 //     (internal/emu), and the sparse-accelerator simulator
 //     (internal/lamachine) all map onto, plus an operational NORA step
-//     simulator (norasim.go) and a model-vs-measured report (report.go) —
-//     the reproduction's analogue of validating Fig. 3.
-//   - A machine-readable benchmark trajectory (bench.go, runner.go): a
-//     schema-versioned BENCH_*.json format with an environment fingerprint
-//     and per-case resource accounts, plus baseline comparison that flags
-//     regressions — executed by `graphbench matrix` and CI.
+//     simulator (norasim.go) and a model-vs-measured report (report.go,
+//     printed by `norasim -modelcheck`) — the reproduction's analogue of
+//     validating Fig. 3.
 //
 // # Concurrency contract
 //
@@ -32,7 +29,5 @@
 // concurrent kernels with one Meter each, not a shared one. The
 // process-wide deltas a Meter reads (runtime.MemStats, par.Totals) are
 // attributed to whatever ran inside the bracket, so overlapping brackets
-// double-count; the matrix runner therefore measures kernels one at a time.
-// BENCH_*.json readers/writers and Report are plain functions with no
-// shared state.
+// double-count. Report is a plain value with no shared state.
 package obsv
