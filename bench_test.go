@@ -702,13 +702,23 @@ func BenchmarkKernelKCore(b *testing.B) {
 }
 
 func BenchmarkDynBatchApply(b *testing.B) {
-	updates := gen.EdgeUpdateStream(13, 100000, 0.1, 5)
+	edits := dynEdits(gen.EdgeUpdateStream(13, 100000, 0.1, 5))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := dyngraph.New(1<<13, false)
-		g.ApplyBatch(updates)
+		g.ApplyEdits(edits)
 	}
 	b.ReportMetric(float64(100000*b.N)/b.Elapsed().Seconds()/1e6, "Mupdates/s")
+}
+
+// dynEdits converts a generated update stream to the edits graphd's
+// writer applies.
+func dynEdits(ups []gen.EdgeUpdate) []dyngraph.Edit {
+	edits := make([]dyngraph.Edit, len(ups))
+	for i, u := range ups {
+		edits[i] = dyngraph.Edit{Src: u.Src, Dst: u.Dst, Time: u.Time, Delete: u.Delete}
+	}
+	return edits
 }
 
 // buildSink keeps the construction benchmarks' results alive.
@@ -748,7 +758,7 @@ func BenchmarkDynSnapshot(b *testing.B) {
 func BenchmarkDynSnapshotDeltaChain(b *testing.B) {
 	const scale, perBatch = 14, 200
 	dg := dyngraph.FromCSRGraph(gen.RMAT(scale, 16, gen.Graph500RMAT, 1, false))
-	updates := gen.EdgeUpdateStream(scale, b.N*perBatch, 0.25, 2)
+	updates := dynEdits(gen.EdgeUpdateStream(scale, b.N*perBatch, 0.25, 2))
 	snap := dg.Snapshot()
 	var touchedArcs int64
 	b.ReportAllocs()
@@ -756,7 +766,7 @@ func BenchmarkDynSnapshotDeltaChain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		batch := updates[i*perBatch : (i+1)*perBatch]
-		dg.ApplyBatch(batch)
+		dg.ApplyEdits(batch)
 		touched := make([]int32, 0, 2*perBatch)
 		for _, u := range batch {
 			touched = append(touched, u.Src, u.Dst)

@@ -47,8 +47,12 @@ func TestStreamsIncrWCCMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		edits := make([]dyngraph.Edit, len(ups))
+		for i, u := range ups {
+			edits[i] = dyngraph.Edit{Src: u.Src, Dst: u.Dst, Time: u.Time, Delete: u.Delete}
+		}
 		dg := dyngraph.New(streamVertices, false)
-		if dg.ApplyBatch(ups).Deleted == 0 {
+		if dg.ApplyEdits(edits).Deleted == 0 {
 			t.Fatalf("%d updates deleted no edge", tc.updates)
 		}
 		want := kernels.WCC(dg.Snapshot())

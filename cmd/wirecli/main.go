@@ -3,14 +3,11 @@
 // API and prints every decoded result as JSON with the HTTP response's
 // exact keys, so its output can be diffed against the corresponding
 // /query/* endpoint byte-for-byte after key-order normalization — the
-// protocol-equivalence check scripts/graphd_smoke.sh runs. It also
-// converts legacy dyngraph snapshots to the flat format graphd recovers
-// from, offline.
+// protocol-equivalence check scripts/graphd_smoke.sh runs.
 //
 // Usage:
 //
 //	wirecli -addr host:port [-timeout 5s] <command> [args]
-//	wirecli convert-snapshot <legacy> <flat>
 //
 //	ping                     liveness round-trip
 //	stats                    server stats (raw JSON passthrough)
@@ -23,9 +20,8 @@
 //	pagerank <v>             one vertex's rank
 //	pagerank-top [k]         top-k ranks (default k=10)
 //
-// convert-snapshot reads a legacy snapshot (the dyngraph.Save format older
-// graphd versions persisted) and writes the flat snapshot of the same graph
-// to <flat>; it needs no server.
+// The command line is checked before anything dials: a bad one exits 2, a
+// failed call exits 1.
 package main
 
 import (
@@ -36,34 +32,45 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
-	"repro/internal/dyngraph"
 	"repro/internal/wire"
-	"repro/internal/wire/snapfmt"
 )
 
+// usageError is a command line naming an unknown flag or command, or a
+// command with bad arguments.
+type usageError struct{ error }
+
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "wirecli:", err)
-		os.Exit(1)
+	err := run(os.Args[1:])
+	if err == nil {
+		return
 	}
+	fmt.Fprintln(os.Stderr, "wirecli:", err)
+	if errors.As(err, new(usageError)) {
+		os.Exit(2)
+	}
+	os.Exit(1)
 }
 
-func run() error {
-	addr := flag.String("addr", "127.0.0.1:8091", "graphd wire listener address")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline sent in the wire envelope")
-	flag.Parse()
-	if flag.NArg() < 1 {
-		flag.Usage()
-		return errors.New("missing command")
-	}
-	cmd, args := flag.Arg(0), flag.Args()[1:]
-	if cmd == "convert-snapshot" {
-		if len(args) != 2 {
-			return errors.New("usage: convert-snapshot <legacy> <flat>")
+func run(args []string) error {
+	fs := flag.NewFlagSet("wirecli", flag.ContinueOnError)
+	addr := fs.String("addr", "127.0.0.1:8091", "graphd wire listener address")
+	timeout := fs.Duration("timeout", 5*time.Second, "per-request deadline sent in the wire envelope")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
 		}
-		return convertSnapshot(args[0], args[1])
+		return usageError{err}
+	}
+	if fs.NArg() < 1 {
+		fs.Usage()
+		return usageError{errors.New("missing command")}
+	}
+	call, err := parse(fs.Arg(0), fs.Args()[1:], *timeout)
+	if err != nil {
+		return usageError{err}
 	}
 
 	c, err := wire.Dial(*addr)
@@ -71,121 +78,103 @@ func run() error {
 		return err
 	}
 	defer c.Close()
-
-	intArg := func(i int, def int64) (int64, error) {
-		if i >= len(args) {
-			return def, nil
-		}
-		return strconv.ParseInt(args[i], 10, 32)
-	}
-
-	var out any
-	switch cmd {
-	case "ping":
-		if err := c.Ping(*timeout); err != nil {
-			return err
-		}
-		out = map[string]bool{"ok": true}
-	case "stats":
-		raw, err := c.Stats(*timeout)
-		if err != nil {
-			return err
-		}
-		_, werr := os.Stdout.Write(append(raw, '\n'))
-		return werr
-	case "ingest":
-		return ingest(c, *timeout)
-	case "jaccard":
-		u, err := intArg(0, -1)
-		if err != nil || u < 0 {
-			return errors.New("usage: jaccard <u> [threshold]")
-		}
-		threshold := 0.0
-		if len(args) > 1 {
-			if threshold, err = strconv.ParseFloat(args[1], 64); err != nil {
-				return fmt.Errorf("bad threshold %q", args[1])
-			}
-		}
-		if out, err = c.Jaccard(int32(u), threshold, *timeout); err != nil {
-			return err
-		}
-	case "khop":
-		v, err := intArg(0, -1)
-		if err != nil || v < 0 {
-			return errors.New("usage: khop <v> [k]")
-		}
-		k, err := intArg(1, 1)
-		if err != nil {
-			return fmt.Errorf("bad k %q", args[1])
-		}
-		if out, err = c.KHop([]int32{int32(v)}, int32(k), *timeout); err != nil {
-			return err
-		}
-	case "topdegree":
-		k, err := intArg(0, 10)
-		if err != nil {
-			return fmt.Errorf("bad k %q", args[0])
-		}
-		if out, err = c.TopDegree(int32(k), *timeout); err != nil {
-			return err
-		}
-	case "component":
-		v, err := intArg(0, -1)
-		if err != nil || v < 0 {
-			return errors.New("usage: component <v>")
-		}
-		if out, err = c.Component(int32(v), *timeout); err != nil {
-			return err
-		}
-	case "pagerank":
-		v, err := intArg(0, -1)
-		if err != nil || v < 0 {
-			return errors.New("usage: pagerank <v>")
-		}
-		if out, err = c.PageRankVertex(int32(v), *timeout); err != nil {
-			return err
-		}
-	case "pagerank-top":
-		k, err := intArg(0, 10)
-		if err != nil {
-			return fmt.Errorf("bad k %q", args[0])
-		}
-		if out, err = c.PageRankTop(int32(k), *timeout); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown command %q", cmd)
-	}
-
-	enc := json.NewEncoder(os.Stdout)
-	return enc.Encode(out)
-}
-
-// ingestUpdate mirrors the HTTP ingest body's element shape, so the same
-// JSON feeds either protocol.
-type ingestUpdate struct {
-	Src    int32   `json:"src"`
-	Dst    int32   `json:"dst"`
-	Weight float32 `json:"weight,omitempty"`
-	Time   int64   `json:"time,omitempty"`
-	Delete bool    `json:"delete,omitempty"`
-}
-
-// ingest reads the update array from stdin and submits it over the wire,
-// retrying the rejected suffix on backpressure per the accepted-prefix
-// contract. The final IngestResult (totals across retries) prints as JSON.
-func ingest(c *wire.Client, timeout time.Duration) error {
-	body, err := io.ReadAll(os.Stdin)
+	out, err := call(c)
 	if err != nil {
 		return err
 	}
-	var updates []ingestUpdate
-	if err := json.Unmarshal(body, &updates); err != nil {
-		return fmt.Errorf("stdin is not a JSON update array: %w", err)
+	return json.NewEncoder(os.Stdout).Encode(out)
+}
+
+// synopses gives each command's arguments, <required> then [optional]; parse
+// checks an argument count against them.
+var synopses = map[string]string{
+	"ping":         "ping",
+	"stats":        "stats",
+	"ingest":       "ingest",
+	"jaccard":      "jaccard <u> [threshold]",
+	"khop":         "khop <v> [k]",
+	"topdegree":    "topdegree [k]",
+	"component":    "component <v>",
+	"pagerank":     "pagerank <v>",
+	"pagerank-top": "pagerank-top [k]",
+}
+
+// parse checks cmd and its arguments against the command's synopsis and
+// returns the call they name, whose answer prints as JSON.
+func parse(cmd string, args []string, timeout time.Duration) (func(*wire.Client) (any, error), error) {
+	synopsis, ok := synopses[cmd]
+	if !ok {
+		return nil, fmt.Errorf("unknown command %q", cmd)
 	}
-	edits := make([]wire.IngestEdit, len(updates))
-	for i, u := range updates {
-		edits[i] = wire.IngestEdit{Src: u.Src, Dst: u.Dst, Weight: u.Weight, Time: u.Time, Delete: u.Delete}
+	bad := fmt.Errorf("usage: %s", synopsis)
+	fields := strings.Fields(synopsis)[1:]
+	if len(args) > len(fields) || len(args) < strings.Count(synopsis, "<") {
+		return nil, bad
+	}
+	var err error
+	// num parses args[i] as an int32, def when it is absent. A required
+	// argument is a vertex, so it must not be negative.
+	num := func(i int, def int32) int32 {
+		if i >= len(args) {
+			return def
+		}
+		n, perr := strconv.ParseInt(args[i], 10, 32)
+		if perr != nil || (n < 0 && strings.HasPrefix(fields[i], "<")) {
+			err = bad
+		}
+		return int32(n)
+	}
+
+	var call func(*wire.Client) (any, error)
+	switch cmd {
+	case "ping":
+		call = func(c *wire.Client) (any, error) { return map[string]bool{"ok": true}, c.Ping(timeout) }
+	case "stats":
+		call = func(c *wire.Client) (any, error) { return c.Stats(timeout) }
+	case "ingest":
+		call = func(c *wire.Client) (any, error) { return ingest(c, timeout) }
+	case "jaccard":
+		u, threshold := num(0, 0), 0.0
+		if len(args) > 1 {
+			var perr error
+			if threshold, perr = strconv.ParseFloat(args[1], 64); perr != nil {
+				err = bad
+			}
+		}
+		call = func(c *wire.Client) (any, error) { return c.Jaccard(u, threshold, timeout) }
+	case "khop":
+		v, k := num(0, 0), num(1, 1)
+		call = func(c *wire.Client) (any, error) { return c.KHop([]int32{v}, k, timeout) }
+	case "topdegree":
+		k := num(0, wire.DefaultTopK)
+		call = func(c *wire.Client) (any, error) { return c.TopDegree(k, timeout) }
+	case "component":
+		v := num(0, 0)
+		call = func(c *wire.Client) (any, error) { return c.Component(v, timeout) }
+	case "pagerank":
+		v := num(0, 0)
+		call = func(c *wire.Client) (any, error) { return c.PageRankVertex(v, timeout) }
+	case "pagerank-top":
+		k := num(0, wire.DefaultTopK)
+		call = func(c *wire.Client) (any, error) { return c.PageRankTop(k, timeout) }
+	}
+	if err != nil {
+		return nil, err
+	}
+	return call, nil
+}
+
+// ingest reads the edit array from stdin and submits it over the wire,
+// retrying the rejected suffix on backpressure per the accepted-prefix
+// contract. It returns the final IngestResult, totalled across retries.
+func ingest(c *wire.Client, timeout time.Duration) (*wire.IngestResult, error) {
+	body, err := io.ReadAll(os.Stdin)
+	if err != nil {
+		return nil, err
+	}
+	var edits []wire.IngestEdit
+	if err := json.Unmarshal(body, &edits); err != nil {
+		return nil, fmt.Errorf("stdin is not a JSON edit array: %w", err)
 	}
 	accepted := 0
 	for len(edits) > 0 {
@@ -198,44 +187,10 @@ func ingest(c *wire.Client, timeout time.Duration) error {
 			continue
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
-		accepted += res.Accepted
-		res.Accepted = accepted
-		return json.NewEncoder(os.Stdout).Encode(res)
+		res.Accepted += accepted
+		return res, nil
 	}
-	return json.NewEncoder(os.Stdout).Encode(&wire.IngestResult{Accepted: accepted})
-}
-
-// convertSnapshot rewrites the legacy snapshot at legacy as a flat snapshot
-// at flat: dyngraph.Load, then the graph's CSR snapshot through
-// snapfmt.Write. Self-loops, which the CSR snapshot drops, are not carried
-// over — graphd never served them. flat must not exist yet: the converter
-// never overwrites a file, the legacy one included.
-func convertSnapshot(legacy, flat string) error {
-	in, err := os.Open(legacy)
-	if err != nil {
-		return err
-	}
-	dg, err := dyngraph.Load(in)
-	in.Close()
-	if err != nil {
-		return fmt.Errorf("convert-snapshot: %s: %w", legacy, err)
-	}
-	out, err := os.OpenFile(flat, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	err = snapfmt.Write(out, dg.Snapshot())
-	if err == nil {
-		err = out.Sync()
-	}
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(flat)
-		return fmt.Errorf("convert-snapshot: %s: %w", flat, err)
-	}
-	return nil
+	return &wire.IngestResult{Accepted: accepted}, nil
 }

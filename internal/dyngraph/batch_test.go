@@ -1,27 +1,6 @@
 package dyngraph
 
-import (
-	"testing"
-
-	"repro/internal/gen"
-)
-
-func TestApplyBatchAccounting(t *testing.T) {
-	g := New(8, false)
-	res := g.ApplyBatch([]gen.EdgeUpdate{
-		{Src: 0, Dst: 1},               // insert
-		{Src: 0, Dst: 1},               // refresh
-		{Src: 1, Dst: 2},               // insert
-		{Src: 0, Dst: 1, Delete: true}, // delete
-		{Src: 5, Dst: 6, Delete: true}, // no-op
-	})
-	if res.Inserted != 2 || res.Updated != 1 || res.Deleted != 1 || res.NoOps != 1 {
-		t.Fatalf("batch = %+v", res)
-	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("edges = %d", g.NumEdges())
-	}
-}
+import "testing"
 
 func TestApplyEdits(t *testing.T) {
 	g := New(16, false)
@@ -31,8 +10,9 @@ func TestApplyEdits(t *testing.T) {
 		{Src: 0, Dst: 1, Weight: 9, Time: 3},   // property update of existing edge
 		{Src: 3, Dst: 4, Delete: true},         // delete of absent edge
 		{Src: 0, Dst: 2, Delete: true},         // real delete
+		{Src: 5, Dst: 5, Weight: 2},            // self-loop, never stored
 	})
-	want := BatchResult{Inserted: 2, Updated: 1, Deleted: 1, NoOps: 1}
+	want := BatchResult{Inserted: 2, Updated: 1, Deleted: 1, NoOps: 2}
 	if res != want {
 		t.Fatalf("ApplyEdits = %+v, want %+v", res, want)
 	}
@@ -48,6 +28,9 @@ func TestApplyEdits(t *testing.T) {
 	}
 	if g.HasEdge(0, 2) {
 		t.Fatal("edge (0,2) survived delete")
+	}
+	if g.Degree(5) != 0 || g.NumEdges() != 1 {
+		t.Fatalf("self-loop stored: degree(5) = %d, %d edges, want 0 and 1", g.Degree(5), g.NumEdges())
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)

@@ -224,7 +224,11 @@ func TestSnapshotChainAllocBudget(t *testing.T) {
 	}
 	const scale, perBatch, bumps, window = 15, 200, 512, 128
 	g := FromCSRGraph(gen.RMAT(scale, 16, gen.Graph500RMAT, 1, false))
-	updates := gen.EdgeUpdateStream(scale, bumps*perBatch, 0.25, 2)
+	stream := gen.EdgeUpdateStream(scale, bumps*perBatch, 0.25, 2)
+	updates := make([]Edit, len(stream))
+	for i, u := range stream {
+		updates[i] = Edit{Src: u.Src, Dst: u.Dst, Time: u.Time, Delete: u.Delete}
+	}
 
 	var ms runtime.MemStats
 	heapInuse := func() uint64 {
@@ -241,7 +245,7 @@ func TestSnapshotChainAllocBudget(t *testing.T) {
 	firstFresh := -1
 	for i := 0; i < bumps; i++ {
 		batch := updates[i*perBatch : (i+1)*perBatch]
-		g.ApplyBatch(batch)
+		g.ApplyEdits(batch)
 		touched := make([]int32, 0, 2*perBatch)
 		for _, u := range batch {
 			touched = append(touched, u.Src, u.Dst)

@@ -1,8 +1,9 @@
 // Package dyngraph provides the mutable graph substrate for streaming
 // analytics: a STINGER-inspired blocked adjacency store supporting edge
 // insertion, deletion, timestamps, and O(degree) neighbor iteration, plus
-// snapshotting into the immutable CSR form for batch kernels and
-// persistence (Save/Load) for crash recovery.
+// snapshotting into the immutable CSR form for batch kernels. That CSR form
+// is also what persists: graphd writes it as a flat snapshot
+// (internal/wire/snapfmt) and recovers by bulk-loading it (FromCSRGraph).
 //
 // The paper's streaming path (Fig. 2, left side) performs "incremental
 // targeted graph updates" against the persistent graph; this package is
@@ -12,7 +13,7 @@
 //
 // DynGraph is not safe for concurrent mutation, by design — it matches the
 // single-writer model of STINGER's update batches. Exactly one goroutine
-// may mutate the graph (InsertEdge/DeleteEdge/ApplyBatch/ApplyEdits); the
+// may mutate the graph (InsertEdge/DeleteEdge/ApplyEdits); the
 // streaming engine and the graphd ingest loop are such writers, each
 // serializing its updates. Readers must be excluded while a write is in
 // flight (internal/server reads only the snapshots its writer publishes).

@@ -202,36 +202,11 @@ func (g *DynGraph) CommonNeighborCount(u, v int32) int32 {
 // pass over the block chains, no global sort.
 func (g *DynGraph) Snapshot() *graph.Graph { return g.emitRows(nil, nil, nil) }
 
-// FromGraph loads an immutable graph into a fresh dynamic graph.
-func FromGraph(src *graph.Graph) *DynGraph {
-	g := New(src.NumVertices(), src.Directed())
-	for v := int32(0); v < src.NumVertices(); v++ {
-		ns := src.Neighbors(v)
-		ws := src.NeighborWeights(v)
-		ts := src.NeighborTimes(v)
-		for i, w := range ns {
-			if !src.Directed() && w < v {
-				continue
-			}
-			weight := float32(1)
-			if ws != nil {
-				weight = ws[i]
-			}
-			var t int64
-			if ts != nil {
-				t = ts[i]
-			}
-			g.InsertEdge(v, w, weight, t)
-		}
-	}
-	return g
-}
-
 // FromCSRGraph bulk-loads an immutable graph into a fresh dynamic graph in
 // O(arcs). CSR rows are copied verbatim into full block chains — no per-edge
 // duplicate scan (CSR rows are already duplicate-free) and no symmetric
 // re-insertion (an undirected CSR stores both arc directions) — so loading
-// costs one pass over the rows where FromGraph pays O(degree) per edge.
+// costs one pass over the rows where per-edge inserts pay O(degree) each.
 // This is the recovery path for flat snapshots.
 func FromCSRGraph(src *graph.Graph) *DynGraph {
 	n := src.NumVertices()

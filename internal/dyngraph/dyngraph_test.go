@@ -7,7 +7,34 @@ import (
 	"testing/quick"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
+
+// applyGraph loads src one edit per edge through ApplyEdits, graphd's
+// ingest path: the per-edge reference the bulk loader and the snapshot are
+// checked against. An undirected edge is edited once, from its lower end.
+func applyGraph(src *graph.Graph) *DynGraph {
+	g := New(src.NumVertices(), src.Directed())
+	var edits []Edit
+	for v := int32(0); v < src.NumVertices(); v++ {
+		ws, ts := src.NeighborWeights(v), src.NeighborTimes(v)
+		for i, w := range src.Neighbors(v) {
+			if !src.Directed() && w < v {
+				continue
+			}
+			e := Edit{Src: v, Dst: w}
+			if ws != nil {
+				e.Weight = ws[i]
+			}
+			if ts != nil {
+				e.Time = ts[i]
+			}
+			edits = append(edits, e)
+		}
+	}
+	g.ApplyEdits(edits)
+	return g
+}
 
 func TestInsertDeleteBasics(t *testing.T) {
 	g := New(4, false)
@@ -114,7 +141,7 @@ func TestCommonNeighborCount(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	src := gen.RMAT(8, 8, gen.Graph500RMAT, 3, false)
-	dg := FromGraph(src)
+	dg := applyGraph(src)
 	if dg.NumEdges() != src.NumUndirectedEdges() {
 		t.Fatalf("loaded edges %d != %d", dg.NumEdges(), src.NumUndirectedEdges())
 	}
@@ -137,7 +164,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotDirected(t *testing.T) {
 	src := gen.RMAT(7, 4, gen.Graph500RMAT, 5, true)
-	dg := FromGraph(src)
+	dg := applyGraph(src)
 	snap := dg.Snapshot()
 	if !snap.Directed() {
 		t.Fatal("directed snapshot lost directedness")
@@ -225,7 +252,7 @@ func TestFromCSRGraph(t *testing.T) {
 		// The bulk load and the per-edge path must agree edge-for-edge,
 		// including weights and timestamps. (Comparing against src directly
 		// would be wrong: Snapshot drops self-loops at Build.)
-		want := FromGraph(snap)
+		want := applyGraph(snap)
 		if got.NumVertices() != want.NumVertices() || got.NumArcs() != want.NumArcs() || got.Directed() != directed {
 			t.Fatalf("directed=%v: shape mismatch: %d/%d arcs", directed, got.NumArcs(), want.NumArcs())
 		}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 )
@@ -52,69 +51,6 @@ func FuzzReadEdgeList(f *testing.F) {
 			for i := range ns {
 				if ns[i] != ns2[i] {
 					t.Fatalf("round-trip changed neighbor %d of %d", i, v)
-				}
-			}
-		}
-	})
-}
-
-// FuzzLoadPropertyTable drives the binary property-table loader with
-// arbitrary bytes: it must reject corrupt input with an error (never a
-// panic, never an input-proportional allocation blowup) and accept its own
-// serialization.
-func FuzzLoadPropertyTable(f *testing.F) {
-	// A well-formed table as the structured seed.
-	t0 := NewPropertyTable(3)
-	t0.SetNumeric("pagerank", 0, 0.25)
-	t0.SetNumeric("pagerank", 2, 0.5)
-	t0.SetLabel("name", 1, "b")
-	var seed bytes.Buffer
-	if err := t0.Save(&seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("PROP"))
-	// Valid magic+version with an absurd vertex count and no data.
-	f.Add([]byte{0x50, 0x4f, 0x52, 0x50, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tab, err := LoadPropertyTable(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Accepted tables must re-save and re-load to the same contents.
-		var buf bytes.Buffer
-		if err := tab.Save(&buf); err != nil {
-			t.Fatalf("save accepted table: %v", err)
-		}
-		tab2, err := LoadPropertyTable(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("reload saved table: %v", err)
-		}
-		if tab2.NumVertices() != tab.NumVertices() {
-			t.Fatalf("round-trip changed n: %d -> %d", tab.NumVertices(), tab2.NumVertices())
-		}
-		for _, name := range tab.NumericNames() {
-			a, _ := tab.NumericColumn(name)
-			b, ok := tab2.NumericColumn(name)
-			if !ok || len(a) != len(b) {
-				t.Fatalf("numeric column %q lost in round-trip", name)
-			}
-			for i := range a {
-				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-					t.Fatalf("numeric column %q value %d changed", name, i)
-				}
-			}
-		}
-		for _, name := range tab.LabelNames() {
-			a, _ := tab.LabelColumn(name)
-			b, ok := tab2.LabelColumn(name)
-			if !ok || len(a) != len(b) {
-				t.Fatalf("label column %q lost in round-trip", name)
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("label column %q value %d changed", name, i)
 				}
 			}
 		}

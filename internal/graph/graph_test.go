@@ -365,54 +365,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestPropertyTableSaveLoad(t *testing.T) {
-	p := NewPropertyTable(5)
-	for v := int32(0); v < 5; v++ {
-		p.SetNumeric("pagerank", v, float64(v)*0.1)
-		p.SetNumeric("score", v, float64(100-v))
-		p.SetLabel("name", v, string(rune('a'+v)))
-	}
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	q, err := LoadPropertyTable(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.NumVertices() != 5 {
-		t.Fatalf("n = %d", q.NumVertices())
-	}
-	if !reflect.DeepEqual(p.NumericNames(), q.NumericNames()) {
-		t.Fatalf("numeric names = %v", q.NumericNames())
-	}
-	for v := int32(0); v < 5; v++ {
-		if q.Numeric("pagerank", v) != p.Numeric("pagerank", v) {
-			t.Fatal("numeric value lost")
-		}
-		if q.Label("name", v) != p.Label("name", v) {
-			t.Fatal("label value lost")
-		}
-	}
-}
-
-func TestLoadPropertyTableRejectsGarbage(t *testing.T) {
-	if _, err := LoadPropertyTable(bytes.NewBufferString("junk data here")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	// Truncated valid stream.
-	p := NewPropertyTable(3)
-	p.SetNumeric("x", 0, 1)
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-6]
-	if _, err := LoadPropertyTable(bytes.NewBuffer(trunc)); err == nil {
-		t.Fatal("truncated stream accepted")
-	}
-}
-
 func TestWriteEdgeListUndirected(t *testing.T) {
 	g := FromEdges(4, false, [][2]int32{{0, 1}, {1, 2}, {2, 3}})
 	var buf bytes.Buffer

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/dyngraph"
 	"repro/internal/kernels"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -111,12 +110,8 @@ func (s *Server) ingest(rt *reqTrace, edits []wire.IngestEdit) (*wire.IngestResu
 	if s.draining.Load() {
 		return nil, http.StatusServiceUnavailable, wire.Errorf(http.StatusServiceUnavailable, "server is draining")
 	}
-	batch := make([]dyngraph.Edit, len(edits))
-	for i, e := range edits {
-		batch[i] = dyngraph.Edit{Src: e.Src, Dst: e.Dst, Weight: e.Weight, Time: e.Time, Delete: e.Delete}
-	}
 	st := rt.stage("enqueue")
-	res := s.enqueue(batch)
+	res := s.enqueue(edits)
 	st.end()
 	rt.root.SetAttr("accepted", strconv.Itoa(res.Accepted))
 	if res.Rejected > 0 {

@@ -304,9 +304,9 @@ func servedEndpoints() []string {
 // recover loads the flat CSR snapshot (internal/wire/snapfmt) at path: the
 // arrays are read straight into the first published snapshot (returned, so
 // the first query pays no rebuild) and the dynamic graph is bulk-built from
-// them in O(arcs). A file without the flat magic is refused with an error
-// naming the converter — a legacy dyngraph snapshot is not corrupt, so it is
-// neither quarantined nor silently replaced by an empty graph. A flat file
+// them in O(arcs). A file without the flat magic is refused: it is not a
+// snapshot this program wrote, so it is neither quarantined nor silently
+// replaced by an empty graph, and the file is left as it is. A flat file
 // that fails its CRC or validation is quarantined (renamed to
 // path+".corrupt") and the server starts empty — losing a snapshot must not
 // keep the daemon down. A snapshot whose shape contradicts the config is a
@@ -320,7 +320,7 @@ func (s *Server) recover(path string) (*graph.Graph, error) {
 		return nil, fmt.Errorf("server: open snapshot: %w", err)
 	}
 	if !flat {
-		return nil, fmt.Errorf("server: snapshot %s is not in the flat format; if it is a legacy dyngraph snapshot, convert it with `wirecli convert-snapshot %s <flat>` and recover from the result", path, path)
+		return nil, fmt.Errorf("server: snapshot %s is not in the flat format", path)
 	}
 	g, rerr := snapfmt.ReadFile(path)
 	if rerr != nil {
@@ -375,8 +375,7 @@ func (s *Server) Applied() int64 { return s.applied.Load() }
 // The file is the flat CSR format (internal/wire/snapfmt): the served
 // snapshot's arrays written raw, so recovery is O(read) instead of
 // O(parse). What is persisted is therefore the built CSR view — the same
-// graph every query answers from (self-loops, which the snapshot builder
-// drops, are not persisted). Persist pins the published bundle like a
+// graph every query answers from. Persist pins the published bundle like a
 // reader, waiting for the writer's catch-up build when the bundle lags the
 // visible version, and releases it after writing.
 func (s *Server) Persist() error {

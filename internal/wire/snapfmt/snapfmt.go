@@ -2,15 +2,11 @@
 // the raw little-endian CSR arrays of an immutable graph, and a CRC-32C
 // trailer.
 //
-// The legacy snapshot (internal/dyngraph's Save/Load) serializes one
-// (src,dst,weight,time) record per edge and recovers by re-inserting every
-// edge — O(edges × degree) with a reflection-based decode per record. The
-// flat format instead writes the already-built CSR arrays verbatim, so
-// recovery is O(read): decode the arrays in large chunks, hand them to
-// graph.FromCSRArrays (O(n) structural checks, arrays adopted not copied),
-// and bulk-load the dynamic graph with dyngraph.FromCSRGraph. graphd
-// recovers only this format; `wirecli convert-snapshot` turns a legacy
-// snapshot into it.
+// The format writes the already-built CSR arrays verbatim, so recovery is
+// O(read) rather than a re-insert per edge: decode the arrays in large
+// chunks, hand them to graph.FromCSRArrays (O(n) structural checks, arrays
+// adopted not copied), and bulk-load the dynamic graph with
+// dyngraph.FromCSRGraph. It is graphd's only on-disk format.
 //
 // Layout (all little-endian):
 //
@@ -400,8 +396,8 @@ func ReadFile(path string) (*graph.Graph, error) {
 }
 
 // SniffFile reports whether the file at path begins with the flat-format
-// magic — how recovery tells a flat snapshot from a legacy one, which it
-// refuses.
+// magic — how recovery tells a flat snapshot from a file in any other
+// format, which it refuses.
 func SniffFile(path string) (bool, error) {
 	f, err := os.Open(path)
 	if err != nil {

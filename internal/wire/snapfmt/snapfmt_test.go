@@ -214,7 +214,8 @@ func TestReadFileAndSniff(t *testing.T) {
 		t.Fatalf("SniffFile(flat) = %v, %v", ok, err)
 	}
 
-	// Legacy snapshots start with "GRPH" little-endian (bytes "HPRG").
+	// The per-edge format graphd wrote before this one starts with "GRPH"
+	// little-endian (bytes "HPRG").
 	legacy := filepath.Join(dir, "legacy.bin")
 	if err := os.WriteFile(legacy, []byte{0x48, 0x50, 0x52, 0x47, 0, 0, 0, 0}, 0o644); err != nil {
 		t.Fatal(err)
