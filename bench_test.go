@@ -235,26 +235,12 @@ func BenchmarkFig1AnomalyTwoLevel(b *testing.B) {
 
 // ---- E2: Fig. 2 canonical flow ----
 
-func flowEdges(scale int) [][2]int32 {
-	g := gen.RMAT(scale, 8, gen.Graph500RMAT, 1, false)
-	var edges [][2]int32
-	for v := int32(0); v < g.NumVertices(); v++ {
-		for _, w := range g.Neighbors(v) {
-			if w > v {
-				edges = append(edges, [2]int32{v, w})
-			}
-		}
-	}
-	return edges
-}
-
 func BenchmarkFig2BatchPath(b *testing.B) {
-	edges := flowEdges(12)
+	base := gen.RMAT(12, 8, gen.Graph500RMAT, 1, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := flow.New(1<<12, false)
+		f := flow.New(base)
 		f.RegisterAnalytic("pagerank", flow.PageRankAnalytic)
-		f.BuildFromEdges(edges)
 		if _, _, err := f.RunBatch(flow.SeedCriteria{K: 8}, 2, "pagerank", nil); err != nil {
 			b.Fatal(err)
 		}
@@ -263,9 +249,10 @@ func BenchmarkFig2BatchPath(b *testing.B) {
 
 func BenchmarkFig2StreamingPath(b *testing.B) {
 	updates := gen.EdgeUpdateStream(12, 20000, 0.05, 9)
+	empty := graph.FromEdges(1<<12, false, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := flow.New(1<<12, false)
+		f := flow.New(empty)
 		f.ExtractDepth = 1
 		f.RegisterAnalytic("triangles", flow.TriangleAnalytic)
 		f.StreamAnalytic = "triangles"
@@ -525,14 +512,7 @@ func BenchmarkAblationDynBlock(b *testing.B) {
 	for _, bs := range []int{2, 8, 16, 64} {
 		b.Run(fmt.Sprintf("block=%d", bs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g := dyngraph.NewWithBlockSize(1<<13, false, bs)
-				for _, u := range updates {
-					if u.Delete {
-						g.DeleteEdge(u.Src, u.Dst)
-					} else {
-						g.InsertEdge(u.Src, u.Dst, 1, u.Time)
-					}
-				}
+				dyngraph.NewWithBlockSize(1<<13, false, bs).ApplyEdits(updates)
 			}
 			b.ReportMetric(float64(len(updates)*b.N)/b.Elapsed().Seconds()/1e6, "Mupdates/s")
 		})
@@ -574,15 +554,9 @@ func BenchmarkStreamTriangleRecountEvery1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := dyngraph.New(1<<12, false)
-		for j, u := range updates {
-			if u.Delete {
-				g.DeleteEdge(u.Src, u.Dst)
-			} else {
-				g.InsertEdge(u.Src, u.Dst, 1, u.Time)
-			}
-			if j%1000 == 999 {
-				kernels.GlobalTriangleCount(g.Snapshot())
-			}
+		for j := 0; j < len(updates); j += 1000 {
+			g.ApplyEdits(updates[j:min(j+1000, len(updates))])
+			kernels.GlobalTriangleCount(g.Snapshot())
 		}
 	}
 	b.ReportMetric(20000*float64(b.N)/b.Elapsed().Seconds()/1e3, "Kupdates/s")
@@ -702,23 +676,13 @@ func BenchmarkKernelKCore(b *testing.B) {
 }
 
 func BenchmarkDynBatchApply(b *testing.B) {
-	edits := dynEdits(gen.EdgeUpdateStream(13, 100000, 0.1, 5))
+	edits := gen.EdgeUpdateStream(13, 100000, 0.1, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := dyngraph.New(1<<13, false)
 		g.ApplyEdits(edits)
 	}
 	b.ReportMetric(float64(100000*b.N)/b.Elapsed().Seconds()/1e6, "Mupdates/s")
-}
-
-// dynEdits converts a generated update stream to the edits graphd's
-// writer applies.
-func dynEdits(ups []gen.EdgeUpdate) []dyngraph.Edit {
-	edits := make([]dyngraph.Edit, len(ups))
-	for i, u := range ups {
-		edits[i] = dyngraph.Edit{Src: u.Src, Dst: u.Dst, Time: u.Time, Delete: u.Delete}
-	}
-	return edits
 }
 
 // buildSink keeps the construction benchmarks' results alive.
@@ -758,7 +722,7 @@ func BenchmarkDynSnapshot(b *testing.B) {
 func BenchmarkDynSnapshotDeltaChain(b *testing.B) {
 	const scale, perBatch = 14, 200
 	dg := dyngraph.FromCSRGraph(gen.RMAT(scale, 16, gen.Graph500RMAT, 1, false))
-	updates := dynEdits(gen.EdgeUpdateStream(scale, b.N*perBatch, 0.25, 2))
+	updates := gen.EdgeUpdateStream(scale, b.N*perBatch, 0.25, 2)
 	snap := dg.Snapshot()
 	var touchedArcs int64
 	b.ReportAllocs()

@@ -53,26 +53,14 @@ func main() {
 
 func run(scale, updates int, trigger int64, reg *telemetry.Registry) error {
 	n := int32(1) << scale
-	f := flow.NewWith(n, false, reg)
+	f := flow.NewWith(gen.RMAT(scale, 8, gen.Graph500RMAT, 1, false), reg)
+	fmt.Printf("persistent graph: %d vertices, %d edges\n", n, f.Graph().NumEdges())
 	f.ExtractDepth = 1
 	f.RegisterAnalytic("pagerank", flow.PageRankAnalytic)
 	f.RegisterAnalytic("triangles", flow.TriangleAnalytic)
 	f.RegisterAnalytic("jaccard", flow.JaccardAnalytic)
 	f.StreamAnalytic = "triangles"
 	f.Engine().AddTrigger(streaming.NewTriangleDeltaTrigger(trigger))
-
-	// Batch build.
-	base := gen.RMAT(scale, 8, gen.Graph500RMAT, 1, false)
-	var edges [][2]int32
-	for v := int32(0); v < base.NumVertices(); v++ {
-		for _, w := range base.Neighbors(v) {
-			if w > v {
-				edges = append(edges, [2]int32{v, w})
-			}
-		}
-	}
-	f.BuildFromEdges(edges)
-	fmt.Printf("persistent graph: %d vertices, %d edges\n", n, f.Graph().NumEdges())
 
 	// Batch analytic around the top-degree seeds, with write-back.
 	ex, global, err := f.RunBatch(flow.SeedCriteria{K: 8}, 2, "pagerank", nil)

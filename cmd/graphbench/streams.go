@@ -178,18 +178,14 @@ const ingestBatch = 1024
 // graph, patch the CSR snapshot over the touched vertices, and advance the
 // incremental WCC state over it. A per-edge update is a batch of one. It
 // returns the components after the last batch.
-func incrWCC(ups []gen.EdgeUpdate, n int32, size int) (*kernels.CCResult, error) {
+func incrWCC(ups []dyngraph.Edit, n int32, size int) (*kernels.CCResult, error) {
 	dg := dyngraph.New(n, false)
 	st := incr.NewWCCState(n)
 	g := dg.Snapshot()
 	cc := kernels.WCC(g)
-	edits := make([]dyngraph.Edit, 0, size)
 	for v := int64(1); len(ups) > 0; v++ {
 		k := min(size, len(ups))
-		edits = edits[:0]
-		for _, u := range ups[:k] {
-			edits = append(edits, dyngraph.Edit{Src: u.Src, Dst: u.Dst, Weight: 1, Time: u.Time, Delete: u.Delete})
-		}
+		edits := ups[:k]
 		ups = ups[k:]
 		res := dg.ApplyEdits(edits)
 		batch := []incr.Batch{{Version: v, Edits: edits, HadDeletes: res.Deleted > 0}}

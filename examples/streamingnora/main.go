@@ -43,7 +43,7 @@ func main() {
 		addrVertex := maxEntities + r.AddressID
 		// New or refreshed residence edge; then check whether this update
 		// pushed any relationship of the entity past the watch threshold.
-		best, ok := sj.ApplyUpdate(gen.EdgeUpdate{Src: eid, Dst: addrVertex, Time: int64(i)})
+		best, ok := sj.ApplyUpdate(dyngraph.Edit{Src: eid, Dst: addrVertex, Time: int64(i)})
 		if ok && best.Score >= watchThreshold && best.Inter >= 2 {
 			crossings++
 			if crossings <= 5 {

@@ -187,7 +187,7 @@ var Taxonomy = []KernelInfo{
 	{Name: "InsertDelete", Classes: []Class{Centrality},
 		Usage:          map[Suite]Mode{HPCGraph: Streaming},
 		Outputs:        []Output{GraphModification},
-		Implementation: "dyngraph.InsertEdge/DeleteEdge"},
+		Implementation: "dyngraph.ApplyEdits"},
 	{Name: "Jaccard", Classes: []Class{PathAnalysis, Other},
 		Usage:          map[Suite]Mode{Standalone: BatchAndStreaming},
 		Outputs:        []Output{ListOV},

@@ -18,12 +18,14 @@ type BatchResult struct {
 // removes the edge.
 type Edit = wire.IngestEdit
 
-// ApplyEdits applies a batch of weighted edits in order, the entry point
-// the graphd ingest pipeline batches into. STINGER-style systems ingest
-// updates in batches to amortize synchronization. Property refreshes of
-// existing edges count as Updated, deletes of absent edges as NoOps. A
-// self-loop is a NoOp too and is never stored: no snapshot holds one, so
-// storing it would count an edge no query or restart ever sees.
+// ApplyEdits applies a batch of weighted edits in order; it is the only way
+// to change a DynGraph, whether the edits come from graphd's ingest pipeline
+// or one at a time from a streaming writer. STINGER-style systems ingest
+// updates in batches to amortize synchronization. An insert checks whether
+// the edge is already in the graph and then either adds it or updates its
+// properties: a refresh counts as Updated, a delete of an absent edge as a
+// NoOp. A self-loop is a NoOp too and is never stored: no snapshot holds
+// one, so storing it would count an edge no query or restart ever sees.
 func (g *DynGraph) ApplyEdits(edits []Edit) BatchResult {
 	var res BatchResult
 	for _, e := range edits {
@@ -32,7 +34,7 @@ func (g *DynGraph) ApplyEdits(edits []Edit) BatchResult {
 			continue
 		}
 		if e.Delete {
-			if g.DeleteEdge(e.Src, e.Dst) {
+			if g.deleteEdge(e.Src, e.Dst) {
 				res.Deleted++
 			} else {
 				res.NoOps++
@@ -43,7 +45,7 @@ func (g *DynGraph) ApplyEdits(edits []Edit) BatchResult {
 		if w == 0 {
 			w = 1
 		}
-		if g.InsertEdge(e.Src, e.Dst, w, e.Time) {
+		if g.insertEdge(e.Src, e.Dst, w, e.Time) {
 			res.Inserted++
 		} else {
 			res.Updated++

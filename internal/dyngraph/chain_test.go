@@ -224,11 +224,7 @@ func TestSnapshotChainAllocBudget(t *testing.T) {
 	}
 	const scale, perBatch, bumps, window = 15, 200, 512, 128
 	g := FromCSRGraph(gen.RMAT(scale, 16, gen.Graph500RMAT, 1, false))
-	stream := gen.EdgeUpdateStream(scale, bumps*perBatch, 0.25, 2)
-	updates := make([]Edit, len(stream))
-	for i, u := range stream {
-		updates[i] = Edit{Src: u.Src, Dst: u.Dst, Time: u.Time, Delete: u.Delete}
-	}
+	updates := gen.EdgeUpdateStream(scale, bumps*perBatch, 0.25, 2)
 
 	var ms runtime.MemStats
 	heapInuse := func() uint64 {

@@ -10,8 +10,8 @@ import (
 // SnapshotDelta freezes the current state as an immutable graph that is the
 // next version of a previous snapshot: adjacency rows of vertices listed in
 // touched are rebuilt from the dynamic block chains, every other row is
-// prev's. The result equals Snapshot() (self-loops excluded, rows sorted by
-// target, weights and timestamps carried).
+// prev's. The result equals Snapshot() (rows sorted by target, weights and
+// timestamps carried).
 //
 // Snapshots taken one from another form a chain over a shared append-only
 // arc arena (see graph.Emitter). While prev is the newest version of its
@@ -65,7 +65,7 @@ func (g *DynGraph) SnapshotDeltaRecycled(prev *graph.Graph, touched []int32, r *
 // emitRows is the one row emitter behind Snapshot and SnapshotDelta. It
 // rebuilds the rows listed in touched (ascending, distinct, in range) — or
 // every row when prev is nil — each a gather from the block chain sorted by
-// target with self-loops dropped, and leaves the rest to the graph.Emitter,
+// target, and leaves the rest to the graph.Emitter,
 // which keeps or copies them from prev. prev must be compatible as
 // SnapshotDelta checks.
 func (g *DynGraph) emitRows(r *graph.Recycler, prev *graph.Graph, touched []int32) *graph.Graph {
@@ -91,11 +91,7 @@ func (g *DynGraph) emitRows(r *graph.Recycler, prev *graph.Graph, touched []int3
 	for i := int32(0); i < rows; i++ {
 		v := vertex(i)
 		widest = max(widest, g.degree[v])
-		cnt := int64(g.degree[v])
-		if g.HasEdge(v, v) { // snapshots never carry self-loops
-			cnt--
-		}
-		fresh += cnt
+		fresh += int64(g.degree[v])
 		if prev != nil {
 			live -= int64(prev.Degree(v))
 		}
@@ -112,11 +108,7 @@ func (g *DynGraph) emitRows(r *graph.Recycler, prev *graph.Graph, touched []int3
 		v := vertex(i)
 		row = row[:0]
 		for b := g.adj[v]; b != nil; b = b.next {
-			for _, s := range b.slots {
-				if s.dst != v {
-					row = append(row, s)
-				}
-			}
+			row = append(row, b.slots...)
 		}
 		slices.SortFunc(row, func(a, b edgeSlot) int { return cmp.Compare(a.dst, b.dst) })
 		targets, weights, times := e.Row(v, len(row))

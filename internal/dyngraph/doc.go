@@ -7,15 +7,17 @@
 //
 // The paper's streaming path (Fig. 2, left side) performs "incremental
 // targeted graph updates" against the persistent graph; this package is
-// that persistent, update-in-place representation.
+// that persistent, update-in-place representation. A DynGraph is made by
+// New or FromCSRGraph and changed only by ApplyEdits, whose Edit is the
+// record graphd ingests. Neither stores a self-loop, so every degree and
+// edge count agrees with the snapshots taken.
 //
 // # Concurrency contract (single writer)
 //
 // DynGraph is not safe for concurrent mutation, by design — it matches the
 // single-writer model of STINGER's update batches. Exactly one goroutine
-// may mutate the graph (InsertEdge/DeleteEdge/ApplyEdits); the
-// streaming engine and the graphd ingest loop are such writers, each
-// serializing its updates. Readers must be excluded while a write is in
+// may call ApplyEdits; the streaming engine and the graphd ingest loop are
+// such writers, each serializing its updates. Readers must be excluded while a write is in
 // flight (internal/server reads only the snapshots its writer publishes).
 // Snapshot produces an immutable *graph.Graph that is
 // safe to share with any number of concurrent readers and parallel

@@ -25,10 +25,12 @@ type block struct {
 	next  *block
 }
 
-// DynGraph is a mutable directed or undirected multigraph-free graph.
-// Undirected graphs store each edge in both endpoints' lists. Not safe for
-// concurrent mutation; the streaming engine serializes updates, matching the
-// single-writer model of STINGER's update batches.
+// DynGraph is a mutable directed or undirected graph with no parallel arcs
+// and no self-loops. Undirected graphs store each edge in both endpoints'
+// lists. ApplyEdits is the only way to change one after New or
+// FromCSRGraph. Not safe for concurrent mutation; the streaming engine
+// serializes updates, matching the single-writer model of STINGER's update
+// batches.
 type DynGraph struct {
 	adj       []*block
 	degree    []int32
@@ -90,19 +92,19 @@ func (g *DynGraph) HasEdge(v, w int32) bool {
 	return false
 }
 
-// InsertEdge adds edge (v,w) with the given weight and timestamp. If the
-// edge already exists its weight and timestamp are updated instead (the
-// paper's "checking if it is already in the graph and then either adding the
-// edge or updating some properties"). Returns true when a new edge was
-// created.
-func (g *DynGraph) InsertEdge(v, w int32, weight float32, time int64) bool {
+// insertEdge adds edge (v,w) with the given weight and timestamp, or
+// refreshes them when the edge is already stored, and reports whether it
+// was new. ApplyEdits has dropped a self-loop before it calls this.
+func (g *DynGraph) insertEdge(v, w int32, weight float32, time int64) bool {
 	created := g.insertArc(v, w, weight, time)
-	if !g.directed && v != w {
+	if !g.directed {
 		g.insertArc(w, v, weight, time)
 	}
 	return created
 }
 
+// insertArc appends arc v->w, or refreshes its weight and timestamp when it
+// is already stored, and reports whether it was new.
 func (g *DynGraph) insertArc(v, w int32, weight float32, time int64) bool {
 	var last *block
 	for b := g.adj[v]; b != nil; b = b.next {
@@ -132,15 +134,16 @@ func (g *DynGraph) insertArc(v, w int32, weight float32, time int64) bool {
 	return true
 }
 
-// DeleteEdge removes edge (v,w); returns true if it existed.
-func (g *DynGraph) DeleteEdge(v, w int32) bool {
+// deleteEdge removes edge (v,w) and reports whether it existed.
+func (g *DynGraph) deleteEdge(v, w int32) bool {
 	ok := g.deleteArc(v, w)
-	if !g.directed && v != w {
+	if !g.directed {
 		g.deleteArc(w, v)
 	}
 	return ok
 }
 
+// deleteArc removes arc v->w and reports whether it was stored.
 func (g *DynGraph) deleteArc(v, w int32) bool {
 	for b := g.adj[v]; b != nil; b = b.next {
 		for i := range b.slots {
@@ -197,9 +200,9 @@ func (g *DynGraph) CommonNeighborCount(u, v int32) int32 {
 
 // Snapshot freezes the current state as an immutable CSR graph, the bridge
 // from the streaming side of Fig. 2 to batch analytics on extracted
-// subgraphs. Self-loops are excluded, rows are sorted by target, weights and
-// timestamps are carried. It is SnapshotDelta with every row touched: one
-// pass over the block chains, no global sort.
+// subgraphs. Rows are sorted by target, weights and timestamps are carried.
+// It is SnapshotDelta with every row touched: one pass over the block
+// chains, no global sort.
 func (g *DynGraph) Snapshot() *graph.Graph { return g.emitRows(nil, nil, nil) }
 
 // FromCSRGraph bulk-loads an immutable graph into a fresh dynamic graph in
@@ -207,12 +210,17 @@ func (g *DynGraph) Snapshot() *graph.Graph { return g.emitRows(nil, nil, nil) }
 // duplicate scan (CSR rows are already duplicate-free) and no symmetric
 // re-insertion (an undirected CSR stores both arc directions) — so loading
 // costs one pass over the rows where per-edge inserts pay O(degree) each.
-// This is the recovery path for flat snapshots.
+// A self-loop is skipped, as ApplyEdits skips one: rows are sorted, so a
+// binary search finds v's own arc, and only a row that holds one is copied
+// around it first. This is the recovery path for flat snapshots.
 func FromCSRGraph(src *graph.Graph) *DynGraph {
 	n := src.NumVertices()
 	g := New(n, src.Directed())
 	for v := int32(0); v < n; v++ {
 		targets, weights, times := src.Neighbors(v), src.NeighborWeights(v), src.NeighborTimes(v)
+		if i, ok := slices.BinarySearch(targets, v); ok {
+			targets, weights, times = without(targets, i), without(weights, i), without(times, i)
+		}
 		var last *block
 		for at := 0; at < len(targets); at += g.blockSize {
 			end := min(at+g.blockSize, len(targets))
@@ -238,13 +246,22 @@ func FromCSRGraph(src *graph.Graph) *DynGraph {
 			last = nb
 		}
 		g.degree[v] = int32(len(targets))
+		g.numArcs += int64(len(targets))
 	}
-	g.numArcs = src.NumEdges()
 	return g
 }
 
+// without returns a copy of s with element i left out, or s itself when it
+// has no element i (a graph without weights or timestamps).
+func without[T any](s []T, i int) []T {
+	if i >= len(s) {
+		return s
+	}
+	return append(s[:i:i], s[i+1:]...)
+}
+
 // Validate checks internal consistency: degree counters match slot counts,
-// undirected symmetry holds, and no duplicate arcs exist.
+// undirected symmetry holds, and no duplicate arcs or self-loops exist.
 func (g *DynGraph) Validate() error {
 	var arcs int64
 	for v := int32(0); v < g.NumVertices(); v++ {
@@ -252,6 +269,9 @@ func (g *DynGraph) Validate() error {
 		count := int32(0)
 		for b := g.adj[v]; b != nil; b = b.next {
 			for _, s := range b.slots {
+				if s.dst == v {
+					return fmt.Errorf("dyngraph: self-loop at %d", v)
+				}
 				if seen[s.dst] {
 					return fmt.Errorf("dyngraph: duplicate arc %d->%d", v, s.dst)
 				}

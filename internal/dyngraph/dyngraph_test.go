@@ -36,12 +36,15 @@ func applyGraph(src *graph.Graph) *DynGraph {
 	return g
 }
 
+// edit applies one edit.
+func edit(g *DynGraph, e Edit) BatchResult { return g.ApplyEdits([]Edit{e}) }
+
 func TestInsertDeleteBasics(t *testing.T) {
 	g := New(4, false)
-	if !g.InsertEdge(0, 1, 1, 10) {
+	if edit(g, Edit{Src: 0, Dst: 1, Time: 10}).Inserted != 1 {
 		t.Fatal("first insert should create")
 	}
-	if g.InsertEdge(0, 1, 2, 20) {
+	if edit(g, Edit{Src: 0, Dst: 1, Weight: 2, Time: 20}).Updated != 1 {
 		t.Fatal("re-insert should update, not create")
 	}
 	if g.NumEdges() != 1 || g.Degree(0) != 1 || g.Degree(1) != 1 {
@@ -50,11 +53,11 @@ func TestInsertDeleteBasics(t *testing.T) {
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
 		t.Fatal("undirected symmetry broken")
 	}
-	if !g.DeleteEdge(1, 0) {
+	if edit(g, Edit{Src: 1, Dst: 0, Delete: true}).Deleted != 1 {
 		t.Fatal("delete failed")
 	}
-	if g.DeleteEdge(0, 1) {
-		t.Fatal("double delete should fail")
+	if edit(g, Edit{Src: 0, Dst: 1, Delete: true}).NoOps != 1 {
+		t.Fatal("double delete should be a no-op")
 	}
 	if g.NumEdges() != 0 || g.Degree(0) != 0 {
 		t.Fatal("delete did not clean up")
@@ -66,7 +69,7 @@ func TestInsertDeleteBasics(t *testing.T) {
 
 func TestDirectedDyn(t *testing.T) {
 	g := New(3, true)
-	g.InsertEdge(0, 1, 1, 0)
+	edit(g, Edit{Src: 0, Dst: 1})
 	if g.HasEdge(1, 0) {
 		t.Fatal("directed graph added reverse arc")
 	}
@@ -79,7 +82,7 @@ func TestBlockOverflow(t *testing.T) {
 	// More neighbors than one block holds.
 	g := NewWithBlockSize(100, false, 4)
 	for w := int32(1); w < 50; w++ {
-		g.InsertEdge(0, w, 1, int64(w))
+		edit(g, Edit{Src: 0, Dst: w, Time: int64(w)})
 	}
 	if g.Degree(0) != 49 {
 		t.Fatalf("degree = %d", g.Degree(0))
@@ -98,7 +101,7 @@ func TestBlockOverflow(t *testing.T) {
 	}
 	// Delete across blocks.
 	for w := int32(1); w < 50; w += 2 {
-		if !g.DeleteEdge(0, w) {
+		if edit(g, Edit{Src: 0, Dst: w, Delete: true}).Deleted != 1 {
 			t.Fatalf("delete 0-%d failed", w)
 		}
 	}
@@ -110,21 +113,46 @@ func TestBlockOverflow(t *testing.T) {
 	}
 }
 
-func TestSelfLoopSingleInsert(t *testing.T) {
-	g := New(3, false)
-	g.InsertEdge(1, 1, 1, 0)
-	if g.Degree(1) != 1 {
-		t.Fatalf("self loop degree = %d", g.Degree(1))
+// TestNoSelfLoops: neither way into a DynGraph stores a self-loop — an
+// edit (v,v) is a no-op, and a bulk-loaded CSR row that holds v loses that
+// arc — so degrees and edge counts agree with every snapshot taken.
+func TestNoSelfLoops(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g := New(3, directed)
+		if res := g.ApplyEdits([]Edit{{Src: 0, Dst: 1}, {Src: 1, Dst: 1}, {Src: 1, Dst: 1, Delete: true}}); res.NoOps != 2 {
+			t.Fatalf("directed=%v: self-loop edits = %+v, want 2 no-ops", directed, res)
+		}
+		if g.HasEdge(1, 1) || g.Degree(1) != g.Snapshot().Degree(1) {
+			t.Fatalf("directed=%v: ApplyEdits stored a self-loop", directed)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("directed=%v: %v", directed, err)
+		}
 	}
-	if !g.DeleteEdge(1, 1) || g.Degree(1) != 0 {
-		t.Fatal("self loop delete broken")
+	// Vertex 1's row is {0, 1, 2}: an arc to itself between two others.
+	csr, err := graph.FromCSRArrays(3, false, []int64{0, 1, 4, 5}, []int32{1, 0, 1, 2, 1},
+		[]float32{1, 2, 3, 4, 5}, []int64{1, 2, 3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := FromCSRGraph(csr)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if g.HasEdge(1, 1) || g.Degree(1) != 2 || g.NumArcs() != 4 {
+		t.Fatalf("FromCSRGraph kept the self-loop: degree(1) = %d, %d arcs, want 2 and 4", g.Degree(1), g.NumArcs())
+	}
+	var payload []float32
+	g.ForEachNeighbor(1, func(_ int32, weight float32, _ int64) { payload = append(payload, weight) })
+	if !reflect.DeepEqual(payload, []float32{2, 4}) {
+		t.Fatalf("vertex 1's arcs carry weights %v, want [2 4]", payload)
 	}
 }
 
 func TestCommonNeighborCount(t *testing.T) {
 	g := New(6, false)
 	for _, e := range [][2]int32{{0, 2}, {0, 3}, {0, 4}, {1, 3}, {1, 4}, {1, 5}} {
-		g.InsertEdge(e[0], e[1], 1, 0)
+		edit(g, Edit{Src: e[0], Dst: e[1]})
 	}
 	if c := g.CommonNeighborCount(0, 1); c != 2 {
 		t.Fatalf("common(0,1) = %d, want 2", c)
@@ -194,13 +222,13 @@ func TestRandomizedAgainstMapModel(t *testing.T) {
 				}
 				if rng.Intn(3) == 0 {
 					want := model[key]
-					if g.DeleteEdge(u, v) != want {
+					if (edit(g, Edit{Src: u, Dst: v, Delete: true}).Deleted == 1) != want {
 						return false
 					}
 					delete(model, key)
 				} else {
 					want := !model[key]
-					if g.InsertEdge(u, v, 1, int64(op)) != want {
+					if (edit(g, Edit{Src: u, Dst: v, Time: int64(op)}).Inserted == 1) != want {
 						return false
 					}
 					model[key] = true
@@ -224,7 +252,7 @@ func TestRandomizedAgainstMapModel(t *testing.T) {
 
 func TestForEachNeighborPayload(t *testing.T) {
 	g := New(3, true)
-	g.InsertEdge(0, 1, 2.5, 77)
+	edit(g, Edit{Src: 0, Dst: 1, Weight: 2.5, Time: 77})
 	var gotW float32
 	var gotT int64
 	g.ForEachNeighbor(0, func(w int32, weight float32, tm int64) {
@@ -241,7 +269,7 @@ func TestFromCSRGraph(t *testing.T) {
 		src := New(200, directed)
 		for i := 0; i < 3000; i++ {
 			v, w := int32(rng.Intn(200)), int32(rng.Intn(200))
-			src.InsertEdge(v, w, rng.Float32(), int64(i))
+			edit(src, Edit{Src: v, Dst: w, Weight: rng.Float32(), Time: int64(i)})
 		}
 		snap := src.Snapshot()
 
@@ -250,8 +278,7 @@ func TestFromCSRGraph(t *testing.T) {
 			t.Fatalf("directed=%v: Validate: %v", directed, err)
 		}
 		// The bulk load and the per-edge path must agree edge-for-edge,
-		// including weights and timestamps. (Comparing against src directly
-		// would be wrong: Snapshot drops self-loops at Build.)
+		// including weights and timestamps.
 		want := applyGraph(snap)
 		if got.NumVertices() != want.NumVertices() || got.NumArcs() != want.NumArcs() || got.Directed() != directed {
 			t.Fatalf("directed=%v: shape mismatch: %d/%d arcs", directed, got.NumArcs(), want.NumArcs())

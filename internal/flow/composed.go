@@ -56,31 +56,21 @@ func (cb ComposedBenchmark) Run() (*ComposedResult, error) {
 		return err
 	}
 
-	f := New(n, false)
-	f.ExtractDepth = 1
-	f.RegisterAnalytic("triangles", TriangleAnalytic)
-	f.RegisterAnalytic("jaccard", JaccardAnalytic)
-	f.StreamAnalytic = "jaccard"
-	f.Engine().AddTrigger(streaming.NewTriangleDeltaTrigger(cb.TriggerDelta))
-
 	// 1. Build.
+	var f *Flow
 	if err := phase("build", func() error {
-		base := gen.RMAT(cb.Scale, 8, gen.Graph500RMAT, cb.Seed, false)
-		var edges [][2]int32
-		for v := int32(0); v < base.NumVertices(); v++ {
-			for _, w := range base.Neighbors(v) {
-				if w > v {
-					edges = append(edges, [2]int32{v, w})
-				}
-			}
-		}
-		f.BuildFromEdges(edges)
+		f = New(gen.RMAT(cb.Scale, 8, gen.Graph500RMAT, cb.Seed, false))
 		res.Vertices = n
 		res.Edges = f.Graph().NumEdges()
 		return nil
 	}); err != nil {
 		return nil, err
 	}
+	f.ExtractDepth = 1
+	f.RegisterAnalytic("triangles", TriangleAnalytic)
+	f.RegisterAnalytic("jaccard", JaccardAnalytic)
+	f.StreamAnalytic = "jaccard"
+	f.Engine().AddTrigger(streaming.NewTriangleDeltaTrigger(cb.TriggerDelta))
 
 	// 2. Whole-graph pass with write-back.
 	var snap *graph.Graph

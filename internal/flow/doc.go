@@ -10,6 +10,11 @@
 //	                         ▼       │
 //	                  batch analytic ─┴─▶ property write-back / alerts
 //
+// The persistent graph is bulk-loaded from a base graph by
+// dyngraph.FromCSRGraph, graphd's recovery path. The stream of updates is
+// dyngraph.Edits, each applied through DynGraph.ApplyEdits by the
+// streaming engine.
+//
 // The engine is explicitly instrumented: every stage reports operation
 // counts and wall time through the shared internal/telemetry registry,
 // providing the "reference implementation, with explicit instrumentation,

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/dyngraph"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/streaming"
@@ -102,23 +101,26 @@ type Flow struct {
 	alertsC *telemetry.Counter
 }
 
-// New creates a flow around an empty persistent graph with n vertices,
-// instrumented into a private telemetry registry.
-func New(n int32, directed bool) *Flow {
-	return NewWith(n, directed, telemetry.NewRegistry())
+// New creates a flow whose persistent graph is bulk-loaded from base (the
+// initial batch build after dedup), instrumented into a private telemetry
+// registry.
+func New(base *graph.Graph) *Flow {
+	return NewWith(base, telemetry.NewRegistry())
 }
 
-// NewWith creates a flow that reports through the given shared telemetry
-// registry (the cmd/ binaries pass telemetry.Default so one artifact
-// captures every subsystem).
-func NewWith(n int32, directed bool, reg *telemetry.Registry) *Flow {
+// NewWith creates a flow around base that reports through the given shared
+// telemetry registry (the cmd/ binaries pass telemetry.Default so one
+// artifact captures every subsystem). The bulk load is dyngraph.FromCSRGraph,
+// graphd's recovery path, and is recorded as the build stage.
+func NewWith(base *graph.Graph, reg *telemetry.Registry) *Flow {
 	if reg == nil {
 		reg = telemetry.Nop()
 	}
-	g := dyngraph.New(n, directed)
+	start := time.Now()
+	g := dyngraph.FromCSRGraph(base)
 	f := &Flow{
 		g:            g,
-		props:        graph.NewPropertyTable(n),
+		props:        graph.NewPropertyTable(g.NumVertices()),
 		analytics:    make(map[string]Analytic),
 		engine:       streaming.NewEngineWith(g, reg),
 		ExtractDepth: 2,
@@ -133,6 +135,7 @@ func NewWith(n int32, directed bool, reg *telemetry.Registry) *Flow {
 	f.stages.writeBack = newStageMetrics(reg, "write-back")
 	f.stages.streamIn = newStageMetrics(reg, "stream-in")
 	f.stages.triggered = newStageMetrics(reg, "triggered")
+	f.stages.build.record(start, g.NumEdges())
 	return f
 }
 
@@ -172,16 +175,6 @@ func (f *Flow) Alerts() []Alert {
 
 // RegisterAnalytic installs a named batch analytic.
 func (f *Flow) RegisterAnalytic(name string, a Analytic) { f.analytics[name] = a }
-
-// BuildFromEdges bulk-loads edges into the persistent graph (the initial
-// batch build after dedup).
-func (f *Flow) BuildFromEdges(edges [][2]int32) {
-	start := time.Now()
-	for i, e := range edges {
-		f.g.InsertEdge(e[0], e[1], 1, int64(i))
-	}
-	f.stages.build.record(start, int64(len(edges)))
-}
 
 // SeedCriteria selects seed vertices ("selection criteria ... used to
 // identify some initial seed entries").
@@ -368,10 +361,10 @@ func (f *Flow) RunBatch(c SeedCriteria, depth int32, analytic string, project []
 }
 
 // ProcessUpdates is the composed left-hand side of Fig. 2: apply each
-// streaming update; when a trigger fires, extract around the trigger's
+// streaming update through the engine; when a trigger fires, extract around the trigger's
 // seeds, run the configured analytic, write back its per-vertex outputs,
 // and raise an alert carrying its global outputs.
-func (f *Flow) ProcessUpdates(updates []gen.EdgeUpdate) (applied, triggered int, err error) {
+func (f *Flow) ProcessUpdates(updates []dyngraph.Edit) (applied, triggered int, err error) {
 	sp := f.tracer.Start("flow.ProcessUpdates")
 	defer sp.End()
 	for _, u := range updates {

@@ -3,25 +3,16 @@ package flow
 import (
 	"testing"
 
+	"repro/internal/dyngraph"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/streaming"
 )
 
 func builtFlow(t *testing.T) *Flow {
 	t.Helper()
-	f := New(1<<8, false)
-	g := gen.RMAT(8, 8, gen.Graph500RMAT, 5, false)
-	var edges [][2]int32
-	for v := int32(0); v < g.NumVertices(); v++ {
-		for _, w := range g.Neighbors(v) {
-			if w > v {
-				edges = append(edges, [2]int32{v, w})
-			}
-		}
-	}
-	f.BuildFromEdges(edges)
-	return f
+	return New(gen.RMAT(8, 8, gen.Graph500RMAT, 5, false))
 }
 
 func TestBuildAndStats(t *testing.T) {
@@ -119,14 +110,14 @@ func TestRunAnalyticUnknown(t *testing.T) {
 }
 
 func TestStreamingTriggersAnalytic(t *testing.T) {
-	f := New(64, false)
+	f := New(graph.FromEdges(64, false, nil))
 	f.RegisterAnalytic("triangles", TriangleAnalytic)
 	f.StreamAnalytic = "triangles"
 	f.ExtractDepth = 1
 	f.Engine().AddTrigger(streaming.NewDegreeThresholdTrigger(4))
-	var updates []gen.EdgeUpdate
+	var updates []dyngraph.Edit
 	for w := int32(1); w <= 6; w++ {
-		updates = append(updates, gen.EdgeUpdate{Src: 0, Dst: w, Time: int64(w)})
+		updates = append(updates, dyngraph.Edit{Src: 0, Dst: w, Time: int64(w)})
 	}
 	applied, triggered, err := f.ProcessUpdates(updates)
 	if err != nil {
@@ -188,22 +179,11 @@ func TestStandardAnalytics(t *testing.T) {
 func TestEndToEndCanonicalFlow(t *testing.T) {
 	// The full Fig. 2 loop: batch build → batch analytic → stream updates →
 	// trigger → analytic → write-back, all against one persistent graph.
-	f := New(1<<7, false)
+	f := New(gen.RMAT(7, 4, gen.Graph500RMAT, 3, false))
 	f.RegisterAnalytic("pagerank", PageRankAnalytic)
 	f.RegisterAnalytic("jaccard", JaccardAnalytic)
 	f.StreamAnalytic = "jaccard"
 	f.Engine().AddTrigger(streaming.NewTriangleDeltaTrigger(2))
-
-	seed := gen.RMAT(7, 4, gen.Graph500RMAT, 3, false)
-	var edges [][2]int32
-	for v := int32(0); v < seed.NumVertices(); v++ {
-		for _, w := range seed.Neighbors(v) {
-			if w > v {
-				edges = append(edges, [2]int32{v, w})
-			}
-		}
-	}
-	f.BuildFromEdges(edges)
 
 	if _, _, err := f.RunBatch(SeedCriteria{K: 4}, 2, "pagerank", nil); err != nil {
 		t.Fatal(err)
@@ -250,10 +230,8 @@ func TestSelectSeedsPPRExpand(t *testing.T) {
 }
 
 func TestDirectedFlowExtract(t *testing.T) {
-	f := New(16, true)
-	f.Graph().InsertEdge(0, 1, 1, 0)
-	f.Graph().InsertEdge(1, 2, 1, 1)
-	f.Graph().InsertEdge(2, 0, 1, 2) // cycle back, not reachable forward past depth
+	// 2->0 closes a cycle, not reachable forward past depth.
+	f := New(graph.FromEdges(16, true, [][2]int32{{0, 1}, {1, 2}, {2, 0}}))
 	ex := f.Extract([]int32{0}, 2, nil)
 	if !ex.Sub.Directed() {
 		t.Fatal("directed flow produced undirected extraction")

@@ -3,6 +3,8 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/wire"
 )
 
 // StreamItem is one datum of a Firehose-style key/value stream. The three
@@ -125,18 +127,13 @@ func (s *TwoLevelStream) Next() StreamItem {
 	return it
 }
 
-// EdgeUpdate is one streaming graph modification (Fig. 2's left-hand input).
-type EdgeUpdate struct {
-	Src, Dst int32
-	Delete   bool
-	Time     int64
-}
-
 // EdgeUpdateStream produces n R-MAT-distributed edge updates over 2^scale
 // vertices with the given delete fraction; timestamps increase by 1 per item.
-func EdgeUpdateStream(scale int, n int, deleteFrac float64, seed int64) []EdgeUpdate {
+// The updates are the edit record graphd ingests (Fig. 2's left-hand input),
+// with weight 0, which an insert stores as 1.
+func EdgeUpdateStream(scale int, n int, deleteFrac float64, seed int64) []wire.IngestEdit {
 	rng := rand.New(rand.NewSource(seed))
-	updates := make([]EdgeUpdate, 0, n)
+	updates := make([]wire.IngestEdit, 0, n)
 	var inserted [][2]int32
 	for i := 0; i < n; i++ {
 		if deleteFrac > 0 && len(inserted) > 0 && rng.Float64() < deleteFrac {
@@ -144,7 +141,7 @@ func EdgeUpdateStream(scale int, n int, deleteFrac float64, seed int64) []EdgeUp
 			e := inserted[j]
 			inserted[j] = inserted[len(inserted)-1]
 			inserted = inserted[:len(inserted)-1]
-			updates = append(updates, EdgeUpdate{Src: e[0], Dst: e[1], Delete: true, Time: int64(i)})
+			updates = append(updates, wire.IngestEdit{Src: e[0], Dst: e[1], Delete: true, Time: int64(i)})
 			continue
 		}
 		s, d := rmatEdge(scale, Graph500RMAT, rng)
@@ -152,7 +149,7 @@ func EdgeUpdateStream(scale int, n int, deleteFrac float64, seed int64) []EdgeUp
 			d = (d + 1) % (1 << scale)
 		}
 		inserted = append(inserted, [2]int32{s, d})
-		updates = append(updates, EdgeUpdate{Src: s, Dst: d, Time: int64(i)})
+		updates = append(updates, wire.IngestEdit{Src: s, Dst: d, Time: int64(i)})
 	}
 	return updates
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/racebuild"
 )
 
 // allocGraph returns the small fixed graph the allocation budgets are pinned
@@ -148,7 +149,7 @@ func batchInputs() []*batchInput {
 //     bytes; on each matrix graph the warm budget is at most that.
 //
 // Under the race detector sync.Pool drops a quarter of what it is handed,
-// by design, so the warm pass is skipped there (raceEnabled is set by a
+// by design, so the warm pass is skipped there (racebuild.Enabled is set by a
 // build tag).
 func TestAllocBudgetBatchKernels(t *testing.T) {
 	const workers = 2
@@ -226,7 +227,7 @@ func TestAllocBudgetBatchKernels(t *testing.T) {
 				if got > budget {
 					t.Errorf("%s on %s allocated %d B with cold pools, budget %d B", c.name, in.name, got, budget)
 				}
-				if raceEnabled {
+				if racebuild.Enabled {
 					continue
 				}
 				got, budget = warmAllocBytes(run), c.warm(in)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/racebuild"
 )
 
 // TestAllocBudgetSpGEMMRows pins the allocation budget of Gustavson SpGEMM
@@ -77,7 +78,7 @@ func allocBytes(f func()) uint64 {
 // The warm passes come last: Equal's zero budget would see the runtime's
 // own bytes after warmAllocBytes restores GOMAXPROCS. Under the race
 // detector sync.Pool drops a quarter of what it is handed, by design, so
-// the warm pass is skipped there (raceEnabled is set by a build tag).
+// the warm pass is skipped there (racebuild.Enabled is set by a build tag).
 func TestAllocBudgetBatchKernels(t *testing.T) {
 	const workers = 2
 	type input struct {
@@ -114,7 +115,7 @@ func TestAllocBudgetBatchKernels(t *testing.T) {
 				t.Errorf("Equal on %s allocated %d B (budget 0) and returned %v", in.name, got, equal)
 			}
 		}
-		if raceEnabled {
+		if racebuild.Enabled {
 			return
 		}
 		for _, in := range ins {

@@ -10,7 +10,8 @@
 // # Concurrency and determinism contract
 //
 // Every engine in this package is single-writer: updates are applied one
-// at a time from one goroutine, mirroring the update-stream semantics of
+// at a time from one goroutine (a graph update is a dyngraph.Edit, applied
+// through DynGraph.ApplyEdits), mirroring the update-stream semantics of
 // the paper (a totally ordered stream of edge/property events). None of
 // the incremental structures are safe for concurrent mutation — a caller
 // that wants concurrent ingest must serialize in front (the graphd ingest

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/dyngraph"
-	"repro/internal/gen"
 	"repro/internal/telemetry"
 )
 
@@ -18,7 +17,7 @@ import (
 // fired trigger supplies the seed vertices for extraction.
 type Trigger interface {
 	Name() string
-	OnUpdate(g *dyngraph.DynGraph, u gen.EdgeUpdate) (fired bool, seeds []int32, detail string)
+	OnUpdate(g *dyngraph.DynGraph, u dyngraph.Edit) (fired bool, seeds []int32, detail string)
 }
 
 // TriggerEvent records one trigger firing.
@@ -29,10 +28,10 @@ type TriggerEvent struct {
 	Detail  string
 }
 
-// Engine serializes stream updates into the persistent dynamic graph and
-// fans each applied update out to the registered triggers. It is the
-// left-hand side of Fig. 2 up to (but not including) the batch analytic,
-// which internal/flow attaches. All instrumentation — insert/delete/
+// Engine serializes stream updates into the persistent dynamic graph, one
+// ApplyEdits call each, and fans each applied update out to the registered
+// triggers. It is the left-hand side of Fig. 2 up to (but not including)
+// the batch analytic, which internal/flow attaches. All instrumentation — insert/delete/
 // redundant counts, per-update apply latency, and per-trigger firings —
 // reports through an internal/telemetry registry.
 type Engine struct {
@@ -102,7 +101,8 @@ func (e *Engine) Inserts() int64 { return e.insertsC.Value() }
 // Deletes returns the number of applied edge deletions.
 func (e *Engine) Deletes() int64 { return e.deletesC.Value() }
 
-// Redundant returns the number of updates that did not change the graph.
+// Redundant returns the number of updates that added or removed no edge:
+// refreshes of existing edges, deletes of absent ones, and self-loops.
 func (e *Engine) Redundant() int64 { return e.redundC.Value() }
 
 // applySampleEvery is the latency sampling period: update and trigger
@@ -112,26 +112,17 @@ func (e *Engine) Redundant() int64 { return e.redundC.Value() }
 const applySampleEvery = 64
 
 // Apply processes one update and returns the trigger events it fired.
-func (e *Engine) Apply(u gen.EdgeUpdate) []TriggerEvent {
+func (e *Engine) Apply(u dyngraph.Edit) []TriggerEvent {
 	e.seq++
 	var start time.Time
 	timed := e.seq&(applySampleEvery-1) == 0 && e.applyHist.Live()
 	if timed {
 		start = time.Now()
 	}
-	if u.Delete {
-		if e.g.DeleteEdge(u.Src, u.Dst) {
-			e.deletesC.Inc()
-		} else {
-			e.redundC.Inc()
-		}
-	} else {
-		if e.g.InsertEdge(u.Src, u.Dst, 1, u.Time) {
-			e.insertsC.Inc()
-		} else {
-			e.redundC.Inc()
-		}
-	}
+	res := e.g.ApplyEdits([]dyngraph.Edit{u})
+	e.insertsC.Add(res.Inserted)
+	e.deletesC.Add(res.Deleted)
+	e.redundC.Add(res.Updated + res.NoOps)
 	var fired []TriggerEvent
 	for _, rt := range e.triggers {
 		var tstart time.Time
@@ -157,7 +148,7 @@ func (e *Engine) Apply(u gen.EdgeUpdate) []TriggerEvent {
 }
 
 // ApplyAll processes a batch of updates, returning total fired events.
-func (e *Engine) ApplyAll(updates []gen.EdgeUpdate) int {
+func (e *Engine) ApplyAll(updates []dyngraph.Edit) int {
 	fired := 0
 	for _, u := range updates {
 		fired += len(e.Apply(u))
@@ -181,7 +172,7 @@ func NewDegreeThresholdTrigger(threshold int32) *DegreeThresholdTrigger {
 func (t *DegreeThresholdTrigger) Name() string { return "degree-threshold" }
 
 // OnUpdate implements Trigger.
-func (t *DegreeThresholdTrigger) OnUpdate(g *dyngraph.DynGraph, u gen.EdgeUpdate) (bool, []int32, string) {
+func (t *DegreeThresholdTrigger) OnUpdate(g *dyngraph.DynGraph, u dyngraph.Edit) (bool, []int32, string) {
 	var seeds []int32
 	for _, v := range [2]int32{u.Src, u.Dst} {
 		if !t.fired[v] && g.Degree(v) >= t.Threshold {
@@ -215,7 +206,7 @@ func NewTriangleDeltaTrigger(threshold int64) *TriangleDeltaTrigger {
 func (t *TriangleDeltaTrigger) Name() string { return "triangle-delta" }
 
 // OnUpdate implements Trigger.
-func (t *TriangleDeltaTrigger) OnUpdate(g *dyngraph.DynGraph, u gen.EdgeUpdate) (bool, []int32, string) {
+func (t *TriangleDeltaTrigger) OnUpdate(g *dyngraph.DynGraph, u dyngraph.Edit) (bool, []int32, string) {
 	delta := int64(g.CommonNeighborCount(u.Src, u.Dst))
 	if u.Delete {
 		delta = -delta
@@ -245,7 +236,7 @@ func NewJaccardThresholdTrigger(g *dyngraph.DynGraph, threshold float64) *Jaccar
 func (t *JaccardThresholdTrigger) Name() string { return "jaccard-threshold" }
 
 // OnUpdate implements Trigger.
-func (t *JaccardThresholdTrigger) OnUpdate(g *dyngraph.DynGraph, u gen.EdgeUpdate) (bool, []int32, string) {
+func (t *JaccardThresholdTrigger) OnUpdate(g *dyngraph.DynGraph, u dyngraph.Edit) (bool, []int32, string) {
 	best, ok := t.sj.MaxFor(u.Src)
 	if b2, ok2 := t.sj.MaxFor(u.Dst); ok2 && (!ok || b2.Score > best.Score) {
 		best, ok = b2, true

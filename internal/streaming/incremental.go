@@ -2,15 +2,14 @@ package streaming
 
 import (
 	"repro/internal/dyngraph"
-	"repro/internal/gen"
 	"repro/internal/kernels"
 )
 
 // TriangleCounter maintains the global triangle count of an undirected
 // dynamic graph under edge insertions and deletions. The delta for an
-// update (u,v) is |N(u)∩N(v)| evaluated against the graph state *without*
-// the edge — O(min-degree) per update instead of a full batch recount,
-// which is the entire point of the streaming form of GTC in Fig. 1.
+// update that adds or removes edge (u,v) is |N(u)∩N(v)|, which the edge
+// itself does not change — O(min-degree) per update instead of a full batch
+// recount, which is the entire point of the streaming form of GTC in Fig. 1.
 type TriangleCounter struct {
 	g     *dyngraph.DynGraph
 	Count int64
@@ -27,21 +26,15 @@ func NewTriangleCounter(g *dyngraph.DynGraph) *TriangleCounter {
 }
 
 // Apply processes one edge update and returns the triangle-count delta.
-func (tc *TriangleCounter) Apply(u gen.EdgeUpdate) int64 {
-	if u.Delete {
-		if !tc.g.HasEdge(u.Src, u.Dst) {
-			return 0
-		}
-		tc.g.DeleteEdge(u.Src, u.Dst)
-		delta := -int64(tc.g.CommonNeighborCount(u.Src, u.Dst))
-		tc.Count += delta
-		return delta
-	}
-	if tc.g.HasEdge(u.Src, u.Dst) || u.Src == u.Dst {
+func (tc *TriangleCounter) Apply(u dyngraph.Edit) int64 {
+	res := tc.g.ApplyEdits([]dyngraph.Edit{u})
+	if res.Inserted+res.Deleted == 0 {
 		return 0
 	}
 	delta := int64(tc.g.CommonNeighborCount(u.Src, u.Dst))
-	tc.g.InsertEdge(u.Src, u.Dst, 1, u.Time)
+	if res.Deleted > 0 {
+		delta = -delta
+	}
 	tc.Count += delta
 	return delta
 }

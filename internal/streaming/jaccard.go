@@ -1,21 +1,13 @@
 package streaming
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/dyngraph"
-	"repro/internal/gen"
+	"repro/internal/kernels"
 	"repro/internal/scratch"
 	"repro/internal/telemetry"
 )
-
-// JaccardScore mirrors kernels.JaccardPairScore for the dynamic graph.
-type JaccardScore struct {
-	U, V  int32
-	Inter int32
-	Score float64
-}
 
 // StreamingJaccard implements both streaming forms the paper describes for
 // Jaccard coefficients:
@@ -58,17 +50,13 @@ func (sj *StreamingJaccard) Instrument(reg *telemetry.Registry) *StreamingJaccar
 // ApplyUpdate applies the edge update and returns the post-update maximum
 // coefficient over both endpoints (ok=false when neither endpoint has any
 // 2-hop partner).
-func (sj *StreamingJaccard) ApplyUpdate(u gen.EdgeUpdate) (JaccardScore, bool) {
+func (sj *StreamingJaccard) ApplyUpdate(u dyngraph.Edit) (kernels.JaccardPairScore, bool) {
 	var start time.Time
 	if sj.updateHist.Live() {
 		start = time.Now()
 		defer func() { sj.updateHist.ObserveSince(start) }()
 	}
-	if u.Delete {
-		sj.g.DeleteEdge(u.Src, u.Dst)
-	} else {
-		sj.g.InsertEdge(u.Src, u.Dst, 1, u.Time)
-	}
+	sj.g.ApplyEdits([]dyngraph.Edit{u})
 	best, ok := sj.MaxFor(u.Src)
 	if b2, ok2 := sj.MaxFor(u.Dst); ok2 && (!ok || b2.Score > best.Score) {
 		best, ok = b2, true
@@ -77,17 +65,19 @@ func (sj *StreamingJaccard) ApplyUpdate(u gen.EdgeUpdate) (JaccardScore, bool) {
 }
 
 // MaxFor returns v's best-scoring Jaccard partner.
-func (sj *StreamingJaccard) MaxFor(v int32) (JaccardScore, bool) {
+func (sj *StreamingJaccard) MaxFor(v int32) (kernels.JaccardPairScore, bool) {
 	all := sj.Query(v, 0)
 	if len(all) == 0 {
-		return JaccardScore{}, false
+		return kernels.JaccardPairScore{}, false
 	}
 	return all[0], true
 }
 
 // Query returns all partners of v with score >= threshold (and > 0),
-// descending by score. Cost is proportional to v's 2-hop neighborhood.
-func (sj *StreamingJaccard) Query(v int32, threshold float64) []JaccardScore {
+// descending by score, partner id ascending on ties: the kernel's ranking
+// (kernels.AppendJaccardRanked) over counts gathered from the live graph.
+// Cost is proportional to v's 2-hop neighborhood.
+func (sj *StreamingJaccard) Query(v int32, threshold float64) []kernels.JaccardPairScore {
 	if sj.queryHist.Live() {
 		start := time.Now()
 		defer func() { sj.queryHist.ObserveSince(start) }()
@@ -101,24 +91,5 @@ func (sj *StreamingJaccard) Query(v int32, threshold float64) []JaccardScore {
 			}
 		})
 	})
-	dv := sj.g.Degree(v)
-	out := make([]JaccardScore, 0, sj.common.Len())
-	for _, w := range sj.common.Touched() {
-		c := sj.common.Value(w)
-		union := dv + sj.g.Degree(w) - c
-		if union <= 0 {
-			continue
-		}
-		s := float64(c) / float64(union)
-		if s > 0 && s >= threshold {
-			out = append(out, JaccardScore{U: v, V: w, Inter: c, Score: s})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].V < out[j].V
-	})
-	return out
+	return kernels.AppendJaccardRanked(nil, sj.common, v, sj.g.Degree, threshold)
 }

@@ -154,30 +154,28 @@ func TestTriangleCounterMatchesBatch(t *testing.T) {
 
 func TestTriangleCounterSeedsFromExisting(t *testing.T) {
 	g := dyngraph.New(4, false)
-	for _, e := range [][2]int32{{0, 1}, {1, 2}, {0, 2}} {
-		g.InsertEdge(e[0], e[1], 1, 0)
-	}
+	g.ApplyEdits([]dyngraph.Edit{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 0, Dst: 2}})
 	tc := NewTriangleCounter(g)
 	if tc.Count != 1 {
 		t.Fatalf("seed count = %d", tc.Count)
 	}
 	// Redundant insert: no delta.
-	if d := tc.Apply(gen.EdgeUpdate{Src: 0, Dst: 1}); d != 0 {
+	if d := tc.Apply(dyngraph.Edit{Src: 0, Dst: 1}); d != 0 {
 		t.Fatalf("redundant insert delta = %d", d)
 	}
 	// Close a second triangle.
-	g2 := tc.Apply(gen.EdgeUpdate{Src: 2, Dst: 3})
+	g2 := tc.Apply(dyngraph.Edit{Src: 2, Dst: 3})
 	if g2 != 0 {
 		t.Fatalf("non-closing insert delta = %d", g2)
 	}
-	if d := tc.Apply(gen.EdgeUpdate{Src: 0, Dst: 3}); d != 1 {
+	if d := tc.Apply(dyngraph.Edit{Src: 0, Dst: 3}); d != 1 {
 		t.Fatalf("closing insert delta = %d", d)
 	}
-	if d := tc.Apply(gen.EdgeUpdate{Src: 0, Dst: 1, Delete: true}); d != -1 {
+	if d := tc.Apply(dyngraph.Edit{Src: 0, Dst: 1, Delete: true}); d != -1 {
 		t.Fatalf("delete delta = %d", d)
 	}
 	// Deleting absent edge: no-op.
-	if d := tc.Apply(gen.EdgeUpdate{Src: 0, Dst: 1, Delete: true}); d != 0 {
+	if d := tc.Apply(dyngraph.Edit{Src: 0, Dst: 1, Delete: true}); d != 0 {
 		t.Fatalf("double delete delta = %d", d)
 	}
 }
@@ -208,9 +206,9 @@ func TestEngineTriggers(t *testing.T) {
 	g := dyngraph.New(64, false)
 	e := NewEngine(g)
 	e.AddTrigger(NewDegreeThresholdTrigger(3))
-	var updates []gen.EdgeUpdate
+	var updates []dyngraph.Edit
 	for w := int32(1); w <= 5; w++ {
-		updates = append(updates, gen.EdgeUpdate{Src: 0, Dst: w, Time: int64(w)})
+		updates = append(updates, dyngraph.Edit{Src: 0, Dst: w, Time: int64(w)})
 	}
 	fired := e.ApplyAll(updates)
 	if fired != 1 {
@@ -228,11 +226,15 @@ func TestEngineTriggers(t *testing.T) {
 func TestEngineRedundantCounting(t *testing.T) {
 	g := dyngraph.New(8, false)
 	e := NewEngine(g)
-	e.Apply(gen.EdgeUpdate{Src: 0, Dst: 1})
-	e.Apply(gen.EdgeUpdate{Src: 0, Dst: 1})               // redundant insert
-	e.Apply(gen.EdgeUpdate{Src: 2, Dst: 3, Delete: true}) // redundant delete
-	if e.Inserts() != 1 || e.Redundant() != 2 || e.Deletes() != 0 {
+	e.Apply(dyngraph.Edit{Src: 0, Dst: 1})
+	e.Apply(dyngraph.Edit{Src: 0, Dst: 1})               // redundant insert
+	e.Apply(dyngraph.Edit{Src: 2, Dst: 3, Delete: true}) // redundant delete
+	e.Apply(dyngraph.Edit{Src: 2, Dst: 2})               // self-loop, never stored
+	if e.Inserts() != 1 || e.Redundant() != 3 || e.Deletes() != 0 {
 		t.Fatalf("counts = %d/%d/%d", e.Inserts(), e.Deletes(), e.Redundant())
+	}
+	if got, want := e.Graph().NumArcs(), e.Graph().Snapshot().NumEdges(); got != want {
+		t.Fatalf("graph counts %d arcs, its snapshot holds %d", got, want)
 	}
 }
 
@@ -241,13 +243,13 @@ func TestTriangleDeltaTrigger(t *testing.T) {
 	e := NewEngine(g)
 	e.AddTrigger(NewTriangleDeltaTrigger(2))
 	// Build two wedges onto (0,1) so inserting it closes 2 triangles.
-	e.ApplyAll([]gen.EdgeUpdate{
+	e.ApplyAll([]dyngraph.Edit{
 		{Src: 0, Dst: 2}, {Src: 1, Dst: 2}, {Src: 0, Dst: 3}, {Src: 1, Dst: 3},
 	})
 	if len(e.Events()) != 0 {
 		t.Fatal("premature firing")
 	}
-	fired := e.Apply(gen.EdgeUpdate{Src: 0, Dst: 1})
+	fired := e.Apply(dyngraph.Edit{Src: 0, Dst: 1})
 	if len(fired) != 1 {
 		t.Fatalf("closing edge fired %d", len(fired))
 	}
@@ -257,7 +259,7 @@ func TestJaccardThresholdTrigger(t *testing.T) {
 	g := dyngraph.New(8, false)
 	e := NewEngine(g)
 	e.AddTrigger(NewJaccardThresholdTrigger(g, 0.99))
-	e.ApplyAll([]gen.EdgeUpdate{{Src: 0, Dst: 2}, {Src: 1, Dst: 2}})
+	e.ApplyAll([]dyngraph.Edit{{Src: 0, Dst: 2}, {Src: 1, Dst: 2}})
 	// After these, J(0,1) = 1.0 (both have exactly {2}).
 	if len(e.Events()) == 0 {
 		t.Fatal("jaccard trigger never fired")

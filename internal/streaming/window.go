@@ -4,7 +4,6 @@ import (
 	"container/heap"
 
 	"repro/internal/dyngraph"
-	"repro/internal/gen"
 )
 
 // SlidingWindowGraph maintains a dynamic graph containing only the edges
@@ -51,14 +50,11 @@ func (w *SlidingWindowGraph) Now() int64 { return w.now }
 
 // Apply ingests an update (using its Time as the clock) and expires edges
 // older than Window. Explicit deletes are honored immediately.
-func (w *SlidingWindowGraph) Apply(u gen.EdgeUpdate) {
+func (w *SlidingWindowGraph) Apply(u dyngraph.Edit) {
 	if u.Time > w.now {
 		w.now = u.Time
 	}
-	if u.Delete {
-		w.g.DeleteEdge(u.Src, u.Dst)
-	} else {
-		w.g.InsertEdge(u.Src, u.Dst, 1, u.Time)
+	if res := w.g.ApplyEdits([]dyngraph.Edit{u}); res.Inserted+res.Updated > 0 {
 		heap.Push(&w.expiry, expiryItem{time: u.Time, src: u.Src, dst: u.Dst})
 	}
 	cutoff := w.now - w.Window
@@ -72,8 +68,8 @@ func (w *SlidingWindowGraph) Apply(u gen.EdgeUpdate) {
 				stillOld = true
 			}
 		})
-		if stillOld && w.g.DeleteEdge(it.src, it.dst) {
-			w.Expired++
+		if stillOld {
+			w.Expired += w.g.ApplyEdits([]dyngraph.Edit{{Src: it.src, Dst: it.dst, Delete: true}}).Deleted
 		}
 	}
 }

@@ -3,18 +3,19 @@ package streaming
 import (
 	"testing"
 
+	"repro/internal/dyngraph"
 	"repro/internal/gen"
 )
 
 func TestSlidingWindowExpiry(t *testing.T) {
 	w := NewSlidingWindowGraph(16, false, 10)
-	w.Apply(gen.EdgeUpdate{Src: 0, Dst: 1, Time: 0})
-	w.Apply(gen.EdgeUpdate{Src: 1, Dst: 2, Time: 5})
+	w.Apply(dyngraph.Edit{Src: 0, Dst: 1, Time: 0})
+	w.Apply(dyngraph.Edit{Src: 1, Dst: 2, Time: 5})
 	if !w.Graph().HasEdge(0, 1) {
 		t.Fatal("edge missing before expiry")
 	}
 	// Advance time past the window.
-	w.Apply(gen.EdgeUpdate{Src: 2, Dst: 3, Time: 11})
+	w.Apply(dyngraph.Edit{Src: 2, Dst: 3, Time: 11})
 	if w.Graph().HasEdge(0, 1) {
 		t.Fatal("edge (0,1) at t=0 should have expired at t=11 (window 10)")
 	}
@@ -28,16 +29,16 @@ func TestSlidingWindowExpiry(t *testing.T) {
 
 func TestSlidingWindowRefresh(t *testing.T) {
 	w := NewSlidingWindowGraph(8, false, 10)
-	w.Apply(gen.EdgeUpdate{Src: 0, Dst: 1, Time: 0})
+	w.Apply(dyngraph.Edit{Src: 0, Dst: 1, Time: 0})
 	// Refresh the same edge later: it must survive past the original
 	// expiry horizon.
-	w.Apply(gen.EdgeUpdate{Src: 0, Dst: 1, Time: 8})
-	w.Apply(gen.EdgeUpdate{Src: 2, Dst: 3, Time: 12})
+	w.Apply(dyngraph.Edit{Src: 0, Dst: 1, Time: 8})
+	w.Apply(dyngraph.Edit{Src: 2, Dst: 3, Time: 12})
 	if !w.Graph().HasEdge(0, 1) {
 		t.Fatal("refreshed edge expired prematurely")
 	}
 	// And it does expire once the refreshed stamp ages out.
-	w.Apply(gen.EdgeUpdate{Src: 4, Dst: 5, Time: 19})
+	w.Apply(dyngraph.Edit{Src: 4, Dst: 5, Time: 19})
 	if w.Graph().HasEdge(0, 1) {
 		t.Fatal("refreshed edge should expire by t=19")
 	}
@@ -45,8 +46,8 @@ func TestSlidingWindowRefresh(t *testing.T) {
 
 func TestSlidingWindowExplicitDelete(t *testing.T) {
 	w := NewSlidingWindowGraph(8, false, 100)
-	w.Apply(gen.EdgeUpdate{Src: 0, Dst: 1, Time: 1})
-	w.Apply(gen.EdgeUpdate{Src: 0, Dst: 1, Time: 2, Delete: true})
+	w.Apply(dyngraph.Edit{Src: 0, Dst: 1, Time: 1})
+	w.Apply(dyngraph.Edit{Src: 0, Dst: 1, Time: 2, Delete: true})
 	if w.Graph().HasEdge(0, 1) {
 		t.Fatal("explicit delete ignored")
 	}

@@ -25,8 +25,8 @@
 // Read validates everything a hostile file could lie about: header sanity,
 // file size against the header's implied size, the checksum, CSR structure
 // (monotone offsets, exact array lengths), and per-arc invariants (targets
-// in range, rows strictly increasing — the sortedness the query kernels'
-// binary searches rely on). Malformed content fails with an error wrapping
+// in range, no self-loops, rows strictly increasing — the sortedness the
+// query kernels' binary searches rely on). Malformed content fails with an error wrapping
 // ErrCorrupt so callers can distinguish "bad file, quarantine and fall back"
 // from I/O errors. Allocation while reading is bounded by bytes actually
 // received, never by claimed counts, so truncated or hostile headers cannot
@@ -298,7 +298,9 @@ func Read(r io.Reader, size int64) (*graph.Graph, error) {
 		return nil, corruptf("%v", err)
 	}
 	// Per-arc invariants FromCSRArrays leaves to the caller: every target in
-	// range, every row strictly increasing (sorted rows are what the query
+	// range, no self-loop (graphd never writes one, and the dynamic graph
+	// would drop it at the first version bump, changing answers with no
+	// edit), every row strictly increasing (sorted rows are what the query
 	// kernels' binary searches and FromCSRGraph's no-duplicate bulk load
 	// assume). One O(m) pass.
 	for v := int32(0); v < n; v++ {
@@ -306,6 +308,9 @@ func Read(r io.Reader, size int64) (*graph.Graph, error) {
 		for i, w := range row {
 			if w < 0 || w >= n {
 				return nil, corruptf("vertex %d: target %d out of range [0,%d)", v, w, n)
+			}
+			if w == v {
+				return nil, corruptf("vertex %d: self-loop", v)
 			}
 			if i > 0 && row[i-1] >= w {
 				return nil, corruptf("vertex %d: row not strictly increasing at %d", v, i)

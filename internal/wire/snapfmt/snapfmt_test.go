@@ -318,6 +318,7 @@ func TestReadRejectsBadCSR(t *testing.T) {
 		{"negative target", []int64{0, 1, 1}, []int32{-1}},
 		{"row not sorted", []int64{0, 2, 2}, []int32{1, 0}},
 		{"duplicate in row", []int64{0, 2, 2}, []int32{1, 1}},
+		{"self-loop", []int64{0, 1, 3, 3}, []int32{1, 0, 1}},
 		{"offsets not monotone", []int64{0, 2, 1}, []int32{0}},
 		{"final offset short", []int64{0, 1, 1}, []int32{0, 1}},
 	}
