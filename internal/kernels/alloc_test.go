@@ -211,8 +211,8 @@ func TestAllocBudgetBatchKernels(t *testing.T) {
 				return workers*3*list + 4*list + 4<<10
 			}},
 		// Result: a count. Scratch: rank (4 B), the degree histogram (at most
-		// 4 B a vertex), forward offsets (8 B) and one forward target per
-		// undirected edge (4 B).
+		// 4 B a vertex), forward offsets (8 B), one forward target per
+		// undirected edge (4 B) and an n-bit mark per worker (n/8 B each).
 		{"GlobalTriangleCount", func(in *batchInput) { GlobalTriangleCount(in.g) },
 			func(in *batchInput) uint64 { return 16*in.n + 2*in.m + slack },
 			func(in *batchInput) uint64 { return 16*in.n + 2*in.m + 16<<10 }},

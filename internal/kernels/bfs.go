@@ -222,6 +222,12 @@ func BFSParallel(g *graph.Graph, src int32) *BFSResult {
 // the tree edges exist in the graph, depths differ by exactly 1 along tree
 // edges, and every edge of the graph spans at most one level. Returns true
 // when all hold.
+//
+// On an undirected graph it reads each reached vertex's row once, checking
+// the neighbours' levels and looking for the parent as it goes; only a
+// parent missing from the row costs a binary search. On a directed graph a
+// reached vertex's arcs constrain nothing, and the tree edge p→v is found by
+// binary search in p's row.
 func ValidateBFSTree(g *graph.Graph, res *BFSResult) bool {
 	n := g.NumVertices()
 	if res.Source < 0 || res.Source >= n {
@@ -230,36 +236,30 @@ func ValidateBFSTree(g *graph.Graph, res *BFSResult) bool {
 	if res.Parent[res.Source] != res.Source || res.Depth[res.Source] != 0 {
 		return false
 	}
+	directed := g.Directed()
 	for v := int32(0); v < n; v++ {
-		p := res.Parent[v]
+		p, d := res.Parent[v], res.Depth[v]
 		if p == Unreached {
-			if res.Depth[v] != Unreached {
+			if d != Unreached {
 				return false
 			}
 			continue
 		}
-		if v != res.Source {
-			if !g.HasEdge(p, v) && !g.HasEdge(v, p) {
-				return false
-			}
-			if res.Depth[v] != res.Depth[p]+1 {
-				return false
-			}
+		if p < 0 || p >= n || (v != res.Source && d != res.Depth[p]+1) {
+			return false
 		}
-		// Every reachable neighbor must be within one level.
-		for _, w := range g.Neighbors(v) {
-			if res.Depth[w] == Unreached {
-				if !g.Directed() {
-					return false // undirected: neighbor of reached vertex must be reached
-				}
-				continue
-			}
-			d := res.Depth[v] - res.Depth[w]
-			if d > 1 || d < -1 {
-				if !g.Directed() {
+		adjacent := v == res.Source
+		if !directed {
+			for _, w := range g.Neighbors(v) {
+				dw := res.Depth[w]
+				if dw == Unreached || dw < d-1 || dw > d+1 {
 					return false
 				}
+				adjacent = adjacent || w == p
 			}
+		}
+		if !adjacent && !g.HasEdge(p, v) && !g.HasEdge(v, p) {
+			return false
 		}
 	}
 	return true

@@ -81,12 +81,60 @@ func TestBFSParallelBottomUpTrigger(t *testing.T) {
 	}
 }
 
+// TestValidateBFSTreeRejectsBadTree breaks one invariant per case in a BFS
+// result on a triangle 0-1-2 with a tail 2-3-4, a leaf 5 on 0 and an
+// isolated vertex 6. From 0: depths 0,1,1,2,3,1 and -1, parents
+// 0,0,0,2,3,0 and -1.
 func TestValidateBFSTreeRejectsBadTree(t *testing.T) {
-	g := gen.Path(4)
-	res := BFS(g, 0)
-	res.Depth[3] = 1 // corrupt
+	g := graph.FromEdges(7, false, [][2]int32{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {0, 5}})
+	if !ValidateBFSTree(g, BFS(g, 0)) {
+		t.Fatal("validator rejected the true BFS tree")
+	}
+	cases := []struct {
+		name    string
+		corrupt func(r *BFSResult)
+	}{
+		{"source out of range", func(r *BFSResult) { r.Source = 7 }},
+		{"source not its own parent", func(r *BFSResult) { r.Source = 1 }},
+		{"source depth not zero", func(r *BFSResult) { r.Depth[0] = 1 }},
+		{"parent not adjacent", func(r *BFSResult) { r.Parent[3] = 1 }},
+		{"parent out of range", func(r *BFSResult) { r.Parent[3] = 7 }},
+		{"depth not parent depth plus one", func(r *BFSResult) { r.Parent[2] = 1 }},
+		{"tail depth not parent depth plus one", func(r *BFSResult) { r.Depth[4] = 1 }},
+		{"unreached neighbour of a reached vertex", func(r *BFSResult) {
+			r.Parent[5], r.Depth[5] = Unreached, Unreached
+		}},
+		{"neighbour two levels away", func(r *BFSResult) {
+			// 0→1→2→3→4 is a consistent tree, but arc 0-2 spans two levels.
+			r.Parent[2] = 1
+			r.Depth[2], r.Depth[3], r.Depth[4] = 2, 3, 4
+		}},
+		{"parent unreached but depth set", func(r *BFSResult) { r.Depth[6] = 1 }},
+	}
+	for _, c := range cases {
+		res := BFS(g, 0)
+		c.corrupt(res)
+		if ValidateBFSTree(g, res) {
+			t.Errorf("%s: validator accepted the corrupted tree", c.name)
+		}
+	}
+}
+
+// TestValidateBFSTreeDirectedReverseArc: on a directed graph a tree edge
+// may be stored only as v→p, as in a tree found over the transpose.
+func TestValidateBFSTreeDirectedReverseArc(t *testing.T) {
+	g := graph.FromEdges(4, true, [][2]int32{{1, 0}, {2, 1}})
+	res := &BFSResult{
+		Source: 0,
+		Parent: []int32{0, 0, 1, Unreached},
+		Depth:  []int32{0, 1, 2, Unreached},
+	}
+	if !ValidateBFSTree(g, res) {
+		t.Fatal("validator rejected a directed tree whose edges are stored child to parent")
+	}
+	res.Parent[2] = 3
 	if ValidateBFSTree(g, res) {
-		t.Fatal("validator accepted corrupted depths")
+		t.Fatal("validator accepted an unreached parent")
 	}
 }
 

@@ -34,6 +34,24 @@ func JaccardPair(g *graph.Graph, u, v int32) JaccardPairScore {
 	return s
 }
 
+// intersectCount counts common elements of two sorted slices.
+func intersectCount(a, b []int32) int {
+	count, ai, bi := 0, 0, 0
+	for ai < len(a) && bi < len(b) {
+		switch {
+		case a[ai] < b[bi]:
+			ai++
+		case a[ai] > b[bi]:
+			bi++
+		default:
+			count++
+			ai++
+			bi++
+		}
+	}
+	return count
+}
+
 // JaccardAll computes all vertex pairs with intersection >= minShared and
 // Jaccard score >= threshold, without materializing the quadratic pair
 // space: row by row, it counts for each u the common neighbors of every

@@ -10,6 +10,23 @@ import (
 	"repro/internal/graph"
 )
 
+func TestIntersectCount(t *testing.T) {
+	cases := []struct {
+		a, b []int32
+		want int
+	}{
+		{[]int32{1, 2, 3}, []int32{2, 3, 4}, 2},
+		{[]int32{}, []int32{1}, 0},
+		{[]int32{1, 5, 9}, []int32{2, 6, 10}, 0},
+		{[]int32{1, 2, 3}, []int32{1, 2, 3}, 3},
+	}
+	for _, c := range cases {
+		if got := intersectCount(c.a, c.b); got != c.want {
+			t.Fatalf("intersect(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
 func TestJaccardPair(t *testing.T) {
 	// N(0)={1,2,3}, N(4)={2,3,5}: inter 2, union 4 -> 0.5.
 	g := graph.FromEdges(6, false, [][2]int32{

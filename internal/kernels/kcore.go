@@ -1,6 +1,11 @@
 package kernels
 
-import "repro/internal/graph"
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // KCoreResult holds the core decomposition: Core[v] is the largest k such
 // that v belongs to the k-core (the maximal subgraph where every vertex
@@ -111,11 +116,8 @@ func DegeneracyOrder(g *graph.Graph) []int32 {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sortInt32s(order, func(a, b int32) bool {
-		if res.Core[a] != res.Core[b] {
-			return res.Core[a] < res.Core[b]
-		}
-		return a < b
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(res.Core[a], res.Core[b]), cmp.Compare(a, b))
 	})
 	return order
 }

@@ -126,8 +126,12 @@ func TestDegeneracyOrder(t *testing.T) {
 		t.Fatal("order length wrong")
 	}
 	for i := 1; i < len(order); i++ {
-		if res.Core[order[i-1]] > res.Core[order[i]] {
+		a, b := order[i-1], order[i]
+		if res.Core[a] > res.Core[b] {
 			t.Fatal("order not by non-decreasing core")
+		}
+		if res.Core[a] == res.Core[b] && a >= b {
+			t.Fatalf("ids %d, %d of core %d out of order", a, b, res.Core[a])
 		}
 	}
 }

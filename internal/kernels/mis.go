@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -71,7 +72,7 @@ func MISLuby(g *graph.Graph, seed int64) []int32 {
 			}
 		}
 	}
-	sortInt32s(set, func(a, b int32) bool { return a < b })
+	slices.Sort(set)
 	return set
 }
 

@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"sync/atomic"
+
 	"repro/internal/graph"
 	"repro/internal/par"
 )
@@ -8,25 +10,32 @@ import (
 // Triangle is one triangle with vertices in increasing order.
 type Triangle struct{ A, B, C int32 }
 
-// GlobalTriangleCount counts triangles in an undirected graph using the
-// degree-ordered merge-intersection algorithm (the MiniTri / Graph Challenge
-// GTC kernel): each triangle is counted exactly once at its lowest-rank
-// vertex. Both the forward-list construction and the counting fan out
-// through internal/par; the integer sum is worker-count independent.
+// GlobalTriangleCount counts triangles in an undirected graph by
+// mark-and-probe over degree-ordered forward lists: each triangle is
+// counted exactly once at its lowest-rank vertex v, as the x of F(w) that
+// is also in F(v) for a w in F(v). A worker marks F(v) in an n-bit mark of
+// its own, probes it with every F(w), then clears the words it set, so
+// each probe is a bit test into an array that stays in cache, not a step
+// of a sorted merge. Parallel arcs count once and self-loops not at all.
+// Both the forward-list construction and the counting fan out through
+// internal/par; the integer sum is worker-count independent.
 func GlobalTriangleCount(g *graph.Graph) int64 {
 	n := g.NumVertices()
 	// rank orders vertices by (degree, id) so high-degree hubs come last;
-	// intersecting only "forward" neighbors bounds work by arboricity.
+	// probing only "forward" neighbors bounds work by arboricity.
 	rank := degreeRank(g)
-	// forward(v) = neighbors with higher rank, sorted by id, as one flat
-	// offsets+targets pair: count, prefix sum, fill.
+	// forward(v) = distinct neighbors with higher rank, sorted by id, as
+	// one flat offsets+targets pair: count, prefix sum, fill. Rows are
+	// sorted, so a parallel arc's repeats follow its first copy.
 	offsets := make([]int64, n+1)
 	par.For(int(n), par.Opt{Name: "tc.forward"}, func(lo, hi int) {
 		for v := int32(lo); v < int32(hi); v++ {
+			prev := int32(-1)
 			for _, w := range g.Neighbors(v) {
-				if rank[w] > rank[v] {
+				if w != prev && rank[w] > rank[v] {
 					offsets[v+1]++
 				}
+				prev = w
 			}
 		}
 	})
@@ -36,28 +45,44 @@ func GlobalTriangleCount(g *graph.Graph) int64 {
 	targets := make([]int32, offsets[n])
 	par.For(int(n), par.Opt{Name: "tc.forward"}, func(lo, hi int) {
 		for v := int32(lo); v < int32(hi); v++ {
-			p := offsets[v]
+			p, prev := offsets[v], int32(-1)
 			for _, w := range g.Neighbors(v) {
-				if rank[w] > rank[v] {
+				if w != prev && rank[w] > rank[v] {
 					targets[p] = w
 					p++
 				}
+				prev = w
 			}
 		}
 	})
-	forward := func(v int32) []int32 { return targets[offsets[v]:offsets[v+1]] }
-	return par.Reduce(int(n), par.Opt{Name: "tc.count"},
-		func(lo, hi int) int64 {
-			var local int64
-			for v := int32(lo); v < int32(hi); v++ {
-				fv := forward(v)
-				for _, w := range fv {
-					local += int64(intersectCount(fv, forward(w)))
+	opt := par.Opt{Name: "tc.count"}
+	marks := make([][]uint64, opt.WorkerCount())
+	var total atomic.Int64
+	par.ForW(int(n), opt, func(wk, lo, hi int) {
+		mark := marks[wk]
+		if mark == nil {
+			mark = make([]uint64, (n+63)/64)
+			marks[wk] = mark
+		}
+		var local int64
+		for v := int32(lo); v < int32(hi); v++ {
+			fv := targets[offsets[v]:offsets[v+1]]
+			for _, x := range fv {
+				mark[x>>6] |= 1 << (uint(x) & 63)
+			}
+			for _, w := range fv {
+				for _, x := range targets[offsets[w]:offsets[w+1]] {
+					local += int64(mark[x>>6] >> (uint(x) & 63) & 1)
 				}
 			}
-			return local
-		},
-		func(a, b int64) int64 { return a + b })
+			// Only F(v)'s bits are set, so zeroing their words clears all.
+			for _, x := range fv {
+				mark[x>>6] = 0
+			}
+		}
+		total.Add(local)
+	})
+	return total.Load()
 }
 
 // TriangleList enumerates all triangles (the Fig. 1 "TL" kernel, an
@@ -67,10 +92,11 @@ func TriangleList(g *graph.Graph) []Triangle {
 	var out []Triangle
 	for v := int32(0); v < n; v++ {
 		nv := g.Neighbors(v)
-		// forward neighbors by ID only — guarantees A<B<C ordering.
+		// distinct forward neighbors by ID only — guarantees A<B<C ordering
+		// and lists a triangle with a parallel arc once.
 		var fv []int32
 		for _, w := range nv {
-			if w > v {
+			if w > v && (len(fv) == 0 || w != fv[len(fv)-1]) {
 				fv = append(fv, w)
 			}
 		}
@@ -164,74 +190,4 @@ func degreeRank(g *graph.Graph) []int32 {
 		next[g.Degree(v)]++
 	}
 	return rank
-}
-
-func sortInt32s(s []int32, less func(a, b int32) bool) {
-	// simple introspective-free quicksort via sort.Slice equivalent without
-	// allocation of interface closures per element
-	quicksortInt32(s, less)
-}
-
-func quicksortInt32(s []int32, less func(a, b int32) bool) {
-	for len(s) > 12 {
-		p := partitionInt32(s, less)
-		if p < len(s)-p {
-			quicksortInt32(s[:p], less)
-			s = s[p+1:]
-		} else {
-			quicksortInt32(s[p+1:], less)
-			s = s[:p]
-		}
-	}
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func partitionInt32(s []int32, less func(a, b int32) bool) int {
-	mid := len(s) / 2
-	if less(s[mid], s[0]) {
-		s[mid], s[0] = s[0], s[mid]
-	}
-	if less(s[len(s)-1], s[mid]) {
-		s[len(s)-1], s[mid] = s[mid], s[len(s)-1]
-		if less(s[mid], s[0]) {
-			s[mid], s[0] = s[0], s[mid]
-		}
-	}
-	pivot := s[mid]
-	s[mid], s[len(s)-2] = s[len(s)-2], s[mid]
-	i, j := 0, len(s)-2
-	for {
-		for i++; less(s[i], pivot); i++ {
-		}
-		for j--; less(pivot, s[j]); j-- {
-		}
-		if i >= j {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-	}
-	s[i], s[len(s)-2] = s[len(s)-2], s[i]
-	return i
-}
-
-// intersectCount counts common elements of two sorted slices.
-func intersectCount(a, b []int32) int {
-	count, ai, bi := 0, 0, 0
-	for ai < len(a) && bi < len(b) {
-		switch {
-		case a[ai] < b[bi]:
-			ai++
-		case a[ai] > b[bi]:
-			bi++
-		default:
-			count++
-			ai++
-			bi++
-		}
-	}
-	return count
 }

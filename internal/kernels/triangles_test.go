@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -132,35 +133,76 @@ func TestGlobalClusteringCoefficient(t *testing.T) {
 	}
 }
 
-func TestIntersectCount(t *testing.T) {
-	cases := []struct {
-		a, b []int32
-		want int
-	}{
-		{[]int32{1, 2, 3}, []int32{2, 3, 4}, 2},
-		{[]int32{}, []int32{1}, 0},
-		{[]int32{1, 5, 9}, []int32{2, 6, 10}, 0},
-		{[]int32{1, 2, 3}, []int32{1, 2, 3}, 3},
-	}
-	for _, c := range cases {
-		if got := intersectCount(c.a, c.b); got != c.want {
-			t.Fatalf("intersect(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
+// undirectedCSR builds an undirected graph through FromCSRArrays with every
+// pair stored in both rows, keeping self-loops and repeated pairs, so rows
+// are sorted but may hold a vertex's own id and runs of one target.
+func undirectedCSR(t testing.TB, n int32, pairs [][2]int32) *graph.Graph {
+	t.Helper()
+	rows := make([][]int32, n)
+	for _, p := range pairs {
+		rows[p[0]] = append(rows[p[0]], p[1])
+		if p[0] != p[1] {
+			rows[p[1]] = append(rows[p[1]], p[0])
 		}
+	}
+	offsets := make([]int64, n+1)
+	var targets []int32
+	for v, row := range rows {
+		slices.Sort(row)
+		targets = append(targets, row...)
+		offsets[v+1] = int64(len(targets))
+	}
+	g, err := graph.FromCSRArrays(n, false, offsets, targets, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// checkTriangleCount compares GlobalTriangleCount at 1, 2 and 8 workers with
+// the brute-force oracle and with the length of TriangleList.
+func checkTriangleCount(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	want := bruteTriangles(g)
+	if listed := int64(len(TriangleList(g))); listed != want {
+		t.Fatalf("TriangleList lists %d triangles, brute force counts %d", listed, want)
+	}
+	for _, w := range diffWorkers {
+		withWorkers(t, w, func() {
+			if got := GlobalTriangleCount(g); got != want {
+				t.Fatalf("workers=%d: GlobalTriangleCount = %d, brute force counts %d", w, got, want)
+			}
+		})
 	}
 }
 
-func TestSortInt32sProperty(t *testing.T) {
-	f := func(vals []int32) bool {
-		s := append([]int32(nil), vals...)
-		sortInt32s(s, func(a, b int32) bool { return a < b })
-		for i := 1; i < len(s); i++ {
-			if s[i-1] > s[i] {
-				return false
-			}
+// TestTriangleCountParallelArcs: a triangle 0-1-2 whose arc 0-1 is stored
+// twice, plus a self-loop on 2, is still one triangle.
+func TestTriangleCountParallelArcs(t *testing.T) {
+	checkTriangleCount(t, undirectedCSR(t, 3, [][2]int32{{0, 1}, {0, 1}, {1, 2}, {0, 2}, {2, 2}}))
+}
+
+// TestTriangleCountClearsMarks: the path 0-3-2-1 has no triangle, but
+// F(0) = {3}, F(1) = {2} and F(2) = {3} in degree rank, so a mark of 3 left
+// over from vertex 0 would be found in F(2) while vertex 1 is probed.
+func TestTriangleCountClearsMarks(t *testing.T) {
+	checkTriangleCount(t, undirectedCSR(t, 4, [][2]int32{{0, 3}, {3, 2}, {2, 1}}))
+}
+
+// FuzzTriangleCountMatchesBrute: on any small undirected CSR with self-loops
+// and parallel arcs, the count at 1, 2 and 8 workers, the brute-force count
+// and the length of the triangle list agree.
+func FuzzTriangleCountMatchesBrute(f *testing.F) {
+	f.Add(uint8(3), []byte{0, 1, 0, 1, 1, 2, 0, 2, 2, 2})
+	f.Add(uint8(4), []byte{0, 3, 3, 2, 2, 1})
+	f.Add(uint8(6), []byte{0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 3, 4, 4, 5, 3, 5, 5, 5})
+	f.Add(uint8(24), []byte("a parallel arc counts once, and a self-loop never"))
+	f.Fuzz(func(t *testing.T, size uint8, arcs []byte) {
+		n := 1 + int32(size%32)
+		var pairs [][2]int32
+		for i := 0; i+1 < len(arcs) && len(pairs) < 256; i += 2 {
+			pairs = append(pairs, [2]int32{int32(arcs[i]) % n, int32(arcs[i+1]) % n})
 		}
-		return len(s) == len(vals)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
+		checkTriangleCount(t, undirectedCSR(t, n, pairs))
+	})
 }
