@@ -507,18 +507,6 @@ func BenchmarkAblationEmuRemoteOps(b *testing.B) {
 	})
 }
 
-func BenchmarkAblationDynBlock(b *testing.B) {
-	updates := gen.EdgeUpdateStream(13, 100000, 0.1, 5)
-	for _, bs := range []int{2, 8, 16, 64} {
-		b.Run(fmt.Sprintf("block=%d", bs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dyngraph.NewWithBlockSize(1<<13, false, bs).ApplyEdits(updates)
-			}
-			b.ReportMetric(float64(len(updates)*b.N)/b.Elapsed().Seconds()/1e6, "Mupdates/s")
-		})
-	}
-}
-
 func BenchmarkAblationJaccard(b *testing.B) {
 	g := gen.RMAT(10, 8, gen.Graph500RMAT, 13, false)
 	b.Run("all-pairs-wedge", func(b *testing.B) {

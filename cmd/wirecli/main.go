@@ -12,7 +12,8 @@
 //	ping                     liveness round-trip
 //	stats                    server stats (raw JSON passthrough)
 //	ingest                   read a JSON array of {src,dst,weight,time,delete}
-//	                         from stdin and submit it (429 suffixes retried)
+//	                         from stdin (the grammar of POST /ingest) and
+//	                         submit it (429 suffixes retried)
 //	jaccard <u> [threshold]  per-vertex Jaccard similarity
 //	khop <v> [k]             k-hop neighborhood (default k=1)
 //	topdegree [k]            k highest-degree vertices (default k=10)
@@ -20,8 +21,8 @@
 //	pagerank <v>             one vertex's rank
 //	pagerank-top [k]         top-k ranks (default k=10)
 //
-// The command line is checked before anything dials: a bad one exits 2, a
-// failed call exits 1.
+// The command line, and ingest's edit array, are checked before anything
+// dials: a bad one exits 2, a failed call exits 1.
 package main
 
 import (
@@ -43,7 +44,7 @@ import (
 type usageError struct{ error }
 
 func main() {
-	err := run(os.Args[1:])
+	err := run(os.Args[1:], os.Stdin)
 	if err == nil {
 		return
 	}
@@ -54,7 +55,8 @@ func main() {
 	os.Exit(1)
 }
 
-func run(args []string) error {
+// run runs the command line args; ingest reads its edits from stdin.
+func run(args []string, stdin io.Reader) error {
 	fs := flag.NewFlagSet("wirecli", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8091", "graphd wire listener address")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request deadline sent in the wire envelope")
@@ -68,7 +70,7 @@ func run(args []string) error {
 		fs.Usage()
 		return usageError{errors.New("missing command")}
 	}
-	call, err := parse(fs.Arg(0), fs.Args()[1:], *timeout)
+	call, err := parse(fs.Arg(0), fs.Args()[1:], *timeout, stdin)
 	if err != nil {
 		return usageError{err}
 	}
@@ -100,8 +102,9 @@ var synopses = map[string]string{
 }
 
 // parse checks cmd and its arguments against the command's synopsis and
-// returns the call they name, whose answer prints as JSON.
-func parse(cmd string, args []string, timeout time.Duration) (func(*wire.Client) (any, error), error) {
+// returns the call they name, whose answer prints as JSON. For ingest it
+// also reads and decodes the edit array from stdin.
+func parse(cmd string, args []string, timeout time.Duration, stdin io.Reader) (func(*wire.Client) (any, error), error) {
 	synopsis, ok := synopses[cmd]
 	if !ok {
 		return nil, fmt.Errorf("unknown command %q", cmd)
@@ -132,7 +135,15 @@ func parse(cmd string, args []string, timeout time.Duration) (func(*wire.Client)
 	case "stats":
 		call = func(c *wire.Client) (any, error) { return c.Stats(timeout) }
 	case "ingest":
-		call = func(c *wire.Client) (any, error) { return ingest(c, timeout) }
+		body, rerr := io.ReadAll(stdin)
+		var edits []wire.IngestEdit
+		if rerr == nil {
+			edits, rerr = wire.AppendEditsJSON(nil, body)
+		}
+		if rerr != nil {
+			err = fmt.Errorf("stdin is not a JSON edit array: %w", rerr)
+		}
+		call = func(c *wire.Client) (any, error) { return ingest(c, edits, timeout) }
 	case "jaccard":
 		u, threshold := num(0, 0), 0.0
 		if len(args) > 1 {
@@ -164,18 +175,10 @@ func parse(cmd string, args []string, timeout time.Duration) (func(*wire.Client)
 	return call, nil
 }
 
-// ingest reads the edit array from stdin and submits it over the wire,
-// retrying the rejected suffix on backpressure per the accepted-prefix
-// contract. It returns the final IngestResult, totalled across retries.
-func ingest(c *wire.Client, timeout time.Duration) (*wire.IngestResult, error) {
-	body, err := io.ReadAll(os.Stdin)
-	if err != nil {
-		return nil, err
-	}
-	var edits []wire.IngestEdit
-	if err := json.Unmarshal(body, &edits); err != nil {
-		return nil, fmt.Errorf("stdin is not a JSON edit array: %w", err)
-	}
+// ingest submits edits over the wire, retrying the rejected suffix on
+// backpressure per the accepted-prefix contract. It returns the final
+// IngestResult, totalled across retries.
+func ingest(c *wire.Client, edits []wire.IngestEdit, timeout time.Duration) (*wire.IngestResult, error) {
 	accepted := 0
 	for len(edits) > 0 {
 		res, err := c.Ingest(edits, timeout)

@@ -232,7 +232,7 @@ func TestSnapshotChainAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapInuse
 	}
-	base := heapInuse() // the block chains and the update stream
+	base := heapInuse() // the dynamic rows and the update stream
 	chain := g.Snapshot()
 	arcBytes := 16 * chain.NumEdges()
 

@@ -1,7 +1,6 @@
 package dyngraph
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/graph"
@@ -9,7 +8,7 @@ import (
 
 // SnapshotDelta freezes the current state as an immutable graph that is the
 // next version of a previous snapshot: adjacency rows of vertices listed in
-// touched are rebuilt from the dynamic block chains, every other row is
+// touched are copied from the dynamic rows, every other row is
 // prev's. The result equals Snapshot() (rows sorted by target, weights and
 // timestamps carried).
 //
@@ -38,8 +37,8 @@ func (g *DynGraph) SnapshotDelta(prev *graph.Graph, touched []int32) *graph.Grap
 
 // SnapshotDeltaRecycled is SnapshotDelta drawing on r for storage: the row
 // index and, when a fresh arena is needed, the arena come from versions the
-// caller released to r (graph.Recycler), and the row gather buffer is kept
-// on g between calls. It is for the single writer that owns both g and r:
+// caller released to r (graph.Recycler). It is for the single writer that
+// owns both g and r:
 // calls must not overlap one another. A nil prev emits every row, as
 // Snapshot does. Without Release calls it allocates what SnapshotDelta does,
 // and its results are as immutable.
@@ -63,11 +62,10 @@ func (g *DynGraph) SnapshotDeltaRecycled(prev *graph.Graph, touched []int32, r *
 }
 
 // emitRows is the one row emitter behind Snapshot and SnapshotDelta. It
-// rebuilds the rows listed in touched (ascending, distinct, in range) — or
-// every row when prev is nil — each a gather from the block chain sorted by
-// target, and leaves the rest to the graph.Emitter,
-// which keeps or copies them from prev. prev must be compatible as
-// SnapshotDelta checks.
+// copies the rows listed in touched (ascending, distinct, in range) — or
+// every row when prev is nil — straight from the sorted dynamic rows, and
+// leaves the rest to the graph.Emitter, which keeps or copies them from
+// prev. prev must be compatible as SnapshotDelta checks.
 func (g *DynGraph) emitRows(r *graph.Recycler, prev *graph.Graph, touched []int32) *graph.Graph {
 	n := g.NumVertices()
 	rows := int32(len(touched))
@@ -87,11 +85,9 @@ func (g *DynGraph) emitRows(r *graph.Recycler, prev *graph.Graph, touched []int3
 	if prev != nil {
 		live = prev.NumEdges()
 	}
-	var widest int32
 	for i := int32(0); i < rows; i++ {
 		v := vertex(i)
-		widest = max(widest, g.degree[v])
-		fresh += int64(g.degree[v])
+		fresh += int64(len(g.rows[v]))
 		if prev != nil {
 			live -= int64(prev.Degree(v))
 		}
@@ -99,27 +95,15 @@ func (g *DynGraph) emitRows(r *graph.Recycler, prev *graph.Graph, touched []int3
 	live += fresh
 
 	e := r.NewEmitter(n, g.directed, prev, fresh, live)
-	var row []edgeSlot
-	if r != nil {
-		row = g.rowBuf[:0]
-	}
-	row = slices.Grow(row, int(widest))
 	for i := int32(0); i < rows; i++ {
 		v := vertex(i)
-		row = row[:0]
-		for b := g.adj[v]; b != nil; b = b.next {
-			row = append(row, b.slots...)
-		}
-		slices.SortFunc(row, func(a, b edgeSlot) int { return cmp.Compare(a.dst, b.dst) })
+		row := g.rows[v]
 		targets, weights, times := e.Row(v, len(row))
 		for j, s := range row {
 			targets[j] = s.dst
 			weights[j] = s.weight
 			times[j] = s.time
 		}
-	}
-	if r != nil {
-		g.rowBuf = row
 	}
 	return e.Graph()
 }

@@ -1,7 +1,8 @@
 // Package dyngraph provides the mutable graph substrate for streaming
-// analytics: a STINGER-inspired blocked adjacency store supporting edge
-// insertion, deletion, timestamps, and O(degree) neighbor iteration, plus
-// snapshotting into the immutable CSR form for batch kernels. That CSR form
+// analytics: an adjacency store of one sorted array per vertex supporting
+// edge insertion, deletion, timestamps, O(log degree) lookup and ascending
+// neighbor iteration, plus snapshotting into the immutable CSR form for
+// batch kernels. That CSR form
 // is also what persists: graphd writes it as a flat snapshot
 // (internal/wire/snapfmt) and recovers by bulk-loading it (FromCSRGraph).
 //
@@ -24,9 +25,17 @@
 // kernels; batch analytics always run against snapshots, never against
 // the live structure.
 //
-// Snapshot output is deterministic for a given update history: adjacency
-// is emitted in block order, which depends only on the sequence of applied
-// inserts and deletes, so two graphs with identical histories produce
-// byte-identical CSR snapshots (the property the graphd restore test
-// leans on).
+// Snapshot output depends only on the edge set and its weights and
+// timestamps: every row is kept sorted by target and emitted as it stands,
+// so two graphs holding the same edges produce byte-identical CSR
+// snapshots (the property the graphd restore test leans on).
+//
+// # Why sorted arrays
+//
+// STINGER chains fixed-size blocks per vertex, so an insert must scan the
+// whole chain for a duplicate and a snapshot must gather and sort every
+// row. A sorted array finds the duplicate by binary search and is already
+// in CSR order; its cost is shifting the tail on insert and delete, a
+// memmove that stays cheap at the degrees R-MAT streams reach, and growth
+// by re-allocation.
 package dyngraph

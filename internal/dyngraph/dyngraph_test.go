@@ -3,6 +3,7 @@ package dyngraph
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -78,11 +79,14 @@ func TestDirectedDyn(t *testing.T) {
 	}
 }
 
-func TestBlockOverflow(t *testing.T) {
-	// More neighbors than one block holds.
-	g := NewWithBlockSize(100, false, 4)
-	for w := int32(1); w < 50; w++ {
-		edit(g, Edit{Src: 0, Dst: w, Time: int64(w)})
+// TestSortedRowOrder: a row filled and thinned in scrambled order reads
+// back ascending, with each arc's payload, and Validate refuses a row that
+// is out of order or holds a duplicate.
+func TestSortedRowOrder(t *testing.T) {
+	g := New(100, false)
+	rng := rand.New(rand.NewSource(7))
+	for _, w := range rng.Perm(49) {
+		edit(g, Edit{Src: 0, Dst: int32(w + 1), Time: int64(w + 1)})
 	}
 	if g.Degree(0) != 49 {
 		t.Fatalf("degree = %d", g.Degree(0))
@@ -99,17 +103,34 @@ func TestBlockOverflow(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Delete across blocks.
-	for w := int32(1); w < 50; w += 2 {
-		if edit(g, Edit{Src: 0, Dst: w, Delete: true}).Deleted != 1 {
+	for _, i := range rng.Perm(25) {
+		if w := int32(2*i + 1); edit(g, Edit{Src: 0, Dst: w, Delete: true}).Deleted != 1 {
 			t.Fatalf("delete 0-%d failed", w)
 		}
 	}
 	if g.Degree(0) != 24 {
 		t.Fatalf("degree after deletes = %d", g.Degree(0))
 	}
+	want := int32(2)
+	g.ForEachNeighbor(0, func(w int32, _ float32, tm int64) {
+		if w != want || tm != int64(w) {
+			t.Fatalf("after deletes: neighbor %d at time %d, want %d at time %d", w, tm, want, want)
+		}
+		want += 2
+	})
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+
+	row := g.rows[0]
+	row[0], row[1] = row[1], row[0]
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "ascending") {
+		t.Fatalf("Validate on a swapped row = %v, want an ascending-order error", err)
+	}
+	row[0], row[1] = row[1], row[0]
+	row[1].dst = row[0].dst
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "ascending") {
+		t.Fatalf("Validate on a row with a duplicate = %v, want an ascending-order error", err)
 	}
 }
 
@@ -204,49 +225,57 @@ func TestSnapshotDirected(t *testing.T) {
 
 func TestRandomizedAgainstMapModel(t *testing.T) {
 	// Property: dyngraph behaves exactly like a map-based adjacency model
-	// under random insert/delete sequences, for several block sizes.
-	for _, bs := range []int{1, 2, 8, 64} {
-		f := func(seed int64) bool {
-			rng := rand.New(rand.NewSource(seed))
-			n := int32(2 + rng.Intn(20))
-			g := NewWithBlockSize(n, false, bs)
-			model := make(map[[2]int32]bool)
-			for op := 0; op < 300; op++ {
-				u, v := rng.Int31n(n), rng.Int31n(n)
-				if u == v {
-					continue
-				}
-				key := [2]int32{u, v}
-				if u > v {
-					key = [2]int32{v, u}
-				}
-				if rng.Intn(3) == 0 {
-					want := model[key]
-					if (edit(g, Edit{Src: u, Dst: v, Delete: true}).Deleted == 1) != want {
-						return false
-					}
-					delete(model, key)
-				} else {
-					want := !model[key]
-					if (edit(g, Edit{Src: u, Dst: v, Time: int64(op)}).Inserted == 1) != want {
-						return false
-					}
-					model[key] = true
-				}
+	// under random insert/delete sequences. Vertex 0 is a hub: it is an
+	// endpoint of most edits, so its row passes 1,000 arcs while inserts
+	// and deletes land at random places in it.
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := int32(3000 + rng.Intn(500))
+		g := New(n, false)
+		model := make(map[[2]int32]bool)
+		hubPeak := int32(0)
+		for op := 0; op < 6000; op++ {
+			u, v := rng.Int31n(n), rng.Int31n(n)
+			if rng.Intn(4) != 0 {
+				u = 0
 			}
-			if int(g.NumEdges()) != len(model) {
-				return false
+			if u == v {
+				continue
 			}
-			for key := range model {
-				if !g.HasEdge(key[0], key[1]) || !g.HasEdge(key[1], key[0]) {
+			key := [2]int32{u, v}
+			if u > v {
+				key = [2]int32{v, u}
+			}
+			if rng.Intn(4) == 0 {
+				want := model[key]
+				if (edit(g, Edit{Src: u, Dst: v, Delete: true}).Deleted == 1) != want {
 					return false
 				}
+				delete(model, key)
+			} else {
+				want := !model[key]
+				if (edit(g, Edit{Src: u, Dst: v, Time: int64(op)}).Inserted == 1) != want {
+					return false
+				}
+				model[key] = true
 			}
-			return g.Validate() == nil
+			hubPeak = max(hubPeak, g.Degree(0))
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-			t.Fatalf("block size %d: %v", bs, err)
+		if hubPeak <= 1000 {
+			t.Errorf("seed %d: hub row peaked at %d arcs, want more than 1000", seed, hubPeak)
 		}
+		if int(g.NumEdges()) != len(model) {
+			return false
+		}
+		for key := range model {
+			if !g.HasEdge(key[0], key[1]) || !g.HasEdge(key[1], key[0]) {
+				return false
+			}
+		}
+		return g.Validate() == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package reqscratch is the request-scoped result storage both front ends
 // answer traversals from: graphd's query handlers and graphctl's
 // coordinator append khop orders, jaccard rankings and shard adjacency
-// exchanges into the request's Scratch instead of allocating them. The
-// front end graphd and graphctl share keeps one Scratch in each pooled
-// request trace and resets it once the response is encoded.
+// exchanges into the request's Scratch instead of allocating them, and an
+// ingest request reads its body and decodes its edits into it. The front
+// end graphd and graphctl share keeps one Scratch in each pooled request
+// trace and resets it once the response is encoded.
 //
 // Ownership rule: a result built in a Scratch aliases it until Reset, which
 // the front end calls after encoding, when the request trace finishes.
@@ -37,6 +38,12 @@ type Scratch struct {
 	// Lists are the coordinator's adjacency lists of one exchange in the
 	// order it asked for them, aliasing Adj.
 	Lists [][]int32
+	// Body holds an ingest request's body as read from the socket.
+	Body []byte
+	// Edits holds the edits decoded from Body (wire.AppendEditsJSON). A
+	// backend that keeps an edit past the request copies it: graphd's queue
+	// and the coordinator's per-shard split both do.
+	Edits []wire.IngestEdit
 }
 
 // Adj is one shard's side of an adjacency exchange: the vertices asked of
@@ -73,15 +80,19 @@ func (s *Scratch) Reset() {
 	}
 	clear(s.Lists)
 	s.Verts, s.Scores, s.Pairs, s.Lists = s.Verts[:0], s.Scores[:0], s.Pairs[:0], s.Lists[:0]
+	s.Body, s.Edits = s.Body[:0], s.Edits[:0]
 }
 
 // poison overwrites every buffer of s to its capacity with values no answer
-// holds: vertices and offsets -1, scores NaN.
+// holds: vertices, offsets and edit times -1, scores and edit weights NaN,
+// body bytes 0xff (never in UTF-8, so never in JSON).
 func (s *Scratch) poison() {
 	nan := math.NaN()
 	fill(s.Verts[:cap(s.Verts)], -1)
 	fill(s.Scores[:cap(s.Scores)], kernels.JaccardPairScore{U: -1, V: -1, Inter: -1, Score: nan})
 	fill(s.Pairs[:cap(s.Pairs)], wire.JaccardPair{V: -1, Score: nan, Inter: -1})
+	fill(s.Body[:cap(s.Body)], 0xff)
+	fill(s.Edits[:cap(s.Edits)], wire.IngestEdit{Src: -1, Dst: -1, Weight: float32(nan), Time: -1})
 	for i := range s.Adj {
 		a := &s.Adj[i]
 		fill(a.Want[:cap(a.Want)], -1)

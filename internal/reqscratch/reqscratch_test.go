@@ -24,6 +24,10 @@ func TestResetPoisons(t *testing.T) {
 	adj[1].AppendList([]int32{4, 5})
 	list := adj[1].List(0)
 	s.Lists = append(s.Lists, list)
+	s.Body = append(s.Body, `[{"src":1,"dst":2}]`...)
+	body := s.Body
+	s.Edits = append(s.Edits, wire.IngestEdit{Src: 1, Dst: 2, Weight: 1, Time: 3})
+	edits := s.Edits
 
 	s.Reset()
 	if !slices.Equal(verts, []int32{-1, -1, -1}) || !slices.Equal(list, []int32{-1, -1}) {
@@ -38,7 +42,13 @@ func TestResetPoisons(t *testing.T) {
 	if p := pairs[0]; p.V != -1 || p.Inter != -1 || !math.IsNaN(p.Score) {
 		t.Fatalf("held pair %+v was not poisoned", p)
 	}
-	if len(s.Verts)+len(s.Scores)+len(s.Pairs)+len(s.Lists) != 0 {
+	if e := edits[0]; e.Src != -1 || e.Dst != -1 || e.Time != -1 || !math.IsNaN(float64(e.Weight)) {
+		t.Fatalf("held edit %+v was not poisoned", e)
+	}
+	if slices.ContainsFunc(body, func(b byte) bool { return b != 0xff }) {
+		t.Fatalf("held body %q was not poisoned", body)
+	}
+	if len(s.Verts)+len(s.Scores)+len(s.Pairs)+len(s.Lists)+len(s.Body)+len(s.Edits) != 0 {
 		t.Fatal("Reset left results in the scratch")
 	}
 	for _, a := range s.AdjFor(2) {

@@ -245,6 +245,45 @@ func mustComponentEqual(t *testing.T, what string, got, want *wire.ComponentResu
 	}
 }
 
+// TestIngestRejectsBadKeys: an edit whose endpoint key is missing,
+// misspelled or in other case is a 400 naming the edit and the key, from
+// graphd and from graphctl alike, and nothing of its body is applied: a
+// good edit posted after them is the only one either side ever applies.
+func TestIngestRejectsBadKeys(t *testing.T) {
+	const vertices, shardCount = 16, 2
+	solo, ts := startServer(t, testConfig(vertices))
+	shards, coord, reg := startCluster(t, vertices, shardCount)
+	ctl := httptest.NewServer(ClusterHandler(coord, reg))
+	defer ctl.Close()
+	for _, tc := range []struct{ body, want string }{
+		{`[{"dst":5}]`, `edit 0: missing key "src"`},
+		{`[{"src":1,"dst":2},{"source":1,"dest":2}]`, `edit 1: unknown key "source"`},
+		{`[{"SRC":3,"Dst":4}]`, `edit 0: unknown key "SRC"`},
+	} {
+		for _, side := range []struct{ name, url string }{{"graphd", ts.URL}, {"graphctl", ctl.URL}} {
+			resp, err := http.Post(side.url+"/ingest", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), tc.want) {
+				t.Errorf("%s: POST /ingest %s = %d %q, want 400 naming %q", side.name, tc.body, resp.StatusCode, raw, tc.want)
+			}
+		}
+	}
+	good := []wire.IngestEdit{{Src: 6, Dst: 7}}
+	ingestBoth(t, solo, ts.URL, shards, coord, good, make([]int64, shardCount), 0)
+	if n := solo.Applied(); n != 1 {
+		t.Errorf("graphd applied %d edits, want only the good one", n)
+	}
+	for i, want := range routedCounts(good, shardCount) {
+		if n := shards[i].s.Applied(); n != want {
+			t.Errorf("shard %d applied %d edits, want %d", i, n, want)
+		}
+	}
+}
+
 // TestClusterDifferential is the sharded-vs-single differential: every
 // query class answered by a 2-shard and a 3-shard cluster must match the
 // standalone server on the same edit stream.
@@ -458,7 +497,7 @@ func TestClusterDifferential(t *testing.T) {
 				if !stages["stage.cluster"] || !stages["stage.encode"] {
 					t.Fatalf("graphctl khop root has stages %v, want stage.cluster and stage.encode", stages)
 				}
-				for _, op := range []string{"khop", "jaccard", "component", "batch"} {
+				for _, op := range []string{"khop", "jaccard", "component", "batch", "ingest"} {
 					stageSum, wall := stageAndWallSums(reg, op)
 					if wall == 0 || math.Abs(stageSum-wall) > 1e-6*wall {
 						t.Errorf("graphctl %s: stages sum to %.9fs, wall %.9fs", op, stageSum, wall)

@@ -2,10 +2,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,7 +173,10 @@ func (clusterBackend) exchange(_ context.Context, _ *reqTrace, req *wire.Request
 	return nil, badRequest("op %s is not a cluster query", wire.OpName(req.Op))
 }
 
-func (b clusterBackend) ingest(_ *reqTrace, edits []wire.IngestEdit) (*wire.IngestResult, int, error) {
+// ingest routes the edits to their shards in the "cluster" stage.
+func (b clusterBackend) ingest(rt *reqTrace, edits []wire.IngestEdit) (*wire.IngestResult, int, error) {
+	st := rt.stage("cluster")
+	defer st.end()
 	return b.c.Ingest(edits, defaultTimeout)
 }
 
@@ -289,7 +293,9 @@ func queryTimeout(q queryString) (time.Duration, error) {
 // updates) so a runaway client cannot balloon the decoder.
 const maxIngestBody = 16 << 20
 
-// handleIngest admits a JSON array of edits through the backend. Responses:
+// handleIngest admits a JSON array of edits through the backend. The body
+// is read ("read" stage) and decoded by wire.AppendEditsJSON ("decode"
+// stage) into the request's scratch, which dies with the request. Responses:
 // 202 all accepted; 429 with Retry-After when the backend took a prefix (the
 // accepted count tells the client which suffix to retry); 503 with
 // Retry-After when it cannot take them — graphd draining, or a shard
@@ -306,14 +312,19 @@ func (fe *frontEnd) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		err = wire.Errorf(code, "POST only")
 	} else {
-		st := rt.stage("decode")
-		var edits []wire.IngestEdit
-		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody)).Decode(&edits)
+		scr := &rt.scr
+		st := rt.stage("read")
+		scr.Body, err = readBody(scr.Body, http.MaxBytesReader(w, r.Body, maxIngestBody), r.ContentLength)
 		st.end()
+		if err == nil {
+			st = rt.stage("decode")
+			scr.Edits, err = wire.AppendEditsJSON(scr.Edits, scr.Body)
+			st.end()
+		}
 		if err != nil {
 			code, err = http.StatusBadRequest, badRequest("bad ingest body: %v", err)
 		} else {
-			res, code, err = fe.submit(rt, edits)
+			res, code, err = fe.submit(rt, scr.Edits)
 		}
 	}
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
@@ -329,6 +340,28 @@ func (fe *frontEnd) handleIngest(w http.ResponseWriter, r *http.Request) {
 	wall := time.Since(start)
 	rt.finish(code, wall)
 	fe.countQuery("ingest", code, wall.Seconds())
+}
+
+// readBody appends everything r holds to dst, first growing dst to the
+// size the client declared (up to the ingest bound) so that a body is
+// read without re-allocation.
+func readBody(dst []byte, r io.Reader, size int64) ([]byte, error) {
+	if size > 0 && size < maxIngestBody {
+		dst = slices.Grow(dst, int(size)+1)
+	}
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
 }
 
 // handleHealthz is pure liveness: 200 whenever the process serves HTTP,

@@ -360,6 +360,39 @@ func TestResultPoisonedAfterFinish(t *testing.T) {
 	}
 }
 
+// keepEdits is a backend that admits every edit and keeps the slice the
+// front end handed it, as a backend that forgot to copy would.
+type keepEdits struct {
+	backend
+	kept []wire.IngestEdit
+}
+
+func (k *keepEdits) ingest(_ *reqTrace, edits []wire.IngestEdit) (*wire.IngestResult, int, error) {
+	k.kept = edits
+	return &wire.IngestResult{Accepted: len(edits)}, http.StatusAccepted, nil
+}
+
+// TestIngestEditsPoisonedAfterResponse: the edits an ingest request decodes
+// live in its scratch, so a backend that keeps them past the response reads
+// poison, not the next request's edits.
+func TestIngestEditsPoisonedAfterResponse(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	fe := &frontEnd{vertices: 8, reg: reg, slow: newSlowLog(0, nil, reg)}
+	keep := &keepEdits{}
+	fe.back = keep
+	rec := httptest.NewRecorder()
+	body := bytes.NewBufferString(`[{"src":1,"dst":2,"weight":2,"time":5},{"src":3,"dst":4}]`)
+	fe.handler(nil).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", body))
+	if rec.Code != http.StatusAccepted || len(keep.kept) != 2 {
+		t.Fatalf("ingest = %d %s with %d edits kept, want 202 and 2", rec.Code, rec.Body, len(keep.kept))
+	}
+	for i, e := range keep.kept {
+		if e.Src != -1 || e.Dst != -1 || e.Time != -1 || !math.IsNaN(float64(e.Weight)) {
+			t.Errorf("edit %d kept past the response reads %+v, want poison", i, e)
+		}
+	}
+}
+
 // loadCluster starts two shards and a coordinator that does not poll them,
 // and ingests the distinct edges of an undirected R-MAT graph through the
 // coordinator. It returns graphctl's HTTP handler over the coordinator and

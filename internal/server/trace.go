@@ -80,7 +80,7 @@ var spanNames = func() map[string]string {
 	for op := wire.OpPing; op <= wire.OpShardAdj; op++ {
 		m["server."+wire.OpName(op)] = "server." + wire.OpName(op)
 	}
-	for _, st := range []string{"admission", "decode", "enqueue", "snapshot", "kernel", "cluster", "encode"} {
+	for _, st := range []string{"admission", "read", "decode", "enqueue", "snapshot", "kernel", "cluster", "encode"} {
 		m["stage."+st] = "stage." + st
 	}
 	return m

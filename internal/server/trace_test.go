@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -344,7 +345,8 @@ func TestSlowQueryDisabledByDefault(t *testing.T) {
 }
 
 // TestIngestStagesTraced: ingest requests carry the same lifecycle
-// discipline — root span, decode/enqueue/encode stages, stage metrics.
+// discipline — root span, read/decode/enqueue/encode stages, stage metrics
+// that sum to the endpoint's wall time.
 func TestIngestStagesTraced(t *testing.T) {
 	cfg := testConfig(64)
 	_, ts := startServer(t, cfg)
@@ -368,10 +370,14 @@ func TestIngestStagesTraced(t *testing.T) {
 	if attr(roots[0], "accepted") != "1" {
 		t.Errorf("ingest root accepted attr = %q", attr(roots[0], "accepted"))
 	}
-	for _, want := range []string{"stage.decode", "stage.enqueue", "stage.encode"} {
+	for _, want := range []string{"stage.read", "stage.decode", "stage.enqueue", "stage.encode"} {
 		if len(findSpans(spans, want)) != 1 {
 			t.Errorf("trace missing %s", want)
 		}
+	}
+	stageSum, wall := stageAndWallSums(cfg.Registry, "ingest")
+	if wall == 0 || math.Abs(stageSum-wall) > 1e-6*wall {
+		t.Errorf("graphd ingest: stages sum to %.9fs, wall %.9fs", stageSum, wall)
 	}
 }
 

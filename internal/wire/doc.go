@@ -56,4 +56,8 @@
 // FuzzWireResponseDecode): counts are validated against the bytes actually
 // present before any allocation, and all parse errors are sticky, bounded,
 // and panic-free.
+//
+// The HTTP API's POST /ingest body, a JSON array of IngestEdit, has one
+// reader too: AppendEditsJSON, a single-pass parser of exactly the
+// documented keys, held to encoding/json as its oracle by FuzzIngestJSON.
 package wire

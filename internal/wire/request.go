@@ -6,8 +6,8 @@ import (
 )
 
 // IngestEdit is one graph edit, in both protocols: the binary encoding
-// below and, with its JSON tags, one element of the HTTP API's POST /ingest
-// array.
+// below and one element of the HTTP API's POST /ingest array, whose keys
+// are its JSON tags (read by AppendEditsJSON, written by encoding/json).
 type IngestEdit struct {
 	// Src and Dst are the edge endpoints.
 	Src int32 `json:"src"`
