@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/kernels"
+	"repro/internal/scratch"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -272,29 +274,52 @@ func wireTimeout(ctx context.Context) time.Duration {
 	return 0
 }
 
-// fanOut runs fn once per shard concurrently and returns the first error in
-// shard order, tagged with the shard index. This is the BSP barrier: it
-// returns only when every shard has answered (or failed).
+// fanOut runs fn once per shard concurrently — the last shard on the
+// calling goroutine, which would otherwise only wait — and returns the
+// first error in shard order, tagged with the shard index. This is the BSP
+// barrier: it returns only when every shard has answered (or failed). The
+// barrier and the error slots are pooled, so a fan-out costs one small
+// allocation per extra goroutine.
 func (c *Coordinator) fanOut(fn func(sc *shardConn) error) error {
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for i, sc := range c.shards {
-		wg.Add(1)
-		go func(i int, sc *shardConn) {
-			defer wg.Done()
-			errs[i] = fn(sc)
-		}(i, sc)
+	n := len(c.shards)
+	if n == 0 {
+		return nil
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			if err != errSkew {
+	f := fanPool.Get()
+	f.errs = slices.Grow(f.errs[:0], n)[:n]
+	f.wg.Add(n - 1)
+	for i, sc := range c.shards[:n-1] {
+		go f.run(i, sc, fn)
+	}
+	f.errs[n-1] = fn(c.shards[n-1])
+	f.wg.Wait()
+	var err error
+	for i, e := range f.errs {
+		if e != nil {
+			if e != errSkew {
 				c.m.shardErrors(i).Inc()
 			}
-			return fmt.Errorf("shard %d: %w", i, err)
+			err = fmt.Errorf("shard %d: %w", i, e)
+			break
 		}
 	}
-	return nil
+	clear(f.errs)
+	fanPool.Put(f)
+	return err
+}
+
+// fan is one fan-out's barrier and per-shard error slots.
+type fan struct {
+	wg   sync.WaitGroup
+	errs []error
+}
+
+var fanPool = scratch.NewPool(func() *fan { return new(fan) })
+
+// run is fan-out member i.
+func (f *fan) run(i int, sc *shardConn, fn func(sc *shardConn) error) {
+	defer f.wg.Done()
+	f.errs[i] = fn(sc)
 }
 
 // versions fetches the current version vector via a meta round — the cheap

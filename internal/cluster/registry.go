@@ -79,22 +79,22 @@ func (sc *shardConn) closeConn() {
 // coordinator's expectations: right index, right shard count, same graph
 // shape. A mismatched shard is an operator error surfaced at registration,
 // never silently queried.
-func (c *Coordinator) meta(sc *shardConn, timeout time.Duration) (*wire.ShardMeta, error) {
-	var m *wire.ShardMeta
+func (c *Coordinator) meta(sc *shardConn, timeout time.Duration) (wire.ShardMeta, error) {
+	var m wire.ShardMeta
 	err := sc.call(func(cl *wire.Client) error {
 		var err error
 		m, err = cl.ShardMeta(timeout)
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return m, err
 	}
 	if m.Index != sc.index || m.Count != len(c.shards) {
-		return nil, fmt.Errorf("shard at %s identifies as %d/%d, coordinator expects %d/%d",
+		return m, fmt.Errorf("shard at %s identifies as %d/%d, coordinator expects %d/%d",
 			sc.addr, m.Index, m.Count, sc.index, len(c.shards))
 	}
 	if m.Vertices != c.cfg.Vertices || m.Directed != c.cfg.Directed {
-		return nil, fmt.Errorf("shard %d graph shape (vertices=%d directed=%v) disagrees with coordinator (vertices=%d directed=%v)",
+		return m, fmt.Errorf("shard %d graph shape (vertices=%d directed=%v) disagrees with coordinator (vertices=%d directed=%v)",
 			sc.index, m.Vertices, m.Directed, c.cfg.Vertices, c.cfg.Directed)
 	}
 	return m, nil

@@ -27,11 +27,12 @@ const ctxCheckEvery = 4096
 
 // kernelSpan opens a kernel-exec child span under the request span carried
 // by ctx (nil, costing nothing, when the request is untraced) and returns a
-// context rebound to it so the par scheduler's per-invocation spans nest
-// under the kernel rather than the raw request.
+// context with it active so the par scheduler's per-invocation spans nest
+// under the kernel rather than the raw request. A request trace lends the
+// span its own storage (telemetry.StartChild), so tracing a kernel
+// allocates nothing.
 func kernelSpan(ctx context.Context, name string) (context.Context, *telemetry.Span) {
-	sp := telemetry.SpanFromContext(ctx).Child(name)
-	return telemetry.ContextWithSpan(ctx, sp), sp
+	return telemetry.StartChild(ctx, name)
 }
 
 // KHopNeighborhoodCtx is KHopNeighborhood with cooperative cancellation;

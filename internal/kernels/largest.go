@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/scratch"
 )
@@ -21,7 +23,18 @@ func TopKByScore(scores []float64, k int) []ScoredVertex {
 	if k <= 0 {
 		return nil
 	}
-	h := make([]ScoredVertex, 0, min(k, len(scores)))
+	return AppendTopKByScore(make([]ScoredVertex, 0, min(k, len(scores))), scores, k)
+}
+
+// AppendTopKByScore appends TopKByScore's answer to dst, building the heap
+// in dst's spare capacity: only dst's growth allocates.
+func AppendTopKByScore(dst []ScoredVertex, scores []float64, k int) []ScoredVertex {
+	if k <= 0 {
+		return dst
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, min(k, len(scores)))
+	h := dst[base:base]
 	// down sifts h[i] toward the leaves of the heap h[:n].
 	down := func(i, n int) {
 		for {
@@ -55,7 +68,7 @@ func TopKByScore(scores []float64, k int) []ScoredVertex {
 		h[0], h[n] = h[n], h[0]
 		down(0, n)
 	}
-	return h
+	return dst[:base+len(h)]
 }
 
 // TopKByDegree returns the k highest-degree vertices in descending order.

@@ -160,6 +160,27 @@ func TestTopKByScore(t *testing.T) {
 	}
 }
 
+// TestAppendTopKByScore: the append form leaves dst's prefix alone, appends
+// TopKByScore's answer, and reuses dst's spare capacity without allocating.
+func TestAppendTopKByScore(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	scores := make([]float64, 500)
+	for i := range scores {
+		scores[i] = float64(rng.Intn(50)) // ties, to pin the sift order
+	}
+	prefix := []ScoredVertex{{V: -7, Score: 1}}
+	for _, k := range []int{0, 1, 10, 600} {
+		got := AppendTopKByScore(slices.Clone(prefix), scores, k)
+		if want := append(slices.Clone(prefix), TopKByScore(scores, k)...); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: append form %v, want %v", k, got, want)
+		}
+	}
+	dst := make([]ScoredVertex, 0, 16)
+	if n := testing.AllocsPerRun(100, func() { dst = AppendTopKByScore(dst[:0], scores, 10) }); n != 0 {
+		t.Fatalf("AppendTopKByScore into room allocated %.1f times, want 0", n)
+	}
+}
+
 // boxedMinHeap is the container/heap min-heap TopKByScore was first written
 // with; it stays here as the oracle for the unboxed one's tie order.
 type boxedMinHeap []ScoredVertex

@@ -1,10 +1,11 @@
 // Package reqscratch is the request-scoped result storage both front ends
-// answer traversals from: graphd's query handlers and graphctl's
-// coordinator append khop orders, jaccard rankings and shard adjacency
-// exchanges into the request's Scratch instead of allocating them, and an
-// ingest request reads its body and decodes its edits into it. The front
-// end graphd and graphctl share keeps one Scratch in each pooled request
-// trace and resets it once the response is encoded.
+// answer from: graphd's query handlers and graphctl's coordinator append
+// khop orders, jaccard rankings, top-k selections, shard adjacency
+// exchanges and the answer structs that carry them into the request's
+// Scratch instead of allocating them, and an ingest request reads its body
+// and decodes its edits into it. The front end graphd and graphctl share
+// keeps one Scratch in each pooled request trace and resets it once the
+// response is encoded.
 //
 // Ownership rule: a result built in a Scratch aliases it until Reset, which
 // the front end calls after encoding, when the request trace finishes.
@@ -32,6 +33,16 @@ type Scratch struct {
 	Scores []kernels.JaccardPairScore
 	// Pairs holds jaccard answers in wire form.
 	Pairs []wire.JaccardPair
+	// Ranked is the kernel output of the top-k selection in progress; Top
+	// holds top-k answers in wire form.
+	Ranked []kernels.ScoredVertex
+	Top    []wire.ScoredVertex
+	// The answer structs, one per answered query (see Answer).
+	KHops      []wire.KHopResult
+	Jaccards   []wire.JaccardResult
+	Components []wire.ComponentResult
+	TopDegrees []wire.TopDegreeResult
+	PageRanks  []PageRank
 	// Adj holds shard.adj exchanges in their flat wire form, one per shard
 	// (see AdjFor).
 	Adj []Adj
@@ -44,6 +55,22 @@ type Scratch struct {
 	// backend that keeps an edit past the request copies it: graphd's queue
 	// and the coordinator's per-shard split both do.
 	Edits []wire.IngestEdit
+}
+
+// PageRank is a pagerank answer with the storage the single-vertex form's
+// pointers name.
+type PageRank struct {
+	wire.PageRankResult
+	V    int32
+	Rank float64
+}
+
+// Answer appends v to the answer structs *slab of a Scratch and returns the
+// copy, which lives until Reset. A later Answer that grows the slab moves
+// it, never the copies handed out before.
+func Answer[T any](slab *[]T, v T) *T {
+	*slab = append(*slab, v)
+	return &(*slab)[len(*slab)-1]
 }
 
 // Adj is one shard's side of an adjacency exchange: the vertices asked of
@@ -72,25 +99,40 @@ func (s *Scratch) AdjFor(n int) []Adj {
 	return adj
 }
 
-// Reset empties s, keeping its storage; under go test it is poisoned
-// first. Every result built in s dies here.
+// Reset empties s, keeping its storage but not what the answer structs
+// point at; under go test every buffer is poisoned before it empties.
+// Every result built in s dies here.
 func (s *Scratch) Reset() {
+	clear(s.Lists)
+	clear(s.KHops)
+	clear(s.Jaccards)
+	clear(s.TopDegrees)
+	clear(s.PageRanks)
 	if testing.Testing() {
 		s.poison()
 	}
-	clear(s.Lists)
 	s.Verts, s.Scores, s.Pairs, s.Lists = s.Verts[:0], s.Scores[:0], s.Pairs[:0], s.Lists[:0]
+	s.Ranked, s.Top = s.Ranked[:0], s.Top[:0]
+	s.KHops, s.Jaccards, s.Components, s.TopDegrees, s.PageRanks = s.KHops[:0], s.Jaccards[:0], s.Components[:0], s.TopDegrees[:0], s.PageRanks[:0]
 	s.Body, s.Edits = s.Body[:0], s.Edits[:0]
 }
 
 // poison overwrites every buffer of s to its capacity with values no answer
-// holds: vertices, offsets and edit times -1, scores and edit weights NaN,
-// body bytes 0xff (never in UTF-8, so never in JSON).
+// holds: vertices, counts, versions, offsets and edit times -1, scores and
+// edit weights NaN, body bytes 0xff (never in UTF-8, so never in JSON), the
+// answer structs' slices nil.
 func (s *Scratch) poison() {
 	nan := math.NaN()
 	fill(s.Verts[:cap(s.Verts)], -1)
 	fill(s.Scores[:cap(s.Scores)], kernels.JaccardPairScore{U: -1, V: -1, Inter: -1, Score: nan})
 	fill(s.Pairs[:cap(s.Pairs)], wire.JaccardPair{V: -1, Score: nan, Inter: -1})
+	fill(s.Ranked[:cap(s.Ranked)], kernels.ScoredVertex{V: -1, Score: nan})
+	fill(s.Top[:cap(s.Top)], wire.ScoredVertex{V: -1, Score: nan})
+	fill(s.KHops[:cap(s.KHops)], wire.KHopResult{K: -1, Count: -1})
+	fill(s.Jaccards[:cap(s.Jaccards)], wire.JaccardResult{U: -1})
+	fill(s.Components[:cap(s.Components)], wire.ComponentResult{V: -1, Component: -1, Size: -1, NumComponents: -1, Version: -1})
+	fill(s.TopDegrees[:cap(s.TopDegrees)], wire.TopDegreeResult{K: -1})
+	fill(s.PageRanks[:cap(s.PageRanks)], PageRank{PageRankResult: wire.PageRankResult{K: -1, Iterations: -1, Version: -1}, V: -1, Rank: nan})
 	fill(s.Body[:cap(s.Body)], 0xff)
 	fill(s.Edits[:cap(s.Edits)], wire.IngestEdit{Src: -1, Dst: -1, Weight: float32(nan), Time: -1})
 	for i := range s.Adj {

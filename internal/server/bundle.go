@@ -83,7 +83,9 @@ func (s *Server) pinCurrent() *bundle {
 // version at the call: the published one, or one the writer builds on
 // request. The wait is rt's "kernel" stage (cache=miss) when k is missing,
 // else its "snapshot" stage; the build's spans hang under the first waiting
-// request's stage. ctx ends the wait, never the build. The caller unpins.
+// request's stage, named by trace and span ID alone, as the request may be
+// long gone when they start. ctx ends the wait, never the build. The caller
+// unpins.
 func (s *Server) acquire(ctx context.Context, rt *reqTrace, k kernel) (*bundle, error) {
 	want := s.version.Load()
 	b := s.pinCurrent()
@@ -93,15 +95,14 @@ func (s *Server) acquire(ctx context.Context, rt *reqTrace, k kernel) (*bundle, 
 	}
 	var st stage
 	if b.parts[k] != nil {
-		ctx, st = rt.stageCtx(ctx, "snapshot")
+		st = rt.stage("snapshot")
 	} else {
 		s.want[k].Store(true)
-		ctx, st = rt.stageCtx(ctx, "kernel", telemetry.L("kernel", kernelNames[k]), telemetry.L("cache", "miss"))
+		st = rt.stage("kernel", telemetry.L("kernel", kernelNames[k]), telemetry.L("cache", "miss"))
 	}
 	defer st.end()
-	if telemetry.SpanFromContext(ctx) != nil && s.buildCtx.Load() == nil {
-		bc := context.WithoutCancel(ctx)
-		s.buildCtx.CompareAndSwap(nil, &bc)
+	if st.sp != nil && s.buildParent.Load() == nil {
+		s.buildParent.CompareAndSwap(nil, &telemetry.TraceContext{TraceID: st.sp.Trace(), Parent: st.sp.ID()})
 	}
 	for b.version < want || b.parts[k] == nil {
 		select {
@@ -287,10 +288,13 @@ func (s *Server) build(cur *bundle) *bundle {
 // buildContext returns the never-cancelled context the build's kernels run
 // in and the span its steps hang from: the first waiting reader's stage for
 // both, so a stall's trace shows what it waited on, else an untraced context
-// and a server.build root span (its steps, not every scheduler loop).
+// and a server.build root span (its steps, not every scheduler loop). The
+// reader's stage is a detached stand-in: the reader may time out and its
+// pooled trace serve later requests while the build runs.
 func (s *Server) buildContext() (context.Context, *telemetry.Span, func()) {
-	if ctx := s.buildCtx.Swap(nil); ctx != nil {
-		return *ctx, telemetry.SpanFromContext(*ctx), func() {}
+	if tc := s.buildParent.Swap(nil); tc != nil {
+		sp := s.reg.Tracer().Detached(*tc)
+		return telemetry.ContextWithSpan(context.Background(), sp), sp, func() {}
 	}
 	sp := s.reg.Tracer().Start("server.build")
 	return context.Background(), sp, sp.End

@@ -200,26 +200,35 @@ func must[T any](v T, err error) T {
 
 // answerVia answers req through the front end's one answer path over fe's
 // backend — graphd's published bundles, or a coordinator's shards — in a
-// request trace of its own, and copies a traversal answer out of the
-// request scratch before the trace finishes.
+// request trace of its own, and copies the answer out of the request
+// scratch before the trace finishes.
 func answerVia[T any](ctx context.Context, fe *frontEnd, req wire.Request) (*T, error) {
-	ctx, rt := fe.startTrace(ctx, telemetry.TraceContext{}, "test", time.Now())
+	rt := fe.startTrace(ctx, telemetry.TraceContext{}, "test", time.Now())
 	defer rt.finish(http.StatusOK, 0)
-	out, err := fe.run(ctx, rt, &req)
+	out, err := fe.run(rt, rt, &req)
 	if err != nil {
 		return nil, err
-	}
-	switch res := out.(type) {
-	case *wire.KHopResult:
-		res.Seeds, res.Vertices = slices.Clone(res.Seeds), slices.Clone(res.Vertices)
-	case *wire.JaccardResult:
-		res.Results = slices.Clone(res.Results)
 	}
 	res, ok := out.(*T)
 	if !ok {
 		return nil, fmt.Errorf("%s answered %T", wire.OpName(req.Op), out)
 	}
-	return res, nil
+	cp := *res
+	switch res := any(&cp).(type) {
+	case *wire.KHopResult:
+		res.Seeds, res.Vertices = slices.Clone(res.Seeds), slices.Clone(res.Vertices)
+	case *wire.JaccardResult:
+		res.Results = slices.Clone(res.Results)
+	case *wire.TopDegreeResult:
+		res.Results = slices.Clone(res.Results)
+	case *wire.PageRankResult:
+		res.Results = slices.Clone(res.Results)
+		if res.V != nil {
+			v, rank := *res.V, *res.Rank
+			res.V, res.Rank = &v, &rank
+		}
+	}
+	return &cp, nil
 }
 
 // answerBoth answers req through the one answer path over each backend:

@@ -128,7 +128,7 @@ func (s *Server) jaccard(ctx context.Context, rt *reqTrace, u int32, threshold f
 		return nil, err
 	}
 	scr := &rt.scr
-	ctx, st := rt.stageCtx(ctx, "kernel", telemetry.L("kernel", "jaccard"))
+	st := rt.stage("kernel", telemetry.L("kernel", "jaccard"))
 	scores, err := kernels.AppendJaccardFromVertexCtx(ctx, scr.Scores[:0], p.g, u, threshold)
 	st.end()
 	if err != nil {
@@ -146,7 +146,7 @@ func (s *Server) khop(ctx context.Context, rt *reqTrace, seeds []int32, k int32)
 	}
 	scr := &rt.scr
 	base := len(scr.Verts)
-	ctx, st := rt.stageCtx(ctx, "kernel", telemetry.L("kernel", "khop"))
+	st := rt.stage("kernel", telemetry.L("kernel", "khop"))
 	verts, err := kernels.AppendKHopNeighborhoodCtx(ctx, scr.Verts, p.g, seeds, k)
 	st.end()
 	if err != nil {

@@ -218,8 +218,8 @@ func (fe *frontEnd) query(op byte) http.HandlerFunc {
 	name := wire.OpName(op)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		ctx, rt := fe.startTrace(r.Context(), inboundTrace(r), name, start)
-		echoTrace(w, rt.tc, rt.root.ID())
+		rt := fe.startTrace(r.Context(), inboundTrace(r), name, start)
+		rt.echoTrace(w)
 		if fe.prof.Enabled() {
 			// Track the trace so a breach-triggered profile bundle can be
 			// stamped with the requests it overlapped. Gated on the profiler
@@ -234,9 +234,7 @@ func (fe *frontEnd) query(op byte) http.HandlerFunc {
 		d, err := queryTimeout(q)
 		var subs []batchSub
 		if err == nil {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
+			rt.arm(d)
 			if op == wire.OpBatch {
 				rt.req = wire.Request{Op: op}
 				subs, err = decodeBatch(r, rt)
@@ -245,7 +243,7 @@ func (fe *frontEnd) query(op byte) http.HandlerFunc {
 			}
 		}
 		if err == nil {
-			out, code, err = fe.dispatch(ctx, rt, &rt.req, subs)
+			out, code, err = fe.dispatch(rt, &rt.req, subs)
 		} else {
 			code = wire.StatusOf(err)
 			rt.root.SetAttr("status", httpCodeLabel(code))
@@ -303,8 +301,8 @@ const maxIngestBody = 16 << 20
 // malformed or out-of-range body; 405 for anything but POST.
 func (fe *frontEnd) handleIngest(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	_, rt := fe.startTrace(r.Context(), inboundTrace(r), "ingest", start)
-	echoTrace(w, rt.tc, rt.root.ID())
+	rt := fe.startTrace(r.Context(), inboundTrace(r), "ingest", start)
+	rt.echoTrace(w)
 
 	var res *wire.IngestResult
 	var err error
@@ -406,10 +404,10 @@ type batchItem struct {
 // dispatch runs one query — or, for a batch, its sub-queries in order — for
 // either transport: under the backend's admission (a batch holds one slot),
 // with pprof op labels when the profiler is on, the root span tagged with
-// the outcome. It returns the answer and its HTTP status; the caller
-// encodes, then finishes the trace.
-func (fe *frontEnd) dispatch(ctx context.Context, rt *reqTrace, req *wire.Request, subs []batchSub) (any, int, error) {
-	if err := fe.back.enter(ctx, rt); err != nil {
+// the outcome, in rt, the request's context. It returns the answer and its
+// HTTP status; the caller encodes, then finishes the trace.
+func (fe *frontEnd) dispatch(rt *reqTrace, req *wire.Request, subs []batchSub) (any, int, error) {
+	if err := fe.back.enter(rt, rt); err != nil {
 		rt.root.SetAttr("status", "admission-timeout")
 		return nil, http.StatusGatewayTimeout, err
 	}
@@ -417,12 +415,12 @@ func (fe *frontEnd) dispatch(ctx context.Context, rt *reqTrace, req *wire.Reques
 	var out any
 	var err error
 	if !fe.prof.Enabled() {
-		out, err = fe.answer(ctx, rt, req, subs)
+		out, err = fe.answer(rt, rt, req, subs)
 	} else {
 		// Labels are inherited by the par worker goroutines the kernels
 		// spawn, so CPU samples in trigger-captured profiles attribute by
 		// endpoint. pprof.Do costs an allocation, so it is gated.
-		pprof.Do(ctx, pprof.Labels("op", rt.op), func(ctx context.Context) {
+		pprof.Do(rt, pprof.Labels("op", rt.op), func(ctx context.Context) {
 			out, err = fe.answer(ctx, rt, req, subs)
 		})
 	}

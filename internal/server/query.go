@@ -226,10 +226,15 @@ func decodeBatch(r *http.Request, rt *reqTrace) ([]batchSub, error) {
 	return subs, nil
 }
 
+// jsonContentType is every JSON answer's Content-Type header value, one
+// slice shared by all and never written: net/http copies the header map
+// when the status is written.
+var jsonContentType = []string{"application/json"}
+
 // writeJSON writes v with the given status; an encode failure after the
 // header is logged into the payload stream (too late for a status change).
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }

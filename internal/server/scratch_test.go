@@ -263,67 +263,108 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
+// wireBytes returns the steady-state heap bytes the whole process allocates
+// per request while s answers frames through wireRespond — the server's
+// whole side of a wire exchange, request frame in to response payload out —
+// and the mean response size. sync.Pool keeps what it is handed per P, so
+// at GOMAXPROCS(1), where a borrow always finds the last return, the count
+// is exact and repeats.
+func wireBytes(t *testing.T, s *Server, frames [][]byte) (alloc float64, meanResp int) {
+	t.Helper()
+	var req wire.Request
+	var out []byte
+	sweep := func() (respBytes int) {
+		for _, frame := range frames {
+			if out = s.wireRespond(frame, &req, out[:0]); out[0] != wire.StatusOK {
+				t.Fatalf("%s: status %d", wire.OpName(frame[0]), out[0])
+			}
+			respBytes += len(out)
+		}
+		return respBytes / len(frames)
+	}
+	sweep() // every buffer on the path reaches its steady size
+	// A collection empties the pools, as it is meant to; steady state is what
+	// happens between two of them.
+	gc := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gc)
+	sweep()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	meanResp = sweep()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(frames)), meanResp
+}
+
+// hubFrames encodes the request q(v) for each of g's 64 highest-degree
+// vertices, the largest answers the graph has.
+func hubFrames(g *graph.Graph, q func(v int32) wire.Request) [][]byte {
+	var frames [][]byte
+	for _, hub := range kernels.TopKByDegree(g, 64) {
+		req := q(hub.V)
+		frames = append(frames, wire.AppendRequest(nil, &req))
+	}
+	return frames
+}
+
 // TestTraversalReadAllocBudget: a khop or jaccard request must allocate
-// nothing that scales with the graph or with its answer. Steady-state heap
-// bytes per wire khop2 and per wire jaccard — the server's whole side of the
-// exchange, request frame in to response payload out — are measured on
-// R-MAT scale 10 and scale 13, an 8x larger graph whose answers are several
-// times larger, and must agree within 1 KiB and stay under 8 KiB.
+// nothing — not its trace, its deadline, its spans, its answer, nor
+// anything that scales with the graph or with that answer. Steady-state
+// heap bytes per wire khop2 and per wire jaccard are measured on R-MAT
+// scale 10 and scale 13, an 8x larger graph whose answers are several times
+// larger, and must be 0 on both.
 func TestTraversalReadAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads an R-MAT scale 13 graph")
 	}
 	skipUnderRace(t)
-	// sync.Pool keeps what it is handed per P: on one P a borrow always finds
-	// the last return, so the count below is exact and repeats.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	perOp := map[string][2]float64{}
-	for i, scale := range []int{10, 13} {
+	for _, scale := range []int{10, 13} {
 		s, _ := startServer(t, testConfig(1<<scale))
 		g := loadRMAT(t, s, scale)
-		hubs := kernels.TopKByDegree(g, 64) // the largest answers the graph has
-		var req wire.Request
-		var frame, out []byte
-		for _, name := range []string{"khop2", "jaccard"} {
-			sweep := func() (respBytes int) {
-				for _, h := range hubs {
-					q := wire.Request{Op: wire.OpKHop, Seeds: []int32{h.V}, K: 2}
-					if name == "jaccard" {
-						q = wire.Request{Op: wire.OpJaccard, U: h.V}
-					}
-					frame = wire.AppendRequest(frame[:0], &q)
-					out = s.wireRespond(frame, &req, out[:0])
-					if out[0] != wire.StatusOK {
-						t.Fatalf("%s(%d) at scale %d: status %d", name, h.V, scale, out[0])
-					}
-					respBytes += len(out)
-				}
-				return respBytes / len(hubs)
-			}
-			sweep() // every buffer on the path reaches its steady size
-			// A collection empties the pools, as it is meant to; steady state
-			// is what happens between two of them.
-			gc := debug.SetGCPercent(-1)
-			sweep()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			resp := sweep()
-			runtime.ReadMemStats(&after)
-			debug.SetGCPercent(gc)
-			alloc := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(hubs))
+		for name, q := range map[string]func(v int32) wire.Request{
+			"khop2":   func(v int32) wire.Request { return wire.Request{Op: wire.OpKHop, Seeds: []int32{v}, K: 2} },
+			"jaccard": func(v int32) wire.Request { return wire.Request{Op: wire.OpJaccard, U: v} },
+		} {
+			alloc, resp := wireBytes(t, s, hubFrames(g, q))
 			t.Logf("scale %d %s: %.0f B/op allocated, mean response %d B", scale, name, alloc, resp)
-			if alloc > 8<<10 {
-				t.Errorf("scale %d %s allocates %.0f B/op, budget 8 KiB", scale, name, alloc)
+			if alloc > 0 {
+				t.Errorf("scale %d %s allocates %.0f B/op, want none", scale, name, alloc)
 			}
-			row := perOp[name]
-			row[i] = alloc
-			perOp[name] = row
 		}
 	}
-	for name, row := range perOp {
-		if diff := row[1] - row[0]; diff > 1<<10 || diff < -(1<<10) {
-			t.Errorf("%s: %.0f B/op at scale 10, %.0f at scale 13: the difference scales with the graph", name, row[0], row[1])
+}
+
+// TestWireReadAllocationFree: with tracing on — the enabled registry every
+// server runs with — a wire component, single-vertex pagerank or topdegree
+// answer allocates nothing: its trace identity, deadline, root and stage
+// spans, stage accounting, answer struct and top-k selection all live in
+// the pooled request trace. Steady-state heap bytes per request are
+// measured over R-MAT scale 10's 64 hubs.
+func TestWireReadAllocationFree(t *testing.T) {
+	skipUnderRace(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := testConfig(1 << 10)
+	if cfg.Registry.Tracer() == nil {
+		t.Fatal("the test registry records no spans")
+	}
+	s, _ := startServer(t, cfg)
+	g := loadRMAT(t, s, 10)
+	for _, tc := range []struct {
+		name string
+		q    func(v int32) wire.Request
+	}{
+		{"component", func(v int32) wire.Request { return wire.Request{Op: wire.OpComponent, V: v} }},
+		{"pagerank(v)", func(v int32) wire.Request { return wire.Request{Op: wire.OpPageRank, HasV: true, V: v} }},
+		{"topdegree", func(int32) wire.Request { return wire.Request{Op: wire.OpTopDegree} }},
+	} {
+		alloc, resp := wireBytes(t, s, hubFrames(g, tc.q))
+		t.Logf("wire %s: %.0f B/op allocated, mean response %d B", tc.name, alloc, resp)
+		if alloc > 0 {
+			t.Errorf("wire %s allocates %.0f B/op, want none", tc.name, alloc)
 		}
+	}
+	if n := len(cfg.Registry.Tracer().Snapshot()); n == 0 {
+		t.Fatal("the measured requests recorded no spans")
 	}
 }
 
@@ -334,9 +375,9 @@ func TestResultPoisonedAfterFinish(t *testing.T) {
 	s, _ := startServer(t, testConfig(1<<8))
 	g := loadRMAT(t, s, 8)
 	hub := kernels.TopKByDegree(g, 1)[0].V
-	ctx, rt := s.startTrace(context.Background(), telemetry.TraceContext{}, "test", time.Now())
+	rt := s.startTrace(context.Background(), telemetry.TraceContext{}, "test", time.Now())
 	answer := func(req wire.Request) any {
-		out, err := s.run(ctx, rt, &req)
+		out, err := s.run(rt, rt, &req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,13 +554,17 @@ func skipUnderRace(t *testing.T) {
 
 // handlerBytes returns the steady-state heap bytes the whole process
 // allocates per request while h serves GETs of paths, one sweep after
-// another. Run it at GOMAXPROCS(1), where a pool borrow finds the last
-// return, so the count is exact and repeats.
+// another. The requests' context can be cancelled, as net/http's can, so a
+// handler that hooks its parent's cancellation pays for it here. Run it at
+// GOMAXPROCS(1), where a pool borrow finds the last return, so the count is
+// exact and repeats.
 func handlerBytes(t *testing.T, h http.Handler, paths []string) float64 {
 	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	reqs := make([]*http.Request, len(paths))
 	for i, path := range paths {
-		reqs[i] = httptest.NewRequest(http.MethodGet, path, nil)
+		reqs[i] = httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
 	}
 	w := &discardWriter{h: http.Header{}}
 	sweep := func() {
@@ -564,21 +609,23 @@ func hubPaths(g *graph.Graph, format string) []string {
 // process (front end, coordinator, wire clients, both shards' wire
 // sessions), are measured over two shards on R-MAT scale 10 and scale 13,
 // an 8x larger graph whose answers are several times larger, and must agree
-// within 1 KiB and stay under 12 KiB.
+// within 1 KiB and stay under 320 B for khop2 and 460 B for jaccard: the
+// echoed traceparent and each shard exchange's fan-out are what is left.
 func TestCoordinatorTraversalAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads an R-MAT scale 13 graph through a cluster")
 	}
 	skipUnderRace(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	budget := map[string]float64{"khop2": 320, "jaccard": 460}
 	perOp := map[string][2]float64{}
 	for i, scale := range []int{10, 13} {
 		h, g := loadCluster(t, scale)
 		for name, format := range map[string]string{"khop2": "/query/khop?v=%d&k=2", "jaccard": "/query/jaccard?u=%d"} {
 			alloc := handlerBytes(t, h, hubPaths(g, format))
 			t.Logf("scale %d %s through the coordinator: %.0f B/op allocated", scale, name, alloc)
-			if alloc > 12<<10 {
-				t.Errorf("scale %d %s allocates %.0f B/op, budget 12 KiB", scale, name, alloc)
+			if alloc > budget[name] {
+				t.Errorf("scale %d %s allocates %.0f B/op, budget %.0f B", scale, name, alloc, budget[name])
 			}
 			row := perOp[name]
 			row[i] = alloc
@@ -593,12 +640,13 @@ func TestCoordinatorTraversalAllocBudget(t *testing.T) {
 }
 
 // TestFrontEndAllocBudget: the HTTP front end graphd and graphctl share —
-// query parsing, trace identity, root and stage spans, stage accounting,
-// encoding, request metrics — must stay light. Steady-state heap bytes per
-// /query/component over R-MAT scale 10's 64 hubs are measured through
-// graphd's handler, budget 1.5 KiB, and through graphctl's, counting the
-// whole process (front end, coordinator, wire clients and both shards'
-// shard.meta sessions), budget 1.6 KiB.
+// query parsing, trace identity, deadline, root and stage spans, stage
+// accounting, encoding, request metrics — must stay light. Steady-state
+// heap bytes per /query/component over R-MAT scale 10's 64 hubs are
+// measured through graphd's handler, budget 80 B (the echoed traceparent
+// is the one allocation), and through graphctl's, counting the whole
+// process (front end, coordinator, wire clients and both shards' shard.meta
+// sessions), budget 220 B.
 func TestFrontEndAllocBudget(t *testing.T) {
 	skipUnderRace(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -610,7 +658,7 @@ func TestFrontEndAllocBudget(t *testing.T) {
 		name   string
 		h      http.Handler
 		budget float64
-	}{{"graphd", s.Handler(), 1.5 * 1024}, {"graphctl", ctl, 1.6 * 1024}} {
+	}{{"graphd", s.Handler(), 80}, {"graphctl", ctl, 220}} {
 		alloc := handlerBytes(t, tc.h, paths)
 		t.Logf("%s HTTP component: %.0f B/request allocated", tc.name, alloc)
 		if alloc > tc.budget {

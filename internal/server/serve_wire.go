@@ -158,9 +158,8 @@ func (s *Server) wireRespond(frame []byte, req *wire.Request, out []byte) []byte
 		return out
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	ctx, rt := s.startTrace(ctx, telemetry.NewTraceContext(), opName, start)
+	rt := s.startTrace(context.Background(), telemetry.NewTraceContext(), opName, start)
+	rt.arm(d)
 	if s.prof.Enabled() {
 		s.trackTrace(rt.tc.TraceID)
 		defer s.untrackTrace(rt.tc.TraceID)
@@ -181,7 +180,7 @@ func (s *Server) wireRespond(frame []byte, req *wire.Request, out []byte) []byte
 	case req.Op == wire.OpIngest:
 		res, code, err = s.submit(rt, req.Edits)
 	default:
-		res, code, err = s.dispatch(ctx, rt, req, subs)
+		res, code, err = s.dispatch(rt, req, subs)
 	}
 	if err != nil {
 		out = wire.AppendErrorResponse(out, wire.StatusFromHTTP(code), err.Error())

@@ -162,9 +162,9 @@ type Server struct {
 	// The writer's window: batches and edits applied since cur's version.
 	pendingBatches, pendingEdits atomic.Int64
 
-	want     [numParts]atomic.Bool           // kernels readers have asked for; sticky
-	wake     chan struct{}                   // cap 1: a reader waits for a build
-	buildCtx atomic.Pointer[context.Context] // the first waiting reader's stage, for the build's spans
+	want        [numParts]atomic.Bool                  // kernels readers have asked for; sticky
+	wake        chan struct{}                          // cap 1: a reader waits for a build
+	buildParent atomic.Pointer[telemetry.TraceContext] // the first waiting reader's stage, for the build's spans
 
 	queue chan dyngraph.Edit
 	admit chan struct{}

@@ -36,22 +36,29 @@ type stageDur struct {
 	DurNs int64  `json:"dur_ns"`
 }
 
-// reqTrace is the per-request lifecycle accumulator: the root span, the
-// trace identity, and the finished stages in order. It is written only by
-// the request's handler goroutine, and pooled: finish is its last use.
+// reqTrace is the per-request lifecycle accumulator — the trace identity,
+// the root, stage and kernel spans, the finished stages in order, the
+// result storage — and the request's context.Context (reqctx.go). It is
+// written only by the request's handler goroutine, and pooled: finish is
+// its last use, so nothing on the hot path allocates once a pooled trace
+// has grown to the request's size.
 type reqTrace struct {
 	fe     *frontEnd
 	op     string
 	tc     telemetry.TraceContext
-	root   *telemetry.Span
+	root   *telemetry.Span // spans' root; nil when the tracer is disabled
+	spans  telemetry.SpanStack
 	start  time.Time
 	stages []stageDur
 	scr    reqscratch.Scratch // result storage, reset by finish
 	req    wire.Request       // the HTTP front end's parsed request
+	echo   [1]string          // the HTTP response's traceparent header value
 
 	// pinned are the bundles a graphd request reads until finish (see
 	// Server.read).
 	pinned []*bundle
+
+	reqCtx
 }
 
 // tracePool recycles request traces with their stage and pin lists and
@@ -61,20 +68,23 @@ var tracePool = scratch.NewPool(func() *reqTrace {
 	return &reqTrace{
 		stages: make([]stageDur, 0, 8),
 		pinned: make([]*bundle, 0, 2),
-		scr:    reqscratch.Scratch{Verts: make([]int32, 0, 1024), Pairs: make([]wire.JaccardPair, 0, 256)},
+		scr:    reqscratch.Scratch{Verts: make([]int32, 0, 1024), Pairs: make([]wire.JaccardPair, 0, 256), Top: make([]wire.ScoredVertex, 0, wire.DefaultTopK)},
 	}
 })
 
 // traceFrom returns the request trace carried by ctx, or nil when the
 // request is untraced (nil is safe: stage() on a nil receiver is a no-op).
 func traceFrom(ctx context.Context) *reqTrace {
+	if rt, ok := ctx.(*reqTrace); ok {
+		return rt
+	}
 	rt, _ := ctx.Value(reqTraceKey{}).(*reqTrace)
 	return rt
 }
 
 // spanNames holds the root span name of every endpoint ("server."+op) and
 // the span name of every lifecycle stage ("stage."+name), made once so that
-// opening one allocates only the span.
+// naming one allocates nothing.
 var spanNames = func() map[string]string {
 	m := map[string]string{}
 	for op := wire.OpPing; op <= wire.OpShardAdj; op++ {
@@ -105,20 +115,15 @@ type stage struct {
 	t0   time.Time
 }
 
-// stage begins a named lifecycle stage.
+// stage begins a named lifecycle stage. Its span starts in the trace's
+// stage slot and is the request's active span until it ends, so kernel
+// spans (and the scheduler spans beneath them) nest under the stage they
+// are attributed to rather than directly under the root.
 func (rt *reqTrace) stage(name string, attrs ...telemetry.Label) stage {
 	if rt == nil {
 		return stage{}
 	}
-	return stage{rt: rt, sp: rt.root.Child(spanName("stage.", name), attrs...), name: name, t0: time.Now()}
-}
-
-// stageCtx is stage with the stage's span installed as ctx's active span, so
-// kernel spans (and the scheduler spans beneath them) nest under the stage
-// they are attributed to rather than directly under the root.
-func (rt *reqTrace) stageCtx(ctx context.Context, name string, attrs ...telemetry.Label) (context.Context, stage) {
-	st := rt.stage(name, attrs...)
-	return telemetry.ContextWithSpan(ctx, st.sp), st
+	return stage{rt: rt, sp: rt.spans.Child(spanName("stage.", name), attrs...), name: name, t0: time.Now()}
 }
 
 // end closes the stage: the span, the stage histogram observation, and the
@@ -136,9 +141,10 @@ func (st stage) end() {
 // finish closes the request's lifecycle accounting: the unattributed
 // remainder of the wall time is observed as stage="other" (so the stage
 // family sums to wall time), the root span ends, and the request is offered
-// to the slow-query log. It also ends the life of the request's results:
-// the scratch they alias is reset and the bundles they alias are unpinned,
-// so callers encode first. rt itself goes back to its pool.
+// to the slow-query log. It also ends the life of everything the request
+// lent out: the scratch its results alias is reset, the bundles they alias
+// are unpinned, its spans are handed on and its context ends, so callers
+// encode first. rt itself goes back to its pool.
 func (rt *reqTrace) finish(code int, wall time.Duration) {
 	if rt == nil {
 		return
@@ -164,6 +170,8 @@ func (rt *reqTrace) finish(code int, wall time.Duration) {
 		// a sustained slow spell costs one bundle per MinInterval.
 		rt.fe.prof.Trigger("slowquery:"+rt.op, []telemetry.TraceID{rt.tc.TraceID})
 	}
+	rt.spans.Reset()
+	rt.endCtx()
 	rt.root, rt.stages = nil, rt.stages[:0]
 	tracePool.Put(rt)
 }
@@ -177,15 +185,17 @@ func (fe *frontEnd) stageObserve(endpoint, stage string, d time.Duration) {
 
 // startTrace builds the per-request trace state for one op, for any
 // transport: the root span joins the trace identity tc (minted by the
-// caller when the transport carries none), and the returned context carries
-// both the reqTrace (for stage attribution) and the root span (for
-// kernel/scheduler child spans).
-func (fe *frontEnd) startTrace(ctx context.Context, tc telemetry.TraceContext, op string, start time.Time) (context.Context, *reqTrace) {
+// caller when the transport carries none), and the trace, which is the
+// request's context from here to finish, answers both itself (for stage
+// attribution) and its active span (for kernel and scheduler child spans)
+// beneath parent. It has no deadline of its own until the caller sets one
+// (reqCtx.arm).
+func (fe *frontEnd) startTrace(parent context.Context, tc telemetry.TraceContext, op string, start time.Time) *reqTrace {
 	rt := tracePool.Get()
 	rt.fe, rt.op, rt.tc, rt.start = fe, op, tc, start
-	rt.root = fe.reg.Tracer().StartWithTrace(tc, spanName("server.", op), telemetry.L("endpoint", op))
-	ctx = context.WithValue(ctx, reqTraceKey{}, rt)
-	return telemetry.ContextWithSpan(ctx, rt.root), rt
+	rt.parent = parent
+	rt.root = rt.spans.Start(fe.reg.Tracer(), tc, spanName("server.", op), telemetry.L("endpoint", op))
+	return rt
 }
 
 // inboundTrace is an HTTP request's W3C trace identity: its traceparent
@@ -199,16 +209,24 @@ func inboundTrace(r *http.Request) telemetry.TraceContext {
 	return telemetry.NewTraceContext()
 }
 
-// echoTrace sets the traceparent a response answers with: the trace, with
+// echoValue is the traceparent a response answers with: the trace, with
 // span (the request's root) as parent-id — the caller's parent-id, or 1,
 // when there is no span, so the header stays well-formed.
-func echoTrace(w http.ResponseWriter, tc telemetry.TraceContext, span uint64) {
+func echoValue(tc telemetry.TraceContext, span uint64) string {
 	if span != 0 {
 		tc.Parent = span
 	} else if tc.Parent == 0 {
 		tc.Parent = 1
 	}
-	w.Header()["Traceparent"] = []string{tc.Traceparent()}
+	return tc.Traceparent()
+}
+
+// echoTrace sets the response's traceparent header, its value slice the
+// pooled trace's own: net/http copies the header map when the handler
+// writes the status, before finish hands the trace on.
+func (rt *reqTrace) echoTrace(w http.ResponseWriter) {
+	rt.echo[0] = echoValue(rt.tc, rt.root.ID())
+	w.Header()["Traceparent"] = rt.echo[:]
 }
 
 // untraced wraps an endpoint the front end does not trace so that it still
@@ -216,7 +234,7 @@ func echoTrace(w http.ResponseWriter, tc telemetry.TraceContext, span uint64) {
 // can correlate any response with /debug/trace/{id}.
 func untraced(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		echoTrace(w, inboundTrace(r), 0)
+		w.Header()["Traceparent"] = []string{echoValue(inboundTrace(r), 0)}
 		h.ServeHTTP(w, r)
 	})
 }

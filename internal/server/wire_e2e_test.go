@@ -605,8 +605,8 @@ func TestWireShardMetaSkipsDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard.meta: %v", err)
 		}
-		if want := s.shardMeta(); *m != want {
-			t.Fatalf("shard.meta = %+v, want %+v", *m, want)
+		if want := s.shardMeta(); m != want {
+			t.Fatalf("shard.meta = %+v, want %+v", m, want)
 		}
 	}
 	if n := cfg.Registry.Counter("server_queries_total", telemetry.L("op", "shard.meta"), telemetry.L("code", "200")).Value(); n != 3 {

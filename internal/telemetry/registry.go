@@ -13,6 +13,16 @@
 // sync/atomic, lookups happen once at wiring time, and a no-op registry
 // (see Nop) reduces every update to a predictable branch so instrumented
 // code can be benchmarked against a disabled baseline.
+//
+// An enabled request trace allocates nothing on the hot path either: a
+// request keeps its root, stage and kernel spans in a SpanStack it owns
+// (StartChild lends its slots to lower layers through the context), and
+// the tracer copies each finished span into a ring slot that owns its
+// attribute storage. What still allocates is off that path: heap spans
+// (Start, Child, spans below a full stack), the retained-span copies that
+// Snapshot and TraceSpans hand out, and, in the servers, slow-query
+// capture, writer build spans, batch envelopes and net/http's own request
+// parsing.
 package telemetry
 
 import (

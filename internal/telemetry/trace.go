@@ -102,16 +102,18 @@ func ParseTraceparent(h string) (TraceContext, bool) {
 
 // Traceparent renders the context as a W3C traceparent header value with
 // the sampled flag set. Parent renders as the 16-hex-digit parent-id field.
+// The header is built in a fixed array, so the string is the one
+// allocation.
 func (tc TraceContext) Traceparent() string {
 	var pb [8]byte
 	binary.BigEndian.PutUint64(pb[:], tc.Parent)
-	b := make([]byte, 0, 55)
-	b = append(b, "00-"...)
-	b = hex.AppendEncode(b, tc.TraceID[:])
-	b = append(b, '-')
-	b = hex.AppendEncode(b, pb[:])
-	b = append(b, "-01"...)
-	return string(b)
+	var b [55]byte
+	copy(b[:], "00-")
+	hex.Encode(b[3:35], tc.TraceID[:])
+	b[35] = '-'
+	hex.Encode(b[36:52], pb[:])
+	copy(b[52:], "-01")
+	return string(b[:])
 }
 
 func isHex(s string) bool {
@@ -126,6 +128,9 @@ func isHex(s string) bool {
 
 // spanCtxKey keys the active span on a context.Context.
 type spanCtxKey struct{}
+
+// spanStackKey keys the SpanStack a context keeps its spans in.
+type spanStackKey struct{}
 
 // ContextWithSpan returns ctx carrying sp as the active span, so lower
 // layers (kernel ctx variants, the par scheduler) can attach child spans to
@@ -146,19 +151,50 @@ func SpanFromContext(ctx context.Context) *Span {
 	return sp
 }
 
+// ContextValue answers, for a context that keeps its spans in st, the
+// context keys the stack serves: the active span (SpanFromContext) and the
+// stack itself (StartChild). Such a context consults it from its Value
+// before its parent; ok is false for any other key, and for the span key
+// while no span of st is open.
+func (st *SpanStack) ContextValue(key any) (v any, ok bool) {
+	switch key.(type) {
+	case spanCtxKey:
+		if sp := st.Active(); sp != nil {
+			return sp, true
+		}
+	case spanStackKey:
+		return st, true
+	}
+	return nil, false
+}
+
+// StartChild begins a span under ctx's active span and returns a context
+// with the new span active. When ctx keeps its spans in a SpanStack whose
+// active span that is, the span starts in the stack's next slot and ctx
+// itself comes back, now answering the new span: nothing allocates. Any
+// other context, or a full stack, gets a heap child bound by
+// ContextWithSpan. Untraced, it costs nothing: ctx and a nil span.
+func StartChild(ctx context.Context, name string, attrs ...Label) (context.Context, *Span) {
+	parent := SpanFromContext(ctx)
+	if parent == nil {
+		return ctx, nil
+	}
+	if st, _ := ctx.Value(spanStackKey{}).(*SpanStack); st != nil && st.Active() == parent {
+		if sp := st.Child(name, attrs...); sp != nil {
+			return ctx, sp
+		}
+	}
+	sp := parent.Child(name, attrs...)
+	return ContextWithSpan(ctx, sp), sp
+}
+
 // TraceSpans returns the retained spans belonging to one trace, oldest
 // first. An evicted ring may hold only a suffix of the request's spans.
 func (t *Tracer) TraceSpans(id TraceID) []SpanRecord {
 	if t == nil || t.noop || id.IsZero() {
 		return nil
 	}
-	var out []SpanRecord
-	for _, s := range t.Snapshot() {
-		if s.Trace == id {
-			out = append(out, s)
-		}
-	}
-	return out
+	return t.retained(id)
 }
 
 // SpanTree is one span with its children nested, as assembled from the

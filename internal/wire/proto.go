@@ -161,14 +161,17 @@ func ReadHello(r io.Reader) (byte, error) {
 
 // WriteFrame writes one length-prefixed frame to w. Callers on the hot path
 // pass a *bufio.Writer and flush once per response, so a frame costs one
-// syscall and no allocation.
+// syscall and no allocation: the length prefix is appended in the writer's
+// spare buffer.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame %d bytes exceeds max %d", len(payload), MaxFrame)
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:n]); err != nil {
+	var hdr []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		hdr = bw.AvailableBuffer()
+	}
+	if _, err := w.Write(binary.AppendUvarint(hdr, uint64(len(payload)))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)

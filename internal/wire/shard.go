@@ -284,17 +284,15 @@ func DecodeShardAdjResult(r *Reader, out *ShardAdjResult) error {
 
 // ShardMeta requests the shard's identity, graph shape, version and
 // readiness.
-func (c *Client) ShardMeta(timeout time.Duration) (*ShardMeta, error) {
+func (c *Client) ShardMeta(timeout time.Duration) (ShardMeta, error) {
 	c.req = Request{Op: OpShardMeta, TimeoutMicros: timeoutMicros(timeout)}
 	r, _, err := c.do(&c.req)
 	if err != nil {
-		return nil, err
+		return ShardMeta{}, err
 	}
-	out := &ShardMeta{}
-	if err := DecodeShardMeta(&r, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	var out ShardMeta
+	err = DecodeShardMeta(&r, &out)
+	return out, err
 }
 
 // ShardDegrees requests the shard's owned-vertex degrees.
